@@ -1,7 +1,8 @@
 package gomp
 
 // The benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Section V), plus the ablations listed in DESIGN.md.
+// paper's evaluation (Section V), plus ablations of the
+// runtime's own design choices.
 //
 //	Table I  / Fig. 3 — CG runtime / speedup vs threads
 //	Table II / Fig. 4 — EP runtime / speedup vs threads
@@ -19,12 +20,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"gomp/internal/atomicx"
 	"gomp/internal/bench"
 	"gomp/internal/core"
 	"gomp/internal/driver"
-	"gomp/internal/kmp"
 	"gomp/internal/npb"
 	"gomp/internal/trace"
 	"gomp/omp"
@@ -206,38 +207,40 @@ func BenchmarkAblationReductionCASMul(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation A2 — barrier algorithm: cost of one full-team rendezvous under
-// each algorithm. libomp hard-wires one; this runtime exposes all three.
+// Barrier: cost of one full-team rendezvous inside a running region, at
+// team sizes 1, 2, 4 and an always-oversubscribed 8.
 
-func benchBarrier(b *testing.B, kind kmp.BarrierKind) {
-	for _, n := range benchThreads() {
+// benchBarrier times b.N barriers per thread of one region; before runs on
+// every thread ahead of each barrier.
+func benchBarrier(b *testing.B, before func(t *omp.Thread)) {
+	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			bar := kmp.NewBarrier(kind, n, kmp.WaitPassive)
-			b.ResetTimer()
-			var wg = make(chan struct{}, n)
-			for g := 0; g < n; g++ {
-				go func(tid int) {
-					for i := 0; i < b.N; i++ {
-						bar.Wait(tid)
-					}
-					wg <- struct{}{}
-				}(g)
-			}
-			for g := 0; g < n; g++ {
-				<-wg
-			}
+			omp.Parallel(func(t *omp.Thread) {
+				for i := 0; i < b.N; i++ {
+					before(t)
+					omp.Barrier(t)
+				}
+			}, omp.NumThreads(n))
 		})
 	}
 }
 
-// BenchmarkAblationBarrierCentral measures the central counter barrier.
-func BenchmarkAblationBarrierCentral(b *testing.B) { benchBarrier(b, kmp.BarrierCentral) }
+// BenchmarkBarrier measures the balanced rendezvous: all threads arrive
+// together.
+func BenchmarkBarrier(b *testing.B) { benchBarrier(b, func(*omp.Thread) {}) }
 
-// BenchmarkAblationBarrierTree measures the arity-4 tree barrier.
-func BenchmarkAblationBarrierTree(b *testing.B) { benchBarrier(b, kmp.BarrierTree) }
-
-// BenchmarkAblationBarrierDissemination measures the dissemination barrier.
-func BenchmarkAblationBarrierDissemination(b *testing.B) { benchBarrier(b, kmp.BarrierDissemination) }
+// BenchmarkBarrierSkewed is the NPB CG shape: one thread does ≈20 µs of work
+// between barriers, so every other thread waits about that long each
+// generation. ns/op minus the 20 µs is what waiting costs the late arriver's
+// teammates on top of the skew itself.
+func BenchmarkBarrierSkewed(b *testing.B) {
+	benchBarrier(b, func(t *omp.Thread) {
+		if t.Tid == 0 {
+			for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+			}
+		}
+	})
+}
 
 // ---------------------------------------------------------------------
 // Ablation A3 — schedule kinds over a deliberately imbalanced loop

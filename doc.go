@@ -18,8 +18,9 @@
 //     worksharing directives stacked above a transformation distribute
 //     the generated loops (see "Loop transformations" below).
 //   - internal/kmp — the libomp analog: hot goroutine teams, ForkCall and
-//     its error/context-aware sibling, three barrier algorithms plus a
-//     cancellation-aware one, static partitioning, the unified worksharing
+//     its error/context-aware sibling, one cancellation-aware barrier and
+//     one spin-then-park waiter behind every rendezvous (barrier, join,
+//     idle), static partitioning, the unified worksharing
 //     engine (dynamic-family loops run work-stealing over static-seeded
 //     per-thread ranges by default, with the shared-counter dispatch ring
 //     kept as the monotonic:/ordered compliance path), the ordered
@@ -49,7 +50,8 @@
 //
 // The benchmarks in bench_test.go map one-to-one onto the paper's tables
 // and figures (BenchmarkTable1CG … BenchmarkFig5IS) plus the ablations
-// catalogued in DESIGN.md (BenchmarkAblation*), the tasking pair
+// (BenchmarkAblation*), the rendezvous pair (BenchmarkBarrier,
+// BenchmarkBarrierSkewed), the tasking pair
 // (BenchmarkTaskFib, BenchmarkTaskloopVsFor) comparing the explicit-task
 // subsystem against serial recursion and the loop-directive lowerings,
 // BenchmarkImbalancedFor, the worksharing engine's headline number

@@ -301,9 +301,9 @@ func DistributeParallelFor(d *Directive) (par, loop *Directive) {
 		SchedMod:    c.SchedMod,
 		Collapse:    c.Collapse,
 		Ordered:     c.Ordered,
-		// No nowait: the fused construct's single implicit barrier is
-		// the parallel join; the inner loop barrier is redundant but
-		// harmless, so we keep OpenMP's semantics and elide it.
+		// The fused construct has one rendezvous, not two: the inner
+		// loop runs nowait and the parallel join is its closing barrier
+		// (reduction combines and lastprivate stores still precede it).
 		NoWait: true,
 	}}
 	return par, loop

@@ -58,12 +58,16 @@ func (d *Driver) Watch(ctx context.Context, interval time.Duration, fn func(*Rep
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	rep, err := d.Run()
-	fn(rep, err)
+	// The signature is taken before the pass it describes, here and in the
+	// loop: an edit landing while the pass runs (or while fn handles its
+	// report) then differs from it and is picked up at the next tick,
+	// instead of being absorbed into the baseline and lost.
 	last, sigErr := signature(d.cfg)
 	if sigErr != nil {
 		last = nil
 	}
+	rep, err := d.Run()
+	fn(rep, err)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {

@@ -69,14 +69,19 @@ func TestWatchIdleRunsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	passes := make(chan *Report, 16)
-	go d.Watch(ctx, time.Millisecond, func(rep *Report, err error) {
-		if err == nil {
-			passes <- rep
-		}
-	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Watch(ctx, time.Millisecond, func(rep *Report, err error) {
+			if err == nil {
+				passes <- rep
+			}
+		})
+	}()
 	<-passes
 	time.Sleep(50 * time.Millisecond)
 	cancel()
+	<-done // a pass still in flight would race the TempDir cleanup
 	select {
 	case rep := <-passes:
 		t.Fatalf("idle watch ran a pass: %s", rep.Summary())

@@ -1,248 +1,47 @@
 package kmp
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
-// Barrier is a reusable rendezvous for a fixed-size team: all n threads must
-// call Wait before any returns, for every generation. Implementations must
-// be safe under oversubscription (more team threads than processors).
+// barrier is the team rendezvous: a sense-reversing central counter. The
+// last thread to arrive resets the count, bumps the generation word and
+// wakes whoever parked; everyone else waits (wait.go) until the generation
+// changes — or the region is cancelled, since barriers are cancellation
+// points and a cancelled team must not wait for threads that already
+// branched to the region's end. Allocation-free, so warm regions —
+// cancellable ones included — stay on the zero-allocation fork path.
 //
-// libomp hard-codes a hierarchical hyper-barrier; this reproduction ships
-// three classic algorithms behind one interface so their cost can be
-// measured against each other (ablation A2 in DESIGN.md).
-type Barrier interface {
-	// Wait blocks until all team threads of the current generation have
-	// arrived. tid must be the caller's team-local thread number and each
-	// tid must arrive exactly once per generation.
-	Wait(tid int)
-	// Size returns the number of participating threads.
-	Size() int
+// At the team sizes this reproduction can measure, tree and dissemination
+// barriers never beat the central counter, so it is the only algorithm.
+type barrier struct {
+	count atomic.Int64
+	_     pad // arrivals must not invalidate the line waiters spin on
+	seq   atomic.Uint64
 }
 
-// NewBarrier constructs a barrier of the given algorithm for n threads.
-func NewBarrier(kind BarrierKind, n int, policy WaitPolicy) Barrier {
-	if n < 1 {
-		panic("kmp: barrier size must be >= 1")
-	}
-	switch kind {
-	case BarrierTree:
-		b := newTreeBarrier(n)
-		b.policy = policy
-		return b
-	case BarrierDissemination:
-		return newDisseminationBarrier(n, policy)
-	default:
-		b := newCentralBarrier(n)
-		b.policy = policy
-		return b
-	}
-}
-
-// spinThenYield evaluates cond in a bounded spin loop, yielding the
-// processor between probes and finally sleeping with backoff so that
-// oversubscribed teams cannot livelock the scheduler.
-func spinThenYield(policy WaitPolicy, cond func() bool) {
-	spins := 128
-	if policy == WaitActive {
-		spins = 8192
-	}
-	for i := 0; i < spins; i++ {
-		if cond() {
-			return
-		}
-		if i&7 == 7 {
-			runtime.Gosched()
-		}
-	}
-	backoff := time.Microsecond
-	const maxBackoff = 500 * time.Microsecond
-	for !cond() {
-		time.Sleep(backoff)
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
-	}
-}
-
-// ---------------------------------------------------------------- central
-
-// centralBarrier is a sense-reversing central counter: the last thread to
-// arrive resets the count and bumps the generation word, releasing waiters
-// spinning (then sleeping, with bounded backoff) on it. O(n) arrivals on one
-// hot counter, but allocation-free — its channel-per-generation predecessor
-// put one make(chan) on every barrier of every warm region, which the
-// zero-allocation serving path cannot afford.
-type centralBarrier struct {
-	n      int
-	policy WaitPolicy
-	count  atomic.Int64
-	seq    atomic.Uint64
-}
-
-func newCentralBarrier(n int) *centralBarrier {
-	return &centralBarrier{n: n}
-}
-
-func (b *centralBarrier) Size() int { return b.n }
-
-func (b *centralBarrier) Wait(int) {
-	if b.n == 1 {
+// wait blocks t until all tm.n threads have arrived or the region is
+// cancelled. A cancelled region may leave count mid-generation; Team.reset
+// re-arms it.
+func (b *barrier) wait(t *Thread) {
+	tm := t.team
+	if tm.cancelRegion.Load() {
 		return
 	}
+	// The generation must be sampled before arriving: after our increment
+	// another thread may complete the barrier and bump it.
 	s := b.seq.Load()
-	if b.count.Add(1) == int64(b.n) {
-		// Reset before release: a released thread may re-arrive at the
-		// next barrier generation immediately.
+	if b.count.Add(1) == int64(tm.n) {
+		// Every thread is inside the barrier, so none is inside a loop:
+		// the releaser can retire the loop-cancellation slot for the next
+		// batch of worksharing instances (see Thread.Cancel), then reset
+		// the count before the release — a released thread may re-arrive
+		// at the next generation instantly.
+		if tm.cancelledLoop.Load() != 0 {
+			tm.cancelledLoop.Store(0)
+		}
 		b.count.Store(0)
 		b.seq.Add(1)
+		tm.wakeTeam(t)
 		return
 	}
-	spinThenYield(b.policy, func() bool { return b.seq.Load() != s })
-}
-
-// ------------------------------------------------------------------ tree
-
-const treeArity = 4 // libomp's default branching factor for its fork barrier
-
-type treeNode struct {
-	count  atomic.Int32
-	width  int32 // arrivals expected at this node
-	parent int32 // index into nodes, -1 at root
-	_      pad
-}
-
-// treeBarrier arrives up an arity-4 reduction tree: the last thread into
-// each node climbs to the parent, and the thread that completes the root
-// releases everyone by bumping the generation word. Arrival is O(log n)
-// contention instead of one hot counter, and release is allocation-free.
-type treeBarrier struct {
-	n      int
-	policy WaitPolicy
-	nodes  []treeNode
-	leaf   []int32 // leaf node index per tid
-	seq    atomic.Uint64
-}
-
-func newTreeBarrier(n int) *treeBarrier {
-	b := &treeBarrier{n: n}
-
-	// Level 0: group threads by treeArity.
-	levelStart := 0
-	levelCount := (n + treeArity - 1) / treeArity
-	b.leaf = make([]int32, n)
-	for t := 0; t < n; t++ {
-		b.leaf[t] = int32(t / treeArity)
-	}
-	for i := 0; i < levelCount; i++ {
-		width := treeArity
-		if rem := n - i*treeArity; rem < width {
-			width = rem
-		}
-		b.nodes = append(b.nodes, treeNode{width: int32(width), parent: -1})
-	}
-	// Higher levels: group nodes of the previous level.
-	for levelCount > 1 {
-		nextStart := levelStart + levelCount
-		nextCount := (levelCount + treeArity - 1) / treeArity
-		for i := 0; i < nextCount; i++ {
-			width := treeArity
-			if rem := levelCount - i*treeArity; rem < width {
-				width = rem
-			}
-			b.nodes = append(b.nodes, treeNode{width: int32(width), parent: -1})
-		}
-		for i := 0; i < levelCount; i++ {
-			b.nodes[levelStart+i].parent = int32(nextStart + i/treeArity)
-		}
-		levelStart = nextStart
-		levelCount = nextCount
-	}
-	return b
-}
-
-func (b *treeBarrier) Size() int { return b.n }
-
-// arrive registers one arrival at node idx; returns true iff the caller
-// completed the root and must perform the release.
-func (b *treeBarrier) arrive(idx int32) bool {
-	n := &b.nodes[idx]
-	if n.count.Add(1) != n.width {
-		return false
-	}
-	n.count.Store(0) // reset before release so the next generation is clean
-	if n.parent < 0 {
-		return true
-	}
-	return b.arrive(n.parent)
-}
-
-func (b *treeBarrier) Wait(tid int) {
-	if b.n == 1 {
-		return
-	}
-	// The generation word must be sampled before arrival: after our
-	// increment another thread may complete the root and bump it.
-	s := b.seq.Load()
-	if b.arrive(b.leaf[tid]) {
-		b.seq.Add(1)
-		return
-	}
-	spinThenYield(b.policy, func() bool { return b.seq.Load() != s })
-}
-
-// --------------------------------------------------------- dissemination
-
-type dissFlag struct {
-	v atomic.Uint64
-	_ pad
-}
-
-// disseminationBarrier runs ceil(log2 n) rounds; in round k, thread t
-// signals thread (t+2^k) mod n and waits for its own signal. No thread is a
-// coordinator and all threads exit after the final round — latency is
-// O(log n) full stop, at the price of n·log n flag storage.
-type disseminationBarrier struct {
-	n      int
-	rounds int
-	policy WaitPolicy
-	// flags[r*n+t] counts the signals thread t has received in round r.
-	flags []dissFlag
-	// gens[t] is thread t's local generation count.
-	gens []struct {
-		v uint64
-		_ pad
-	}
-}
-
-func newDisseminationBarrier(n int, policy WaitPolicy) *disseminationBarrier {
-	rounds := 0
-	for 1<<rounds < n {
-		rounds++
-	}
-	b := &disseminationBarrier{n: n, rounds: rounds, policy: policy}
-	b.flags = make([]dissFlag, rounds*n)
-	b.gens = make([]struct {
-		v uint64
-		_ pad
-	}, n)
-	return b
-}
-
-func (b *disseminationBarrier) Size() int { return b.n }
-
-func (b *disseminationBarrier) Wait(tid int) {
-	if b.n == 1 {
-		return
-	}
-	b.gens[tid].v++
-	gen := b.gens[tid].v
-	for r := 0; r < b.rounds; r++ {
-		partner := (tid + 1<<r) % b.n
-		b.flags[r*b.n+partner].v.Add(1)
-		f := &b.flags[r*b.n+tid].v
-		spinThenYield(b.policy, func() bool { return f.Load() >= gen })
-	}
+	t.wait(func() bool { return b.seq.Load() != s || tm.cancelRegion.Load() })
 }

@@ -1,118 +1,44 @@
 package kmp
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// checkBarrier drives n goroutines through gens generations and verifies no
+// checkBarrier drives a team of n through gens generations and verifies no
 // thread ever enters generation g+1 while another is still in g — the
 // defining property of a barrier.
-func checkBarrier(t *testing.T, b Barrier, n, gens int) {
+func checkBarrier(t *testing.T, n, gens int) {
 	t.Helper()
 	var phase atomic.Int64 // sum of per-thread generation counters
-	var wg sync.WaitGroup
-	fail := make(chan string, n)
-	for tid := 0; tid < n; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for g := 0; g < gens; g++ {
-				phase.Add(1)
-				b.Wait(tid)
-				// After the barrier, every thread must have
-				// arrived at least g+1 times: the total is at
-				// least n*(g+1).
-				if got := phase.Load(); got < int64(n*(g+1)) {
-					select {
-					case fail <- "":
-					default:
-					}
-					return
-				}
-				b.Wait(tid) // second barrier separates the read from the next inc
+	var early atomic.Bool
+	ForkCall(Ident{}, n, func(th *Thread) {
+		if th.NumThreads() != n {
+			t.Errorf("team of %d, want %d", th.NumThreads(), n)
+		}
+		for g := 0; g < gens; g++ {
+			phase.Add(1)
+			th.Barrier()
+			// After the barrier, every thread must have arrived at
+			// least g+1 times: the total is at least n*(g+1).
+			if phase.Load() < int64(n*(g+1)) {
+				early.Store(true)
 			}
-		}(tid)
-	}
-	wg.Wait()
-	select {
-	case <-fail:
-		t.Fatalf("barrier %T released a thread before all %d arrived", b, n)
-	default:
+			th.Barrier() // separates the read from the next increment
+		}
+	})
+	if early.Load() {
+		t.Fatalf("barrier released a thread before all %d arrived", n)
 	}
 }
 
-func TestBarrierAlgorithms(t *testing.T) {
-	kinds := map[string]BarrierKind{
-		"central":       BarrierCentral,
-		"tree":          BarrierTree,
-		"dissemination": BarrierDissemination,
-	}
-	sizes := []int{1, 2, 3, 4, 5, 7, 8, 16, 33}
-	for name, kind := range kinds {
-		for _, n := range sizes {
-			b := NewBarrier(kind, n, WaitPassive)
-			if b.Size() != n {
-				t.Fatalf("%s barrier Size = %d, want %d", name, b.Size(), n)
-			}
-			checkBarrier(t, b, n, 25)
-		}
+func TestBarrier(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33} {
+		checkBarrier(t, n, 25)
 	}
 }
 
 // Oversubscription: far more threads than cores must still complete.
 func TestBarrierOversubscribed(t *testing.T) {
-	for _, kind := range []BarrierKind{BarrierCentral, BarrierTree, BarrierDissemination} {
-		b := NewBarrier(kind, 128, WaitPassive)
-		checkBarrier(t, b, 128, 5)
-	}
-}
-
-func TestBarrierSizeOne(t *testing.T) {
-	for _, kind := range []BarrierKind{BarrierCentral, BarrierTree, BarrierDissemination} {
-		b := NewBarrier(kind, 1, WaitPassive)
-		for i := 0; i < 100; i++ {
-			b.Wait(0) // must never block
-		}
-	}
-}
-
-func TestBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(BarrierCentral, 0, WaitPassive)
-}
-
-// The tree barrier's internal structure: root must expect its children, and
-// every node's parent chain must terminate.
-func TestTreeBarrierShape(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 5, 16, 17, 64, 100} {
-		b := newTreeBarrier(n)
-		roots := 0
-		for i := range b.nodes {
-			if b.nodes[i].parent < 0 {
-				roots++
-			}
-			if w := b.nodes[i].width; w < 1 || w > treeArity {
-				t.Fatalf("n=%d node %d width %d out of range", n, i, w)
-			}
-		}
-		if roots != 1 {
-			t.Fatalf("n=%d: %d roots, want 1", n, roots)
-		}
-		for tid := 0; tid < n; tid++ {
-			idx := b.leaf[tid]
-			hops := 0
-			for b.nodes[idx].parent >= 0 {
-				idx = b.nodes[idx].parent
-				if hops++; hops > 64 {
-					t.Fatalf("n=%d: parent chain from tid %d does not terminate", n, tid)
-				}
-			}
-		}
-	}
+	checkBarrier(t, 128, 5)
 }

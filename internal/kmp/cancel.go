@@ -1,7 +1,5 @@
 package kmp
 
-import "sync/atomic"
-
 // OpenMP cancellation (OpenMP 5.2 §11): the runtime half of the
 // `cancel {parallel|for|taskgroup}` and `cancellation point` directives, and
 // the teardown path of context-bound regions (ForkCallErr). Activation is a
@@ -50,11 +48,13 @@ func (k CancelKind) String() string {
 
 // cancel activates region-level cancellation for the team. Idempotent and
 // safe from any goroutine (the context watcher calls it from outside the
-// team). Threads parked at a cancellable barrier observe the flag in their
-// wait condition — no channel latch to close, so cancellable regions
+// team, and is quiesced before the team is recycled). The flag is part of
+// every barrier wait predicate, so threads spinning there see it and parked
+// ones are woken — no channel latch to close, so cancellable regions
 // allocate nothing per fork.
 func (tm *Team) cancel() {
 	tm.cancelRegion.Store(true)
+	tm.wakeTeam(nil)
 }
 
 // Cancellable reports whether cancellation can be activated for this
@@ -163,47 +163,4 @@ func (n *taskNode) discarded() bool {
 		return true
 	}
 	return groupCancelled(n.group)
-}
-
-// cancelBarrier is the rendezvous used by cancellable teams in place of the
-// configured barrier algorithm: a sense-reversing central counter whose
-// waiters watch the generation word *and* the team's cancellation flag, so
-// activation of region cancellation releases every parked thread
-// immediately — barriers are cancellation points, and a cancelled team must
-// not deadlock waiting for threads that already branched to the region's
-// end. Unlike its channel-based predecessor it is allocation-free: re-arming
-// it between regions is two atomic stores, which is what keeps cancellable
-// (context-bound / error-propagating) regions on the zero-allocation fork
-// fast path.
-type cancelBarrier struct {
-	count atomic.Int64
-	seq   atomic.Uint64
-}
-
-func (b *cancelBarrier) reset() {
-	b.count.Store(0)
-	// seq is left running: waiters compare against the value they sampled
-	// at arrival, not against zero.
-}
-
-// wait blocks until all tm.n threads arrive or the region is cancelled.
-func (b *cancelBarrier) wait(tm *Team) {
-	if tm.cancelRegion.Load() {
-		return
-	}
-	s := b.seq.Load()
-	if b.count.Add(1) == int64(tm.n) {
-		// Every thread is inside the barrier, so none is inside a loop:
-		// the releaser can safely retire the loop-cancellation slot for
-		// the next batch of worksharing instances (see Thread.Cancel),
-		// then reset the arrival count before bumping the generation —
-		// a released thread may re-arrive at the next barrier instantly.
-		tm.cancelledLoop.Store(0)
-		b.count.Store(0)
-		b.seq.Add(1)
-		return
-	}
-	spinThenYield(tm.waitPolicy(), func() bool {
-		return b.seq.Load() != s || tm.cancelRegion.Load()
-	})
 }

@@ -140,6 +140,11 @@ func (b *dispatchBuf) init() {
 // rest join it. schedule(runtime) resolves against the run-sched ICV here,
 // at loop entry, exactly once per loop.
 func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
+	if loc == (Ident{}) {
+		// Unlocated loops — the loop half of a combined parallel-for — are
+		// attributed to their region, as static loops are.
+		loc = t.team.loc
+	}
 	if sched.Kind == SchedRuntime {
 		rs := GetICV().RunSched
 		if rs.Kind == SchedRuntime { // guard: ICV must not self-refer
@@ -162,6 +167,7 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 		})
 	}
 	tm := t.team
+	tm.touch(dirtyLoops)
 	t.wsSeq++
 	t.curWsSeq = t.wsSeq
 	t.chunkIdx = 0

@@ -194,20 +194,28 @@ func TestGuidedChunkShape(t *testing.T) {
 	if len(sizes) == 0 {
 		t.Fatal("no chunks issued")
 	}
-	var total int64
+	// sizes is in append order, which need not be grab order (a thread can
+	// be overtaken between its grab and its append), so the checks below
+	// are order-free.
+	var total, largest int64
+	short := 0
 	for _, s := range sizes {
 		total += s
-		if s < minChunk && total != trip {
-			// Only the final remnant chunk may be below minChunk.
-			t.Fatalf("guided issued chunk %d below minimum %d before the tail", s, minChunk)
+		largest = max(largest, s)
+		if s < minChunk {
+			short++
 		}
 	}
 	if total != trip {
 		t.Fatalf("guided chunks sum to %d, want %d", total, trip)
 	}
-	// First chunk should be near trip/(2·nth), far larger than minChunk.
-	if sizes[0] < trip/(4*nth) {
-		t.Fatalf("first guided chunk %d suspiciously small (want ≈ %d)", sizes[0], trip/(2*nth))
+	if short > 1 {
+		// Only the final remnant chunk may be below minChunk.
+		t.Fatalf("guided issued %d chunks below minimum %d, want at most the tail", short, minChunk)
+	}
+	// The first chunk should be near trip/(2·nth), far larger than minChunk.
+	if largest < trip/(4*nth) {
+		t.Fatalf("largest guided chunk %d suspiciously small (want ≈ %d)", largest, trip/(2*nth))
 	}
 }
 

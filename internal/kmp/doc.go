@@ -34,30 +34,77 @@
 // GOMAXPROCS); overflow is disposed rather than cached, and TrimTeams
 // drains both tiers on demand for processes that have gone quiet.
 //
-// Between regions each worker goroutine sits in a spin-then-park wait
-// (team.go): it spins on the team's generation word — bounded iterations
-// under OMP_WAIT_POLICY=passive, a much longer budget under active — and
-// then parks on a buffered channel guarded by a parked flag, Dekker-style,
-// so the master's wake never blocks and never misses a sleeper. The
-// generation word packs region counter and team size into one uint64, so a
-// single atomic load tells a worker both "a new region started" and
-// "whether it participates"; non-participating workers (the region shrank)
-// go straight back to waiting without touching any region state.
+// Between regions each worker goroutine waits on the team's generation word
+// (see "Waiting" below). The word packs region counter and team size into
+// one uint64, so a single atomic load tells a worker both "a new region
+// started" and "whether it participates"; non-participating workers (the
+// region shrank) go straight back to waiting without touching any region
+// state.
 //
 // A warm fork therefore performs: one goroutine-id read (an assembly g
 // pointer read on amd64/arm64, validated at init against the portable
 // stack parse — goid_fast.go), one affinity-map hit, field stores for the
 // region closure, one atomic generation publish, and wake sends to however
-// many workers actually parked. Nothing allocates: the cancellation latch
-// is a generation counter (cancel.go), barriers are sense-reversing atomic
-// words (barrier.go), the serial one-thread path runs from a sync.Pool,
-// and the error box is embedded in the team. TestWarmRegionZeroAlloc and
-// BenchmarkForkJoin assert the invariant.
+// many workers actually parked. Nothing allocates: cancellation is a flag
+// in the barrier's wait predicate (cancel.go), the barrier is one
+// sense-reversing atomic word (barrier.go), the join an atomic countdown,
+// the serial one-thread path runs from a sync.Pool, and the error box is
+// embedded in the team. The fork re-initialises only the per-region state
+// the previous region touched (Team.dirty): a region that ran no dynamic
+// loop, single or task pays for none of their buffers.
+// TestWarmRegionZeroAlloc and BenchmarkForkJoin assert the invariant.
 //
 // Nested parallelism forks real inner teams (when max-active-levels
 // allows) through the same pools, with team sizes debited against
 // thread-limit-var by a global reservation counter (reserveThreads), so a
 // contention group never oversubscribes its configured budget.
+//
+// # Waiting
+//
+// Every team rendezvous blocks in one loop, (*Thread).wait in wait.go: the
+// worksharing/explicit barrier (predicate: generation changed, or region
+// cancelled), the region join (predicate: the countdown of workers still in
+// the region reached zero; only the master waits) and a worker's idle wait
+// between regions (predicate: the generation word moved). No rendezvous
+// polls a timer.
+//
+// Spin. The waiter first probes its predicate for a bounded time: 50 µs
+// under OMP_WAIT_POLICY=passive (the default), 5 ms under active. Probes run
+// back to back in blocks of 64 with one look at the clock per block, and a
+// courtesy runtime.Gosched every fourth block so goroutines outside the
+// team get the processor. The budget is what makes fine-grained loops
+// fast: an arrival skew of a few µs between ≈10 µs phases (NPB CG) is
+// absorbed by spinning instead of costing a sleep and a wake-up.
+//
+// Park and wake. When the budget runs out the waiter publishes its parked
+// flag, re-checks the predicate, and blocks on its cap-1 token channel (one
+// flag and one channel per Thread, allocated with it). Whoever makes a
+// predicate true — the barrier's last arriver, the worker that takes the
+// join count to zero, the master publishing a region, Team.cancel — stores
+// to the predicate first and then loads the flags of the threads that may
+// be waiting on it, sending a token (never blocking) to each that is set.
+// The two sides form a Dekker pair over sequentially consistent atomics:
+//
+//	waiter: parked.Store(1) → pred() load     waker: pred store → parked.Load()
+//
+// so either the waiter sees the predicate true and does not block, or the
+// waker sees the flag and sends. A waker that sees the flag of a thread
+// which then did not block leaves one stale token behind; the next park
+// consumes it, re-checks and blocks again. Tokens carry no meaning beyond
+// "look again", which is why one waiter serves every predicate.
+//
+// Oversubscription. A team larger than GOMAXPROCS never spins: its waiters
+// yield after every probe, because the thread they are waiting for may not
+// have a processor. And any waiter, crowded team or not, whose yield took
+// longer than 2 µs concludes that another goroutine needed the processor
+// and parks at once (remembering it, so its next wait yields before it
+// spins): concurrent teams and other goroutines are never starved by
+// spinners for more than a block.
+//
+// Cost. Spinning replaces sleeping, so process CPU utilisation
+// (proc.cpu_util in the benchmark) rises by design: a waiter holds its
+// processor for up to the budget, and idle workers do so once after every
+// region. OMP_WAIT_POLICY is the only control, as in libomp.
 //
 // # Explicit tasking
 //
@@ -108,7 +155,8 @@
 // Because the evaluation machines for the original paper expose more
 // hardware threads than typical CI hosts, teams may be larger than
 // runtime.NumCPU(); every synchronisation primitive here is therefore safe
-// under oversubscription (spin phases are bounded and fall back to parking).
+// under oversubscription (see "Waiting": spin phases are bounded, yield when
+// the team is crowded, and fall back to parking).
 //
 // The schedule-kind constants reuse libomp's numeric values
 // (kmp_sch_static_chunked = 33, ...), so traces of lowered programs can be

@@ -9,8 +9,9 @@ import (
 	"sync/atomic"
 )
 
-// WaitPolicy controls how threads behave while waiting at barriers and
-// dispatch points (the OMP_WAIT_POLICY environment variable).
+// WaitPolicy controls how long threads spin before parking while they wait
+// at barriers, at the region join and between regions (the OMP_WAIT_POLICY
+// environment variable; see "Waiting" in the package comment).
 type WaitPolicy int
 
 const (
@@ -27,20 +28,6 @@ const (
 // switch (SetNested(true), OMP_NESTED) maps onto: effectively unlimited
 // nesting, the pre-5.0 meaning of nest-var = true.
 const NestedMaxLevels = 1 << 30
-
-// BarrierKind selects the barrier algorithm (the GOMP_BARRIER environment
-// variable; an ablation axis in this reproduction — libomp hard-wires its
-// hierarchical barrier).
-type BarrierKind int
-
-const (
-	// BarrierCentral is a central counter with generation-channel release.
-	BarrierCentral BarrierKind = iota
-	// BarrierTree arrives up a quad-tree of counters and releases down it.
-	BarrierTree
-	// BarrierDissemination runs ceil(log2 n) pairwise signalling rounds.
-	BarrierDissemination
-)
 
 // ICV holds the internal control variables of the runtime, the subset of the
 // OpenMP 5.2 ICV table that loop directives consult. A single global set is
@@ -65,8 +52,6 @@ type ICV struct {
 	Cancellation bool
 	// WaitPolicy is wait-policy-var.
 	WaitPolicy WaitPolicy
-	// Barrier selects the barrier algorithm used by new teams.
-	Barrier BarrierKind
 	// ThreadLimit caps the total size of any team (thread-limit-var);
 	// 0 means unlimited.
 	ThreadLimit int
@@ -84,14 +69,12 @@ var (
 
 // defaultICV builds the boot ICV set from the environment, mirroring
 // libomp's __kmp_env_initialize: OMP_NUM_THREADS, OMP_SCHEDULE, OMP_DYNAMIC,
-// OMP_NESTED, OMP_WAIT_POLICY, OMP_THREAD_LIMIT, plus this runtime's
-// GOMP_BARRIER extension.
+// OMP_NESTED, OMP_WAIT_POLICY, OMP_THREAD_LIMIT.
 func defaultICV() ICV {
 	v := ICV{
 		NumThreads:      runtime.GOMAXPROCS(0),
 		RunSched:        Sched{Kind: SchedStatic},
 		WaitPolicy:      WaitPassive,
-		Barrier:         BarrierCentral,
 		MaxActiveLevels: 1,
 	}
 	if s := os.Getenv("OMP_NUM_THREADS"); s != "" {
@@ -135,12 +118,6 @@ func defaultICV() ICV {
 		if n, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && n > 0 {
 			v.ThreadLimit = n
 		}
-	}
-	switch strings.ToLower(strings.TrimSpace(os.Getenv("GOMP_BARRIER"))) {
-	case "tree":
-		v.Barrier = BarrierTree
-	case "dissemination":
-		v.Barrier = BarrierDissemination
 	}
 	return v
 }

@@ -155,6 +155,7 @@ func (t *Thread) Single() bool {
 	if t.team.n == 1 {
 		return true
 	}
+	t.team.touch(dirtySingles)
 	buf := &t.team.singles[seq%dispatchRing]
 	want := uint64(seq) + 1
 	for {
@@ -182,6 +183,7 @@ func (b *copyPrivateBuf) reset() { b.val = nil }
 // construct's closing barrier.
 func (t *Thread) CopyPrivatePublish(v any) {
 	tm := t.team
+	tm.touch(dirtySingles)
 	tm.copyPB.mu.Lock()
 	tm.copyPB.val = v
 	tm.copyPB.mu.Unlock()

@@ -82,6 +82,7 @@ func TestNestLockBlocksOtherThreads(t *testing.T) {
 			l.LockAcquire()
 			log("t0-acquired")
 			th.Barrier() // let t1 attempt while held
+			th.Barrier() // and hold until it has
 			log("t0-release")
 			l.Unlock()
 		} else {
@@ -89,6 +90,7 @@ func TestNestLockBlocksOtherThreads(t *testing.T) {
 			if l.TryLock() != 0 {
 				t.Error("TryLock from non-owner succeeded while held")
 			}
+			th.Barrier()
 			l.LockAcquire() // must block until t0 releases
 			log("t1-acquired")
 			l.Unlock()
@@ -213,7 +215,6 @@ func TestICVEnvDefaults(t *testing.T) {
 	t.Setenv("OMP_NESTED", "1")
 	t.Setenv("OMP_WAIT_POLICY", "ACTIVE")
 	t.Setenv("OMP_THREAD_LIMIT", "9")
-	t.Setenv("GOMP_BARRIER", "tree")
 	v := defaultICV()
 	if v.NumThreads != 5 {
 		t.Errorf("NumThreads = %d, want 5", v.NumThreads)
@@ -229,9 +230,6 @@ func TestICVEnvDefaults(t *testing.T) {
 	}
 	if v.ThreadLimit != 9 {
 		t.Errorf("ThreadLimit = %d, want 9", v.ThreadLimit)
-	}
-	if v.Barrier != BarrierTree {
-		t.Errorf("Barrier = %v, want tree", v.Barrier)
 	}
 }
 

@@ -157,6 +157,9 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 	if (t.team != nil && t.team.cancelRegion.Load()) || groupCancelled(t.curGroup) {
 		return
 	}
+	if t.team != nil {
+		t.team.touch(dirtyTasks)
+	}
 	inherit := parent.final
 	if o.Undeferred || o.Final || inherit || t.team == nil || t.team.n == 1 {
 		// Undeferred/included path: execute now, on this thread, with the
@@ -334,7 +337,8 @@ func (t *Thread) runOneTask() bool {
 // taskIdle is the found-no-work backoff for task scheduling points: yield
 // for a while (another thread is probably mid-task and about to spawn or
 // finish), then sleep briefly so oversubscribed teams cannot starve the
-// thread actually doing the work — the same policy as spinThenYield.
+// thread actually doing the work.
+// TODO: park on the thread's waiter (wait.go) instead of the timer sleep.
 type taskIdle int
 
 func (i *taskIdle) wait() {

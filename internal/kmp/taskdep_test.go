@@ -327,8 +327,12 @@ func TestPriorityDequeueOrder(t *testing.T) {
 		if th.Single() {
 			// Withhold all tasks behind one gate dependence so none
 			// starts until every spawn (and its priority) is registered.
+			// The gate itself is ready at once and the other thread is
+			// already draining at the barrier, so its body waits for the
+			// last spawn too.
 			var gate int
-			th.SpawnTask(Ident{}, func(*Thread) {},
+			spawned := make(chan struct{})
+			th.SpawnTask(Ident{}, func(*Thread) { <-spawned },
 				TaskOpts{Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepOut}}})
 			for _, p := range []int32{0, 2, 0, 7, 1} {
 				p := p
@@ -340,6 +344,7 @@ func TestPriorityDequeueOrder(t *testing.T) {
 					Critical("prio_test", func() { order = append(order, p) })
 				}, TaskOpts{Priority: p, Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepIn}}})
 			}
+			close(spawned)
 		}
 		th.Barrier()
 	})

@@ -3,7 +3,6 @@ package kmp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -54,12 +53,13 @@ const (
 type Team struct {
 	n       int       // active size for the current region
 	threads []*Thread // len == capacity grown so far; [0] is the master slot
-	workers []*worker // workers[i] drives threads[i+1]
-	barrier Barrier
-	bKind   BarrierKind
-	// policy is wait-policy-var as of the current region, read atomically
-	// because idle workers consult it while the master re-arms the team.
-	policy atomic.Int32
+	bar     barrier
+	// spinNs is the spin budget wait-policy-var grants the current region's
+	// waits and crowded whether its team is larger than GOMAXPROCS
+	// (wait.go); both atomic because idle workers consult them while the
+	// master re-arms the team.
+	spinNs  atomic.Int64
+	crowded atomic.Bool
 
 	// gen is the region-publication word (see genNBits above). Written only
 	// by the goroutine that owns the team (the master of the region being
@@ -97,14 +97,12 @@ type Team struct {
 
 	// Cancellation state (cancel.go). cancellable is decided at fork: the
 	// cancel-var ICV is set, or the region was launched through the
-	// error/context entry point. cbar is the cancellation-aware barrier
-	// cancellable teams synchronise with; it is allocation-free and re-armed
-	// by reset. cancelledLoop holds the worksharing sequence number of a
-	// loop instance cancelled by `cancel for` (0 = none).
+	// error/context entry point. cancelRegion is part of every barrier's
+	// wait predicate. cancelledLoop holds the worksharing sequence number
+	// of a loop instance cancelled by `cancel for` (0 = none).
 	cancellable   bool
 	cancelRegion  atomic.Bool
 	cancelledLoop atomic.Uint64
-	cbar          cancelBarrier
 
 	// eb is the error collector of a catch-mode (ForkCallErr) region, nil
 	// otherwise. Task execution consults it so a panic inside an explicit
@@ -130,8 +128,13 @@ type Team struct {
 	lastLoc   Ident
 	lastLocID uint32
 
-	// join counts region completions (implicit barrier at region end).
-	join sync.WaitGroup
+	// pending counts the workers still inside the current region: the join
+	// (the implicit barrier at region end) is the master waiting for zero.
+	pending atomic.Int32
+
+	// dirty records which pieces of per-region state the current region
+	// touched (dirty* bits), so the next fork resets only those.
+	dirty atomic.Uint32
 
 	// reserved is the contention-group thread grant held for the current
 	// region (hotteam.go), returned at join.
@@ -143,87 +146,60 @@ type Team struct {
 // NumThreads returns the team's active size.
 func (tm *Team) NumThreads() int { return tm.n }
 
-// BarrierKind returns the barrier algorithm this team synchronises with.
-func (tm *Team) BarrierKind() BarrierKind { return tm.bKind }
+// Per-region state a fork has to re-initialise only if the previous region
+// used it: the construct that first touches a piece marks it.
+const (
+	dirtyLoops   uint32 = 1 << iota // dispatch buffers (DispatchInit)
+	dirtySingles                    // single/copyprivate buffers
+	dirtyTasks                      // task counters, priority queue, withheld set, deques
+)
 
-func (tm *Team) waitPolicy() WaitPolicy { return WaitPolicy(tm.policy.Load()) }
-
-// worker is one persistent team goroutine. Between regions it waits on the
-// team's generation word: a short spin (longer under OMP_WAIT_POLICY=active)
-// and then a park on its buffered token channel, which the master tops up
-// after publishing — the Dekker-style parked flag keeps the no-wake race
-// closed without the master paying a send to workers that are still
-// spinning.
-type worker struct {
-	th     *Thread
-	parked atomic.Uint32
-	park   chan struct{} // cap 1: at most one stale token, consumed harmlessly
+func (tm *Team) touch(bit uint32) {
+	if tm.dirty.Load()&bit == 0 {
+		tm.dirty.Or(bit)
+	}
 }
 
-// await returns the next generation word differing from last.
-func (w *worker) await(tm *Team, last uint64) uint64 {
-	w.th.setIdle(StateSpinning)
-	spins := 128
-	if tm.waitPolicy() == WaitActive {
-		spins = 16384
-	}
-	for i := 0; i < spins; i++ {
-		if g := tm.gen.Load(); g != last {
-			return g
-		}
-		if i&15 == 15 {
-			runtime.Gosched()
-		}
-	}
+// newThread allocates the descriptor of team thread tid.
+func newThread(tm *Team, tid int) *Thread {
+	th := &Thread{Gtid: nextGtid(), Tid: tid, team: tm}
+	th.wt.token = make(chan struct{}, 1)
+	return th
+}
+
+// workerLoop is the body of a persistent worker goroutine driving th.
+// Between regions it waits on the team's generation word (wait.go), which
+// the master publishes and then tops up with a token for whoever parked.
+// last is the generation word at spawn time, sampled by the master before
+// publishing the worker's first region. master is the team's thread 0,
+// handed over because a worker must not read tm.threads: the master appends
+// to it while spawning, and may be disposing the team by the time a worker
+// that just counted itself out of the join gets to wake it.
+func (tm *Team) workerLoop(th, master *Thread, last uint64) {
+	gid, _ := registerCurrent(th)
+	newRegion := func() bool { return tm.gen.Load() != last }
 	for {
-		w.parked.Store(1)
-		if g := tm.gen.Load(); g != last {
-			w.parked.Store(0)
-			return g
+		th.setIdle(StateSpinning)
+		if !th.spin(newRegion) {
+			th.setIdle(StateParked)
+			th.park(newRegion)
 		}
-		w.th.setIdle(StateParked)
-		<-w.park
-		w.th.setIdle(StateSpinning)
-		w.parked.Store(0)
-		if g := tm.gen.Load(); g != last {
-			return g
-		}
-	}
-}
-
-// wake unparks the worker if (and only if) it may be parked. The token
-// channel is buffered and the send non-blocking: a worker that raced past
-// the parked flag leaves at most one stale token behind, which the next
-// park consumes and rechecks.
-func (w *worker) wake() {
-	if w.parked.Load() != 0 {
-		select {
-		case w.park <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// loop is the persistent worker body. last is the generation word at spawn
-// time, sampled by the master before publishing the worker's first region.
-func (w *worker) loop(tm *Team, last uint64) {
-	gid, _ := registerCurrent(w.th)
-	for {
-		g := w.await(tm, last)
-		last = g
-		n := int(g & genNMask)
+		last = tm.gen.Load()
+		n := int(last & genNMask)
 		if n == 0 { // dispose sentinel: the pool is retiring this team
 			unregister(gid, nil)
 			return
 		}
-		if w.th.Tid < n {
+		if th.Tid < n {
 			lid := tm.locA.Load()
-			w.th.setRunning(lid)
-			w.th.pushLabels(lid)
-			tm.runRegion(w.th)
-			w.th.popLabels()
-			w.th.setIdle(StateIdle)
-			tm.join.Done()
+			th.setRunning(lid)
+			th.pushLabels(lid)
+			tm.runRegion(th)
+			th.popLabels()
+			th.setIdle(StateIdle)
+			if tm.pending.Add(-1) == 0 {
+				master.wake()
+			}
 		}
 	}
 }
@@ -258,8 +234,8 @@ func (tm *Team) runRegion(th *Thread) {
 func (tm *Team) publish(n int) {
 	c := tm.gen.Load() >> genNBits
 	tm.gen.Store((c+1)<<genNBits | uint64(n))
-	for _, w := range tm.workers[:n-1] {
-		w.wake()
+	for _, th := range tm.threads[1:n] {
+		th.wake()
 	}
 }
 
@@ -269,12 +245,10 @@ func (tm *Team) publish(n int) {
 func (tm *Team) dispose() {
 	c := tm.gen.Load() >> genNBits
 	tm.gen.Store((c + 1) << genNBits)
-	for _, w := range tm.workers {
-		w.wake()
+	for _, th := range tm.threads[1:] {
+		th.wake()
 	}
-	tm.workers = nil
 	tm.threads = nil
-	tm.barrier = nil
 	tm.thrA.Store(nil)
 	tm.sizeA.Store(0)
 	unregisterTeam(tm)
@@ -285,9 +259,8 @@ func (tm *Team) dispose() {
 // initial thread's 0) so concurrent teams' masters stay distinguishable
 // on per-thread timeline tracks.
 func newTeam(v ICV) *Team {
-	tm := &Team{bKind: v.Barrier}
-	tm.policy.Store(int32(v.WaitPolicy))
-	master := &Thread{Gtid: nextGtid(), Tid: 0, team: tm}
+	tm := &Team{}
+	master := newThread(tm, 0)
 	tm.threads = []*Thread{master}
 	for i := range tm.disp {
 		tm.disp[i].init()
@@ -299,17 +272,14 @@ func newTeam(v ICV) *Team {
 }
 
 // resize prepares the team to run a region of n threads, spawning workers
-// and rebuilding the barrier as needed. Only the owning master calls it,
-// between regions.
+// as needed. Only the owning master calls it, between regions.
 func (tm *Team) resize(n int, v ICV) {
-	tm.policy.Store(int32(v.WaitPolicy))
+	tm.setWaitPolicy(v.WaitPolicy, n)
 	grew := false
 	for len(tm.threads) < n {
-		th := &Thread{Gtid: nextGtid(), Tid: len(tm.threads), team: tm}
-		w := &worker{th: th, park: make(chan struct{}, 1)}
+		th := newThread(tm, len(tm.threads))
 		tm.threads = append(tm.threads, th)
-		tm.workers = append(tm.workers, w)
-		go w.loop(tm, tm.gen.Load())
+		go tm.workerLoop(th, tm.threads[0], tm.gen.Load())
 		grew = true
 	}
 	if grew {
@@ -317,29 +287,42 @@ func (tm *Team) resize(n int, v ICV) {
 		tm.thrA.Store(&snap)
 	}
 	tm.sizeA.Store(int32(n))
-	if tm.barrier == nil || tm.barrier.Size() != n || tm.bKind != v.Barrier {
-		tm.bKind = v.Barrier
-		tm.barrier = NewBarrier(tm.bKind, n, v.WaitPolicy)
-	}
 	tm.n = n
 }
 
 // reset clears per-region worksharing state so a pooled team starts clean.
+// Only what the previous region touched (tm.dirty) or left behind is
+// re-initialised: a plain fork pays a handful of loads and the per-thread
+// plain stores, not ~40 atomic stores for constructs it never used.
 func (tm *Team) reset() {
-	for i := range tm.disp {
-		tm.disp[i].init()
+	dirty := tm.dirty.Load()
+	if dirty != 0 {
+		tm.dirty.Store(0)
 	}
-	for i := range tm.singles {
-		tm.singles[i].reset()
+	if dirty&dirtyLoops != 0 {
+		for i := range tm.disp {
+			tm.disp[i].init()
+		}
 	}
-	tm.copyPB.reset()
-	tm.taskCount.Store(0)
-	tm.prioQ.reset()
-	tm.resetWithheld()
+	if dirty&dirtySingles != 0 {
+		for i := range tm.singles {
+			tm.singles[i].reset()
+		}
+		tm.copyPB.reset()
+	}
+	if dirty&dirtyTasks != 0 {
+		tm.taskCount.Store(0)
+		tm.prioQ.reset()
+		tm.resetWithheld()
+	}
 	tm.cancellable = false
-	tm.cancelRegion.Store(false)
-	tm.cancelledLoop.Store(0)
-	tm.cbar.reset()
+	if tm.cancelRegion.Load() {
+		tm.cancelRegion.Store(false)
+		tm.bar.count.Store(0) // cancelled threads may have left mid-generation
+	}
+	if tm.cancelledLoop.Load() != 0 {
+		tm.cancelledLoop.Store(0)
+	}
 	tm.eb = nil
 	tm.ebox.err = nil
 	for _, th := range tm.threads {
@@ -352,10 +335,13 @@ func (tm *Team) reset() {
 		th.curChunkLo, th.curChunkHi, th.orderedSeen = 0, 0, 0
 		th.curTask = nil
 		th.curGroup = nil
-		// Deques are empty between regions (the implicit barrier drained
-		// them) but stolen slots may still reference completed closures;
-		// dropping the ring releases them and any growth.
-		th.deque.release()
+		if dirty&dirtyTasks != 0 {
+			// Deques are empty between regions (the implicit barrier
+			// drained them) but stolen slots may still reference
+			// completed closures; dropping the ring releases them and
+			// any growth.
+			th.deque.release()
+		}
 	}
 }
 
@@ -504,7 +490,7 @@ func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Micr
 
 	stopWatch, watchDone := watchContext(ctx, tm)
 
-	tm.join.Add(n - 1)
+	tm.pending.Store(int32(n - 1))
 	master.setRunning(locID)
 	master.pushLabels(locID)
 	tm.publish(n)
@@ -515,7 +501,9 @@ func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Micr
 	tm.runRegion(master)
 	unregister(gid, prev)
 
-	tm.join.Wait()
+	// The join: the region's closing barrier, which only the master waits
+	// at — workers count themselves out and go back to their idle wait.
+	master.wait(func() bool { return tm.pending.Load() == 0 })
 	master.popLabels()
 	master.setIdle(StateIdle)
 	if rec {
@@ -576,15 +564,9 @@ func watchContext(ctx context.Context, tm *Team) (func() bool, chan struct{}) {
 // of a serialised fork.
 var serialTeams = sync.Pool{New: func() any { return newSerialTeam() }}
 
-// serialBarrier is shared by all serial teams: a one-thread barrier is
-// stateless (Wait returns immediately), so one instance serves every team.
-var serialBarrier = newCentralBarrier(1)
-
 func newSerialTeam() *Team {
 	tm := &Team{n: 1, serial: true}
-	th := &Thread{Gtid: nextGtid(), Tid: 0, team: tm}
-	tm.threads = []*Thread{th}
-	tm.barrier = serialBarrier
+	tm.threads = []*Thread{newThread(tm, 0)}
 	for i := range tm.disp {
 		tm.disp[i].init()
 	}
@@ -644,16 +626,11 @@ func (t *Thread) Barrier() {
 	// tasks, but the spawning thread drains those before arriving itself,
 	// so all tasks created before the barrier complete before release.
 	t.taskDrain()
-	// A barrier is also a cancellation point: cancellable teams rendezvous
-	// through the cancellation-aware barrier, which a region cancel
-	// releases immediately — threads that already branched to the region's
-	// end will never arrive, and waiting for them would deadlock.
+	// A barrier is also a cancellation point: a region cancel releases it
+	// immediately — threads that already branched to the region's end will
+	// never arrive, and waiting for them would deadlock.
 	t.setWait(StateInBarrier)
-	if t.team.cancellable {
-		t.team.cbar.wait(t.team)
-	} else {
-		t.team.barrier.Wait(t.Tid)
-	}
+	t.team.bar.wait(t)
 	t.setWait(StateRunning)
 	if rec {
 		// Emitted at barrier exit so Dur covers the whole wait (task

@@ -34,6 +34,10 @@ type Thread struct {
 
 	team *Team
 
+	// wt is where the thread parks when a barrier, join or idle wait
+	// outlasts its spin budget (wait.go).
+	wt waiter
+
 	// Worksharing bookkeeping: sequence numbers count the worksharing and
 	// single constructs this thread has entered in the current region, so
 	// that every team member agrees on which shared buffer backs which

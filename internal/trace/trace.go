@@ -166,8 +166,11 @@ func (p *Profiler) Stop() {
 // every region join.
 func (p *Profiler) Flush() int {
 	n := p.col.Flush()
+	// Read before taking p.mu: Drops takes the collector's drain lock, and
+	// a drain holds that lock while it calls consume, which takes p.mu.
+	d := p.col.Drops()
 	p.mu.Lock()
-	if d := p.col.Drops(); d > p.lastDrops {
+	if d > p.lastDrops {
 		p.met.RingDrops.Add(int64(d - p.lastDrops))
 		p.lastDrops = d
 	}

@@ -45,20 +45,8 @@ func WithContext(ctx context.Context) Option {
 // team thread is recovered and returned as an error instead of crashing the
 // process. The team is always cancellable, regardless of OMP_CANCELLATION.
 func ParallelErr(body func(t *Thread) error, opts ...Option) error {
-	if len(opts) == 0 {
-		return kmp.ForkCallErr(kmp.Ident{Region: "parallel"}, 0, nil, body)
-	}
-	c := getConfig(opts)
-	n := c.numThreads
-	if c.hasIf && !c.ifClause {
-		n = 1
-	}
-	if c.loc.Region == "" {
-		c.loc.Region = "parallel"
-	}
-	loc, ctx := c.loc, c.ctx
-	putConfig(c)
-	return kmp.ForkCallErr(loc, n, ctx, body)
+	r, _ := clauses(opts)
+	return kmp.ForkCallErr(r.loc, r.n, r.ctx, body)
 }
 
 // ParallelForErr fuses ParallelErr and For: body receives each iteration of
@@ -67,14 +55,17 @@ func ParallelErr(body func(t *Thread) error, opts ...Option) error {
 // result. With WithContext, a deadline mid-loop stops iteration at the next
 // chunk boundary and returns the context's error.
 func ParallelForErr(trip int64, body func(t *Thread, i int64) error, opts ...Option) error {
-	return ParallelErr(func(t *Thread) error {
+	r, l := clauses(opts)
+	sched := l.sched
+	return kmp.ForkCallErr(r.loc, r.n, r.ctx, func(t *Thread) error {
 		var first error
 		// No per-iteration cancellation probe: the loop drivers already
 		// observe the region flag at every chunk boundary (DispatchNext,
 		// forStaticCancel), which is the granularity this construct
 		// promises; an error ends the erring thread's own chunk via the
-		// return below.
-		ForRange(t, trip, func(lo, hi int64) {
+		// return below. Like ParallelFor, the loop runs nowait: the join
+		// is its closing barrier.
+		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				if err := body(t, i); err != nil {
 					first = err
@@ -82,9 +73,9 @@ func ParallelForErr(trip int64, body func(t *Thread, i int64) error, opts ...Opt
 					return
 				}
 			}
-		}, opts...)
+		})
 		return first
-	}, opts...)
+	})
 }
 
 // Cancel is the cancel directive: it requests cancellation of the innermost

@@ -1,5 +1,7 @@
 package omp
 
+import "gomp/internal/kmp"
+
 // Type-safe collection-level constructs: the v2 surface a Go program reaches
 // for first, built on the directive-shaped primitives. Where Parallel/For
 // mirror pragmas one-to-one (and so take raw trip counts and untyped
@@ -14,12 +16,8 @@ package omp
 // WithContext deadline cancelled the region mid-loop; remaining chunks are
 // then not dispatched.
 func ForEach[S ~[]E, E any](s S, body func(t *Thread, i int64, v *E), opts ...Option) error {
-	return ParallelErr(func(t *Thread) error {
-		ForRange(t, int64(len(s)), func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				body(t, i, &s[i])
-			}
-		}, opts...)
+	return ParallelForErr(int64(len(s)), func(t *Thread, i int64) error {
+		body(t, i, &s[i])
 		return nil
 	}, opts...)
 }
@@ -36,16 +34,20 @@ func ForEach[S ~[]E, E any](s S, body func(t *Thread, i int64, v *E), opts ...Op
 // a serial loop without unpicking a half-combined result.
 func ReduceInto[T Numeric](op ReduceOp, into *T, trip int64, body func(t *Thread, i int64, acc T) T, opts ...Option) error {
 	cell := NewReduction(op, *into)
-	err := ParallelErr(func(t *Thread) error {
+	r, l := clauses(opts)
+	sched := l.sched
+	err := kmp.ForkCallErr(r.loc, r.n, r.ctx, func(t *Thread) error {
 		acc := cell.Identity()
-		ForRange(t, trip, func(lo, hi int64) {
+		// nowait: the combine precedes the join, which is the only
+		// rendezvous the fused construct needs.
+		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				acc = body(t, i, acc)
 			}
-		}, opts...)
+		})
 		cell.Combine(acc)
 		return nil
-	}, opts...)
+	})
 	if err != nil {
 		return err
 	}

@@ -138,29 +138,71 @@ func Loc(file string, line int, region string) Option {
 	return func(c *config) { c.loc = kmp.Ident{File: file, Line: line, Region: region} }
 }
 
+// regionClauses are the clauses a parallel construct consumes: the team size
+// (0 = the nthreads-var ICV), the region's source position and the context it
+// is bound to.
+type regionClauses struct {
+	n   int
+	loc kmp.Ident
+	ctx context.Context
+}
+
+// loopClauses are the clauses a worksharing loop consumes.
+type loopClauses struct {
+	sched  Sched // resolved: schedule(static) when the clause is absent
+	loc    kmp.Ident
+	nowait bool
+}
+
+var (
+	defaultRegion = regionClauses{loc: kmp.Ident{Region: "parallel"}}
+	defaultLoop   = loopClauses{sched: Sched{Kind: Static}, loc: kmp.Ident{Region: "for"}}
+)
+
+// clauses applies opts once and splits the result by consumer, so a
+// combined construct pays one config round trip rather than one per half.
+func clauses(opts []Option) (regionClauses, loopClauses) {
+	if len(opts) == 0 {
+		return defaultRegion, defaultLoop
+	}
+	c := getConfig(opts)
+	r := regionClauses{n: c.numThreads, loc: c.loc, ctx: c.ctx}
+	if c.hasIf && !c.ifClause {
+		r.n = 1
+	}
+	if r.loc.Region == "" {
+		r.loc.Region = "parallel"
+	}
+	l := loopClauses{sched: Sched{Kind: Static}, loc: c.loc, nowait: c.nowait}
+	if c.hasSched {
+		l.sched = c.sched
+	}
+	// The ordered clause needs dispatch's chunk tickets even for static
+	// kinds, so every ordered loop routes through the (monotonic) dispatch
+	// engine.
+	l.sched.Ordered = c.ordered
+	if l.loc.Region == "" {
+		l.loc.Region = "for"
+	}
+	putConfig(c)
+	return r, l
+}
+
+// fork runs body on a team shaped by r.
+func (r regionClauses) fork(body func(t *Thread)) {
+	if r.ctx != nil {
+		kmp.ForkCallCtx(r.loc, r.n, r.ctx, body)
+		return
+	}
+	kmp.ForkCall(r.loc, r.n, body)
+}
+
 // Parallel runs body as an OpenMP parallel region: the lowering of
 // `//omp parallel`. body executes once on every team thread; the call
 // returns after the implicit join barrier.
 func Parallel(body func(t *Thread), opts ...Option) {
-	if len(opts) == 0 {
-		kmp.ForkCall(kmp.Ident{Region: "parallel"}, 0, body)
-		return
-	}
-	c := getConfig(opts)
-	n := c.numThreads
-	if c.hasIf && !c.ifClause {
-		n = 1
-	}
-	if c.loc.Region == "" {
-		c.loc.Region = "parallel"
-	}
-	loc, ctx := c.loc, c.ctx
-	putConfig(c)
-	if ctx != nil {
-		kmp.ForkCallCtx(loc, n, ctx, body)
-		return
-	}
-	kmp.ForkCall(loc, n, body)
+	r, _ := clauses(opts)
+	r.fork(body)
 }
 
 // For runs a worksharing loop of trip iterations inside a parallel region:
@@ -184,26 +226,18 @@ func For(t *Thread, trip int64, body func(i int64), opts ...Option) {
 // the construct — binds to a team of one and runs the whole range, as the
 // OpenMP standard specifies.
 func ForRange(t *Thread, trip int64, body func(lo, hi int64), opts ...Option) {
-	if len(opts) == 0 {
-		// The common schedule(static) loop with the implicit barrier:
-		// skipped config machinery keeps the per-loop cost allocation-free.
-		if t == nil || !t.InParallel() {
-			if trip <= 0 {
-				return
-			}
-			if t.Cancellable() {
-				kmp.ForStatic(t, trip, 0, body)
-				return
-			}
-			body(0, trip)
-			return
-		}
-		kmp.ForStatic(t, trip, 0, body)
+	_, l := clauses(opts)
+	runLoop(t, l.sched, l.loc, trip, body)
+	if !l.nowait {
 		t.Barrier()
-		return
 	}
-	c := getConfig(opts)
-	defer putConfig(c)
+}
+
+// runLoop executes thread t's share of a worksharing loop, without the
+// closing barrier. A zero loc attributes the loop to the enclosing region's
+// location, which is what the combined constructs pass: they capture the
+// 24-byte schedule in the region closure, not the whole clause set.
+func runLoop(t *Thread, sched Sched, loc kmp.Ident, trip int64, body func(lo, hi int64)) {
 	if t == nil || !t.InParallel() {
 		if trip <= 0 {
 			return
@@ -220,29 +254,10 @@ func ForRange(t *Thread, trip int64, body func(lo, hi int64), opts ...Option) {
 		body(0, trip)
 		return
 	}
-	if c.loc.Region == "" {
-		c.loc.Region = "for"
-	}
-	sched := c.sched
-	if !c.hasSched {
-		sched = Sched{Kind: Static}
-	}
-	if c.ordered {
-		// The ordered clause needs dispatch's chunk tickets even for
-		// static kinds, so every ordered loop routes through the
-		// (monotonic) dispatch engine.
-		sched.Ordered = true
-		kmp.ForDynamic(t, c.loc, sched, trip, body)
+	if k := sched.Kind; !sched.Ordered && (k == Static || k == kmp.SchedStaticChunked) {
+		kmp.ForStatic(t, trip, sched.Chunk, body)
 	} else {
-		switch sched.Kind {
-		case Static, kmp.SchedStaticChunked:
-			kmp.ForStatic(t, trip, sched.Chunk, body)
-		default:
-			kmp.ForDynamic(t, c.loc, sched, trip, body)
-		}
-	}
-	if !c.nowait {
-		t.Barrier()
+		kmp.ForDynamic(t, loc, sched, trip, body)
 	}
 }
 
@@ -263,20 +278,22 @@ func Ordered(t *Thread, body func()) {
 // `//omp parallel for`. body receives the executing thread and an iteration
 // index in [0, trip).
 func ParallelFor(trip int64, body func(t *Thread, i int64), opts ...Option) {
-	Parallel(func(t *Thread) {
-		ForRange(t, trip, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				body(t, i)
-			}
-		}, opts...)
+	ParallelForRange(trip, func(t *Thread, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			body(t, i)
+		}
 	}, opts...)
 }
 
-// ParallelForRange is ParallelFor at chunk granularity.
+// ParallelForRange is ParallelFor at chunk granularity. The combined
+// construct has one rendezvous, not two: the loop runs nowait and the region
+// join is its closing barrier — what clang emits for `parallel for`.
 func ParallelForRange(trip int64, body func(t *Thread, lo, hi int64), opts ...Option) {
-	Parallel(func(t *Thread) {
-		ForRange(t, trip, func(lo, hi int64) { body(t, lo, hi) }, opts...)
-	}, opts...)
+	r, l := clauses(opts)
+	sched := l.sched
+	r.fork(func(t *Thread) {
+		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) { body(t, lo, hi) })
+	})
 }
 
 // Barrier is the barrier directive.
