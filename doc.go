@@ -11,12 +11,13 @@
 //   - internal/core — the contribution: pragma tokeniser (keywords stay
 //     identifiers), directive parser (including cancel and cancellation
 //     point), bit-packed 32-bit clause encoding (extra_data emulation),
-//     the multi-pass source-to-source preprocessor over go/ast, and the
-//     loop-transformation engine (transform.go): the OpenMP 5.1 tile and
-//     unroll directives over a loop-nest IR lifted from ast.ForStmt
-//     headers, applied in a pass that runs before any outlining so
-//     worksharing directives stacked above a transformation distribute
-//     the generated loops (see "Loop transformations" below).
+//     the source-to-source preprocessor over go/ast — one parse, a
+//     directive tree, one lowering recursion where the paper rescans per
+//     directive kind — and the loop-transformation engine (transform.go):
+//     the OpenMP 5.1 tile and unroll directives over a loop-nest IR lifted
+//     from ast.ForStmt headers, handed as IR to a worksharing directive
+//     stacked above so that it distributes the generated loops (see "Loop
+//     transformations" below).
 //   - internal/kmp — the libomp analog: hot goroutine teams, ForkCall and
 //     its error/context-aware sibling, one cancellation-aware barrier and
 //     one spin-then-park waiter behind every rendezvous (barrier, join,
@@ -38,7 +39,6 @@
 //     the prefix dropped), the structured constructs generated code
 //     targets, and the v2 surface: context-aware error-returning region
 //     launch, generic ForEach/ReduceInto, and Cancel/CancellationPoint.
-//     internal/omp remains as a thin forwarding shim for v1 call sites.
 //   - internal/atomicx — atomic cells with the paper's Listing 6 CAS-loop
 //     lowering for multiply/divide/logical reductions.
 //   - internal/npb{,/cg,/ep,/is} — the three benchmark kernels, each as
@@ -69,9 +69,10 @@
 // The tile and unroll directives (OpenMP 5.1, §9 of the 5.2 spec; the
 // Kruse & Finkel loop-transformation pragma papers) are the only
 // directives that do not lower to runtime calls: they rewrite the
-// annotated canonical loop nest into restructured plain-Go loops, in the
-// preprocessor pass that runs before every other step. Ordering rules for
-// stacked directives follow from that pass structure:
+// annotated canonical loop nest into restructured plain-Go loops. In the
+// directive tree a transformation is the inner of the directive stacked
+// above it, and is lowered first. Ordering rules for stacked directives
+// follow from that:
 //
 //   - The directive nearest the loop applies first; each directive above
 //     it applies to the loop(s) the transformation below generated. So
@@ -95,8 +96,8 @@
 //     unroll chooses heuristically: full for constant trips ≤ 16,
 //     otherwise partial(4).
 //
-//   - A directive written between a transformation and its loop would be
-//     silently swallowed by the rewrite, so it is rejected with a
+//   - A directive written between a transformation and its loop cannot
+//     be applied to loops that no longer exist, so it is rejected with a
 //     stack-it-above diagnostic instead.
 //
 // Branching that would change meaning under restructuring (return, break,

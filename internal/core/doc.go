@@ -22,13 +22,27 @@
 //     and the scalar clauses bit-packed — 3-bit schedule kind + 29-bit
 //     chunk, 2-bit default, 1-bit nowait, 4-bit collapse (Section III-A2).
 //
-//  3. Preprocessing (preprocess.go and friends): a multi-pass source
-//     rewriter (the paper's Listing 5) that replaces parallel regions first,
-//     then worksharing loops, then synchronisation directives, splicing
-//     generated Go that calls into the kmp/omp runtime — outlined region
-//     bodies, loop-bound extraction from the for-statement header, shared/
-//     private/firstprivate/reduction variable treatment, and CAS-loop
-//     reductions.
+//  3. Preprocessing (preprocess.go and friends): the source rewriter. The
+//     paper's Listing 5 is multi-pass — replace every parallel region,
+//     rescan, replace every worksharing loop, rescan, then the
+//     synchronisation directives — which costs little in Zig, where a
+//     rescan walks an in-memory token stream. In Go a rescan is a run of
+//     go/parser, so this package departs from the listing: the file is
+//     parsed once; every pragma comment is bound to the statement that
+//     follows it in one ordered merge of comments and statements; the bound
+//     pragmas are nested by source range into a directive tree (section
+//     under sections, ordered under its `for ordered`, a stacked pragma
+//     over the construct below it, `parallel for` as a parallel node with
+//     a synthesised for child); and one recursion lowers the tree, each
+//     node splicing its children's generated Go — outlined region bodies,
+//     loop bounds lifted from the for-statement header, shared/private/
+//     firstprivate/reduction variable treatment, CAS-loop reductions — into
+//     its own body range in ascending offset. What a later pass used to
+//     find by re-parsing rewritten text (the thread variable in scope,
+//     whether the file cancels, which loop an ordered region binds to, an
+//     orphaned section) is a query over the tree, and tile hands the loops
+//     it generates to a worksharing directive stacked above it as IR. Two
+//     parses and one print per file: this one, and go/format's.
 //
 // The pragma surface accepted, on a line comment immediately preceding the
 // construct it applies to:

@@ -23,17 +23,13 @@ type PragmaInfo struct {
 // with position information, exactly as Preprocess would report them.
 func Inspect(src []byte, opts Options) ([]PragmaInfo, error) {
 	opts.defaults()
-	px := &pctx{opts: opts}
-	if err := px.parse(src); err != nil {
-		return nil, err
-	}
-	all, err := px.pragmas()
+	u, err := analyze(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PragmaInfo, 0, len(all))
-	for _, p := range all {
-		out = append(out, PragmaInfo{Line: p.line, Dir: p.d})
+	out := make([]PragmaInfo, 0, len(u.pragmas))
+	for _, p := range u.pragmas {
+		out = append(out, PragmaInfo{Line: p.line, Dir: p.pragma})
 	}
 	return out, nil
 }

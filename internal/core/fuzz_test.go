@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"go/format"
 	"testing"
 )
 
@@ -120,6 +122,36 @@ func FuzzParseDirective(f *testing.F) {
 		}
 		if back.Kind != d.Kind {
 			t.Fatalf("decode changed kind of %q: %v -> %v", s, d.Kind, back.Kind)
+		}
+	})
+}
+
+// FuzzTransform: the whole pipeline, seeded from the lowering fixtures.
+// Hostile input must yield a diagnostic, never a panic; and whatever
+// Transform accepts must come out as Go that parses, is a gofmt fixed
+// point, holds no pragma, and that Transform leaves alone when fed back.
+func FuzzTransform(f *testing.F) {
+	for _, src := range lowerFixtures(f) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		opts := Options{Filename: "fuzz.go"}
+		res, err := Transform(src, opts)
+		if err != nil || !res.Changed {
+			return
+		}
+		formatted, err := format.Source(res.Output)
+		if err != nil {
+			t.Fatalf("output does not parse: %v\n%s", err, res.Output)
+		}
+		if !bytes.Equal(formatted, res.Output) {
+			t.Fatalf("output is not a gofmt fixed point:\n%s", res.Output)
+		}
+		if infos, err := Inspect(res.Output, opts); err != nil || len(infos) > 0 {
+			t.Fatalf("output still holds pragmas (%d, %v):\n%s", len(infos), err, res.Output)
+		}
+		if again, err := Transform(res.Output, opts); err != nil || again.Changed {
+			t.Fatalf("Transform(output) changed it or failed (%v):\n%s", err, res.Output)
 		}
 	})
 }

@@ -574,7 +574,7 @@ func f() {}`, "no package-level var"},
 func TestPreprocessKeepsExistingOmpImport(t *testing.T) {
 	out := pp(t, `package p
 
-import omp "gomp/internal/omp"
+import "gomp/omp"
 
 func f() {
 	omp.SetNumThreads(2)
@@ -584,11 +584,8 @@ func f() {
 	}
 }
 `)
-	if got := strings.Count(out, `"gomp/internal/omp"`); got != 1 {
-		t.Fatalf("legacy shim import appears %d times, want 1:\n%s", got, out)
-	}
-	if strings.Contains(out, `"gomp/omp"`) {
-		t.Fatalf("v2 import added despite existing omp binding:\n%s", out)
+	if got := strings.Count(out, `"gomp/omp"`); got != 1 {
+		t.Fatalf("runtime import appears %d times, want 1:\n%s", got, out)
 	}
 }
 

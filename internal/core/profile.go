@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// Automatic profiling instrumentation (gompcc -profile): the pre-pass
-// that runs before any pragma is lowered, while every directive comment
-// is still in place to mark which functions do parallel work.
+// Automatic profiling instrumentation (gompcc -profile), computed from
+// the same parse as the directive tree: the pragma list marks which
+// functions do parallel work.
 //
 // Two injections, both plain defers at the top of a function body:
 //
@@ -20,61 +20,44 @@ import (
 //     `defer omp.Profile()()` — deferred first so its report runs after
 //     every zone has closed.
 //
-// The pass edits source text, not the AST, for the same reason the
-// directive lowering does: one edit batch per parse keeps offsets
-// honest, and the later passes re-parse anyway.
+// The injections are zero-length splices into the original source, merged
+// with the directive lowering in the one rendering pass.
 
-// instrumentProfile injects profiling calls and reports whether the
-// source changed.
-func instrumentProfile(src []byte, opts Options) ([]byte, bool, error) {
-	px := &pctx{opts: opts}
-	if err := px.parse(src); err != nil {
-		return nil, false, err
-	}
-	prs, err := px.pragmas()
-	if err != nil {
-		return nil, false, err
-	}
-	var eds []edit
-	for _, decl := range px.file.Decls {
+// profileSplices returns the profiling injections, ascending by offset.
+func (u *unit) profileSplices() []splice {
+	var out []splice
+	p := 0 // pragmas before the current declaration
+	for _, decl := range u.file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
-		bodyStart, bodyEnd := px.off(fn.Body.Pos()), px.off(fn.Body.End())
-		hasPragma := false
-		for _, p := range prs {
-			if p.start > bodyStart && p.start < bodyEnd {
-				hasPragma = true
-				break
-			}
+		bodyStart, bodyEnd := u.off(fn.Body.Pos()), u.off(fn.Body.End())
+		for p < len(u.pragmas) && u.pragmas[p].start <= bodyStart {
+			p++
 		}
-		isMain := px.file.Name.Name == "main" && fn.Recv == nil && fn.Name.Name == "main"
+		hasPragma := p < len(u.pragmas) && u.pragmas[p].start < bodyEnd
+		isMain := u.file.Name.Name == "main" && fn.Recv == nil && fn.Name.Name == "main"
 		if !hasPragma && !isMain {
 			continue
 		}
 		// The injection stays on the opening-brace line: adding no
-		// newline keeps every later line number intact, so the pragma
-		// lowering still stamps the user's real file:line into its
-		// omp.Loc calls. gofmt normalises the layout on output.
+		// newline keeps the generated file's layout close to the user's;
+		// gofmt normalises it on output.
 		var b strings.Builder
 		if isMain {
 			b.WriteString(" defer omp.Profile()();")
 		}
 		if hasPragma {
-			line := px.fset.Position(fn.Pos()).Line
 			name := fn.Name.Name
 			if fn.Recv != nil && len(fn.Recv.List) > 0 {
 				name = recvTypeName(fn.Recv.List[0].Type) + "." + name
 			}
-			fmt.Fprintf(&b, " defer omp.ZoneAt(%q, %d, %q)();", opts.Filename, line, name)
+			fmt.Fprintf(&b, " defer omp.ZoneAt(%q, %d, %q)();", u.opts.Filename, u.tf.Line(fn.Pos()), name)
 		}
-		eds = append(eds, edit{start: bodyStart + 1, end: bodyStart + 1, text: b.String()})
+		out = append(out, splice{bodyStart + 1, bodyStart + 1, b.String()})
 	}
-	if len(eds) == 0 {
-		return src, false, nil
-	}
-	return applyEdits(src, eds), true, nil
+	return out
 }
 
 // recvTypeName renders a method receiver's base type for span names.

@@ -105,22 +105,6 @@ func declaresIdent(root ast.Node, name string) bool {
 	return found
 }
 
-// renameIdents rewrites every occurrence of name inside root (per
-// identOffsets) to newName, splicing into src. base is the byte offset of
-// src[0] in the file coordinate system (0 when src is the whole file).
-func renameIdents(src []byte, base int, tf *token.File, root ast.Node, name, newName string) []byte {
-	offs := identOffsets(tf, root, name)
-	for i := len(offs) - 1; i >= 0; i-- {
-		o := offs[i] - base
-		out := make([]byte, 0, len(src)+len(newName)-len(name))
-		out = append(out, src[:o]...)
-		out = append(out, newName...)
-		out = append(out, src[o+len(name):]...)
-		src = out
-	}
-	return src
-}
-
 // assignedFreeIdents returns the names assigned (=, op=, ++, --) inside root
 // that root does not itself declare — the candidates that must be covered by
 // a data-sharing clause under default(none). This is the same best-effort,
@@ -166,16 +150,17 @@ type loopHeader struct {
 	Inclusive bool   // <= or >= comparison
 	Body      *ast.BlockStmt
 	For       *ast.ForStmt
+	// Line is the for-line of a loop a transformation generated (Body and
+	// For are nil then): what is printed when no directive consumes it.
+	Line string
 }
 
 // extractLoopHeader validates and decomposes a worksharing for statement.
 // The supported shape is the OpenMP canonical loop form transliterated to
 // Go: `for i := lb; i < ub; i++` with <, <=, >, >= comparisons and ++, --,
 // +=, -= increments. The loop variable must be used directly (type int).
-func extractLoopHeader(src []byte, base int, tf *token.File, f *ast.ForStmt) (*loopHeader, error) {
-	exprText := func(e ast.Expr) string {
-		return string(src[tf.Offset(e.Pos())-base : tf.Offset(e.End())-base])
-	}
+func (lw *lowerer) extractLoopHeader(f *ast.ForStmt) (*loopHeader, error) {
+	exprText := func(e ast.Expr) string { return lw.posText(e.Pos(), e.End()) }
 	h := &loopHeader{Body: f.Body, For: f}
 
 	// Init: `i := lb` or `i = lb`.
@@ -255,11 +240,11 @@ func extractLoopHeader(src []byte, base int, tf *token.File, f *ast.ForStmt) (*l
 // statement: the next loop (collapse requires rectangular iteration spaces;
 // bounds of inner loops must not reference outer loop variables, which is
 // validated syntactically).
-func extractCollapseNest(src []byte, base int, tf *token.File, f *ast.ForStmt, n int) ([]*loopHeader, error) {
+func (lw *lowerer) extractCollapseNest(f *ast.ForStmt, n int) ([]*loopHeader, error) {
 	var hs []*loopHeader
 	cur := f
 	for level := 0; level < n; level++ {
-		h, err := extractLoopHeader(src, base, tf, cur)
+		h, err := lw.extractLoopHeader(cur)
 		if err != nil {
 			return nil, fmt.Errorf("collapse level %d: %v", level+1, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -13,8 +14,7 @@ import (
 // Loop-Transformation Pragmas", Kruse & Finkel). Unlike every other
 // directive in this preprocessor, a transformation does not lower to
 // runtime calls — it rewrites the annotated loop nest into a restructured
-// nest of plain Go loops, in a pass that runs before any outlining
-// (stepTransform), so that a worksharing directive stacked above the
+// nest of plain Go loops, and a worksharing directive stacked above the
 // transformation applies to the *generated* loops, exactly the OpenMP 5.1
 // "directive applies to the generated loop" composition rule:
 //
@@ -23,7 +23,9 @@ import (
 //	for i := 0; i < n; i++ {
 //		for j := 0; j < m; j++ { … }
 //
-// tiles first, then the parallel for distributes the 2-deep tile grid.
+// tiles first, then the parallel for distributes the 2-deep tile grid: in
+// the directive tree the tile is the for's inner, and hands it the grid
+// loops as IR (loops) rather than as text to parse again.
 //
 // The engine works on a loop-nest IR lifted from the ast.ForStmt headers
 // (loopNest, generalising extractCollapseNest): every level is normalised
@@ -34,7 +36,7 @@ import (
 
 // Generated-loop naming. Tile-grid and point loops use fixed prefixes; the
 // grid loops are deliberately canonical worksharing shapes (simple init,
-// `<` comparison, `+=` step) so extractLoopHeader can consume them again.
+// `<` comparison, `+=` step) so a directive stacked above can take them.
 const (
 	tileGridVar  = "__omp_tile" // tile-grid (inter-tile) loop variables
 	tilePointVar = "__omp_pt"   // intra-tile point loop variables
@@ -53,64 +55,131 @@ const (
 	maxFullUnrollTrip = MaxUnrollFactor
 )
 
-// loopNest is the transformation IR: one header per nest level (outermost
-// first) plus the innermost body text.
+// loopNest is the transformation IR: the canonical levels a directive may
+// take (outermost first) around the user's body. A nest is either lifted
+// from the source, or generated by a tile — then hs are its tile-grid
+// loops, and pre/post are what it generated between them and the body.
 type loopNest struct {
 	hs   []*loopHeader
-	body string // innermost body, braces excluded
+	body *ast.BlockStmt // the user's innermost body: what checks and renames inspect
+	// owner is the node whose Subdirectives lie inside body: the innermost
+	// directive of the stack over the loop.
+	owner *node
+	// pre and post surround the body's text inside the last level of a
+	// generated nest (point loops and loop-variable assignments; their
+	// closing braces); declared are the user's loop variables pre declares.
+	pre, post string
+	declared  []string
 }
 
-// liftNest extracts a depth-deep perfectly nested, rectangular canonical
-// nest starting at f into the IR.
-func (px *pctx) liftNest(f *ast.ForStmt, depth int) (*loopNest, error) {
-	hs, err := extractCollapseNest(px.src, 0, px.tf, f, depth)
+func (n *loopNest) generated() bool { return n.hs[0].Line != "" }
+
+// vars returns the loop variables the nest declares for its body.
+func (n *loopNest) vars() []string {
+	out := append([]string(nil), n.declared...)
+	for _, h := range n.hs {
+		out = append(out, h.Var)
+	}
+	return out
+}
+
+// inner returns what surrounds the body's text inside level depth-1 of the
+// nest: for a generated nest, the levels a consumer of depth levels leaves
+// in place plus pre, and everything that closes them.
+func (n *loopNest) inner(depth int) (open, close string) {
+	if !n.generated() {
+		return "", ""
+	}
+	var b strings.Builder
+	b.WriteString("\n")
+	for _, h := range n.hs[depth:] {
+		b.WriteString(h.Line)
+	}
+	return b.String() + n.pre, n.post + "\n" + strings.Repeat("}\n", 2*len(n.hs)-depth)
+}
+
+// nestBody renders what a directive consuming depth levels of nest runs
+// per iteration, with the directives nested in the body lowered.
+func (lw *lowerer) nestBody(nest *loopNest, depth int) string {
+	defer lw.enter(nest.owner)()
+	open, close := nest.inner(depth)
+	return open + lw.posText(nest.body.Lbrace+1, nest.body.Rbrace) + close
+}
+
+var errNotFor = errors.New("directive must immediately precede a for statement")
+
+// loops returns the canonical nest, at least depth levels deep, that n
+// applies to: the loops generated by the transformation stacked under n —
+// handed over as IR, never printed and re-parsed — or else n's own for
+// statement, which must be perfectly nested and rectangular to that depth.
+func (lw *lowerer) loops(n *node, depth int) (*loopNest, error) {
+	owner := n
+	if n.inner != nil {
+		_, nest := lw.transform(n.inner)
+		if nest == nil {
+			return nil, errNotFor // an unrolled loop is a block (or the inner directive failed)
+		}
+		if nest.generated() {
+			// The point loops are deliberately not canonical (tuple init
+			// hoisting the fringe bound), so a depth reaching past the
+			// grid is rejected at the first level beyond it.
+			if depth > len(nest.hs) {
+				return nil, fmt.Errorf("collapse level %d: worksharing loop must initialise exactly one loop variable", len(nest.hs)+1)
+			}
+			return nest, nil
+		}
+		owner = nest.owner // an identity unroll: the loop is still the user's
+	}
+	f, ok := n.stmt.(*ast.ForStmt)
+	if !ok {
+		return nil, errNotFor
+	}
+	defer lw.enter(owner)()
+	hs, err := lw.extractCollapseNest(f, depth)
 	if err != nil {
 		return nil, err
 	}
-	inner := hs[len(hs)-1].Body
-	return &loopNest{hs: hs, body: px.text(inner.Lbrace+1, inner.Rbrace)}, nil
+	return &loopNest{hs: hs, body: hs[depth-1].Body, owner: owner}, nil
 }
 
-// tripExpr renders level i's trip count as a host int expression. The
+// tripExpr renders a level's trip count as a host int expression. The
 // bounds are loop-invariant by the canonical form, so re-evaluating the
 // expression where needed is sound; generated code hoists it wherever a
 // hot path would otherwise re-evaluate per iteration.
-func (n *loopNest) tripExpr(i int) string {
-	h := n.hs[i]
-	incl := "false"
-	if h.Inclusive {
-		incl = "true"
-	}
-	return fmt.Sprintf("int(omp.TripCount(int64(%s), int64(%s), int64(%s), %s))",
-		h.LB, h.UB, h.Step, incl)
+func tripExpr(h *loopHeader) string {
+	return fmt.Sprintf("int(omp.TripCount(int64(%s), int64(%s), int64(%s), %t))", h.LB, h.UB, h.Step, h.Inclusive)
 }
 
-// pointAssign renders the reconstruction of level i's original loop
+// pointAssign renders the reconstruction of a level's original loop
 // variable from a logical-iteration expression: var := lb + k*step. The
 // explicit discard keeps Go's unused-variable rule satisfied when the body
 // ignores the variable.
-func (n *loopNest) pointAssign(i int, kExpr string) string {
-	h := n.hs[i]
+func pointAssign(h *loopHeader, kExpr string) string {
 	return fmt.Sprintf("%s := (%s) + (%s)*(%s)\n_ = %s\n", h.Var, h.LB, kExpr, h.Step, h.Var)
 }
 
-// checkTransformGap rejects another pragma sitting between a
-// transformation directive and its loop: the rewrite replaces that whole
-// span, so the intervening directive would be silently discarded. Stacked
-// directives go above the transformation, where pass ordering applies them
-// to the generated loops.
-func (px *pctx) checkTransformGap(p *pragma, loopOff int) error {
-	all, err := px.pragmas()
-	if err != nil {
-		return err
+// transform applies the tile or unroll directive n. A tile returns its
+// generated nest as IR, for a directive stacked above to consume or for gen
+// to print; an unroll returns the block it expanded the loop into, or —
+// for partial(1), the identity — the loop's own nest.
+func (lw *lowerer) transform(n *node) (string, *loopNest) {
+	defer lw.enter(n)()
+	n.done = true
+	if n.d.Kind == DirTile {
+		return "", lw.tile(n)
 	}
-	for i := range all {
-		q := &all[i]
-		if q.start >= p.end && q.end <= loopOff {
-			return px.errf(p, "directive %q between %s and its loop would be discarded; stack it above the transformation instead", q.d.Kind, p.d.Kind)
-		}
+	return lw.unroll(n)
+}
+
+// loopText prints a nest no directive consumed. A source nest is the
+// identity unroll's: only the pragma goes.
+func (lw *lowerer) loopText(nest *loopNest) string {
+	if !nest.generated() {
+		defer lw.enter(nest.owner)()
+		return lw.text(nest.owner.cEnd, nest.owner.end)
 	}
-	return nil
+	text := lw.nestBody(nest, 0)
+	return strings.TrimSuffix(strings.TrimPrefix(text, "\n"), "\n")
 }
 
 // checkTransformBody rejects statements that would change meaning under
@@ -121,14 +190,15 @@ func (px *pctx) checkTransformGap(p *pragma, loopOff int) error {
 // function and so cannot be duplicated. Tiling keeps one copy of the body
 // inside a still-innermost point loop, so continue binds equivalently and
 // stays legal. Statements inside nested loops, switches and function
-// literals bind locally and are exempt.
-func checkTransformBody(body ast.Node, duplicated bool) error {
+// literals bind locally and are exempt; inLoop says the body already sits
+// inside a loop a tile generated.
+func checkTransformBody(body ast.Node, duplicated, inLoop bool) error {
 	var err error
 	// Inspect gives pre-order calls plus a nil call after each node whose
 	// children were visited; pushing one frame per descended node keeps an
 	// ancestry summary without a second pass.
 	type frame struct{ loop, sw bool }
-	var stack []frame
+	stack := []frame{{loop: inLoop}}
 	in := func(want func(frame) bool) bool {
 		for _, f := range stack {
 			if want(f) {
@@ -188,60 +258,57 @@ func checkTransformBody(body ast.Node, duplicated bool) error {
 
 // --------------------------------------------------------------------- tile
 
-// genTile lowers `//omp tile sizes(t1,…,tk)`: the k-deep nest is
-// strip-mined level by level and the strip loops interchanged outward,
-// producing a 2k-deep nest — k tile-grid loops over k point loops — in
-// which grid loop i advances by ti over level i's logical iteration space
-// and point loop i covers its tile with an upper bound of
-// min(origin+ti, tripi), the remainder ("fringe") tiles of non-divisible
-// trip counts included. The grid loops are emitted in canonical
-// worksharing shape and perfectly nested, so `parallel for collapse(k)`
-// stacked above distributes tiles exactly as OpenMP 5.1 specifies; the
-// point loops hoist their bounds into the init statement (tuple
-// assignment), which keeps the hot path free of TripCount re-evaluation
-// and — being non-rectangular by construction — makes a collapse reaching
-// past the grid loops a diagnosed error rather than a silent miscompile.
-func (px *pctx) genTile(p *pragma, d *Directive) ([]edit, error) {
-	forStmt, ok := px.stmtAfter(p.end).(*ast.ForStmt)
-	if !ok {
-		return nil, px.errf(p, "directive must immediately precede a for statement")
-	}
-	if err := px.checkTransformGap(p, px.off(forStmt.Pos())); err != nil {
-		return nil, err
-	}
-	sizes := d.Clauses.Sizes
+// tile lowers `//omp tile sizes(t1,…,tk)`: the k-deep nest is strip-mined
+// level by level and the strip loops interchanged outward, producing a
+// 2k-deep nest — k tile-grid loops over k point loops — in which grid loop
+// i advances by ti over level i's logical iteration space and point loop i
+// covers its tile with an upper bound of min(origin+ti, tripi), the
+// remainder ("fringe") tiles of non-divisible trip counts included. The
+// grid loops are canonical worksharing headers, perfectly nested, so
+// `parallel for collapse(k)` stacked above distributes tiles exactly as
+// OpenMP 5.1 specifies; the point loops hoist their bounds into the init
+// statement (tuple assignment), which keeps the hot path free of TripCount
+// re-evaluation and — being non-rectangular by construction — makes a
+// collapse reaching past the grid loops a diagnosed error rather than a
+// silent miscompile.
+func (lw *lowerer) tile(n *node) *loopNest {
+	sizes := n.d.Clauses.Sizes
 	k := len(sizes)
-	nest, err := px.liftNest(forStmt, k)
-	if err != nil {
-		return nil, px.errf(p, "sizes arity %d must match a perfect rectangular loop nest: %v", k, err)
+	src, err := lw.loops(n, k)
+	if err == errNotFor {
+		lw.fail(n, "%v", err)
+		return nil
+	} else if err != nil {
+		lw.fail(n, "sizes arity %d must match a perfect rectangular loop nest: %v", k, err)
+		return nil
 	}
-	if err := checkTransformBody(nest.hs[k-1].Body, false); err != nil {
-		return nil, px.errf(p, "%v", err)
+	if err := checkTransformBody(src.body, false, src.generated()); err != nil {
+		lw.fail(n, "%v", err)
+		return nil
 	}
-
-	var b strings.Builder
-	// Tile-grid loops, outermost first: canonical form, perfectly nested.
+	lw.usesOmp = true
+	open, close := src.inner(k)
+	out := &loopNest{body: src.body, owner: src.owner, post: close, declared: src.declared}
+	var pre strings.Builder
 	for i, size := range sizes {
-		fmt.Fprintf(&b, "for %s%d := 0; %s%d < %s; %s%d += %d {\n",
-			tileGridVar, i, tileGridVar, i, nest.tripExpr(i), tileGridVar, i, size)
-	}
-	// Point loops: cover one tile each, fringe-guarded by min against the
-	// level trip count, bounds hoisted into the init.
-	for i, size := range sizes {
-		fmt.Fprintf(&b, "for %s%d, %s%d := %s%d, min(%s%d+%d, %s); %s%d < %s%d; %s%d++ {\n",
-			tilePointVar, i, tileHiVar, i, tileGridVar, i, tileGridVar, i, size,
-			nest.tripExpr(i), tilePointVar, i, tileHiVar, i, tilePointVar, i)
+		h := src.hs[i]
+		grid := fmt.Sprintf("%s%d", tileGridVar, i)
+		out.hs = append(out.hs, &loopHeader{
+			Var: grid, LB: "0", UB: tripExpr(h), Step: fmt.Sprintf("(%d)", size),
+			Line: fmt.Sprintf("for %s := 0; %s < %s; %s += %d {\n", grid, grid, tripExpr(h), grid, size),
+		})
+		out.declared = append(out.declared, h.Var)
+		// Point loops: cover one tile each, fringe-guarded by min against
+		// the level trip count, bounds hoisted into the init.
+		fmt.Fprintf(&pre, "for %s%d, %s%d := %s, min(%s+%d, %s); %s%d < %s%d; %s%d++ {\n",
+			tilePointVar, i, tileHiVar, i, grid, grid, size,
+			tripExpr(h), tilePointVar, i, tileHiVar, i, tilePointVar, i)
 	}
 	for i := range sizes {
-		b.WriteString(nest.pointAssign(i, fmt.Sprintf("%s%d", tilePointVar, i)))
+		pre.WriteString(pointAssign(src.hs[i], fmt.Sprintf("%s%d", tilePointVar, i)))
 	}
-	b.WriteString(nest.body)
-	b.WriteString("\n")
-	for range sizes {
-		b.WriteString("}\n}\n")
-	}
-	text := strings.TrimSuffix(b.String(), "\n")
-	return []edit{{start: p.start, end: px.off(forStmt.End()), text: text}}, nil
+	out.pre = pre.String() + open
+	return out
 }
 
 // ------------------------------------------------------------------- unroll
@@ -289,7 +356,7 @@ func constTrip(h *loopHeader) (int64, bool) {
 	return (lb - ub + (-st) - 1) / (-st), true
 }
 
-// genUnroll lowers `//omp unroll [full | partial[(n)]]`. Full expansion
+// unroll lowers `//omp unroll [full | partial[(n)]]`. Full expansion
 // requires compile-time-constant bounds and replaces the loop with one
 // copy of the body per iteration, each in its own block with the loop
 // variable bound to its literal value. Partial unrolling emits a main
@@ -299,25 +366,20 @@ func constTrip(h *loopHeader) (int64, bool) {
 // for short constant trips, otherwise partial by defaultUnrollFactor).
 // Either way the loop structure is consumed, so unlike tile the generated
 // code is a block: worksharing directives stack above tile, not unroll.
-func (px *pctx) genUnroll(p *pragma, d *Directive) ([]edit, error) {
-	forStmt, ok := px.stmtAfter(p.end).(*ast.ForStmt)
-	if !ok {
-		return nil, px.errf(p, "directive must immediately precede a for statement")
-	}
-	if err := px.checkTransformGap(p, px.off(forStmt.Pos())); err != nil {
-		return nil, err
-	}
-	nest, err := px.liftNest(forStmt, 1)
+func (lw *lowerer) unroll(n *node) (string, *loopNest) {
+	src, err := lw.loops(n, 1)
 	if err != nil {
-		return nil, px.errf(p, "%v", err)
+		lw.fail(n, "%v", err)
+		return "", nil
 	}
-	h := nest.hs[0]
-	if err := checkTransformBody(h.Body, true); err != nil {
-		return nil, px.errf(p, "%v", err)
+	h := src.hs[0]
+	if err := checkTransformBody(src.body, true, src.generated()); err != nil {
+		lw.fail(n, "%v", err)
+		return "", nil
 	}
 
 	trip, tripConst := constTrip(h)
-	spec, factor := d.Clauses.Unroll, d.Clauses.UnrollFactor
+	spec, factor := n.d.Clauses.Unroll, n.d.Clauses.UnrollFactor
 	if spec == UnrollNone { // bare unroll: the implementation chooses
 		if tripConst && trip <= fullUnrollTrip {
 			spec = UnrollFull
@@ -325,37 +387,29 @@ func (px *pctx) genUnroll(p *pragma, d *Directive) ([]edit, error) {
 			spec = UnrollPartial
 		}
 	}
-	end := px.off(forStmt.End())
-
-	switch spec {
-	case UnrollFull:
-		if !tripConst {
-			return nil, px.errf(p, "unroll full requires compile-time-constant loop bounds (lower bound, upper bound and step must be integer literals)")
-		}
-		if trip > maxFullUnrollTrip {
-			return nil, px.errf(p, "unroll full would expand %d iterations (maximum %d); use partial instead", trip, maxFullUnrollTrip)
-		}
+	var b strings.Builder
+	b.WriteString("{\n")
+	switch {
+	case spec == UnrollFull && !tripConst:
+		lw.fail(n, "unroll full requires compile-time-constant loop bounds (lower bound, upper bound and step must be integer literals)")
+	case spec == UnrollFull && trip > maxFullUnrollTrip:
+		lw.fail(n, "unroll full would expand %d iterations (maximum %d); use partial instead", trip, maxFullUnrollTrip)
+	case spec == UnrollFull:
+		body := lw.nestBody(src, 1)
 		lb, _ := constInt(h.LB)
 		st, _ := constInt(h.Step)
-		var b strings.Builder
-		b.WriteString("{\n")
 		for k := int64(0); k < trip; k++ {
-			fmt.Fprintf(&b, "{\n%s := %d\n_ = %s\n%s\n}\n", h.Var, lb+k*st, h.Var, nest.body)
+			fmt.Fprintf(&b, "{\n%s := %d\n_ = %s\n%s\n}\n", h.Var, lb+k*st, h.Var, body)
 		}
-		b.WriteString("}")
-		return []edit{{start: p.start, end: end, text: b.String()}}, nil
-
-	case UnrollPartial:
+	case factor == 1:
+		return "", src // partial(1) is the identity transformation
+	default:
 		if factor == 0 {
 			factor = defaultUnrollFactor
 		}
-		if factor == 1 {
-			// partial(1) is the identity transformation: drop the pragma.
-			return []edit{{start: p.start, end: p.end, text: ""}}, nil
-		}
-		var b strings.Builder
-		b.WriteString("{\n")
-		fmt.Fprintf(&b, "__omp_ut := %s\n", nest.tripExpr(0))
+		lw.usesOmp = true
+		body := lw.nestBody(src, 1)
+		fmt.Fprintf(&b, "__omp_ut := %s\n", tripExpr(h))
 		fmt.Fprintf(&b, "__omp_um := __omp_ut - __omp_ut%%%d\n", factor)
 		fmt.Fprintf(&b, "for __omp_uk := 0; __omp_uk < __omp_um; __omp_uk += %d {\n", factor)
 		for k := int64(0); k < factor; k++ {
@@ -363,15 +417,11 @@ func (px *pctx) genUnroll(p *pragma, d *Directive) ([]edit, error) {
 			if k > 0 {
 				kExpr = fmt.Sprintf("(__omp_uk + %d)", k)
 			}
-			fmt.Fprintf(&b, "{\n%s%s\n}\n", nest.pointAssign(0, kExpr), nest.body)
+			fmt.Fprintf(&b, "{\n%s%s\n}\n", pointAssign(h, kExpr), body)
 		}
-		b.WriteString("}\n")
 		// Scalar remainder loop: the trip%factor fringe iterations.
-		b.WriteString("for __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++ {\n")
-		b.WriteString(nest.pointAssign(0, "__omp_uk"))
-		b.WriteString(nest.body)
-		b.WriteString("\n}\n}")
-		return []edit{{start: p.start, end: end, text: b.String()}}, nil
+		fmt.Fprintf(&b, "}\nfor __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++ {\n%s%s\n}\n", pointAssign(h, "__omp_uk"), body)
 	}
-	return nil, px.errf(p, "unsupported unroll specification")
+	b.WriteString("}")
+	return b.String(), nil
 }
