@@ -349,9 +349,13 @@ func BenchmarkAblationForkBarrier(b *testing.B) {
 // BenchmarkForkOverhead is BenchmarkAblationFork with allocation reporting:
 // the warm fork/join path is required to stay at 0 allocs/op for every team
 // size (the hot-team fast path), which CI asserts via TestWarmRegionZeroAlloc
-// and this benchmark makes visible as a number.
+// and this benchmark makes visible as a number. x-floor is the cost as a
+// multiple of the host's own cross-core round trip (bench.CrossCoreRoundTrip,
+// BenchmarkCrossCoreFloor in internal/kmp): a fork plus a join cannot beat 1.
 func BenchmarkForkOverhead(b *testing.B) {
 	body := func(t *omp.Thread) {}
+	const floorRounds = 20000
+	floor := float64(bench.CrossCoreRoundTrip(floorRounds)) / floorRounds
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
 			omp.Parallel(body, omp.NumThreads(n)) // warm the team
@@ -359,6 +363,31 @@ func BenchmarkForkOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				omp.Parallel(body, omp.NumThreads(n))
+			}
+			if floor > 0 { // 0: a single processor has no cross-core floor
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N)/floor, "x-floor")
+			}
+		})
+	}
+}
+
+// BenchmarkParallelForRange is the fused construct gompcc emits for every
+// `//omp parallel for`: fork, static loop, join, over a body built once.
+// 0 allocs/op: the loop travels in the runtime's region descriptor.
+func BenchmarkParallelForRange(b *testing.B) {
+	x, y := make([]float64, 1024), make([]float64, 1024)
+	body := func(_ *omp.Thread, lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			y[i] += 2 * x[i]
+		}
+	}
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			omp.ParallelForRange(int64(len(x)), body, omp.NumThreads(n)) // warm the team
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				omp.ParallelForRange(int64(len(x)), body, omp.NumThreads(n))
 			}
 		})
 	}

@@ -111,11 +111,13 @@
 // requests each opening small parallel regions — which makes fork/join
 // overhead and per-region garbage the governing costs. The runtime
 // (internal/kmp) answers with hot teams: a finished region's team parks
-// its worker goroutines and is cached in two tiers — a goroutine-affinity
-// map returning the same team to the same forking goroutine, and a sharded
-// global pool for teams whose owner moved on — so a warm omp.Parallel
-// performs no goroutine spawns, no global-lock acquisitions, and zero heap
-// allocations (asserted in CI by testing.AllocsPerRun). Workers between
+// its worker goroutines and is cached in two tiers — the forking
+// goroutine's slot in the thread registry, which hands the same team back
+// to the same goroutine, and a sharded global pool for teams whose owner
+// moved on — so a warm omp.Parallel or omp.ParallelFor performs no
+// goroutine spawns, no global-lock acquisitions (the scheduler's included:
+// GOMAXPROCS is sampled, and waiters probe before they yield), and zero
+// heap allocations (asserted in CI by testing.AllocsPerRun). Workers between
 // regions spin on an atomic generation word, then park on a
 // flag-guarded channel; OMP_WAIT_POLICY (and the ICV) selects the spin
 // budget — passive parks quickly and suits oversubscribed hosts, active

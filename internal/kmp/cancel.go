@@ -57,12 +57,6 @@ func (tm *Team) cancel() {
 	tm.wakeTeam(nil)
 }
 
-// Cancellable reports whether cancellation can be activated for this
-// thread's team.
-func (t *Thread) Cancellable() bool {
-	return t != nil && t.team != nil && t.team.cancellable
-}
-
 // Cancel is the lowering of the `cancel` directive (__kmpc_cancel): it
 // requests cancellation of the innermost enclosing construct of the given
 // kind and reports whether the encountering thread must branch to that

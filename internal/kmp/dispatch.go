@@ -408,7 +408,7 @@ func (t *Thread) detach(buf *dispatchBuf) {
 
 // ForDynamic is the convenience wrapper the generated code uses for a whole
 // dynamic-family loop: init, drain chunks through body, detach. No barrier
-// is performed (nowait is the caller's concern, as with ForStatic).
+// is performed (nowait is the caller's concern, as with Loop).
 func ForDynamic(t *Thread, loc Ident, sched Sched, trip int64, body func(begin, end int64)) {
 	t.DispatchInit(loc, sched, trip)
 	for {

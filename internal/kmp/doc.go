@@ -4,7 +4,7 @@
 // The paper lowers OpenMP pragmas to the __kmpc_* entry points of libomp:
 //
 //   - parallel regions   → __kmpc_fork_call          → ForkCall
-//   - static loops       → __kmpc_for_static_init/fini → ForStatic / StaticBlock / StaticChunked
+//   - static loops       → __kmpc_for_static_init/fini → Loop / StaticBlock / StaticChunked
 //   - dynamic/guided/runtime loops → __kmpc_dispatch_init/next → (*Thread).DispatchInit/DispatchNext
 //   - barriers           → __kmpc_barrier            → (*Thread).Barrier
 //   - critical           → __kmpc_critical           → Critical
@@ -24,82 +24,106 @@
 //
 // # Hot teams and the fork fast path
 //
-// Team reuse is two-tiered (hotteam.go). The affinity tier maps the forking
-// goroutine's id to the team it released last, in a sharded map, so a
-// serving goroutine that opens region after region gets its own team back —
-// workers already spawned, barrier already sized, caches already warm. The
-// pool tier is a sharded free list that catches teams whose owner moved on
-// and hands them to whichever root forks next, scanning the home shard
-// first. Both tiers are capped (affinityCap, hotPoolCap, scaled by
-// GOMAXPROCS); overflow is disposed rather than cached, and TrimTeams
-// drains both tiers on demand for processes that have gone quiet.
+// Where a team comes from (hotteam.go, thread.go). Every goroutine that is
+// inside a region or has forked one owns a slot in the thread registry, a
+// sharded map keyed by goroutine id (an assembly g-pointer read on
+// amd64/arm64, validated at init against the portable stack parse —
+// goid_fast.go). The slot holds the thread the goroutine currently runs as
+// — how Current and nested forks find their level — and the team it parked
+// at its last join. A fork looks the slot up once, taking the parked team
+// in the same critical section, and updates it through the pointer at join:
+// a serving goroutine that opens region after region gets its own team back
+// without touching a shared list or counter. Behind the slots sits a
+// sharded free list for first-time forkers and overflow. Both tiers are
+// capped (affinityCap, hotPoolCap, scaled by GOMAXPROCS); overflow is
+// disposed, and TrimTeams drains both and drops the slots of goroutines
+// that are gone. GOMAXPROCS is cached (procs): reading it takes the
+// scheduler's global lock, so only cold paths do — a team changing shape,
+// every procsRefresh-th region, TrimTeams.
 //
-// Between regions each worker goroutine waits on the team's generation word
-// (see "Waiting" below). The word packs region counter and team size into
-// one uint64, so a single atomic load tells a worker both "a new region
-// started" and "whether it participates"; non-participating workers (the
-// region shrank) go straight back to waiting without touching any region
-// state.
+// The handshake (team.go) is four cache lines, one writer each:
 //
-// A warm fork therefore performs: one goroutine-id read (an assembly g
-// pointer read on amd64/arm64, validated at init against the portable
-// stack parse — goid_fast.go), one affinity-map hit, field stores for the
-// region closure, one atomic generation publish, and wake sends to however
-// many workers actually parked. Nothing allocates: cancellation is a flag
-// in the barrier's wait predicate (cancel.go), the barrier is one
-// sense-reversing atomic word (barrier.go), the join an atomic countdown,
-// the serial one-thread path runs from a sync.Pool, and the error box is
-// embedded in the team. The fork re-initialises only the per-region state
-// the previous region touched (Team.dirty): a region that ran no dynamic
-// loop, single or task pays for none of their buffers.
-// TestWarmRegionZeroAlloc and BenchmarkForkJoin assert the invariant.
+//   - the publish line holds gen alone. Idle workers spin on it; the owning
+//     master stores to it once per region. One load tells a worker that a
+//     region started and whether it takes part; a worker that does not (the
+//     region shrank) goes back to waiting and touches nothing else.
+//   - two descriptor lines hold what the region runs (work: a body, or the
+//     loop of a fused parallel-for) and its shape (size, location, nesting
+//     level, cancellable/catch). The master fills them in before the gen
+//     store. The body is stored at every fork and cleared at the join, so
+//     a parked team pins none of its caller's captures; the shape fields
+//     are compared before each store, so a fork of the same shape as the
+//     last one leaves that line shared in every cache.
+//   - the join line holds done alone, a cumulative count only workers add
+//     to. The master waits for it to reach joinAt, which it keeps on a line
+//     of its own, so it never stores to the line its workers are about to.
 //
-// Nested parallelism forks real inner teams (when max-active-levels
-// allows) through the same pools, with team sizes debited against
-// thread-limit-var by a global reservation counter (reserveThreads), so a
-// contention group never oversubscribes its configured budget.
+// Ordering: the descriptor stores are plain; gen.Store after them is the
+// release and the worker's gen.Load the acquire, so a worker that sees the
+// new gen sees the whole descriptor. Back the other way each worker's
+// done.Add follows its last use of the region, and the master's done.Load
+// that observes joinAt precedes its next descriptor store, so the master
+// never writes under a reader. Threads outside the region read no
+// descriptor field; what an idle worker does consult (spinNs, sizeA) is
+// atomic.
+//
+// The rest of a fork is thread-local or conditional. Each thread, the
+// master included, resets its own per-region fields as it enters
+// (Thread.enter), and a thread's first line (ids, parked flag) is never
+// stored to per region, so wake's look at it is a cache hit. Team.reset
+// re-initialises only what the previous region dirtied. Nothing allocates:
+// cancellation is a flag in the barrier's wait predicate (cancel.go), the
+// barrier one sense-reversing word (barrier.go), the one-thread path runs
+// from a sync.Pool, the error box is embedded in the team.
+// TestWarmRegionZeroAlloc, TestForkHandshakeLayout and BenchmarkForkJoin
+// (read against BenchmarkCrossCoreFloor) hold the design to this.
 //
 // # Waiting
 //
 // Every team rendezvous blocks in one loop, (*Thread).wait in wait.go: the
 // worksharing/explicit barrier (predicate: generation changed, or region
-// cancelled), the region join (predicate: the countdown of workers still in
-// the region reached zero; only the master waits) and a worker's idle wait
-// between regions (predicate: the generation word moved). No rendezvous
-// polls a timer.
+// cancelled), the region join (done reached joinAt; only the master waits)
+// and a worker's idle wait between regions (gen moved). No rendezvous polls
+// a timer.
 //
 // Spin. The waiter first probes its predicate for a bounded time: 50 µs
-// under OMP_WAIT_POLICY=passive (the default), 5 ms under active. Probes run
-// back to back in blocks of 64 with one look at the clock per block, and a
-// courtesy runtime.Gosched every fourth block so goroutines outside the
-// team get the processor. The budget is what makes fine-grained loops
-// fast: an arrival skew of a few µs between ≈10 µs phases (NPB CG) is
-// absorbed by spinning instead of costing a sleep and a wake-up.
+// under OMP_WAIT_POLICY=passive (the default), 5 ms under active. The first
+// spinQuiet probes (a few µs) are nothing but probes — no clock, no
+// scheduler — which is where back-to-back regions and balanced barriers
+// resolve, touching only the predicate's cache line. After that the waiter
+// reads the clock once per spinBlock probes (≈0.5 µs) and calls
+// runtime.Gosched every spinYieldEvery blocks, so goroutines outside the
+// team get the processor; Gosched takes the scheduler's global lock, which
+// is why it stays off the common path. The budget is what makes
+// fine-grained loops fast: an arrival skew of a few µs between ≈10 µs
+// phases (NPB CG) is absorbed by spinning instead of costing a wake-up.
 //
 // Park and wake. When the budget runs out the waiter publishes its parked
 // flag, re-checks the predicate, and blocks on its cap-1 token channel (one
 // flag and one channel per Thread, allocated with it). Whoever makes a
-// predicate true — the barrier's last arriver, the worker that takes the
-// join count to zero, the master publishing a region, Team.cancel — stores
-// to the predicate first and then loads the flags of the threads that may
-// be waiting on it, sending a token (never blocking) to each that is set.
+// predicate true — the barrier's last arriver, a worker counting out of the
+// join, the master publishing a region, Team.cancel — stores to the
+// predicate first and then loads the flags of the threads that may be
+// waiting on it, sending a token (never blocking) to each that is set.
 // The two sides form a Dekker pair over sequentially consistent atomics:
 //
 //	waiter: parked.Store(1) → pred() load     waker: pred store → parked.Load()
 //
 // so either the waiter sees the predicate true and does not block, or the
-// waker sees the flag and sends. A waker that sees the flag of a thread
-// which then did not block leaves one stale token behind; the next park
-// consumes it, re-checks and blocks again. Tokens carry no meaning beyond
-// "look again", which is why one waiter serves every predicate.
+// waker sees the flag and sends. A stale token (the waiter did not block
+// after all) is consumed by the next park, which re-checks and blocks
+// again: tokens mean only "look again", which is why one waiter serves
+// every predicate. The woken goroutine lands in the waker's run-next slot,
+// so a waker that goes on to wait itself yields before it spins.
 //
 // Oversubscription. A team larger than GOMAXPROCS never spins: its waiters
 // yield after every probe, because the thread they are waiting for may not
 // have a processor. And any waiter, crowded team or not, whose yield took
 // longer than 2 µs concludes that another goroutine needed the processor
 // and parks at once (remembering it, so its next wait yields before it
-// spins): concurrent teams and other goroutines are never starved by
-// spinners for more than a block.
+// spins): other teams and goroutines are never starved by spinners for more
+// than a few µs — which also covers a team whose cached GOMAXPROCS has gone
+// stale.
 //
 // Cost. Spinning replaces sleeping, so process CPU utilisation
 // (proc.cpu_util in the benchmark) rises by design: a waiter holds its

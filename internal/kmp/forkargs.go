@@ -21,7 +21,7 @@ package kmp
 // without needing the type information a preprocessor lacks. (Zig can
 // outline without semantic analysis because @TypeOf queries types in
 // source; Go has no equivalent, so the closure is the type-erased outlining
-// vehicle — see DESIGN.md §5.) ForkCallArgs exists so the runtime protocol
+// vehicle.) ForkCallArgs exists so the runtime protocol
 // itself is reproduced and measurable (ablation A4 compares the two).
 func ForkCallArgs(loc Ident, nthreads int, fn func(t *Thread, fp, sh, red any), fp, sh, red any) {
 	ForkCall(loc, nthreads, func(t *Thread) { fn(t, fp, sh, red) })

@@ -6,43 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// Hot-team pooling: where parallel regions get their teams from, and the
-// heart of the allocation-free fork fast path.
-//
-// Two tiers:
-//
-//   - A per-goroutine affinity cache, keyed by goroutine id through the same
-//     sharded registry machinery as Current(). A serving goroutine that
-//     repeatedly opens regions parks its team here at join and takes it back
-//     at the next fork without touching any shared free list — the
-//     steady-state path of a request handler is one shard-mutex map
-//     operation, no allocation, no contention with other goroutines (each
-//     gid owns its slot).
-//
-//   - A sharded global free list behind it, for goroutines forking for the
-//     first time and for affinity overflow. Acquisition starts at the
-//     caller's home shard (gid-hashed) and scans the others only on a miss,
-//     so concurrent root forks spread across shards instead of convoying on
-//     one mutex the way the old single-mutex pool did.
-//
-// Both tiers are capped: a burst of ten thousand concurrent regions must not
-// permanently pin ten thousand teams of parked worker goroutines. Overflow
-// teams are disposed — their workers observe the dispose generation, drop
-// their registry bindings and exit.
+// Hot-team pooling: where parallel regions get their teams from. Two tiers
+// (see "Hot teams and the fork fast path" in the package comment): the
+// forking goroutine's registry slot (thread.go), and behind it a global free
+// list for first-time forkers and overflow, sharded so concurrent root forks
+// do not convoy on one mutex. Both tiers are capped: a burst of ten thousand
+// concurrent regions must not permanently pin ten thousand teams of parked
+// workers. Overflow teams are disposed — their workers observe the dispose
+// generation, drop their registry slots and exit.
 
-const (
-	affinityShards = 64
-	poolShards     = 8
-)
-
-type affinitySlot struct {
-	mu sync.Mutex
-	m  map[uint64]*Team
-	_  pad
-}
+const poolShards = 8
 
 var (
-	affinityReg   [affinityShards]affinitySlot
+	// affinityCount is the number of goroutine slots holding a team, parked
+	// or out running that goroutine's region: the claim is kept across
+	// forks, so the warm path never touches the counter.
 	affinityCount atomic.Int64
 
 	hotPool [poolShards]struct {
@@ -51,50 +29,26 @@ var (
 		_    pad
 	}
 	hotPoolCount atomic.Int64
+
+	// procs caches GOMAXPROCS, which takes the scheduler's global lock to
+	// read. Refreshed on cold paths only: a team taking a new shape, every
+	// procsRefresh-th region of a team, TrimTeams.
+	procs atomic.Int64
 )
 
-func init() {
-	for i := range affinityReg {
-		affinityReg[i].m = make(map[uint64]*Team)
-	}
-}
+const procsRefresh = 1024
 
-// affinityCap bounds the number of teams parked in per-goroutine slots.
+func init() { refreshProcs() }
+
+func refreshProcs() { procs.Store(int64(runtime.GOMAXPROCS(0))) }
+
+// affinityCap bounds the number of teams held by goroutine slots.
 // Goroutines die silently in Go, so a slot whose owner exited can only be
 // reclaimed by TrimTeams or by capping admission; the cap keeps the worst
 // case (many short-lived forking goroutines) at a bounded goroutine count.
-func affinityCap() int64 {
-	n := int64(runtime.GOMAXPROCS(0)) * 8
-	if n < 32 {
-		n = 32
-	}
-	return n
-}
+func affinityCap() int64 { return max(procs.Load()*8, 32) }
 
-func hotPoolCap() int64 {
-	n := int64(runtime.GOMAXPROCS(0)) * 2
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
-
-// affinityGet removes and returns the team parked by goroutine gid, nil on
-// miss. Delete-then-reinsert of the same key reuses the map cell, so the
-// warm cycle allocates nothing.
-func affinityGet(gid uint64) *Team {
-	s := &affinityReg[gid%affinityShards]
-	s.mu.Lock()
-	tm := s.m[gid]
-	if tm != nil {
-		delete(s.m, gid)
-	}
-	s.mu.Unlock()
-	if tm != nil {
-		affinityCount.Add(-1)
-	}
-	return tm
-}
+func hotPoolCap() int64 { return max(procs.Load()*2, 8) }
 
 // reserveSlot claims one unit of a capped counter, false when full. The
 // CAS loop makes the cap hard: a flood of concurrent releases cannot
@@ -111,30 +65,9 @@ func reserveSlot(ctr *atomic.Int64, cap int64) bool {
 	}
 }
 
-// affinityPut parks tm in gid's slot; false when the slot is taken or the
-// cache is full.
-func affinityPut(gid uint64, tm *Team) bool {
-	if !reserveSlot(&affinityCount, affinityCap()) {
-		return false
-	}
-	s := &affinityReg[gid%affinityShards]
-	s.mu.Lock()
-	if _, ok := s.m[gid]; ok {
-		s.mu.Unlock()
-		affinityCount.Add(-1)
-		return false
-	}
-	s.m[gid] = tm
-	s.mu.Unlock()
-	return true
-}
-
-// acquireTeam returns a hot team for the forking goroutine: its own parked
-// team if it has one, else a pooled team, else a fresh shell.
-func acquireTeam(gid uint64, v ICV) *Team {
-	if tm := affinityGet(gid); tm != nil {
-		return tm
-	}
+// pooledTeam returns a team for a goroutine whose slot had none parked: a
+// pooled team, else a fresh shell.
+func pooledTeam(gid uint64) *Team {
 	home := int(gid % poolShards)
 	for i := 0; i < poolShards; i++ {
 		s := &hotPool[(home+i)%poolShards]
@@ -149,14 +82,20 @@ func acquireTeam(gid uint64, v ICV) *Team {
 		}
 		s.mu.Unlock()
 	}
-	return newTeam(v)
+	return newTeam()
 }
 
-// releaseTeam parks tm for reuse: affinity slot first, shared shard second,
-// dispose on overflow so the free lists stay capped.
-func releaseTeam(gid uint64, tm *Team) {
-	if affinityPut(gid, tm) {
+// releaseTeam parks tm for reuse: the goroutine's slot first, a shared shard
+// second, dispose on overflow. kept says tm came out of this slot, whose
+// affinity claim it still holds (the slot is then only occupied if a nested
+// region parked its own team there meanwhile).
+func releaseTeam(gid uint64, sl *gslot, tm *Team, kept bool) {
+	if sl.hot.Load() == nil && (kept || reserveSlot(&affinityCount, affinityCap())) {
+		sl.hot.Store(tm)
 		return
+	}
+	if kept {
+		affinityCount.Add(-1)
 	}
 	if !reserveSlot(&hotPoolCount, hotPoolCap()) {
 		tm.dispose()
@@ -172,15 +111,21 @@ func releaseTeam(gid uint64, tm *Team) {
 // worker goroutines unregister and exit, and the memory becomes collectable.
 // Useful for servers scaling down after a burst and for tests that assert on
 // goroutine counts. Regions in flight are unaffected — their teams are not
-// in any pool.
+// in any pool. A slot that held only a team (goroutine idle, or gone) goes.
 func TrimTeams() {
-	for i := range affinityReg {
-		s := &affinityReg[i]
+	refreshProcs()
+	for i := range goidReg {
+		s := &goidReg[i]
 		s.mu.Lock()
-		for gid, tm := range s.m {
-			delete(s.m, gid)
-			affinityCount.Add(-1)
-			tm.dispose()
+		for gid, sl := range s.m {
+			if tm := sl.hot.Load(); tm != nil {
+				sl.hot.Store(nil)
+				affinityCount.Add(-1)
+				tm.dispose()
+				if sl.cur.Load() == nil {
+					delete(s.m, gid)
+				}
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -210,13 +155,9 @@ var liveExtra atomic.Int64
 func reserveThreads(want, limit int64) int64 {
 	for {
 		cur := liveExtra.Load()
-		avail := limit - cur
-		if avail <= 0 {
+		grant := min(want, limit-cur)
+		if grant <= 0 {
 			return 0
-		}
-		grant := want
-		if grant > avail {
-			grant = avail
 		}
 		if liveExtra.CompareAndSwap(cur, cur+grant) {
 			return grant

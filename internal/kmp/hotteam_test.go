@@ -319,3 +319,13 @@ func TestNestedThreadLimitReservation(t *testing.T) {
 		}
 	}
 }
+
+// The goroutine-identity read that anchors the thread registry and with it
+// team affinity: single-digit nanoseconds on amd64/arm64 (direct g read),
+// microseconds elsewhere (stack-header parse).
+func BenchmarkGoid(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = goid()
+	}
+}

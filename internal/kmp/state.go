@@ -20,7 +20,7 @@ import (
 //
 //   - locations are interned to small ids (internLoc) so the state word
 //     can carry "which region" without publishing string headers; the
-//     intern lookup is cached per team (Team.lastLoc), so a warm fork
+//     team's descriptor caches the lookup (loc, locA), so a warm fork
 //     from the same callsite pays one struct compare, no map, no lock;
 //
 //   - each team mirrors its sampler-visible shape in atomics (sizeA,
@@ -128,8 +128,8 @@ func (t *Thread) StateWord() (WorkerState, Ident) {
 
 // Location intern table: Ident → dense uint32 id, with a copy-on-write
 // reverse table for id → Ident. Id 0 is reserved for "no location".
-// internLoc takes the mutex, so forks cache the id per team (lastLoc)
-// and only re-intern when the callsite changes.
+// internLoc takes the mutex, so forks cache the id per team (locA) and
+// only re-intern when the callsite changes.
 var locTab struct {
 	mu  sync.Mutex
 	ids map[Ident]uint32
@@ -235,8 +235,9 @@ type TeamStatus struct {
 // what /debug/gomp/status serves.
 type Status struct {
 	Teams []TeamStatus `json:"teams"`
-	// AffinityTeams and PooledTeams count teams parked in the two
-	// hot-team tiers (goroutine-affinity slots, shared free lists).
+	// AffinityTeams and PooledTeams count the teams of the two hot-team
+	// tiers: held by goroutine slots (parked, or out running that
+	// goroutine's region) and parked in the shared free lists.
 	AffinityTeams int64 `json:"affinity_teams"`
 	PooledTeams   int64 `json:"pooled_teams"`
 	// ReservedThreads is the contention group's live extra-thread grant

@@ -80,12 +80,29 @@ func StaticChunked(tid, nth int, trip, chunk int64, body func(begin, end int64))
 	}
 }
 
-// ForStatic runs body over thread t's share of a trip-count iteration space
-// with the given static schedule (chunk <= 0 selects the block partition).
-// It performs no barrier — the caller decides, which is how the nowait
-// clause is honoured (§III-A2 packs nowait as a single bit; the generated
-// code simply omits the trailing Barrier call).
-func ForStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
+// Loop executes thread t's share of a worksharing loop of trip iterations
+// under sched: what every loop construct of the omp package lowers to. It
+// performs no barrier — the caller decides, which is how the nowait clause
+// is honoured (§III-A2 packs nowait as a single bit; the generated code
+// simply omits the trailing Barrier call). A zero loc attributes the loop
+// to the enclosing region. An orphaned or serialised loop (t nil, a team of
+// one) runs the whole range on the caller through the static driver, whose
+// cancellable path keeps observing deadlines and cancel directives.
+func Loop(t *Thread, loc Ident, sched Sched, trip int64, body func(lo, hi int64)) {
+	switch k := sched.Kind; {
+	case !t.InParallel():
+		forStatic(t, trip, 0, body)
+	case sched.Ordered || (k != SchedStatic && k != SchedStaticChunked):
+		ForDynamic(t, loc, sched, trip, body)
+	default:
+		forStatic(t, trip, sched.Chunk, body)
+	}
+}
+
+// forStatic runs body over thread t's share of a trip-count iteration space
+// under schedule(static[,chunk]) (chunk <= 0 selects the block partition):
+// __kmpc_for_static_init/fini.
+func forStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
 	tid, nth := 0, 1
 	cancellable := false
 	if t != nil && t.team != nil {
@@ -135,7 +152,7 @@ func ForStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
 	}
 }
 
-// forStaticCancel is ForStatic for cancellable teams: the thread's share is
+// forStaticCancel is forStatic for cancellable teams: the thread's share is
 // delivered in bounded sub-chunks with a cancellation check between
 // consecutive chunks, so a context deadline or a `cancel` directive stops a
 // static loop at the next chunk boundary instead of running its whole block.

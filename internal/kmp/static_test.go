@@ -135,7 +135,7 @@ func TestForStaticBlockVsChunked(t *testing.T) {
 		const trip = 103
 		counts := make([]int32, trip)
 		ForkCall(Ident{}, 4, func(th *Thread) {
-			ForStatic(th, trip, chunk, func(b, e int64) {
+			forStatic(th, trip, chunk, func(b, e int64) {
 				for i := b; i < e; i++ {
 					counts[i]++ // disjoint writes, no atomics needed
 				}

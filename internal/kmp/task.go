@@ -315,8 +315,8 @@ func (t *Thread) runOneTask() bool {
 			reg = rtrace.StartRegion(context.Background(), "omp:task "+node.loc.String())
 		}
 	}
-	if t.team != nil && t.team.eb != nil {
-		t.runTaskRecover(node, t.team.eb)
+	if t.team != nil && t.team.catch {
+		t.runTaskRecover(node, &t.team.ebox)
 	} else {
 		t.runTask(node, node.fn)
 	}

@@ -31,48 +31,93 @@ func (id Ident) String() string {
 // ordinary closure captures in Go; Thread carries gtid/tid.
 type Microtask func(t *Thread)
 
-// Region publication: the master hands a region to its workers through one
-// atomic generation word instead of a channel send per worker. The word
-// packs a monotonically increasing counter in the high bits and the region's
-// team size in the low genNBits, so a worker learns "there is a new region"
-// and "am I in it" from a single load — a worker whose Tid is outside the
-// active size must not touch any other team field, since the master only
-// joins on participating workers and may already be preparing the next
-// region. Size 0 is the dispose sentinel: workers unregister and exit.
+// The region-publication word (handshake.gen) packs a monotonically
+// increasing counter in the high bits and the region's team size in the low
+// genNBits, so a worker learns "there is a new region" and "am I in it" from
+// a single load. Size 0 is the dispose sentinel: workers unregister and exit.
 const (
 	genNBits    = 16
 	genNMask    = 1<<genNBits - 1
 	maxTeamSize = genNMask
 )
 
+// work is what a region runs on each of its threads: a body (fn, or fnErr
+// for a catch-mode region) or, for the fused `parallel for` constructs, a
+// worksharing loop given by trip, sched and a per-range or per-iteration
+// body — carried here, not in a wrapper closure, so those constructs fork
+// without allocating. Exactly one function is set.
+type work struct {
+	fn    Microtask
+	fnErr func(*Thread) error
+	rng   func(t *Thread, lo, hi int64)
+	iter  func(t *Thread, i int64)
+	trip  int64
+	sched Sched
+}
+
+// handshake is the four cache lines a fork and a join travel over, one
+// writer each ("Hot teams and the fork fast path" in the package comment;
+// layout_test.go pins the layout). Allocated on its own: only small objects
+// sized in whole lines are handed out line-aligned.
+type handshake struct {
+	// The publish line. Idle workers spin on gen; only the goroutine owning
+	// the team (a region's master, or the pool disposing it) stores to it.
+	gen atomic.Uint64
+	_   [CacheLine - 8]byte
+
+	// The region descriptor: the body, then a line of shape — active size,
+	// source location (what barrier and loop events are attributed to),
+	// nesting depth, whether cancellation can activate (cancel-var, or an
+	// error/context entry point) and whether panics are caught into
+	// Team.ebox. Written by the master before the gen store (the shape
+	// compare-before-store), read by the region's threads after it.
+	w             work
+	n             int
+	loc           Ident
+	level, active int32
+	cancellable   bool
+	catch         bool
+	_             [CacheLine - 58]byte
+
+	// The join line. done counts workers out of their regions, cumulatively;
+	// only workers add to it, the master waits for it to reach Team.joinAt.
+	done atomic.Uint32
+	_    [CacheLine - 4]byte
+}
+
 // Team is a set of cooperating threads executing one parallel region: the
 // analog of libomp's kmp_team_t. Teams are pooled ("hot teams"): workers
 // spin briefly on the generation word and then park between regions instead
-// of exiting, so a warm fork is a few atomic stores and (for parked workers)
-// one channel token — no allocation, no global lock.
+// of exiting. Fields are grouped by writer with a line of padding between
+// groups, so no store lands on a line another thread is polling.
 type Team struct {
-	n       int       // active size for the current region
-	threads []*Thread // len == capacity grown so far; [0] is the master slot
-	bar     barrier
-	// spinNs is the spin budget wait-policy-var grants the current region's
-	// waits and crowded whether its team is larger than GOMAXPROCS
-	// (wait.go); both atomic because idle workers consult them while the
-	// master re-arms the team.
-	spinNs  atomic.Int64
-	crowded atomic.Bool
+	// The forking goroutine's own: the thread slots grown so far ([0] is the
+	// master's) and the value done reaches when the current region's
+	// workers have all counted out. No worker reads these.
+	threads []*Thread
+	joinAt  uint32
+	_       pad
 
-	// gen is the region-publication word (see genNBits above). Written only
-	// by the goroutine that owns the team (the master of the region being
-	// started, or the pool disposing it); read by workers.
-	gen atomic.Uint64
+	*handshake
 
-	// The outlined body of the current region, installed by forkCall before
-	// the gen publish. Exactly one of fnV/fnE is set: fnV for plain regions
-	// (ForkCall/ForkCallCtx), fnE when catch is set (ForkCallErr). Keeping
-	// both avoids wrapping the user's Microtask in a fresh closure per fork.
-	fnV   Microtask
-	fnE   func(*Thread) error
-	catch bool
+	// Stored when they change, read by everyone. spinNs is the spin budget
+	// of wait.go; sizeA, locA and thrA mirror n, loc and threads — atomic
+	// for the samplers (state.go) and for idle workers, which consult
+	// spinNs and sizeA while the master re-arms the team. cancelRegion is
+	// part of every barrier's wait predicate; cancelledLoop is the
+	// worksharing sequence number of a loop cancelled by `cancel for`
+	// (0 = none). dirty records which per-region state the current region
+	// touched, so the next fork resets only that.
+	spinNs        atomic.Int64
+	sizeA         atomic.Int32
+	locA          atomic.Uint32
+	thrA          atomic.Pointer[[]*Thread]
+	cancelRegion  atomic.Bool
+	cancelledLoop atomic.Uint64
+	dirty         atomic.Uint32
+	_             pad
+
+	bar barrier
 
 	// Worksharing state shared by the team (see dispatch.go, sync.go).
 	disp    [dispatchRing]dispatchBuf
@@ -95,56 +140,12 @@ type Team struct {
 	withheld   map[*taskNode]struct{}
 	withheldN  atomic.Int32
 
-	// Cancellation state (cancel.go). cancellable is decided at fork: the
-	// cancel-var ICV is set, or the region was launched through the
-	// error/context entry point. cancelRegion is part of every barrier's
-	// wait predicate. cancelledLoop holds the worksharing sequence number
-	// of a loop instance cancelled by `cancel for` (0 = none).
-	cancellable   bool
-	cancelRegion  atomic.Bool
-	cancelledLoop atomic.Uint64
-
-	// eb is the error collector of a catch-mode (ForkCallErr) region, nil
-	// otherwise. Task execution consults it so a panic inside an explicit
-	// task — which may run at any scheduling point, including the
-	// region-end drain — converts to the team's error instead of killing
-	// the process. It points at the team-embedded ebox so catch regions
+	// ebox collects the first error of a catch-mode (ForkCallErr) region,
+	// explicit tasks' panics included (they may run at any scheduling
+	// point, the region-end drain among them). Embedded, so catch regions
 	// allocate nothing per fork.
-	eb   *errBox
 	ebox errBox
-
-	// loc is the source location of the region being executed, so
-	// barrier events can be attributed to their region by the profiler.
-	loc Ident
-
-	// Sampler-visible mirrors (state.go): the active size, the interned
-	// id of loc, and a copy-on-write snapshot of the threads slice, all
-	// written by the owning master so ReadStatus can walk the team
-	// without racing resize. lastLoc/lastLocID cache the intern lookup —
-	// a warm fork from the same callsite pays one struct compare.
-	sizeA     atomic.Int32
-	locA      atomic.Uint32
-	thrA      atomic.Pointer[[]*Thread]
-	lastLoc   Ident
-	lastLocID uint32
-
-	// pending counts the workers still inside the current region: the join
-	// (the implicit barrier at region end) is the master waiting for zero.
-	pending atomic.Int32
-
-	// dirty records which pieces of per-region state the current region
-	// touched (dirty* bits), so the next fork resets only those.
-	dirty atomic.Uint32
-
-	// reserved is the contention-group thread grant held for the current
-	// region (hotteam.go), returned at join.
-	reserved int64
-
-	serial bool // team of 1 created for a serialised nested region
 }
-
-// NumThreads returns the team's active size.
-func (tm *Team) NumThreads() int { return tm.n }
 
 // Per-region state a fork has to re-initialise only if the previous region
 // used it: the construct that first touches a piece marks it.
@@ -163,23 +164,24 @@ func (tm *Team) touch(bit uint32) {
 // newThread allocates the descriptor of team thread tid.
 func newThread(tm *Team, tid int) *Thread {
 	th := &Thread{Gtid: nextGtid(), Tid: tid, team: tm}
-	th.wt.token = make(chan struct{}, 1)
+	th.token = make(chan struct{}, 1)
 	return th
 }
 
 // workerLoop is the body of a persistent worker goroutine driving th.
-// Between regions it waits on the team's generation word (wait.go), which
-// the master publishes and then tops up with a token for whoever parked.
-// last is the generation word at spawn time, sampled by the master before
-// publishing the worker's first region. master is the team's thread 0,
-// handed over because a worker must not read tm.threads: the master appends
-// to it while spawning, and may be disposing the team by the time a worker
-// that just counted itself out of the join gets to wake it.
+// Between regions it waits on the team's generation word (wait.go); last is
+// that word at spawn time, sampled by the master before it publishes the
+// worker's first region. master is the team's thread 0, handed over because
+// a worker must not read tm.threads: the master appends to it while
+// spawning, and may be disposing the team while a worker that just counted
+// out of the join is waking it.
 func (tm *Team) workerLoop(th, master *Thread, last uint64) {
-	gid, _ := registerCurrent(th)
+	gid := goid()
+	sl, _, _ := enterSlot(gid)
+	sl.cur.Store(th)
 	newRegion := func() bool { return tm.gen.Load() != last }
+	th.setIdle(StateSpinning)
 	for {
-		th.setIdle(StateSpinning)
 		if !th.spin(newRegion) {
 			th.setIdle(StateParked)
 			th.park(newRegion)
@@ -187,55 +189,77 @@ func (tm *Team) workerLoop(th, master *Thread, last uint64) {
 		last = tm.gen.Load()
 		n := int(last & genNMask)
 		if n == 0 { // dispose sentinel: the pool is retiring this team
-			unregister(gid, nil)
+			leaveSlot(gid, sl, nil)
 			return
 		}
-		if th.Tid < n {
-			lid := tm.locA.Load()
-			th.setRunning(lid)
-			th.pushLabels(lid)
-			tm.runRegion(th)
-			th.popLabels()
-			th.setIdle(StateIdle)
-			if tm.pending.Add(-1) == 0 {
-				master.wake()
-			}
+		if th.Tid >= n { // the region shrank past this worker
+			th.setIdle(StateSpinning)
+			continue
 		}
+		lid := tm.locA.Load()
+		th.setRunning(lid)
+		th.pushLabels(lid)
+		tm.runRegion(th, &tm.w)
+		th.popLabels()
+		// Spinning before counting out: once the master has seen the join,
+		// no sampler finds this thread still running the region.
+		th.setIdle(StateSpinning)
+		tm.done.Add(1)
+		master.wake(th)
 	}
 }
 
-// runRegion executes the published region body on th, including the
-// region-end task drain: the implicit barrier at region end must also
-// complete every explicit task spawned in the region (task.go). In catch
-// mode the drain moves into the deferred recovery so a panicking thread
-// still helps (or discards) outstanding tasks before leaving.
-func (tm *Team) runRegion(th *Thread) {
-	if tm.catch {
-		defer func() {
-			if r := recover(); r != nil {
-				tm.ebox.set(fmt.Errorf("omp: panic in parallel region: %v", r))
-				tm.cancel()
-			}
-			th.taskDrain()
-		}()
-		if err := tm.fnE(th); err != nil {
-			tm.ebox.set(err)
-			tm.cancel()
-		}
+// runRegion executes the region body w on th, including the region-end task
+// drain: the implicit barrier at region end must also complete every
+// explicit task spawned in the region (task.go) — in catch mode from the
+// deferred recovery, so a panicking thread still helps (or discards) them.
+func (tm *Team) runRegion(th *Thread, w *work) {
+	th.enter(tm)
+	switch {
+	case w.fnErr != nil:
+		tm.runCatch(th, w.fnErr)
 		return
+	case w.fn != nil:
+		w.fn(th)
+	case w.rng != nil:
+		Loop(th, Ident{}, w.sched, w.trip, func(lo, hi int64) { w.rng(th, lo, hi) })
+	default:
+		Loop(th, Ident{}, w.sched, w.trip, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				w.iter(th, i)
+			}
+		})
 	}
-	tm.fnV(th)
 	th.taskDrain()
 }
 
-// publish starts the next region generation and wakes its parked workers.
-// All region state (body, loc, thread levels, join count) must be written
-// before the call: the gen store is the release edge workers synchronise on.
+func (tm *Team) runCatch(th *Thread, fn func(*Thread) error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tm.ebox.set(fmt.Errorf("omp: panic in parallel region: %v", r))
+			tm.cancel()
+		}
+		th.taskDrain()
+	}()
+	if err := fn(th); err != nil {
+		tm.ebox.set(err)
+		tm.cancel()
+	}
+}
+
+// publish starts the next generation, a region of n threads or (0) the
+// dispose sentinel, and wakes the parked workers it concerns. The region
+// descriptor must be written before the call: the gen store is the release
+// edge workers synchronise on.
 func (tm *Team) publish(n int) {
 	c := tm.gen.Load() >> genNBits
 	tm.gen.Store((c+1)<<genNBits | uint64(n))
-	for _, th := range tm.threads[1:n] {
-		th.wake()
+	ths := tm.threads[1:]
+	if n > 0 {
+		ths = ths[:n-1]
+	}
+	for _, th := range ths {
+		th.wake(tm.threads[0])
 	}
 }
 
@@ -243,57 +267,63 @@ func (tm *Team) publish(n int) {
 // unregister and exit. Must only be called by a goroutine owning the team
 // outside any region (the pool caps, TrimTeams).
 func (tm *Team) dispose() {
-	c := tm.gen.Load() >> genNBits
-	tm.gen.Store((c + 1) << genNBits)
-	for _, th := range tm.threads[1:] {
-		th.wake()
-	}
+	tm.publish(0)
 	tm.threads = nil
 	tm.thrA.Store(nil)
 	tm.sizeA.Store(0)
 	unregisterTeam(tm)
 }
 
-// newTeam allocates a team shell; threads/workers are grown on demand.
-// The master slot gets its own global thread id (rather than reusing the
-// initial thread's 0) so concurrent teams' masters stay distinguishable
-// on per-thread timeline tracks.
-func newTeam(v ICV) *Team {
-	tm := &Team{}
-	master := newThread(tm, 0)
-	tm.threads = []*Thread{master}
+// newTeamShell allocates a team of active size n with its master slot.
+func newTeamShell(n int) *Team {
+	tm := &Team{handshake: new(handshake)}
+	tm.n = n
+	tm.sizeA.Store(int32(n))
+	tm.threads = []*Thread{newThread(tm, 0)}
 	for i := range tm.disp {
 		tm.disp[i].init()
 	}
-	snap := []*Thread{master}
+	return tm
+}
+
+// newTeam allocates a poolable team — workers are grown on demand (resize)
+// — and registers it with the samplers. The master slot gets its own global
+// thread id (rather than reusing the initial thread's 0) so concurrent
+// teams' masters stay distinguishable on per-thread timeline tracks.
+func newTeam() *Team {
+	tm := newTeamShell(0)
+	snap := []*Thread{tm.threads[0]}
 	tm.thrA.Store(&snap)
 	registerTeam(tm)
 	return tm
 }
 
 // resize prepares the team to run a region of n threads, spawning workers
-// as needed. Only the owning master calls it, between regions.
-func (tm *Team) resize(n int, v ICV) {
-	tm.setWaitPolicy(v.WaitPolicy, n)
-	grew := false
-	for len(tm.threads) < n {
-		th := newThread(tm, len(tm.threads))
-		tm.threads = append(tm.threads, th)
-		go tm.workerLoop(th, tm.threads[0], tm.gen.Load())
-		grew = true
+// as needed. Only the owning master calls it, between regions. A new size,
+// and every procsRefresh-th region (so a changed GOMAXPROCS is noticed in
+// bounded time), takes the cold path, the one that reads GOMAXPROCS.
+func (tm *Team) resize(n int, p WaitPolicy) {
+	if n != tm.n || (tm.gen.Load()>>genNBits)%procsRefresh == 0 {
+		refreshProcs()
+		if len(tm.threads) < n {
+			for len(tm.threads) < n {
+				th := newThread(tm, len(tm.threads))
+				tm.threads = append(tm.threads, th)
+				go tm.workerLoop(th, tm.threads[0], tm.gen.Load())
+			}
+			snap := append([]*Thread(nil), tm.threads...)
+			tm.thrA.Store(&snap)
+		}
+		tm.sizeA.Store(int32(n))
+		tm.n = n
 	}
-	if grew {
-		snap := append([]*Thread(nil), tm.threads...)
-		tm.thrA.Store(&snap)
-	}
-	tm.sizeA.Store(int32(n))
-	tm.n = n
+	tm.setWaitPolicy(p)
 }
 
 // reset clears per-region worksharing state so a pooled team starts clean.
 // Only what the previous region touched (tm.dirty) or left behind is
-// re-initialised: a plain fork pays a handful of loads and the per-thread
-// plain stores, not ~40 atomic stores for constructs it never used.
+// re-initialised: a plain fork pays a handful of loads and no store. The
+// threads' own per-region fields are theirs to reset (Thread.enter).
 func (tm *Team) reset() {
 	dirty := tm.dirty.Load()
 	if dirty != 0 {
@@ -314,8 +344,13 @@ func (tm *Team) reset() {
 		tm.taskCount.Store(0)
 		tm.prioQ.reset()
 		tm.resetWithheld()
+		// Deques are empty between regions (the implicit barrier drained
+		// them) but stolen slots may still reference completed closures;
+		// dropping the ring releases them and any growth.
+		for _, th := range tm.threads {
+			th.deque.release()
+		}
 	}
-	tm.cancellable = false
 	if tm.cancelRegion.Load() {
 		tm.cancelRegion.Store(false)
 		tm.bar.count.Store(0) // cancelled threads may have left mid-generation
@@ -323,25 +358,8 @@ func (tm *Team) reset() {
 	if tm.cancelledLoop.Load() != 0 {
 		tm.cancelledLoop.Store(0)
 	}
-	tm.eb = nil
-	tm.ebox.err = nil
-	for _, th := range tm.threads {
-		th.dispatchSeq = 0
-		th.singleSeq = 0
-		th.wsSeq = 0
-		th.curWsSeq = 0
-		th.curLoop = nil
-		th.chunkIdx = 0
-		th.curChunkLo, th.curChunkHi, th.orderedSeen = 0, 0, 0
-		th.curTask = nil
-		th.curGroup = nil
-		if dirty&dirtyTasks != 0 {
-			// Deques are empty between regions (the implicit barrier
-			// drained them) but stolen slots may still reference
-			// completed closures; dropping the ring releases them and
-			// any growth.
-			th.deque.release()
-		}
+	if tm.ebox.err != nil {
+		tm.ebox.err = nil
 	}
 }
 
@@ -380,7 +398,7 @@ func (b *errBox) set(err error) {
 // With the cap lifted (SetMaxActiveLevels), inner regions fork real teams,
 // bounded collectively by thread-limit-var across the contention group.
 func ForkCall(loc Ident, nthreads int, fn Microtask) {
-	forkCall(loc, nthreads, nil, false, fn, nil)
+	fork(loc, nthreads, nil, &work{fn: fn})
 }
 
 // ForkCallErr is the error- and context-aware fork behind omp.ParallelErr
@@ -393,48 +411,45 @@ func ForkCall(loc Ident, nthreads int, fn Microtask) {
 //   - worker panics are recovered and returned as errors instead of
 //     crashing the process, and the first non-nil error any team member
 //     returns cancels the rest of the team.
-//
-// The serialised-region and hot-team mechanics are shared with ForkCall.
 func ForkCallErr(loc Ident, nthreads int, ctx context.Context, fn func(*Thread) error) error {
-	return forkCall(loc, nthreads, ctx, true, nil, fn)
+	return fork(loc, nthreads, ctx, &work{fnErr: fn})
 }
 
-// ForkCallCtx is ForkCall with a context bound: ctx cancellation tears the
-// team down at the next cancellation point, but panics propagate and no
-// error is reported — the void-construct variant of ForkCallErr, backing
-// omp.Parallel+WithContext.
+// ForkCallCtx is ForkCall with a context bound (nil = none): cancellation
+// of ctx tears the team down at the next cancellation point, but panics
+// propagate and no error is reported — omp.Parallel+WithContext.
 func ForkCallCtx(loc Ident, nthreads int, ctx context.Context, fn Microtask) {
-	forkCall(loc, nthreads, ctx, false, fn, nil)
+	fork(loc, nthreads, ctx, &work{fn: fn})
 }
 
-// forkCall is the common fork path. Exactly one of fnV/fnE is non-nil:
-// fnE when catch is set. Keeping the two shapes separate (instead of
-// wrapping fnV in an adapter closure) is what lets a warm fork run without
-// allocating.
-func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Microtask, fnE func(*Thread) error) error {
+// ForkCallLoop is the fused `parallel for`: every team thread runs its share
+// of a trip-iteration worksharing loop under sched, and the region join is
+// the loop's closing barrier. Exactly one of rng (called per chunk) and iter
+// (called per iteration) is set. ctx may be nil.
+func ForkCallLoop(loc Ident, nthreads int, ctx context.Context, sched Sched, trip int64,
+	rng func(t *Thread, lo, hi int64), iter func(t *Thread, i int64)) {
+	fork(loc, nthreads, ctx, &work{rng: rng, iter: iter, trip: trip, sched: sched})
+}
+
+// fork is the common fork path. The body arrives as a work value, not
+// wrapped in an adapter closure, so a warm fork allocates nothing.
+func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 	v := GetICV()
 	n := nthreads
 	if n <= 0 {
 		n = v.NumThreads
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxTeamSize {
-		n = maxTeamSize
-	}
+	n = min(max(n, 1), maxTeamSize)
 
-	// One stack-header parse per fork: the gid keys the current-thread
-	// lookup, the master registration and the team-affinity cache.
+	// One registry lookup per fork: the slot holds the thread this goroutine
+	// already runs as (a nested fork) and the team it parked at its last join.
 	gid := goid()
-	cur := lookupThread(gid)
-	level := 1
-	curActive := 0
+	sl, cur, tm := enterSlot(gid)
+	level, active := int32(1), int32(0)
 	if cur != nil {
-		level = cur.Level + 1
-		curActive = cur.ActiveLevel
+		level, active = int32(cur.Level)+1, int32(cur.ActiveLevel)
 	}
-	if curActive+1 > v.MaxActiveLevels {
+	if int(active)+1 > v.MaxActiveLevels {
 		n = 1 // serialised region: max-active-levels-var reached
 	}
 	// thread-limit-var caps the contention group's total live threads: the
@@ -446,36 +461,36 @@ func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Micr
 		reserved = reserveThreads(int64(n-1), int64(v.ThreadLimit-1))
 		n = int(reserved) + 1
 	}
+	catch := w.fnErr != nil
 	cancellable := catch || ctx != nil || v.Cancellation
 
 	if n == 1 {
-		return forkSerial(gid, level, curActive, ctx, catch, cancellable, fnV, fnE)
+		return forkSerial(gid, sl, cur, tm, level, active, ctx, cancellable, w)
 	}
 
-	tm := acquireTeam(gid, v)
-	tm.resize(n, v)
+	kept := tm != nil // the goroutine's own team: its affinity claim rides along
+	if !kept {
+		tm = pooledTeam(gid)
+	}
+	tm.resize(n, v.WaitPolicy)
 	tm.reset()
-	tm.loc = loc
-	// Publish the region location for state words and status samplers.
-	// The per-team cache keeps the warm same-callsite fork off the
-	// intern table entirely (one struct compare).
-	locID := tm.lastLocID
-	if locID == 0 || tm.lastLoc != loc {
+	// The descriptor. The shape line is compare-before-store: a fork from
+	// the same callsite stays off the intern table and leaves the line
+	// clean. The body line is written here and cleared at the join.
+	locID := tm.locA.Load()
+	if locID == 0 || tm.loc != loc {
 		locID = internLoc(loc)
-		tm.lastLoc, tm.lastLocID = loc, locID
+		tm.loc = loc
+		tm.locA.Store(locID)
 	}
-	tm.locA.Store(locID)
-	tm.cancellable = cancellable
-	tm.catch = catch
-	tm.fnV, tm.fnE = fnV, fnE
-	tm.reserved = reserved
-	if catch {
-		tm.eb = &tm.ebox
+	if tm.level != level || tm.active != active+1 {
+		tm.level, tm.active = level, active+1
 	}
-	for _, th := range tm.threads[:n] {
-		th.Level = level
-		th.ActiveLevel = curActive + 1
+	if tm.cancellable != cancellable || tm.catch != catch {
+		tm.cancellable, tm.catch = cancellable, catch
 	}
+	tm.w = *w
+	tm.joinAt += uint32(n - 1)
 
 	master := tm.threads[0]
 	col, rec := traceSinks()
@@ -489,21 +504,38 @@ func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Micr
 	}
 
 	stopWatch, watchDone := watchContext(ctx, tm)
+	joined := false
+	defer func() {
+		if !joined {
+			// A panic is leaving the master's body. The team cannot be
+			// joined: it is cancelled and retired where it stands (its
+			// workers pass every barrier, count out and exit), and its
+			// labels, context watcher and affinity claim go back.
+			master.popLabels()
+			tm.settle(ctx, stopWatch, watchDone)
+			tm.cancel()
+			tm.publish(0)
+			unregisterTeam(tm)
+			if kept {
+				affinityCount.Add(-1)
+			}
+		}
+		unreserveThreads(reserved)
+		leaveSlot(gid, sl, cur)
+	}()
 
-	tm.pending.Store(int32(n - 1))
 	master.setRunning(locID)
 	master.pushLabels(locID)
 	tm.publish(n)
 
-	// The caller runs as the master. Its goroutine may already be
-	// registered (nested enabled); stack the registration for the region.
-	prev := registerThread(gid, master)
-	tm.runRegion(master)
-	unregister(gid, prev)
+	// The caller runs as the master; its slot stacks the binding it had
+	// (nested enabled: it is a thread of the outer team) for the region.
+	sl.cur.Store(master)
+	tm.runRegion(master, w)
 
-	// The join: the region's closing barrier, which only the master waits
-	// at — workers count themselves out and go back to their idle wait.
-	master.wait(func() bool { return tm.pending.Load() == 0 })
+	// The join: the region's closing barrier. Only the master waits at it;
+	// workers count themselves out and go back to their idle wait.
+	master.wait(func() bool { return tm.done.Load() == tm.joinAt })
 	master.popLabels()
 	master.setIdle(StateIdle)
 	if rec {
@@ -519,29 +551,16 @@ func forkCall(loc Ident, nthreads int, ctx context.Context, catch bool, fnV Micr
 			col.Flush()
 		}
 	}
-	// Quiesce the context watcher before the team returns to the pool: a
-	// late cancel() must not hit a team already running someone else's
-	// region.
-	if stopWatch != nil && !stopWatch() {
-		<-watchDone
-	}
-	if ctx != nil && tm.cancelRegion.Load() {
-		tm.ebox.set(ctx.Err())
-	}
-	err := tm.ebox.err
-	// Drop the body references before pooling: a parked team must not keep
-	// the caller's captures alive.
-	tm.fnV, tm.fnE = nil, nil
-	unreserveThreads(tm.reserved)
-	tm.reserved = 0
-	releaseTeam(gid, tm)
+	joined = true
+	err := tm.settle(ctx, stopWatch, watchDone)
+	tm.w = work{} // a parked team must not pin its caller's captures
+	releaseTeam(gid, sl, tm, kept)
 	return err
 }
 
 // watchContext arms the context-to-cancellation bridge: when ctx is
-// cancelled, region cancellation activates. The caller must stop the
-// returned watcher (and, if stopping lost the race, wait on done) before
-// recycling the team.
+// cancelled, region cancellation activates. The caller must settle the
+// region before recycling the team.
 func watchContext(ctx context.Context, tm *Team) (func() bool, chan struct{}) {
 	// The locals live inside the non-nil branch: were they named returns,
 	// the closure capture would heap-allocate their cells at function entry
@@ -557,53 +576,43 @@ func watchContext(ctx context.Context, tm *Team) (func() bool, chan struct{}) {
 	return stop, done
 }
 
+// settle ends a region's error and context handling and returns its error.
+// The watcher is quiesced first — stopped, or waited for if stopping lost
+// the race: a late cancel() must not hit a team already running someone
+// else's region.
+func (tm *Team) settle(ctx context.Context, stopWatch func() bool, watchDone chan struct{}) error {
+	if stopWatch != nil && !stopWatch() {
+		<-watchDone
+	}
+	if ctx != nil && tm.cancelRegion.Load() {
+		tm.ebox.set(ctx.Err())
+	}
+	return tm.ebox.err
+}
+
 // serialTeams pools the team-of-one shells serialised regions run on: the
 // path every region takes once max-active-levels is reached, and every
-// region on a single-processor host. Before pooling, each such region paid
-// a fresh Team, Thread, barrier and dispatch-ring setup — the dominant cost
-// of a serialised fork.
-var serialTeams = sync.Pool{New: func() any { return newSerialTeam() }}
-
-func newSerialTeam() *Team {
-	tm := &Team{n: 1, serial: true}
-	tm.threads = []*Thread{newThread(tm, 0)}
-	for i := range tm.disp {
-		tm.disp[i].init()
-	}
-	return tm
-}
+// region on a single-processor host.
+var serialTeams = sync.Pool{New: func() any { return newTeamShell(1) }}
 
 // forkSerial runs the body as a team of one on the calling goroutine: the
 // lowering of a serialised (nested or single-thread) parallel region —
-// libomp's __kmpc_serialized_parallel — on a pooled shell.
-func forkSerial(gid uint64, level, curActive int, ctx context.Context, catch, cancellable bool, fnV Microtask, fnE func(*Thread) error) (err error) {
+// libomp's __kmpc_serialized_parallel — on a pooled shell. hot is the team
+// fork found parked in the slot, which goes straight back: the serial region
+// has no use for it, an inner fork might.
+func forkSerial(gid uint64, sl *gslot, prev *Thread, hot *Team, level, active int32, ctx context.Context, cancellable bool, w *work) (err error) {
 	tm := serialTeams.Get().(*Team)
 	tm.reset()
-	tm.cancellable = cancellable
-	th := tm.threads[0]
-	th.Level = level
-	th.ActiveLevel = curActive
+	tm.level, tm.active, tm.cancellable = level, active, cancellable
 	stopWatch, watchDone := watchContext(ctx, tm)
-	prev := registerThread(gid, th)
-	defer func() {
-		unregister(gid, prev)
-		if catch {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("omp: panic in parallel region: %v", r)
-			}
-		}
-		if stopWatch != nil && !stopWatch() {
-			<-watchDone
-		}
-		if err == nil && ctx != nil && tm.cancelRegion.Load() {
-			err = ctx.Err()
-		}
+	sl.cur.Store(tm.threads[0])
+	sl.hot.Store(hot)
+	defer func() { // also when a panic propagates to the caller
+		err = tm.settle(ctx, stopWatch, watchDone)
 		serialTeams.Put(tm)
+		leaveSlot(gid, sl, prev)
 	}()
-	if catch {
-		return fnE(th)
-	}
-	fnV(th)
+	tm.runRegion(tm.threads[0], w)
 	return nil
 }
 

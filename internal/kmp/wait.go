@@ -2,7 +2,6 @@ package kmp
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -12,21 +11,21 @@ import (
 // comment for the protocol and its memory-ordering argument.
 
 // Spin budgets: how long a waiter probes its predicate before it parks. The
-// passive budget covers the arrival skew of fine-grained loops (a few µs
-// between ≈10 µs phases) several times over while staying below the cost of
-// a park/unpark round trip through the Go scheduler; OMP_WAIT_POLICY=active
-// keeps its standard meaning of "stay on the processor much longer".
+// passive budget covers the arrival skew of fine-grained loops several times
+// over while staying below the cost of a park/unpark round trip through the
+// Go scheduler; OMP_WAIT_POLICY=active keeps its standard meaning.
 const (
 	spinPassive = 50 * time.Microsecond
 	spinActive  = 5 * time.Millisecond
 
-	// spinBlock is the number of back-to-back probes between two looks at
-	// the clock; spinYieldEvery is the number of such blocks between two
-	// yields, which let goroutines outside the team (GC workers, other
-	// teams' late arrivers) onto the processor without putting a scheduler
-	// round trip on every probe.
-	spinBlock      = 64
-	spinYieldEvery = 4
+	// spinQuiet is the number of back-to-back probes a waiter makes before
+	// it first looks at the clock or the scheduler (≈2–4 µs). After it,
+	// spinBlock probes (≈0.5 µs) separate two looks at the clock and
+	// spinYieldEvery such blocks two yields, which let goroutines outside
+	// the team (GC workers, other teams' late arrivers) onto the processor.
+	spinQuiet      = 2048
+	spinBlock      = 256
+	spinYieldEvery = 8
 
 	// spinContended is how long a yield may take before it is read as
 	// "another goroutine needed this processor" (an uncontended
@@ -34,45 +33,41 @@ const (
 	spinContended = 2 * time.Microsecond
 )
 
-// waiter is a thread's parking spot: a cap-1 token channel guarded by a
-// Dekker-style parked flag. One per Thread, allocated with it, reused for
-// every wait the thread ever performs.
-type waiter struct {
-	parked atomic.Uint32
-	token  chan struct{} // cap 1: at most one stale token, consumed harmlessly
-	// contended remembers that the thread's last yield took long enough for
-	// another goroutine to have run (owner-only; see spin).
-	contended bool
-}
-
 // wake unparks the thread if (and only if) it may be parked. It must be
 // called after the store that makes the thread's predicate true. The send
 // never blocks: a thread that raced past its parked flag leaves at most one
-// stale token behind, which its next park consumes before re-checking.
-func (t *Thread) wake() {
-	if t.wt.parked.Load() != 0 {
+// stale token behind, which its next park consumes before re-checking. by is
+// the waking thread (nil: none of the runtime's): the woken goroutine sits in
+// its run-next slot, so by is marked contended and yields before it next spins.
+func (t *Thread) wake(by *Thread) {
+	if t.parked.Load() != 0 {
 		select {
-		case t.wt.token <- struct{}{}:
+		case t.token <- struct{}{}:
 		default:
+		}
+		if by != nil {
+			by.contended = true
 		}
 	}
 }
 
-// setWaitPolicy fixes how the waits of the next region of n threads behave.
-func (tm *Team) setWaitPolicy(p WaitPolicy, n int) {
+// setWaitPolicy fixes the spin budget of the team's waits.
+func (tm *Team) setWaitPolicy(p WaitPolicy) {
 	budget := spinPassive
 	if p == WaitActive {
 		budget = spinActive
 	}
-	tm.spinNs.Store(int64(budget))
-	tm.crowded.Store(n > runtime.GOMAXPROCS(0))
+	if tm.spinNs.Load() != int64(budget) {
+		tm.spinNs.Store(int64(budget))
+	}
 }
 
-// wakeTeam wakes every parked thread of the current region except t itself.
+// wakeTeam wakes every parked thread of the current region except self (nil
+// for a caller outside the team).
 func (tm *Team) wakeTeam(self *Thread) {
 	for _, th := range tm.threads[:tm.n] {
 		if th != self {
-			th.wake()
+			th.wake(self)
 		}
 	}
 }
@@ -85,21 +80,29 @@ func (t *Thread) wait(pred func() bool) {
 }
 
 // spin probes pred for the team's spin budget and reports whether it came
-// true. A team larger than GOMAXPROCS yields the processor after every
-// probe: the thread being waited for may not have one. Any spinner gives up
-// early once a yield shows the processors contended.
+// true. A team larger than GOMAXPROCS (as last sampled) yields the processor
+// after every probe: the thread being waited for may not have one. Any
+// spinner gives up early once a yield shows the processors contended.
 func (t *Thread) spin(pred func() bool) bool {
 	if pred() {
 		return true
 	}
 	tm := t.team
-	crowded := tm.crowded.Load()
+	crowded := int64(tm.sizeA.Load()) > procs.Load()
+	budget := tm.spinNs.Load()
 	// eager: yield before spinning at all. Always for a crowded team; for
 	// any other, only while the last yield showed the processors contended.
-	eager := crowded || t.wt.contended
+	eager := crowded || t.contended
+	if !eager && budget > 0 {
+		for i := 0; i < spinQuiet; i++ {
+			if pred() {
+				return true
+			}
+		}
+	}
 	now := TraceNow()
-	deadline := now + tm.spinNs.Load()
-	for block := 1; now < deadline; block++ {
+	deadline := now + budget
+	for block := 0; now < deadline; block++ {
 		if eager || block%spinYieldEvery == 0 {
 			runtime.Gosched()
 			if pred() {
@@ -108,8 +111,8 @@ func (t *Thread) spin(pred func() bool) bool {
 			// A slow yield means somebody ran in our place: the
 			// processors are contended, and spinning on one only delays
 			// whoever we are waiting for.
-			t.wt.contended = TraceNow()-now > int64(spinContended)
-			if t.wt.contended {
+			t.contended = TraceNow()-now > int64(spinContended)
+			if t.contended {
 				return false
 			}
 			eager = crowded
@@ -130,15 +133,14 @@ func (t *Thread) spin(pred func() bool) bool {
 // precedes the re-check of pred, and every waker stores to the predicate
 // before it loads the flag, so one of the two sides always sees the other.
 func (t *Thread) park(pred func() bool) {
-	w := &t.wt
 	for {
-		w.parked.Store(1)
+		t.parked.Store(1)
 		if pred() {
-			w.parked.Store(0)
+			t.parked.Store(0)
 			return
 		}
-		<-w.token
-		w.parked.Store(0)
+		<-t.token
+		t.parked.Store(0)
 		if pred() {
 			return
 		}

@@ -25,7 +25,7 @@ func busyWait(d time.Duration) {
 // published its parked flag.
 func parkedPeers(th *Thread) bool {
 	for _, p := range th.team.threads[:th.team.n] {
-		if p != th && p.wt.parked.Load() == 0 {
+		if p != th && p.parked.Load() == 0 {
 			return false
 		}
 	}
@@ -46,11 +46,11 @@ func TestWaitNoLostWakeup(t *testing.T) {
 		for _, n := range []int{2, 4, 16} {
 			t.Run(fmt.Sprintf("procs=%d/team=%d", procs, n), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				tm := &Team{n: n}
-				for i := 0; i < n; i++ {
+				tm := newTeamShell(n)
+				for i := 1; i < n; i++ {
 					tm.threads = append(tm.threads, newThread(tm, i))
 				}
-				tm.setWaitPolicy(WaitPassive, n)
+				tm.setWaitPolicy(WaitPassive)
 				tm.spinNs.Store(0)
 				var phase atomic.Int64
 				var early atomic.Bool

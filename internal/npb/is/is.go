@@ -111,8 +111,8 @@ func (pr *problem) rankSerial() {
 
 // fullVerify reconstructs the sorted sequence from the rank information and
 // checks it is non-decreasing and conserves the key histogram — NPB's
-// full_verify criterion. (The published partial-verification constant
-// tables are not reproduced; see DESIGN.md §2 for the substitution.)
+// full_verify criterion, which stands in for the published
+// partial-verification constant tables: those are not reproduced.
 func (pr *problem) fullVerify() bool {
 	sorted := make([]int32, pr.nKeys)
 	next := make([]int32, pr.maxKey)

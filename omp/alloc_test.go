@@ -31,9 +31,12 @@ func TestParallelWarmZeroAlloc(t *testing.T) {
 	}
 }
 
-// The no-options path and a worksharing loop inside the region must also
-// stay allocation-free: ForRange's implicit barrier and static scheduling
-// run entirely on team-owned state.
+// A worksharing loop must stay allocation-free too, in both spellings: a
+// ForRange inside a Parallel region (implicit barrier and static scheduling
+// run entirely on team-owned state) and the fused constructs gompcc emits
+// for `//omp parallel for`, whose loop travels in the runtime's region
+// descriptor rather than in a wrapper closure. The bodies are built once, so
+// any allocation counted is the runtime's own.
 func TestParallelForRangeWarmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and sync.Pool drops items at random under -race")
@@ -44,18 +47,37 @@ func TestParallelForRangeWarmZeroAlloc(t *testing.T) {
 		v float64
 		_ [56]byte
 	}{}
-	body := func(t *Thread) {
-		tid := t.Tid
-		ForRange(t, int64(len(data)), func(lo, hi int64) {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += data[i]
+	sum := func(t *Thread, lo, hi int64) {
+		s := 0.0
+		for i := lo; i < hi; i++ {
+			s += data[i]
+		}
+		sums[t.Tid].v += s
+	}
+	region := func(t *Thread) {
+		ForRange(t, int64(len(data)), func(lo, hi int64) { sum(t, lo, hi) })
+	}
+	iter := func(t *Thread, i int64) { sums[t.Tid].v += data[i] }
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Parallel+ForRange", func() { Parallel(region, NumThreads(2)) }},
+		{"ParallelForRange", func() { ParallelForRange(int64(len(data)), sum, NumThreads(2)) }},
+		{"ParallelFor", func() { ParallelFor(int64(len(data)), iter, NumThreads(2)) }},
+		{"ParallelForRange/dynamic", func() {
+			ParallelForRange(int64(len(data)), sum, NumThreads(2), dynamic8)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // spawn workers, prime pools
+			if got := testing.AllocsPerRun(100, tc.run); got != 0 {
+				t.Fatalf("warm %s: %.1f allocs/region, want 0", tc.name, got)
 			}
-			sums[tid].v += s
 		})
 	}
-	Parallel(body, NumThreads(2))
-	if got := testing.AllocsPerRun(100, func() { Parallel(body, NumThreads(2)) }); got != 0 {
-		t.Fatalf("warm Parallel+ForRange: %.1f allocs/region, want 0", got)
-	}
 }
+
+// Schedule builds a fresh Option per call; a caller on the zero-alloc path
+// hoists it, as it hoists the body.
+var dynamic8 = Schedule(Dynamic, 8)

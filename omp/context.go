@@ -65,7 +65,7 @@ func ParallelForErr(trip int64, body func(t *Thread, i int64) error, opts ...Opt
 		// promises; an error ends the erring thread's own chunk via the
 		// return below. Like ParallelFor, the loop runs nowait: the join
 		// is its closing barrier.
-		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) {
+		kmp.Loop(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				if err := body(t, i); err != nil {
 					first = err

@@ -162,8 +162,10 @@
 // spawned (parked on an atomic generation word between regions), the
 // barrier is already sized, and the whole fork/join round trip allocates
 // nothing — including the common options (NumThreads up to 64, NoWait,
-// OrderedClause, If), which are cached singletons, and worksharing loops
-// inside the region. TestParallelWarmZeroAlloc pins the property;
+// OrderedClause, If), which are cached singletons, worksharing loops
+// inside the region, and the fused ParallelFor/ParallelForRange, whose
+// loop rides in the runtime's region descriptor. TestParallelWarmZeroAlloc
+// and TestParallelForRangeWarmZeroAlloc pin the property;
 // BenchmarkServingRegions measures many concurrent goroutines each
 // running private regions, the serving shape.
 //
@@ -176,27 +178,6 @@
 // (SetCancellation(true)) and context-bound regions (WithContext) stay on
 // the fast path; only the context watcher goroutine is an extra cost, paid
 // per region, and only when a context is actually supplied.
-//
-// # Migrating from the v1 internal API
-//
-// The old import path gomp/internal/omp remains a forwarding shim, so v1
-// code compiles unchanged. New code should import gomp/omp and prefer the
-// v2 constructs where they fit:
-//
-//	v1 construct (gomp/internal/omp)        v2 construct (gomp/omp)
-//	--------------------------------        -----------------------------------------
-//	omp.Parallel(body)                      omp.ParallelErr(body) error
-//	omp.ParallelFor(n, body)                omp.ParallelForErr(n, body) error
-//	loop over a slice by index              omp.ForEach(s, body) error
-//	omp.NewInt64Reduction(op, v)            omp.NewReduction(op, v) (generic, atomic)
-//	omp.NewFloat64Reduction(op, v)          omp.NewReduction(op, v)
-//	reduction region boilerplate            omp.ReduceInto(op, &v, n, body) error
-//	omp.SetNested(true)                     omp.SetMaxActiveLevels(n)
-//	omp.GetNested()                         omp.GetMaxActiveLevels() > 1
-//	unbounded region                        omp.WithContext(ctx) option + *Err entry
-//	(no equivalent)                         omp.Cancel / omp.CancellationPoint
-//	(no equivalent)                         omp.DependIn/DependOut/DependInOut,
-//	                                        omp.Priority, omp.Taskyield
 //
 // A minimal parallel dot product with a deadline:
 //

@@ -40,7 +40,7 @@ func ReduceInto[T Numeric](op ReduceOp, into *T, trip int64, body func(t *Thread
 		acc := cell.Identity()
 		// nowait: the combine precedes the join, which is the only
 		// rendezvous the fused construct needs.
-		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) {
+		kmp.Loop(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				acc = body(t, i, acc)
 			}

@@ -188,21 +188,12 @@ func clauses(opts []Option) (regionClauses, loopClauses) {
 	return r, l
 }
 
-// fork runs body on a team shaped by r.
-func (r regionClauses) fork(body func(t *Thread)) {
-	if r.ctx != nil {
-		kmp.ForkCallCtx(r.loc, r.n, r.ctx, body)
-		return
-	}
-	kmp.ForkCall(r.loc, r.n, body)
-}
-
 // Parallel runs body as an OpenMP parallel region: the lowering of
 // `//omp parallel`. body executes once on every team thread; the call
 // returns after the implicit join barrier.
 func Parallel(body func(t *Thread), opts ...Option) {
 	r, _ := clauses(opts)
-	r.fork(body)
+	kmp.ForkCallCtx(r.loc, r.n, r.ctx, body)
 }
 
 // For runs a worksharing loop of trip iterations inside a parallel region:
@@ -227,37 +218,9 @@ func For(t *Thread, trip int64, body func(i int64), opts ...Option) {
 // OpenMP standard specifies.
 func ForRange(t *Thread, trip int64, body func(lo, hi int64), opts ...Option) {
 	_, l := clauses(opts)
-	runLoop(t, l.sched, l.loc, trip, body)
+	kmp.Loop(t, l.loc, l.sched, trip, body)
 	if !l.nowait {
 		t.Barrier()
-	}
-}
-
-// runLoop executes thread t's share of a worksharing loop, without the
-// closing barrier. A zero loc attributes the loop to the enclosing region's
-// location, which is what the combined constructs pass: they capture the
-// 24-byte schedule in the region closure, not the whole clause set.
-func runLoop(t *Thread, sched Sched, loc kmp.Ident, trip int64, body func(lo, hi int64)) {
-	if t == nil || !t.InParallel() {
-		if trip <= 0 {
-			return
-		}
-		// A serialised region of a cancellable team (NumThreads(1),
-		// If(false), max-active-levels reached, or a single-processor
-		// host) must still observe deadlines and cancel directives:
-		// route through the runtime's static driver, whose cancellable
-		// path checks the flags between bounded sub-chunks.
-		if t.Cancellable() {
-			kmp.ForStatic(t, trip, 0, body)
-			return
-		}
-		body(0, trip)
-		return
-	}
-	if k := sched.Kind; !sched.Ordered && (k == Static || k == kmp.SchedStaticChunked) {
-		kmp.ForStatic(t, trip, sched.Chunk, body)
-	} else {
-		kmp.ForDynamic(t, loc, sched, trip, body)
 	}
 }
 
@@ -278,22 +241,18 @@ func Ordered(t *Thread, body func()) {
 // `//omp parallel for`. body receives the executing thread and an iteration
 // index in [0, trip).
 func ParallelFor(trip int64, body func(t *Thread, i int64), opts ...Option) {
-	ParallelForRange(trip, func(t *Thread, lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			body(t, i)
-		}
-	}, opts...)
+	r, l := clauses(opts)
+	kmp.ForkCallLoop(r.loc, r.n, r.ctx, l.sched, trip, nil, body)
 }
 
 // ParallelForRange is ParallelFor at chunk granularity. The combined
 // construct has one rendezvous, not two: the loop runs nowait and the region
-// join is its closing barrier — what clang emits for `parallel for`.
+// join is its closing barrier — what clang emits for `parallel for`. The
+// loop travels in the runtime's region descriptor, not in a closure, so the
+// construct allocates nothing of its own.
 func ParallelForRange(trip int64, body func(t *Thread, lo, hi int64), opts ...Option) {
 	r, l := clauses(opts)
-	sched := l.sched
-	r.fork(func(t *Thread) {
-		runLoop(t, sched, kmp.Ident{}, trip, func(lo, hi int64) { body(t, lo, hi) })
-	})
+	kmp.ForkCallLoop(r.loc, r.n, r.ctx, l.sched, trip, body, nil)
 }
 
 // Barrier is the barrier directive.

@@ -58,7 +58,7 @@ func (op ReduceOp) String() string {
 }
 
 // CombineStrategy selects how per-thread partial results meet the shared
-// result — the ablation axis A1 of DESIGN.md.
+// result — ablation axis A1 (BenchmarkAblationReduction* in bench_test.go).
 type CombineStrategy int
 
 const (
