@@ -159,33 +159,7 @@ func BenchmarkFig5IS(b *testing.B) { benchFigure(b, "is") }
 
 // ---------------------------------------------------------------------
 // Ablation A1 — reduction lowering: the paper's shared atomic cells (CAS
-// loop for *, Listing 6) vs a mutex-guarded combine, under a contended
-// parallel sum.
-
-func benchReduction(b *testing.B, strategy omp.CombineStrategy) {
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	const trip = 1 << 16
-	for i := 0; i < b.N; i++ {
-		r := omp.NewFloat64ReductionWith(omp.ReduceSum, 0, strategy)
-		omp.Parallel(func(t *omp.Thread) {
-			local := r.Identity()
-			omp.For(t, trip, func(j int64) { local += float64(j) })
-			r.Combine(local)
-		}, omp.NumThreads(threads))
-		if r.Value() != float64(trip*(trip-1)/2) {
-			b.Fatal("wrong sum")
-		}
-	}
-}
-
-// BenchmarkAblationReductionAtomic is the paper's lowering (atomic cells).
-func BenchmarkAblationReductionAtomic(b *testing.B) { benchReduction(b, omp.CombineAtomic) }
-
-// BenchmarkAblationReductionCritical is the locked-combine alternative.
-func BenchmarkAblationReductionCritical(b *testing.B) { benchReduction(b, omp.CombineCritical) }
+// loop for *, Listing 6) under contention.
 
 // BenchmarkAblationReductionCASMul measures the raw Listing 6 CAS loop
 // under full contention: every thread multiplying one shared cell.

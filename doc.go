@@ -139,22 +139,14 @@
 // like libomp's: one process-global tool pointer, event callbacks at
 // the construct boundaries, near-zero cost when no tool is attached.
 //
-// The runtime half (internal/kmp) keeps a single
-// atomic.Pointer[Collector]. Every instrumentation site — fork begin /
-// end, barrier exit, loop init / steal / fini, task spawn / steal / run,
-// dependence stall / release, taskgroup, taskloop, cancel — does one
-// atomic pointer load; when nil (the default) that load is the entire
-// cost of the instrumentation. With a collector installed, the thread
-// appends a 10-word TraceEvent to a private fixed-size ring buffer: a
-// few plain stores plus one atomic head publish, no locks, no
-// allocation, no cross-thread traffic. Rings are single-producer /
-// single-consumer — the owning thread pushes, the collector drains in
-// batches at every region join and explicit flush. A full ring drops
-// the event and counts the drop (Collector.Drops); history is bounded,
-// correctness is not. Span-shaped events (fork end, barrier, loop fini,
-// task run) carry monotonic nanosecond timestamps plus durations;
-// payloads carry chunk sizes, trip counts, the steal victim's global
-// thread id, and dependence release counts.
+// The runtime half (internal/kmp) writes each event once, into one
+// per-thread ring that both the always-on flight recorder and an
+// installed collector read; "Events" in internal/kmp's package doc
+// describes the gate, the ring, the collector's cursors and drop
+// accounting, and the capacity rule. The switches: GOMP_FLIGHT=off|<n>
+// (omp.SetFlightRecorder, omp.SetFlightRingSize) for the recorder,
+// trace.New(trace.WithRingSize(n)).Start() or omp.Profile for a
+// collector.
 //
 // The tools half (internal/trace) aggregates the stream three ways at
 // once: a gprof-style flat profile per source region (Report), a
@@ -179,8 +171,7 @@
 //
 // Measured cost on NPB CG class S (BenchmarkTable1CG vs
 // BenchmarkTable1CGTraced): enabled collection stays within the
-// documented <10% budget; disabled collection is the one atomic load
-// per site and does not move the benchmark.
+// documented <10% budget.
 //
 // # Live monitoring
 //
@@ -219,8 +210,8 @@
 // examples/monitor for a self-scraping demonstration.
 //
 // For the process nobody instrumented in advance, three always-on
-// diagnostics remain available: a per-thread flight recorder (the most
-// recent trace events, readable with no profiler via
+// diagnostics remain available: the flight recorder (the most recent
+// events of each thread's ring, readable with no profiler via
 // omp.DumpDiagnostics, /debug/gomp/flight, or kill -QUIT after
 // omp.HandleSIGQUIT), a hang/deadlock watchdog (GOMP_WATCHDOG,
 // omp.StartWatchdog) that samples the state words and proves task-

@@ -68,8 +68,8 @@ func (t *Thread) Cancel(kind CancelKind) bool {
 		return false
 	}
 	tm := t.team
-	if col, rec := traceSinks(); rec {
-		t.record(col, TraceEvent{Kind: TraceCancel, Loc: tm.loc, When: TraceNow(), Arg0: int64(kind)})
+	if g := eventGate.Load(); g != 0 {
+		t.event(g, TraceEvent{Kind: TraceCancel, Loc: tm.loc, When: TraceNow(), Arg0: int64(kind)})
 	}
 	switch kind {
 	case CancelParallel:

@@ -159,9 +159,12 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 		}
 		sched = rs
 	}
-	if col, rec := traceSinks(); rec {
+	// Whether the loop is recorded is decided here, once: detach records
+	// its loop-fini span only if loopNs holds this loop's entry.
+	t.loopNs = 0
+	if g := eventGate.Load(); g != 0 {
 		t.loopNs = TraceNow()
-		t.record(col, TraceEvent{
+		t.event(g, TraceEvent{
 			Kind: TraceLoopInit, Loc: loc, When: t.loopNs,
 			Arg0: trip, Arg1: sched.Chunk,
 		})
@@ -342,8 +345,8 @@ func (t *Thread) grabSteal(b *dispatchBuf) (int64, int64, bool) {
 		if !ok {
 			continue
 		}
-		if col, rec := traceSinks(); rec {
-			t.record(col, TraceEvent{
+		if g := eventGate.Load(); g != 0 {
+			t.event(g, TraceEvent{
 				Kind: TraceLoopSteal, Loc: b.loc, When: TraceNow(),
 				Arg0: int64(t.team.threads[victim].Gtid), Arg1: shi - slo,
 			})
@@ -387,11 +390,11 @@ func (b *dispatchBuf) popLocal(tid int, idx *int64) (int64, int64, bool) {
 func (t *Thread) detach(buf *dispatchBuf) {
 	t.curLoop = nil
 	t.curWsSeq = 0 // the thread is no longer inside a worksharing loop
-	if col, rec := traceSinks(); rec {
+	if g := eventGate.Load(); g != 0 && t.loopNs != 0 {
 		// Attributed to the loop's own location (buf.loc) so the profiler
 		// never shows an unlocated loop-fini row; the span runs from this
 		// thread's DispatchInit to its drain.
-		t.record(col, TraceEvent{
+		t.event(g, TraceEvent{
 			Kind: TraceLoopFini, Loc: buf.loc, When: t.loopNs,
 			Dur: TraceNow() - t.loopNs,
 		})

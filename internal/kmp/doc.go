@@ -130,6 +130,58 @@
 // processor for up to the budget, and idle workers do so once after every
 // region. OMP_WAIT_POLICY is the only control, as in libomp.
 //
+// # Events
+//
+// The runtime reports what it does as TraceEvents — fork and join, barrier
+// exit, loop init/steal/fini, task spawn/steal/run, dependence stall and
+// release, taskgroup, taskloop, cancel — into one ring per thread
+// (trace.go). The ring has two readers: the flight recorder (ReadFlight,
+// flight.go), on unless GOMP_FLIGHT=off, and the installed Collector
+// (SetCollector; the internal/trace profiler installs one).
+//
+// One gate. Every event site loads one process-wide word, eventGate. It is
+// zero while the recorder is off and no collector is installed, and that
+// load is then the site's whole cost. Otherwise it says whether the
+// recorder is on, which collector is installed and how large rings are,
+// and the site writes the event once, with (*Thread).event.
+//
+// Owner-only writes. Only the owning thread writes its ring: six atomic
+// words into the next slot, then the new head; no lock, and no allocation
+// once the ring exists. The oldest record is overwritten in place. Each
+// record is tagged with whom it was written for — the recorder, the
+// installed collector's id, or both. A reader copies a record and then
+// re-reads the head; if the writer has begun reusing that slot, the record
+// counts as overwritten. Readers therefore never see a torn record; at
+// worst they lose the oldest ones. ReadFlight keeps the records tagged for
+// the recorder, a collector those tagged with its id.
+//
+// Cursors and drops. A Collector owns no buffer, only a cursor per ring: a
+// thread's first event after SetCollector(c) opens one at its head, and
+// Flush — at every region join while c is installed, and on demand — hands
+// the Sink the records from each cursor to its head, per ring and in
+// emission order, and moves the cursor. Records overwritten before a Flush
+// reached them are counted in Drops. c never receives what was recorded
+// before it was installed or after it was uninstalled: those records lie
+// below its cursors or carry another tag. A retired team's threads keep
+// their cursors, so what they recorded for c is still delivered, or counted
+// as dropped. After c is uninstalled and drained once, its cursors close:
+// overwrites from then on are not of its records and are not counted.
+//
+// Capacity. A ring holds the recorder's size — DefaultFlightRecords, or
+// GOMP_FLIGHT=<n>, or SetFlightRingSize — rounded to a power of two within
+// [16, 65536]. While a collector is installed it holds the larger of that
+// and the collector's size (NewCollector, trace.WithRingSize). A thread
+// resizes its own ring at its first event after the size changed, keeping
+// its newest records: a collector asking for 1<<16 records (~3 MiB a
+// thread) loses nothing unless a thread records more than that between
+// two drains. Rings shrink back after it is uninstalled.
+//
+// Spans. A span event (fork end, barrier, static loop fini, task run) is
+// decided at its start and written at its end with the gate word loaded
+// there. A dynamic loop's span is decided at DispatchInit and carried to
+// its drain in Thread.loopNs (0: not recorded), so a span never starts
+// before its construct.
+//
 // # Explicit tasking
 //
 // Every deferred task lands on the creating thread's Chase–Lev

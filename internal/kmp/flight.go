@@ -5,185 +5,54 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
-// Flight recorder: the always-on black box of the runtime.
-//
-// The opt-in Collector (trace.go) answers "what happened during the
-// window I asked to watch"; the flight recorder answers "what was the
-// runtime doing just before it misbehaved" — after a hang, a watchdog
-// trip, or a SIGQUIT, with no prior opt-in. Every team thread keeps a
-// small fixed-size ring of its most recent trace events, written on the
-// same sites that feed the collector and overwritten in place, so the
-// memory cost is bounded and constant and the recorder never needs a
-// drainer.
-//
-// Unlike the collector's SPSC rings — whose slots are plain memory,
-// safe because exactly one drainer reads behind the published head —
-// flight rings are read at arbitrary moments by dump samplers
-// (ReadFlight, the watchdog, /debug/gomp/flight) while the owner keeps
-// writing. Slots are therefore arrays of atomic words: the writer
-// stores the record's six words and then publishes the new head; a
-// reader copies the words and re-reads the head afterwards, discarding
-// any record the writer could have been overwriting during the copy.
-// Readers may lose the oldest few records of a snapshot to that rule;
-// they can never observe a torn one.
-//
-// Cost discipline: recording is a handful of atomic stores into a
-// thread-local line — no locks, no allocation after the ring exists
-// (created lazily by the owner on its first event) — which is what
-// keeps BenchmarkForkOverhead at 0 allocs/op with the recorder on.
-// Location idents are interned to 32-bit ids through a per-ring
-// single-entry cache, so a thread emitting from the same construct
-// repeatedly never touches the intern table's mutex.
+// Flight recorder: the always-on black box of the runtime. It answers "what
+// was the runtime doing just before it misbehaved" — after a hang, a
+// watchdog trip or a SIGQUIT, with no prior opt-in — by reading the same
+// per-thread event rings a Collector drains ("Events" in doc.go). This file
+// holds its switches and its reader.
 
 // DefaultFlightRecords is the per-thread ring capacity in records when
 // GOMP_FLIGHT does not override it. Six 8-byte words per record puts a
 // ring at ~12 KiB — cheap enough to keep on every pooled thread.
 const DefaultFlightRecords = 256
 
-// flightWords is the packed record width: kind/tid/nthreads, loc/gtid,
-// when, dur, arg0, arg1.
-const flightWords = 6
-
-var (
-	// flightOn gates recording; default on (set by init below), cleared
-	// by GOMP_FLIGHT=off or SetFlightRecorder(false).
-	flightOn atomic.Bool
-	// flightRecs is the ring capacity new rings are created with; 0
-	// means DefaultFlightRecords. Existing rings keep their size.
-	flightRecs atomic.Uint64
-)
-
 func init() {
-	v := strings.ToLower(strings.TrimSpace(os.Getenv("GOMP_FLIGHT")))
-	switch v {
+	on, records := true, DefaultFlightRecords
+	switch v := strings.ToLower(strings.TrimSpace(os.Getenv("GOMP_FLIGHT"))); v {
 	case "off", "0", "false", "no":
-		return // recorder disabled; flightOn stays false
+		on = false
+	default:
+		if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			records = n
+		}
 	}
-	if n, err := strconv.Atoi(v); err == nil && n > 0 {
-		SetFlightRingSize(n)
-	}
-	flightOn.Store(true)
+	setGate(func() { gate.rec, gate.recLog = on, ringLog(records) })
 }
 
 // FlightRecording reports whether the flight recorder is currently
 // recording events.
-func FlightRecording() bool { return flightOn.Load() }
+func FlightRecording() bool { return eventGate.Load()&tagRec != 0 }
 
 // SetFlightRecorder enables or disables the flight recorder at runtime
 // (GOMP_FLIGHT=off disables it from the environment). Disabling stops
 // recording but keeps existing rings readable: ReadFlight still returns
 // the history captured while the recorder was on.
-func SetFlightRecorder(on bool) { flightOn.Store(on) }
+func SetFlightRecorder(on bool) { setGate(func() { gate.rec = on }) }
 
-// SetFlightRingSize sets the per-thread ring capacity, in records, used
-// by rings created from now on (rounded up to a power of two, clamped
-// to [16, 65536]). Threads that already recorded keep their old ring.
-func SetFlightRingSize(records int) {
-	n := uint64(16)
-	for int(n) < records && n < 1<<16 {
-		n <<= 1
-	}
-	flightRecs.Store(n)
-}
+// SetFlightRingSize sets the per-thread ring capacity, in records (rounded
+// up to a power of two, clamped to [16, 65536]). Each thread resizes its
+// ring at its next event, keeping its newest records.
+func SetFlightRingSize(records int) { setGate(func() { gate.recLog = ringLog(records) }) }
 
-// flightRing is one thread's black-box buffer. buf holds mask+1 records
-// of flightWords atomic words each; head is the next record index and
-// only grows (owner-only stores). lastLoc/lastLocID cache the intern
-// lookup for the common emit-from-the-same-construct case (owner-only).
-type flightRing struct {
-	mask      uint64
-	buf       []atomic.Uint64
-	lastLoc   Ident
-	lastLocID uint32
-	_         pad
-	head      atomic.Uint64
-	_         pad
-}
-
-// flightPush appends ev to the thread's flight ring, creating the ring
-// on first use. Owner-only: t must be the calling goroutine's thread.
-func (t *Thread) flightPush(ev TraceEvent) {
-	r := t.flight.Load()
-	if r == nil {
-		n := flightRecs.Load()
-		if n == 0 {
-			n = DefaultFlightRecords
-		}
-		r = &flightRing{mask: n - 1, buf: make([]atomic.Uint64, n*flightWords)}
-		t.flight.Store(r)
-	}
-	var locID uint32
-	if ev.Loc != (Ident{}) {
-		if r.lastLocID == 0 || r.lastLoc != ev.Loc {
-			r.lastLoc, r.lastLocID = ev.Loc, internLoc(ev.Loc)
-		}
-		locID = r.lastLocID
-	}
-	h := r.head.Load()
-	b := (h & r.mask) * flightWords
-	r.buf[b+0].Store(uint64(uint8(ev.Kind)) | uint64(uint16(t.Tid))<<16 | uint64(uint16(ev.NThreads))<<32)
-	r.buf[b+1].Store(uint64(locID) | uint64(uint32(t.Gtid))<<32)
-	r.buf[b+2].Store(uint64(ev.When))
-	r.buf[b+3].Store(uint64(ev.Dur))
-	r.buf[b+4].Store(uint64(ev.Arg0))
-	r.buf[b+5].Store(uint64(ev.Arg1))
-	r.head.Store(h + 1)
-}
-
-// snapshot appends the ring's current contents to out, oldest first.
-// Safe from any goroutine while the owner keeps writing: records the
-// writer may have reused during the copy are dropped (see the file
-// comment), so the result is always a suffix of the true history.
-func (r *flightRing) snapshot(out []TraceEvent) []TraceEvent {
-	n := r.mask + 1
-	h := r.head.Load()
-	lo := uint64(0)
-	if h > n {
-		lo = h - n
-	}
-	base := len(out)
-	for i := lo; i < h; i++ {
-		b := (i & r.mask) * flightWords
-		w0 := r.buf[b+0].Load()
-		w1 := r.buf[b+1].Load()
-		out = append(out, TraceEvent{
-			Kind:     TraceKind(w0 & 0xff),
-			Tid:      int(uint16(w0 >> 16)),
-			NThreads: int(uint16(w0 >> 32)),
-			Loc:      locByID(uint32(w1)),
-			Gtid:     int(uint32(w1 >> 32)),
-			When:     int64(r.buf[b+2].Load()),
-			Dur:      int64(r.buf[b+3].Load()),
-			Arg0:     int64(r.buf[b+4].Load()),
-			Arg1:     int64(r.buf[b+5].Load()),
-		})
-	}
-	// Writer progress during the copy invalidates the records whose
-	// slots it reused: index i shares a slot with i+n, so after
-	// re-reading head every i <= head2-n may be torn. Those are the
-	// oldest entries — drop that prefix.
-	if h2 := r.head.Load(); h2 > h && h2 > n {
-		cut := h2 - n + 1
-		if cut > h {
-			cut = h
-		}
-		if cut > lo {
-			stale := int(cut - lo)
-			out = append(out[:base], out[base+stale:]...)
-		}
-	}
-	return out
-}
-
-// ReadFlight snapshots every live thread's flight ring and returns the
-// merged history ordered by timestamp — the runtime's most recent
-// events, regardless of whether any profiler was ever enabled. Like
-// ReadStatus it never stops the world: threads keep recording while the
-// snapshot is taken. Serialised (team-of-one) regions run no recording
-// sites, so only real team threads appear.
+// ReadFlight snapshots every live thread's ring and returns the records
+// written while the recorder was on, merged and ordered by timestamp — the
+// runtime's most recent events, regardless of whether any profiler was
+// ever enabled. Like ReadStatus it never stops the world: threads keep
+// recording while the snapshot is taken. Serialised (team-of-one) regions
+// run on threads outside the team registry, so only real team threads
+// appear.
 func ReadFlight() []TraceEvent {
 	var out []TraceEvent
 	for _, tm := range liveTeams() {
@@ -192,34 +61,11 @@ func ReadFlight() []TraceEvent {
 			continue
 		}
 		for _, th := range *thp {
-			if r := th.flight.Load(); r != nil {
-				out = r.snapshot(out)
+			if r := th.ring.Load(); r != nil {
+				out, _, _ = r.read(out, 0, tagRec, tagRec)
 			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].When < out[j].When })
 	return out
-}
-
-// record routes one event to every active sink: the always-on flight
-// ring and, when a collector is installed, the thread's collector ring.
-// Owner-only, like emit.
-func (t *Thread) record(c *Collector, ev TraceEvent) {
-	if flightOn.Load() {
-		t.flightPush(ev)
-	}
-	if c != nil {
-		t.emit(c, ev)
-	}
-}
-
-// traceSinks returns the installed collector (nil when tracing is off)
-// and whether any event sink — collector or flight recorder — wants
-// events right now. Event sites that used to gate on ActiveCollector()
-// alone gate on the second result so the flight recorder sees the same
-// stream; collector-only behaviour (Flush, the Go-trace bridge) still
-// checks the pointer.
-func traceSinks() (*Collector, bool) {
-	c := activeCol.Load()
-	return c, c != nil || flightOn.Load()
 }

@@ -80,7 +80,7 @@ func TestFlightRingWrap(t *testing.T) {
 	prevOn := FlightRecording()
 	defer SetFlightRecorder(prevOn)
 	defer SetFlightRingSize(DefaultFlightRecords)
-	TrimTeams() // existing rings keep their size; force fresh threads
+	TrimTeams() // fresh threads, so no ring holds older history
 	SetFlightRingSize(16)
 	SetFlightRecorder(true)
 

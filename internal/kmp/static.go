@@ -119,18 +119,17 @@ func forStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
 		// per-thread participation span is what lets the profiler's
 		// imbalance analysis see a skewed static partition; attributed to
 		// the enclosing region (static loops carry no own Ident).
-		var col *Collector
-		var rec bool
+		var g uint64
 		var start int64
 		if nth > 1 {
-			if col, rec = traceSinks(); rec {
+			if g = eventGate.Load(); g != 0 {
 				start = TraceNow()
 			}
 		}
 		defer func() {
 			t.curWsSeq = 0
-			if rec {
-				t.record(col, TraceEvent{
+			if g != 0 {
+				t.event(g, TraceEvent{
 					Kind: TraceLoopFini, Loc: t.team.loc,
 					When: start, Dur: TraceNow() - start,
 				})

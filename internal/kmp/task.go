@@ -181,10 +181,10 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 			registerDeps(parent, node, o.Deps)
 			if node.releaseCreationRef() {
 				t.team.removeWithheld(node)
-			} else if col, rec := traceSinks(); rec {
+			} else if g := eventGate.Load(); g != 0 {
 				// The encountering thread itself stalls on the
 				// unresolved predecessors (OpenMP 5.2 §12.5).
-				t.record(col, TraceEvent{
+				t.event(g, TraceEvent{
 					Kind: TraceTaskDepStall, Loc: loc, When: TraceNow(),
 					Arg0: int64(node.dep.npred.Load()),
 				})
@@ -201,8 +201,8 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 		node.group.pending.Add(1)
 	}
 	t.team.taskCount.Add(1)
-	if col, rec := traceSinks(); rec {
-		t.record(col, TraceEvent{
+	if g := eventGate.Load(); g != 0 {
+		t.event(g, TraceEvent{
 			Kind: TraceTaskSpawn, Loc: loc, When: TraceNow(),
 			Arg0: int64(len(o.Deps)), Arg1: int64(o.Priority),
 		})
@@ -224,10 +224,10 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 	if node.releaseCreationRef() {
 		t.team.removeWithheld(node)
 		t.enqueueReady(node)
-	} else if col, rec := traceSinks(); rec {
+	} else if g := eventGate.Load(); g != 0 {
 		// Withheld: the task stalls on unresolved predecessors — the
 		// dependence-stall signal the profiler's DAG metrics count.
-		t.record(col, TraceEvent{
+		t.event(g, TraceEvent{
 			Kind: TraceTaskDepStall, Loc: loc, When: TraceNow(),
 			Arg0: int64(node.dep.npred.Load()),
 		})
@@ -278,15 +278,15 @@ func (t *Thread) runOneTask() bool {
 	if node == nil {
 		node = t.deque.pop()
 	}
-	col, rec := traceSinks()
+	g := eventGate.Load()
 	if node == nil && t.team != nil {
 		tm := t.team
 		t.setWait(StateStealing)
 		for i := 1; i < tm.n; i++ {
 			victim := tm.threads[(t.Tid+i)%tm.n]
 			if node = victim.deque.steal(); node != nil {
-				if rec {
-					t.record(col, TraceEvent{
+				if g != 0 {
+					t.event(g, TraceEvent{
 						Kind: TraceTaskSteal, Loc: node.loc, When: TraceNow(),
 						Arg0: int64(victim.Gtid),
 					})
@@ -309,9 +309,9 @@ func (t *Thread) runOneTask() bool {
 	}
 	var start int64
 	var reg *rtrace.Region
-	if rec {
+	if g != 0 {
 		start = TraceNow()
-		if col != nil && col.BridgeGoTrace && rtrace.IsEnabled() {
+		if c := collectorOf(g); c != nil && c.BridgeGoTrace && rtrace.IsEnabled() {
 			reg = rtrace.StartRegion(context.Background(), "omp:task "+node.loc.String())
 		}
 	}
@@ -323,10 +323,10 @@ func (t *Thread) runOneTask() bool {
 	if reg != nil {
 		reg.End()
 	}
-	if rec {
+	if g != 0 {
 		// A complete task-execution span: When is the dequeue, Dur the
 		// body time, Loc the spawning construct.
-		t.record(col, TraceEvent{
+		t.event(g, TraceEvent{
 			Kind: TraceTaskRun, Loc: node.loc, When: start, Dur: TraceNow() - start,
 		})
 	}
@@ -379,8 +379,8 @@ func (t *Thread) TaskgroupRun(loc Ident, body func()) {
 		body()
 		return
 	}
-	if col, rec := traceSinks(); rec {
-		t.record(col, TraceEvent{Kind: TraceTaskgroup, Loc: loc, When: TraceNow()})
+	if g := eventGate.Load(); g != 0 {
+		t.event(g, TraceEvent{Kind: TraceTaskgroup, Loc: loc, When: TraceNow()})
 	}
 	g := &taskGroup{parent: t.curGroup}
 	t.curGroup = g
@@ -412,8 +412,8 @@ func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, u
 		body(t, 0, trip)
 		return
 	}
-	if col, rec := traceSinks(); rec {
-		t.record(col, TraceEvent{Kind: TraceTaskloop, Loc: loc, When: TraceNow(), Arg0: trip})
+	if g := eventGate.Load(); g != 0 {
+		t.event(g, TraceEvent{Kind: TraceTaskloop, Loc: loc, When: TraceNow(), Arg0: trip})
 	}
 	var chunks int64
 	switch {

@@ -195,11 +195,11 @@ func (n *taskNode) depComplete(t *Thread) {
 			}
 		}
 	}
-	if col, rec := traceSinks(); rec && len(succ) > 0 {
+	if g := eventGate.Load(); g != 0 && len(succ) > 0 {
 		// Arg0 counts successors this completion made ready, Arg1 the
 		// dependence edges it resolved — the release half of the
 		// dependence-stall metric.
-		t.record(col, TraceEvent{
+		t.event(g, TraceEvent{
 			Kind: TraceTaskDepRelease, Loc: n.loc, When: TraceNow(),
 			Arg0: released, Arg1: int64(len(succ)),
 		})

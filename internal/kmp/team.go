@@ -493,12 +493,12 @@ func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 	tm.joinAt += uint32(n - 1)
 
 	master := tm.threads[0]
-	col, rec := traceSinks()
+	g := eventGate.Load()
 	var regionStart int64
-	if rec {
+	if g != 0 {
 		regionStart = TraceNow()
-		master.record(col, TraceEvent{Kind: TraceForkBegin, Loc: loc, NThreads: n, When: regionStart})
-		if col != nil && col.BridgeGoTrace && rtrace.IsEnabled() {
+		master.event(g, TraceEvent{Kind: TraceForkBegin, Loc: loc, NThreads: n, When: regionStart})
+		if c := collectorOf(g); c != nil && c.BridgeGoTrace && rtrace.IsEnabled() {
 			defer rtrace.StartRegion(context.Background(), "omp:"+loc.String()).End()
 		}
 	}
@@ -538,17 +538,16 @@ func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 	master.wait(func() bool { return tm.done.Load() == tm.joinAt })
 	master.popLabels()
 	master.setIdle(StateIdle)
-	if rec {
-		end := TraceNow()
-		master.record(col, TraceEvent{
+	if g != 0 {
+		master.event(g, TraceEvent{
 			Kind: TraceForkEnd, Loc: loc, NThreads: n,
-			When: regionStart, Dur: end - regionStart,
+			When: regionStart, Dur: TraceNow() - regionStart,
 		})
-		if col != nil {
+		if c := collectorOf(g); c != nil {
 			// A region join is the natural drain point: every team thread
 			// is quiesced, so the collector hands the buffered history to
-			// its sink before the rings can overflow across regions.
-			col.Flush()
+			// its sink before the rings can overwrite it across regions.
+			c.Flush()
 		}
 	}
 	joined = true
@@ -623,9 +622,9 @@ func (t *Thread) Barrier() {
 	if t == nil || t.team == nil || t.team.n == 1 {
 		return
 	}
-	col, rec := traceSinks()
+	g := eventGate.Load()
 	var arrive int64
-	if rec {
+	if g != 0 {
 		arrive = TraceNow()
 	}
 	// A barrier is a task scheduling point: instead of spinning, arriving
@@ -641,11 +640,11 @@ func (t *Thread) Barrier() {
 	t.setWait(StateInBarrier)
 	t.team.bar.wait(t)
 	t.setWait(StateRunning)
-	if rec {
+	if g != 0 {
 		// Emitted at barrier exit so Dur covers the whole wait (task
 		// drain included): the barrier-wait-time payload the profiler's
 		// imbalance metrics aggregate.
-		t.record(col, TraceEvent{Kind: TraceBarrier, Loc: t.team.loc, When: arrive, Dur: TraceNow() - arrive})
+		t.event(g, TraceEvent{Kind: TraceBarrier, Loc: t.team.loc, When: arrive, Dur: TraceNow() - arrive})
 	}
 }
 

@@ -52,14 +52,10 @@ type Thread struct {
 	// deque is the thread's work-stealing deque of explicit tasks (task.go).
 	deque taskDeque
 
-	// Tracing (trace.go): this thread's event ring in the installed
-	// collector, plus the collector it belongs to (a cache key — a newly
-	// installed collector gets a fresh ring), and the entry timestamp of
-	// the dynamic loop the thread is in (for the loop-fini span). All
-	// owner-only.
-	trcRing  *traceRing
-	trcOwner *Collector
-	loopNs   int64
+	// loopNs is the entry timestamp of the dynamic loop the thread is in,
+	// the start of its loop-fini span; 0 when the loop is not recorded.
+	// Owner-only.
+	loopNs int64
 
 	// Live-state word (state.go): a WorkerState plus a transition
 	// sequence in the low 32 bits and the interned id of the current
@@ -73,11 +69,11 @@ type Thread struct {
 	stateLoc uint32
 	stateSeq uint32
 
-	// Flight recorder (flight.go): the thread's always-on ring of its
-	// most recent events. Created lazily by the owner on first record,
-	// published through an atomic pointer so dump samplers can read it
-	// from any goroutine.
-	flight atomic.Pointer[flightRing]
+	// The thread's event ring (trace.go), which the flight recorder and a
+	// collector both read. Created and resized by the owner at its events,
+	// published through an atomic pointer so readers on any goroutine find
+	// it.
+	ring atomic.Pointer[eventRing]
 
 	// pprof labels (labels.go): the cached label context for the current
 	// region location, rebuilt only when the location changes. labelOn
@@ -86,7 +82,7 @@ type Thread struct {
 	labelCtx context.Context
 	labelLoc uint32
 	labelOn  bool
-	_        [CacheLine - 8]byte // to whole lines, which get line-aligned (layout_test.go)
+	_        [8]byte // to whole lines, which get line-aligned (layout_test.go)
 }
 
 // regionState is what a thread keeps about the region it is in; enter

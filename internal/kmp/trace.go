@@ -1,38 +1,15 @@
 package kmp
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Observability layer: an OMPT-style tools interface for the runtime.
-//
-// The paper names compiler-driven instrumentation ("similar to gprof", via
-// the Tracy library) as its next step; this file is the runtime half of
-// that item, modeled on the OpenMP OMPT callbacks but adapted to a
-// collector architecture that keeps the measurement from perturbing the
-// measured:
-//
-//   - Every runtime event site checks one atomic pointer load
-//     (ActiveCollector). With no collector installed that load is the
-//     entire cost.
-//
-//   - With a collector installed, the emitting thread appends the event to
-//     its own fixed-size single-producer/single-consumer ring buffer: a
-//     couple of plain stores plus two atomic index operations, no locks,
-//     no allocation, no shared cache lines with other producers.
-//
-//   - A drainer (the gomp/internal/trace profiler) empties all rings at
-//     region joins and on demand (Flush). When a ring fills between
-//     drains the producer drops the event and counts the drop — buffered
-//     history is bounded, never corrupted.
-//
-// Events carry monotonic nanosecond timestamps from one process-wide
-// epoch, durations for span-shaped kinds, and two per-kind payload words
-// (chunk sizes, steal victims, dependence release counts — see the kind
-// constants), which is what lets the trace package reconstruct per-thread
-// timelines and flow arrows after the fact.
+// Runtime events: the kinds, the record, the one per-thread ring both the
+// flight recorder and a Collector read, and the Collector itself. "Events"
+// in the package comment (doc.go) describes the path as a whole.
 
 // TraceKind labels runtime events for the instrumentation hook.
 type TraceKind int
@@ -91,40 +68,21 @@ const (
 	TraceTaskDepRelease
 )
 
+var traceKindNames = [...]string{
+	TraceForkBegin: "fork-begin", TraceForkEnd: "fork-end", TraceBarrier: "barrier",
+	TraceLoopInit: "loop-init", TraceLoopFini: "loop-fini", TraceLoopSteal: "loop-steal",
+	TraceTaskSpawn: "task-spawn", TraceTaskSteal: "task-steal", TraceTaskgroup: "taskgroup",
+	TraceTaskloop: "taskloop", TraceCancel: "cancel", TraceTaskRun: "task-run",
+	TraceTaskDepStall: "dep-stall", TraceTaskDepRelease: "dep-release",
+}
+
 // String returns a stable lower-case name for the kind, used by exporters
 // and metrics.
 func (k TraceKind) String() string {
-	switch k {
-	case TraceForkBegin:
-		return "fork-begin"
-	case TraceForkEnd:
-		return "fork-end"
-	case TraceBarrier:
-		return "barrier"
-	case TraceLoopInit:
-		return "loop-init"
-	case TraceLoopFini:
-		return "loop-fini"
-	case TraceLoopSteal:
-		return "loop-steal"
-	case TraceTaskSpawn:
-		return "task-spawn"
-	case TraceTaskSteal:
-		return "task-steal"
-	case TraceTaskgroup:
-		return "taskgroup"
-	case TraceTaskloop:
-		return "taskloop"
-	case TraceCancel:
-		return "cancel"
-	case TraceTaskRun:
-		return "task-run"
-	case TraceTaskDepStall:
-		return "dep-stall"
-	case TraceTaskDepRelease:
-		return "dep-release"
+	if k < 0 || int(k) >= len(traceKindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return traceKindNames[k]
 }
 
 // TraceEvent is one instrumentation record.
@@ -155,52 +113,216 @@ var traceEpoch = time.Now()
 // since the process trace epoch, the clock TraceEvent.When uses.
 func TraceNow() int64 { return int64(time.Since(traceEpoch)) }
 
-// ---------------------------------------------------------------- ring
+// ---------------------------------------------------------------- gate
 
-// traceRing is one thread's event buffer: a fixed-size single-producer/
-// single-consumer ring. The owning thread pushes (plain slot store +
-// atomic head publish); the collector's drainer pops under the collector
-// mutex (slot read + atomic tail publish). head/tail only grow, so
-// head-tail is the queued count and a full ring drops at the producer.
-type traceRing struct {
-	gtid  int
-	mask  uint64
-	buf   []TraceEvent
-	_     pad
-	head  atomic.Uint64 // next write slot; owner-only stores
-	tail  atomic.Uint64 // next read slot; drainer-only stores
-	drops atomic.Uint64
-	_     pad
+// eventGate is the one word every event site loads: zero while neither the
+// flight recorder nor a collector wants events, otherwise
+//
+//	bits  0-7   log2 of the ring capacity
+//	bit   8     the recorder is on
+//	bits 16-47  a version, bumped at every change
+//	bits 48-63  the installed collector's id (0: none)
+//
+// Bit 8 and bits 48-63 are also each record's tag (tagRec, tagCol): they say
+// whom the record was written for.
+var eventGate atomic.Uint64
+
+const (
+	gateCapMask  = 0xff
+	tagRec       = 1 << 8
+	gateColShift = 48
+	tagCol       = 0xffff << gateColShift
+)
+
+// gate and activeCol, the installed collector, are the state eventGate is
+// computed from, changed only by setGate.
+var (
+	gate struct {
+		mu      sync.Mutex
+		rec     bool   // the flight recorder is on
+		recLog  uint64 // log2 of the recorder's ring capacity
+		version uint64
+	}
+	activeCol atomic.Pointer[Collector]
+)
+
+// setGate applies change to the gate state and publishes the new word.
+func setGate(change func()) {
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	change()
+	gate.version++
+	var g uint64
+	if gate.rec {
+		g |= tagRec
+	}
+	capLog := gate.recLog
+	if c := activeCol.Load(); c != nil {
+		g |= c.id << gateColShift
+		capLog = max(capLog, c.ringLog)
+	}
+	if g != 0 {
+		g |= capLog | gate.version<<16&^tagCol
+	}
+	eventGate.Store(g)
 }
 
-func (r *traceRing) push(ev TraceEvent) {
-	h := r.head.Load()
-	if h-r.tail.Load() >= uint64(len(r.buf)) {
-		r.drops.Add(1)
-		return
+// ringLog returns log2 of the ring capacity for records: the next power of
+// two within [16, 65536].
+func ringLog(records int) uint64 {
+	return uint64(min(max(bits.Len(uint(max(records, 1)-1)), 4), 16))
+}
+
+// collectorOf returns the installed collector when gate word g names one.
+func collectorOf(g uint64) *Collector {
+	if g&tagCol == 0 {
+		return nil
 	}
-	r.buf[h&r.mask] = ev
+	return activeCol.Load()
+}
+
+// ---------------------------------------------------------------- ring
+
+// recordWords is the packed record width: kind/tag/tid/nthreads,
+// loc/gtid, when, dur, arg0, arg1.
+const recordWords = 6
+
+// eventRing is one thread's event ring: mask+1 records of recordWords
+// atomic words, overwritten in place. Only the owning thread writes it;
+// head is the index of the next record and only grows, across resizes too,
+// so an index names the same record in every ring the thread has had.
+// Records below first were never copied into this ring.
+type eventRing struct {
+	mask  uint64
+	first uint64
+	buf   []atomic.Uint64
+	// Owner-only: the gate word the ring was last brought up to (syncRing)
+	// and a single-entry cache of the location intern table.
+	gate      uint64
+	lastLoc   Ident
+	lastLocID uint32
+	_         pad
+	head      atomic.Uint64
+	_         pad
+}
+
+// event writes ev into the thread's ring. g is the nonzero gate word the
+// event site loaded. Owner-only: t must be the calling goroutine's thread.
+func (t *Thread) event(g uint64, ev TraceEvent) {
+	r := t.ring.Load()
+	if r == nil || r.gate != g {
+		r = t.syncRing(r, g)
+	}
+	var locID uint32
+	if ev.Loc != (Ident{}) {
+		if r.lastLocID == 0 || r.lastLoc != ev.Loc {
+			r.lastLoc, r.lastLocID = ev.Loc, internLoc(ev.Loc)
+		}
+		locID = r.lastLocID
+	}
+	h := r.head.Load()
+	b := (h & r.mask) * recordWords
+	r.buf[b+0].Store(uint64(uint8(ev.Kind)) | g&(tagRec|tagCol) | uint64(uint16(t.Tid))<<16 | uint64(uint16(ev.NThreads))<<32)
+	r.buf[b+1].Store(uint64(locID) | uint64(uint32(t.Gtid))<<32)
+	r.buf[b+2].Store(uint64(ev.When))
+	r.buf[b+3].Store(uint64(ev.Dur))
+	r.buf[b+4].Store(uint64(ev.Arg0))
+	r.buf[b+5].Store(uint64(ev.Arg1))
 	r.head.Store(h + 1)
+}
+
+// syncRing brings the thread's ring up to gate word g: it creates or resizes
+// the ring to g's capacity, carrying over the newest records at their
+// indices, and attaches it to g's collector. A g older than the ring's (a
+// span closing with the word loaded at its start) changes nothing.
+func (t *Thread) syncRing(r *eventRing, g uint64) *eventRing {
+	if r != nil && int32(uint32(g>>16)-uint32(r.gate>>16)) < 0 {
+		return r
+	}
+	if n := uint64(1) << (g & gateCapMask); r == nil || r.mask+1 != n {
+		nr := &eventRing{mask: n - 1, buf: make([]atomic.Uint64, n*recordWords)}
+		if r != nil {
+			h := r.head.Load()
+			nr.first = max(r.first, h-min(h, n, r.mask+1))
+			for i := nr.first; i < h; i++ {
+				src, dst := (i&r.mask)*recordWords, (i&nr.mask)*recordWords
+				for w := uint64(0); w < recordWords; w++ {
+					nr.buf[dst+w].Store(r.buf[src+w].Load())
+				}
+			}
+			nr.head.Store(h)
+		}
+		r = nr
+		t.ring.Store(r)
+	}
+	r.gate = g
+	if c := collectorOf(g); c != nil && c.id == g>>gateColShift {
+		c.attach(t, r.head.Load())
+	}
+	return r
+}
+
+// read appends the records from index from up to the head whose tag bits
+// under mask equal tag, oldest first, and returns the index to read from
+// next and how many records from from on were overwritten before they could
+// be read. Safe from any goroutine while the owner keeps writing: a record
+// whose slot the writer reused during the copy counts as overwritten, so a
+// reader never sees a torn record — only loses a prefix of the oldest.
+func (r *eventRing) read(out []TraceEvent, from, mask, tag uint64) ([]TraceEvent, uint64, uint64) {
+	n := r.mask + 1
+	h := r.head.Load()
+	lo := max(from, r.first, h-min(h, n))
+	lost := lo - from
+	for i := lo; i < h; i++ {
+		b := (i & r.mask) * recordWords
+		var w [recordWords]uint64
+		for k := range w {
+			w[k] = r.buf[b+uint64(k)].Load()
+		}
+		// The writer starts record i+n, which reuses this slot, only after
+		// publishing head i+n.
+		if r.head.Load() >= i+n {
+			lost++
+			continue
+		}
+		if w[0]&mask != tag {
+			continue
+		}
+		out = append(out, TraceEvent{
+			Kind:     TraceKind(w[0] & 0xff),
+			Tid:      int(uint16(w[0] >> 16)),
+			NThreads: int(uint16(w[0] >> 32)),
+			Loc:      locByID(uint32(w[1])),
+			Gtid:     int(uint32(w[1] >> 32)),
+			When:     int64(w[2]),
+			Dur:      int64(w[3]),
+			Arg0:     int64(w[4]),
+			Arg1:     int64(w[5]),
+		})
+	}
+	return out, h, lost
 }
 
 // ----------------------------------------------------------- collector
 
-// DefaultRingSize is the per-thread event capacity a zero-configured
-// Collector uses. At ~128 bytes per event a ring costs ~512 KiB; rings
-// drain at every region join, so the capacity only bounds the history of
-// a single region per thread.
+// DefaultRingSize is the per-thread ring capacity, in records, a collector
+// asks for when NewCollector is given none. Rings drain at every region
+// join, so the capacity bounds the history of a single region per thread.
 const DefaultRingSize = 4096
 
 // Collector receives runtime events: the analog of an OMPT tool. Install
 // with SetCollector; at most one collector is active at a time (as OMPT
-// allows one tool). Threads lazily attach a per-thread ring on their
-// first event; Flush drains every ring into the Sink.
+// allows one tool); make one with NewCollector. A collector owns no buffer:
+// it keeps a cursor into the ring of every thread that recorded while it
+// was installed, and Flush hands the Sink what lies between each cursor and
+// that ring's head.
 type Collector struct {
 	// Sink receives drained events in per-ring batches, called with the
 	// collector's internal lock held — it must not call back into the
-	// Collector. Batches from one ring are in emission order; batches
-	// from different rings interleave arbitrarily (order cross-thread by
-	// TraceEvent.When). Nil discards events at drain.
+	// Collector, and must not keep the slice, which is reused. Batches from
+	// one ring are in emission order; batches from different rings
+	// interleave arbitrarily (order cross-thread by TraceEvent.When). Nil
+	// discards events at drain.
 	Sink func([]TraceEvent)
 
 	// BridgeGoTrace additionally mirrors parallel-region and task spans
@@ -211,36 +333,48 @@ type Collector struct {
 	// what runtime/trace regions require), not at drain time.
 	BridgeGoTrace bool
 
-	ringSize uint64
+	id      uint64 // the tag of records written for this collector
+	ringLog uint64 // log2 of the ring capacity it asks for
 
-	mu    sync.Mutex
-	rings []*traceRing
+	mu      sync.Mutex
+	cursors map[*Thread]cursor
+	batch   []TraceEvent
+	drops   atomic.Uint64
 }
 
-// NewCollector returns a collector whose per-thread rings buffer ringSize
-// events (rounded up to a power of two; <= 0 means DefaultRingSize).
+// cursor is where a collector's next drain of one thread's ring starts. A
+// cursor stops being open once drained after its collector was
+// uninstalled: what the ring overwrites from then on was not written for
+// the collector, so it no longer counts as dropped.
+type cursor struct {
+	pos  uint64
+	open bool
+}
+
+var collectorIDs atomic.Uint32
+
+// NewCollector returns a collector that asks for per-thread rings of
+// ringSize records (rounded up to a power of two within [16, 65536]; <= 0
+// means DefaultRingSize) while it is installed.
 func NewCollector(ringSize int) *Collector {
-	n := uint64(DefaultRingSize)
-	if ringSize > 0 {
-		n = 1
-		for n < uint64(ringSize) {
-			n <<= 1
-		}
+	if ringSize <= 0 {
+		ringSize = DefaultRingSize
 	}
-	return &Collector{ringSize: n}
+	return &Collector{
+		id:      uint64(collectorIDs.Add(1)%0xffff + 1),
+		ringLog: ringLog(ringSize),
+		cursors: make(map[*Thread]cursor),
+	}
 }
 
-// newRing allocates and registers a ring for one thread.
-func (c *Collector) newRing(gtid int) *traceRing {
-	n := c.ringSize
-	if n == 0 {
-		n = DefaultRingSize
-	}
-	r := &traceRing{gtid: gtid, mask: n - 1, buf: make([]TraceEvent, n)}
+// attach opens a cursor on t's ring at head, unless an open one exists.
+// Called by t's owner, before it writes its first record for c.
+func (c *Collector) attach(t *Thread, head uint64) {
 	c.mu.Lock()
-	c.rings = append(c.rings, r)
+	if !c.cursors[t].open {
+		c.cursors[t] = cursor{pos: head, open: true}
+	}
 	c.mu.Unlock()
-	return r
 }
 
 // Flush drains every ring into the Sink and returns the number of events
@@ -248,62 +382,32 @@ func (c *Collector) newRing(gtid int) *traceRing {
 func (c *Collector) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	installed := activeCol.Load() == c
 	total := 0
-	var batch []TraceEvent
-	for _, r := range c.rings {
-		t, h := r.tail.Load(), r.head.Load()
-		if t == h {
-			continue
+	for t, cur := range c.cursors {
+		var lost uint64
+		c.batch, cur.pos, lost = t.ring.Load().read(c.batch[:0], cur.pos, tagCol, c.id<<gateColShift)
+		if cur.open {
+			c.drops.Add(lost)
 		}
-		batch = batch[:0]
-		for i := t; i != h; i++ {
-			batch = append(batch, r.buf[i&r.mask])
-		}
-		r.tail.Store(h)
-		total += len(batch)
-		if c.Sink != nil {
-			c.Sink(batch)
+		cur.open = installed
+		c.cursors[t] = cur
+		total += len(c.batch)
+		if c.Sink != nil && len(c.batch) > 0 {
+			c.Sink(c.batch)
 		}
 	}
 	return total
 }
 
-// Drops returns the total number of events dropped on full rings since
-// the collector was created.
-func (c *Collector) Drops() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n uint64
-	for _, r := range c.rings {
-		n += r.drops.Load()
-	}
-	return n
-}
+// Drops returns the number of records written for the collector that
+// were overwritten before a Flush could deliver them.
+func (c *Collector) Drops() uint64 { return c.drops.Load() }
 
-var activeCol atomic.Pointer[Collector]
-
-// SetCollector installs c as the global event collector; nil disables
-// tracing. Costs one atomic load per runtime event site when disabled.
+// SetCollector installs c as the global event collector; nil uninstalls.
 // Uninstalling does not drain: the previous collector's Flush still
-// returns whatever its rings buffered (racing emitters may land a last
-// event in the old collector's rings, where Flush finds it).
-func SetCollector(c *Collector) { activeCol.Store(c) }
+// delivers what was recorded for it while it was installed.
+func SetCollector(c *Collector) { setGate(func() { activeCol.Store(c) }) }
 
-// ActiveCollector returns the installed collector, nil when tracing is
-// disabled — the one-atomic-load enablement check event sites use.
+// ActiveCollector returns the installed collector, nil when none is.
 func ActiveCollector() *Collector { return activeCol.Load() }
-
-// emit appends ev to this thread's ring in c, stamping the thread
-// identity. Owner-only: t must be the calling goroutine's own thread.
-// The per-collector ring cache means a reinstalled collector keeps its
-// rings while a fresh collector gets fresh ones.
-func (t *Thread) emit(c *Collector, ev TraceEvent) {
-	r := t.trcRing
-	if r == nil || t.trcOwner != c {
-		r = c.newRing(t.Gtid)
-		t.trcRing, t.trcOwner = r, c
-	}
-	ev.Tid = t.Tid
-	ev.Gtid = t.Gtid
-	r.push(ev)
-}

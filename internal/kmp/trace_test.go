@@ -1,6 +1,8 @@
 package kmp
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,6 +28,24 @@ func collect(t *testing.T, ringSize int, fn func()) ([]TraceEvent, *Collector) {
 	mu.Lock()
 	defer mu.Unlock()
 	return events, col
+}
+
+// Every kind has its own stable name; anything else is "unknown".
+func TestTraceKindString(t *testing.T) {
+	seen := map[string]bool{}
+	for k := TraceForkBegin; k <= TraceTaskDepRelease; k++ {
+		s := k.String()
+		if s == "" || s == "unknown" || seen[s] {
+			t.Errorf("TraceKind(%d).String() = %q: empty, unknown or a duplicate", k, s)
+		}
+		seen[s] = true
+	}
+	if s := TraceKind(-1).String(); s != "unknown" {
+		t.Errorf("TraceKind(-1).String() = %q, want unknown", s)
+	}
+	if s := (TraceTaskDepRelease + 1).String(); s != "unknown" {
+		t.Errorf("kind past the last = %q, want unknown", s)
+	}
 }
 
 func countKind(events []TraceEvent, k TraceKind) int {
@@ -136,9 +156,11 @@ func TestTraceTaskAndDependenceEvents(t *testing.T) {
 
 // A ring too small for the region's event volume must drop (and count)
 // the overflow, never corrupt: every event that does come out is
-// well-formed and per-ring emission timestamps stay monotonic.
+// well-formed and per-ring emission timestamps stay monotonic. 16 records
+// is the smallest ring there is; the recorder's size (256 by default,
+// GOMP_FLIGHT=16 makes it 16) is too small for 200 loops all the same.
 func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
-	events, col := collect(t, 4, func() {
+	events, col := collect(t, 16, func() {
 		ForkCall(Ident{Region: "p"}, 2, func(th *Thread) {
 			for i := 0; i < 200; i++ {
 				ForDynamic(th, Ident{File: "of.go", Line: i, Region: "for"},
@@ -148,7 +170,7 @@ func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
 		})
 	})
 	if col.Drops() == 0 {
-		t.Fatalf("200 loops into 4-slot rings dropped nothing (got %d events)", len(events))
+		t.Fatalf("200 loops into small rings dropped nothing (got %d events)", len(events))
 	}
 	last := map[int]int64{}
 	for _, ev := range events {
@@ -163,6 +185,118 @@ func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
 			t.Fatalf("gtid %d timestamps went backwards: %d after %d", ev.Gtid, end, last[ev.Gtid])
 		} else {
 			last[ev.Gtid] = end
+		}
+	}
+}
+
+// The ring is one: with the recorder off a collector still receives every
+// event, and the recorder's reader finds none of them.
+func TestCollectorWithRecorderOff(t *testing.T) {
+	prev := FlightRecording()
+	SetFlightRecorder(false)
+	defer SetFlightRecorder(prev)
+	loc := Ident{File: "trace_test.go", Line: 1, Region: "parallel"}
+	events, _ := collect(t, 0, func() {
+		ForkCall(loc, 2, func(th *Thread) { th.Barrier() })
+	})
+	for k, want := range map[TraceKind]int{TraceForkBegin: 1, TraceForkEnd: 1, TraceBarrier: 2} {
+		if n := countKind(events, k); n != want {
+			t.Errorf("%v events = %d, want %d", k, n, want)
+		}
+	}
+	if evs := flightEventsAt(loc); len(evs) != 0 {
+		t.Errorf("ReadFlight returned %d events recorded while the recorder was off", len(evs))
+	}
+}
+
+// With the recorder on and a collector installed, each event is written
+// once and read twice: the collector's Sink and ReadFlight see the same
+// records of a region.
+func TestSinkAndFlightReadTheSameRecords(t *testing.T) {
+	prev := FlightRecording()
+	SetFlightRecorder(true)
+	defer SetFlightRecorder(prev)
+	loc := Ident{File: "trace_test.go", Line: 2, Region: "parallel"}
+	before := TraceNow() // the rings still hold earlier runs of this test
+	events, _ := collect(t, 0, func() {
+		ForkCall(loc, 2, func(th *Thread) {
+			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 4}, 64, func(lo, hi int64) {})
+			th.Barrier()
+		})
+	})
+	var sunk []TraceEvent
+	for _, ev := range events {
+		if ev.Loc == loc {
+			sunk = append(sunk, ev)
+		}
+	}
+	var flown []TraceEvent
+	for _, ev := range flightEventsAt(loc) {
+		if ev.When >= before {
+			flown = append(flown, ev)
+		}
+	}
+	order := func(evs []TraceEvent) {
+		sort.Slice(evs, func(i, j int) bool {
+			a, b := evs[i], evs[j]
+			if a.Gtid != b.Gtid {
+				return a.Gtid < b.Gtid
+			}
+			if a.When != b.When {
+				return a.When < b.When
+			}
+			return a.Kind < b.Kind
+		})
+	}
+	order(sunk)
+	order(flown)
+	if len(sunk) < 8 || !reflect.DeepEqual(sunk, flown) {
+		t.Fatalf("sink received %d records, ReadFlight returned %d; want the same (at least 8):\nsink   %+v\nflight %+v",
+			len(sunk), len(flown), sunk, flown)
+	}
+}
+
+// Whether a dynamic loop is recorded is decided at its DispatchInit: a
+// collector installed while the loop runs (recorder off) must not receive
+// a loop-fini span starting at a previous loop's entry or at the trace
+// epoch. Every span it does receive lies inside the region.
+func TestLoopSpanStartsInsideItsLoop(t *testing.T) {
+	prev := FlightRecording()
+	defer SetFlightRecorder(prev)
+	// A recorded loop first, so a stale entry timestamp would be at hand.
+	SetFlightRecorder(true)
+	ForkCall(Ident{Region: "before"}, 2, func(th *Thread) {
+		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 8, func(lo, hi int64) {})
+	})
+	SetFlightRecorder(false)
+	var mu sync.Mutex
+	var spans []TraceEvent
+	col := NewCollector(0)
+	col.Sink = func(batch []TraceEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, ev := range batch {
+			if ev.Kind == TraceLoopFini {
+				spans = append(spans, ev)
+			}
+		}
+	}
+	defer SetCollector(nil)
+	var install sync.Once
+	before := TraceNow()
+	ForkCall(Ident{Region: "parallel"}, 2, func(th *Thread) {
+		ForDynamic(th, Ident{File: "stale.go", Line: 1, Region: "for"}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 64,
+			func(lo, hi int64) { install.Do(func() { SetCollector(col) }) })
+	})
+	after := TraceNow()
+	SetCollector(nil)
+	col.Flush()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, ev := range spans {
+		if ev.When < before || ev.When+ev.Dur > after || ev.Dur > after-before {
+			t.Errorf("loop-fini span [%d, %d] (Dur %d ns) outside its region [%d, %d] (%d ns)",
+				ev.When, ev.When+ev.Dur, ev.Dur, before, after, after-before)
 		}
 	}
 }

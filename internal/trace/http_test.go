@@ -3,6 +3,7 @@ package trace_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -95,6 +96,60 @@ func TestAnalysesSkewVsBalanced(t *testing.T) {
 	rep := p.Report()
 	if !strings.Contains(rep, "load imbalance") || !strings.Contains(rep, "triangular") {
 		t.Errorf("report missing analysis section:\n%s", rep)
+	}
+}
+
+// Ground truth for the blame analysis: in a 2-thread static loop one known
+// thread does D of extra work. Analyses must name that thread and put the
+// busy gap near D, with the master as the straggler too: its span starts
+// after it has published the region, so the fork does not count as work.
+func TestAnalysesNamesPlantedStraggler(t *testing.T) {
+	// Busy time is a wall-clock span: on one processor the two threads
+	// take turns, and whoever is preempted mid-span is charged the other's
+	// time.
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two threads running at once")
+	}
+	const d = 2 * time.Millisecond
+	plant := func(straggler int) (gtid int, row RegionAnalysis) {
+		p := New()
+		p.Start()
+		omp.Parallel(func(th *omp.Thread) {
+			omp.ForRange(th, 2, func(lo, hi int64) {
+				if th.Tid == straggler {
+					gtid = th.Gtid
+					for start := time.Now(); time.Since(start) < d; {
+					}
+				}
+			})
+		}, omp.NumThreads(2), omp.Loc("straggler.go", 1, "planted"))
+		p.Stop()
+		rows := p.Analyses()
+		for _, r := range rows {
+			if strings.Contains(r.Name, "straggler.go:1") {
+				return gtid, r
+			}
+		}
+		t.Fatalf("tid %d: no analysis row for the planted region: %+v", straggler, rows)
+		return
+	}
+	for _, straggler := range []int{0, 1} {
+		// A busy host can preempt a thread inside its span and stretch it;
+		// the planted answer must come out within a few tries.
+		var msg string
+		for try := 0; try < 5; try++ {
+			gtid, row := plant(straggler)
+			gap := time.Duration(row.MaxBusyNs - row.MinBusyNs)
+			if row.BlameGtid == gtid && gap >= d*8/10 && gap <= 2*d {
+				msg = ""
+				break
+			}
+			msg = fmt.Sprintf("tid %d: blamed g%d (straggler g%d), max-min busy %v; want the straggler and a gap within [%v, %v] of the planted %v",
+				straggler, row.BlameGtid, gtid, gap, d*8/10, 2*d, d)
+		}
+		if msg != "" {
+			t.Error(msg)
+		}
 	}
 }
 

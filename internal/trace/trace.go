@@ -4,9 +4,10 @@
 // functionality similar to that of gprof" (Section VI).
 //
 // A Profiler installs an OMPT-style collector on the runtime
-// (kmp.SetCollector): every team thread records events into a private
-// lock-free ring, and the collector drains them in batches at region
-// joins and explicit flushes. The profiler aggregates the stream three
+// (kmp.SetCollector): every team thread records events into its own
+// ring, the one the flight recorder reads too, and the collector drains
+// them in batches at region joins and explicit flushes. The profiler
+// aggregates the stream three
 // ways at once:
 //
 //   - a gprof-style flat profile per source region (Report/Summaries),
@@ -82,9 +83,10 @@ type zoneSpan struct {
 // Option configures a Profiler at construction.
 type Option func(*Profiler)
 
-// WithRingSize sets the per-thread event ring capacity (rounded up to a
-// power of two). Larger rings tolerate longer gaps between drains
-// before events are dropped.
+// WithRingSize sets the per-thread event ring capacity the profiler asks
+// for while it runs (rounded up to a power of two; rings never shrink
+// below the flight recorder's size). Larger rings tolerate longer gaps
+// between drains before events are dropped.
 func WithRingSize(n int) Option { return func(p *Profiler) { p.ringSize = n } }
 
 // WithTimeline retains up to capacity raw events (and closed zones) for
@@ -166,8 +168,6 @@ func (p *Profiler) Stop() {
 // every region join.
 func (p *Profiler) Flush() int {
 	n := p.col.Flush()
-	// Read before taking p.mu: Drops takes the collector's drain lock, and
-	// a drain holds that lock while it calls consume, which takes p.mu.
 	d := p.col.Drops()
 	p.mu.Lock()
 	if d > p.lastDrops {

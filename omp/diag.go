@@ -69,8 +69,8 @@ func DumpDiagnostics(w io.Writer) error { return trace.WriteDiagnostics(w) }
 func SetFlightRecorder(on bool) { kmp.SetFlightRecorder(on) }
 
 // SetFlightRingSize sets the per-thread flight-ring capacity in records
-// (rounded to a power of two, clamped to [16, 65536]); affects rings
-// created after the call. GOMP_FLIGHT=<n> sets it from the environment.
+// (rounded to a power of two, clamped to [16, 65536]); each thread resizes
+// its ring at its next event. GOMP_FLIGHT=<n> sets it from the environment.
 func SetFlightRingSize(records int) { kmp.SetFlightRingSize(records) }
 
 // SetProfileLabels enables or disables pprof region labelling: team

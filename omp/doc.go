@@ -212,11 +212,10 @@
 // arrows — and GOMP_METRICS=1 appends the runtime metrics snapshot
 // (fork / barrier / steal / task counters and wait-time histograms).
 //
-// When no profiler is active every runtime instrumentation site costs
-// one atomic pointer load and ZoneAt is a pointer-load no-op; enabled
-// collection appends fixed-size events to per-thread ring buffers
-// drained at region joins (measured within noise, budget <10%, on NPB
-// CG class S).
+// The profiler reads the same per-thread event rings as the flight
+// recorder below, drained at region joins ("Events" in internal/kmp's
+// package doc); its cost on NPB CG class S is measured within noise
+// against a <10% budget. Without a profiler, ZoneAt is a no-op.
 //
 // # Live monitoring
 //
@@ -257,12 +256,12 @@
 // profiler you must enable in advance cannot help with, so the runtime
 // keeps three always-on diagnostics:
 //
-// The flight recorder. Every pooled runtime thread appends its trace
-// events (fork, barrier, loop steal, task run, dependence stall and
-// release) to a private fixed-size lock-free ring — 256 records per
-// thread by default, GOMP_FLIGHT=<n> resizes, GOMP_FLIGHT=off disables.
-// It runs with no profiler installed and is cheap enough that the
-// zero-allocation fork fast path stays zero-allocation. Snapshot it
+// The flight recorder keeps each runtime thread's most recent events
+// (fork, barrier, loop steal, task run, dependence stall and release;
+// "Events" in internal/kmp's package doc) with no profiler installed,
+// without breaking the zero-allocation fork fast path: 256 records per
+// thread by default, GOMP_FLIGHT=<n> or SetFlightRingSize resizes,
+// GOMP_FLIGHT=off or SetFlightRecorder(false) disables. Snapshot it
 // with DumpDiagnostics(w), scrape /debug/gomp/flight, or — after
 // HandleSIGQUIT (or GOMP_SIGQUIT=1) — interrogate a wedged process the
 // classic way:

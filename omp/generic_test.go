@@ -165,11 +165,11 @@ func TestReductionNaNPropagates(t *testing.T) {
 		if v := r.Value(); !math.IsNaN(v) {
 			t.Errorf("generic %s with NaN partial = %v, want NaN", op, v)
 		}
-		f := NewFloat64ReductionWith(op, 1.0, CombineCritical)
+		f := NewFloat64Reduction(op, 1.0)
 		f.Combine(nan)
 		f.Combine(3.0)
 		if v := f.Value(); !math.IsNaN(v) {
-			t.Errorf("critical %s with NaN partial = %v, want NaN", op, v)
+			t.Errorf("float64 %s with NaN partial = %v, want NaN", op, v)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package omp
 
-import (
-	"sync"
-
-	"gomp/internal/atomicx"
-)
+import "gomp/internal/atomicx"
 
 // ReduceOp enumerates the OpenMP reduction-clause operators.
 type ReduceOp int
@@ -57,68 +53,10 @@ func (op ReduceOp) String() string {
 	return "?"
 }
 
-// CombineStrategy selects how per-thread partial results meet the shared
-// result — ablation axis A1 (BenchmarkAblationReduction* in bench_test.go).
-type CombineStrategy int
-
-const (
-	// CombineAtomic merges partials into a shared atomic cell, the
-	// paper's lowering: native RMW where available, the Listing 6 CAS
-	// loop otherwise.
-	CombineAtomic CombineStrategy = iota
-	// CombineCritical merges partials under a mutex — what a
-	// __kmpc_reduce critical-path fallback does in libomp.
-	CombineCritical
-)
-
-// typedReduction adds the critical-path ablation strategy on top of the
-// generic atomic cell: the v1 per-type reduction API, now a single
-// implementation instantiated at int64 and float64. The atomic path is
-// exactly Reduction[T]; the critical path folds under a mutex with the same
-// operator table.
-type typedReduction[T Numeric] struct {
-	g        Reduction[T]
-	strategy CombineStrategy
-	mu       sync.Mutex
-	plain    T
-}
-
-func (r *typedReduction[T]) init(op ReduceOp, initial T, s CombineStrategy) {
-	r.strategy = s
-	r.plain = initial
-	r.g.op = op
-	r.g.bits.Store(bitsOf(initial))
-}
-
-// Identity returns the operator's identity element, the value each thread's
-// private copy must start from.
-func (r *typedReduction[T]) Identity() T { return r.g.Identity() }
-
-// Combine folds a thread's partial into the shared result. Call exactly once
-// per thread, after private accumulation.
-func (r *typedReduction[T]) Combine(partial T) {
-	if r.strategy == CombineCritical {
-		r.mu.Lock()
-		r.plain = reduceFold(r.g.op, r.plain, partial)
-		r.mu.Unlock()
-		return
-	}
-	r.g.Combine(partial)
-}
-
-// Value returns the reduced result; call after the parallel region joins.
-func (r *typedReduction[T]) Value() T {
-	if r.strategy == CombineCritical {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.plain
-	}
-	return r.g.Value()
-}
-
 // ---------------------------------------------------------------- float64
 
-// Float64Reduction lowers a reduction clause over a float64 variable.
+// Float64Reduction lowers a reduction clause over a float64 variable: the
+// generic atomic cell (generic.go) instantiated at float64.
 //
 // Per the OpenMP standard (and Section III-B1 of the paper), each thread
 // starts from the operator's identity — Identity() — accumulates privately,
@@ -126,24 +64,19 @@ func (r *typedReduction[T]) Value() T {
 // variable's value participates once, via the initial value given at
 // construction. Value() returns the final result after the region joins.
 type Float64Reduction struct {
-	typedReduction[float64]
+	Reduction[float64]
 }
 
 // NewFloat64Reduction builds a reduction cell seeded with the reduction
-// variable's pre-region value, using the paper's atomic combine.
+// variable's pre-region value.
 func NewFloat64Reduction(op ReduceOp, initial float64) *Float64Reduction {
-	return NewFloat64ReductionWith(op, initial, CombineAtomic)
-}
-
-// NewFloat64ReductionWith selects the combine strategy explicitly.
-func NewFloat64ReductionWith(op ReduceOp, initial float64, s CombineStrategy) *Float64Reduction {
 	switch op {
 	case ReduceSum, ReduceProd, ReduceMin, ReduceMax:
 	default:
 		panic("omp: reduction operator " + op.String() + " not defined for float64")
 	}
-	r := &Float64Reduction{}
-	r.init(op, initial, s)
+	r := &Float64Reduction{Reduction[float64]{op: op}}
+	r.bits.Store(bitsOf(initial))
 	return r
 }
 
@@ -152,23 +85,18 @@ func NewFloat64ReductionWith(op ReduceOp, initial float64, s CombineStrategy) *F
 // Int64Reduction lowers a reduction clause over an integer variable.
 // See Float64Reduction for the protocol.
 type Int64Reduction struct {
-	typedReduction[int64]
+	Reduction[int64]
 }
 
 // NewInt64Reduction builds a reduction cell seeded with the reduction
-// variable's pre-region value, using the paper's atomic combine.
+// variable's pre-region value.
 func NewInt64Reduction(op ReduceOp, initial int64) *Int64Reduction {
-	return NewInt64ReductionWith(op, initial, CombineAtomic)
-}
-
-// NewInt64ReductionWith selects the combine strategy explicitly.
-func NewInt64ReductionWith(op ReduceOp, initial int64, s CombineStrategy) *Int64Reduction {
 	switch op {
 	case ReduceLogicalAnd, ReduceLogicalOr:
 		panic("omp: logical reduction operators apply to bool; use BoolReduction")
 	}
-	r := &Int64Reduction{}
-	r.init(op, initial, s)
+	r := &Int64Reduction{Reduction[int64]{op: op}}
+	r.bits.Store(bitsOf(initial))
 	return r
 }
 

@@ -7,8 +7,8 @@ import (
 
 // reduceFloat64 runs the canonical generated-code pattern for a float64
 // reduction over [0,trip) where each iteration contributes f(i).
-func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float64, s CombineStrategy) float64 {
-	r := NewFloat64ReductionWith(op, initial, s)
+func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float64) float64 {
+	r := NewFloat64Reduction(op, initial)
 	Parallel(func(t *Thread) {
 		local := r.Identity()
 		For(t, trip, func(i int64) {
@@ -29,28 +29,22 @@ func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float
 }
 
 func TestFloat64SumReduction(t *testing.T) {
-	for _, s := range []CombineStrategy{CombineAtomic, CombineCritical} {
-		got := reduceFloat64(ReduceSum, 100, 1000, func(i int64) float64 { return 1 }, s)
-		if got != 1100 {
-			t.Fatalf("strategy %d: sum = %g, want 1100 (init participates once)", s, got)
-		}
+	if got := reduceFloat64(ReduceSum, 100, 1000, func(i int64) float64 { return 1 }); got != 1100 {
+		t.Fatalf("sum = %g, want 1100 (init participates once)", got)
 	}
 }
 
 func TestFloat64ProdReduction(t *testing.T) {
 	// Product of 2^10 split across threads — exact in float64.
-	for _, s := range []CombineStrategy{CombineAtomic, CombineCritical} {
-		got := reduceFloat64(ReduceProd, 0.5, 10, func(i int64) float64 { return 2 }, s)
-		if got != 512 {
-			t.Fatalf("strategy %d: prod = %g, want 0.5*2^10 = 512", s, got)
-		}
+	if got := reduceFloat64(ReduceProd, 0.5, 10, func(i int64) float64 { return 2 }); got != 512 {
+		t.Fatalf("prod = %g, want 0.5*2^10 = 512", got)
 	}
 }
 
 func TestFloat64MinMaxReduction(t *testing.T) {
 	vals := func(i int64) float64 { return float64((i*7919)%1000) - 500 }
-	gotMin := reduceFloat64(ReduceMin, math.Inf(1), 1000, vals, CombineAtomic)
-	gotMax := reduceFloat64(ReduceMax, math.Inf(-1), 1000, vals, CombineAtomic)
+	gotMin := reduceFloat64(ReduceMin, math.Inf(1), 1000, vals)
+	gotMax := reduceFloat64(ReduceMax, math.Inf(-1), 1000, vals)
 	wantMin, wantMax := math.Inf(1), math.Inf(-1)
 	for i := int64(0); i < 1000; i++ {
 		wantMin = math.Min(wantMin, vals(i))
@@ -102,18 +96,16 @@ func TestInt64Reductions(t *testing.T) {
 		{ReduceBitXor, 0, 7, func(i int64) int64 { return i }, 0 ^ 1 ^ 2 ^ 3 ^ 4 ^ 5 ^ 6},
 	}
 	for _, c := range cases {
-		for _, s := range []CombineStrategy{CombineAtomic, CombineCritical} {
-			r := NewInt64ReductionWith(c.op, c.initial, s)
-			Parallel(func(t *Thread) {
-				local := r.Identity()
-				For(t, c.trip, func(i int64) {
-					local = reduceFold(c.op, local, c.f(i))
-				})
-				r.Combine(local)
-			}, NumThreads(4))
-			if got := r.Value(); got != c.want {
-				t.Errorf("op %s strategy %d: got %d, want %d", c.op, s, got, c.want)
-			}
+		r := NewInt64Reduction(c.op, c.initial)
+		Parallel(func(t *Thread) {
+			local := r.Identity()
+			For(t, c.trip, func(i int64) {
+				local = reduceFold(c.op, local, c.f(i))
+			})
+			r.Combine(local)
+		}, NumThreads(4))
+		if got := r.Value(); got != c.want {
+			t.Errorf("op %s: got %d, want %d", c.op, got, c.want)
 		}
 	}
 }
