@@ -49,9 +49,9 @@ func (k CancelKind) String() string {
 // cancel activates region-level cancellation for the team. Idempotent and
 // safe from any goroutine (the context watcher calls it from outside the
 // team, and is quiesced before the team is recycled). The flag is part of
-// every barrier wait predicate, so threads spinning there see it and parked
-// ones are woken — no channel latch to close, so cancellable regions
-// allocate nothing per fork.
+// every barrier and ordered-ticket wait predicate, so threads spinning there
+// see it and parked ones are woken — no channel latch to close, so
+// cancellable regions allocate nothing per fork.
 func (tm *Team) cancel() {
 	tm.cancelRegion.Store(true)
 	tm.wakeTeam(nil)
@@ -88,9 +88,14 @@ func (t *Thread) Cancel(kind CancelKind) bool {
 		// at the next full barrier, when no thread can be inside an older
 		// loop — between two barriers at most one loop cancellation is
 		// tracked, and a second one is dropped, the conforming fallback
-		// (activation simply does not occur).
+		// (activation simply does not occur). Threads parked in the loop's
+		// ordered ticket chain wait on the flag too: wake them after it.
 		tm.cancelledLoop.CompareAndSwap(0, t.curWsSeq)
-		return tm.cancelledLoop.Load() == t.curWsSeq
+		if tm.cancelledLoop.Load() != t.curWsSeq {
+			return false
+		}
+		tm.wakeTeam(t)
+		return true
 	case CancelTaskgroup:
 		if tm.cancelRegion.Load() {
 			return true
@@ -99,6 +104,9 @@ func (t *Thread) Cancel(kind CancelKind) bool {
 		if g == nil {
 			return false // not inside a taskgroup
 		}
+		// No wake: no wait predicate reads the flag. A task wait on the
+		// group ends when its count reaches zero, and the finish of the
+		// last task running or discarded wakes it (taskNode.finish).
 		g.cancelled.Store(true)
 		return true
 	}

@@ -113,8 +113,9 @@ type dispatchBuf struct {
 	// chunkIdx counts chunks issued by the monotonic engine (trapezoidal
 	// taper); the stealing engine tapers per thread (Thread.chunkIdx).
 	chunkIdx atomic.Int64
-	// orderedIter is the index of the next iteration whose ordered region
-	// may execute (ordered.go).
+	_        pad
+	// orderedIter is the ordered ticket (ordered.go), on a line of its own:
+	// the next chunk's holder polls it while every grab writes next.
 	orderedIter atomic.Int64
 	_           pad
 }

@@ -69,8 +69,9 @@
 //
 // The rest of a fork is thread-local or conditional. Each thread, the
 // master included, resets its own per-region fields as it enters
-// (Thread.enter), and a thread's first line (ids, parked flag) is never
-// stored to per region, so wake's look at it is a cache hit. Team.reset
+// (Thread.enter), and a thread's first line (ids, parked and task-waiting
+// flags) is never stored to per region — only when the thread waits — so
+// wake's look at it is a cache hit. Team.reset
 // re-initialises only what the previous region dirtied. Nothing allocates:
 // cancellation is a flag in the barrier's wait predicate (cancel.go), the
 // barrier one sense-reversing word (barrier.go), the one-thread path runs
@@ -80,11 +81,28 @@
 //
 // # Waiting
 //
-// Every team rendezvous blocks in one loop, (*Thread).wait in wait.go: the
-// worksharing/explicit barrier (predicate: generation changed, or region
-// cancelled), the region join (done reached joinAt; only the master waits)
-// and a worker's idle wait between regions (gen moved). No rendezvous polls
-// a timer.
+// Every wait of the runtime blocks in one loop, (*Thread).wait in wait.go.
+// Each is a predicate and the stores that wake it:
+//
+//   - the worksharing/explicit barrier: generation changed, or region
+//     cancelled. Woken by the last arriver and by Team.cancel.
+//   - the region join: done reached joinAt; only the master waits. Woken by
+//     each worker counting out.
+//   - a worker's idle wait between regions: gen moved. Woken by publish.
+//   - the ordered ticket (ordered.go): ticket at or past the chunk's first
+//     iteration, or loop cancelled. Woken by the thread handing the ticket
+//     on, by `cancel for` and by Team.cancel.
+//   - the task scheduling points taskwait, taskgroup end, the barrier's task
+//     drain and an undeferred task's dependence wait (taskWait, task.go):
+//     the awaited count is zero, or a ready task is visible in the priority
+//     queue or some deque; the thread runs what it finds and waits again.
+//     Woken by a spawn or a dependence release making a task ready, and by
+//     a child, group or team count reaching zero (`cancel taskgroup` wakes
+//     nobody: a cancelled group's wait ends when its last task finishes).
+//     These wakers skip threads parked anywhere else (Thread.taskWaiting):
+//     a barrier waiter is not woken once per spawn.
+//
+// No wait polls a timer, and non-test code in this package does not sleep.
 //
 // Spin. The waiter first probes its predicate for a bounded time: 50 µs
 // under OMP_WAIT_POLICY=passive (the default), 5 ms under active. The first
@@ -101,10 +119,9 @@
 // Park and wake. When the budget runs out the waiter publishes its parked
 // flag, re-checks the predicate, and blocks on its cap-1 token channel (one
 // flag and one channel per Thread, allocated with it). Whoever makes a
-// predicate true — the barrier's last arriver, a worker counting out of the
-// join, the master publishing a region, Team.cancel — stores to the
-// predicate first and then loads the flags of the threads that may be
-// waiting on it, sending a token (never blocking) to each that is set.
+// predicate true — the wakers listed above — stores to the predicate first
+// and then loads the flags of the threads that may be waiting on it,
+// sending a token (never blocking) to each that is set.
 // The two sides form a Dekker pair over sequentially consistent atomics:
 //
 //	waiter: parked.Store(1) → pred() load     waker: pred store → parked.Load()
@@ -203,14 +220,14 @@
 //
 // Both waits, and every team barrier, are task scheduling points: a waiting
 // thread executes ready tasks (the team's priority queue first, then its
-// own deque, then steals round-robin from teammates) instead of spinning,
-// so one producer thread plus an idle team drains any task tree. The
-// implicit barrier at region end completes all outstanding tasks before
-// ForkCall returns. if(false) and final tasks — and every descendant of a
-// final task — execute undeferred on the spawning thread's stack; untied
-// is accepted but executes tied, the conforming fallback (untied permits
-// migration, it does not require it); mergeable is accepted but executes
-// unmerged, the symmetric fallback.
+// own deque, then steals round-robin from teammates) and waits ("Waiting")
+// only while none is ready, so one producer thread plus an idle team drains
+// any task tree. The implicit barrier at region end completes all
+// outstanding tasks before ForkCall returns. if(false) and final tasks — and
+// every descendant of a final task — execute undeferred on the spawning
+// thread's stack; untied is accepted but executes tied, the conforming
+// fallback (untied permits migration, it does not require it); mergeable is
+// accepted but executes unmerged, the symmetric fallback.
 //
 // # Task dependences
 //

@@ -3,6 +3,7 @@ package kmp_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"gomp/internal/bench"
 	"gomp/internal/kmp"
@@ -14,6 +15,70 @@ import (
 func BenchmarkCrossCoreFloor(b *testing.B) {
 	if bench.CrossCoreRoundTrip(b.N) == 0 {
 		b.Skip("needs GOMAXPROCS >= 2")
+	}
+}
+
+// orderedSink keeps the serial reference loop from being optimised away.
+var orderedSink uint64
+
+// BenchmarkOrdered is an ordered loop whose iterations each do ≈400 ns of
+// work and then fold it into an order-dependent hash in their ordered
+// region: the ticket chain's cost with the work it has to hide. x-serial is
+// the loop's time over the same loop run serially (below 1: the ordered loop
+// still gains from its other threads). The four-thread team has threads
+// parked in the ticket chain while the ticket moves, so it also measures
+// what a hand-off costs the threads it wakes.
+func BenchmarkOrdered(b *testing.B) {
+	const trip = 4096
+	work := func(i int64) uint64 {
+		h := uint64(i) | 1
+		for k := 0; k < 250; k++ { // a dependent multiply-xorshift chain
+			h *= 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+		return h
+	}
+	serial := func() uint64 {
+		var h uint64
+		for i := int64(0); i < trip; i++ {
+			h = h*31 + work(i)
+		}
+		return h
+	}
+	for _, n := range []int{2, 4} {
+		for _, chunk := range []int64{1, 8} {
+			b.Run(fmt.Sprintf("threads=%d/dynamic,%d", n, chunk), func(b *testing.B) {
+				sched := kmp.Sched{Kind: kmp.SchedDynamicChunked, Chunk: chunk, Ordered: true}
+				var h uint64
+				ordered := func() {
+					h = 0
+					kmp.ForkCall(kmp.Ident{Region: "bench"}, n, func(t *kmp.Thread) {
+						kmp.ForDynamic(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
+							for i := lo; i < hi; i++ {
+								v := work(i)
+								t.Ordered(func() { h = h*31 + v })
+							}
+						})
+					})
+				}
+				want := serial()
+				ordered() // warm the team
+				if h != want {
+					b.Fatalf("ordered fold %#x, serial fold %#x", h, want)
+				}
+				serialTime := time.Duration(1 << 62)
+				for r := 0; r < 5; r++ {
+					start := time.Now()
+					orderedSink = serial()
+					serialTime = min(serialTime, time.Since(start))
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ordered()
+				}
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(serialTime), "x-serial")
+			})
+		}
 	}
 }
 

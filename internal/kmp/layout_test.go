@@ -80,6 +80,32 @@ func TestForkHandshakeLayout(t *testing.T) {
 	}
 }
 
+// The ordered ticket is polled by the next chunk's holder while every
+// monotonic grab writes next and chunkIdx: a shared line would put a grab's
+// store under each poll. dispatchBufs sit back to back in Team.disp, at any
+// offset into a line, so "a line of its own" means at least a line of bytes
+// between the ticket and every other field, in its own buffer and the next.
+func TestOrderedTicketLayout(t *testing.T) {
+	var b dispatchBuf
+	off, size := unsafe.Offsetof(b.orderedIter), unsafe.Sizeof(b.orderedIter)
+	typ := reflect.TypeOf(&b).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || f.Name == "orderedIter" {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); f.Offset < off && off-end < CacheLine {
+			t.Errorf("dispatchBuf.%s ends %d bytes before the ordered ticket, want >= %d", f.Name, off-end, CacheLine)
+		}
+		if f.Offset > off {
+			t.Errorf("dispatchBuf.%s follows the ordered ticket; only padding may", f.Name)
+		}
+	}
+	if tail := unsafe.Sizeof(b) - (off + size); tail < CacheLine {
+		t.Errorf("%d bytes between the ordered ticket and the next buffer's first field, want >= %d", tail, CacheLine)
+	}
+}
+
 // GOMAXPROCS is sampled, not read on every fork, so a team can run with a
 // stale idea of how crowded it is. A warm 2-thread team must still join
 // promptly when the process drops to one processor (the master's spin has to

@@ -2,12 +2,23 @@ package kmp
 
 // The ordered construct (OpenMP 5.2 §10.4.2): inside a worksharing loop
 // carrying the ordered clause, the ordered region of each iteration executes
-// in sequential iteration order. The implementation mirrors libomp's
-// __kmpc_ordered / __kmpc_end_ordered ticket protocol: the loop descriptor
-// keeps orderedIter, the index of the next iteration whose ordered region
-// may run; a thread executing chunk [lo, hi) expects ticket lo for its first
-// ordered region, lo+1 for the second, and so on, and each completed region
-// advances the ticket by one.
+// in sequential iteration order. The loop descriptor keeps orderedIter, a
+// ticket: every iteration below it has finished its ordered region (or never
+// had one).
+//
+// The ticket moves once per chunk. A thread holding chunk [lo, hi) waits, at
+// the first ordered region it encounters in the chunk, for ticket >= lo; its
+// later ordered regions in the chunk neither wait nor touch the ticket. It
+// publishes hi once (CAS-max): from Ordered as soon as every iteration of
+// the chunk has run its region, otherwise when it retires the chunk
+// (orderedFinishChunk, at its next DispatchNext).
+//
+// libomp's __kmpc_end_ordered instead advances the ticket by one after every
+// region. The two are equivalent because only the holder of [lo, hi) can
+// move the ticket inside that range: every other thread waits for a ticket
+// at or above its own chunk's lo, which is at least hi. The per-iteration
+// increments therefore have no reader; here they would only land on the line
+// the next chunk's holder is polling.
 //
 // The ordered clause forces monotonic dispatch (DispatchInit), because the
 // protocol relies on chunks being issued in increasing iteration order —
@@ -17,11 +28,11 @@ package kmp
 
 // Ordered executes body as the ordered region of the current iteration of
 // the innermost enclosing worksharing loop. The loop must carry the ordered
-// clause and the body must be encountered once per iteration, in iteration
-// order within the chunk — which the canonical lowering (a sequential scan
-// of the chunk) guarantees. Outside an ordered-clause loop the body runs
-// immediately: a serialised region, an orphaned construct, or a plain
-// unordered loop all degenerate to direct execution.
+// clause and the body must be encountered at most once per iteration, in
+// iteration order within the chunk — which the canonical lowering (a
+// sequential scan of the chunk) guarantees. Outside an ordered-clause loop
+// the body runs immediately: a serialised region, an orphaned construct, or
+// a plain unordered loop all degenerate to direct execution.
 func (t *Thread) Ordered(body func()) {
 	if t == nil {
 		body()
@@ -32,50 +43,58 @@ func (t *Thread) Ordered(body func()) {
 		body()
 		return
 	}
-	expect := t.curChunkLo + t.orderedSeen
-	var idle taskIdle
-	for b.orderedIter.Load() < expect {
-		// The wait is a cancellation point: predecessors of a cancelled
-		// loop may never run their ordered regions, so waiting on would
-		// deadlock.
-		if t.loopCancelled() {
-			return
-		}
-		idle.wait()
+	// The wait is a cancellation point: predecessors of a cancelled loop
+	// may never run their ordered regions, so waiting on would deadlock.
+	if t.orderedSeen == 0 && !t.orderedTurn(b) {
+		return
 	}
 	body()
 	t.orderedSeen++
-	b.orderedIter.Add(1)
+	if t.orderedSeen == t.curChunkHi-t.curChunkLo {
+		t.orderedPublish(b)
+	}
+}
+
+// orderedTurn waits until the ticket reaches the start of the thread's chunk
+// and reports whether the chunk may run its ordered regions: false once the
+// loop is cancelled, whether or not the ticket arrived.
+func (t *Thread) orderedTurn(b *dispatchBuf) bool {
+	lo := t.curChunkLo
+	t.wait(func() bool { return b.orderedIter.Load() >= lo || t.loopCancelled() })
+	return !t.loopCancelled()
+}
+
+// orderedPublish hands the ticket on past the thread's chunk and wakes the
+// threads that may be parked waiting for it. It runs once per chunk, by the
+// holder, after its turn came, so the ticket is in [lo, hi) here; the store
+// is a CAS-max all the same, so that no publish can ever move the ticket
+// back under a successor that has already run. It wakes the whole team: at
+// four threads, waking only the thread parked on this ticket was no faster
+// (and slower for chunk 1 with four processors, where the woken threads
+// spin and are ready sooner for their own turn).
+func (t *Thread) orderedPublish(b *dispatchBuf) {
+	for {
+		cur := b.orderedIter.Load()
+		if cur >= t.curChunkHi {
+			return
+		}
+		if b.orderedIter.CompareAndSwap(cur, t.curChunkHi) {
+			break
+		}
+	}
+	t.team.wakeTeam(t)
 }
 
 // orderedFinishChunk retires the thread's previous chunk from the ordered
 // ticket chain before it claims the next one — libomp's __kmp_dispatch_finish.
-// It waits for its own turn (ticket == first unexecuted iteration of the
-// chunk) and then skips the ticket straight past the chunk's upper bound,
-// so iterations that did not encounter an ordered region cannot stall the
-// threads holding later chunks.
+// A chunk that ran some but not all of its ordered regions already holds
+// the ticket and publishes at once; one that ran none first waits for its
+// turn, so iterations without an ordered region cannot let a successor's
+// region overtake a predecessor's.
 func (t *Thread) orderedFinishChunk(b *dispatchBuf) {
-	if t.curChunkHi <= t.curChunkLo {
-		return // no chunk outstanding
-	}
-	target := t.curChunkLo + t.orderedSeen
-	var idle taskIdle
-	for b.orderedIter.Load() < target {
-		if t.loopCancelled() {
-			t.curChunkLo, t.curChunkHi, t.orderedSeen = 0, 0, 0
-			return
-		}
-		idle.wait()
-	}
-	// Skip the unexecuted tickets [target, curChunkHi). The ticket may
-	// already have moved past the chunk: when this thread consumed every
-	// ticket of its chunk, successors are free to advance before this
-	// finish runs — advance monotonically (CAS-max), never rewind.
-	for {
-		cur := b.orderedIter.Load()
-		if cur >= t.curChunkHi || b.orderedIter.CompareAndSwap(cur, t.curChunkHi) {
-			break
-		}
+	n := t.curChunkHi - t.curChunkLo
+	if n > 0 && t.orderedSeen < n && (t.orderedSeen > 0 || t.orderedTurn(b)) {
+		t.orderedPublish(b)
 	}
 	t.curChunkLo, t.curChunkHi, t.orderedSeen = 0, 0, 0
 }

@@ -1,6 +1,8 @@
 package kmp
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +101,73 @@ func TestOrderedClauseWithoutRegions(t *testing.T) {
 	})
 	if covered.Load() != 100 {
 		t.Fatalf("covered %d of 100", covered.Load())
+	}
+}
+
+// The ticket is handed on once per chunk, from Ordered or from the chunk's
+// retirement, whichever pattern of ordered regions the chunk ran. Every
+// schedule × team size × pattern must execute each iteration exactly once
+// and the requested ordered regions exactly once each, in ascending order.
+// Under -race the unsynchronised appends also check that each hand-off
+// orders a chunk's regions after its predecessor's.
+func TestOrderedGrid(t *testing.T) {
+	scheds := []struct {
+		name  string
+		sched Sched
+	}{
+		{"static", Sched{Kind: SchedStatic}},
+		{"static,3", Sched{Kind: SchedStaticChunked, Chunk: 3}},
+		{"dynamic,1", Sched{Kind: SchedDynamicChunked, Chunk: 1}},
+		{"dynamic,8", Sched{Kind: SchedDynamicChunked, Chunk: 8}},
+		{"guided", Sched{Kind: SchedGuidedChunked}},
+		{"monotonic:dynamic,8", Sched{Kind: SchedDynamicChunked, Chunk: 8, Mod: SchedModMonotonic}},
+	}
+	patterns := []struct {
+		name string
+		hit  func(k, hi int64) bool
+	}{
+		{"every", func(int64, int64) bool { return true }},
+		{"every-other", func(k, _ int64) bool { return k%2 == 0 }},
+		{"chunk-last", func(k, hi int64) bool { return k == hi-1 }},
+		{"none", func(int64, int64) bool { return false }},
+	}
+	const trip = 97
+	for _, s := range scheds {
+		for _, nth := range []int{1, 2, 3, 8} {
+			for _, p := range patterns {
+				t.Run(fmt.Sprintf("%s/nth=%d/%s", s.name, nth, p.name), func(t *testing.T) {
+					sched := s.sched
+					sched.Ordered = true
+					var runs [trip]atomic.Int32
+					var asked [trip]atomic.Bool
+					var got []int64
+					ForkCall(Ident{}, nth, func(th *Thread) {
+						ForDynamic(th, Ident{}, sched, trip, func(lo, hi int64) {
+							for k := lo; k < hi; k++ {
+								runs[k].Add(1)
+								if p.hit(k, hi) {
+									asked[k].Store(true)
+									th.Ordered(func() { got = append(got, k) })
+								}
+							}
+						})
+						th.Barrier()
+					})
+					var want []int64
+					for k := range runs {
+						if n := runs[k].Load(); n != 1 {
+							t.Fatalf("iteration %d ran %d times", k, n)
+						}
+						if asked[k].Load() {
+							want = append(want, int64(k))
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("ordered regions ran as %v, want %v", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 

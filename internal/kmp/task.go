@@ -3,10 +3,8 @@ package kmp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	rtrace "runtime/trace"
 	"sync/atomic"
-	"time"
 )
 
 // Explicit tasking: the analog of libomp's __kmpc_omp_task* entry points.
@@ -20,7 +18,7 @@ import (
 // Completion bookkeeping uses two counters:
 //
 //   - taskNode.children counts outstanding *deferred child* tasks of one
-//     task; Taskwait spins (executing other tasks) until the current task's
+//     task; Taskwait waits (executing other tasks) until the current task's
 //     counter reaches zero. This is exactly taskwait's contract — children
 //     only, not descendants.
 //   - taskGroup.pending counts every task spawned inside the group,
@@ -72,16 +70,17 @@ type taskNode struct {
 // must come first — successors the release makes ready are enqueued through
 // t — and before the counters drop, so a construct released by the counters
 // can never observe a completed task with unreleased successors.
+//
+// A count reaching zero may end a task wait (taskWait): its waiters are
+// woken after the store, as the barrier's last arriver wakes its peers.
 func (n *taskNode) finish(t *Thread) {
 	n.depComplete(t)
-	if n.group != nil {
-		n.group.pending.Add(-1)
+	zero := n.group != nil && n.group.pending.Add(-1) == 0
+	if n.parent != nil && n.parent.children.Add(-1) == 0 {
+		zero = true
 	}
-	if n.parent != nil {
-		n.parent.children.Add(-1)
-	}
-	if n.team != nil {
-		n.team.taskCount.Add(-1)
+	if n.team != nil && (n.team.taskCount.Add(-1) == 0 || zero) {
+		n.team.wakeTaskWaiters(t)
 	}
 }
 
@@ -334,20 +333,35 @@ func (t *Thread) runOneTask() bool {
 	return true
 }
 
-// taskIdle is the found-no-work backoff for task scheduling points: yield
-// for a while (another thread is probably mid-task and about to spawn or
-// finish), then sleep briefly so oversubscribed teams cannot starve the
-// thread actually doing the work.
-// TODO: park on the thread's waiter (wait.go) instead of the timer sleep.
-type taskIdle int
-
-func (i *taskIdle) wait() {
-	*i++
-	if *i < 128 {
-		runtime.Gosched()
-		return
+// taskWait is a task scheduling point that lasts until done reports true:
+// the thread runs ready tasks, and when it finds none it waits on its one
+// waiter (wait.go) for done or for ready work to appear. Both sides wake
+// the threads waiting here (wakeTaskWaiters): enqueueReady and depComplete
+// after making a task ready, finish when a child, group or team count
+// reaches zero. The flag is stored before the predicate is first read and
+// the wakers store before they read the flag, so one side sees the other.
+func (t *Thread) taskWait(done func() bool) {
+	for !done() {
+		if !t.runOneTask() {
+			t.taskWaiting.Store(1)
+			t.wait(func() bool { return done() || t.team.readyWork() })
+			t.taskWaiting.Store(0)
+		}
 	}
-	time.Sleep(20 * time.Microsecond)
+}
+
+// readyWork reports whether some task is ready to run anywhere in the team:
+// in the priority queue or in any thread's deque.
+func (tm *Team) readyWork() bool {
+	if tm.prioQ.size.Load() > 0 {
+		return true
+	}
+	for _, th := range tm.threads[:tm.n] {
+		if th.deque.bottom.Load() > th.deque.top.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // Taskwait blocks until all child tasks of the current task have completed
@@ -360,14 +374,7 @@ func (t *Thread) Taskwait() {
 		return // no task has been spawned from this context
 	}
 	cur := t.curTask
-	var idle taskIdle
-	for cur.children.Load() > 0 {
-		if t.runOneTask() {
-			idle = 0
-		} else {
-			idle.wait()
-		}
-	}
+	t.taskWait(func() bool { return cur.children.Load() == 0 })
 }
 
 // TaskgroupRun executes body inside a new taskgroup and then waits for
@@ -386,14 +393,7 @@ func (t *Thread) TaskgroupRun(loc Ident, body func()) {
 	t.curGroup = g
 	body()
 	t.curGroup = g.parent
-	var idle taskIdle
-	for g.pending.Load() > 0 {
-		if t.runOneTask() {
-			idle = 0
-		} else {
-			idle.wait()
-		}
-	}
+	t.taskWait(func() bool { return g.pending.Load() == 0 })
 }
 
 // Taskloop carves [0, trip) into explicit tasks — __kmpc_taskloop, the
@@ -451,20 +451,14 @@ func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, u
 }
 
 // taskDrain executes ready tasks until none remain anywhere in the team:
-// the task-completion half of a barrier. Threads that find no work yield
-// rather than spin hard — another thread may still be running a task that
+// the task-completion half of a barrier. A thread that finds no work waits
+// rather than returns — another thread may still be running a task that
 // will spawn more.
 func (t *Thread) taskDrain() {
 	if t == nil || t.team == nil {
 		return
 	}
-	tm := t.team
-	var idle taskIdle
-	for tm.taskCount.Load() > 0 {
-		if t.runOneTask() {
-			idle = 0
-		} else {
-			idle.wait()
-		}
+	if tm := t.team; tm.taskCount.Load() != 0 {
+		t.taskWait(func() bool { return tm.taskCount.Load() == 0 })
 	}
 }

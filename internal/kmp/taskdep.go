@@ -204,6 +204,11 @@ func (n *taskNode) depComplete(t *Thread) {
 	if len(prio) > 0 {
 		prio[0].team.prioQ.push(prio...)
 	}
+	if released > 0 && t.team != nil {
+		// Ready work, or an undeferred task's waiter (waitDeps), may be
+		// parked on: wake after the stores that made it visible.
+		t.team.wakeTaskWaiters(t)
+	}
 	if g := eventGate.Load(); g != 0 && len(succ) > 0 {
 		// Arg0 counts successors this completion made ready, Arg1 the
 		// dependence edges it resolved — the release half of the
@@ -223,13 +228,15 @@ func (n *taskNode) releaseCreationRef() bool {
 
 // enqueueReady makes a ready task available to the team: prioritised tasks
 // go to the team-wide priority queue (drained highest-priority-first before
-// any deque), the rest to this thread's own deque.
+// any deque), the rest to this thread's own deque. Threads parked at a task
+// scheduling point are woken to take it.
 func (t *Thread) enqueueReady(n *taskNode) {
 	if n.priority > 0 && n.team != nil {
 		n.team.prioQ.push(n)
-		return
+	} else {
+		t.deque.push(n)
 	}
-	t.deque.push(n)
+	t.team.wakeTaskWaiters(t)
 }
 
 // waitDeps is the undeferred-task path: an if(0) or final task that carries
@@ -237,14 +244,7 @@ func (t *Thread) enqueueReady(n *taskNode) {
 // §12.5: the encountering thread's wait is a task scheduling point), so the
 // spawning thread executes other ready tasks until the count drains.
 func (t *Thread) waitDeps(n *taskNode) {
-	var idle taskIdle
-	for n.dep.npred.Load() > 0 {
-		if t.runOneTask() {
-			idle = 0
-		} else {
-			idle.wait()
-		}
-	}
+	t.taskWait(func() bool { return n.dep.npred.Load() == 0 })
 }
 
 // ----------------------------------------------------------------- priority

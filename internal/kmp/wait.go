@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// The one wait loop of the runtime: every team rendezvous — worksharing and
-// explicit barriers, the region join, a worker's idle wait for the next
-// region — blocks in (*Thread).wait. See the "Waiting" section of the package
-// comment for the protocol and its memory-ordering argument.
+// The one wait loop of the runtime: every wait — worksharing and explicit
+// barriers, the region join, a worker's idle wait for the next region, the
+// ordered ticket, the task scheduling points — blocks in (*Thread).wait. See
+// the "Waiting" section of the package comment for the predicates, who wakes
+// each, and the memory-ordering argument.
 
 // Spin budgets: how long a waiter probes its predicate before it parks. The
 // passive budget covers the arrival skew of fine-grained loops several times
@@ -67,6 +68,19 @@ func (tm *Team) setWaitPolicy(p WaitPolicy) {
 func (tm *Team) wakeTeam(self *Thread) {
 	for _, th := range tm.threads[:tm.n] {
 		if th != self {
+			th.wake(self)
+		}
+	}
+}
+
+// wakeTaskWaiters wakes the parked threads of the current region that wait
+// at a task scheduling point: a thread parked in a barrier or the ordered
+// ticket does not look at tasks, and waking it for every spawn would cost
+// the spawner a scheduler round trip each time. (With wakeTeam here,
+// BenchmarkTaskFib at two threads on a 2-vCPU Xeon ran 12–14 % slower.)
+func (tm *Team) wakeTaskWaiters(self *Thread) {
+	for _, th := range tm.threads[:tm.n] {
+		if th != self && th.taskWaiting.Load() != 0 {
 			th.wake(self)
 		}
 	}

@@ -68,8 +68,9 @@
 //
 // Steal points remain cancellation points: a cancelled loop stops handing
 // out chunks on both engines, and threads parked in an ordered ticket chain
-// are released. Steals emit TraceLoopSteal events, observable through
-// internal/trace's profiler (a "steals" column in the flat profile).
+// are woken and released, by `cancel for` as by `cancel parallel`. Steals
+// emit TraceLoopSteal events, observable through internal/trace's profiler
+// (a "steals" column in the flat profile).
 //
 // # Task dependences
 //
