@@ -248,7 +248,7 @@ func BenchmarkAblationScheduleStatic(b *testing.B) { benchSchedule(b, omp.Static
 // BenchmarkAblationScheduleStatic1: cyclic, the IS rank() distribution.
 func BenchmarkAblationScheduleStatic1(b *testing.B) { benchSchedule(b, omp.Static, 1) }
 
-// BenchmarkAblationScheduleDynamic: work stealing from a shared counter.
+// BenchmarkAblationScheduleDynamic: chunk pops with half-range stealing.
 func BenchmarkAblationScheduleDynamic(b *testing.B) { benchSchedule(b, omp.Dynamic, 16) }
 
 // BenchmarkAblationScheduleGuided: exponentially shrinking chunks.
@@ -260,8 +260,8 @@ func BenchmarkAblationScheduleTrapezoidal(b *testing.B) { benchSchedule(b, omp.T
 // ---------------------------------------------------------------------
 // Worksharing engine — the headline number of the unified stealing engine:
 // a triangular workload (per-iteration cost ∝ i) under schedule(dynamic,1)
-// at GOMAXPROCS workers, dispatched monotonically (the legacy shared
-// iteration counter, one contended atomic per chunk) versus nonmonotonically
+// at GOMAXPROCS workers, dispatched monotonically (one range the team
+// shares, one contended CAS per chunk) versus nonmonotonically
 // (static-seeded per-thread ranges with half-range stealing, where the hot
 // path touches only thread-local state).
 
@@ -285,7 +285,7 @@ func benchImbalanced(b *testing.B, mod omp.SchedModifier) {
 	_ = sink.Value()
 }
 
-// BenchmarkImbalancedFor/monotonic: every chunk grab hits the shared counter.
+// BenchmarkImbalancedFor/monotonic: every chunk grab hits the shared range.
 // BenchmarkImbalancedFor/nonmonotonic: chunk grabs are thread-local pops;
 // only rebalancing pays a cross-thread CAS.
 func BenchmarkImbalancedFor(b *testing.B) {

@@ -22,9 +22,9 @@
 //     its error/context-aware sibling, one cancellation-aware barrier and
 //     one spin-then-park waiter behind every rendezvous (barrier, join,
 //     idle), static partitioning, the unified worksharing
-//     engine (dynamic-family loops run work-stealing over static-seeded
-//     per-thread ranges by default, with the shared-counter dispatch ring
-//     kept as the monotonic:/ordered compliance path), the ordered
+//     engine (dynamic-family loops pop chunks from static-seeded per-thread
+//     ranges and steal when dry by default; monotonic: and ordered loops pop
+//     from one range the team shares), the ordered
 //     construct's ticket chain, criticals, locks, single/master,
 //     threadprivate, OpenMP cancellation flags observed at every scheduling
 //     point — chunk grabs and steals included — and the explicit-tasking
@@ -55,7 +55,7 @@
 // (BenchmarkTaskFib, BenchmarkTaskloopVsFor) comparing the explicit-task
 // subsystem against serial recursion and the loop-directive lowerings,
 // BenchmarkImbalancedFor, the worksharing engine's headline number
-// (monotonic shared-counter versus nonmonotonic stealing dispatch of a
+// (monotonic shared-range versus nonmonotonic stealing dispatch of a
 // triangular workload), BenchmarkBlockedLU, the dependence subsystem's: a
 // blocked LU factorisation as a dependence DAG versus the
 // taskwait-per-level formulation (examples/wavefront is the corresponding

@@ -159,7 +159,7 @@ func Validate(d *Directive) error {
 	// The nonmonotonic modifier licenses out-of-order (stealing) chunk
 	// delivery, which both the ordered clause and static partitioning
 	// exclude (OpenMP 5.2 §11.5.3). monotonic is universally valid: it
-	// simply keeps the legacy shared-counter dispatch.
+	// simply puts the loop on one range the team shares.
 	if c.SchedMod == SchedModNonmonotonic {
 		if c.Ordered {
 			return fmt.Errorf("pragma: the nonmonotonic schedule modifier cannot be combined with the ordered clause")

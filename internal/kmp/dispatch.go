@@ -1,59 +1,65 @@
 package kmp
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Dynamic worksharing: the lowering target of schedule(dynamic|guided|
-// runtime|auto|trapezoidal) loops. Two execution engines share one
-// descriptor protocol:
+// runtime|auto|trapezoidal) loops, of ordered loops and of the monotonic:
+// modifier. There is one engine: a thread claims a chunk by popping it off
+// the front of a range with one CAS, and DispatchInit decides whose range
+// that is, in one of two configurations.
 //
-//   - The stealing engine (nonmonotonic, the OpenMP 5.0 default for
-//     dynamic-family kinds): every thread is seeded with its contiguous
-//     static block of the iteration space as a splittable range. It pops
-//     policy-sized chunks from the front of its own range — one CAS on a
-//     cache line no other core touches unless it is actively stealing — and
-//     when dry takes the upper half of a victim's range, so the only shared
-//     write traffic is the steals themselves. This retires the shared
-//     iteration counter that made every chunk grab of a fine-grained loop a
-//     contended atomic on one cache line.
+//   - Per-thread (nonmonotonic, the OpenMP 5.0 default for dynamic-family
+//     kinds, in a team of more than one thread, 0 < trip < 2^31): every
+//     thread is seeded with its contiguous static block of the iteration
+//     space as a splittable range. It pops from its own range — a cache line
+//     no other core touches unless it is stealing — and when dry takes the
+//     upper half of a victim's range, so the only shared write traffic is
+//     the steals themselves.
 //
-//   - The monotonic engine, mirroring libomp's __kmpc_dispatch_init_8 /
-//     __kmpc_dispatch_next_8 shared-counter protocol. It remains the
-//     compliance path: the monotonic: schedule modifier demands it, ordered
-//     loops need its in-order chunk tickets, and iteration spaces too long
-//     for the packed range bounds fall back to it (nonmonotonic permits any
-//     conforming order, including monotonic).
+//   - Shared (everything else: monotonic:, ordered, a team of one, trip <= 0,
+//     trips of 2^31 or more, static kinds served through dispatch): the team
+//     pops from ranges[0] and nobody steals — libomp's __kmpc_dispatch_next_8
+//     counter. The range's hi is the constant trip, so its word holds lo
+//     alone, a full 64 bits: no trip count is too long for it. Chunks leave
+//     it in increasing iteration order, which is what monotonic: promises
+//     and what the ordered ticket chain (ordered.go) relies on.
 //
 // Chunk sizing is one policy object either way (schedPolicy, sched.go):
-// dynamic, guided and trapezoidal are pure nextChunk(remaining) functions
-// instead of per-kind grab loops.
+// dynamic, guided and trapezoidal are pure nextChunk(remaining, issued)
+// functions of the popped range and the popping thread's chunk count. The one
+// loop that does not pop is an ordered static loop: schedule(static)'s
+// round-robin mapping is not a range (grabStaticOrdered).
 //
-// The shared loop descriptor lives in a ring of per-team buffers, like
-// libomp's dispatch buffers: each thread counts the worksharing loops it has
+// The loop descriptor lives in a ring of per-team buffers, like libomp's
+// dispatch buffers: each thread counts the worksharing loops it has
 // entered (Thread.dispatchSeq) and instance s uses buffer s mod ring. The
 // OpenMP rules require all team threads to encounter the same sequence of
 // worksharing regions, so the sequence numbers agree; with nowait loops a
-// fast thread may race ahead, at most ring-1 loops, before blocking on a
-// buffer still draining its previous instance. The drain protocol is also
-// what makes range reuse safe for the stealing engine: a buffer (and its
-// per-thread ranges) is recycled only after every team thread has detached
-// from the previous instance, so no thief can touch a stale range.
+// fast thread may race ahead, at most ring-1 loops, before waiting for a
+// buffer still draining its previous instance. The first thread to reach a
+// free buffer claims it (tag 0 → want|filling), writes the descriptor and
+// publishes want; the last thread to detach frees it (tag 0). Both wake the
+// team, whose other arrivals wait (wait.go) for tag == want or tag == 0. A
+// buffer and its ranges are therefore recycled only after every team thread
+// has detached from the previous instance, so no thief touches a stale range.
 
 const dispatchRing = 8 // libomp uses KMP_MAX_DISP_NUM_BUFF = 7
 
-// maxStealTrip bounds the trip count the stealing engine's packed 32-bit
-// range bounds can represent; longer loops dispatch monotonically.
+// maxStealTrip bounds the trip count the per-thread configuration's packed
+// 32-bit range bounds can represent; longer loops share one range.
 const maxStealTrip = 1 << 31
 
-// stealRange is one thread's share of a stealing loop instance: a half-open
-// iteration range packed into a single 64-bit word (lo in the low half, hi
-// in the high half) so the owner's pop and a thief's split are each one CAS.
-// Within one loop instance an iteration belongs to at most one range ever —
-// pops and steals only ever shrink or transfer unclaimed iterations — so a
-// packed value can never recur and the CAS is ABA-free.
-type stealRange struct {
+// filling marks a claimed buffer whose descriptor is still being written.
+const filling = 1 << 63
+
+// loopRange is a range of unclaimed iterations, alone on its cache line. A
+// per-thread range packs half-open bounds into the word (lo in the low half,
+// hi in the high half), so the owner's pop and a thief's split are each one
+// CAS; a shared range's word is lo. Within one loop instance an iteration
+// belongs to at most one range ever — pops and steals only ever shrink or
+// transfer unclaimed iterations — so a word can never recur and the CAS is
+// ABA-free.
+type loopRange struct {
 	bounds atomic.Uint64
 	_      pad
 }
@@ -62,10 +68,10 @@ func packRange(lo, hi int64) uint64 { return uint64(hi)<<32 | uint64(uint32(lo))
 
 func unpackRange(w uint64) (lo, hi int64) { return int64(w & 0xffffffff), int64(w >> 32) }
 
-// stealHalf removes and returns the upper half of the range (rounded up) —
-// the steal-largest-remaining heuristic of Chase–Lev thieves adapted from
-// single tasks to splittable ranges.
-func (r *stealRange) stealHalf() (int64, int64, bool) {
+// stealHalf removes and returns the upper half of a per-thread range
+// (rounded up) — the steal-largest-remaining heuristic of Chase–Lev thieves
+// adapted from single tasks to splittable ranges.
+func (r *loopRange) stealHalf() (int64, int64, bool) {
 	for {
 		w := r.bounds.Load()
 		lo, hi := unpackRange(w)
@@ -81,21 +87,19 @@ func (r *stealRange) stealHalf() (int64, int64, bool) {
 }
 
 type dispatchBuf struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// tag is the loop instance number + 1 occupying this buffer; 0 = free.
-	tag uint64
+	// tag is the loop instance number + 1 occupying this buffer (0 = free),
+	// with filling set while its claimant writes the descriptor.
+	tag atomic.Uint64
 	// done counts team threads that have drained this instance.
-	done int
+	done atomic.Int32
 
-	// Loop parameters, written by the initialising thread before tag is
-	// published under mu.
+	// Loop parameters, written by the claimant before it publishes tag.
 	loc      Ident
 	sched    Sched
 	trip     int64
 	nth      int64
 	pol      schedPolicy
-	stealing bool
+	stealing bool // per-thread ranges; false: the shared ranges[0]
 	ordered  bool
 	// staticOrd marks an ordered loop with a static schedule: chunks are
 	// handed out by the deterministic static mapping (OpenMP guarantees
@@ -103,41 +107,28 @@ type dispatchBuf struct {
 	// buffer supplying only the ordered ticket chain and drain protocol.
 	staticOrd bool
 
-	// ranges holds the per-thread splittable ranges of the stealing
-	// engine, one cache-line-padded slot per team thread; reused across
-	// instances once grown.
-	ranges []stealRange
-
-	// next is the first unclaimed iteration (monotonic engine).
-	next atomic.Int64
-	// chunkIdx counts chunks issued by the monotonic engine (trapezoidal
-	// taper); the stealing engine tapers per thread (Thread.chunkIdx).
-	chunkIdx atomic.Int64
-	_        pad
+	// ranges holds one range per team thread, of which the shared
+	// configuration uses only the first; reused across instances once grown.
+	ranges []loopRange
+	_      pad
 	// orderedIter is the ordered ticket (ordered.go), on a line of its own:
-	// the next chunk's holder polls it while every grab writes next.
+	// the next chunk's holder polls it while arrivals and detachers write
+	// tag and done.
 	orderedIter atomic.Int64
 	_           pad
 }
 
-func (b *dispatchBuf) init() {
-	if b.cond == nil {
-		b.cond = sync.NewCond(&b.mu)
-	}
-	b.tag = 0
-	b.done = 0
-	b.stealing = false
-	b.ordered = false
-	b.staticOrd = false
-	b.next.Store(0)
-	b.chunkIdx.Store(0)
-	b.orderedIter.Store(0)
+// free releases the buffer whatever instance holds it (Team.reset: a region
+// may end with a loop some thread never drained, after a panic or cancel).
+func (b *dispatchBuf) free() {
+	b.tag.Store(0)
+	b.done.Store(0)
 }
 
 // DispatchInit attaches the thread to worksharing-loop instance over a
 // trip-count iteration space with the given schedule. Mirrors
 // __kmpc_dispatch_init_8: the first thread to arrive publishes the loop
-// descriptor — choosing the engine and seeding the stealing ranges — and the
+// descriptor — choosing the configuration and seeding its ranges — and the
 // rest join it. schedule(runtime) resolves against the run-sched ICV here,
 // at loop entry, exactly once per loop.
 func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
@@ -181,57 +172,63 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 	buf := &tm.disp[seq%dispatchRing]
 	want := uint64(seq) + 1
 
-	buf.mu.Lock()
-	for buf.tag != want && buf.tag != 0 {
-		// Buffer still occupied by instance seq-ring: wait for the
-		// slowest thread of that loop to drain it.
-		buf.cond.Wait()
-	}
-	if buf.tag == 0 {
-		stealing := false
-		switch sched.Kind {
-		case SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal, SchedAuto:
-			// trip > 0 matters: a non-positive trip must dispatch nothing,
-			// and StaticBlock's empty [0,0) seed would wrap through the
-			// packed 32-bit bounds for negative trips.
-			stealing = sched.Mod != SchedModMonotonic && !sched.Ordered &&
-				tm.n > 1 && trip > 0 && trip < maxStealTrip
+	for {
+		tag := buf.tag.Load()
+		if tag == want {
+			break
 		}
-		buf.loc = loc
-		buf.sched = sched
-		buf.trip = trip
-		buf.nth = int64(tm.n)
-		buf.pol = policyFor(sched, trip, int64(tm.n), stealing)
-		buf.stealing = stealing
-		buf.ordered = sched.Ordered
-		buf.staticOrd = sched.Ordered &&
-			(sched.Kind == SchedStatic || sched.Kind == SchedStaticChunked)
-		buf.next.Store(0)
-		buf.chunkIdx.Store(0)
-		buf.orderedIter.Store(0)
-		if stealing {
-			if cap(buf.ranges) < tm.n {
-				buf.ranges = make([]stealRange, tm.n)
-			}
-			buf.ranges = buf.ranges[:tm.n]
-			for i := 0; i < tm.n; i++ {
-				lo, hi := StaticBlock(i, tm.n, trip)
-				buf.ranges[i].bounds.Store(packRange(lo, hi))
-			}
+		if tag == 0 && buf.tag.CompareAndSwap(0, want|filling) {
+			buf.fill(loc, sched, trip, tm.n)
+			buf.tag.Store(want)
+			tm.wakeTeam(t)
+			break
 		}
-		buf.done = 0
-		buf.tag = want
-		buf.cond.Broadcast()
+		// Another arrival is writing the descriptor, or the buffer still
+		// holds instance seq-ring and its slowest thread has yet to drain it.
+		t.wait(func() bool {
+			tag := buf.tag.Load()
+			return tag == want || tag == 0
+		})
 	}
-	buf.mu.Unlock()
 	t.curLoop = buf
+}
+
+// fill writes the descriptor of a loop over trip iterations for a team of n:
+// it picks the configuration and seeds the ranges.
+func (b *dispatchBuf) fill(loc Ident, sched Sched, trip int64, n int) {
+	stealing := false
+	switch sched.Kind {
+	case SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal, SchedAuto:
+		// trip > 0 matters: StaticBlock's empty [0,0) seed would wrap
+		// through the packed 32-bit bounds for negative trips.
+		stealing = sched.Mod != SchedModMonotonic && !sched.Ordered &&
+			n > 1 && trip > 0 && trip < maxStealTrip
+	}
+	b.loc, b.sched, b.trip, b.nth = loc, sched, trip, int64(n)
+	b.pol = policyFor(sched, trip, int64(n), stealing)
+	b.stealing = stealing
+	b.ordered = sched.Ordered
+	b.staticOrd = sched.Ordered &&
+		(sched.Kind == SchedStatic || sched.Kind == SchedStaticChunked)
+	b.orderedIter.Store(0)
+	if cap(b.ranges) < n {
+		b.ranges = make([]loopRange, n)
+	}
+	b.ranges = b.ranges[:n]
+	if !stealing {
+		b.ranges[0].bounds.Store(0) // lo; hi is trip
+		return
+	}
+	for i := range b.ranges {
+		b.ranges[i].bounds.Store(packRange(StaticBlock(i, n, trip)))
+	}
 }
 
 // DispatchNext returns the next chunk [lo, hi) of the loop the thread is
 // attached to, or ok == false when the iteration space is exhausted — at
 // which point the thread is detached and the buffer may be recycled.
-// Mirrors __kmpc_dispatch_next_8. Every grab — local pop, steal, or shared
-// counter — is a cancellation point: a cancelled loop (or region) dispatches
+// Mirrors __kmpc_dispatch_next_8. Every grab — a pop, own or shared, or a
+// steal — is a cancellation point: a cancelled loop (or region) dispatches
 // no further iterations.
 func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 	buf := t.curLoop
@@ -248,13 +245,10 @@ func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 		t.detach(buf)
 		return 0, 0, false
 	}
-	switch {
-	case buf.stealing:
-		lo, hi, ok = t.grabSteal(buf)
-	case buf.staticOrd:
+	if buf.staticOrd {
 		lo, hi, ok = t.grabStaticOrdered(buf)
-	default:
-		lo, hi, ok = buf.grabShared()
+	} else {
+		lo, hi, ok = t.grab(buf)
 	}
 	if !ok {
 		t.detach(buf)
@@ -266,43 +260,12 @@ func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 	return lo, hi, ok
 }
 
-// grabShared claims the next chunk from the shared monotonic counter — the
-// legacy __kmpc_dispatch_next protocol, kept as the compliance path for
-// monotonic: schedules, ordered loops and over-long iteration spaces.
-// Fixed-chunk policies (dynamic, static-via-dispatch) take the wait-free
-// fetch-add path; shrinking policies recompute the size under a CAS loop.
-func (b *dispatchBuf) grabShared() (int64, int64, bool) {
-	if chunk := b.pol.fixed; chunk > 0 {
-		lo := b.next.Add(chunk) - chunk
-		if lo >= b.trip {
-			return 0, 0, false
-		}
-		hi := lo + chunk
-		if hi > b.trip {
-			hi = b.trip
-		}
-		return lo, hi, true
-	}
-	for {
-		cur := b.next.Load()
-		remaining := b.trip - cur
-		if remaining <= 0 {
-			return 0, 0, false
-		}
-		size := b.pol.nextChunk(remaining, b.chunkIdx.Load())
-		if b.next.CompareAndSwap(cur, cur+size) {
-			b.chunkIdx.Add(1)
-			return cur, cur + size, true
-		}
-	}
-}
-
 // grabStaticOrdered hands the thread its own chunks of a static-schedule
 // ordered loop, preserving the deterministic iteration-to-thread mapping of
 // schedule(static): chunk c goes to thread c mod nth (round-robin) or, with
 // no chunk, each thread gets its balanced block. Every thread walks its
 // chunks in increasing iteration order, so the ordered ticket chain resolves
-// bottom-up exactly as it does for the shared counter's issue order.
+// bottom-up exactly as it does for a shared range's issue order.
 func (t *Thread) grabStaticOrdered(b *dispatchBuf) (int64, int64, bool) {
 	if chunk := b.sched.Chunk; chunk > 0 {
 		lo := (int64(t.Tid) + t.chunkIdx*b.nth) * chunk
@@ -327,14 +290,17 @@ func (t *Thread) grabStaticOrdered(b *dispatchBuf) (int64, int64, bool) {
 	return lo, hi, true
 }
 
-// grabSteal claims the next chunk on the stealing engine: pop from the
-// thread's own range, and when that is dry sweep the team for a victim,
-// split off the upper half of its range, keep one policy-sized chunk and
-// publish the rest as the new local range. Returning false means every
-// range in the team is empty — all iterations are claimed — so the loop is
+// grab claims the thread's next chunk. On a shared range that is one pop. On
+// per-thread ranges the thread pops from its own, and when that is dry sweeps
+// the team for a victim, splits off the upper half of its range, keeps one
+// policy-sized chunk and publishes the rest as its new range. Returning false
+// means every range is empty — all iterations are claimed — so the loop is
 // exhausted for this thread.
-func (t *Thread) grabSteal(b *dispatchBuf) (int64, int64, bool) {
-	if lo, hi, ok := b.popLocal(t.Tid, &t.chunkIdx); ok {
+func (t *Thread) grab(b *dispatchBuf) (int64, int64, bool) {
+	if !b.stealing {
+		return b.pop(0, &t.chunkIdx)
+	}
+	if lo, hi, ok := b.pop(t.Tid, &t.chunkIdx); ok {
 		return lo, hi, true
 	}
 	t.setWait(StateStealing)
@@ -366,23 +332,31 @@ func (t *Thread) grabSteal(b *dispatchBuf) (int64, int64, bool) {
 	return 0, 0, false
 }
 
-// popLocal claims a policy-sized chunk from the front of thread tid's own
-// range. idx is the owner's chunk counter (trapezoidal taper). The CAS is
-// uncontended unless a thief is splitting this range at this very moment.
-func (b *dispatchBuf) popLocal(tid int, idx *int64) (int64, int64, bool) {
-	r := &b.ranges[tid]
+// pop claims a policy-sized chunk from the front of range i: the popping
+// thread's own, or the team's ranges[0] when shared. idx is the thread's
+// chunk counter (the trapezoidal taper). A per-thread pop's CAS is
+// uncontended unless a thief is splitting the range at this very moment.
+func (b *dispatchBuf) pop(i int, idx *int64) (int64, int64, bool) {
+	r := &b.ranges[i]
 	for {
 		w := r.bounds.Load()
-		lo, hi := unpackRange(w)
+		lo, hi := int64(w), b.trip
+		if b.stealing {
+			lo, hi = unpackRange(w)
+		}
 		if lo >= hi {
 			return 0, 0, false
 		}
 		size := b.pol.nextChunk(hi-lo, *idx)
-		if r.bounds.CompareAndSwap(w, packRange(lo+size, hi)) {
+		next := uint64(lo + size)
+		if b.stealing {
+			next = packRange(lo+size, hi)
+		}
+		if r.bounds.CompareAndSwap(w, next) {
 			*idx++
 			return lo, lo + size, true
 		}
-		// A thief shrank the range mid-claim; retry against the new bounds.
+		// A teammate popped, or a thief split the range, first; retry.
 	}
 }
 
@@ -400,14 +374,11 @@ func (t *Thread) detach(buf *dispatchBuf) {
 			Dur: TraceNow() - t.loopNs,
 		})
 	}
-	buf.mu.Lock()
-	buf.done++
-	if buf.done == t.team.n {
-		buf.tag = 0
-		buf.done = 0
-		buf.cond.Broadcast()
+	if buf.done.Add(1) == int32(t.team.n) {
+		buf.done.Store(0)
+		buf.tag.Store(0)
+		t.team.wakeTeam(t)
 	}
-	buf.mu.Unlock()
 }
 
 // ForDynamic is the convenience wrapper the generated code uses for a whole

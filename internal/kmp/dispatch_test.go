@@ -1,18 +1,21 @@
 package kmp
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// runLoop drives a dynamic-family loop on a real team and asserts exact
-// single coverage of [0, trip).
-func runLoop(t *testing.T, nth int, sched Sched, trip int64) {
+// runLoop drives a dynamic-family loop on a real team, asserts exact single
+// coverage of [0, trip) and returns each thread's chunks in claim order.
+func runLoop(t *testing.T, nth int, sched Sched, trip int64) [][][2]int64 {
 	t.Helper()
 	counts := make([]int32, trip)
-	chunksPerThread := make([]int64, nth)
+	chunks := make([][][2]int64, nth)
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		th.DispatchInit(Ident{}, sched, trip)
 		for {
@@ -24,7 +27,7 @@ func runLoop(t *testing.T, nth int, sched Sched, trip int64) {
 				t.Errorf("bad chunk [%d,%d) for trip %d", lo, hi, trip)
 				return
 			}
-			chunksPerThread[th.Tid]++
+			chunks[th.Tid] = append(chunks[th.Tid], [2]int64{lo, hi})
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&counts[i], 1)
 			}
@@ -36,6 +39,7 @@ func runLoop(t *testing.T, nth int, sched Sched, trip int64) {
 			t.Fatalf("sched=%v trip=%d nth=%d: iteration %d executed %d times", sched, trip, nth, i, c)
 		}
 	}
+	return chunks
 }
 
 func TestDispatchDynamicCoverage(t *testing.T) {
@@ -65,8 +69,8 @@ func TestDispatchStealingCoverage(t *testing.T) {
 	}
 }
 
-// The monotonic modifier pins every kind to the shared-counter engine; the
-// per-thread chunk lower bounds it hands out must be strictly increasing.
+// The monotonic modifier puts every kind on a shared range; the per-thread
+// chunk lower bounds it hands out must be strictly increasing.
 func TestDispatchMonotonicModifierOrder(t *testing.T) {
 	for _, kind := range []SchedKind{SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal} {
 		const nth, trip = 4, 2000
@@ -122,19 +126,39 @@ func TestStealOccursAndIsTraced(t *testing.T) {
 	}
 }
 
-// Iteration spaces beyond the packed 32-bit range bounds must fall back to
-// the monotonic engine and still cover exactly once (spot-checked by sum).
-func TestStealingHugeTripFallsBack(t *testing.T) {
-	const trip = maxStealTrip + 10
-	var covered atomic.Int64
-	ForkCall(Ident{}, 4, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1 << 24, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
-			covered.Add(hi - lo)
+// Iteration spaces beyond the per-thread ranges' packed 32-bit bounds run on
+// a shared range, whose word is a full 64-bit lo: the chunks must tile
+// [0, trip) exactly, and under monotonic: each thread's must ascend past 2^31.
+func TestDispatchHugeTripSharedRange(t *testing.T) {
+	const nth, trip = 4, maxStealTrip + 10
+	for _, mod := range []SchedModifier{SchedModNonmonotonic, SchedModMonotonic} {
+		chunks := make([][][2]int64, nth)
+		ForkCall(Ident{}, nth, func(th *Thread) {
+			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1 << 24, Mod: mod}, trip, func(lo, hi int64) {
+				chunks[th.Tid] = append(chunks[th.Tid], [2]int64{lo, hi})
+			})
+			th.Barrier()
 		})
-		th.Barrier()
-	})
-	if covered.Load() != trip {
-		t.Fatalf("covered %d of %d", covered.Load(), trip)
+		var all [][2]int64
+		for tid, cs := range chunks {
+			for i := 1; i < len(cs) && mod == SchedModMonotonic; i++ {
+				if cs[i][0] <= cs[i-1][0] {
+					t.Fatalf("monotonic: thread %d saw lo %d after %d", tid, cs[i][0], cs[i-1][0])
+				}
+			}
+			all = append(all, cs...)
+		}
+		slices.SortFunc(all, func(a, b [2]int64) int { return int(a[0] - b[0]) })
+		next := int64(0)
+		for _, c := range all {
+			if c[0] != next || c[1] <= c[0] {
+				t.Fatalf("%v: chunk [%d,%d) where [%d,...) was due", mod, c[0], c[1], next)
+			}
+			next = c[1]
+		}
+		if next != trip {
+			t.Fatalf("%v: chunks end at %d, want %d", mod, next, trip)
+		}
 	}
 }
 
@@ -148,10 +172,21 @@ func TestDispatchGuidedCoverage(t *testing.T) {
 	}
 }
 
+// Under monotonic: trapezoidal tapers a shared range by each thread's own
+// chunk count times the team size, so no thread's chunks ever grow.
 func TestDispatchTrapezoidalCoverage(t *testing.T) {
-	for _, nth := range []int{1, 4} {
-		for _, trip := range []int64{0, 1, 100, 5000} {
-			runLoop(t, nth, Sched{Kind: SchedTrapezoidal, Chunk: 1}, trip)
+	for _, mod := range []SchedModifier{SchedModNone, SchedModMonotonic} {
+		for _, nth := range []int{1, 4} {
+			for _, trip := range []int64{0, 1, 100, 5000} {
+				chunks := runLoop(t, nth, Sched{Kind: SchedTrapezoidal, Chunk: 1, Mod: mod}, trip)
+				for tid, cs := range chunks {
+					for i := 1; i < len(cs) && mod == SchedModMonotonic; i++ {
+						if prev, cur := cs[i-1][1]-cs[i-1][0], cs[i][1]-cs[i][0]; cur > prev {
+							t.Fatalf("nth=%d trip=%d: thread %d's chunk %d has %d iterations after %d", nth, trip, tid, i, cur, prev)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -171,8 +206,8 @@ func TestDispatchRuntimeResolvesICV(t *testing.T) {
 }
 
 // Guided chunks under the monotonic modifier must shrink against the global
-// remainder (non-strictly) and respect the minimum chunk — the legacy
-// shared-counter shape. (Unmodified guided runs the stealing engine, whose
+// remainder (non-strictly) and respect the minimum chunk — libomp's
+// shared-counter shape. (Unmodified guided runs on per-thread ranges, whose
 // chunks taper per thread-local range instead.)
 func TestGuidedChunkShape(t *testing.T) {
 	const trip, nth, minChunk = 10000, 4, 8
@@ -252,6 +287,61 @@ func TestDispatchRingNoWaitLoops(t *testing.T) {
 				sums[l].Add(hi - lo)
 			})
 			// no barrier: nowait
+		}
+		th.Barrier()
+	})
+	for l := 0; l < loops; l++ {
+		if got, want := sums[l].Load(), int64(10+l); got != want {
+			t.Fatalf("nowait loop %d covered %d iterations, want %d", l, got, want)
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("parked/procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			ringWaitParked(t)
+		})
+	}
+}
+
+// ringWaitParked runs the nowait sequence with a zero spin budget and one
+// slow thread, which enters loop 0 only once the others have run through
+// the ring and parked on buffer 0, still held by loop 0. Its detach, the
+// last, frees the buffer and must wake them; it then holds back from loop 1
+// until they have run loop dispatchRing, so waiters nobody woke fail the
+// test after a second instead of hanging it.
+func ringWaitParked(t *testing.T) {
+	const nth = 3
+	const loops = dispatchRing * 3
+	var sums [loops]atomic.Int64
+	var ahead, through atomic.Int32 // fast threads at and past loop dispatchRing
+	ForkCall(Ident{}, nth, func(th *Thread) {
+		th.team.spinNs.Store(0) // reset by the next fork
+		th.Barrier()
+		slow := th.Tid == nth-1
+		for l := 0; l < loops; l++ {
+			switch {
+			case slow && l == 0:
+				for ahead.Load() < nth-1 || !parkedPeers(th) {
+					runtime.Gosched()
+				}
+			case !slow && l == dispatchRing:
+				ahead.Add(1)
+			}
+			trip := int64(10 + l)
+			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, trip, func(lo, hi int64) {
+				sums[l].Add(hi - lo)
+			})
+			switch {
+			case slow && l == 0:
+				for start := time.Now(); through.Load() < nth-1 && time.Since(start) < time.Second; {
+					runtime.Gosched()
+				}
+				if got := through.Load(); got < nth-1 {
+					t.Errorf("%d of %d threads parked on the freed buffer were not woken", nth-1-got, nth-1)
+				}
+			case !slow && l == dispatchRing:
+				through.Add(1)
+			}
 		}
 		th.Barrier()
 	})

@@ -89,6 +89,10 @@
 //   - the region join: done reached joinAt; only the master waits. Woken by
 //     each worker counting out.
 //   - a worker's idle wait between regions: gen moved. Woken by publish.
+//   - a loop's dispatch buffer (DispatchInit, dispatch.go): its tag is this
+//     loop instance's, or 0 (free). Woken by the arrival that publishes the
+//     descriptor, and by the last thread to detach from the earlier loop
+//     that held the buffer.
 //   - the ordered ticket (ordered.go): ticket at or past the chunk's first
 //     iteration, or loop cancelled. Woken by the thread handing the ticket
 //     on, by `cancel for` and by Team.cancel.

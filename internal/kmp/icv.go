@@ -24,9 +24,9 @@ const (
 	WaitActive
 )
 
-// NestedMaxLevels is the max-active-levels value the deprecated nested
-// switch (SetNested(true), OMP_NESTED) maps onto: effectively unlimited
-// nesting, the pre-5.0 meaning of nest-var = true.
+// NestedMaxLevels is the max-active-levels value the deprecated OMP_NESTED
+// switch maps onto: effectively unlimited nesting, the pre-5.0 meaning of
+// nest-var = true.
 const NestedMaxLevels = 1 << 30
 
 // ICV holds the internal control variables of the runtime, the subset of the

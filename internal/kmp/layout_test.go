@@ -80,9 +80,9 @@ func TestForkHandshakeLayout(t *testing.T) {
 	}
 }
 
-// The ordered ticket is polled by the next chunk's holder while every
-// monotonic grab writes next and chunkIdx: a shared line would put a grab's
-// store under each poll. dispatchBufs sit back to back in Team.disp, at any
+// The ordered ticket is polled by the next chunk's holder while arriving and
+// detaching threads write the buffer's tag and done: a shared line would put
+// those stores under each poll. dispatchBufs sit back to back in Team.disp, at any
 // offset into a line, so "a line of its own" means at least a line of bytes
 // between the ticket and every other field, in its own buffer and the next.
 func TestOrderedTicketLayout(t *testing.T) {

@@ -20,11 +20,13 @@ package kmp
 // increments therefore have no reader; here they would only land on the line
 // the next chunk's holder is polling.
 //
-// The ordered clause forces monotonic dispatch (DispatchInit), because the
-// protocol relies on chunks being issued in increasing iteration order —
-// the thread holding the lowest outstanding chunk is never waiting on a
-// higher one, so the ticket chain cannot deadlock. This is exactly why the
-// OpenMP spec forbids combining ordered with the nonmonotonic modifier.
+// The ordered clause puts the loop on a shared range (DispatchInit), the one
+// configuration that issues chunks in increasing iteration order, which the
+// protocol relies on: the thread holding the lowest outstanding chunk is
+// never waiting on a higher one, so the ticket chain cannot deadlock. This is
+// exactly why the OpenMP spec forbids combining ordered with the
+// nonmonotonic modifier. (An ordered static loop keeps schedule(static)'s
+// mapping instead, in which each thread's chunks also ascend.)
 
 // Ordered executes body as the ordered region of the current iteration of
 // the innermost enclosing worksharing loop. The loop must carry the ordered

@@ -20,9 +20,9 @@ const (
 	// near-equal block per thread.
 	SchedStatic SchedKind = 34
 	// SchedDynamicChunked is schedule(dynamic[, chunk]): threads claim the
-	// next chunk as they finish — from their static-seeded range of the
-	// stealing engine by default, or from a shared counter under the
-	// monotonic: modifier.
+	// next chunk as they finish — from their own static-seeded range by
+	// default, stealing when it runs dry, or from one range the team shares
+	// under the monotonic: modifier.
 	SchedDynamicChunked SchedKind = 35
 	// SchedGuidedChunked is schedule(guided[, chunk]): dynamic with
 	// exponentially shrinking chunks, never below the requested chunk.
@@ -61,18 +61,18 @@ func (s SchedKind) String() string {
 }
 
 // SchedModifier is the OpenMP 4.5/5.0 schedule-clause modifier. It decides
-// which execution engine a dynamic-family loop runs on: nonmonotonic (the
-// OpenMP 5.0 default for dynamic and guided) licenses out-of-order chunk
-// delivery and therefore the work-stealing engine, while monotonic requires
-// each thread to see non-decreasing iteration numbers and pins the loop to
-// the legacy shared-counter dispatch buffer.
+// how a dynamic-family loop's iterations are laid out (dispatch.go):
+// nonmonotonic (the OpenMP 5.0 default for dynamic and guided) licenses
+// out-of-order chunk delivery and therefore per-thread ranges with work
+// stealing, while monotonic requires each thread to see non-decreasing
+// iteration numbers and puts the loop on one range the team shares.
 type SchedModifier int32
 
 const (
 	// SchedModNone is an absent modifier: dynamic-family kinds default to
 	// nonmonotonic execution, as OpenMP 5.0 specifies.
 	SchedModNone SchedModifier = iota
-	// SchedModMonotonic forces shared-counter dispatch (chunks issued in
+	// SchedModMonotonic forces shared-range dispatch (chunks issued in
 	// increasing iteration order). Implied by the ordered clause.
 	SchedModMonotonic
 	// SchedModNonmonotonic explicitly requests stealing execution.
@@ -191,9 +191,9 @@ func (s Sched) effectiveChunk() int64 {
 // nextChunk(remaining, issued) — how many iterations the next chunk should
 // carry, given the remaining count and the number of chunks the caller has
 // already issued. dynamic is a constant, guided a fraction of the remainder,
-// trapezoidal a linear taper. The same policy object drives both execution
-// engines: the monotonic shared counter feeds it the global remainder, the
-// stealing engine the thread-local one.
+// trapezoidal a linear taper. The same policy object drives both
+// configurations of the dispatch engine: a shared range feeds it the team's
+// remainder, a per-thread range the thread's own.
 type schedPolicy struct {
 	fixed int64 // fixed chunk size; 0 selects a shrinking policy
 	min   int64 // smallest chunk a shrinking policy may issue
@@ -227,8 +227,8 @@ func (p *schedPolicy) nextChunk(remaining, issued int64) int64 {
 // policyFor builds the chunk policy for one loop instance. stealing selects
 // the per-thread-range calibration: guided shrinks against the thread's
 // local remainder with divisor 2 (which reproduces libomp's trip/(2n) first
-// chunk on a static-seeded block), while the monotonic variant shrinks
-// against the global remainder with divisor 2·nth. Static kinds routed
+// chunk on a static-seeded block), while on a shared range it shrinks
+// against the team's remainder with divisor 2·nth. Static kinds routed
 // through the dispatch API degenerate to a fixed block-sized chunk,
 // preserving libomp's behaviour of serving static via dispatch when asked.
 func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
@@ -250,7 +250,13 @@ func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
 		// Linear taper: with N = number of chunks ≈ 2·trip/(first+min),
 		// the decrement per chunk is (first-min)/N.
 		nChunks := (2*trip)/(first+minChunk) + 1
-		return schedPolicy{min: minChunk, first: first, delta: (first - minChunk) / nChunks}
+		delta := (first - minChunk) / nChunks
+		if !stealing {
+			// A shared range is popped by the whole team, but each thread
+			// counts only its own chunks: one of them stands for nth.
+			delta *= nth
+		}
+		return schedPolicy{min: minChunk, first: first, delta: delta}
 	case SchedStatic, SchedStaticChunked, SchedAuto:
 		if sched.Kind == SchedAuto && stealing {
 			// auto under stealing: halve the local remainder, floor 1 —

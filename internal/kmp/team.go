@@ -280,9 +280,6 @@ func newTeamShell(n int) *Team {
 	tm.n = n
 	tm.sizeA.Store(int32(n))
 	tm.threads = []*Thread{newThread(tm, 0)}
-	for i := range tm.disp {
-		tm.disp[i].init()
-	}
 	return tm
 }
 
@@ -331,7 +328,7 @@ func (tm *Team) reset() {
 	}
 	if dirty&dirtyLoops != 0 {
 		for i := range tm.disp {
-			tm.disp[i].init()
+			tm.disp[i].free()
 		}
 	}
 	if dirty&dirtySingles != 0 {

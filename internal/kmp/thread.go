@@ -110,7 +110,8 @@ type regionState struct {
 
 	// Per-loop owner-only dispatch state (dispatch.go, ordered.go):
 	// chunkIdx counts the chunks this thread has claimed from the current
-	// stealing loop (the trapezoidal taper index); curChunkLo/curChunkHi
+	// loop (the trapezoidal taper index, and an ordered static loop's
+	// round-robin position); curChunkLo/curChunkHi
 	// bound the chunk an ordered loop is executing, and orderedSeen counts
 	// the ordered regions completed within it.
 	chunkIdx    int64

@@ -6,8 +6,9 @@ import (
 )
 
 // The one wait loop of the runtime: every wait — worksharing and explicit
-// barriers, the region join, a worker's idle wait for the next region, the
-// ordered ticket, the task scheduling points — blocks in (*Thread).wait. See
+// barriers, the region join, a worker's idle wait for the next region, a
+// loop's dispatch buffer, the ordered ticket, the task scheduling points —
+// blocks in (*Thread).wait. See
 // the "Waiting" section of the package comment for the predicates, who wakes
 // each, and the memory-ordering argument.
 

@@ -492,8 +492,9 @@ func TestTaskWaitNoLostWakeup(t *testing.T) {
 	}
 }
 
-// No wait may go back to polling a timer: no non-test file of the package
-// calls time.Sleep.
+// No wait may go back to polling a timer or blocking outside the one waiter:
+// no non-test file of the package calls time.Sleep, and none but sync.go —
+// whose NestLock is a user-facing lock, not a runtime wait — uses sync.Cond.
 func TestWaitPathHasNoTimerSleep(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -511,6 +512,9 @@ func TestWaitPathHasNoTimerSleep(t *testing.T) {
 		checked++
 		if strings.Contains(string(src), "time.Sleep") {
 			t.Errorf("%s calls time.Sleep: waits must spin, then park until woken", f)
+		}
+		if f != "sync.go" && (strings.Contains(string(src), "sync.Cond") || strings.Contains(string(src), "sync.NewCond")) {
+			t.Errorf("%s uses sync.Cond: runtime waits go through (*Thread).wait", f)
 		}
 	}
 	if checked < 10 {

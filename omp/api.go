@@ -29,9 +29,9 @@ const (
 	Trapezoidal = kmp.SchedTrapezoidal
 )
 
-// Schedule modifiers: Nonmonotonic licenses the work-stealing engine (the
-// OpenMP 5.0 default for dynamic-family kinds), Monotonic forces the
-// shared-counter dispatch path (implied by the ordered clause).
+// Schedule modifiers: Nonmonotonic licenses per-thread ranges with work
+// stealing (the OpenMP 5.0 default for dynamic-family kinds), Monotonic puts
+// the loop on one range the team shares (implied by the ordered clause).
 const (
 	Monotonic    = kmp.SchedModMonotonic
 	Nonmonotonic = kmp.SchedModNonmonotonic
@@ -155,25 +155,6 @@ func GetActiveLevel() int {
 	}
 	return 0
 }
-
-// SetNested sets nest-var (omp_set_nested).
-//
-// Deprecated: nest-var was deprecated in OpenMP 5.0; nesting is governed by
-// max-active-levels-var. SetNested(true) is SetMaxActiveLevels(unlimited),
-// SetNested(false) is SetMaxActiveLevels(1). Use SetMaxActiveLevels.
-func SetNested(on bool) {
-	if on {
-		SetMaxActiveLevels(kmp.NestedMaxLevels)
-	} else {
-		SetMaxActiveLevels(1)
-	}
-}
-
-// GetNested reports whether nested regions may fork real teams
-// (omp_get_nested).
-//
-// Deprecated: see SetNested. Equivalent to GetMaxActiveLevels() > 1.
-func GetNested() bool { return kmp.GetICV().MaxActiveLevels > 1 }
 
 // GetThreadLimit returns thread-limit-var, 0 meaning unlimited
 // (omp_get_thread_limit).

@@ -31,22 +31,23 @@
 // # Loop scheduling
 //
 // Worksharing loops (For, ForRange, ParallelFor) take a Schedule option
-// mirroring the schedule clause. Two execution engines back it:
+// mirroring the schedule clause. One engine backs it: every thread claims
+// schedule-sized chunks by popping them off the front of a range of
+// unclaimed iterations, which comes in two configurations:
 //
-//   - Stealing (nonmonotonic). Each team thread is seeded with its
+//   - Per-thread (nonmonotonic). Each team thread is seeded with its
 //     contiguous static block of the iteration space as a splittable range.
-//     It pops schedule-sized chunks from the front of its own range — the
-//     hot path touches only thread-local state — and when dry steals the
+//     Its pops touch only thread-local state, and when dry it steals the
 //     upper half of a teammate's range. Dynamic, guided, trapezoidal and
 //     auto schedules run here by default, as OpenMP 5.0's
 //     nonmonotonic-by-default rule licenses.
 //
-//   - Shared counter (monotonic). The classic __kmpc_dispatch_next
-//     protocol: one team-wide atomic iteration counter hands out chunks in
-//     increasing order. Selected by the Monotonic modifier —
-//     Schedule(Dynamic, 4, Monotonic) — and forced for loops carrying the
-//     ordered clause, whose ticket protocol needs in-order chunks, and for
-//     iteration spaces beyond 2³¹.
+//   - Shared (monotonic). The whole team pops from one range and nobody
+//     steals — the classic __kmpc_dispatch_next protocol, handing out chunks
+//     in increasing order. Selected by the Monotonic modifier —
+//     Schedule(Dynamic, 4, Monotonic) — and used for loops carrying the
+//     ordered clause, whose ticket protocol needs in-order chunks, for
+//     teams of one and for iteration spaces of 2³¹ or more.
 //
 // Chunk sizing is a per-schedule policy over the remaining iterations:
 // dynamic issues fixed chunks, guided a shrinking fraction of the

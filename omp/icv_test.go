@@ -101,24 +101,6 @@ func TestMaxActiveLevelsICV(t *testing.T) {
 	}
 }
 
-func TestNestedCompatibilityWrapper(t *testing.T) {
-	kmp.ResetICV()
-	defer kmp.ResetICV()
-	if GetNested() {
-		t.Error("GetNested() = true by default")
-	}
-	SetNested(true)
-	if !GetNested() || GetMaxActiveLevels() <= 1 {
-		t.Errorf("SetNested(true) → GetNested %v, max-active-levels %d",
-			GetNested(), GetMaxActiveLevels())
-	}
-	SetNested(false)
-	if GetNested() || GetMaxActiveLevels() != 1 {
-		t.Errorf("SetNested(false) → GetNested %v, max-active-levels %d",
-			GetNested(), GetMaxActiveLevels())
-	}
-}
-
 func TestCancellationICVRoundTrip(t *testing.T) {
 	kmp.ResetICV()
 	defer kmp.ResetICV()

@@ -276,11 +276,11 @@ func TestDynamicNestedICVs(t *testing.T) {
 	if !GetDynamic() {
 		t.Fatal("GetDynamic = false after SetDynamic(true)")
 	}
-	SetNested(true)
-	if !GetNested() {
-		t.Fatal("GetNested = false after SetNested(true)")
+	SetMaxActiveLevels(4)
+	if got := GetMaxActiveLevels(); got != 4 {
+		t.Fatalf("GetMaxActiveLevels = %d after SetMaxActiveLevels(4)", got)
 	}
-	SetNested(false)
+	SetMaxActiveLevels(1)
 }
 
 func TestGetWtimeMonotone(t *testing.T) {

@@ -83,8 +83,8 @@ func NumThreads(n int) Option {
 // Schedule is the schedule clause. chunk 0 means unspecified, as in the
 // packed encoding of Section III-A2. mods carries the optional
 // monotonic/nonmonotonic schedule modifier: Nonmonotonic (the OpenMP 5.0
-// default for dynamic-family kinds) runs the loop on the work-stealing
-// engine, Monotonic pins it to the legacy shared-counter dispatch.
+// default for dynamic-family kinds) runs the loop on per-thread ranges with
+// work stealing, Monotonic on one range the team shares.
 func Schedule(kind SchedKind, chunk int64, mods ...SchedModifier) Option {
 	return func(c *config) {
 		c.sched = Sched{Kind: kind, Chunk: chunk}
@@ -111,9 +111,9 @@ func NoWait() Option { return noWaitOpt }
 var noWaitOpt Option = func(c *config) { c.nowait = true }
 
 // OrderedClause is the ordered clause of a worksharing loop: the loop's
-// chunks dispatch monotonically (the compliance path stealing must not
-// reorder) and its body may contain Ordered regions, which then execute in
-// sequential iteration order.
+// chunks dispatch monotonically, from one range the team shares, and its body
+// may contain Ordered regions, which then execute in sequential iteration
+// order.
 func OrderedClause() Option { return orderedOpt }
 
 var orderedOpt Option = func(c *config) { c.ordered = true }
