@@ -168,13 +168,36 @@
 //
 // Owner-only writes. Only the owning thread writes its ring: six atomic
 // words into the next slot, then the new head; no lock, and no allocation
-// once the ring exists. The oldest record is overwritten in place. Each
-// record is tagged with whom it was written for — the recorder, the
-// installed collector's id, or both. A reader copies a record and then
-// re-reads the head; if the writer has begun reusing that slot, the record
-// counts as overwritten. Readers therefore never see a torn record; at
-// worst they lose the oldest ones. ReadFlight keeps the records tagged for
-// the recorder, a collector those tagged with its id.
+// once the ring exists. The oldest record is overwritten in place, and a
+// fold (below) rewrites a fork record in place. Each record is tagged
+// with whom it was written for — the recorder, the installed collector's
+// id, or both. A reader copies a record, then re-reads the head, word 0 and
+// the fold count; if the writer has begun reusing that slot the record
+// counts as overwritten, and if a fold moved word 0 or the count (or word 0
+// carried the patch bit) the copy is retried a few times before the record
+// counts as lost. Readers therefore never see a torn record; at worst they
+// lose the oldest ones, or a snapshot misses a record being rewritten.
+// ReadFlight keeps the records tagged for the recorder, a collector those
+// tagged with its id.
+//
+// Folds. A warm region the recorder alone listens to (the gate word has
+// the recorder bit and no collector id) reads no clock and appends
+// nothing when the master's newest record is the closed fork-end of a
+// region at the same Ident and team size: the fork reopens that record in
+// place (its kind becomes fork-begin while the region runs), and the join
+// closes it again, adding one to Arg0, the count of folded regions. So a
+// run of back-to-back regions is one record, and a storm of them keeps the
+// distinct history before it instead of flushing the ring. Dur is refreshed
+// from the clock every 64th fold: When+Dur is the run's last-seen time, at
+// most 63 regions stale. While closing a fold the master sets bit 9 of word
+// 0 (patchBit) before it touches Dur and the count and clears it after;
+// readers copy the count before Dur, and the count only grows. If the body
+// recorded anything on the master's ring, the record is no longer the
+// newest at the join: the fold is undone (the record closes as it was,
+// unless its slot has been reused meanwhile, in which case it is left
+// alone) and the region writes its own fork-end, starting at the body's
+// oldest record still held. A collector never sees a fold: while one is
+// installed every region writes both of its records.
 //
 // Cursors and drops. A Collector owns no buffer, only a cursor per ring: a
 // thread's first event after SetCollector(c) opens one at its head, and
@@ -201,7 +224,11 @@
 // decided at its start and written at its end with the gate word loaded
 // there. A dynamic loop's span is decided at DispatchInit and carried to
 // its drain in Thread.loopNs (0: not recorded), so a span never starts
-// before its construct.
+// before its construct. A static loop's span is written only while a
+// collector is installed: it feeds the profiler's imbalance analysis, and
+// a post-mortem gains nothing from it (a thread stuck inside a static loop
+// never writes its span), so the recorder-only warm path of a fused
+// `parallel for` reads no clock at all.
 //
 // # Explicit tasking
 //

@@ -84,7 +84,9 @@ func BenchmarkOrdered(b *testing.B) {
 
 // Warm fork/join at the kmp layer — no omp wrappers, no loop body. This is
 // the floor every higher-level construct pays; the allocs/op column is the
-// regression guard for the zero-allocation fast path.
+// regression guard for the zero-allocation fast path. The flight=on/off
+// pair is a fused static `parallel for` over an empty body at two threads
+// with the flight recorder on and off: the recorder's cost on the warm path.
 func BenchmarkForkJoin(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		n := n
@@ -95,6 +97,21 @@ func BenchmarkForkJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				kmp.ForkCall(kmp.Ident{Region: "bench"}, n, body)
+			}
+		})
+	}
+	for _, state := range []string{"on", "off"} {
+		b.Run("flight="+state, func(b *testing.B) {
+			prev := kmp.FlightRecording()
+			kmp.SetFlightRecorder(state == "on")
+			defer kmp.SetFlightRecorder(prev)
+			loc, static := kmp.Ident{Region: "bench loop"}, kmp.Sched{Kind: kmp.SchedStatic}
+			rng := func(t *kmp.Thread, lo, hi int64) {}
+			kmp.ForkCallLoop(loc, 2, nil, static, 1024, rng, nil) // warm the team
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kmp.ForkCallLoop(loc, 2, nil, static, 1024, rng, nil)
 			}
 		})
 	}

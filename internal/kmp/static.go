@@ -118,12 +118,15 @@ func forStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
 		// Static shares need no shared dispatch state, but their
 		// per-thread participation span is what lets the profiler's
 		// imbalance analysis see a skewed static partition; attributed to
-		// the enclosing region (static loops carry no own Ident).
+		// the enclosing region (static loops carry no own Ident). Only a
+		// collector gets it: a thread stuck inside a static loop never
+		// writes its span, so the flight recorder would gain nothing but
+		// two clock reads per thread per loop.
 		var g uint64
 		var start int64
 		if nth > 1 {
-			if g = eventGate.Load(); g != 0 {
-				start = TraceNow()
+			if g0 := eventGate.Load(); g0&tagCol != 0 {
+				g, start = g0, TraceNow()
 			}
 		}
 		defer func() {

@@ -489,12 +489,19 @@ func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 	tm.w = *w
 	tm.joinAt += uint32(n - 1)
 
+	// A region the recorder alone listens to, forked right after an
+	// identical one, reopens that region's fork-end instead of reading the
+	// clock (foldFork).
 	master := tm.threads[0]
 	g := eventGate.Load()
 	var regionStart int64
+	var fold uint64
+	folded := false
 	if g != 0 {
-		regionStart = TraceNow()
-		master.event(g, TraceEvent{Kind: TraceForkBegin, Loc: loc, NThreads: n, When: regionStart})
+		if fold, folded = master.foldFork(g, loc, n); !folded {
+			regionStart = TraceNow()
+			master.event(g, TraceEvent{Kind: TraceForkBegin, Loc: loc, NThreads: n, When: regionStart})
+		}
 		if c := collectorOf(g); c != nil && c.BridgeGoTrace && rtrace.IsEnabled() {
 			defer rtrace.StartRegion(context.Background(), "omp:"+loc.String()).End()
 		}
@@ -535,7 +542,9 @@ func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 	master.wait(func() bool { return tm.done.Load() == tm.joinAt })
 	master.popLabels()
 	master.setIdle(StateIdle)
-	if g != 0 {
+	if folded {
+		master.foldJoin(g, fold, loc, n)
+	} else if g != 0 {
 		master.event(g, TraceEvent{
 			Kind: TraceForkEnd, Loc: loc, NThreads: n,
 			When: regionStart, Dur: TraceNow() - regionStart,

@@ -16,11 +16,14 @@ type TraceKind int
 
 const (
 	// TraceForkBegin fires when a parallel region forks. When is the fork
-	// timestamp.
+	// timestamp. Arg0 is the number of regions folded into the record: a
+	// flight record reopened by a back-to-back region ("Events" in doc.go)
+	// is a fork-begin while that region runs. Collectors never see folds.
 	TraceForkBegin TraceKind = iota
 	// TraceForkEnd fires when a parallel region joins. When is the fork
 	// timestamp and Dur the whole region duration, so the event is a
-	// complete span.
+	// complete span. Arg0 is the number of regions folded into the record
+	// after its first: When+Dur is then the run's last-seen time.
 	TraceForkEnd
 	// TraceBarrier fires when a thread leaves an explicit barrier. When is
 	// the barrier arrival and Dur the wait (including any tasks executed
@@ -30,9 +33,12 @@ const (
 	// Arg0 is the trip count, Arg1 the schedule's chunk size (0 = policy
 	// default).
 	TraceLoopInit
-	// TraceLoopFini fires when a thread finishes a dynamic loop. When is
-	// the thread's own loop entry and Dur its participation time; Loc is
-	// the loop's location (matching its TraceLoopInit).
+	// TraceLoopFini fires when a thread finishes a worksharing loop. When
+	// is the thread's own loop entry and Dur its participation time. A
+	// dynamic loop's Loc is the loop's location (matching its
+	// TraceLoopInit); a static loop has no TraceLoopInit, carries the
+	// enclosing region's location and is emitted only while a collector is
+	// installed.
 	TraceLoopFini
 	// TraceLoopSteal fires when a dry thread splits off half of a
 	// teammate's iteration range (nonmonotonic stealing dispatch).
@@ -101,7 +107,8 @@ type TraceEvent struct {
 	// span start.
 	When int64
 	// Dur is the span duration in nanoseconds for span-shaped kinds
-	// (fork-end, barrier, loop-fini, task-run), 0 otherwise.
+	// (fork-end, barrier, loop-fini, task-run), 0 otherwise; a folded
+	// fork-begin keeps the Dur its run had when it was reopened.
 	Dur int64
 	// Arg0, Arg1 are per-kind payload words; see the kind constants.
 	Arg0, Arg1 int64
@@ -184,8 +191,18 @@ func collectorOf(g uint64) *Collector {
 // ---------------------------------------------------------------- ring
 
 // recordWords is the packed record width: kind/tag/tid/nthreads,
-// loc/gtid, when, dur, arg0, arg1.
-const recordWords = 6
+// loc/gtid, when, dur, arg0, arg1. Word 0 holds the kind in bits 0-7, the
+// tags (bit 8, bits 48-63), the tid in bits 16-31 and the team size in bits
+// 32-47; patchBit is set in it while the owner rewrites a folded record in
+// place (foldJoin).
+const (
+	recordWords = 6
+	patchBit    = 1 << 9
+)
+
+// foldRefresh is how many folds a fork-end record takes between two clock
+// reads refreshing its Dur.
+const foldRefresh = 64
 
 // eventRing is one thread's event ring: mask+1 records of recordWords
 // atomic words, overwritten in place. Only the owning thread writes it;
@@ -213,22 +230,85 @@ func (t *Thread) event(g uint64, ev TraceEvent) {
 	if r == nil || r.gate != g {
 		r = t.syncRing(r, g)
 	}
-	var locID uint32
-	if ev.Loc != (Ident{}) {
-		if r.lastLocID == 0 || r.lastLoc != ev.Loc {
-			r.lastLoc, r.lastLocID = ev.Loc, internLoc(ev.Loc)
-		}
-		locID = r.lastLocID
-	}
 	h := r.head.Load()
 	b := (h & r.mask) * recordWords
 	r.buf[b+0].Store(uint64(uint8(ev.Kind)) | g&(tagRec|tagCol) | uint64(uint16(t.Tid))<<16 | uint64(uint16(ev.NThreads))<<32)
-	r.buf[b+1].Store(uint64(locID) | uint64(uint32(t.Gtid))<<32)
+	r.buf[b+1].Store(uint64(r.locID(ev.Loc)) | uint64(uint32(t.Gtid))<<32)
 	r.buf[b+2].Store(uint64(ev.When))
 	r.buf[b+3].Store(uint64(ev.Dur))
 	r.buf[b+4].Store(uint64(ev.Arg0))
 	r.buf[b+5].Store(uint64(ev.Arg1))
 	r.head.Store(h + 1)
+}
+
+// locID returns the id records store for loc (0 for the zero Ident), through
+// the ring's single-entry cache of the intern table. Owner-only.
+func (r *eventRing) locID(loc Ident) uint32 {
+	if loc == (Ident{}) {
+		return 0
+	}
+	if r.lastLocID == 0 || r.lastLoc != loc {
+		r.lastLoc, r.lastLocID = loc, internLoc(loc)
+	}
+	return r.lastLocID
+}
+
+// foldFork folds a region that master t forks at loc with n threads into the
+// newest record of t's ring, when g has the recorder on and no collector
+// and that record is the closed fork-end of a region at the same loc and
+// team size: it reopens the record as a fork-begin in place, reading no
+// clock and appending nothing, and returns its index for foldJoin. ok false
+// means the region records its own fork-begin.
+func (t *Thread) foldFork(g uint64, loc Ident, n int) (i uint64, ok bool) {
+	r := t.ring.Load()
+	if g&(tagRec|tagCol) != tagRec || r == nil || r.gate != g {
+		return 0, false
+	}
+	h := r.head.Load()
+	if h <= r.first {
+		return 0, false
+	}
+	i = h - 1
+	b := (i & r.mask) * recordWords
+	end := uint64(TraceForkEnd) | tagRec | uint64(uint16(t.Tid))<<16 | uint64(uint16(n))<<32
+	if r.buf[b].Load() != end || uint32(r.buf[b+1].Load()) != r.locID(loc) {
+		return 0, false
+	}
+	r.buf[b].Store(end&^0xff | uint64(TraceForkBegin))
+	return i, true
+}
+
+// foldJoin closes the region foldFork folded into record i of master t's
+// ring. While the record is still the newest, the region is counted into
+// it: Arg0 grows by one and, every foldRefresh folds, Dur is refreshed from
+// the clock. Otherwise the region's body recorded on this ring, and the fold
+// is undone: the record closes again as it was (unless its slot has been
+// reused since), and the region gets its own fork-end, starting at the
+// body's oldest record still held.
+func (t *Thread) foldJoin(g uint64, i uint64, loc Ident, n int) {
+	r := t.ring.Load()
+	h := r.head.Load()
+	b := (i & r.mask) * recordWords
+	if h == i+1 {
+		// Readers copy the count before Dur and re-check word 0 and the
+		// count after: patchBit covers the window in which Dur has moved
+		// and the count not yet (eventRing.load).
+		w0 := r.buf[b].Load()
+		r.buf[b].Store(w0 | patchBit)
+		folds := r.buf[b+4].Load() + 1
+		if folds%foldRefresh == 0 {
+			r.buf[b+3].Store(uint64(TraceNow() - int64(r.buf[b+2].Load())))
+		}
+		r.buf[b+4].Store(folds)
+		r.buf[b].Store(w0 | uint64(TraceForkEnd))
+		return
+	}
+	oldest := max(r.first, h-min(h, r.mask+1))
+	if i >= oldest {
+		r.buf[b].Store(r.buf[b].Load() | uint64(TraceForkEnd))
+	}
+	start := int64(r.buf[(max(i+1, oldest)&r.mask)*recordWords+2].Load())
+	t.event(g, TraceEvent{Kind: TraceForkEnd, Loc: loc, NThreads: n, When: start, Dur: TraceNow() - start})
 }
 
 // syncRing brings the thread's ring up to gate word g: it creates or resizes
@@ -266,26 +346,27 @@ func (t *Thread) syncRing(r *eventRing, g uint64) *eventRing {
 // under mask equal tag, oldest first, and returns the index to read from
 // next and how many records from from on were overwritten before they could
 // be read. Safe from any goroutine while the owner keeps writing: a record
-// whose slot the writer reused during the copy counts as overwritten, so a
-// reader never sees a torn record — only loses a prefix of the oldest.
+// whose slot the writer reused during the copy, or that a fold kept
+// rewriting (load), counts as overwritten, so a reader never sees a torn
+// record — only loses a prefix of the oldest.
 func (r *eventRing) read(out []TraceEvent, from, mask, tag uint64) ([]TraceEvent, uint64, uint64) {
 	n := r.mask + 1
 	h := r.head.Load()
 	lo := max(from, r.first, h-min(h, n))
 	lost := lo - from
 	for i := lo; i < h; i++ {
-		b := (i & r.mask) * recordWords
-		var w [recordWords]uint64
-		for k := range w {
-			w[k] = r.buf[b+uint64(k)].Load()
-		}
+		w, ok := r.load((i & r.mask) * recordWords)
 		// The writer starts record i+n, which reuses this slot, only after
-		// publishing head i+n.
+		// publishing head i+n. A rewrite leaves the tags alone.
 		if r.head.Load() >= i+n {
 			lost++
 			continue
 		}
 		if w[0]&mask != tag {
+			continue
+		}
+		if !ok {
+			lost++
 			continue
 		}
 		out = append(out, TraceEvent{
@@ -301,6 +382,21 @@ func (r *eventRing) read(out []TraceEvent, from, mask, tag uint64) ([]TraceEvent
 		})
 	}
 	return out, h, lost
+}
+
+// load copies the record at word b. A fold (foldFork, foldJoin) rewrites a
+// record's kind, Dur and fold count in place, and the count only grows: a
+// copy whose word 0 carried patchBit, or whose word 0 or count moved under
+// it, is retried, and ok is false if it kept moving.
+func (r *eventRing) load(b uint64) (w [recordWords]uint64, ok bool) {
+	for try := 0; try < 4; try++ {
+		w[0], w[4] = r.buf[b].Load(), r.buf[b+4].Load()
+		w[1], w[2], w[3], w[5] = r.buf[b+1].Load(), r.buf[b+2].Load(), r.buf[b+3].Load(), r.buf[b+5].Load()
+		if w[0]&patchBit == 0 && r.buf[b].Load() == w[0] && r.buf[b+4].Load() == w[4] {
+			return w, true
+		}
+	}
+	return w, false
 }
 
 // ----------------------------------------------------------- collector

@@ -204,8 +204,54 @@ func TestCollectorWithRecorderOff(t *testing.T) {
 			t.Errorf("%v events = %d, want %d", k, n, want)
 		}
 	}
-	if evs := flightEventsAt(loc); len(evs) != 0 {
+	if evs := flightEventsAt(loc, 0); len(evs) != 0 {
 		t.Errorf("ReadFlight returned %d events recorded while the recorder was off", len(evs))
+	}
+}
+
+// A collector never sees a fold. Installed while a region the recorder alone
+// listened to runs, it still receives the next region whole: the master's
+// ring already serves the collector by the join, but the region's fork-end
+// is written for the recorder alone, and the next fork must not fold into it.
+func TestCollectorNeverSeesFolds(t *testing.T) {
+	prev := FlightRecording()
+	SetFlightRecorder(true)
+	defer SetFlightRecorder(prev)
+	TrimTeams() // room in the slot tier, so every region below runs on its goroutine's own team
+	loc := Ident{File: "trace_test.go", Line: 3, Region: "parallel"}
+	ForkCall(Ident{Region: "warm"}, 2, func(*Thread) {})
+	ForkCall(loc, 2, func(*Thread) {})
+	var mu sync.Mutex
+	var got []TraceEvent
+	col := NewCollector(0)
+	col.Sink = func(batch []TraceEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, batch...)
+	}
+	defer SetCollector(nil)
+	ForkCall(loc, 2, func(th *Thread) {
+		if th.Tid == 0 {
+			SetCollector(col)
+		}
+		th.Barrier()
+	})
+	ForkCall(loc, 2, func(*Thread) {})
+	SetCollector(nil)
+	col.Flush()
+	mu.Lock()
+	defer mu.Unlock()
+	var begins, ends int
+	for _, ev := range got {
+		if ev.Loc == loc && ev.Kind == TraceForkBegin {
+			begins++
+		}
+		if ev.Loc == loc && ev.Kind == TraceForkEnd {
+			ends++
+		}
+	}
+	if begins != 1 || ends != 1 {
+		t.Errorf("collector saw %d fork-begins and %d fork-ends of the region forked after it was installed, want 1 and 1", begins, ends)
 	}
 }
 
@@ -230,12 +276,7 @@ func TestSinkAndFlightReadTheSameRecords(t *testing.T) {
 			sunk = append(sunk, ev)
 		}
 	}
-	var flown []TraceEvent
-	for _, ev := range flightEventsAt(loc) {
-		if ev.When >= before {
-			flown = append(flown, ev)
-		}
-	}
+	flown := flightEventsAt(loc, before)
 	order := func(evs []TraceEvent) {
 		sort.Slice(evs, func(i, j int) bool {
 			a, b := evs[i], evs[j]

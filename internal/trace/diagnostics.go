@@ -38,8 +38,14 @@ type FlightEvent struct {
 	NThreads int    `json:"nthreads,omitempty"`
 	WhenNs   int64  `json:"when_ns"`
 	DurNs    int64  `json:"dur_ns,omitempty"`
-	Arg0     int64  `json:"arg0,omitempty"`
-	Arg1     int64  `json:"arg1,omitempty"`
+	// Folded is, on a fork record, the number of back-to-back regions
+	// folded into it after its first: the record stands for Folded+1
+	// joined regions, WhenNs is the first one's fork and WhenNs+DurNs the
+	// run's last-seen time (up to 63 regions stale). A fork-begin is a run
+	// whose next region is still running.
+	Folded int64 `json:"folded,omitempty"`
+	Arg0   int64 `json:"arg0,omitempty"`
+	Arg1   int64 `json:"arg1,omitempty"`
 }
 
 // FlightEvents snapshots the flight recorder: the merged most-recent
@@ -49,7 +55,7 @@ func FlightEvents() []FlightEvent {
 	evs := kmp.ReadFlight()
 	out := make([]FlightEvent, 0, len(evs))
 	for _, ev := range evs {
-		out = append(out, FlightEvent{
+		fe := FlightEvent{
 			Kind:     ev.Kind.String(),
 			Region:   ev.Loc.String(),
 			Gtid:     ev.Gtid,
@@ -59,13 +65,18 @@ func FlightEvents() []FlightEvent {
 			DurNs:    ev.Dur,
 			Arg0:     ev.Arg0,
 			Arg1:     ev.Arg1,
-		})
+		}
+		if ev.Kind == kmp.TraceForkBegin || ev.Kind == kmp.TraceForkEnd {
+			fe.Folded, fe.Arg0 = ev.Arg0, 0
+		}
+		out = append(out, fe)
 	}
 	return out
 }
 
 // WriteFlightText renders the flight snapshot as an aligned table, one
-// row per record, oldest first — the human form of /debug/gomp/flight.
+// row per record, oldest first — the human form of /debug/gomp/flight. A
+// fork record standing for a run of N back-to-back regions ends in ×N.
 func WriteFlightText(w io.Writer) error {
 	evs := FlightEvents()
 	if len(evs) == 0 {
@@ -78,13 +89,16 @@ func WriteFlightText(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  %12s  %-14s  %4s  %4s  %10s  %s\n", "t+", "kind", "gtid", "tid", "dur", "region")
 	for _, ev := range evs {
-		dur := ""
+		dur, run := "", ""
 		if ev.DurNs > 0 {
 			dur = time.Duration(ev.DurNs).Round(time.Microsecond).String()
 		}
-		fmt.Fprintf(w, "  %12s  %-14s  %4d  %4d  %10s  %s\n",
+		if ev.Folded > 0 {
+			run = fmt.Sprintf("  ×%d", ev.Folded+1)
+		}
+		fmt.Fprintf(w, "  %12s  %-14s  %4d  %4d  %10s  %s%s\n",
 			time.Duration(ev.WhenNs-base).Round(time.Microsecond),
-			ev.Kind, ev.Gtid, ev.Tid, dur, ev.Region)
+			ev.Kind, ev.Gtid, ev.Tid, dur, ev.Region, run)
 	}
 	return nil
 }

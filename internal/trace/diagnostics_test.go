@@ -11,9 +11,27 @@ import (
 
 // WriteDiagnostics must emit every section of the black-box dump —
 // health header, live team status, flight tail — from always-on state,
-// with no profiler installed.
+// with no profiler installed. A storm of back-to-back regions is one
+// folded record in the tail, marked with its region count.
 func TestWriteDiagnosticsSections(t *testing.T) {
+	prev := kmp.FlightRecording()
+	kmp.SetFlightRecorder(true)
+	defer kmp.SetFlightRecorder(prev)
+	kmp.TrimTeams() // room in the slot tier, so every region below runs on this goroutine's own team
 	runContrastLoops(2)
+	since := kmp.TraceNow()
+	for i := 0; i < 100; i++ {
+		omp.ParallelForRange(64, func(*omp.Thread, int64, int64) {}, omp.NumThreads(2), omp.Loc("storm.go", 1, "parallel"))
+	}
+	var folded []FlightEvent
+	for _, ev := range FlightEvents() {
+		if ev.Region == "storm.go:1 parallel" && ev.Kind == "fork-end" && ev.WhenNs >= since {
+			folded = append(folded, ev)
+		}
+	}
+	if len(folded) != 1 || folded[0].Folded != 99 || folded[0].Arg0 != 0 {
+		t.Errorf("storm of 100 regions: fork-end records %+v, want one with Folded 99", folded)
+	}
 
 	var sb strings.Builder
 	if err := WriteDiagnostics(&sb); err != nil {
@@ -34,6 +52,9 @@ func TestWriteDiagnosticsSections(t *testing.T) {
 	// The flight tail must show the regions just run.
 	if !strings.Contains(out, "skew.go") {
 		t.Errorf("diagnostics flight tail misses skew.go regions:\n%s", out)
+	}
+	if !strings.Contains(out, "storm.go:1 parallel  ×100\n") {
+		t.Errorf("diagnostics flight tail does not show the storm as one record of 100 regions:\n%s", out)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 //	/health   runtime self-diagnosis — watchdog state, stuck workers,
 //	          dependence cycles detected right now (JSON)
 //	/flight   the flight recorder's merged most-recent event history,
-//	          JSON or ?format=text — works with no profiler installed
+//	          JSON or ?format=text — works with no profiler installed; a
+//	          run of back-to-back regions is one folded record
 //	/metrics  the registry in OpenMetrics/Prometheus text format
 //	/profile  capture ?seconds=N (default 1) of events, return the
 //	          text Report with flat profile and imbalance analysis
@@ -119,7 +120,8 @@ func serveIndex(w http.ResponseWriter, r *http.Request) {
   status              live teams and per-worker states (JSON)
   health              watchdog/stuck-worker/dep-cycle self-diagnosis (JSON)
   flight[?format=text]
-                      flight-recorder event history (always on)
+                      flight-recorder event history (always on); a run of
+                      back-to-back regions is one record (folded, ×N)
   metrics             registry in OpenMetrics text format
   profile?seconds=N   capture a window, return the text report
   timeline?seconds=N  capture a window, return Chrome trace JSON

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -13,41 +14,102 @@ import (
 	"gomp/omp"
 )
 
+// Every region reaches the profile, and so does every thread's static-loop
+// span: a storm of back-to-back parallel-for regions, which the flight
+// recorder alone folds into one record, counts each region once — also
+// when the profiler starts in the middle of a storm.
 func TestProfilerCapturesRegions(t *testing.T) {
-	p := New()
-	p.Start()
-	defer p.Stop()
+	prev := kmp.FlightRecording()
+	kmp.SetFlightRecorder(true)
+	defer kmp.SetFlightRecorder(prev)
+	kmp.TrimTeams() // room in the slot tier, so every region below runs on its goroutine's own team
+	for _, tc := range []struct {
+		name     string
+		line     int
+		regions  int
+		region   func(loc omp.Option)
+		barriers int64 // per region (all threads), at least
+		spans    int   // static-loop spans per thread per region
+	}{
+		{"barrier and dynamic loop", 42, 5, func(loc omp.Option) {
+			omp.Parallel(func(th *omp.Thread) {
+				omp.Barrier(th)
+				omp.For(th, 100, func(int64) {}, omp.Schedule(omp.Dynamic, 10))
+			}, omp.NumThreads(4), loc)
+		}, 4, 0},
+		{"parallel-for storm", 43, 2000, func(loc omp.Option) {
+			omp.ParallelForRange(256, func(*omp.Thread, int64, int64) {}, omp.NumThreads(4), loc)
+		}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loc := omp.Loc("app.go", tc.line, "parallel")
+			for i := 0; i < 10; i++ { // unprofiled: the recorder alone listens
+				tc.region(loc)
+			}
+			p := New(WithTimeline(0))
+			p.Start()
+			defer p.Stop()
+			for i := 0; i < tc.regions; i++ {
+				tc.region(loc)
+			}
+			p.Stop()
 
-	for i := 0; i < 5; i++ {
-		omp.Parallel(func(th *omp.Thread) {
-			omp.Barrier(th)
-			omp.For(th, 100, func(int64) {}, omp.Schedule(omp.Dynamic, 10))
-		}, omp.NumThreads(4), omp.Loc("app.go", 42, "parallel"))
-	}
-	p.Stop()
+			name := fmt.Sprintf("app.go:%d", tc.line)
+			sums := p.Summaries()
+			var region *RegionSummary
+			for i := range sums {
+				if strings.Contains(sums[i].Name, name) {
+					region = &sums[i]
+				}
+			}
+			if region == nil {
+				t.Fatalf("region %s not captured: %+v", name, sums)
+			}
+			if region.Calls != int64(tc.regions) {
+				t.Errorf("calls = %d, want %d", region.Calls, tc.regions)
+			}
+			if forks := p.Metrics().Forks.Value(); forks != int64(tc.regions) {
+				t.Errorf("forks = %d, want %d", forks, tc.regions)
+			}
+			if region.MaxTeam != 4 {
+				t.Errorf("maxTeam = %d, want 4", region.MaxTeam)
+			}
+			if region.Barriers < tc.barriers*int64(tc.regions) {
+				t.Errorf("barriers = %d, want >= %d", region.Barriers, tc.barriers*int64(tc.regions))
+			}
+			if region.Total <= 0 || region.Mean <= 0 {
+				t.Errorf("timings not accumulated: %+v", region)
+			}
 
-	sums := p.Summaries()
-	var region *RegionSummary
-	for i := range sums {
-		if strings.Contains(sums[i].Name, "app.go:42") {
-			region = &sums[i]
-		}
-	}
-	if region == nil {
-		t.Fatalf("region app.go:42 not captured: %+v", sums)
-	}
-	if region.Calls != 5 {
-		t.Errorf("calls = %d, want 5", region.Calls)
-	}
-	if region.MaxTeam != 4 {
-		t.Errorf("maxTeam = %d, want 4", region.MaxTeam)
-	}
-	// 4 threads × 5 regions: one explicit barrier each, at least.
-	if region.Barriers < 20 {
-		t.Errorf("barriers = %d, want >= 20", region.Barriers)
-	}
-	if region.Total <= 0 || region.Mean <= 0 {
-		t.Errorf("timings not accumulated: %+v", region)
+			var buf bytes.Buffer
+			if err := p.WriteTimeline(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string `json:"name"`
+					Cat  string `json:"cat"`
+					Tid  int    `json:"tid"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			spans := map[int]int{} // gtid → static-loop spans
+			for _, ev := range doc.TraceEvents {
+				if ev.Cat == "loop" && strings.Contains(ev.Name, name) {
+					spans[ev.Tid]++
+				}
+			}
+			if tc.spans > 0 && len(spans) != 4 {
+				t.Errorf("static-loop spans from %d threads, want 4", len(spans))
+			}
+			for gtid, n := range spans {
+				if n != tc.spans*tc.regions {
+					t.Errorf("gtid %d: %d static-loop spans, want %d", gtid, n, tc.spans*tc.regions)
+				}
+			}
+		})
 	}
 }
 

@@ -263,8 +263,11 @@
 // "Events" in internal/kmp's package doc) with no profiler installed,
 // without breaking the zero-allocation fork fast path: 256 records per
 // thread by default, GOMP_FLIGHT=<n> or SetFlightRingSize resizes,
-// GOMP_FLIGHT=off or SetFlightRecorder(false) disables. Snapshot it
-// with DumpDiagnostics(w), scrape /debug/gomp/flight, or — after
+// GOMP_FLIGHT=off or SetFlightRecorder(false) disables. A run of
+// back-to-back regions at one location and team size is one record,
+// marked ×N with its region count (an open fork-begin while the next one
+// runs), so a region storm leaves the history before it in place.
+// Snapshot it with DumpDiagnostics(w), scrape /debug/gomp/flight, or — after
 // HandleSIGQUIT (or GOMP_SIGQUIT=1) — interrogate a wedged process the
 // classic way:
 //
