@@ -33,11 +33,15 @@
 //     pragmas are nested by source range into a directive tree (section
 //     under sections, ordered under its `for ordered`, a stacked pragma
 //     over the construct below it, `parallel for` as a parallel node with
-//     a synthesised for child); and one recursion lowers the tree, each
-//     node splicing its children's generated Go — outlined region bodies,
-//     loop bounds lifted from the for-statement header, shared/private/
-//     firstprivate/reduction variable treatment, CAS-loop reductions — into
-//     its own body range in ascending offset. What a later pass used to
+//     a synthesised for child); and one recursion lowers the tree into one
+//     buffer per file, the way the paper splices replacement text into its
+//     token stream. Each node writes its generated Go — outlined region
+//     bodies, loop bounds lifted from the for-statement header, shared/
+//     private/firstprivate/reduction variable treatment, CAS-loop
+//     reductions — where the enclosing construct's copy of its block
+//     reaches it, in ascending offset, already indented for the depth the
+//     block lands at: no node's text is built apart and copied into its
+//     parent's, so each output byte is written once. What a later pass used to
 //     find by re-parsing rewritten text (the thread variable in scope,
 //     whether the file cancels, which loop an ordered region binds to, an
 //     orphaned section) is a query over the tree, and tile hands the loops

@@ -30,121 +30,276 @@ import (
 // clause expressions inside call arguments — are printed by exprPrinter,
 // which spaces binary operators by gofmt's precedence and depth rules.
 //
+// Every byte of the output is written once, into one buffer per file. A
+// directive nested in a block is lowered where the enclosing construct's
+// copy of that block reaches it, with its generated lines indented at the
+// depth the block lands at — the shift an enclosing copy would otherwise
+// apply to its text afterwards. Only text that is written more than once
+// (an unrolled body) or inspected before it is placed (a construct stacked
+// under another) is lowered into a scratch buffer first, and scratch
+// buffers are reused.
+//
 // What the emitter cannot lay out by those rules sets unit.reformat, and
 // settle then runs format.Source over the output instead: an input that is
 // not in gofmt layout, multi-line raw strings and /* */ comments (their
 // lines must not move), renamed text that gofmt aligns against its
 // neighbours, expressions spanning lines or holding comments.
 
-// emitter builds one directive's replacement text. Lines carry absolute
-// indentation in the frame of the source file, so the text can be spliced
-// in at the pragma's offset and copied around by enclosing directives like
-// any other source text.
+// emitter writes lowered text into one buffer: the file's output, or a
+// scratch buffer. Outside any section (below) it copies source text as it
+// is; generated lines are indented by brace depth.
 type emitter struct {
-	b     strings.Builder
-	depth int  // indentation of the current line, in tabs
+	out   []byte
+	depth int  // indentation of generated lines, in tabs
 	bol   bool // nothing is written on the current line yet
 	last  byte // the last byte generated text wrote on the current line
-	bad   bool // a user line would have gone left of column one
+	bad   bool // a line would have gone left of column one
+	// secs are the user sections in progress, innermost last.
+	secs []section
 }
 
+// section is user text being copied in: text of the source file whose
+// lines sit at indentation orig there lands at depth, keeping the lines'
+// indentation relative to each other. The rest of the line the text starts
+// in the middle of (what follows a block's '{') is written where the
+// emitter stands. A line's leading white space is held back until the line
+// shows content — a blank line is written empty — so state says how far
+// the current line has got.
+type section struct {
+	depth, orig  int
+	state        byte // onFirstLine, inIndent or pastIndent
+	tabs, spaces int  // the held-back leading tabs, then blanks (inIndent)
+}
+
+const (
+	onFirstLine byte = iota // on the text's first line, before its content
+	inIndent                // on a later line, before its content
+	pastIndent              // past the current line's leading white space
+)
+
 func (e *emitter) indent(depth int) {
-	for range depth {
-		e.b.WriteByte('\t')
+	if depth < 0 {
+		e.bad, depth = true, 0
 	}
+	for range depth {
+		e.out = append(e.out, '\t')
+	}
+}
+
+// sec returns the innermost section, or nil outside any.
+func (e *emitter) sec() *section {
+	if len(e.secs) == 0 {
+		return nil
+	}
+	return &e.secs[len(e.secs)-1]
+}
+
+// begin starts a section of user text at the current depth.
+func (e *emitter) begin(orig int) {
+	e.secs = append(e.secs, section{depth: e.depth, orig: orig})
+}
+
+// end closes the innermost section; white space it held back is dropped.
+func (e *emitter) end() {
+	e.secs = e.secs[:len(e.secs)-1]
+	e.last = 0
+}
+
+// open prepares the current line for content: a line of user text gets the
+// indentation its section gives it, a fresh line of generated code its
+// depth — one level out when the content closes a block.
+func (e *emitter) open(closing bool) {
+	if s := e.sec(); s != nil && s.state != pastIndent {
+		e.resolve(len(e.secs) - 1)
+	} else if e.bol {
+		if closing {
+			e.depth--
+		}
+		e.indent(e.depth)
+	}
+	e.bol = false
+}
+
+// resolve writes the leading white space section i held back on the
+// current line, which turned out to hold content. Content on a section's
+// first line is written where the emitter stands: at the line's indentation
+// when nothing else is on it, else on the line of the section around it
+// when that one is still held back (a construct that opens with its body).
+func (e *emitter) resolve(i int) {
+	s := &e.secs[i]
+	switch s.state {
+	case onFirstLine:
+		if i > 0 && e.secs[i-1].state != pastIndent {
+			e.resolve(i - 1)
+		} else if e.bol {
+			e.indent(s.depth)
+		}
+	case inIndent:
+		e.indent(s.depth + s.tabs - s.orig)
+		for range s.spaces {
+			e.out = append(e.out, ' ')
+		}
+	}
+	s.state = pastIndent
 }
 
 // code writes generated Go: lines broken by "\n", never indented. A line
 // that starts with '}' is one level out, and the line after one that ends
 // with '{' is one level in — every shape the generators write.
-func (e *emitter) code(s string) {
+func (e *emitter) code(s string) { emitCode(e, s) }
+
+// Write writes generated Go, as code does: fmt.Fprintf(e, …) writes a
+// template.
+func (e *emitter) Write(p []byte) (int, error) {
+	emitCode(e, p)
+	return len(p), nil
+}
+
+func emitCode[S ~string | ~[]byte](e *emitter, s S) {
 	for {
-		line, rest, more := strings.Cut(s, "\n")
-		if line != "" {
-			if e.bol {
-				if line[0] == '}' {
-					e.depth--
-				}
-				e.indent(e.depth)
-				e.bol = false
-			}
-			e.b.WriteString(line)
+		i := indexNL(s)
+		line := s
+		if i >= 0 {
+			line = s[:i]
+		}
+		if len(line) > 0 {
+			e.open(line[0] == '}')
+			e.out = append(e.out, line...)
 			e.last = line[len(line)-1]
 		}
-		if !more {
+		if i < 0 {
 			return
 		}
 		if e.last == '{' {
 			e.depth++
 		}
-		e.b.WriteByte('\n')
-		e.bol, e.last, s = true, 0, rest
+		e.out = append(e.out, '\n')
+		e.bol, e.last, s = true, 0, s[i+1:]
+		if s := e.sec(); s != nil {
+			s.state = pastIndent // the line held back is blank; the next is generated
+		}
 	}
 }
 
-// Write writes generated Go, as code does: fmt.Fprintf(e, …) writes a
-// template.
-func (e *emitter) Write(p []byte) (int, error) {
-	e.code(string(p))
-	return len(p), nil
-}
-
-// user writes text of the source file whose lines sit at indentation orig
-// there: they land at the current depth, keeping their indentation relative
-// to each other. The rest of a line the text starts in the middle of (what
-// follows a block's '{') is written where the emitter stands.
-func (e *emitter) user(u userText) {
-	first, rest, more := strings.Cut(u.text, "\n")
-	if first = strings.TrimLeft(first, " \t"); first != "" {
-		if e.bol {
-			e.indent(e.depth)
-			e.bol = false
-		}
-		e.b.WriteString(first)
+// emitText writes text of the source file (or text already lowered from
+// it): as it is outside any section, else laid out by the innermost one.
+func emitText[S ~string | ~[]byte](e *emitter, t S) {
+	if len(e.secs) == 0 {
+		e.out = append(e.out, t...)
+		return
 	}
-	e.last = 0
-	for more {
-		var line string
-		line, rest, more = strings.Cut(rest, "\n")
-		e.b.WriteByte('\n')
-		e.bol = true
-		tabs := 0
-		for tabs < len(line) && line[tabs] == '\t' {
-			tabs++
+	s := e.sec()
+	for len(t) > 0 {
+		if s.state != pastIndent {
+			i := 0
+			for ; i < len(t); i++ {
+				c := t[i]
+				if s.state == inIndent && c == '\t' && s.spaces == 0 {
+					s.tabs++
+				} else if s.state == inIndent && c == ' ' {
+					s.spaces++
+				} else if s.state == inIndent || c != ' ' && c != '\t' {
+					break
+				}
+			}
+			if t = t[i:]; len(t) == 0 {
+				return
+			}
+			if t[0] != '\n' {
+				e.resolve(len(e.secs) - 1)
+				e.bol = false
+			}
 		}
-		if strings.TrimLeft(line[tabs:], " ") == "" {
-			continue
+		i := indexNL(t)
+		if i < 0 {
+			e.out = append(e.out, t...)
+			return
 		}
-		d := e.depth + tabs - u.orig
-		if d < 0 {
-			e.bad, d = true, 0
-		}
-		e.indent(d)
-		e.b.WriteString(line[tabs:])
-		e.bol = false
+		e.out = append(e.out, t[:i+1]...)
+		e.bol, t = true, t[i+1:]
+		s.state, s.tabs, s.spaces = inIndent, 0, 0
 	}
 }
 
-// userText is source text together with the indentation its lines have in
-// the source: the content of a block sits one level in from the line that
-// opens it.
-type userText struct {
-	text string
-	orig int
+func indexNL[S ~string | ~[]byte](s S) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\n' {
+			return i
+		}
+	}
+	return -1
 }
 
-// emitter starts the replacement text of n, which begins on the pragma's
-// line, after its indentation.
-func (lw *lowerer) emitter(n *node) *emitter {
-	e := &emitter{depth: lw.indentOf(n.start)}
-	e.b.Grow(4*(n.end-n.start) + 256)
-	return e
+// body is the user text a construct runs — the inside of its block —
+// written when the construct's generated code reaches it: a source range
+// whose directives are lowered on the way, the lowering of a directive, or
+// text lowered into a scratch buffer beforehand. Its lines sit at
+// indentation orig in the source: the content of a block sits one level in
+// from the line that opens it.
+type body struct {
+	from, to int
+	cur      *node  // whose Subdirectives the source range holds
+	sub      *node  // or: the directive to lower in its place
+	text     []byte // or: the text, when scratch is set
+	scratch  bool
+	orig     int
 }
 
-// flush returns what e holds.
-func (lw *lowerer) flush(e *emitter) string {
-	lw.reformat = lw.reformat || e.bad
-	return e.b.String()
+// user writes b at the current depth.
+func (lw *lowerer) user(b body) {
+	e := lw.e
+	e.begin(b.orig)
+	switch {
+	case b.sub != nil:
+		lw.lower(b.sub)
+	case b.scratch:
+		emitText(e, b.text)
+	default:
+		defer lw.leave(lw.enter(b.cur))
+		lw.render(b.from, b.to)
+	}
+	e.end()
+}
+
+// capture runs f with the lowering writing into a scratch buffer, which it
+// returns; release hands the buffer back once its text is written.
+func (lw *lowerer) capture(f func()) []byte {
+	e := lw.e
+	lw.e, lw.spare = &emitter{out: lw.spare}, nil
+	f()
+	out := lw.e.out
+	lw.reformat = lw.reformat || lw.e.bad
+	lw.e = e
+	return out
+}
+
+func (lw *lowerer) release(buf []byte) {
+	if cap(buf) > cap(lw.spare) {
+		lw.spare = buf[:0]
+	}
+}
+
+// materialize lowers b into a scratch buffer, for text written more than
+// once.
+func (lw *lowerer) materialize(b body) body {
+	if b.scratch {
+		return b
+	}
+	b.text = lw.capture(func() {
+		defer lw.leave(lw.enter(b.cur))
+		lw.render(b.from, b.to)
+	})
+	b.scratch = true
+	return b
+}
+
+// text returns src[from:to] lowered, for text that is printed inside
+// generated code rather than laid out as statements.
+func (lw *lowerer) text(from, to int) string {
+	buf := lw.capture(func() { lw.render(from, to) })
+	s := string(buf)
+	lw.release(buf)
+	return s
 }
 
 // closure writes a function literal with signature head around stmts as

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Per-directive code generation: the «perform … replacement» half of the
@@ -39,74 +38,71 @@ func (lw *lowerer) locArg(n *node, region string) string {
 	return fmt.Sprintf("omp.Loc(%q, %d, %q)", lw.opts.Filename, n.line, region)
 }
 
-// gen dispatches to the per-directive generators.
-func (lw *lowerer) gen(n *node) string {
+// gen dispatches to the per-directive generators, which write n's
+// replacement where the emitter stands.
+func (lw *lowerer) gen(n *node) {
+	e := lw.e
 	switch n.d.Kind {
 	case DirParallel:
-		return lw.genParallel(n)
+		lw.genParallel(n)
 	case DirFor:
-		return lw.genFor(n)
+		lw.genFor(n)
 	case DirSections:
-		return lw.genSections(n)
+		lw.genSections(n)
 	case DirSingle:
-		return lw.genSingle(n)
+		lw.genSingle(n)
 	case DirMaster:
-		return lw.genWrapped(n, "a master block", "omp.Masked", "")
+		lw.genWrapped(n, "a master block", "omp.Masked", "")
 	case DirOrdered:
 		// The enclosing loop must carry the ordered clause (shape checked
 		// it); with no enclosing loop the runtime degenerates to direct
 		// execution, the spec's binding rule for orphaned constructs.
-		return lw.genWrapped(n, "an ordered block", "omp.Ordered", "")
+		lw.genWrapped(n, "an ordered block", "omp.Ordered", "")
 	case DirTaskgroup:
 		// The block runs on the encountering thread, which then waits for
 		// every descendant task spawned inside.
-		return lw.genWrapped(n, "a taskgroup", "omp.Taskgroup", ", "+lw.locArg(n, "taskgroup"))
+		lw.genWrapped(n, "a taskgroup", "omp.Taskgroup", ", "+lw.locArg(n, "taskgroup"))
 	case DirCritical:
 		body, ok := lw.block(n, "a critical block")
 		if !ok {
-			return ""
+			return
 		}
-		e := lw.emitter(n)
 		fmt.Fprintf(e, "omp.Critical(%q, func() {\n", n.d.Clauses.Name)
-		e.user(body)
+		lw.user(body)
 		e.code("\n})")
-		return lw.flush(e)
 	case DirAtomic:
-		return lw.genAtomic(n)
+		lw.genAtomic(n)
 	case DirBarrier:
 		tvar := lw.threadVar(n)
 		if tvar == "" {
-			return "omp.Barrier(omp.Current())"
+			e.code("omp.Barrier(omp.Current())")
+			return
 		}
+		fmt.Fprintf(e, "omp.Barrier(%s)", tvar)
 		if g := lw.cancelGuard(tvar, false); g != "" {
-			e := lw.emitter(n)
-			fmt.Fprintf(e, "omp.Barrier(%s)\n%s", tvar, g)
-			return lw.flush(e)
+			e.code("\n" + g)
 		}
-		return fmt.Sprintf("omp.Barrier(%s)", tvar)
 	case DirTaskwait:
-		return fmt.Sprintf("omp.Taskwait(%s)", lw.threadOrCurrent(n))
+		fmt.Fprintf(e, "omp.Taskwait(%s)", lw.threadOrCurrent(n))
 	case DirTaskyield:
 		// A task scheduling point: the thread may pick up another ready
 		// task before resuming.
-		return fmt.Sprintf("omp.Taskyield(%s)", lw.threadOrCurrent(n))
+		fmt.Fprintf(e, "omp.Taskyield(%s)", lw.threadOrCurrent(n))
 	case DirThreadPrivate:
-		return "" // the pragma goes; threadPrivate rewrote the declarations
+		// The pragma goes; threadPrivate rewrote the declarations.
 	case DirTask:
-		return lw.genTask(n)
+		lw.genTask(n)
 	case DirTaskloop:
-		return lw.genTaskloop(n)
+		lw.genTaskloop(n)
 	case DirCancel, DirCancellationPoint:
-		return lw.genCancel(n)
+		lw.genCancel(n)
 	case DirTile, DirUnroll:
-		text, nest := lw.transform(n)
-		if nest != nil {
-			return lw.loopText(n, nest)
+		if nest := lw.transform(n); nest != nil {
+			lw.loopText(n, nest)
 		}
-		return text
+	default:
+		lw.fail(n, "no generator for directive")
 	}
-	lw.fail(n, "no generator for directive")
-	return ""
 }
 
 func (lw *lowerer) threadOrCurrent(n *node) string {
@@ -141,18 +137,21 @@ func (lw *lowerer) cancelGuard(tvar string, orphan bool) string {
 // discard keeps Go's unused-variable rule satisfied, the exact challenge
 // the paper reports for Zig ("all unused … variables … must be explicitly
 // discarded").
-func shadowDecls(vars ...[]string) string {
-	var b strings.Builder
-	seen := map[string]bool{}
-	for _, list := range vars {
-		for _, v := range list {
-			if !seen[v] {
-				seen[v] = true
-				fmt.Fprintf(&b, "%s := %s\n_ = %s\n", v, v, v)
+func shadowDecls(e *emitter, vars ...[]string) {
+	for i, list := range vars {
+	next:
+		for j, v := range list {
+			if slices.Contains(list[:j], v) {
+				continue
 			}
+			for _, earlier := range vars[:i] {
+				if slices.Contains(earlier, v) {
+					continue next
+				}
+			}
+			fmt.Fprintf(e, "%s := %s\n_ = %s\n", v, v, v)
 		}
 	}
-	return b.String()
 }
 
 // checkDefaultNone enforces default(none): every free variable assigned in
@@ -191,57 +190,65 @@ func (lw *lowerer) checkDefaultNone(n *node, body ast.Node, exempt ...string) bo
 // shared-variable group, and region-level reductions become atomic cells
 // created before the fork, combined by each thread, and read back after
 // the join.
-func (lw *lowerer) genParallel(n *node) string {
+func (lw *lowerer) genParallel(n *node) {
 	c := &n.d.Clauses
-	defer lw.bindThread(n, "__omp_t")()
-	var body userText
+	defer lw.unbind(lw.bindThread(n, "__omp_t"))
+	var body body
 	if n.pragma.Kind != DirParallelFor {
 		var ok bool
 		if body, ok = lw.block(n, "a parallel region"); !ok {
-			return ""
+			return
 		}
 	} else if _, ok := n.stmt.(*ast.ForStmt); !ok {
 		lw.fail(n, "%v", errNotFor)
-		return ""
+		return
 	} else if hasEscapingReturn(n.stmt) {
 		lw.failReturn(n, "a parallel region")
-		return ""
+		return
 	} else if !lw.checkDefaultNone(n, n.stmt) {
-		return ""
+		return
 	} else {
-		body = userText{lw.lower(n.Subdirectives[0]), lw.indentOf(n.start)}
+		body.sub, body.orig = n.Subdirectives[0], lw.indentOf(n.start)
 	}
 
-	var pre, head, tail, post strings.Builder
-	head.WriteString(shadowDecls(c.Private, c.FirstPrivate))
-	for _, r := range c.Reductions {
-		for _, v := range r.Vars {
-			cell, ctor := "__omp_red_"+v, "omp.NewReduction"
-			if r.Op == RedLogicalAnd || r.Op == RedLogicalOr {
-				ctor = "omp.NewBoolReduction"
+	// Each reduction variable gets a cell before the fork; inside the
+	// region, a thread-local copy shadows the shared variable, initialised
+	// to the operator's identity as the standard requires (Section
+	// III-B1), and is combined into the cell at the end; after the join
+	// the variable takes the cell's value.
+	reductions := func(f func(v, cell string, op ReduceOp)) {
+		for _, r := range c.Reductions {
+			for _, v := range r.Vars {
+				f(v, "__omp_red_"+v, r.Op)
 			}
-			fmt.Fprintf(&pre, "%s := %s(%s, %s)\n", cell, ctor, r.Op.RuntimeName(), v)
-			// The thread-local copy shadows the shared variable for
-			// the whole region, initialised to the operator's
-			// identity as the standard requires (Section III-B1).
-			fmt.Fprintf(&head, "%s := %s.Identity()\n_ = %s\n", v, cell, v)
-			fmt.Fprintf(&tail, "%s.Combine(%s)\n", cell, v)
-			fmt.Fprintf(&post, "%s = %s.Value()\n", v, cell)
 		}
 	}
+	e := lw.e
+	e.code("{\n")
+	reductions(func(v, cell string, op ReduceOp) {
+		ctor := "omp.NewReduction"
+		if op == RedLogicalAnd || op == RedLogicalOr {
+			ctor = "omp.NewBoolReduction"
+		}
+		fmt.Fprintf(e, "%s := %s(%s, %s)\n", cell, ctor, op.RuntimeName(), v)
+	})
+	e.code("omp.Parallel(func(__omp_t *omp.Thread) {\n")
+	shadowDecls(e, c.Private, c.FirstPrivate)
+	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s := %s.Identity()\n_ = %s\n", v, cell, v) })
+	lw.user(body)
+	e.code("\n")
+	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s.Combine(%s)\n", cell, v) })
+	e.code("}, ")
 	// The options are arguments of a call of several: gofmt's depth 2.
-	args := ""
 	if c.NumThreads != "" {
-		args += fmt.Sprintf("omp.NumThreads(%s), ", lw.clauseText(c.NumThreads, 2))
+		fmt.Fprintf(e, "omp.NumThreads(%s), ", lw.clauseText(c.NumThreads, 2))
 	}
 	if c.If != "" {
-		args += fmt.Sprintf("omp.If(%s), ", lw.clauseText(c.If, 2))
+		fmt.Fprintf(e, "omp.If(%s), ", lw.clauseText(c.If, 2))
 	}
-	e := lw.emitter(n)
-	e.code("{\n" + pre.String() + "omp.Parallel(func(__omp_t *omp.Thread) {\n" + head.String())
-	e.user(body)
-	e.code("\n" + tail.String() + "}, " + args + lw.locArg(n, "parallel") + ")\n" + post.String() + "}")
-	return lw.flush(e)
+	e.code(lw.locArg(n, "parallel") + ")\n")
+	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s = %s.Value()\n", v, cell) })
+	e.code("}")
 }
 
 // ------------------------------------------------------------------ for
@@ -316,67 +323,50 @@ func clauseNaming(subs []*node, v string, copyPrivate bool) *node {
 // omp.ForRange with the requested schedule. Reduction and lastprivate
 // variables are renamed to per-thread temporaries inside the body and
 // folded back after the loop.
-func (lw *lowerer) genFor(n *node) string {
+func (lw *lowerer) genFor(n *node) {
 	c := &n.d.Clauses
 	depth := max(c.Collapse, 1)
 	nest, err := lw.loops(n, depth)
 	if err != nil {
 		lw.fail(n, "%v", err)
-		return ""
+		return
 	}
 	hs := nest.hs[:depth]
 	if hasEscapingReturn(nest.body) {
 		lw.fail(n, "return inside a worksharing loop is not allowed")
-		return ""
+		return
 	}
 	if !lw.checkDefaultNone(n, nest.body, nest.vars()...) {
-		return ""
+		return
 	}
 
-	var pre, combines, lastAssigns strings.Builder
 	var renamed [][2]string
 	for _, r := range c.Reductions {
 		for _, v := range r.Vars {
-			local := "__omp_red_" + v
-			renamed = append(renamed, [2]string{v, local})
-			switch r.Op {
-			case RedLogicalAnd:
-				fmt.Fprintf(&pre, "%s := true\n", local)
-			case RedLogicalOr:
-				fmt.Fprintf(&pre, "%s := false\n", local)
-			default:
-				fmt.Fprintf(&pre, "%s := omp.ReduceIdentity(%s, %s)\n", local, r.Op.RuntimeName(), v)
-			}
-			fmt.Fprintf(&pre, "_ = %s\n", local)
-			// gofmt never keeps an if on one line, so the min/max
-			// combines are blocks.
-			combine := fmt.Sprintf("%s = %s %s %s", v, v, r.Op.GoOperator(), local)
-			switch r.Op {
-			case RedMin:
-				combine = fmt.Sprintf("if %s < %s {\n%s = %s\n}", local, v, v, local)
-			case RedMax:
-				combine = fmt.Sprintf("if %s > %s {\n%s = %s\n}", local, v, v, local)
-			}
-			fmt.Fprintf(&combines, "omp.Critical(\"__omp_red\", %s)\n", closure("func()", combine))
+			renamed = append(renamed, [2]string{v, "__omp_red_" + v})
 		}
 	}
 	for _, v := range c.LastPrivate {
-		local := "__omp_lp_" + v
-		renamed = append(renamed, [2]string{v, local})
-		fmt.Fprintf(&pre, "%s := %s\n_ = %s\n", local, v, local)
-		fmt.Fprintf(&lastAssigns, "if __omp_k == __omp_trip-1 {\n%s = %s\n}\n", v, local)
+		renamed = append(renamed, [2]string{v, "__omp_lp_" + v})
 	}
 	renames, ok := lw.loopRenames(n, nest, renamed)
 	if !ok {
-		return ""
+		return
 	}
+	reductions := func(f func(op ReduceOp, v, local string)) {
+		i := 0
+		for _, r := range c.Reductions {
+			for _, v := range r.Vars {
+				f(r.Op, v, renamed[i][1])
+				i++
+			}
+		}
+	}
+	lastPrivates := renamed[len(renamed)-len(c.LastPrivate):]
 	tvar, bind, orphan := lw.team(n)
-	saved := lw.renames
-	lw.renames = mergeSplices(saved, renames)
 	open, body, close := lw.nestParts(nest, depth)
-	lw.renames = saved
 
-	e := lw.emitter(n)
+	e := lw.e
 	e.code("{\n" + bind)
 	// Bounds per nest level, evaluated once before any shadowing.
 	for i, h := range hs {
@@ -387,19 +377,35 @@ func (lw *lowerer) genFor(n *node) string {
 	}
 	// Suffix products for collapse index reconstruction.
 	for i := 0; i < len(hs)-1; i++ {
-		terms := make([]string, 0, len(hs)-i-1)
+		fmt.Fprintf(e, "__omp_suf%d := ", i)
 		for j := i + 1; j < len(hs); j++ {
-			terms = append(terms, fmt.Sprintf("__omp_trip%d", j))
+			if j > i+1 {
+				e.code(" * ")
+			}
+			fmt.Fprintf(e, "__omp_trip%d", j)
 		}
-		fmt.Fprintf(e, "__omp_suf%d := %s\n", i, strings.Join(terms, " * "))
+		e.code("\n")
 	}
 	if len(hs) == 1 {
 		e.code("__omp_trip := __omp_trip0\n")
 	} else {
 		e.code("__omp_trip := __omp_trip0 * __omp_suf0\n")
 	}
-	e.code(shadowDecls(c.Private, c.FirstPrivate))
-	e.code(pre.String())
+	shadowDecls(e, c.Private, c.FirstPrivate)
+	reductions(func(op ReduceOp, v, local string) {
+		switch op {
+		case RedLogicalAnd:
+			fmt.Fprintf(e, "%s := true\n", local)
+		case RedLogicalOr:
+			fmt.Fprintf(e, "%s := false\n", local)
+		default:
+			fmt.Fprintf(e, "%s := omp.ReduceIdentity(%s, %s)\n", local, op.RuntimeName(), v)
+		}
+		fmt.Fprintf(e, "_ = %s\n", local)
+	})
+	for _, p := range lastPrivates {
+		fmt.Fprintf(e, "%s := %s\n_ = %s\n", p[1], p[0], p[1])
+	}
 
 	fmt.Fprintf(e, "omp.ForRange(%s, __omp_trip, func(__omp_clo, __omp_chi int64) {\n", tvar)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
@@ -420,9 +426,14 @@ func (lw *lowerer) genFor(n *node) string {
 		}
 	}
 	e.code(open)
-	e.user(body)
+	saved := lw.renames
+	lw.renames = mergeSplices(saved, renames)
+	lw.user(body)
+	lw.renames = saved
 	e.code(close + "\n")
-	e.code(lastAssigns.String())
+	for _, p := range lastPrivates {
+		fmt.Fprintf(e, "if __omp_k == __omp_trip-1 {\n%s = %s\n}\n", p[0], p[1])
+	}
 	e.code("}\n}, omp.NoWait()") // the barrier is emitted explicitly below
 	if c.HasSchedule {
 		mod := ""
@@ -435,13 +446,23 @@ func (lw *lowerer) genFor(n *node) string {
 		e.code(", omp.OrderedClause()")
 	}
 	e.code(", " + lw.locArg(n, "for") + ")\n")
-	e.code(combines.String())
+	reductions(func(op ReduceOp, v, local string) {
+		// gofmt never keeps an if on one line, so the min/max combines
+		// are blocks.
+		combine := fmt.Sprintf("%s = %s %s %s", v, v, op.GoOperator(), local)
+		switch op {
+		case RedMin:
+			combine = fmt.Sprintf("if %s < %s {\n%s = %s\n}", local, v, v, local)
+		case RedMax:
+			combine = fmt.Sprintf("if %s > %s {\n%s = %s\n}", local, v, v, local)
+		}
+		fmt.Fprintf(e, "omp.Critical(\"__omp_red\", %s)\n", closure("func()", combine))
+	})
 	if !c.NoWait {
 		fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
 		e.code(lw.cancelGuard(tvar, orphan))
 	}
 	e.code("}")
-	return lw.flush(e)
 }
 
 // --------------------------------------------------------------- sections
@@ -449,27 +470,27 @@ func (lw *lowerer) genFor(n *node) string {
 // genSections lowers `//omp sections` over a block whose top-level
 // statement groups are delimited by `//omp section` pragmas: one closure
 // per section node of the tree.
-func (lw *lowerer) genSections(n *node) string {
+func (lw *lowerer) genSections(n *node) {
 	c := &n.d.Clauses
 	blk, ok := n.stmt.(*ast.BlockStmt)
 	if !ok || n.inner != nil {
 		lw.fail(n, "directive must immediately precede a { … } block")
-		return ""
+		return
 	}
 	if hasEscapingReturn(blk) {
 		lw.failReturn(n, "sections")
-		return ""
+		return
 	}
 	tvar, bind, orphan := lw.team(n)
-	shadows := shadowDecls(c.Private, c.FirstPrivate)
 
-	e := lw.emitter(n)
+	e := lw.e
 	fmt.Fprintf(e, "{\n%somp.Sections(%s, []func(){\n", bind, tvar)
 	orig := lw.indentOf(lw.off(blk.Lbrace)) + 1
 	for _, sec := range n.Subdirectives {
-		lw.cur, sec.done = sec, true // cur is restored by lower
-		e.code("func() {\n" + shadows)
-		e.user(userText{lw.text(sec.start, sec.end), orig})
+		sec.done = true
+		e.code("func() {\n")
+		shadowDecls(e, c.Private, c.FirstPrivate)
+		lw.user(body{from: sec.start, to: sec.end, cur: sec, orig: orig})
 		e.code("\n},\n")
 	}
 	e.code("}")
@@ -481,30 +502,25 @@ func (lw *lowerer) genSections(n *node) string {
 		e.code(lw.cancelGuard(tvar, orphan)) // the construct's implicit barrier is a cancellation point
 	}
 	e.code("}")
-	return lw.flush(e)
 }
 
 // ------------------------------------------------- single/master/critical
 
-func (lw *lowerer) genSingle(n *node) string {
+func (lw *lowerer) genSingle(n *node) {
 	c := &n.d.Clauses
 	body, ok := lw.block(n, "a single block")
 	if !ok {
-		return ""
-	}
-	if len(c.CopyPrivate) > 1 {
-		lw.fail(n, "copyprivate supports a single variable in this implementation")
-		return ""
+		return
 	}
 	tvar, bind, orphan := lw.team(n)
-	shadows := shadowDecls(c.Private, c.FirstPrivate)
 
-	e := lw.emitter(n)
+	e := lw.e
 	e.code("{\n" + bind)
 	if len(c.CopyPrivate) == 1 {
 		v := lw.clauseText(c.CopyPrivate[0], 2)
-		fmt.Fprintf(e, "if %s.Single() {\n%s", tvar, shadows)
-		e.user(body)
+		fmt.Fprintf(e, "if %s.Single() {\n", tvar)
+		shadowDecls(e, c.Private, c.FirstPrivate)
+		lw.user(body)
 		fmt.Fprintf(e, "\nomp.CopyPrivatePublish(%s, %s)\n}\n", tvar, v)
 		fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
 		fmt.Fprintf(e, "omp.CopyPrivateAssign(%s, &%s)\n", tvar, v)
@@ -512,8 +528,9 @@ func (lw *lowerer) genSingle(n *node) string {
 			fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
 		}
 	} else {
-		fmt.Fprintf(e, "omp.Single(%s, func() {\n%s", tvar, shadows)
-		e.user(body)
+		fmt.Fprintf(e, "omp.Single(%s, func() {\n", tvar)
+		shadowDecls(e, c.Private, c.FirstPrivate)
+		lw.user(body)
 		e.code("\n}")
 		if c.NoWait {
 			e.code(", omp.NoWait()")
@@ -524,22 +541,23 @@ func (lw *lowerer) genSingle(n *node) string {
 		e.code(lw.cancelGuard(tvar, orphan)) // the closing barrier is a cancellation point
 	}
 	e.code("}")
-	return lw.flush(e)
+	if len(c.CopyPrivate) > 1 { // after the body, whose diagnostics come first
+		lw.fail(n, "copyprivate supports a single variable in this implementation")
+	}
 }
 
 // genWrapped lowers the constructs that run their block under one runtime
 // call taking the thread and a niladic closure: master, ordered, taskgroup.
-func (lw *lowerer) genWrapped(n *node, what, call, args string) string {
+func (lw *lowerer) genWrapped(n *node, what, call, args string) {
 	body, ok := lw.block(n, what)
 	if !ok {
-		return ""
+		return
 	}
 	tvar, bind, _ := lw.team(n)
-	e := lw.emitter(n)
+	e := lw.e
 	fmt.Fprintf(e, "{\n%s%s(%s, func() {\n", bind, call, tvar)
-	e.user(body)
+	lw.user(body)
 	fmt.Fprintf(e, "\n}%s)\n}", args)
-	return lw.flush(e)
 }
 
 // genAtomic serialises the following update statement. The lowering is a
@@ -548,7 +566,7 @@ func (lw *lowerer) genWrapped(n *node, what, call, args string) string {
 // OpenMP atomic directive only promises atomicity, which mutual exclusion
 // provides. Kernels that need true lock-free updates use the
 // omp.AtomicInt64/AtomicFloat64 cells directly.
-func (lw *lowerer) genAtomic(n *node) string {
+func (lw *lowerer) genAtomic(n *node) {
 	switch s := n.stmt.(type) {
 	case *ast.AssignStmt, *ast.IncDecStmt:
 		if n.inner == nil {
@@ -558,53 +576,50 @@ func (lw *lowerer) genAtomic(n *node) string {
 			if lw.tf.Line(s.Pos()) != lw.tf.Line(s.End()) || lw.hasComment(from, to) {
 				lw.reformat = true
 			}
-			e := lw.emitter(n)
-			fmt.Fprintf(e, "omp.Critical(\"__omp_atomic\", %s)", closure("func()", lw.text(from, to)))
-			return lw.flush(e)
+			fmt.Fprintf(lw.e, "omp.Critical(\"__omp_atomic\", %s)", closure("func()", lw.text(from, to)))
+			return
 		}
 	}
 	lw.fail(n, "directive must immediately precede an assignment or increment statement")
-	return ""
 }
 
 // ---------------------------------------------------------------- tasking
 
-// taskOptionArgs renders the clause options shared by task and taskloop.
+// taskOptions writes the clause options shared by task and taskloop.
 // Depend items lower to omp.DependIn("v", &v)-style options: the variable's
 // address is the dependence address, its spelling the diagnostic name.
-func (lw *lowerer) taskOptionArgs(n *node, region string) string {
-	c := &n.d.Clauses
-	var b strings.Builder
+func (lw *lowerer) taskOptions(n *node, region string) {
+	c, e := &n.d.Clauses, lw.e
 	if c.If != "" {
-		fmt.Fprintf(&b, ", omp.If(%s)", lw.clauseText(c.If, 2))
+		fmt.Fprintf(e, ", omp.If(%s)", lw.clauseText(c.If, 2))
 	}
 	if c.Final != "" {
-		fmt.Fprintf(&b, ", omp.Final(%s)", lw.clauseText(c.Final, 2))
+		fmt.Fprintf(e, ", omp.Final(%s)", lw.clauseText(c.Final, 2))
 	}
 	if c.Untied {
-		b.WriteString(", omp.Untied()")
+		e.code(", omp.Untied()")
 	}
 	if c.Mergeable {
-		b.WriteString(", omp.Mergeable()")
+		e.code(", omp.Mergeable()")
 	}
 	if c.Grainsize > 0 {
-		fmt.Fprintf(&b, ", omp.Grainsize(%d)", c.Grainsize)
+		fmt.Fprintf(e, ", omp.Grainsize(%d)", c.Grainsize)
 	}
 	if c.NumTasks > 0 {
-		fmt.Fprintf(&b, ", omp.NumTasks(%d)", c.NumTasks)
+		fmt.Fprintf(e, ", omp.NumTasks(%d)", c.NumTasks)
 	}
 	if c.NoGroup {
-		b.WriteString(", omp.NoGroup()")
+		e.code(", omp.NoGroup()")
 	}
 	if c.Priority != "" {
-		fmt.Fprintf(&b, ", omp.Priority(%s)", lw.clauseText(c.Priority, 2))
+		fmt.Fprintf(e, ", omp.Priority(%s)", lw.clauseText(c.Priority, 2))
 	}
 	for _, dc := range c.Depends {
 		for _, v := range dc.Vars {
-			fmt.Fprintf(&b, ", %s(%q, &%s)", dc.Mode.RuntimeName(), v, v)
+			fmt.Fprintf(e, ", %s(%q, &%s)", dc.Mode.RuntimeName(), v, v)
 		}
 	}
-	return b.String() + ", " + lw.locArg(n, region)
+	e.code(", " + lw.locArg(n, region))
 }
 
 // genTask lowers `//omp task` over the following block into an omp.Task call
@@ -614,21 +629,23 @@ func (lw *lowerer) taskOptionArgs(n *node, region string) string {
 // body. The closure receives the *executing* thread as a shadowing parameter
 // so that nested directives inside the task body bind to whichever thread
 // steals the task, not to its creator.
-func (lw *lowerer) genTask(n *node) string {
+func (lw *lowerer) genTask(n *node) {
 	c := &n.d.Clauses
 	tvar, bind, _ := lw.team(n)
-	defer lw.bindThread(n, tvar)()
+	defer lw.unbind(lw.bindThread(n, tvar))
 	body, ok := lw.block(n, "a task")
 	if !ok {
-		return ""
+		return
 	}
-	e := lw.emitter(n)
-	fmt.Fprintf(e, "{\n%s%somp.Task(%s, func(%s *omp.Thread) {\n%s",
-		bind, shadowDecls(c.FirstPrivate), // creation-time copies the closure captures
-		tvar, tvar, shadowDecls(c.Private))
-	e.user(body)
-	fmt.Fprintf(e, "\n}%s)\n}", lw.taskOptionArgs(n, "task"))
-	return lw.flush(e)
+	e := lw.e
+	e.code("{\n" + bind)
+	shadowDecls(e, c.FirstPrivate) // creation-time copies the closure captures
+	fmt.Fprintf(e, "omp.Task(%s, func(%s *omp.Thread) {\n", tvar, tvar)
+	shadowDecls(e, c.Private)
+	lw.user(body)
+	e.code("\n}")
+	lw.taskOptions(n, "task")
+	e.code(")\n}")
 }
 
 // genTaskloop lowers `//omp taskloop`: the canonical for statement is
@@ -638,40 +655,41 @@ func (lw *lowerer) genTask(n *node) string {
 // loops. The chunk closure receives the executing thread (tasks migrate
 // between threads), and unless nogroup is present the encountering thread
 // waits for all chunks under an implicit taskgroup.
-func (lw *lowerer) genTaskloop(n *node) string {
+func (lw *lowerer) genTaskloop(n *node) {
 	c := &n.d.Clauses
 	nest, err := lw.loops(n, 1)
 	if err != nil {
 		lw.fail(n, "%v", err)
-		return ""
+		return
 	}
 	h := nest.hs[0]
 	if hasEscapingReturn(nest.body) {
 		lw.fail(n, "return inside a taskloop is not allowed")
-		return ""
+		return
 	}
 	if !lw.checkDefaultNone(n, nest.body, nest.vars()...) {
-		return ""
+		return
 	}
 	tvar, bind, _ := lw.team(n)
-	defer lw.bindThread(n, tvar)()
+	defer lw.unbind(lw.bindThread(n, tvar))
 	open, body, close := lw.nestParts(nest, 1)
 
-	e := lw.emitter(n)
+	e := lw.e
 	e.code("{\n" + bind)
 	fmt.Fprintf(e, "__omp_lb0 := int64(%s)\n", lw.print(h.LB, 1))
 	fmt.Fprintf(e, "__omp_st0 := int64(%s)\n", lw.print(h.Step, 1))
 	fmt.Fprintf(e, "__omp_trip := omp.TripCount(__omp_lb0, int64(%s), __omp_st0, %t)\n", lw.print(h.UB, 2), h.Inclusive)
-	e.code(shadowDecls(c.FirstPrivate)) // creation-time snapshot
+	shadowDecls(e, c.FirstPrivate) // creation-time snapshot
 	fmt.Fprintf(e, "omp.Taskloop(%s, __omp_trip, func(%s *omp.Thread, __omp_clo, __omp_chi int64) {\n", tvar, tvar)
 	// Per-task copies: each chunk task privatises from the snapshot.
-	e.code(shadowDecls(c.Private, c.FirstPrivate))
+	shadowDecls(e, c.Private, c.FirstPrivate)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
 	fmt.Fprintf(e, "%s := int(__omp_lb0 + __omp_k*__omp_st0)\n_ = %s\n", h.Var, h.Var)
 	e.code(open)
-	e.user(body)
-	e.code(close + "\n}\n}" + lw.taskOptionArgs(n, "taskloop") + ")\n}")
-	return lw.flush(e)
+	lw.user(body)
+	e.code(close + "\n}\n}")
+	lw.taskOptions(n, "taskloop")
+	e.code(")\n}")
 }
 
 // ----------------------------------------------------------- cancellation
@@ -693,12 +711,12 @@ func (lw *lowerer) genTaskloop(n *node) string {
 // context: a cancel with no enclosing *omp.Thread cannot know which team to
 // cancel (OpenMP's "innermost enclosing region" does not exist), so it is a
 // preprocessing error rather than a silent no-op.
-func (lw *lowerer) genCancel(n *node) string {
+func (lw *lowerer) genCancel(n *node) {
 	c := &n.d.Clauses
 	tvar := lw.threadVar(n)
 	if tvar == "" {
 		lw.fail(n, "%s %s outside a parallel region: no enclosing construct provides a thread context", n.d.Kind, c.Cancel)
-		return ""
+		return
 	}
 	point := call("omp.CancellationPoint", ident(tvar), ident(c.Cancel.RuntimeName()))
 	var cond ast.Expr = point
@@ -714,9 +732,7 @@ func (lw *lowerer) genCancel(n *node) string {
 		kind := c.Cancel.RuntimeName()
 		text = fmt.Sprintf("((%s) && omp.Cancel(%s, %s)) || omp.CancellationPoint(%s, %s)", lw.rawClause(c.If), tvar, kind, tvar, kind)
 	}
-	e := lw.emitter(n)
-	fmt.Fprintf(e, "if %s {\nreturn\n}", text)
-	return lw.flush(e)
+	fmt.Fprintf(lw.e, "if %s {\nreturn\n}", text)
 }
 
 // ---------------------------------------------------------- threadprivate
@@ -789,7 +805,8 @@ func (lw *lowerer) threadPrivate() error {
 			}
 			e := &emitter{depth: lw.indentOf(from)}
 			fmt.Fprintf(e, "var %s = omp.NewThreadPrivate[%s](%s)", cell, typeText, initFn)
-			out = append(out, splice{from, to, lw.flush(e)})
+			lw.reformat = lw.reformat || e.bad
+			out = append(out, splice{from, to, string(e.out)})
 			if lw.declaredElsewhere(v, from, to) {
 				lw.reformat = true // an accessor cannot be declared: format.Source reports it
 			}

@@ -12,7 +12,6 @@ import (
 // tag was used" — keywords reach the parser as identifiers and are
 // recognised through the keyword hash map, never reserved.
 type dirParser struct {
-	text string // pragma text after the sentinel (for raw-expression slices)
 	toks []Token
 	pos  int
 }
@@ -42,17 +41,15 @@ func (p *dirParser) expect(tag TokenTag, what string) (*Token, error) {
 	if tok := p.eatToken(tag); tok != nil {
 		return tok, nil
 	}
-	return nil, fmt.Errorf("pragma: expected %s, found %s", what, p.peek())
+	return nil, fmt.Errorf("pragma: expected %s, found %s", what, *p.peek())
 }
 
 // ParseDirective tokenises and parses one pragma's text (sentinel already
 // stripped) into a Directive.
 func ParseDirective(text string) (*Directive, error) {
-	toks, err := Tokenize(text)
-	if err != nil {
-		return nil, err
-	}
-	p := &dirParser{text: text, toks: toks}
+	// The tokens of all but the longest pragmas stay on the stack.
+	var buf [32]Token
+	p := &dirParser{toks: tokenize(buf[:0], text)}
 	d := &Directive{}
 
 	switch {
@@ -107,7 +104,7 @@ func ParseDirective(text string) (*Directive, error) {
 		d.Clauses.Cancel = kind
 	case p.eatToken(TokCancellation) != nil:
 		if p.eatToken(TokPoint) == nil {
-			return nil, fmt.Errorf("pragma: expected 'point' after 'cancellation', found %s", p.peek())
+			return nil, fmt.Errorf("pragma: expected 'point' after 'cancellation', found %s", *p.peek())
 		}
 		d.Kind = DirCancellationPoint
 		kind, err := p.parseCancelKind("cancellation point")
@@ -131,10 +128,10 @@ func ParseDirective(text string) (*Directive, error) {
 	case p.eatToken(TokFlush) != nil:
 		return nil, fmt.Errorf("pragma: the flush directive is not supported (Go's memory model provides no standalone fence; use atomic cells)")
 	default:
-		return nil, fmt.Errorf("pragma: unknown directive at %s", p.peek())
+		return nil, fmt.Errorf("pragma: unknown directive at %s", *p.peek())
 	}
 
-	if err := p.parseClauses(d); err != nil {
+	if err := p.parseClauses(d, text); err != nil {
 		return nil, err
 	}
 	if err := Validate(d); err != nil {
@@ -144,8 +141,9 @@ func ParseDirective(text string) (*Directive, error) {
 }
 
 // parseClauses consumes clause* until EOF. Clauses may be separated by
-// commas or whitespace, as the OpenMP grammar allows.
-func (p *dirParser) parseClauses(d *Directive) error {
+// commas or whitespace, as the OpenMP grammar allows. text is the pragma's,
+// which raw expressions are sliced from.
+func (p *dirParser) parseClauses(d *Directive, text string) error {
 	c := &d.Clauses
 	for {
 		p.eatToken(TokComma) // optional separator
@@ -202,13 +200,13 @@ func (p *dirParser) parseClauses(d *Directive) error {
 			}
 			c.Collapse = int(n)
 		case p.eatToken(TokNumThreads) != nil:
-			expr, err := p.parseRawExpr("num_threads")
+			expr, err := p.parseRawExpr(text, "num_threads")
 			if err != nil {
 				return err
 			}
 			c.NumThreads = expr
 		case p.eatToken(TokIf) != nil:
-			expr, err := p.parseRawExpr("if")
+			expr, err := p.parseRawExpr(text, "if")
 			if err != nil {
 				return err
 			}
@@ -218,7 +216,7 @@ func (p *dirParser) parseClauses(d *Directive) error {
 		case p.eatToken(TokOrdered) != nil:
 			c.Ordered = true
 		case p.eatToken(TokFinal) != nil:
-			expr, err := p.parseRawExpr("final")
+			expr, err := p.parseRawExpr(text, "final")
 			if err != nil {
 				return err
 			}
@@ -244,7 +242,7 @@ func (p *dirParser) parseClauses(d *Directive) error {
 				return err
 			}
 		case p.eatToken(TokPriority) != nil:
-			expr, err := p.parseRawExpr("priority")
+			expr, err := p.parseRawExpr(text, "priority")
 			if err != nil {
 				return err
 			}
@@ -282,7 +280,7 @@ func (p *dirParser) parseClauses(d *Directive) error {
 				c.UnrollFactor = n
 			}
 		default:
-			return fmt.Errorf("pragma: unknown clause at %s", p.peek())
+			return fmt.Errorf("pragma: unknown clause at %s", *p.peek())
 		}
 	}
 }
@@ -302,7 +300,7 @@ func (p *dirParser) parseCancelKind(dir string) (CancelEnum, error) {
 	case p.eatToken(TokSections) != nil:
 		return CancelNone, fmt.Errorf("pragma: %s sections is not supported by this implementation", dir)
 	}
-	return CancelNone, fmt.Errorf("pragma: %s requires a construct kind (parallel, for, or taskgroup), found %s", dir, p.peek())
+	return CancelNone, fmt.Errorf("pragma: %s requires a construct kind (parallel, for, or taskgroup), found %s", dir, *p.peek())
 }
 
 // parseIdentList parses "( ident {, ident} )".
@@ -356,7 +354,7 @@ func (p *dirParser) parseReduction(c *Clauses) error {
 	case p.eatToken(TokCaret) != nil:
 		op = RedBitXor
 	default:
-		return fmt.Errorf("pragma: bad reduction operator at %s", p.peek())
+		return fmt.Errorf("pragma: bad reduction operator at %s", *p.peek())
 	}
 	if _, err := p.expect(TokColon, "':'"); err != nil {
 		return err
@@ -410,7 +408,7 @@ func (p *dirParser) parseSchedule(c *Clauses) error {
 	case p.eatToken(TokTrapezoidal) != nil:
 		c.Sched = SchedTrapezoid
 	default:
-		return fmt.Errorf("pragma: bad schedule kind at %s", p.peek())
+		return fmt.Errorf("pragma: bad schedule kind at %s", *p.peek())
 	}
 	c.HasSchedule = true
 	if p.eatToken(TokComma) != nil {
@@ -445,7 +443,7 @@ func (p *dirParser) parseDepend(c *Clauses) error {
 	case p.eatToken(TokOut) != nil:
 		mode = DependOut
 	default:
-		return fmt.Errorf("pragma: depend requires a dependence type (in, out, or inout), found %s", p.peek())
+		return fmt.Errorf("pragma: depend requires a dependence type (in, out, or inout), found %s", *p.peek())
 	}
 	if _, err := p.expect(TokColon, "':' after dependence type"); err != nil {
 		return err
@@ -506,7 +504,7 @@ func (p *dirParser) parseDefault(c *Clauses) error {
 	case p.eatToken(TokNone) != nil:
 		c.Default = DefaultNone
 	default:
-		return fmt.Errorf("pragma: default requires shared or none, found %s", p.peek())
+		return fmt.Errorf("pragma: default requires shared or none, found %s", *p.peek())
 	}
 	_, err := p.expect(TokRParen, "')'")
 	return err
@@ -533,8 +531,10 @@ func (p *dirParser) parseIntArg(clause string) (int64, error) {
 
 // parseRawExpr captures the balanced-parenthesis content of "( … )" as raw
 // host-language text, for clauses (if, num_threads) whose argument is an
-// arbitrary Go expression the pragma grammar does not model.
-func (p *dirParser) parseRawExpr(clause string) (string, error) {
+// arbitrary Go expression the pragma grammar does not model: a slice of
+// text. (Text is not a field of the parser: what leaks from one field of it
+// leaks from all, and the tokens are to stay on the stack.)
+func (p *dirParser) parseRawExpr(text, clause string) (string, error) {
 	open, err := p.expect(TokLParen, "'('")
 	if err != nil {
 		return "", err
@@ -550,7 +550,7 @@ func (p *dirParser) parseRawExpr(clause string) (string, error) {
 		case TokRParen:
 			depth--
 			if depth == 0 {
-				expr := strings.TrimSpace(p.text[open.Off+1 : tok.Off])
+				expr := strings.TrimSpace(text[open.Off+1 : tok.Off])
 				if expr == "" {
 					return "", fmt.Errorf("pragma: empty %s(...)", clause)
 				}

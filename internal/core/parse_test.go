@@ -409,8 +409,9 @@ func TestParseOrderedDirectiveAndClause(t *testing.T) {
 	if !loop.Clauses.Ordered || loop.Clauses.SchedMod != SchedModMonotonic {
 		t.Errorf("distributed loop lost ordered/modifier: %+v", loop.Clauses)
 	}
-	// And the surface rendering must round-trip through the parser (the
-	// parallel-for lowering re-parses loop.String()).
+	// And the loop half's surface rendering must round-trip through the
+	// parser, as every directive's does. (Nothing in the lowering re-parses
+	// it: shape hands the halves on as Directive values.)
 	if _, err := ParseDirective(loop.String()); err != nil {
 		t.Errorf("re-parse of %q: %v", loop.String(), err)
 	}

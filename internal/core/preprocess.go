@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -69,13 +70,20 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 	if err := lw.threadPrivate(); err != nil {
 		return nil, err
 	}
-	// The import goes after the package clause; whether it is needed is
-	// known once everything behind the clause is lowered.
+	// Lowered Go is three to four times the pragmas'.
+	e := &emitter{out: make([]byte, 0, 4*len(src)+64)}
+	lw.e = e
+	// The import goes after the package clause. Whether it is needed is
+	// known once everything behind the clause is lowered, so it is written
+	// ahead and taken out again if not.
 	clause := u.off(u.file.Name.End())
-	var head, tail strings.Builder
-	tail.Grow(4 * len(src)) // lowered Go is three to four times the pragmas'
-	lw.render(&head, 0, clause)
-	lw.render(&tail, clause, len(src))
+	lw.render(0, clause)
+	imp, body := len(e.out), len(e.out)
+	if !u.importsOmp() {
+		e.out = strconv.AppendQuote(append(e.out, "\n\nimport omp "...), opts.OmpImport)
+		body = len(e.out)
+	}
+	lw.render(clause, len(src))
 	for _, p := range u.pragmas {
 		if !p.done { // no rendered range reached it: it would vanish silently
 			lw.fail(p, "directive sits where the enclosing construct keeps no source text (a loop header, or between the loops of a collapsed nest)")
@@ -84,15 +92,18 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 	if lw.err != nil {
 		return nil, lw.err
 	}
-	out := append(make([]byte, 0, head.Len()+tail.Len()+64), head.String()...)
-	if lw.usesOmp && !u.importsOmp() {
-		out = fmt.Appendf(out, "\n\nimport omp %q", opts.OmpImport)
-		u.reformat = u.reformat || !strings.HasPrefix(tail.String(), "\n")
+	out := e.out
+	if body > imp {
+		if !lw.usesOmp {
+			out = append(out[:imp], out[body:]...)
+		} else {
+			u.reformat = u.reformat || body == len(out) || out[body] != '\n'
+		}
 	}
 	// Form feeds and the like steer gofmt's column writer wherever they
 	// sit, and multi-line raw strings must keep their lines.
-	u.reformat = u.reformat || bytes.ContainsAny(src, "\f\v\r") || u.multiLineRaw()
-	return u.settle(append(out, tail.String()...))
+	u.reformat = u.reformat || e.bad || bytes.ContainsAny(src, "\f\v\r") || u.multiLineRaw()
+	return u.settle(out)
 }
 
 // unit is one file's trip through the front end: the single parse, every
@@ -496,12 +507,16 @@ func mergeSplices(a, b []splice) []splice {
 }
 
 // lowerer is the single pass over the tree: one consumer of the source
-// bytes and one reporter. Every generator keeps source text only through
-// render, which splices in the lowered directives nested there and the
-// substitutions in force, in ascending offset — the paper's «adjust source
-// offset» bookkeeping done by never going back.
+// bytes, one writer and one reporter. Every generator keeps source text
+// only through render, which splices in the lowered directives nested there
+// and the substitutions in force, in ascending offset — the paper's «adjust
+// source offset» bookkeeping done by never going back.
 type lowerer struct {
 	*unit
+	// e is where the lowering writes: the file's output buffer, or a
+	// scratch buffer (capture); spare is a scratch buffer to reuse.
+	e     *emitter
+	spare []byte
 	// cur is the node whose Subdirectives the range being rendered may hold.
 	cur *node
 	// renames are the substitutions in force, ascending by offset:
@@ -529,7 +544,7 @@ func (lw *lowerer) fail(n *node, f string, args ...any) {
 
 // render writes src[from:to] with the Subdirectives of cur lowered in place
 // and the renames in force applied.
-func (lw *lowerer) render(b *strings.Builder, from, to int) {
+func (lw *lowerer) render(from, to int) {
 	subs, rens := lw.cur.Subdirectives, lw.renames
 	i := sort.Search(len(subs), func(i int) bool { return subs[i].start >= from })
 	r := sort.Search(len(rens), func(i int) bool { return rens[i].off >= from })
@@ -546,61 +561,78 @@ func (lw *lowerer) render(b *strings.Builder, from, to int) {
 		}
 		switch {
 		case sub == to && ren == to:
-			b.Write(lw.src[pos:to])
+			emitText(lw.e, lw.src[pos:to])
 			return
 		case ren <= sub: // an insertion goes before a directive at the same offset
-			b.Write(lw.src[pos:ren])
-			b.WriteString(rens[r].text)
+			emitText(lw.e, lw.src[pos:ren])
+			emitText(lw.e, rens[r].text)
 			pos = rens[r].end
 			r++
 		default:
-			b.Write(lw.src[pos:sub])
-			b.WriteString(lw.lower(subs[i]))
+			emitText(lw.e, lw.src[pos:sub])
+			lw.lower(subs[i])
 			pos = subs[i].end
 			i++
 		}
 	}
 }
 
-func (lw *lowerer) text(from, to int) string {
-	var b strings.Builder
-	b.Grow(to - from)
-	lw.render(&b, from, to)
-	return b.String()
-}
-
-func (lw *lowerer) posText(from, to token.Pos) string { return lw.text(lw.off(from), lw.off(to)) }
-
-// enter makes n the current node until the returned function runs.
-func (lw *lowerer) enter(n *node) func() {
+// enter makes n the current node and returns the one to restore by leave.
+func (lw *lowerer) enter(n *node) *node {
 	saved := lw.cur
 	lw.cur = n
-	return func() { lw.cur = saved }
+	return saved
 }
 
-// lower returns the text that replaces n.
-func (lw *lowerer) lower(n *node) string {
-	defer lw.enter(n)()
+func (lw *lowerer) leave(saved *node) { lw.cur = saved }
+
+// lower writes the text that replaces n where the emitter stands. Its
+// generated lines sit at the pragma's indentation, shifted as the user
+// section it lands in shifts its lines; its first line continues the line
+// the pragma was on.
+func (lw *lowerer) lower(n *node) {
+	defer lw.leave(lw.enter(n))
 	n.done = true
 	lw.usesOmp = lw.usesOmp || n.d.Kind != DirUnroll
-	text := lw.gen(n)
+	e := lw.e
+	depth, last, bol, start := e.depth, e.last, e.bol, len(e.out)
+	e.depth, e.last = lw.indentOf(n.start), 0
+	if s := e.sec(); s != nil {
+		e.depth += s.depth - s.orig
+	} else {
+		e.bol = false
+	}
+	lw.gen(n)
 	// The source after n continues the last line of its replacement, which
 	// takes the pragma's line too when it is a single line.
 	top := n.end
-	if strings.IndexByte(text, '\n') < 0 {
+	if bytes.IndexByte(e.out[start:], '\n') < 0 {
 		top = n.start
 	}
 	lw.edited(n.end, top)
-	return text
+	e.depth, e.last = depth, last
+	if len(e.out) == start {
+		e.bol = bol
+	} else if s := e.sec(); s != nil && s.state == pastIndent && e.bol {
+		s.state, s.tabs, s.spaces = inIndent, 0, 0 // the source goes on on a line of its own
+	}
 }
 
 // bindThread makes name the thread variable for whatever is lowered until
-// the returned function runs: n's generated closure takes it as a parameter.
-func (lw *lowerer) bindThread(n *node, name string) func() {
-	saved, at := lw.tvar, lw.tvarAt
+// unbind restores the binding it returns: n's generated closure takes it as
+// a parameter.
+func (lw *lowerer) bindThread(n *node, name string) threadBinding {
+	saved := threadBinding{lw.tvar, lw.tvarAt}
 	lw.tvar, lw.tvarAt = name, n.start
-	return func() { lw.tvar, lw.tvarAt = saved, at }
+	return saved
 }
+
+type threadBinding struct {
+	name string
+	at   int
+}
+
+func (lw *lowerer) unbind(b threadBinding) { lw.tvar, lw.tvarAt = b.name, b.at }
 
 // threadVar returns the in-scope *omp.Thread variable for n: the parameter
 // of the innermost enclosing generated closure or user function that has
@@ -625,32 +657,33 @@ func (lw *lowerer) team(n *node) (tvar, bind string, orphan bool) {
 	return "__omp_t", "__omp_t := omp.Current()\n", true
 }
 
-// block returns the lowered text between the braces of the block n applies
-// to; what names the construct when the block holds an escaping return.
-func (lw *lowerer) block(n *node, what string) (userText, bool) {
+// block returns the inside of the block n applies to; what names the
+// construct when the block holds an escaping return. A construct stacked
+// below n is lowered into scratch here, and must itself lower to a block.
+func (lw *lowerer) block(n *node, what string) (body, bool) {
 	blk, ok := n.stmt.(*ast.BlockStmt)
 	switch {
 	case n.stmt == nil || (n.inner == nil && !ok):
 	case hasEscapingReturn(n.stmt):
 		lw.failReturn(n, what)
-		return userText{}, false
+		return body{}, false
 	case !lw.checkDefaultNone(n, n.stmt):
-		return userText{}, false
+		return body{}, false
 	case n.inner == nil:
 		return lw.blockText(blk), true
 	default:
-		// The construct stacked below must itself lower to a block.
-		if text := lw.lower(n.inner); strings.HasPrefix(text, "{") && strings.HasSuffix(text, "}") {
-			return userText{text[1 : len(text)-1], lw.indentOf(n.inner.start) + 1}, lw.err == nil
+		text := lw.capture(func() { lw.lower(n.inner) })
+		if len(text) >= 2 && text[0] == '{' && text[len(text)-1] == '}' {
+			return body{text: text[1 : len(text)-1], scratch: true, orig: lw.indentOf(n.inner.start) + 1}, lw.err == nil
 		}
 	}
 	lw.fail(n, "directive must immediately precede a { … } block")
-	return userText{}, false
+	return body{}, false
 }
 
-// blockText returns the lowered text between the braces of blk.
-func (lw *lowerer) blockText(blk *ast.BlockStmt) userText {
-	return userText{lw.posText(blk.Lbrace+1, blk.Rbrace), lw.indentOf(lw.off(blk.Lbrace)) + 1}
+// blockText returns the inside of blk.
+func (lw *lowerer) blockText(blk *ast.BlockStmt) body {
+	return body{from: lw.off(blk.Lbrace + 1), to: lw.off(blk.Rbrace), cur: lw.cur, orig: lw.indentOf(lw.off(blk.Lbrace)) + 1}
 }
 
 // failReturn reports a return that would branch out of n's construct.

@@ -237,7 +237,12 @@ func Sentinel(comment string) (text string, off int, ok bool) {
 // expressions; the parser re-slices them from the raw text using token
 // offsets, so the tokeniser only needs to balance parentheses.
 func Tokenize(text string) ([]Token, error) {
-	toks := make([]Token, 0, len(text)/3+1) // room for every token but the densest
+	// Room for every token but the densest.
+	return tokenize(make([]Token, 0, len(text)/3+1), text), nil
+}
+
+// tokenize appends the tokens of text to toks.
+func tokenize(toks []Token, text string) []Token {
 	i := 0
 	n := len(text)
 	for i < n {
@@ -294,8 +299,7 @@ func Tokenize(text string) ([]Token, error) {
 			i += width
 		}
 	}
-	toks = append(toks, Token{Tag: TokEOF, Off: n})
-	return toks, nil
+	return append(toks, Token{Tag: TokEOF, Off: n})
 }
 
 func isIdentStart(c byte) bool {

@@ -98,11 +98,11 @@ func (n *loopNest) inner(depth int) (open, close string) {
 	return b.String() + n.pre, n.post + "\n" + strings.Repeat("}\n", 2*len(n.hs)-depth)
 }
 
-// nestParts renders what a directive consuming depth levels of nest runs
+// nestParts returns what a directive consuming depth levels of nest runs
 // per iteration: the generated levels it leaves in place around the user's
-// body, and the body with the directives nested in it lowered.
-func (lw *lowerer) nestParts(nest *loopNest, depth int) (open string, body userText, close string) {
-	defer lw.enter(nest.owner)()
+// body, and the body, whose nested directives are lowered as it is written.
+func (lw *lowerer) nestParts(nest *loopNest, depth int) (open string, b body, close string) {
+	defer lw.leave(lw.enter(nest.owner))
 	open, close = nest.inner(depth)
 	return open, lw.blockText(nest.body), close
 }
@@ -116,7 +116,7 @@ var errNotFor = errors.New("directive must immediately precede a for statement")
 func (lw *lowerer) loops(n *node, depth int) (*loopNest, error) {
 	owner := n
 	if n.inner != nil {
-		_, nest := lw.transform(n.inner)
+		nest := lw.transform(n.inner)
 		if nest == nil {
 			return nil, errNotFor // an unrolled loop is a block (or the inner directive failed)
 		}
@@ -135,7 +135,7 @@ func (lw *lowerer) loops(n *node, depth int) (*loopNest, error) {
 	if !ok {
 		return nil, errNotFor
 	}
-	defer lw.enter(owner)()
+	defer lw.leave(lw.enter(owner))
 	hs, err := lw.extractCollapseNest(f, depth)
 	if err != nil {
 		return nil, err
@@ -162,30 +162,29 @@ func (lw *lowerer) pointAssign(h *loopHeader, k ast.Expr) string {
 
 // transform applies the tile or unroll directive n. A tile returns its
 // generated nest as IR, for a directive stacked above to consume or for gen
-// to print; an unroll returns the block it expanded the loop into, or —
-// for partial(1), the identity — the loop's own nest.
-func (lw *lowerer) transform(n *node) (string, *loopNest) {
-	defer lw.enter(n)()
+// to print; an unroll writes the block it expands the loop into, or — for
+// partial(1), the identity — returns the loop's own nest.
+func (lw *lowerer) transform(n *node) *loopNest {
+	defer lw.leave(lw.enter(n))
 	n.done = true
 	if n.d.Kind == DirTile {
-		return "", lw.tile(n)
+		return lw.tile(n)
 	}
 	return lw.unroll(n)
 }
 
-// loopText prints the nest n generated and no directive consumed. A source
+// loopText writes the nest n generated and no directive consumed. A source
 // nest is the identity unroll's: only the pragma goes.
-func (lw *lowerer) loopText(n *node, nest *loopNest) string {
+func (lw *lowerer) loopText(n *node, nest *loopNest) {
 	if !nest.generated() {
-		defer lw.enter(nest.owner)()
-		return lw.text(nest.owner.cEnd, nest.owner.end)
+		defer lw.leave(lw.enter(nest.owner))
+		lw.render(nest.owner.cEnd, nest.owner.end)
+		return
 	}
 	open, body, close := lw.nestParts(nest, 0)
-	e := lw.emitter(n)
-	e.code(strings.TrimPrefix(open, "\n"))
-	e.user(body)
-	e.code(strings.TrimSuffix(close, "\n"))
-	return lw.flush(e)
+	lw.e.code(strings.TrimPrefix(open, "\n"))
+	lw.user(body)
+	lw.e.code(strings.TrimSuffix(close, "\n"))
 }
 
 // checkTransformBody rejects statements that would change meaning under
@@ -384,16 +383,16 @@ func constTrip(h *loopHeader) (int64, bool) {
 // for short constant trips, otherwise partial by defaultUnrollFactor).
 // Either way the loop structure is consumed, so unlike tile the generated
 // code is a block: worksharing directives stack above tile, not unroll.
-func (lw *lowerer) unroll(n *node) (string, *loopNest) {
+func (lw *lowerer) unroll(n *node) *loopNest {
 	src, err := lw.loops(n, 1)
 	if err != nil {
 		lw.fail(n, "%v", err)
-		return "", nil
+		return nil
 	}
 	h := src.hs[0]
 	if err := checkTransformBody(src.body, true, src.generated()); err != nil {
 		lw.fail(n, "%v", err)
-		return "", nil
+		return nil
 	}
 
 	trip, tripConst := constTrip(h)
@@ -405,30 +404,35 @@ func (lw *lowerer) unroll(n *node) (string, *loopNest) {
 			spec = UnrollPartial
 		}
 	}
-	e := lw.emitter(n)
-	e.code("{\n")
 	switch {
 	case spec == UnrollFull && !tripConst:
 		lw.fail(n, "unroll full requires compile-time-constant loop bounds (lower bound, upper bound and step must be integer literals)")
+		return nil
 	case spec == UnrollFull && trip > maxFullUnrollTrip:
 		lw.fail(n, "unroll full would expand %d iterations (maximum %d); use partial instead", trip, maxFullUnrollTrip)
-	case spec == UnrollFull:
-		open, body, close := lw.nestParts(src, 1)
+		return nil
+	case spec != UnrollFull && factor == 1:
+		return src // partial(1) is the identity transformation
+	}
+	// Every copy of the body is the same text: lower it once.
+	open, body, close := lw.nestParts(src, 1)
+	body = lw.materialize(body)
+	defer lw.release(body.text)
+	e := lw.e
+	e.code("{\n")
+	if spec == UnrollFull {
 		lb, _ := constInt(h.LB)
 		st, _ := constInt(h.Step)
 		for k := int64(0); k < trip; k++ {
 			fmt.Fprintf(e, "{\n%s := %d\n_ = %s\n%s", h.Var, lb+k*st, h.Var, open)
-			e.user(body)
+			lw.user(body)
 			e.code(close + "\n}\n")
 		}
-	case factor == 1:
-		return "", src // partial(1) is the identity transformation
-	default:
+	} else {
 		if factor == 0 {
 			factor = defaultUnrollFactor
 		}
 		lw.usesOmp = true
-		open, body, close := lw.nestParts(src, 1)
 		fmt.Fprintf(e, "__omp_ut := %s\n", lw.print(tripExpr(h), 1))
 		fmt.Fprintf(e, "__omp_um := __omp_ut - __omp_ut%%%d\n", factor)
 		fmt.Fprintf(e, "for __omp_uk := 0; __omp_uk < __omp_um; __omp_uk += %d {\n", factor)
@@ -438,14 +442,14 @@ func (lw *lowerer) unroll(n *node) (string, *loopNest) {
 				kExpr = paren(binary(kExpr, token.ADD, intLit(k)))
 			}
 			e.code("{\n" + lw.pointAssign(h, kExpr) + open)
-			e.user(body)
+			lw.user(body)
 			e.code(close + "\n}\n")
 		}
 		// Scalar remainder loop: the trip%factor fringe iterations.
 		e.code("}\nfor __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++ {\n" + lw.pointAssign(h, ident("__omp_uk")) + open)
-		e.user(body)
+		lw.user(body)
 		e.code(close + "\n}\n")
 	}
 	e.code("}")
-	return lw.flush(e), nil
+	return nil
 }

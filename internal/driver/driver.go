@@ -259,8 +259,8 @@ func (d *Driver) Run() (*Report, error) {
 // generatedHeader marks driver outputs, following the Go convention the
 // crawler (and any other tool) recognises; the source line keeps the
 // provenance greppable.
-func generatedHeader(rel string) string {
-	return fmt.Sprintf("// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
+func generatedHeader(rel string) []byte {
+	return fmt.Appendf(nil, "// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
 }
 
 // outAbs resolves a module-relative output path against the layout's
@@ -308,7 +308,10 @@ func (d *Driver) processOne(f sourceFile, prev *manifest) fileResult {
 		}
 	}
 
-	out := src
+	// The output is head followed by body: a transformed file is written
+	// behind its header, not joined to it first.
+	var head []byte
+	body := src
 	action := actionCopy
 	if res.pragma {
 		begin := time.Now()
@@ -324,7 +327,7 @@ func (d *Driver) processOne(f sourceFile, prev *manifest) fileResult {
 		}
 		if tr.Changed {
 			action = actionTransform
-			out = append([]byte(generatedHeader(f.rel)), tr.Output...)
+			head, body = generatedHeader(f.rel), tr.Output
 		}
 		// Not Changed despite the sentinel scan: the "pragma" lives in
 		// a string literal or other non-comment text. The file is then
@@ -347,7 +350,7 @@ func (d *Driver) processOne(f sourceFile, prev *manifest) fileResult {
 		res.err = err
 		return res
 	}
-	if err := WriteFileAtomic(outPath, out, 0o644); err != nil {
+	if err := writeFileAtomic(outPath, 0o644, head, body); err != nil {
 		res.err = err
 		return res
 	}

@@ -308,6 +308,95 @@ func TestDriverMetricsHook(t *testing.T) {
 	}
 }
 
+// linkOld puts content "old" at path and a hard link to it at keep: a write
+// through temp file + rename replaces path's directory entry and leaves
+// keep alone, while a write into the existing file would change both.
+func linkOld(t *testing.T, path, keep string) {
+	t.Helper()
+	writeTree(t, filepath.Dir(path), map[string]string{filepath.Base(path): "old"})
+	if err := os.Link(path, keep); err != nil {
+		t.Skipf("no hard links here: %v", err)
+	}
+}
+
+func assertReplaced(t *testing.T, path, keep string) {
+	t.Helper()
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "old" {
+		t.Errorf("%s was written in place, not through temp file + rename (its old link reads %q, %v)", path, got, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) == "old" {
+		t.Errorf("%s not rewritten: %q, %v", path, got, err)
+	}
+}
+
+// noTemps fails if a temporary of an atomic write is left under root.
+func noTemps(t *testing.T, root string) {
+	t.Helper()
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), ".tmp") {
+			t.Errorf("temporary left behind: %s", path)
+		}
+		return err
+	})
+}
+
+// A transformed output is the generated-code header followed by exactly
+// what core.Transform returns, in both layouts; it is written via temp file
+// + rename, and no temporary survives the pass.
+func TestOutputIsHeaderAndTransform(t *testing.T) {
+	for _, mirror := range []bool{false, true} {
+		name := map[bool]string{false: "in-place", true: "mirror"}[mirror]
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			files := map[string]string{"a.go": pragmaSrc, "sub/b.go": strings.Replace(pragmaSrc, "Sum", "Total", 1), "plain.go": plainSrc}
+			writeTree(t, root, files)
+			cfg := Config{Module: root, Jobs: 2}
+			outRoot, outRel := root, map[string]string{"a.go": "a_omp.go", "sub/b.go": "sub/b_omp.go"}
+			if mirror {
+				cfg.OutDir = t.TempDir()
+				outRoot, outRel = cfg.OutDir, map[string]string{"a.go": "a.go", "sub/b.go": "sub/b.go"}
+			}
+			keep := filepath.Join(outRoot, "keep.txt")
+			linkOld(t, filepath.Join(outRoot, outRel["a.go"]), keep)
+			rep := mustRun(t, cfg)
+			if rep.Transformed != 2 {
+				t.Fatalf("pass: %s", rep.Summary())
+			}
+			for rel, out := range outRel {
+				tr, err := core.Transform([]byte(files[rel]), core.Options{Filename: rel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(outRoot, filepath.FromSlash(out)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := append(generatedHeader(rel), tr.Output...); !bytes.Equal(got, want) {
+					t.Errorf("%s:\n%s\nwant header + Transform output:\n%s", out, got, want)
+				}
+			}
+			assertReplaced(t, filepath.Join(outRoot, outRel["a.go"]), keep)
+			noTemps(t, root)
+			noTemps(t, outRoot)
+		})
+	}
+}
+
+// The -toolexec rewrite writes its temporaries through WriteFileAtomic too.
+func TestToolexecOutputIsAtomic(t *testing.T) {
+	src := t.TempDir()
+	writeTree(t, src, map[string]string{"hot.go": pragmaSrc})
+	tmp := t.TempDir()
+	dst, keep := filepath.Join(tmp, "d00", "hot.go"), filepath.Join(tmp, "keep.txt")
+	linkOld(t, dst, keep)
+	got, n, err := rewriteCompileArgs([]string{"compile", filepath.Join(src, "hot.go")}, tmp, core.Options{})
+	if err != nil || n != 1 || got[1] != dst {
+		t.Fatalf("rewrite = %v, %d, %v; want %s", got, n, err, dst)
+	}
+	assertReplaced(t, dst, keep)
+	noTemps(t, tmp)
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.go")

@@ -126,16 +126,38 @@ func TestIterationTwiddleChangesRanks(t *testing.T) {
 	}
 }
 
+// Ranks a faulty runtime corrupted must fail verification, and never
+// crash the verifier: a cumulative count past the key count, or below
+// zero, would place keys outside the reconstruction.
 func TestFullVerifyCatchesCorruption(t *testing.T) {
-	pr, _ := newProblem(npb.ClassS)
-	pr.genKeys(0, pr.nKeys)
-	pr.rankSerial()
-	if !pr.fullVerify() {
+	ranked := func() *problem {
+		pr, _ := newProblem(npb.ClassS)
+		pr.genKeys(0, pr.nKeys)
+		pr.rankSerial()
+		return pr
+	}
+	if !ranked().fullVerify() {
 		t.Fatal("clean ranks rejected")
 	}
-	pr.ranks[pr.maxKey/2] += 1 // corrupt one cumulative count
-	if pr.fullVerify() {
-		t.Fatal("corrupted ranks accepted")
+	for _, corrupt := range []struct {
+		name string
+		f    func(pr *problem)
+	}{
+		{"one more", func(pr *problem) { pr.ranks[pr.maxKey/2]++ }},
+		{"past nKeys", func(pr *problem) { pr.ranks[pr.maxKey/2] = int32(pr.nKeys) + 5 }},
+		{"negative", func(pr *problem) { pr.ranks[pr.maxKey/2] = -7 }},
+		{"last short", func(pr *problem) { pr.ranks[pr.maxKey-1]-- }},
+		{"decreasing", func(pr *problem) {
+			pr.ranks[pr.maxKey/2], pr.ranks[pr.maxKey/2+1] = pr.ranks[pr.maxKey/2+1], pr.ranks[pr.maxKey/2]
+		}},
+	} {
+		t.Run(corrupt.name, func(t *testing.T) {
+			pr := ranked()
+			corrupt.f(pr)
+			if pr.fullVerify() {
+				t.Fatal("corrupted ranks accepted")
+			}
+		})
 	}
 }
 
