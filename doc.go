@@ -205,7 +205,7 @@
 // the straggler's global thread id with the teammate idle time it
 // caused, measured barrier wait, and the what-if speedup (max/mean) a
 // balanced redistribution would recover — the difference between "this
-// region is slow" and "thread 4's block of the triangular loop makes
+// region is slow" and "the master's block of the triangular loop makes
 // everyone else wait, dynamic scheduling would buy 1.7x". See
 // examples/monitor for a self-scraping demonstration.
 //

@@ -53,9 +53,14 @@ func spin(n int64) float64 {
 }
 
 // workload alternates a balanced and a skewed region until stop closes.
-// Both are schedule(static) over the same trip count on four threads;
-// the skewed one does work proportional to the iteration index, so the
-// thread owning the top block becomes the straggler every time.
+// Both are schedule(static) over the same trip count and the same total
+// work on four threads; in the skewed one an iteration's cost falls with
+// its index, so the master, owning the first block, is the straggler every
+// time. Busy time is a wall-clock span, and on a host with fewer CPUs than
+// threads the master's span comes out longest even in the balanced sweep
+// (it runs while the team wakes up). Putting the heavy block on the master
+// keeps that bias from closing the gap between the two loops, and blocks
+// of milliseconds keep per-region costs small beside the work.
 func workload(stop <-chan struct{}, sink []float64) {
 	const trip = int64(1 << 10)
 	for {
@@ -67,14 +72,14 @@ func workload(stop <-chan struct{}, sink []float64) {
 		omp.Parallel(func(t *omp.Thread) {
 			omp.ForRange(t, trip, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
-					sink[i] += spin(256)
+					sink[i] += spin(4096)
 				}
 			})
 		}, omp.NumThreads(4), omp.Loc("monitor.go", 1, "balanced sweep"))
 		omp.Parallel(func(t *omp.Thread) {
 			omp.ForRange(t, trip, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
-					sink[i] += spin(i / 2) // triangular: cost grows with i
+					sink[i] += spin(8 * (trip - 1 - i)) // triangular: cost falls with i
 				}
 			})
 		}, omp.NumThreads(4), omp.Loc("monitor.go", 2, "skewed triangular"))

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -41,15 +42,24 @@ func TestWatchRerunsOnChange(t *testing.T) {
 	if first.Transformed != 1 {
 		t.Fatalf("initial pass: %s", first.Summary())
 	}
+	// Files change by rename, as an editor saves them: a poll landing
+	// between the truncate and the write of a plain os.WriteFile would run
+	// a pass over an empty file and report it instead of the edit.
+	save := func(rel, src string) {
+		t.Helper()
+		if err := WriteFileAtomic(filepath.Join(root, rel), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// An edit triggers a pass that re-transforms exactly the edit. The
 	// write also bumps mtime, which is all the poller looks at.
-	writeTree(t, root, map[string]string{"a.go": strings.Replace(pragmaSrc, "Sum", "Sum2", 1)})
+	save("a.go", strings.Replace(pragmaSrc, "Sum", "Sum2", 1))
 	second := waitReport("pass after edit")
 	if second.Transformed != 1 || second.Cached != 0 {
 		t.Fatalf("pass after edit: %s", second.Summary())
 	}
 	// A new file is a signature change too.
-	writeTree(t, root, map[string]string{"b.go": pragmaSrc})
+	save("b.go", pragmaSrc)
 	third := waitReport("pass after new file")
 	if third.Transformed != 1 || third.Cached != 1 {
 		t.Fatalf("pass after new file: %s", third.Summary())

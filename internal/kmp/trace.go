@@ -421,6 +421,12 @@ type Collector struct {
 	// discards events at drain.
 	Sink func([]TraceEvent)
 
+	// Drained, when set, is called once at the end of every Flush that
+	// delivered events, after the Sink has had every ring's batch and under
+	// the same lock: the point where a consumer can put events of different
+	// rings back in time order.
+	Drained func()
+
 	// BridgeGoTrace additionally mirrors parallel-region and task spans
 	// into Go's runtime/trace as user regions when a runtime trace is
 	// being recorded, so `go tool trace` shows omp structure inline with
@@ -492,6 +498,9 @@ func (c *Collector) Flush() int {
 		if c.Sink != nil && len(c.batch) > 0 {
 			c.Sink(c.batch)
 		}
+	}
+	if c.Drained != nil && total > 0 {
+		c.Drained()
 	}
 	return total
 }

@@ -125,6 +125,7 @@ type Profiler struct {
 	events       []kmp.TraceEvent // retained timeline (nil unless WithTimeline)
 	zoneSpans    []zoneSpan
 	timelineDrop int64 // events past timelineCap
+	queueSteps   []queueStep
 	lastDrops    uint64
 	started      time.Time
 	startNs      int64
@@ -141,6 +142,7 @@ func New(opts ...Option) *Profiler {
 	}
 	p.col = kmp.NewCollector(p.ringSize)
 	p.col.Sink = p.consume
+	p.col.Drained = p.drained
 	p.col.BridgeGoTrace = p.goTrace
 	return p
 }
@@ -234,7 +236,7 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 			p.met.StolenIters.Add(ev.Arg1)
 		case kmp.TraceTaskSpawn:
 			p.met.TaskSpawns.Add(1)
-			p.met.TaskQueue.Add(1)
+			p.queueSteps = append(p.queueSteps, queueStep{ev.When, 1})
 		case kmp.TraceTaskRun:
 			st.tasks++
 			st.taskTime += time.Duration(ev.Dur)
@@ -242,7 +244,7 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 			p.met.TaskRuns.Add(1)
 			p.met.TaskNs.Add(ev.Dur)
 			p.met.TaskRun.Observe(ev.Dur)
-			p.met.TaskQueue.Add(-1)
+			p.queueSteps = append(p.queueSteps, queueStep{ev.When, -1})
 		case kmp.TraceTaskSteal:
 			st.steals++
 			p.met.TaskSteals.Add(1)
@@ -270,6 +272,32 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 		}
 		p.timelineDrop += int64(len(batch) - room)
 	}
+}
+
+// queueStep is one move of the TaskQueue gauge: +1 at a spawn, -1 when the
+// task starts to run.
+type queueStep struct {
+	when, delta int64
+}
+
+// drained moves the TaskQueue gauge through one Flush's spawns and runs in
+// time order. Rings drain one at a time, so a worker's runs can arrive
+// before the spawns on the master's ring; taken in drain order, the level
+// would dip below zero and the peak would miss the backlog.
+func (p *Profiler) drained() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	steps := p.queueSteps
+	sort.Slice(steps, func(i, j int) bool {
+		if steps[i].when != steps[j].when {
+			return steps[i].when < steps[j].when
+		}
+		return steps[i].delta > steps[j].delta
+	})
+	for _, s := range steps {
+		p.met.TaskQueue.Add(s.delta)
+	}
+	p.queueSteps = steps[:0]
 }
 
 // Zone opens an explicit application span named name; the returned
