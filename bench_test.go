@@ -245,7 +245,7 @@ func benchSchedule(b *testing.B, kind omp.SchedKind, chunk int64) {
 // BenchmarkAblationScheduleStatic: block partition (tail-heavy here).
 func BenchmarkAblationScheduleStatic(b *testing.B) { benchSchedule(b, omp.Static, 0) }
 
-// BenchmarkAblationScheduleStatic1: cyclic, the IS rank() distribution.
+// BenchmarkAblationScheduleStatic1: cyclic, the paper's IS rank() distribution.
 func BenchmarkAblationScheduleStatic1(b *testing.B) { benchSchedule(b, omp.Static, 1) }
 
 // BenchmarkAblationScheduleDynamic: chunk pops with half-range stealing.

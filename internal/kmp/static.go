@@ -64,8 +64,8 @@ func StaticBlock(tid, nth int, trip int64) (begin, end int64) {
 // StaticChunked iterates thread tid's chunks of a trip-count iteration space
 // under schedule(static, chunk): chunk c goes to thread c mod nth, so thread
 // tid owns chunks tid, tid+nth, tid+2·nth, … body receives each chunk as a
-// half-open range. The IS benchmark's rank() loop uses schedule(static,1),
-// which degenerates to a pure cyclic distribution.
+// half-open range. The paper's IS port ranks its buckets under
+// schedule(static,1), which degenerates to a pure cyclic distribution.
 func StaticChunked(tid, nth int, trip, chunk int64, body func(begin, end int64)) {
 	if chunk <= 0 {
 		chunk = 1

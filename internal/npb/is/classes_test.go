@@ -48,7 +48,8 @@ func TestClassWVerifies(t *testing.T) {
 }
 
 // The bucket shift must keep every bucket's value range disjoint and
-// aligned — the property that makes phase 4's writes conflict-free.
+// aligned — the property that makes the goroutine baseline's per-bucket
+// counting writes conflict-free.
 func TestBucketGeometry(t *testing.T) {
 	for class, p := range classes {
 		shift := p.maxKeyLog2 - numBucketsLog2

@@ -1,10 +1,12 @@
 package is
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"gomp/internal/npb"
+	"gomp/omp"
 )
 
 var (
@@ -76,6 +78,85 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		if par.RankHash != st.RankHash {
 			t.Fatalf("threads=%d: rank hash %016x != serial %016x", threads, par.RankHash, st.RankHash)
+		}
+	}
+}
+
+// A team narrower than requested: rankOMP's histograms are sized for the
+// requested count, so words past the granted team's are whatever the last
+// user of buff2 left there. The merge must add the granted team's only.
+func TestParallelTeamNarrowerThanRequested(t *testing.T) {
+	st := serialClassS(t)
+	defer omp.SetMaxActiveLevels(omp.GetMaxActiveLevels())
+	omp.SetMaxActiveLevels(0) // every region runs on a team of one
+	par, err := RunParallel(npb.ClassS, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Verify(par) || par.RankHash != st.RankHash {
+		t.Fatalf("team of one for 4 requested: verified=%v hash %016x, serial %016x", Verify(par), par.RankHash, st.RankHash)
+	}
+
+	pr, _ := newProblem(npb.ClassS)
+	pr.genKeys(0, pr.nKeys)
+	pr.rankSerial()
+	want := pr.rankHash()
+	for i := range pr.buff2 {
+		pr.buff2[i] = 12345 // stale histogram words
+	}
+	pr.rankOMP(pr.histograms(4), 4)
+	if got := pr.rankHash(); got != want {
+		t.Fatalf("team of one over stale buff2: rank hash %016x, serial %016x", got, want)
+	}
+}
+
+// Histograms that do not fit in buff2 (33 threads × 2^11 key values > 2^16
+// keys) take the allocating path and still rank exactly.
+func TestParallelHistogramsOutgrowBuff2(t *testing.T) {
+	st := serialClassS(t)
+	const threads = 33
+	pr, _ := newProblem(npb.ClassS)
+	if h := pr.histograms(threads); &h[0] == &pr.buff2[0] {
+		t.Fatalf("%d histograms of %d words share buff2 (%d words)", threads, pr.maxKey, len(pr.buff2))
+	}
+	par, err := RunParallel(npb.ClassS, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Verify(par) || par.RankHash != st.RankHash {
+		t.Fatalf("threads=%d: verified=%v hash %016x, serial %016x", threads, Verify(par), par.RankHash, st.RankHash)
+	}
+}
+
+// Once warm, a rank call allocates only its region closure: the histograms
+// live in buff2 (or one per-run slice), never on the heap per call.
+func TestRankOMPAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, class := range []npb.Class{npb.ClassS, npb.ClassW} {
+		pr, _ := newProblem(class)
+		pr.genKeys(0, pr.nKeys)
+		for _, threads := range []int{1, 2, 4} {
+			hist := pr.histograms(threads)
+			if &hist[0] != &pr.buff2[0] {
+				t.Fatalf("class %v threads=%d: histograms fit in buff2 but do not share it", class, threads)
+			}
+			rank := func() { pr.rankOMP(hist, threads) }
+			rank() // spawn workers, prime pools
+			allocs := testing.AllocsPerRun(5, rank)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const calls = 5
+			for i := 0; i < calls; i++ {
+				rank()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("class %v threads=%d: %.0f allocs, %d B per rank", class, threads, allocs, bytes)
+			if allocs > 1 || bytes >= 1024 {
+				t.Errorf("class %v threads=%d: %.1f allocs and %d B per rank, want ≤ 1 and < 1 KiB", class, threads, allocs, bytes)
+			}
 		}
 	}
 }

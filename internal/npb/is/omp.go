@@ -5,107 +5,55 @@ import (
 	"gomp/omp"
 )
 
-// The omp flavour parallelises rank() the way the NPB OpenMP version does:
-// per-thread bucket histograms over a static key partition, scatter with
-// per-thread cursors derived from the histogram prefix, then per-bucket
-// counting with the schedule(static,1) loop the paper calls out — buckets
-// have skewed populations, so a cyclic distribution balances them.
-
-type ompWorkspace struct {
-	threads     int
-	bucketSize  [][]int32 // [thread][bucket] histogram
-	bucketPtr   [][]int32 // [thread][bucket] scatter cursor
-	bucketStart []int32   // [bucket+1] bucket offsets in buff2
-}
-
-func newOmpWorkspace(threads, buckets int) *ompWorkspace {
-	ws := &ompWorkspace{threads: threads, bucketStart: make([]int32, buckets+1)}
-	ws.bucketSize = make([][]int32, threads)
-	ws.bucketPtr = make([][]int32, threads)
-	for t := 0; t < threads; t++ {
-		ws.bucketSize[t] = make([]int32, buckets)
-		ws.bucketPtr[t] = make([]int32, buckets)
+// histograms returns the threads × maxKey histogram space rankOMP works in:
+// a prefix of buff2 when it fits, since buff2 is dead while ranking and
+// fullVerify rebuilds it only after the timer stops; otherwise a fresh
+// slice, allocated once per run.
+func (pr *problem) histograms(threads int) []int32 {
+	n := threads * int(pr.maxKey)
+	if n <= len(pr.buff2) {
+		return pr.buff2[:n]
 	}
-	return ws
+	return make([]int32, n)
 }
 
-// rankOMP computes the cumulative rank array on the OpenMP runtime. The
-// result is bit-identical to rankSerial: integer arithmetic with
-// deterministic partitions.
-func (pr *problem) rankOMP(ws *ompWorkspace, threads int) {
-	shift := uint(pr.params.maxKeyLog2 - numBucketsLog2)
-	buckets := 1 << numBucketsLog2
-	nKeys := int64(pr.nKeys)
-
+// rankOMP computes the cumulative rank array on the OpenMP runtime, the way
+// NPB's OpenMP IS does without USE_BUCKETS: every thread counts its static
+// block of keys into a private histogram over the whole key range and
+// prefix-sums it; after one barrier a static loop over key values adds the
+// per-thread prefixes into the rank array. hist holds at least threads ×
+// maxKey words; thread t owns the t-th maxKey-long run. The result is
+// bit-identical to rankSerial: integer arithmetic with deterministic
+// partitions.
+func (pr *problem) rankOMP(hist []int32, threads int) {
+	maxKey := int64(pr.maxKey)
 	omp.Parallel(func(t *omp.Thread) {
-		tid := t.Tid
-		nth := t.NumThreads()
-		bs := ws.bucketSize[tid]
-		for b := range bs {
-			bs[b] = 0
+		mine := hist[int64(t.Tid)*maxKey:][:maxKey]
+		clear(mine)
+		omp.ForRange(t, int64(pr.nKeys), func(lo, hi int64) {
+			for _, k := range pr.keys[lo:hi] {
+				mine[k]++
+			}
+		}, omp.Schedule(omp.Static, 0), omp.NoWait())
+		for v := 1; v < len(mine); v++ {
+			mine[v] += mine[v-1]
 		}
-		// Phase 1: per-thread bucket histogram over a static block.
-		omp.ForRange(t, nKeys, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				bs[pr.keys[i]>>shift]++
-			}
-		}, omp.Schedule(omp.Static, 0))
-
-		// Phase 2: every thread derives its scatter cursors from the
-		// full histogram set (redundant but tiny: buckets × threads),
-		// so no serial bottleneck. The master also records the bucket
-		// boundaries the counting phase needs.
-		ptr := ws.bucketPtr[tid]
-		run := int32(0)
-		for b := 0; b < buckets; b++ {
-			mine := run
-			for tt := 0; tt < tid; tt++ {
-				mine += ws.bucketSize[tt][b]
-			}
-			ptr[b] = mine
-			if tid == 0 {
-				ws.bucketStart[b] = run
-			}
-			for tt := 0; tt < nth; tt++ {
-				run += ws.bucketSize[tt][b]
-			}
-		}
-		if tid == 0 {
-			ws.bucketStart[buckets] = run
-		}
-
-		// Phase 3: scatter into buckets over the same static block as
-		// phase 1 (the cursors assume the identical partition). The
-		// loop's implicit barrier also publishes bucketStart.
-		omp.ForRange(t, nKeys, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				k := pr.keys[i]
-				b := k >> shift
-				pr.buff2[ptr[b]] = k
-				ptr[b]++
-			}
-		}, omp.Schedule(omp.Static, 0))
-
-		// Phase 4: counting sort per bucket — schedule(static,1), the
-		// clause the paper highlights for IS. Each bucket owns a
-		// disjoint slice of the rank array, so writes never conflict.
-		omp.ForRange(t, int64(buckets), func(blo, bhi int64) {
-			for b := blo; b < bhi; b++ {
-				vlo := int32(b) << shift
-				vhi := vlo + 1<<shift
-				for v := vlo; v < vhi; v++ {
-					pr.ranks[v] = 0
-				}
-				for i := ws.bucketStart[b]; i < ws.bucketStart[b+1]; i++ {
-					pr.ranks[pr.buff2[i]]++
-				}
-				cum := ws.bucketStart[b]
-				for v := vlo; v < vhi; v++ {
-					cum += pr.ranks[v]
-					pr.ranks[v] = cum
+		// Every histogram is complete past this barrier. The merge reads
+		// the granted team's histograms only: words past them may be
+		// stale, and the team can be narrower than requested.
+		omp.Barrier(t)
+		nth := int64(t.NumThreads())
+		// The region's join publishes the ranks, so the loop skips its own
+		// barrier.
+		omp.ForRange(t, maxKey, func(lo, hi int64) {
+			ranks := pr.ranks[lo:hi]
+			copy(ranks, hist[lo:hi])
+			for tt := int64(1); tt < nth; tt++ {
+				for i, c := range hist[tt*maxKey+lo : tt*maxKey+hi] {
+					ranks[i] += c
 				}
 			}
-		}, omp.Schedule(omp.Static, 1))
+		}, omp.Schedule(omp.Static, 0), omp.NoWait())
 	}, omp.NumThreads(threads))
 }
 
@@ -124,14 +72,14 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 		pr.genKeys(int(lo), int(hi))
 	}, omp.NumThreads(threads), omp.Schedule(omp.Static, 0))
 
-	ws := newOmpWorkspace(threads, 1<<numBucketsLog2)
+	hist := pr.histograms(threads)
 	var tm npb.Timer
 	pr.prepareIteration(1)
-	pr.rankOMP(ws, threads)
+	pr.rankOMP(hist, threads)
 	tm.Start()
 	for it := 1; it <= maxIterations; it++ {
 		pr.prepareIteration(it)
-		pr.rankOMP(ws, threads)
+		pr.rankOMP(hist, threads)
 	}
 	tm.Stop()
 	return pr.stats(class, threads, tm.Seconds()), nil
