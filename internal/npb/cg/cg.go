@@ -61,10 +61,10 @@ type Stats struct {
 // genState carries the matrix generator's LCG stream (NPB's tran/amult
 // globals).
 type genState struct {
-	tran float64
+	tran npb.Stream
 }
 
-func (g *genState) randlc() float64 { return npb.Randlc(&g.tran, cgAmult) }
+func (g *genState) randlc() float64 { return g.tran.Float64() }
 
 // sprnvc generates a sparse vector of nz distinct random nonzeros in
 // [1, n], values in (0,1) — NPB's sprnvc, consuming two LCG draws per
@@ -124,7 +124,7 @@ func MakeA(class npb.Class) (*Matrix, error) {
 	nonzer := p.nonzer
 	nz := n * (nonzer + 1) * (nonzer + 1)
 
-	g := &genState{tran: cgSeed}
+	g := &genState{tran: npb.NewStream(cgSeed, cgAmult)}
 	g.randlc() // NPB main draws one zeta seed before makea
 
 	// Generation phase: n sparse row vectors.

@@ -111,3 +111,12 @@ func TestResultRendering(t *testing.T) {
 		t.Fatal("Mops <= 0")
 	}
 }
+
+// The generator needs its seed and multiplier as integers in [0, 2^46).
+func TestLCGConstantsInDomain(t *testing.T) {
+	for name, v := range map[string]float64{"seedS": seedS, "seedA": seedA} {
+		if !npb.InDomain(v) {
+			t.Errorf("%s = %v is not an integer in [0, 2^46)", name, v)
+		}
+	}
+}

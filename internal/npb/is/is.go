@@ -85,15 +85,18 @@ func newProblem(class npb.Class) (*problem, error) {
 // scaled average of four consecutive LCG draws. The seed is jumped to
 // 4·lo, so any partition of the range produces the identical sequence —
 // how the NPB OpenMP version keeps parallel key generation deterministic.
+//
+// NPB computes maxKey/4 · (r1+r2+r3+r4) in double precision. Each draw is
+// an integer below 2^46 times 2^-46, so every partial sum is an integer
+// below 2^48 times 2^-46 and is exact, and maxKey/4 is a power of two. The
+// key is therefore the integer sum of the four states shifted right by
+// 48 − log2(maxKey), which is what this computes.
 func (pr *problem) genKeys(lo, hi int) {
-	seed := npb.SkipAhead(npb.DefaultSeed, npb.DefaultMult, int64(4*lo))
-	k := float64(pr.maxKey / 4)
+	s := npb.NewStream(npb.SkipAhead(npb.DefaultSeed, npb.DefaultMult, int64(4*lo)), npb.DefaultMult)
+	shift := 48 - pr.params.maxKeyLog2
 	for i := lo; i < hi; i++ {
-		x := npb.Randlc(&seed, npb.DefaultMult)
-		x += npb.Randlc(&seed, npb.DefaultMult)
-		x += npb.Randlc(&seed, npb.DefaultMult)
-		x += npb.Randlc(&seed, npb.DefaultMult)
-		pr.keys[i] = int32(k * x)
+		sum := s.Next() + s.Next() + s.Next() + s.Next()
+		pr.keys[i] = int32(sum >> shift)
 	}
 }
 

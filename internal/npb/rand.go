@@ -4,16 +4,26 @@ package npb
 //
 //	x_{k+1} = a · x_k  (mod 2^46)
 //
-// computed entirely in double precision by splitting operands into two
-// 23-bit halves, exactly as NPB's randlc/vranlc do. All three kernels seed
-// from it, so bit-compatibility with the reference implementations is what
-// makes the published verification constants attainable.
+// computed in exact 64-bit integer arithmetic, as NPB's randi8 variant
+// (common/randi8.f, chosen with RAND = randi8 in make.def) does. A uint64
+// product that wraps keeps its low 64 bits, so its low 46 bits are a·x
+// mod 2^46 exactly. NPB's portable randlc/vranlc compute the same
+// residue in double precision by splitting operands into 23-bit halves,
+// so for x and a in [0, 2^46) the two produce the same state sequence bit
+// for bit. The normalised output r46·x is also identical: x < 2^46 is an
+// exact float64, and r46 = 2^-46 scales it exactly. All three kernels
+// seed from this generator, and bit-compatibility with the reference
+// implementations is what makes the published verification constants
+// attainable.
+//
+// The float64 state and multiplier of Randlc, Vranlc and SkipAhead are
+// NPB's API. Both must hold integers in [0, 2^46); InDomain checks that.
+// Hot loops keep the state as an integer in a Stream.
 
 const (
-	r23 = 1.0 / (1 << 23)
-	r46 = r23 * r23
-	t23 = 1 << 23
-	t46 = float64(1 << 46)
+	r46    = 1.0 / (1 << 46)
+	t46    = 1 << 46
+	mask46 = t46 - 1
 )
 
 // DefaultSeed and DefaultMult are the seed/multiplier most NPB kernels use.
@@ -22,90 +32,66 @@ const (
 	DefaultMult = 1220703125.0 // 5^13
 )
 
+// InDomain reports whether v is an integer in [0, 2^46), the range the
+// state x and multiplier a of Randlc, Vranlc, SkipAhead and NewStream
+// must lie in.
+func InDomain(v float64) bool {
+	return v >= 0 && v < t46 && v == float64(uint64(v))
+}
+
+// Stream is the generator's state and multiplier held as integers. The
+// kernels' generation loops draw from it so that the state never goes
+// through float64.
+type Stream struct{ x, a uint64 }
+
+// NewStream starts a stream at seed x with multiplier a. Both must be
+// integers in [0, 2^46).
+func NewStream(x, a float64) Stream { return Stream{uint64(x), uint64(a)} }
+
+// Next advances the stream and returns the new state, an integer in
+// [0, 2^46).
+func (s *Stream) Next() uint64 {
+	s.x = (s.a * s.x) & mask46
+	return s.x
+}
+
+// Float64 advances the stream and returns the new state normalised to
+// [0, 1), which is what Randlc returns.
+func (s *Stream) Float64() float64 { return r46 * float64(s.Next()) }
+
 // Randlc advances *x to the next element of the sequence (multiplier a) and
-// returns the result normalised to (0, 1).
+// returns the result normalised to [0, 1): (0, 1) for the odd seeds and
+// multipliers NPB uses. x and a must be integers in [0, 2^46).
 func Randlc(x *float64, a float64) float64 {
-	// Split a and x into a1·2^23 + a2.
-	t1 := r23 * a
-	a1 := float64(int64(t1))
-	a2 := a - t23*a1
-
-	t1 = r23 * (*x)
-	x1 := float64(int64(t1))
-	x2 := *x - t23*x1
-
-	// z = lower 46 bits of a1·x2 + a2·x1 (the middle partial products).
-	t1 = a1*x2 + a2*x1
-	t2 := float64(int64(r23 * t1))
-	z := t1 - t23*t2
-
-	t3 := t23*z + a2*x2
-	t4 := float64(int64(r46 * t3))
-	*x = t3 - t46*t4
-	return r46 * (*x)
+	s := NewStream(*x, a)
+	v := s.Float64()
+	*x = float64(s.x)
+	return v
 }
 
 // Vranlc fills y[:n] with the next n sequence elements, advancing *x. It is
-// the vectorisable batch form the EP kernel uses for its 2^16-element
-// batches.
+// the batch form the EP kernel uses for its 2^16-element batches. x and a
+// must be integers in [0, 2^46).
 func Vranlc(n int, x *float64, a float64, y []float64) {
-	t1 := r23 * a
-	a1 := float64(int64(t1))
-	a2 := a - t23*a1
-	cur := *x
-	for i := 0; i < n; i++ {
-		t1 = r23 * cur
-		x1 := float64(int64(t1))
-		x2 := cur - t23*x1
-		t1 = a1*x2 + a2*x1
-		t2 := float64(int64(r23 * t1))
-		z := t1 - t23*t2
-		t3 := t23*z + a2*x2
-		t4 := float64(int64(r46 * t3))
-		cur = t3 - t46*t4
-		y[i] = r46 * cur
+	s := NewStream(*x, a)
+	for i := range y[:n] {
+		y[i] = s.Float64()
 	}
-	*x = cur
-}
-
-// FindMySeed returns the seed of the kn-th of np processors over a total
-// sequence of nn numbers starting from seed s with multiplier a — NPB IS's
-// find_my_seed, a binary jump over the LCG.
-func FindMySeed(kn, np int, nn int64, s, a float64) float64 {
-	if kn == 0 {
-		return s
-	}
-	mq := (nn/4 + int64(np) - 1) / int64(np)
-	nq := mq * 4 * int64(kn) // number of rans to skip
-	t1 := s
-	t2 := a
-	kk := nq
-	for kk > 1 {
-		ik := kk / 2
-		if 2*ik == kk {
-			Randlc(&t2, t2)
-			kk = ik
-		} else {
-			Randlc(&t1, t2)
-			kk--
-		}
-	}
-	Randlc(&t1, t2)
-	return t1
+	*x = float64(s.x)
 }
 
 // SkipAhead advances seed s by n steps of the multiplier-a sequence in
 // O(log n) squarings — the binary algorithm the EP kernel inlines to give
-// every batch an independent starting seed.
+// every batch an independent starting seed. s and a must be integers in
+// [0, 2^46).
 func SkipAhead(s, a float64, n int64) float64 {
-	t1 := s
-	t2 := a
+	x, m := uint64(s), uint64(a)
 	for n > 0 {
 		if n&1 == 1 {
-			Randlc(&t1, t2)
+			x = (m * x) & mask46
 		}
-		Randlc(&t2, t2)
+		m = (m * m) & mask46
 		n >>= 1
 	}
-	return t1
+	return float64(x)
 }
