@@ -115,6 +115,22 @@ func TestVranlcMatchesDouble(t *testing.T) {
 	}
 }
 
+func TestVranlcMatchesRandlc(t *testing.T) {
+	x1 := DefaultSeed
+	x2 := DefaultSeed
+	batch := make([]float64, 257)
+	Vranlc(len(batch), &x1, DefaultMult, batch)
+	for i := range batch {
+		want := Randlc(&x2, DefaultMult)
+		if batch[i] != want {
+			t.Fatalf("vranlc[%d] = %g, randlc = %g", i, batch[i], want)
+		}
+	}
+	if x1 != x2 {
+		t.Fatalf("states diverged: %g vs %g", x1, x2)
+	}
+}
+
 // SkipAhead against the double-precision jump and against a^n·x mod 2^46
 // in math/big, for jumps up to 2^40.
 func TestSkipAheadMatchesDouble(t *testing.T) {
