@@ -39,6 +39,10 @@ type ICV struct {
 	// RunSched is run-sched-var: what schedule(runtime) resolves to.
 	RunSched Sched
 	// Dynamic is dyn-var: whether the runtime may shrink requested teams.
+	// It is stored (OMP_DYNAMIC, omp_set_dynamic) and round-trips through
+	// omp_get_dynamic, but nothing reads it: teams are never shrunk. A
+	// serial cutoff chosen by the runtime would conform to OpenMP only
+	// while dyn-var is true.
 	Dynamic bool
 	// MaxActiveLevels is max-active-levels-var: the number of nested
 	// parallel regions that may be active (more than one thread) at once.

@@ -10,6 +10,7 @@ package cg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gomp/internal/npb"
 )
@@ -111,146 +112,131 @@ func vecset(v []float64, iv []int, nzv int, i int, val float64) int {
 
 // MakeA generates the class matrix: the weighted sum of outer products
 // Σ ωᵢ xᵢxᵢᵀ of random sparse vectors (ω geometric from 1 to rcond), plus
-// (rcond − shift) on the diagonal — a faithful port of NPB's
-// makea/sprnvc/vecset/sparse pipeline, including its insertion-sorted
-// assembly and duplicate merging, so the LCG stream consumption (and hence
-// the verification ζ) matches the reference bit for bit.
+// (rcond − shift) on the diagonal — NPB's makea: sprnvc and vecset draw the
+// vectors from the LCG stream exactly as the reference does, and sparse
+// assembles them into a matrix bit-identical to the reference's, so the
+// verification ζ matches it bit for bit.
 func MakeA(class npb.Class) (*Matrix, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("cg: unsupported class %v", class)
 	}
 	n := p.na
-	nonzer := p.nonzer
-	nz := n * (nonzer + 1) * (nonzer + 1)
+	arow, acol, aelt := generate(n, p.nonzer)
+	a, colidx, rowstr := sparse(n, p.nonzer+1, arow, acol, aelt, p.shift)
+	return &Matrix{N: n, A: a, ColIdx: colidx, RowStr: rowstr, NNZ: len(a)}, nil
+}
 
+// generate draws makea's n sparse vectors. Vector i has arow[i] ≤ stride =
+// nonzer+1 nonzeros, each in a distinct 0-based column: acol[i*stride+k]
+// holds the column and aelt[i*stride+k] the value, in the order NPB
+// generates them.
+func generate(n, nonzer int) (arow, acol []int32, aelt []float64) {
 	g := &genState{tran: npb.NewStream(cgSeed, cgAmult)}
 	g.randlc() // NPB main draws one zeta seed before makea
 
-	// Generation phase: n sparse row vectors.
 	nn1 := 1
 	for nn1 < n {
 		nn1 *= 2
 	}
-	arow := make([]int, n)
-	acol := make([][]int, n)
-	aelt := make([][]float64, n)
-	vc := make([]float64, nonzer+1)
-	ivc := make([]int, nonzer+1)
+	stride := nonzer + 1
+	arow = make([]int32, n)
+	acol = make([]int32, n*stride)
+	aelt = make([]float64, n*stride)
+	vc := make([]float64, stride)
+	ivc := make([]int, stride)
 	for iouter := 0; iouter < n; iouter++ {
 		nzv := g.sprnvc(n, nonzer, nn1, vc, ivc)
 		nzv = vecset(vc, ivc, nzv, iouter+1, 0.5)
-		arow[iouter] = nzv
-		acol[iouter] = make([]int, nzv)
-		aelt[iouter] = make([]float64, nzv)
+		arow[iouter] = int32(nzv)
 		for i := 0; i < nzv; i++ {
-			acol[iouter][i] = ivc[i] - 1
-			aelt[iouter][i] = vc[i]
+			acol[iouter*stride+i] = int32(ivc[i] - 1)
+			aelt[iouter*stride+i] = vc[i]
 		}
 	}
+	return arow, acol, aelt
+}
 
-	// Assembly phase (NPB sparse()): outer products accumulated into a
-	// CSR structure whose row slots were sized pessimistically, with
-	// insertion sort per row and duplicate merging.
-	a := make([]float64, nz)
-	colidx := make([]int32, nz)
-	rowstr := make([]int32, n+1)
-	nzloc := make([]int32, n)
-
+// sparse is NPB's sparse(): it assembles Σᵢ ωᵢ vᵢvᵢᵀ + (rcond − shift)·I in
+// CSR form from generate's vectors, ωᵢ = rcond^(i/n).
+//
+// NPB adds each contribution ωᵢ·vᵢ[k]·vᵢ[l] into its row as it is generated,
+// keeping the row's columns insertion-sorted and adding a repeated column
+// into the entry already there. Each entry is therefore 0 plus its
+// contributions, added in generation order. This assembly performs the
+// same additions in the same order without the insertion shifts: it
+// appends every contribution to its row's slots (sized, as in NPB, for
+// every contribution the row receives) in generation order, then, row by
+// row, sums equal columns in slot order starting from zero and writes the
+// columns out in ascending order. A, ColIdx and RowStr are bit-identical
+// to NPB's.
+func sparse(n, stride int, arow, acol []int32, aelt []float64, shift float64) (a []float64, colidx, rowstr []int32) {
+	vec := func(i int) ([]int32, []float64) {
+		return acol[i*stride:][:arow[i]], aelt[i*stride:][:arow[i]]
+	}
+	rowstr = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		for nza := 0; nza < arow[i]; nza++ {
-			j := acol[i][nza] + 1
-			rowstr[j] += int32(arow[i])
+		cols, _ := vec(i)
+		for _, j := range cols {
+			rowstr[j+1] += arow[i]
 		}
 	}
 	for j := 1; j <= n; j++ {
 		rowstr[j] += rowstr[j-1]
 	}
-	if int(rowstr[n])-1 > nz {
-		return nil, fmt.Errorf("cg: generated %d nonzeros exceeds capacity %d", rowstr[n]-1, nz)
-	}
-	for j := 0; j < n; j++ {
-		for k := rowstr[j]; k < rowstr[j+1]; k++ {
-			a[k] = 0
-			colidx[k] = -1
-		}
-	}
+	a = make([]float64, rowstr[n])
+	colidx = make([]int32, rowstr[n])
 
+	next := make([]int32, n) // row j's first free slot
+	copy(next, rowstr)
 	size := 1.0
 	ratio := math.Pow(rcond, 1.0/float64(n))
 	for i := 0; i < n; i++ {
-		for nza := 0; nza < arow[i]; nza++ {
-			j := acol[i][nza]
-			scale := size * aelt[i][nza]
-			for nzrow := 0; nzrow < arow[i]; nzrow++ {
-				jcol := int32(acol[i][nzrow])
-				va := aelt[i][nzrow] * scale
-				if int(jcol) == j && j == i {
-					va += rcond - p.shift
+		cols, vals := vec(i)
+		for nza, j := range cols {
+			scale := size * vals[nza]
+			for nzrow, jcol := range cols {
+				va := vals[nzrow] * scale
+				if jcol == j && int(j) == i {
+					va += rcond - shift
 				}
-				var k int32
-				placed := false
-				for k = rowstr[j]; k < rowstr[j+1]; k++ {
-					switch {
-					case colidx[k] > jcol:
-						// Shift the sorted tail right and insert.
-						for kk := rowstr[j+1] - 2; kk >= k; kk-- {
-							if colidx[kk] > -1 {
-								a[kk+1] = a[kk]
-								colidx[kk+1] = colidx[kk]
-							}
-						}
-						colidx[k] = jcol
-						a[k] = 0
-						placed = true
-					case colidx[k] == -1:
-						colidx[k] = jcol
-						placed = true
-					case colidx[k] == jcol:
-						nzloc[j]++ // duplicate: merge, one slot freed
-						placed = true
-					}
-					if placed {
-						break
-					}
-				}
-				if !placed {
-					return nil, fmt.Errorf("cg: internal error in sparse assembly at row %d", j)
-				}
-				a[k] += va
+				k := next[j]
+				next[j]++
+				a[k] = va
+				colidx[k] = jcol
 			}
 		}
 		size *= ratio
 	}
 
-	// Compression: squeeze out the slots freed by duplicate merges.
-	for j := 1; j < n; j++ {
-		nzloc[j] += nzloc[j-1]
-	}
+	// Row by row: sum[c] accumulates column c, whose first slot in row j
+	// sets seen[c] to j+1; the row's columns are then written out sorted,
+	// over its own slots or the freed ones before them.
+	sum := make([]float64, n)
+	seen := make([]int32, n)
+	row := make([]int32, 0, n)
+	nnz := int32(0)
 	for j := 0; j < n; j++ {
-		j1 := int32(0)
-		if j > 0 {
-			j1 = rowstr[j] - nzloc[j-1]
+		row = row[:0]
+		for k := rowstr[j]; k < rowstr[j+1]; k++ {
+			c := colidx[k]
+			if seen[c] != int32(j+1) {
+				seen[c] = int32(j + 1)
+				sum[c] = 0
+				row = append(row, c)
+			}
+			sum[c] += a[k]
 		}
-		j2 := rowstr[j+1] - nzloc[j]
-		nza := rowstr[j]
-		for k := j1; k < j2; k++ {
-			a[k] = a[nza]
-			colidx[k] = colidx[nza]
-			nza++
+		slices.Sort(row)
+		rowstr[j] = nnz
+		for _, c := range row {
+			a[nnz] = sum[c]
+			colidx[nnz] = c
+			nnz++
 		}
 	}
-	for j := 1; j <= n; j++ {
-		rowstr[j] -= nzloc[j-1]
-	}
-
-	return &Matrix{
-		N:      n,
-		A:      a[:rowstr[n]],
-		ColIdx: colidx[:rowstr[n]],
-		RowStr: rowstr,
-		NNZ:    int(rowstr[n]),
-	}, nil
+	rowstr[n] = nnz
+	return a[:nnz], colidx[:nnz], rowstr
 }
 
 // ConjGradSerial runs one 25-iteration CG solve of Az = x, returning the

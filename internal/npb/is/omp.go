@@ -7,8 +7,8 @@ import (
 
 // histograms returns the threads × maxKey histogram space rankOMP works in:
 // a prefix of buff2 when it fits, since buff2 is dead while ranking and
-// fullVerify rebuilds it only after the timer stops; otherwise a fresh
-// slice, allocated once per run.
+// fullVerify counts the keys into it only after the timer stops;
+// otherwise a fresh slice, allocated once per run.
 func (pr *problem) histograms(threads int) []int32 {
 	n := threads * int(pr.maxKey)
 	if n <= len(pr.buff2) {

@@ -124,10 +124,16 @@ func GetSchedule() (SchedKind, int) {
 	return s.Kind, int(s.Chunk)
 }
 
-// SetDynamic sets dyn-var (omp_set_dynamic).
+// SetDynamic sets dyn-var (omp_set_dynamic). The value is stored and
+// GetDynamic returns it, but the runtime never reads it: a team gets the
+// threads the region asked for, capped only by thread-limit-var and
+// max-active-levels-var, never fewer because dyn-var is true. A runtime
+// that ran small regions serially on its own judgement would conform to
+// OpenMP only while dyn-var is true.
 func SetDynamic(on bool) { kmp.UpdateICV(func(v *kmp.ICV) { v.Dynamic = on }) }
 
-// GetDynamic returns dyn-var (omp_get_dynamic).
+// GetDynamic returns dyn-var (omp_get_dynamic): the last value set, which
+// changes nothing the runtime does.
 func GetDynamic() bool { return kmp.GetICV().Dynamic }
 
 // SetMaxActiveLevels sets max-active-levels-var, the number of nested
