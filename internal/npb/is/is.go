@@ -5,17 +5,18 @@
 // the total runtime") and notes the port uses private and firstprivate
 // clauses plus a schedule(static,1) loop.
 //
-// The omp flavour runs the rank NPB's own OpenMP IS compiles without
-// USE_BUCKETS: per-thread histograms over the whole key range, each
-// prefix-summed by its owner, then added up over a static loop of key
-// values after one barrier. NPB's source notes that buckets help on some
-// machines and slow others down by up to 400 %. Here they lose: at one
-// thread on class W, on a 2-vCPU Intel Xeon, the three-pass bucketed rank
-// costs 9.6 ms (histogram 2.3 ms, scatter 5.8 ms, per-bucket count 1.5 ms)
-// against 1.7 ms for the counting rank, so no runtime could bring it level
-// with the serial flavour's one-pass rank. The paper's schedule(static,1)
-// per-bucket loop now survives only in the pinned goroutine baseline
-// (goroutine.go).
+// The omp flavour ranks in three phases (omp.go): count, every thread
+// counting its static block of keys into a private histogram over the
+// whole key range; block scan, every thread summing the histograms over
+// its block of key values into a prefix whose running total stays in a
+// register; offsets, every thread adding the lower threads' block totals.
+// NPB's OpenMP IS without USE_BUCKETS has every thread prefix-sum its
+// whole histogram instead: T serial load–add–store chains through memory
+// on the critical path, each about 210 µs at class W on a 2-vCPU Intel
+// Xeon (70 µs with the total in a register) in a 0.9 ms two-thread rank.
+// Buckets lose here (9.6 ms against 1.7 ms at one thread on class W) and
+// survive only in the pinned goroutine baseline (goroutine.go). genKeys
+// draws the keys in four lanes, one per draw of a key.
 //
 // Every flavour ends with NPB's full verification, untimed: the keys
 // placed by their ranks must come out sorted. fullVerify decides it at
@@ -67,11 +68,12 @@ type problem struct {
 	nKeys  int
 	maxKey int32
 	keys   []int32 // the key array (mutated at slots [it] and [it+10])
-	buff2  []int32 // rank scratch (omp histograms, baseline buckets); then fullVerify's key histogram
+	buff2  []int32 // rank scratch sized per flavour (maxKey, threads × maxKey or nKeys words); then fullVerify's key histogram
 	ranks  []int32 // cumulative counts: ranks[v] = #keys ≤ v
 }
 
-func newProblem(class npb.Class) (*problem, error) {
+// allocProblem allocates a class's keys and ranks, leaving buff2 unset.
+func allocProblem(class npb.Class) (*problem, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("is: unsupported class %v", class)
@@ -82,9 +84,17 @@ func newProblem(class npb.Class) (*problem, error) {
 		maxKey: 1 << p.maxKeyLog2,
 	}
 	pr.keys = make([]int32, pr.nKeys)
-	pr.buff2 = make([]int32, pr.nKeys)
 	pr.ranks = make([]int32, pr.maxKey)
 	return pr, nil
+}
+
+// newProblem gives buff2 nKeys words: the goroutine baseline scatters keys there.
+func newProblem(class npb.Class) (*problem, error) {
+	pr, err := allocProblem(class)
+	if err == nil {
+		pr.buff2 = make([]int32, pr.nKeys)
+	}
+	return pr, err
 }
 
 // genKeys fills keys[lo:hi] with NPB's create_seq sequence: each key is the
@@ -97,12 +107,21 @@ func newProblem(class npb.Class) (*problem, error) {
 // below 2^48 times 2^-46 and is exact, and maxKey/4 is a power of two. The
 // key is therefore the integer sum of the four states shifted right by
 // 48 − log2(maxKey), which is what this computes.
+//
+// Lane j holds draw j of a key and steps by a^4 mod 2^46: four independent
+// multiplies per key, not a chain of four. The states are exact integers
+// (in float64 too), so the keys are bit for bit the single stream's.
 func (pr *problem) genKeys(lo, hi int) {
 	s := npb.NewStream(npb.SkipAhead(npb.DefaultSeed, npb.DefaultMult, int64(4*lo)), npb.DefaultMult)
 	shift := 48 - pr.params.maxKeyLog2
+	a4 := npb.SkipAhead(1, npb.DefaultMult, 4)
+	x0, x1, x2, x3 := s.Next(), s.Next(), s.Next(), s.Next()
+	l0, l1 := npb.NewStream(float64(x0), a4), npb.NewStream(float64(x1), a4)
+	l2, l3 := npb.NewStream(float64(x2), a4), npb.NewStream(float64(x3), a4)
+	sum := x0 + x1 + x2 + x3
 	for i := lo; i < hi; i++ {
-		sum := s.Next() + s.Next() + s.Next() + s.Next()
 		pr.keys[i] = int32(sum >> shift)
+		sum = l0.Next() + l1.Next() + l2.Next() + l3.Next()
 	}
 }
 
@@ -133,11 +152,10 @@ func (pr *problem) rankSerial() {
 // every key of value v in the next free slot of [ranks[v−1], ranks[v]),
 // with ranks[−1] = 0, must fill the key range exactly and leave it sorted.
 // That holds if and only if ranks is the cumulative histogram of the keys,
-// so fullVerify counts the keys into buff2, whose rank scratch (the omp
-// flavour's per-thread histograms, the baseline's bucket-scattered keys) is
-// dead once the ranks are computed, and checks every difference
-// ranks[v] − ranks[v−1] against the count of v. The differences are taken
-// in int64, so a corrupted rank cannot wrap into a match.
+// so fullVerify counts the keys into buff2, whose rank scratch is dead once
+// the ranks are computed, and checks every difference ranks[v] − ranks[v−1]
+// against the count of v. The differences are taken in int64, so a
+// corrupted rank cannot wrap into a match.
 func (pr *problem) fullVerify() bool {
 	count := pr.buff2[:pr.maxKey]
 	clear(count)
@@ -186,10 +204,11 @@ func (pr *problem) stats(class npb.Class, threads int, seconds float64) *Stats {
 
 // RunSerial executes IS sequentially.
 func RunSerial(class npb.Class) (*Stats, error) {
-	pr, err := newProblem(class)
+	pr, err := allocProblem(class)
 	if err != nil {
 		return nil, err
 	}
+	pr.buff2 = make([]int32, pr.maxKey)
 	pr.genKeys(0, pr.nKeys)
 
 	var tm npb.Timer

@@ -82,9 +82,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// A team narrower than requested: rankOMP's histograms are sized for the
-// requested count, so words past the granted team's are whatever the last
-// user of buff2 left there. The merge must add the granted team's only.
+// A team narrower than requested: rankOMP's histograms and block-total
+// slots are sized for the requested count, so words past the granted
+// team's are whatever the last user left there. The scan must read the
+// granted team's histograms only, and the offsets its slots only.
 func TestParallelTeamNarrowerThanRequested(t *testing.T) {
 	st := serialClassS(t)
 	defer omp.SetMaxActiveLevels(omp.GetMaxActiveLevels())
@@ -104,9 +105,38 @@ func TestParallelTeamNarrowerThanRequested(t *testing.T) {
 	for i := range pr.buff2 {
 		pr.buff2[i] = 12345 // stale histogram words
 	}
-	pr.rankOMP(pr.histograms(4), 4)
+	totals := make([]padI32, 4)
+	for i := range totals {
+		totals[i].v = 6789 // stale block totals
+	}
+	pr.rankOMP(pr.histograms(4), totals, 4)
 	if got := pr.rankHash(); got != want {
-		t.Fatalf("team of one over stale buff2: rank hash %016x, serial %016x", got, want)
+		t.Fatalf("team of one over stale buff2 and slots: rank hash %016x, serial %016x", got, want)
+	}
+}
+
+// A cancellable team hands each thread its static block in sub-chunks
+// (about 32 of them), so rankOMP's block scan must carry its running total
+// from one chunk to the next.
+func TestRankCancellableTeamMatchesSerial(t *testing.T) {
+	defer omp.SetCancellation(omp.GetCancellation())
+	for _, class := range []npb.Class{npb.ClassS, npb.ClassW} {
+		omp.SetCancellation(false)
+		ser, err := RunSerial(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		omp.SetCancellation(true)
+		for _, threads := range []int{1, 2, 3, 4, 7} {
+			par, err := RunParallel(class, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Verify(par) || par.RankHash != ser.RankHash {
+				t.Errorf("class %v threads=%d, cancellable team: verified=%v hash %016x, serial %016x",
+					class, threads, Verify(par), par.RankHash, ser.RankHash)
+			}
+		}
 	}
 }
 
@@ -142,7 +172,8 @@ func TestRankOMPAllocBudget(t *testing.T) {
 			if &hist[0] != &pr.buff2[0] {
 				t.Fatalf("class %v threads=%d: histograms fit in buff2 but do not share it", class, threads)
 			}
-			rank := func() { pr.rankOMP(hist, threads) }
+			totals := make([]padI32, threads)
+			rank := func() { pr.rankOMP(hist, totals, threads) }
 			rank() // spawn workers, prime pools
 			allocs := testing.AllocsPerRun(5, rank)
 			var before, after runtime.MemStats
@@ -157,6 +188,43 @@ func TestRankOMPAllocBudget(t *testing.T) {
 			if allocs > 1 || bytes >= 1024 {
 				t.Errorf("class %v threads=%d: %.1f allocs and %d B per rank, want ≤ 1 and < 1 KiB", class, threads, allocs, bytes)
 			}
+		}
+	}
+}
+
+// A whole run allocates its keys, its ranks and the scratch its flavour
+// uses — maxKey words per histogram, one for the serial flavour — and at
+// most 64 KiB besides. Scratch of nKeys words, which only the goroutine
+// baseline needs, fails the bound.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name    string
+		threads int
+		run     func() (*Stats, error)
+	}{
+		{"RunSerial", 1, func() (*Stats, error) { return RunSerial(npb.ClassW) }},
+		{"RunParallel/T=2", 2, func() (*Stats, error) { return RunParallel(npb.ClassW, 2) }},
+	} {
+		if _, err := tc.run(); err != nil { // spawn workers, prime pools
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := tc.run()
+		runtime.ReadMemStats(&after)
+		if err != nil || !Verify(st) {
+			t.Fatalf("%s: err=%v verified=%v", tc.name, err, st != nil && Verify(st))
+		}
+		p := classes[npb.ClassW]
+		nKeys, maxKey := uint64(1)<<p.totalKeysLog2, uint64(1)<<p.maxKeyLog2
+		budget := 4*(nKeys+maxKey+uint64(tc.threads)*maxKey) + 64<<10
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d B, budget %d B", tc.name, bytes, budget)
+		if bytes > budget {
+			t.Errorf("%s: %d B per class W run, want ≤ %d", tc.name, bytes, budget)
 		}
 	}
 }
