@@ -131,19 +131,35 @@ func TestGoroutinesMatchSerial(t *testing.T) {
 	}
 }
 
-// Determinism: the deterministic reduction must give bit-identical ζ across
-// repeated parallel runs.
+// Determinism: the deterministic reduction must give bit-identical ζ and
+// rnorm across repeated parallel runs at each team size. The runs share
+// one matrix, so that twenty of them at each T stay cheap.
 func TestParallelDeterministic(t *testing.T) {
-	a, err := RunParallel(npb.ClassS, 4)
+	const runs = 20
+	m, err := MakeA(npb.ClassS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunParallel(npb.ClassS, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Zeta != b.Zeta {
-		t.Fatalf("parallel zeta not deterministic: %.17g vs %.17g", a.Zeta, b.Zeta)
+	for threads := 1; threads <= 4; threads++ {
+		parts := make([]padF64, 2*threads)
+		var first *Stats
+		for i := 0; i < runs; i++ {
+			st, err := runWith(npb.ClassS, m, threads, func(x, z, p, q, r []float64) float64 {
+				return ConjGradOMP(m, x, z, p, q, r, parts, threads)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = st
+				continue
+			}
+			if math.Float64bits(st.Zeta) != math.Float64bits(first.Zeta) ||
+				math.Float64bits(st.RNorm) != math.Float64bits(first.RNorm) {
+				t.Fatalf("T=%d run %d: zeta %.17g rnorm %.17g, first run gave %.17g %.17g",
+					threads, i, st.Zeta, st.RNorm, first.Zeta, first.RNorm)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,13 @@ import (
 // uses worksharing loops with nowait chaining where the static partition
 // makes it safe, and reductions on both the region's loops — the clause
 // inventory Section V-A lists.
+//
+// Unlike the frozen serial reference (cg.go) and the pinned goroutine
+// baseline, the omp flavour tunes its per-thread code: partial sums live in
+// a register for the whole block, the SpMV reslices each CSR row once, and
+// a reduction takes one barrier. None of it reorders a floating-point
+// operation, so ζ and rnorm are those of the untuned loops, bit for bit
+// (TestParallelBitsPinned).
 
 // padF64 keeps per-thread partial sums on separate cache lines.
 type padF64 struct {
@@ -23,22 +30,52 @@ type padF64 struct {
 // reduceSum is the deterministic loop-level reduction used by conj_grad:
 // every thread deposits its partial, and after a barrier every thread folds
 // the slots in tid order — the same value on every thread, every run,
-// independent of timing. A second barrier protects slot reuse. (The
-// tree-combine in libomp's __kmpc_reduce is timing-dependent; determinism
-// here makes the ζ verification immune to combine-order noise.)
-func reduceSum(t *omp.Thread, parts []padF64, local float64) float64 {
-	parts[t.Tid].v = local
+// independent of timing. (The tree-combine in libomp's __kmpc_reduce is
+// timing-dependent; determinism here makes the ζ verification immune to
+// combine-order noise.)
+//
+// parts holds two sets of slots, set 0 in parts[:T] and set 1 in
+// parts[T:2T]; *k counts the region's reductions on the calling thread, and
+// reduction k uses set k mod 2. That one barrier is enough: set k mod 2 is
+// written again only at reduction k+2, and a thread deposits there only
+// after passing reduction k+1's barrier, which no thread reaches before it
+// has finished folding reduction k. Every thread takes the same reductions
+// in the same order, so the counters agree across the team.
+func reduceSum(t *omp.Thread, parts []padF64, k *int, local float64) float64 {
+	n := t.NumThreads()
+	set := parts[(*k&1)*n:][:n]
+	*k++
+	set[t.Tid].v = local
 	omp.Barrier(t)
 	s := 0.0
-	for i := 0; i < t.NumThreads(); i++ {
-		s += parts[i].v
+	for i := range set {
+		s += set[i].v
 	}
-	omp.Barrier(t)
 	return s
 }
 
+// spmvRowsOMP is spmvRows with each CSR row resliced once: the row's values
+// and columns are bounds-checked at the reslice, so the only check left per
+// nonzero is the gather w[col]. The sum runs in the same order, so q is
+// bit-identical to spmvRows'.
+func spmvRowsOMP(m *Matrix, w, q []float64, lo, hi int) {
+	a, col, rowStr := m.A, m.ColIdx, m.RowStr[lo:hi+1]
+	q = q[lo:hi]
+	for j := range q {
+		av := a[rowStr[j]:rowStr[j+1]]
+		cv := col[rowStr[j]:rowStr[j+1]]
+		cv = cv[:len(av)]
+		sum := 0.0
+		for k, v := range av {
+			sum += v * w[cv[k]]
+		}
+		q[j] = sum
+	}
+}
+
 // ConjGradOMP is conj_grad on the OpenMP runtime. The caller provides the
-// per-run scratch vectors and the padded partial-sum slots (len >= threads).
+// per-run scratch vectors and two sets of padded partial-sum slots
+// (len(parts) >= 2*threads; see reduceSum).
 func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int) float64 {
 	n := int64(m.N)
 	var rnorm float64
@@ -46,43 +83,52 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 	omp.Parallel(func(t *omp.Thread) {
 		// Initialisation: each thread owns the same static block in
 		// every loop of the region, so nowait chaining between loops
-		// over own-rows data is safe.
+		// over own-rows data is safe. Each loop body sums into a
+		// register seeded from the thread's partial and stores it back
+		// once per block.
+		k := 0
 		local := 0.0
 		omp.ForRange(t, n, func(lo, hi int64) {
+			s := local
 			for j := lo; j < hi; j++ {
 				q[j] = 0
 				z[j] = 0
 				r[j] = x[j]
 				p[j] = r[j]
-				local += r[j] * r[j]
+				s += r[j] * r[j]
 			}
+			local = s
 		}, omp.NoWait())
-		rho := reduceSum(t, parts, local)
+		rho := reduceSum(t, parts, &k, local)
 
 		for cgit := 0; cgit < cgitmax; cgit++ {
 			// q = A·p fused with d = p·q over own rows; the
 			// preceding reduceSum barrier guarantees p is complete.
 			local = 0
 			omp.ForRange(t, n, func(lo, hi int64) {
-				spmvRows(m, p, q, int(lo), int(hi))
+				spmvRowsOMP(m, p, q, int(lo), int(hi))
+				s := local
 				for j := lo; j < hi; j++ {
-					local += p[j] * q[j]
+					s += p[j] * q[j]
 				}
+				local = s
 			}, omp.NoWait())
-			d := reduceSum(t, parts, local)
+			d := reduceSum(t, parts, &k, local)
 			alpha := rho / d
 
 			// z, r updates fused with the next rho — own rows only.
 			local = 0
 			omp.ForRange(t, n, func(lo, hi int64) {
+				s := local
 				for j := lo; j < hi; j++ {
 					z[j] += alpha * p[j]
 					r[j] -= alpha * q[j]
-					local += r[j] * r[j]
+					s += r[j] * r[j]
 				}
+				local = s
 			}, omp.NoWait())
 			rho0 := rho
-			rho = reduceSum(t, parts, local)
+			rho = reduceSum(t, parts, &k, local)
 			beta := rho / rho0
 
 			// p update; the implicit barrier publishes p for the
@@ -97,13 +143,15 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 		// Final residual ‖x − A·z‖; z is complete (barriers above).
 		local = 0
 		omp.ForRange(t, n, func(lo, hi int64) {
-			spmvRows(m, z, r, int(lo), int(hi))
+			spmvRowsOMP(m, z, r, int(lo), int(hi))
+			s := local
 			for j := lo; j < hi; j++ {
 				dd := x[j] - r[j]
-				local += dd * dd
+				s += dd * dd
 			}
+			local = s
 		}, omp.NoWait())
-		sum := reduceSum(t, parts, local)
+		sum := reduceSum(t, parts, &k, local)
 		if t.Master() {
 			rnorm = math.Sqrt(sum)
 		}
@@ -121,7 +169,7 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	parts := make([]padF64, threads)
+	parts := make([]padF64, 2*threads)
 	return runWith(class, m, threads, func(x, z, p, q, r []float64) float64 {
 		return ConjGradOMP(m, x, z, p, q, r, parts, threads)
 	})
