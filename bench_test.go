@@ -226,7 +226,7 @@ func benchSchedule(b *testing.B, kind omp.SchedKind, chunk int64) {
 		threads = 8
 	}
 	const trip = 2048
-	sink := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+	sink := omp.NewReduction(omp.ReduceSum, 0.0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		omp.Parallel(func(t *omp.Thread) {
@@ -268,7 +268,7 @@ func BenchmarkAblationScheduleTrapezoidal(b *testing.B) { benchSchedule(b, omp.T
 func benchImbalanced(b *testing.B, mod omp.SchedModifier) {
 	threads := runtime.GOMAXPROCS(0)
 	const trip = 4096
-	sink := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+	sink := omp.NewReduction(omp.ReduceSum, 0.0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		omp.Parallel(func(t *omp.Thread) {
@@ -668,7 +668,7 @@ func BenchmarkTaskloopVsFor(b *testing.B) {
 	if threads > 8 {
 		threads = 8
 	}
-	sink := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+	sink := omp.NewReduction(omp.ReduceSum, 0.0)
 	b.Run("taskloop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			omp.Parallel(func(t *omp.Thread) {

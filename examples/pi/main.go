@@ -1,7 +1,8 @@
 // Reductions tour: π by midpoint integration (sum reduction), a geometric-
-// mean computation (the multiplication reduction of the paper's Listing 6,
-// which has no native atomic and lowers to a compare-and-swap loop), and a
-// logical-AND validity check (likewise CAS-lowered).
+// mean computation (the multiplication reduction), and a logical-AND
+// validity check, each folded in thread order at the loop's barrier by
+// omp.Reduce; then the paper's Listing 6 compare-and-swap loop on its own,
+// an atomic multiply.
 //
 //	go run ./examples/pi
 package main
@@ -19,44 +20,45 @@ func main() {
 	h := 1.0 / float64(n)
 
 	// π = ∫₀¹ 4/(1+x²) dx — the canonical OpenMP reduction example.
-	pi := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+	// Each thread sums its share privately, from the operator's identity;
+	// omp.Reduce folds the partials into pi in thread order at the loop's
+	// barrier, so the loop itself runs nowait.
+	pi := 0.0
 	omp.Parallel(func(t *omp.Thread) {
-		local := pi.Identity()
+		local := 0.0
 		omp.ForRange(t, n, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				x := h * (float64(i) + 0.5)
 				local += 4 / (1 + x*x)
 			}
-		})
-		pi.Combine(local)
+		}, omp.NoWait())
+		omp.Reduce(t, omp.ReduceSum, &pi, local)
 	})
 	fmt.Printf("pi ≈ %.12f (error %.2e) on %d threads\n",
-		pi.Value()*h, math.Abs(pi.Value()*h-math.Pi), omp.GetMaxThreads())
+		pi*h, math.Abs(pi*h-math.Pi), omp.GetMaxThreads())
 
-	// Geometric mean via reduction(*:prod): the product combine goes
-	// through the Listing 6 CAS loop — multiplication is not a native
-	// atomic on any target.
+	// Geometric mean via reduction(*:prod): the identity is 1.
 	const m = 4096
-	prod := omp.NewFloat64Reduction(omp.ReduceProd, 1)
+	prod := 1.0
 	omp.Parallel(func(t *omp.Thread) {
-		local := prod.Identity()
+		local := omp.ReduceIdentity(omp.ReduceProd, prod)
 		omp.For(t, m, func(i int64) {
 			local *= 1 + float64(i%5)/1e4
-		})
-		prod.Combine(local)
+		}, omp.NoWait())
+		omp.Reduce(t, omp.ReduceProd, &prod, local)
 	}, omp.NumThreads(8))
-	fmt.Printf("geometric mean of %d factors: %.9f\n", m, math.Pow(prod.Value(), 1.0/m))
+	fmt.Printf("geometric mean of %d factors: %.9f\n", m, math.Pow(prod, 1.0/m))
 
 	// reduction(&&:ok): every sample must satisfy the predicate.
-	ok := omp.NewBoolReduction(omp.ReduceLogicalAnd, true)
+	ok := true
 	omp.Parallel(func(t *omp.Thread) {
-		local := ok.Identity()
+		local := true
 		omp.For(t, m, func(i int64) {
 			local = local && (i*i >= 0)
-		})
-		ok.Combine(local)
+		}, omp.NoWait())
+		omp.ReduceBool(t, omp.ReduceLogicalAnd, &ok, local)
 	}, omp.NumThreads(8))
-	fmt.Printf("all samples valid: %v\n", ok.Value())
+	fmt.Printf("all samples valid: %v\n", ok)
 
 	// The CAS loop itself, visible: concurrent multiplications on one
 	// atomic cell, exactly the paper's pseudo-code.

@@ -82,11 +82,11 @@ func main() {
 
 	fmt.Println("\n=== 3. the same computation through the runtime ===")
 	const n = 1 << 16
-	sum := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+	sum := 0.0
 	omp.Parallel(func(t *omp.Thread) {
-		local := sum.Identity()
-		omp.For(t, n, func(i int64) { local += float64(i % 7) }, omp.Schedule(omp.Guided, 64))
-		sum.Combine(local)
+		local := 0.0
+		omp.For(t, n, func(i int64) { local += float64(i % 7) }, omp.Schedule(omp.Guided, 64), omp.NoWait())
+		omp.Reduce(t, omp.ReduceSum, &sum, local)
 	}, omp.NumThreads(4))
 
 	serial := 0.0
@@ -94,5 +94,5 @@ func main() {
 		serial += float64(i % 7)
 	}
 	fmt.Printf("parallel sum = %v, serial sum = %v, equal = %v\n",
-		sum.Value(), serial, sum.Value() == serial)
+		sum, serial, sum == serial)
 }

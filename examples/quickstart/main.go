@@ -43,20 +43,20 @@ func main() {
 		n, omp.GetMaxThreads(), dot, serial, math.Abs(dot-serial), elapsed*1e3)
 
 	// The same shape written against the v1 primitives — what generated
-	// code looks like: explicit region, worksharing loop, reduction cell.
+	// code looks like: explicit region, worksharing loop, reduction fold.
 	// Here with a dynamic schedule and a max reduction: find the largest
 	// |a[i]−b[i]| gap.
-	gap := omp.NewReduction(omp.ReduceMax, math.Inf(-1))
+	gap := math.Inf(-1)
 	omp.Parallel(func(t *omp.Thread) {
-		local := gap.Identity()
+		local := omp.ReduceIdentity(omp.ReduceMax, gap)
 		omp.For(t, n, func(i int64) {
 			if d := math.Abs(a[i] - b[i]); d > local {
 				local = d
 			}
-		}, omp.Schedule(omp.Dynamic, 4096))
-		gap.Combine(local)
+		}, omp.Schedule(omp.Dynamic, 4096), omp.NoWait())
+		omp.Reduce(t, omp.ReduceMax, &gap, local)
 	}, omp.NumThreads(4))
-	fmt.Printf("largest gap (4 threads, dynamic schedule): %.3f\n", gap.Value())
+	fmt.Printf("largest gap (4 threads, dynamic schedule): %.3f\n", gap)
 
 	// Thread introspection inside a region, with panic-to-error recovery:
 	// ParallelErr returns instead of crashing if a thread panics.

@@ -96,13 +96,13 @@ func main() {
 		{"dynamic,16", omp.Dynamic, 16},
 		{"guided,16", omp.Guided, 16},
 	} {
-		sum := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+		sum := 0.0
 		start := omp.GetWtime()
 		omp.Parallel(func(t *omp.Thread) {
-			local := sum.Identity()
-			omp.For(t, 4096, func(i int64) { local += work(i) }, omp.Schedule(c.kind, c.chunk))
-			sum.Combine(local)
+			local := 0.0
+			omp.For(t, 4096, func(i int64) { local += work(i) }, omp.Schedule(c.kind, c.chunk), omp.NoWait())
+			omp.Reduce(t, omp.ReduceSum, &sum, local)
 		}, omp.NumThreads(threads))
-		fmt.Printf("%-22s %8.1f ms (sum %.0f)\n", c.name, (omp.GetWtime()-start)*1e3, sum.Value())
+		fmt.Printf("%-22s %8.1f ms (sum %.0f)\n", c.name, (omp.GetWtime()-start)*1e3, sum)
 	}
 }

@@ -117,7 +117,7 @@ func RunTaskSweep(threads []int, runs int, progress func(string)) *TaskSweep {
 				panic("bench: task fib mismatch")
 			}
 
-			sink := omp.NewFloat64Reduction(omp.ReduceSum, 0)
+			sink := omp.NewReduction(omp.ReduceSum, 0.0)
 			start = omp.GetWtime()
 			omp.Parallel(func(t *omp.Thread) {
 				omp.Single(t, func() {

@@ -352,29 +352,6 @@ func (op ReduceOp) RuntimeName() string {
 	}[op]
 }
 
-// GoOperator returns the Go binary operator that folds two partial values,
-// used when codegen needs an inline fold ("a = a OP b"); min/max fold via
-// the builtins instead.
-func (op ReduceOp) GoOperator() string {
-	switch op {
-	case RedSum:
-		return "+"
-	case RedProd:
-		return "*"
-	case RedBitAnd:
-		return "&"
-	case RedBitOr:
-		return "|"
-	case RedBitXor:
-		return "^"
-	case RedLogicalAnd:
-		return "&&"
-	case RedLogicalOr:
-		return "||"
-	}
-	return ""
-}
-
 // ReductionClause is one reduction(op:var,…) clause.
 type ReductionClause struct {
 	Op   ReduceOp

@@ -37,8 +37,8 @@
 //     buffer per file, the way the paper splices replacement text into its
 //     token stream. Each node writes its generated Go — outlined region
 //     bodies, loop bounds lifted from the for-statement header, shared/
-//     private/firstprivate/reduction variable treatment, CAS-loop
-//     reductions — where the enclosing construct's copy of its block
+//     private/firstprivate/reduction variable treatment, reductions folded
+//     at the construct's barrier — where the enclosing construct's copy of its block
 //     reaches it, in ascending offset, already indented for the depth the
 //     block lands at: no node's text is built apart and copied into its
 //     parent's, so each output byte is written once. What a later pass used to

@@ -187,9 +187,9 @@ func (lw *lowerer) checkDefaultNone(n *node, body ast.Node, exempt ...string) bo
 // parallel for`, whose body is the lowered loop half. The region body is
 // outlined into a closure passed to omp.Parallel — the fork-call path of
 // Section III-B1; closure capture plays the role of the paper's marshalled
-// shared-variable group, and region-level reductions become atomic cells
-// created before the fork, combined by each thread, and read back after
-// the join.
+// shared-variable group. A region-level reduction takes a pointer to the
+// variable before the fork and folds each thread's copy into it with
+// omp.Reduce at the end of the body.
 func (lw *lowerer) genParallel(n *node) {
 	c := &n.d.Clauses
 	defer lw.unbind(lw.bindThread(n, "__omp_t"))
@@ -211,12 +211,11 @@ func (lw *lowerer) genParallel(n *node) {
 		body.sub, body.orig = n.Subdirectives[0], lw.indentOf(n.start)
 	}
 
-	// Each reduction variable gets a cell before the fork; inside the
-	// region, a thread-local copy shadows the shared variable, initialised
-	// to the operator's identity as the standard requires (Section
-	// III-B1), and is combined into the cell at the end; after the join
-	// the variable takes the cell's value.
-	reductions := func(f func(v, cell string, op ReduceOp)) {
+	// Each reduction variable is reached through a pointer taken before
+	// the fork; inside the region, a thread-local copy shadows it,
+	// initialised to the operator's identity as the standard requires
+	// (Section III-B1), and is folded into it at the end of the body.
+	reductions := func(f func(v, ptr string, op ReduceOp)) {
 		for _, r := range c.Reductions {
 			for _, v := range r.Vars {
 				f(v, "__omp_red_"+v, r.Op)
@@ -225,19 +224,13 @@ func (lw *lowerer) genParallel(n *node) {
 	}
 	e := lw.e
 	e.code("{\n")
-	reductions(func(v, cell string, op ReduceOp) {
-		ctor := "omp.NewReduction"
-		if op == RedLogicalAnd || op == RedLogicalOr {
-			ctor = "omp.NewBoolReduction"
-		}
-		fmt.Fprintf(e, "%s := %s(%s, %s)\n", cell, ctor, op.RuntimeName(), v)
-	})
+	reductions(func(v, ptr string, _ ReduceOp) { fmt.Fprintf(e, "%s := &%s\n", ptr, v) })
 	e.code("omp.Parallel(func(__omp_t *omp.Thread) {\n")
 	shadowDecls(e, c.Private, c.FirstPrivate)
-	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s := %s.Identity()\n_ = %s\n", v, cell, v) })
+	reductions(func(v, _ string, op ReduceOp) { fmt.Fprintf(e, "%s := %s\n_ = %s\n", v, identity(op, v), v) })
 	lw.user(body)
 	e.code("\n")
-	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s.Combine(%s)\n", cell, v) })
+	reductions(func(v, ptr string, op ReduceOp) { fmt.Fprintf(e, "%s\n", reduceCall(op, "__omp_t", ptr, v)) })
 	e.code("}, ")
 	// The options are arguments of a call of several: gofmt's depth 2.
 	if c.NumThreads != "" {
@@ -246,9 +239,30 @@ func (lw *lowerer) genParallel(n *node) {
 	if c.If != "" {
 		fmt.Fprintf(e, "omp.If(%s), ", lw.clauseText(c.If, 2))
 	}
-	e.code(lw.locArg(n, "parallel") + ")\n")
-	reductions(func(v, cell string, _ ReduceOp) { fmt.Fprintf(e, "%s = %s.Value()\n", v, cell) })
-	e.code("}")
+	e.code(lw.locArg(n, "parallel") + ")\n}")
+}
+
+// identity is the initialiser of a reduction variable's per-thread copy:
+// the operator's identity, typed like v (read before the copy's scope
+// begins, so v is the shared variable).
+func identity(op ReduceOp, v string) string {
+	switch op {
+	case RedLogicalAnd:
+		return "true"
+	case RedLogicalOr:
+		return "false"
+	}
+	return fmt.Sprintf("omp.ReduceIdentity(%s, %s)", op.RuntimeName(), v)
+}
+
+// reduceCall is the fold of a reduction variable: thread tvar's partial
+// local into the shared variable at ptr, at the reduction's barrier.
+func reduceCall(op ReduceOp, tvar, ptr, local string) string {
+	fn := "omp.Reduce"
+	if op == RedLogicalAnd || op == RedLogicalOr {
+		fn = "omp.ReduceBool"
+	}
+	return fmt.Sprintf("%s(%s, %s, %s, %s)", fn, tvar, op.RuntimeName(), ptr, local)
 }
 
 // ------------------------------------------------------------------ for
@@ -322,7 +336,9 @@ func clauseNaming(subs []*node, v string, copyPrivate bool) *node {
 // space is normalised to a trip count, and the body runs under
 // omp.ForRange with the requested schedule. Reduction and lastprivate
 // variables are renamed to per-thread temporaries inside the body and
-// folded back after the loop.
+// folded back after the loop: a reduction by omp.Reduce, whose barrier is
+// the loop's. A reducing loop with nowait still takes that barrier, which
+// conforms: every thread of the team meets the loop.
 func (lw *lowerer) genFor(n *node) {
 	c := &n.d.Clauses
 	depth := max(c.Collapse, 1)
@@ -393,15 +409,7 @@ func (lw *lowerer) genFor(n *node) {
 	}
 	shadowDecls(e, c.Private, c.FirstPrivate)
 	reductions(func(op ReduceOp, v, local string) {
-		switch op {
-		case RedLogicalAnd:
-			fmt.Fprintf(e, "%s := true\n", local)
-		case RedLogicalOr:
-			fmt.Fprintf(e, "%s := false\n", local)
-		default:
-			fmt.Fprintf(e, "%s := omp.ReduceIdentity(%s, %s)\n", local, op.RuntimeName(), v)
-		}
-		fmt.Fprintf(e, "_ = %s\n", local)
+		fmt.Fprintf(e, "%s := %s\n_ = %s\n", local, identity(op, v), local)
 	})
 	for _, p := range lastPrivates {
 		fmt.Fprintf(e, "%s := %s\n_ = %s\n", p[1], p[0], p[1])
@@ -434,7 +442,7 @@ func (lw *lowerer) genFor(n *node) {
 	for _, p := range lastPrivates {
 		fmt.Fprintf(e, "if __omp_k == __omp_trip-1 {\n%s = %s\n}\n", p[0], p[1])
 	}
-	e.code("}\n}, omp.NoWait()") // the barrier is emitted explicitly below
+	e.code("}\n}, omp.NoWait()") // the barrier is the reduction's, or emitted below
 	if c.HasSchedule {
 		mod := ""
 		if c.SchedMod != SchedModNone {
@@ -446,20 +454,11 @@ func (lw *lowerer) genFor(n *node) {
 		e.code(", omp.OrderedClause()")
 	}
 	e.code(", " + lw.locArg(n, "for") + ")\n")
-	reductions(func(op ReduceOp, v, local string) {
-		// gofmt never keeps an if on one line, so the min/max combines
-		// are blocks.
-		combine := fmt.Sprintf("%s = %s %s %s", v, v, op.GoOperator(), local)
-		switch op {
-		case RedMin:
-			combine = fmt.Sprintf("if %s < %s {\n%s = %s\n}", local, v, v, local)
-		case RedMax:
-			combine = fmt.Sprintf("if %s > %s {\n%s = %s\n}", local, v, v, local)
-		}
-		fmt.Fprintf(e, "omp.Critical(\"__omp_red\", %s)\n", closure("func()", combine))
-	})
+	reductions(func(op ReduceOp, v, local string) { fmt.Fprintf(e, "%s\n", reduceCall(op, tvar, "&"+v, local)) })
 	if !c.NoWait {
-		fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
+		if len(c.Reductions) == 0 {
+			fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
+		}
 		e.code(lw.cancelGuard(tvar, orphan))
 	}
 	e.code("}")

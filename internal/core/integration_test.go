@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,10 +9,18 @@ import (
 	"testing"
 )
 
-// runPreprocessed lowers src and executes it with `go run`, returning
-// stdout. The generated file must live inside the module tree so its
-// gomp/internal imports resolve; t.TempDir() would fall outside it.
+// runPreprocessed lowers src, builds it and runs it once with a team of
+// four, returning stdout.
 func runPreprocessed(t *testing.T, src string) string {
+	t.Helper()
+	return buildPreprocessed(t, src)(4)
+}
+
+// buildPreprocessed lowers src and builds it, returning a function that
+// runs the program with OMP_NUM_THREADS=threads and returns its stdout. The
+// generated file must live inside the module tree so its gomp/internal
+// imports resolve; t.TempDir() would fall outside it.
+func buildPreprocessed(t *testing.T, src string) func(threads int) string {
 	t.Helper()
 	out, err := Preprocess([]byte(src), Options{Filename: "main.go"})
 	if err != nil {
@@ -22,17 +31,26 @@ func runPreprocessed(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.RemoveAll(dir) })
-	path := filepath.Join(dir, "main.go")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./"+dir)
-	cmd.Env = append(os.Environ(), "OMP_NUM_THREADS=4")
-	stdout, err := cmd.CombinedOutput()
+	bin, err := filepath.Abs(filepath.Join(dir, "prog"))
 	if err != nil {
-		t.Fatalf("go run failed: %v\n--- output ---\n%s\n--- generated ---\n%s", err, stdout, out)
+		t.Fatal(err)
 	}
-	return string(stdout)
+	if stdout, err := exec.Command("go", "build", "-o", bin, "./"+dir).CombinedOutput(); err != nil {
+		t.Fatalf("go build failed: %v\n--- output ---\n%s\n--- generated ---\n%s", err, stdout, out)
+	}
+	return func(threads int) string {
+		t.Helper()
+		cmd := exec.Command(bin)
+		cmd.Env = append(os.Environ(), fmt.Sprintf("OMP_NUM_THREADS=%d", threads))
+		stdout, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("run failed: %v\n--- output ---\n%s\n--- generated ---\n%s", err, stdout, out)
+		}
+		return string(stdout)
+	}
 }
 
 // The quickstart of the paper's workflow: annotate, preprocess, run. A
@@ -57,6 +75,98 @@ func main() {
 `)
 	if strings.TrimSpace(got) != "true" {
 		t.Fatalf("output = %q, want true", got)
+	}
+}
+
+// Every reduction clause folds in thread order at its construct's barrier,
+// so a generated program gives the same bits at a team size on every run:
+// a parallel-for float sum whose value depends on the order of addition, a
+// nowait max inside a region, a logical and, a two-variable clause, and an
+// orphaned loop run both by a team and outside any region.
+func TestEndToEndReductionsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	run := buildPreprocessed(t, `package main
+
+import (
+	"fmt"
+	"math"
+)
+
+// lo is shared by the team that calls orphanMin.
+var lo float64
+
+func orphanMin(a []float64) {
+	//omp for reduction(min:lo)
+	for i := 0; i < len(a); i++ {
+		if a[i] < lo {
+			lo = a[i]
+		}
+	}
+}
+
+func main() {
+	const n = 100003
+	a := make([]float64, n)
+	for i := range a {
+		// Magnitudes 2^-30..2^29 with alternating signs: the sum's
+		// low bits depend on the order of addition.
+		a[i] = math.Ldexp(1+float64(i%7), (i*37)%60-30) * float64(1-2*(i%2))
+	}
+
+	s := 0.0
+	//omp parallel for reduction(+:s)
+	for i := 0; i < n; i++ {
+		s += a[i]
+	}
+
+	m := math.Inf(-1)
+	ok := true
+	sq, ab := 0.5, 0.25
+	lo = math.Inf(1)
+	//omp parallel
+	{
+		//omp for reduction(max:m) nowait
+		for i := 0; i < n; i++ {
+			if a[i] > m {
+				m = a[i]
+			}
+		}
+		//omp for reduction(&&:ok)
+		for i := 0; i < n; i++ {
+			ok = ok && !math.IsNaN(a[i])
+		}
+		//omp for reduction(+:sq,ab)
+		for i := 0; i < n; i++ {
+			sq += a[i] * a[i]
+			ab += math.Abs(a[i])
+		}
+		orphanMin(a)
+	}
+	loTeam := lo
+	lo = math.Inf(1)
+	orphanMin(a)
+
+	wantM, wantLo, serial := math.Inf(-1), math.Inf(1), 0.0
+	for _, v := range a {
+		wantM, wantLo, serial = math.Max(wantM, v), math.Min(wantLo, v), serial+v
+	}
+	fmt.Println(m == wantM, loTeam == wantLo, lo == wantLo, ok, math.Abs(s-serial) <= 1e-6*math.Abs(serial))
+	for _, v := range []float64{s, m, sq, ab, lo} {
+		fmt.Printf("%x ", math.Float64bits(v))
+	}
+	fmt.Println()
+}
+`)
+	first := run(3)
+	if !strings.HasPrefix(first, "true true true true true\n") {
+		t.Fatalf("T=3: wrong results:\n%s", first)
+	}
+	for i := 1; i < 10; i++ {
+		if got := run(3); got != first {
+			t.Fatalf("T=3 run %d:\n%s\nfirst run:\n%s", i, got, first)
+		}
 	}
 }
 
@@ -405,7 +515,7 @@ func main() {
 
 	// cancel parallel: every thread leaves at the cancel directive itself,
 	// so none reaches the combine below it.
-	left := omp.NewInt64Reduction(omp.ReduceSum, 0)
+	left := omp.NewReduction(omp.ReduceSum, int64(0))
 	//omp parallel num_threads(4)
 	{
 		//omp cancel parallel
@@ -415,7 +525,7 @@ func main() {
 	// cancel parallel encountered *inside* a worksharing loop: the loop's
 	// implicit barrier is a cancellation point, so no thread runs the code
 	// between the loop and the region's end.
-	after := omp.NewInt64Reduction(omp.ReduceSum, 0)
+	after := omp.NewReduction(omp.ReduceSum, int64(0))
 	//omp parallel num_threads(4)
 	{
 		//omp for

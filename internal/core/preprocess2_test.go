@@ -243,8 +243,8 @@ func f() int {
 	return s
 }
 `)
-	if got := strings.Count(out, "__omp_red_s := omp.NewReduction"); got != 2 {
-		t.Fatalf("expected 2 scoped reduction cells, found %d:\n%s", got, out)
+	if got := strings.Count(out, "__omp_red_s := &s"); got != 2 {
+		t.Fatalf("expected 2 scoped reduction pointers, found %d:\n%s", got, out)
 	}
 }
 

@@ -26,6 +26,16 @@ func wantContains(t *testing.T, out string, subs ...string) {
 	}
 }
 
+// wantAbsent checks that none of subs appears in the output.
+func wantAbsent(t *testing.T, out string, subs ...string) {
+	t.Helper()
+	for _, s := range subs {
+		if strings.Contains(out, s) {
+			t.Errorf("output contains %q\n----\n%s", s, out)
+		}
+	}
+}
+
 func TestPreprocessNoPragmasUnchanged(t *testing.T) {
 	src := "package p\n\nfunc f() int { return 1 }\n"
 	out := pp(t, src)
@@ -82,11 +92,11 @@ func f() float64 {
 }
 `)
 	wantContains(t, out,
-		"__omp_red_sum := omp.NewReduction(omp.ReduceSum, sum)",
-		"sum := __omp_red_sum.Identity()",
-		"__omp_red_sum.Combine(sum)",
-		"sum = __omp_red_sum.Value()",
+		"__omp_red_sum := &sum",
+		"sum := omp.ReduceIdentity(omp.ReduceSum, sum)",
+		"omp.Reduce(__omp_t, omp.ReduceSum, __omp_red_sum, sum)",
 	)
+	wantAbsent(t, out, "NewReduction", "Value()")
 }
 
 func TestPreprocessLogicalReductionUsesBoolCell(t *testing.T) {
@@ -101,7 +111,10 @@ func f() bool {
 	return ok
 }
 `)
-	wantContains(t, out, "omp.NewBoolReduction(omp.ReduceLogicalAnd, ok)")
+	wantContains(t, out,
+		"ok := true",
+		"omp.ReduceBool(__omp_t, omp.ReduceLogicalAnd, __omp_red_ok, ok)",
+	)
 }
 
 func TestPreprocessWorksharingLoop(t *testing.T) {
@@ -196,8 +209,9 @@ func f(a []float64) float64 {
 		"omp.NumThreads(8)",
 		"omp.ForRange(__omp_t",
 		"__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, sum)",
-		"omp.Critical(\"__omp_red\", func() { sum = sum + __omp_red_sum })",
+		"omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)",
 	)
+	wantAbsent(t, out, "omp.Critical")
 }
 
 func TestPreprocessLoopReductionRenamesBody(t *testing.T) {
@@ -229,7 +243,7 @@ func f(a []int) int {
 	return best
 }
 `)
-	wantContains(t, out, "if __omp_red_best < best { best = __omp_red_best }")
+	wantContains(t, out, "omp.Reduce(__omp_t, omp.ReduceMin, &best, __omp_red_best)")
 }
 
 func TestPreprocessCollapse(t *testing.T) {

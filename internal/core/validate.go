@@ -301,9 +301,10 @@ func DistributeParallelFor(d *Directive) (par, loop *Directive) {
 		SchedMod:    c.SchedMod,
 		Collapse:    c.Collapse,
 		Ordered:     c.Ordered,
-		// The fused construct has one rendezvous, not two: the inner
+		// The fused construct needs one rendezvous, not two: the inner
 		// loop runs nowait and the parallel join is its closing barrier
-		// (reduction combines and lastprivate stores still precede it).
+		// (lastprivate stores precede it; a reduction folds at its own
+		// barrier before it).
 		NoWait: true,
 	}}
 	return par, loop

@@ -19,9 +19,10 @@ type barrier struct {
 }
 
 // wait blocks t until all tm.n threads have arrived or the region is
-// cancelled. A cancelled region may leave count mid-generation; Team.reset
-// re-arms it.
-func (b *barrier) wait(t *Thread) {
+// cancelled; the last arriver runs a reduction's fold, if any, before the
+// release, which publishes what it wrote. A cancelled region skips the fold
+// and may leave count mid-generation; Team.reset re-arms it.
+func (b *barrier) wait(t *Thread, fold func(Partials)) {
 	tm := t.team
 	if tm.cancelRegion.Load() {
 		return
@@ -30,6 +31,10 @@ func (b *barrier) wait(t *Thread) {
 	// another thread may complete the barrier and bump it.
 	s := b.seq.Load()
 	if b.count.Add(1) == int64(tm.n) {
+		// Each thread deposited before its increment, which ours observes.
+		if fold != nil {
+			fold(Partials{ths: (*tm.thrA.Load())[:tm.n]})
+		}
 		// Every thread is inside the barrier, so none is inside a loop:
 		// the releaser can retire the loop-cancellation slot for the next
 		// batch of worksharing instances (see Thread.Cancel), then reset
@@ -44,4 +49,22 @@ func (b *barrier) wait(t *Thread) {
 		return
 	}
 	t.wait(func() bool { return b.seq.Load() != s || tm.cancelRegion.Load() })
+}
+
+// Partials are what a reduction's fold reads: the bits each team thread
+// deposited, in thread order, or a team of one's partial (one).
+type Partials struct {
+	ths []*Thread
+	one uint64
+}
+
+// Len returns the number of partials, the team size.
+func (p Partials) Len() int { return max(len(p.ths), 1) }
+
+// At returns thread i's partial.
+func (p Partials) At(i int) uint64 {
+	if p.ths == nil {
+		return p.one
+	}
+	return p.ths[i].red
 }

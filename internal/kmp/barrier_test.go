@@ -42,3 +42,79 @@ func TestBarrier(t *testing.T) {
 func TestBarrierOversubscribed(t *testing.T) {
 	checkBarrier(t, 128, 5)
 }
+
+// A reduction's fold runs once per reduction, on the last arriver, before
+// the release: it reads every thread's deposit in thread order, and every
+// thread reads what it wrote once Reduce returns.
+func TestReduceFoldsOnceInThreadOrder(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8} {
+		var folds atomic.Int64
+		var shared uint64
+		var bad atomic.Bool
+		ForkCall(Ident{}, n, func(th *Thread) {
+			for g := uint64(1); g <= 50; g++ {
+				th.Reduce(g<<8|uint64(th.Tid), func(p Partials) {
+					folds.Add(1)
+					if p.Len() != n {
+						bad.Store(true)
+					}
+					// Concatenate the tids in deposit order.
+					acc := uint64(0)
+					for i := range p.Len() {
+						if p.At(i)>>8 != g {
+							bad.Store(true)
+						}
+						acc = acc*16 + p.At(i)&0xff
+					}
+					shared = g<<32 | acc
+				})
+				want := uint64(0)
+				for i := range n {
+					want = want*16 + uint64(i)
+				}
+				if shared != g<<32|want {
+					bad.Store(true)
+				}
+			}
+		})
+		if bad.Load() {
+			t.Fatalf("n=%d: a fold saw deposits out of thread order or from another reduction, or a thread read a stale result", n)
+		}
+		if got := folds.Load(); got != 50 {
+			t.Fatalf("n=%d: %d folds for 50 reductions", n, got)
+		}
+	}
+}
+
+// A cancelled region skips the fold, with a team of one too: the threads
+// that branched to the region's end never deposited.
+func TestReduceCancelledRegionSkipsFold(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		var folds atomic.Int64
+		ForkCallErr(Ident{}, n, nil, func(th *Thread) error {
+			if th.Tid == 0 && !th.Cancel(CancelParallel) {
+				t.Error("cancel not active in an error-mode region")
+			}
+			th.Reduce(1, func(Partials) { folds.Add(1) })
+			return nil
+		})
+		if got := folds.Load(); got != 0 {
+			t.Fatalf("n=%d: cancelled region ran %d folds", n, got)
+		}
+	}
+}
+
+// An orphaned reduction, run by no team, folds its own partial inline.
+func TestReduceNilThreadFoldsInline(t *testing.T) {
+	var th *Thread
+	got := uint64(0)
+	th.Reduce(42, func(p Partials) {
+		if p.Len() != 1 {
+			t.Errorf("inline fold over %d partials", p.Len())
+		}
+		got = p.At(0)
+	})
+	if got != 42 {
+		t.Fatalf("inline fold read %d, want 42", got)
+	}
+}

@@ -7,6 +7,7 @@
 //   - static loops       → __kmpc_for_static_init/fini → Loop / StaticBlock / StaticChunked
 //   - dynamic/guided/runtime loops → __kmpc_dispatch_init/next → (*Thread).DispatchInit/DispatchNext
 //   - barriers           → __kmpc_barrier            → (*Thread).Barrier
+//   - reductions         → __kmpc_reduce             → (*Thread).Reduce
 //   - critical           → __kmpc_critical           → Critical
 //   - single / master    → __kmpc_single/master      → (*Thread).Single / Master
 //   - explicit tasks     → __kmpc_omp_task           → (*Thread).TaskSpawn
@@ -150,6 +151,19 @@
 // (proc.cpu_util in the benchmark) rises by design: a waiter holds its
 // processor for up to the budget, and idle workers do so once after every
 // region. OMP_WAIT_POLICY is the only control, as in libomp.
+//
+// # Reductions
+//
+// A reduction is a deposit plus a fold at the barrier. Reduce stores the
+// bits of the thread's partial in its own slot (Thread.red; each Thread has
+// lines of its own) and arrives; the last arriver, whose count increment
+// observes every deposit, runs the fold over Partials — the team's threads
+// from the thrA snapshot, in thread order — before it bumps the generation,
+// so the release publishes the result. One barrier per reduction, nothing
+// to allocate or size, and an order fixed by thread number, not arrival
+// (libomp's atomic and critical methods combine as threads arrive): a team
+// size gives the same bits on every run. A cancelled region skips the fold,
+// since threads that branched to its end never deposited.
 //
 // # Events
 //

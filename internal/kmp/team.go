@@ -623,11 +623,21 @@ func forkSerial(gid uint64, sl *gslot, prev *Thread, hot *Team, level, active in
 
 // Barrier blocks until every thread of the team has reached it: the lowering
 // of the barrier directive and of the implicit barrier after worksharing
-// loops without nowait (__kmpc_barrier).
-func (t *Thread) Barrier() {
+// loops without nowait (__kmpc_barrier): a reduction without a fold.
+func (t *Thread) Barrier() { t.Reduce(0, nil) }
+
+// Reduce deposits bits, the bit pattern of t's partial, and takes the team
+// barrier, whose last arriver calls fold, if not nil, over the team's
+// deposits before it releases the team ("Reductions" in doc.go). A team of
+// one, or a nil thread, folds inline; a cancelled region skips the fold.
+func (t *Thread) Reduce(bits uint64, fold func(Partials)) {
 	if t == nil || t.team == nil || t.team.n == 1 {
+		if fold != nil && (t == nil || t.team == nil || !t.team.cancelRegion.Load()) {
+			fold(Partials{one: bits})
+		}
 		return
 	}
+	t.red = bits
 	g := eventGate.Load()
 	var arrive int64
 	if g != 0 {
@@ -644,7 +654,7 @@ func (t *Thread) Barrier() {
 	// immediately — threads that already branched to the region's end will
 	// never arrive, and waiting for them would deadlock.
 	t.setWait(StateInBarrier)
-	t.team.bar.wait(t)
+	t.team.bar.wait(t, fold)
 	t.setWait(StateRunning)
 	if g != 0 {
 		// Emitted at barrier exit so Dur covers the whole wait (task

@@ -86,7 +86,10 @@ type Thread struct {
 	labelCtx context.Context
 	labelLoc uint32
 	labelOn  bool
-	_        [8]byte // to whole lines, which get line-aligned (layout_test.go)
+
+	// red is the thread's reduction slot (Thread.Reduce). It also fills
+	// the struct to whole lines, which get line-aligned (layout_test.go).
+	red uint64
 }
 
 // regionState is what a thread keeps about the region it is in; enter

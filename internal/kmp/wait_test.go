@@ -66,11 +66,11 @@ func TestWaitNoLostWakeup(t *testing.T) {
 								busyWait(time.Duration(rng.Intn(3000)))
 							}
 							phase.Add(1)
-							tm.bar.wait(th)
+							tm.bar.wait(th, nil)
 							if phase.Load() < int64(n*(g+1)) {
 								early.Store(true)
 							}
-							tm.bar.wait(th)
+							tm.bar.wait(th, nil)
 						}
 					}(th)
 				}

@@ -59,6 +59,13 @@ type Stats struct {
 	NNZ     int
 }
 
+// padF64 keeps the goroutine baseline's per-worker partial sums on separate
+// cache lines.
+type padF64 struct {
+	v float64
+	_ [56]byte
+}
+
 // genState carries the matrix generator's LCG stream (NPB's tran/amult
 // globals).
 type genState struct {

@@ -141,11 +141,10 @@ func TestParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for threads := 1; threads <= 4; threads++ {
-		parts := make([]padF64, 2*threads)
 		var first *Stats
 		for i := 0; i < runs; i++ {
 			st, err := runWith(npb.ClassS, m, threads, func(x, z, p, q, r []float64) float64 {
-				return ConjGradOMP(m, x, z, p, q, r, parts, threads)
+				return ConjGradOMP(m, x, z, p, q, r, threads)
 			})
 			if err != nil {
 				t.Fatal(err)

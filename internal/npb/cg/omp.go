@@ -16,43 +16,9 @@ import (
 //
 // Unlike the frozen serial reference (cg.go) and the pinned goroutine
 // baseline, the omp flavour tunes its per-thread code: partial sums live in
-// a register for the whole block, the SpMV reslices each CSR row once, and
-// a reduction takes one barrier. None of it reorders a floating-point
-// operation, so ζ and rnorm are those of the untuned loops, bit for bit
-// (TestParallelBitsPinned).
-
-// padF64 keeps per-thread partial sums on separate cache lines.
-type padF64 struct {
-	v float64
-	_ [56]byte
-}
-
-// reduceSum is the deterministic loop-level reduction used by conj_grad:
-// every thread deposits its partial, and after a barrier every thread folds
-// the slots in tid order — the same value on every thread, every run,
-// independent of timing. (The tree-combine in libomp's __kmpc_reduce is
-// timing-dependent; determinism here makes the ζ verification immune to
-// combine-order noise.)
-//
-// parts holds two sets of slots, set 0 in parts[:T] and set 1 in
-// parts[T:2T]; *k counts the region's reductions on the calling thread, and
-// reduction k uses set k mod 2. That one barrier is enough: set k mod 2 is
-// written again only at reduction k+2, and a thread deposits there only
-// after passing reduction k+1's barrier, which no thread reaches before it
-// has finished folding reduction k. Every thread takes the same reductions
-// in the same order, so the counters agree across the team.
-func reduceSum(t *omp.Thread, parts []padF64, k *int, local float64) float64 {
-	n := t.NumThreads()
-	set := parts[(*k&1)*n:][:n]
-	*k++
-	set[t.Tid].v = local
-	omp.Barrier(t)
-	s := 0.0
-	for i := range set {
-		s += set[i].v
-	}
-	return s
-}
+// a register for the whole block, and the SpMV reslices each CSR row once.
+// None of it reorders a floating-point operation, so ζ and rnorm are those
+// of the untuned loops, bit for bit (TestParallelBitsPinned).
 
 // spmvRowsOMP is spmvRows with each CSR row resliced once: the row's values
 // and columns are bounds-checked at the reslice, so the only check left per
@@ -74,11 +40,17 @@ func spmvRowsOMP(m *Matrix, w, q []float64, lo, hi int) {
 }
 
 // ConjGradOMP is conj_grad on the OpenMP runtime. The caller provides the
-// per-run scratch vectors and two sets of padded partial-sum slots
-// (len(parts) >= 2*threads; see reduceSum).
-func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int) float64 {
+// per-run scratch vectors.
+//
+// Each fused loop is the lowering of `for nowait reduction(+:…)`: it runs
+// nowait, and omp.Reduce folds the team's partials into the shared scalar
+// in thread order at the reduction's barrier, the loop's one rendezvous.
+// The fold is 0 + s0 + s1 + …, so the result is the same at a team size on
+// every run. As in NPB-OMP's conj_grad, the master resets the scalars at
+// the top of each iteration.
+func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 	n := int64(m.N)
-	var rnorm float64
+	var rho, rho0, d, sum float64
 
 	omp.Parallel(func(t *omp.Thread) {
 		// Initialisation: each thread owns the same static block in
@@ -86,7 +58,6 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 		// over own-rows data is safe. Each loop body sums into a
 		// register seeded from the thread's partial and stores it back
 		// once per block.
-		k := 0
 		local := 0.0
 		omp.ForRange(t, n, func(lo, hi int64) {
 			s := local
@@ -99,11 +70,19 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 			}
 			local = s
 		}, omp.NoWait())
-		rho := reduceSum(t, parts, &k, local)
+		omp.Reduce(t, omp.ReduceSum, &rho, local)
 
 		for cgit := 0; cgit < cgitmax; cgit++ {
+			// Every thread read rho0 and rho before the barrier that
+			// ended the previous iteration (or read nothing yet).
+			if t.Master() {
+				rho0 = rho
+				d = 0
+				rho = 0
+			}
+
 			// q = A·p fused with d = p·q over own rows; the
-			// preceding reduceSum barrier guarantees p is complete.
+			// preceding barrier guarantees p is complete.
 			local = 0
 			omp.ForRange(t, n, func(lo, hi int64) {
 				spmvRowsOMP(m, p, q, int(lo), int(hi))
@@ -113,8 +92,8 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 				}
 				local = s
 			}, omp.NoWait())
-			d := reduceSum(t, parts, &k, local)
-			alpha := rho / d
+			omp.Reduce(t, omp.ReduceSum, &d, local)
+			alpha := rho0 / d
 
 			// z, r updates fused with the next rho — own rows only.
 			local = 0
@@ -127,8 +106,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 				}
 				local = s
 			}, omp.NoWait())
-			rho0 := rho
-			rho = reduceSum(t, parts, &k, local)
+			omp.Reduce(t, omp.ReduceSum, &rho, local)
 			beta := rho / rho0
 
 			// p update; the implicit barrier publishes p for the
@@ -151,13 +129,10 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, parts []padF64, threads int
 			}
 			local = s
 		}, omp.NoWait())
-		sum := reduceSum(t, parts, &k, local)
-		if t.Master() {
-			rnorm = math.Sqrt(sum)
-		}
+		omp.Reduce(t, omp.ReduceSum, &sum, local)
 	}, omp.NumThreads(threads))
 
-	return rnorm
+	return math.Sqrt(sum)
 }
 
 // RunParallel executes the benchmark with conj_grad on the OpenMP runtime.
@@ -169,8 +144,7 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	parts := make([]padF64, 2*threads)
 	return runWith(class, m, threads, func(x, z, p, q, r []float64) float64 {
-		return ConjGradOMP(m, x, z, p, q, r, parts, threads)
+		return ConjGradOMP(m, x, z, p, q, r, threads)
 	})
 }

@@ -1,6 +1,7 @@
 package ep
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -50,6 +51,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// Sums may differ only by combine order: 1e-12 relative.
 		if !npb.RelErrOK(par.Sx, serial.Sx, 1e-12) || !npb.RelErrOK(par.Sy, serial.Sy, 1e-12) {
 			t.Fatalf("threads=%d: sums diverge beyond reordering: %.17g vs %.17g", threads, par.Sx, serial.Sx)
+		}
+	}
+}
+
+// Determinism: the sums fold in thread order at the reduction's barrier, so
+// Sx and Sy are bit-identical from run to run at each team size. At T=1 and
+// T=2 the arrival-order cells this replaced were order-free too (one
+// partial, or two, whose sum commutes); those bits were recorded with them.
+func TestParallelDeterministic(t *testing.T) {
+	runs := 20
+	if raceEnabled {
+		runs = 2
+	}
+	recorded := map[int][2]uint64{
+		1: {0xc0a95fab5782f06c, 0xc0bb2e683649f51b},
+		2: {0xc0a95fab5782f06c, 0xc0bb2e683649f522},
+	}
+	for threads := 1; threads <= 4; threads++ {
+		var first [2]uint64
+		for i := 0; i < runs; i++ {
+			st, err := RunParallel(npb.ClassS, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [2]uint64{math.Float64bits(st.Sx), math.Float64bits(st.Sy)}
+			if i == 0 {
+				first = got
+				if want, ok := recorded[threads]; ok && got != want {
+					t.Fatalf("T=%d: sx, sy bits %#x, recorded %#x", threads, got, want)
+				}
+			} else if got != first {
+				t.Fatalf("T=%d run %d: sx, sy bits %#x, first run gave %#x", threads, i, got, first)
+			}
 		}
 	}
 }

@@ -15,8 +15,10 @@ var tpScratch = omp.NewThreadPrivate[scratch](nil)
 //	//omp parallel for reduction(+:sx,sy) schedule(static)
 //	for k := 0; k < nn; k++ { … }
 //
-// with the annulus counters combined through atomic cells (the atomic
-// directive of the paper's port) and the scratch array threadprivate.
+// with the sums folded in thread order at the loop's barrier (omp.Reduce),
+// so a team size gives the same bits on every run, the annulus counters
+// combined through atomic cells (the atomic directive of the paper's port)
+// and the scratch array threadprivate.
 func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	m, err := params(class)
 	if err != nil {
@@ -25,16 +27,13 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	nn := int64(1) << (m - mk)
 	st := &Stats{Class: class, Pairs: 1 << m, Threads: threads}
 
-	sx := omp.NewFloat64Reduction(omp.ReduceSum, 0)
-	sy := omp.NewFloat64Reduction(omp.ReduceSum, 0)
 	var q [nq]omp.AtomicInt64
 
 	var tm npb.Timer
 	tm.Start()
 	omp.Parallel(func(t *omp.Thread) {
 		buf := tpScratch.Get(t)
-		localSx := sx.Identity()
-		localSy := sy.Identity()
+		var localSx, localSy float64
 		var localQ [nq]int64
 		omp.ForRange(t, nn, func(lo, hi int64) {
 			for k := lo; k < hi; k++ {
@@ -46,20 +45,18 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 				}
 			}
 		}, omp.Schedule(omp.Static, 0), omp.NoWait())
-		sx.Combine(localSx)
-		sy.Combine(localSy)
 		for l := 0; l < nq; l++ {
 			if localQ[l] != 0 {
 				// //omp atomic — lock-free RMW per counter.
 				q[l].Add(localQ[l])
 			}
 		}
+		omp.Reduce(t, omp.ReduceSum, &st.Sx, localSx)
+		omp.Reduce(t, omp.ReduceSum, &st.Sy, localSy)
 	}, omp.NumThreads(threads))
 	tm.Stop()
 
 	st.Seconds = tm.Seconds()
-	st.Sx = sx.Value()
-	st.Sy = sy.Value()
 	for l := 0; l < nq; l++ {
 		st.Q[l] = q[l].Load()
 		st.Gc += st.Q[l]

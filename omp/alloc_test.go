@@ -81,3 +81,44 @@ func TestParallelForRangeWarmZeroAlloc(t *testing.T) {
 // Schedule builds a fresh Option per call; a caller on the zero-alloc path
 // hoists it, as it hoists the body.
 var dynamic8 = Schedule(Dynamic, 8)
+
+// A reduction adds no allocation to a warm region: Reduce's fold closure
+// stays on the stack, the deposit slot is a word the thread already has, and
+// a team of one folds inline without building a slot list.
+func TestReduceWarmZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and sync.Pool drops items at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var data [256]float64
+	for i := range data {
+		data[i] = float64(i)
+	}
+	var sum float64
+	var all bool
+	region := func(t *Thread) {
+		local := 0.0
+		ForRange(t, int64(len(data)), func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local += data[i]
+			}
+		}, NoWait())
+		Reduce(t, ReduceSum, &sum, local)
+		ReduceBool(t, ReduceLogicalAnd, &all, local >= 0)
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("threads=%d", n), func(t *testing.T) {
+			run := func() {
+				sum, all = 0, true
+				Parallel(region, NumThreads(n))
+			}
+			run() // spawn workers, prime pools
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Fatalf("warm region with Reduce at T=%d: %.1f allocs/region, want 0", n, got)
+			}
+			if sum != 255*256/2 || !all {
+				t.Fatalf("T=%d: sum %g all %v, want %d true", n, sum, all, 255*256/2)
+			}
+		})
+	}
+}

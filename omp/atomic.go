@@ -4,7 +4,7 @@ import "gomp/internal/atomicx"
 
 // Atomic cells re-exported for the atomic directive: `//omp atomic` updates
 // lower onto these types' RMW methods (native ops where Go provides them,
-// the paper's Listing 6 CAS loop for multiply/divide/logical ops).
+// the paper's Listing 6 CAS loop for multiply and divide).
 type (
 	// AtomicInt64 lowers atomic updates of integer variables.
 	AtomicInt64 = atomicx.Int64
@@ -12,6 +12,4 @@ type (
 	AtomicUint64 = atomicx.Uint64
 	// AtomicFloat64 lowers atomic updates of float variables.
 	AtomicFloat64 = atomicx.Float64
-	// AtomicBool lowers atomic updates of boolean variables.
-	AtomicBool = atomicx.Bool
 )

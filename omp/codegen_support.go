@@ -15,9 +15,8 @@ func TripCount(lb, ub, st int64, inclusive bool) int64 {
 }
 
 // ReduceIdentity returns the identity element of op for T, inferred from a
-// sample value (the reduction variable itself). Generated loop-level
-// reductions initialise their per-thread temporary with it, as the OpenMP
-// standard requires.
+// sample value (the reduction variable itself). Generated reductions
+// initialise each thread's copy with it, as the OpenMP standard requires.
 func ReduceIdentity[T Numeric](op ReduceOp, sample T) T {
 	_ = sample // only for type inference
 	r := Reduction[T]{op: op}

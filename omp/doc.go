@@ -17,16 +17,16 @@
 //     Parallel, For, ParallelFor, Single, Masked, Sections, Critical,
 //     Barrier, the explicit-tasking constructs (Task, Taskwait, Taskgroup,
 //     Taskloop), the cancellation pair (Cancel, CancellationPoint) and the
-//     reduction cells. These correspond to the paper's `.omp.internal`
-//     namespace of generic wrappers over the __kmpc_* families — not
-//     intended to be pretty for humans, but usable directly.
+//     reduction fold (Reduce, ReduceBool). These correspond to the paper's
+//     `.omp.internal` namespace of generic wrappers over the __kmpc_*
+//     families — not intended to be pretty for humans, but usable directly.
 //
 //   - The v2 library constructs, which only an importable package (not a
 //     pragma) can express: error- and context-aware region launch
 //     (ParallelErr, ParallelForErr, WithContext) that recovers worker
 //     panics and tears teams down on deadline, and the type-safe generic
 //     collection constructs (ForEach over any slice type, ReduceInto over
-//     any Numeric type, the generic Reduction cell).
+//     any Numeric type, the arrival-order Reduction cell).
 //
 // # Loop scheduling
 //
@@ -72,6 +72,27 @@
 // are woken and released, by `cancel for` as by `cancel parallel`. Steals
 // emit TraceLoopSteal events, observable through internal/trace's profiler
 // (a "steals" column in the flat profile).
+//
+// # Reductions
+//
+// Every reduction clause lowers to one Reduce call per variable (ReduceBool
+// for && and ||), made by every thread at the end of the construct with its
+// private partial, which started at the operator's identity:
+//
+//	omp.ForRange(t, n, func(lo, hi int64) { … local += a[i] … }, omp.NoWait())
+//	omp.Reduce(t, omp.ReduceSum, &sum, local) // every thread then reads sum
+//
+// Each thread stores its partial's bits in a slot of its own and arrives at
+// the barrier; the last to arrive folds sum + partial[0] + … +
+// partial[n−1], in thread order, and only then releases the team. That is
+// one barrier per variable, the one the construct already has, and the same
+// bits at a given team size on every run. A reducing loop with nowait still
+// takes its reduction's barrier, which conforms because every thread of the
+// team meets the loop; a region-level reduction folds at the end of the
+// body, before the join. A team of one, or an orphaned loop run outside any
+// region, folds inline. Reduction[T] is the arrival-order atomic cell for
+// combines no construct orders, such as explicit tasks adding results as
+// they finish; its float results depend on timing.
 //
 // # Task dependences
 //

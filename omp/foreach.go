@@ -24,33 +24,33 @@ func ForEach[S ~[]E, E any](s S, body func(t *Thread, i int64, v *E), opts ...Op
 
 // ReduceInto runs body over [0, trip) as a parallel reduction with operator
 // op: each thread folds its share into a private accumulator seeded with the
-// operator's identity, partials combine atomically through the generic
-// Reduction cell, and the result — including *into's prior value, which
-// participates once as the standard requires — is written back to *into.
-// body receives the running private accumulator and returns its new value.
+// operator's identity, and the partials fold in thread order (Reduce) into a
+// copy of *into, whose prior value participates once as the standard
+// requires; the result is written back to *into. body receives the running
+// private accumulator and returns its new value.
 //
 // On error (a panicking thread, or a WithContext deadline) *into is left
 // untouched and the error is returned, so a caller can retry or fall back to
 // a serial loop without unpicking a half-combined result.
 func ReduceInto[T Numeric](op ReduceOp, into *T, trip int64, body func(t *Thread, i int64, acc T) T, opts ...Option) error {
-	cell := NewReduction(op, *into)
+	checkOp[T](op)
+	res := *into
+	id := ReduceIdentity(op, res)
 	r, l := clauses(opts)
 	sched := l.sched
 	err := kmp.ForkCallErr(r.loc, r.n, r.ctx, func(t *Thread) error {
-		acc := cell.Identity()
-		// nowait: the combine precedes the join, which is the only
-		// rendezvous the fused construct needs.
+		acc := id
 		kmp.Loop(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				acc = body(t, i, acc)
 			}
 		})
-		cell.Combine(acc)
+		Reduce(t, op, &res, acc)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	*into = cell.Value()
+	*into = res
 	return nil
 }

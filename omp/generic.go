@@ -21,30 +21,71 @@ type Numeric interface {
 		~float32 | ~float64
 }
 
-// Reduction is the type-inferred reduction cell emitted by the preprocessor:
-// `omp.NewReduction(omp.ReduceSum, sum)` infers T from the reduction
-// variable, sparing generated code from naming types — the same trick the
-// paper plays with Zig's type inference to survive preprocessing without
-// semantic context (Section III-B3).
-//
-// One generic cell serves every Numeric type: the value lives as its bit
-// pattern in an atomicx.Uint64, partials fold in T's domain inside the
-// paper's Listing 6 CAS loop, and integer sums take the native RMW fast
-// path. This single design replaces the per-type atomic cells of the v1 API;
-// Int64Reduction and Float64Reduction remain as thin instantiations of it
-// (reduce.go).
+// Reduce is the lowering of every reduction clause: every thread of t's
+// team calls it with its partial, and the last to reach the barrier folds
+// *v op partial[0] op … op partial[n−1], in thread order, before it
+// releases the team ("Reductions" in the package doc). A nil thread folds
+// inline. Type inference from v spares generated code from naming types —
+// the trick the paper plays with Zig's type inference to survive
+// preprocessing without semantic context (Section III-B3).
+func Reduce[T Numeric](t *Thread, op ReduceOp, v *T, local T) {
+	checkOp[T](op)
+	t.Reduce(bitsOf(local), func(p kmp.Partials) {
+		acc := *v
+		for i := range p.Len() {
+			acc = reduceFold(op, acc, fromBits[T](p.At(i)))
+		}
+		*v = acc
+	})
+}
+
+// ReduceBool is Reduce for the logical operators, && and ||, over a bool
+// variable.
+func ReduceBool[B ~bool](t *Thread, op ReduceOp, v *B, local B) {
+	and := op == ReduceLogicalAnd
+	if !and && op != ReduceLogicalOr {
+		panic("omp: ReduceBool requires && or ||")
+	}
+	var bits uint64
+	if local {
+		bits = 1
+	}
+	t.Reduce(bits, func(p kmp.Partials) {
+		for i := range p.Len() {
+			if x := p.At(i) != 0; x != and { // a false decides &&, a true ||
+				*v = B(x)
+			}
+		}
+	})
+}
+
+// checkOp panics on an operator the reduction clause does not define for T:
+// the logical ones (ReduceBool's) and, for floating-point T, the bitwise
+// ones.
+func checkOp[T Numeric](op ReduceOp) {
+	switch op {
+	case ReduceLogicalAnd, ReduceLogicalOr:
+		panic("omp: logical reduction operators apply to bool; use ReduceBool")
+	case ReduceBitAnd, ReduceBitOr, ReduceBitXor:
+		if isFloat[T]() {
+			panic("omp: reduction operator " + op.String() + " not defined for floating-point types")
+		}
+	}
+}
+
+// Reduction is the arrival-order reduction cell, for combines no construct
+// orders, such as explicit tasks folding partials as they finish. The value
+// lives as its bit pattern in an atomicx.Uint64; partials fold in T's
+// domain inside the paper's Listing 6 CAS loop, and integer sums take the
+// native RMW fast path.
 type Reduction[T Numeric] struct {
 	op   ReduceOp
 	bits atomicx.Uint64
 }
 
-// NewReduction builds a reduction cell seeded with the reduction variable's
-// pre-region value.
+// NewReduction builds a reduction cell seeded with initial.
 func NewReduction[T Numeric](op ReduceOp, initial T) *Reduction[T] {
-	switch op {
-	case ReduceLogicalAnd, ReduceLogicalOr:
-		panic("omp: logical reduction operators apply to bool; use BoolReduction")
-	}
+	checkOp[T](op)
 	r := &Reduction[T]{op: op}
 	r.bits.Store(bitsOf(initial))
 	return r
@@ -85,7 +126,7 @@ func (r *Reduction[T]) Combine(partial T) {
 func (r *Reduction[T]) Value() T { return fromBits[T](r.bits.Load()) }
 
 // reduceFold applies op to two values of T. Logical operators are excluded
-// by construction (NewReduction panics on them). Min/max propagate NaN like
+// by construction (checkOp panics on them). Min/max propagate NaN like
 // math.Min/math.Max — a corrupt partial must surface in the result, not be
 // silently discarded by an always-false comparison.
 func reduceFold[T Numeric](op ReduceOp, a, b T) T {
@@ -110,12 +151,12 @@ func reduceFold[T Numeric](op ReduceOp, a, b T) T {
 			return b
 		}
 		return a
-	case ReduceBitAnd:
-		return fromIntBits[T](toIntBits(a) & toIntBits(b))
+	case ReduceBitAnd: // integers only (checkOp): bitsOf is two's complement
+		return fromBits[T](bitsOf(a) & bitsOf(b))
 	case ReduceBitOr:
-		return fromIntBits[T](toIntBits(a) | toIntBits(b))
+		return fromBits[T](bitsOf(a) | bitsOf(b))
 	case ReduceBitXor:
-		return fromIntBits[T](toIntBits(a) ^ toIntBits(b))
+		return fromBits[T](bitsOf(a) ^ bitsOf(b))
 	}
 	return a
 }
@@ -154,30 +195,21 @@ func fromBits[T Numeric](b uint64) T {
 	return T(int64(b))
 }
 
-// Only +, -, *, and comparisons are defined across the whole Numeric type
-// set (bit operators exclude floats), so the extreme-value helpers below
-// probe with arithmetic: unsigned types are recognised by 0-1 wrapping to
-// the maximum, signed maxima by doubling until overflow wraps negative.
-// Overflow of signed integers is well-defined (wrapping) in Go.
+// Bit operators are not defined across the whole Numeric type set, so the
+// extreme-value helpers below use arithmetic: unsigned types are recognised
+// by 0-1 wrapping to the maximum, and signed maxima are 2^(bits-1) - 1,
+// computed in int64 (where 1<<63 - 1 wraps to the maximum, as Go defines).
 
 // maxValue returns the largest representable T (min-reduction identity).
 func maxValue[T Numeric]() T {
 	var zero T
-	if isFloat[T]() {
+	switch {
+	case isFloat[T]():
 		return T(math.Inf(1))
-	}
-	if zero-1 > zero { // unsigned: wraps to all ones
+	case zero-1 > zero: // unsigned: wraps to all ones
 		return zero - 1
 	}
-	hi := T(1)
-	for {
-		next := hi * 2
-		if next <= hi { // wrapped negative: hi is 2^(bits-2)
-			break
-		}
-		hi = next
-	}
-	return hi - 1 + hi // 2^(bits-1) - 1
+	return T(int64(1)<<(8*unsafe.Sizeof(zero)-1) - 1)
 }
 
 // minValue returns the smallest representable T (max-reduction identity).
@@ -193,8 +225,7 @@ func minValue[T Numeric]() T {
 }
 
 // allOnes returns the bit-and identity (~0). For both signed (-1) and
-// unsigned (max), that is 0-1. Panics for floats — validation rejects
-// bitwise reductions on floating-point variables before codegen.
+// unsigned (max), that is 0-1. Panics for floats, like checkOp.
 func allOnes[T Numeric]() T {
 	var zero T
 	if isFloat[T]() {
@@ -202,9 +233,3 @@ func allOnes[T Numeric]() T {
 	}
 	return zero - 1
 }
-
-// toIntBits/fromIntBits move integer T through uint64 for bitwise ops,
-// preserving the bit pattern via sign extension both ways. Floats are
-// rejected by allOnes/validation before these are reached.
-func toIntBits[T Numeric](v T) uint64   { return uint64(int64(v)) }
-func fromIntBits[T Numeric](b uint64) T { return T(int64(b)) }

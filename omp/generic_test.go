@@ -24,6 +24,12 @@ func TestGenericIdentities(t *testing.T) {
 	if got := NewReduction[int64](ReduceMax, 0).Identity(); got != math.MinInt64 {
 		t.Errorf("int64 max identity = %d", got)
 	}
+	if got := NewReduction[int32](ReduceMin, 0).Identity(); got != math.MaxInt32 {
+		t.Errorf("int32 min identity = %d", got)
+	}
+	if got := NewReduction[int](ReduceMax, 0).Identity(); got != math.MinInt {
+		t.Errorf("int max identity = %d", got)
+	}
 	if got := NewReduction[uint16](ReduceMin, 0).Identity(); got != math.MaxUint16 {
 		t.Errorf("uint16 min identity = %d", got)
 	}
@@ -133,13 +139,8 @@ func TestGenericRejectsLogical(t *testing.T) {
 }
 
 func TestGenericBitAndOnFloatPanics(t *testing.T) {
-	r := NewReduction(ReduceBitAnd, 1.0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Identity of float bitand did not panic")
-		}
-	}()
-	r.Identity()
+	mustPanic(t, "NewReduction of float bitand", func() { NewReduction(ReduceBitAnd, 1.0) })
+	mustPanic(t, "ReduceIdentity of float bitand", func() { ReduceIdentity(ReduceBitAnd, 1.0) })
 }
 
 func TestCurrentMatchesThread(t *testing.T) {
@@ -165,11 +166,12 @@ func TestReductionNaNPropagates(t *testing.T) {
 		if v := r.Value(); !math.IsNaN(v) {
 			t.Errorf("generic %s with NaN partial = %v, want NaN", op, v)
 		}
-		f := NewFloat64Reduction(op, 1.0)
-		f.Combine(nan)
-		f.Combine(3.0)
-		if v := f.Value(); !math.IsNaN(v) {
-			t.Errorf("float64 %s with NaN partial = %v, want NaN", op, v)
+		f := 1.0
+		Parallel(func(t *Thread) {
+			Reduce(t, op, &f, []float64{nan, 3.0}[t.Tid])
+		}, NumThreads(2))
+		if !math.IsNaN(f) {
+			t.Errorf("Reduce %s with NaN partial = %v, want NaN", op, f)
 		}
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// reduceFloat64 runs the canonical generated-code pattern for a float64
-// reduction over [0,trip) where each iteration contributes f(i).
+// reduceFloat64 runs the lowering of a loop-level float64 reduction over
+// [0,trip) where each iteration contributes f(i).
 func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float64) float64 {
-	r := NewFloat64Reduction(op, initial)
+	v := initial
 	Parallel(func(t *Thread) {
-		local := r.Identity()
+		local := ReduceIdentity(op, v)
 		For(t, trip, func(i int64) {
 			switch op {
 			case ReduceSum:
@@ -22,10 +22,21 @@ func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float
 			case ReduceMax:
 				local = math.Max(local, f(i))
 			}
-		})
-		r.Combine(local)
+		}, NoWait())
+		Reduce(t, op, &v, local)
 	}, NumThreads(4))
-	return r.Value()
+	return v
+}
+
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 func TestFloat64SumReduction(t *testing.T) {
@@ -63,19 +74,24 @@ func TestFloat64ReductionIdentity(t *testing.T) {
 		ReduceMax:  math.Inf(-1),
 	}
 	for op, want := range cases {
-		if got := NewFloat64Reduction(op, 0).Identity(); got != want {
+		if got := ReduceIdentity(op, 0.0); got != want {
 			t.Errorf("float64 identity(%s) = %g, want %g", op, got, want)
 		}
 	}
 }
 
+// The bitwise operators are not defined for floats: both the clause's
+// lowering and the arrival-order cell refuse them instead of folding the
+// values' integer conversions (| of 1.5 and 2.5 would give 3).
 func TestFloat64ReductionRejectsBitwise(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("float64 reduction with & did not panic")
-		}
-	}()
-	NewFloat64Reduction(ReduceBitAnd, 0)
+	for _, op := range []ReduceOp{ReduceBitAnd, ReduceBitOr, ReduceBitXor} {
+		mustPanic(t, "Reduce on float64 with "+op.String(), func() {
+			v := 1.5
+			Reduce(nil, op, &v, 2.5)
+		})
+		mustPanic(t, "NewReduction on float64 with "+op.String(), func() { NewReduction(op, 1.5) })
+		mustPanic(t, "NewReduction on float32 with "+op.String(), func() { NewReduction(op, float32(1.5)) })
+	}
 }
 
 func TestInt64Reductions(t *testing.T) {
@@ -96,16 +112,16 @@ func TestInt64Reductions(t *testing.T) {
 		{ReduceBitXor, 0, 7, func(i int64) int64 { return i }, 0 ^ 1 ^ 2 ^ 3 ^ 4 ^ 5 ^ 6},
 	}
 	for _, c := range cases {
-		r := NewInt64Reduction(c.op, c.initial)
+		v := c.initial
 		Parallel(func(t *Thread) {
-			local := r.Identity()
+			local := ReduceIdentity(c.op, v)
 			For(t, c.trip, func(i int64) {
 				local = reduceFold(c.op, local, c.f(i))
-			})
-			r.Combine(local)
+			}, NoWait())
+			Reduce(t, c.op, &v, local)
 		}, NumThreads(4))
-		if got := r.Value(); got != c.want {
-			t.Errorf("op %s: got %d, want %d", c.op, got, c.want)
+		if v != c.want {
+			t.Errorf("op %s: got %d, want %d", c.op, v, c.want)
 		}
 	}
 }
@@ -121,60 +137,68 @@ func TestInt64ReductionIdentity(t *testing.T) {
 		ReduceBitXor: 0,
 	}
 	for op, want := range cases {
-		if got := NewInt64Reduction(op, 0).Identity(); got != want {
+		if got := ReduceIdentity(op, int64(0)); got != want {
 			t.Errorf("int64 identity(%s) = %d, want %d", op, got, want)
 		}
 	}
 }
 
 func TestInt64ReductionRejectsLogical(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("int64 reduction with && did not panic")
-		}
-	}()
-	NewInt64Reduction(ReduceLogicalAnd, 0)
+	for _, op := range []ReduceOp{ReduceLogicalAnd, ReduceLogicalOr} {
+		mustPanic(t, "Reduce on int64 with "+op.String(), func() {
+			var v int64
+			Reduce(nil, op, &v, 1)
+		})
+		mustPanic(t, "NewReduction on int64 with "+op.String(), func() { NewReduction(op, int64(0)) })
+	}
 }
 
 func TestBoolReductions(t *testing.T) {
 	// AND over 1000 trues with one false at i=617.
-	and := NewBoolReduction(ReduceLogicalAnd, true)
+	and := true
 	Parallel(func(t *Thread) {
-		local := and.Identity()
-		For(t, 1000, func(i int64) { local = local && (i != 617) })
-		and.Combine(local)
+		local := true
+		For(t, 1000, func(i int64) { local = local && (i != 617) }, NoWait())
+		ReduceBool(t, ReduceLogicalAnd, &and, local)
 	}, NumThreads(4))
-	if and.Value() {
+	if and {
 		t.Fatal("AND reduction over a false contribution = true")
 	}
-	// OR over 1000 falses with one true.
-	or := NewBoolReduction(ReduceLogicalOr, false)
+	// OR over 1000 falses with one true, into a named bool type.
+	type flag bool
+	var or flag
 	Parallel(func(t *Thread) {
-		local := or.Identity()
-		For(t, 1000, func(i int64) { local = local || (i == 617) })
-		or.Combine(local)
+		var local flag
+		For(t, 1000, func(i int64) { local = local || (i == 617) }, NoWait())
+		ReduceBool(t, ReduceLogicalOr, &or, local)
 	}, NumThreads(4))
-	if !or.Value() {
+	if !or {
 		t.Fatal("OR reduction over a true contribution = false")
 	}
 }
 
+// Partials equal to the operator's identity (true for &&, false for ||)
+// leave the variable's own value as the result.
 func TestBoolReductionIdentity(t *testing.T) {
-	if !NewBoolReduction(ReduceLogicalAnd, false).Identity() {
-		t.Error("identity(&&) = false, want true")
-	}
-	if NewBoolReduction(ReduceLogicalOr, true).Identity() {
-		t.Error("identity(||) = true, want false")
+	for _, nth := range []int{1, 3} {
+		and, or := false, true
+		Parallel(func(t *Thread) {
+			ReduceBool(t, ReduceLogicalAnd, &and, true)
+			ReduceBool(t, ReduceLogicalOr, &or, false)
+		}, NumThreads(nth))
+		if and || !or {
+			t.Errorf("nth=%d: identity partials changed the variables: && gave %v, || gave %v", nth, and, or)
+		}
 	}
 }
 
 func TestBoolReductionRejectsArithmetic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bool reduction with + did not panic")
-		}
-	}()
-	NewBoolReduction(ReduceSum, false)
+	for _, op := range []ReduceOp{ReduceSum, ReduceMax, ReduceBitOr} {
+		mustPanic(t, "ReduceBool with "+op.String(), func() {
+			var b bool
+			ReduceBool(nil, op, &b, true)
+		})
+	}
 }
 
 func TestReduceOpString(t *testing.T) {
@@ -196,14 +220,50 @@ func TestReduceOpString(t *testing.T) {
 // The initial value must participate exactly once regardless of team size.
 func TestReductionInitialValueOnce(t *testing.T) {
 	for _, nth := range []int{1, 2, 7} {
-		r := NewInt64Reduction(ReduceSum, 1000)
+		v := int64(1000)
 		Parallel(func(t *Thread) {
-			local := r.Identity()
-			For(t, 10, func(i int64) { local += 1 })
-			r.Combine(local)
+			var local int64
+			For(t, 10, func(i int64) { local += 1 }, NoWait())
+			Reduce(t, ReduceSum, &v, local)
 		}, NumThreads(nth))
-		if got := r.Value(); got != 1010 {
-			t.Fatalf("nth=%d: value = %d, want 1010", nth, got)
+		if v != 1010 {
+			t.Fatalf("nth=%d: value = %d, want 1010", nth, v)
 		}
+	}
+}
+
+// Reduce folds v op partial[0] op … op partial[n-1] in thread order, and
+// every thread reads the result once it returns. The values make float
+// addition's order visible: from 0.1, adding 1, 0.3 and 2/3 in that order
+// gives 2.066666666666667, and each of the other five orders gives
+// 2.0666666666666664.
+func TestReduceThreadOrder(t *testing.T) {
+	parts := []float64{1, 0.3, 2.0 / 3}
+	want := 0.1
+	for _, p := range parts {
+		want += p
+	}
+	for round := 0; round < 50; round++ {
+		v := 0.1
+		var seen [3]float64
+		Parallel(func(t *Thread) {
+			Reduce(t, ReduceSum, &v, parts[t.Tid])
+			seen[t.Tid] = v
+		}, NumThreads(3))
+		if v != want || seen != [3]float64{want, want, want} {
+			t.Fatalf("round %d: sum %.17g, threads read %v after Reduce; want %.17g everywhere", round, v, seen, want)
+		}
+	}
+}
+
+// Outside any region — an orphaned construct — Reduce folds the caller's
+// partial inline.
+func TestReduceNilThreadFoldsInline(t *testing.T) {
+	v := 2.0
+	Reduce(Current(), ReduceProd, &v, 3.0)
+	b := true
+	ReduceBool(Current(), ReduceLogicalAnd, &b, false)
+	if v != 6 || b {
+		t.Fatalf("inline fold: v = %g, b = %v; want 6 and false", v, b)
 	}
 }
