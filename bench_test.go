@@ -1,18 +1,16 @@
 package gomp
 
-// The benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (Section V), plus ablations of the
-// runtime's own design choices.
-//
-//	Table I  / Fig. 3 — CG runtime / speedup vs threads
-//	Table II / Fig. 4 — EP runtime / speedup vs threads
-//	Table III/ Fig. 5 — IS runtime / speedup vs threads
+// The benchmarks CI runs (`go test -run '^$' -bench . -benchtime 1x .`):
+// Table I's CG cells with and without a collector, and one target per
+// runtime subsystem — worksharing, task dependences, loop transformations,
+// the module driver, fork/join and the barrier.
 //
 // The problem class defaults to S so the full suite is CI-sized; set
-// NPB_CLASS=W (or A…) to scale up, and use cmd/npbsuite for the paper's
-// full 5-run mean protocol. Thread ladders are capped at the host's
-// processor count; the paper's 128-thread points had 128 physical cores
-// (see EXPERIMENTS.md).
+// NPB_CLASS=W (or A…) to scale up. cmd/npbsuite prints all of the paper's
+// Tables I–III and Figures 3–5 with its full 5-run mean protocol, and
+// benchmark/ is the end-to-end harness. Thread ladders are capped at the
+// host's processor count; the paper's 128-thread points had 128 physical
+// cores.
 
 import (
 	"fmt"
@@ -22,9 +20,7 @@ import (
 	"testing"
 	"time"
 
-	"gomp/internal/atomicx"
 	"gomp/internal/bench"
-	"gomp/internal/core"
 	"gomp/internal/driver"
 	"gomp/internal/npb"
 	"gomp/internal/trace"
@@ -74,40 +70,8 @@ func benchTable(b *testing.B, kernel string) {
 	}
 }
 
-// benchFigure measures speedup versus the flavour's own single-thread
-// kernel time — how the paper's Figures 3–5 are normalised.
-func benchFigure(b *testing.B, kernel string) {
-	class := benchClass()
-	base := map[string]float64{}
-	for _, impl := range []string{"omp", "goroutines"} {
-		res, err := bench.Run(kernel, impl, class, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base[impl] = res.Seconds
-	}
-	for _, impl := range []string{"omp", "goroutines"} {
-		for _, threads := range benchThreads() {
-			b.Run(fmt.Sprintf("%s/threads=%d", impl, threads), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := bench.Run(kernel, impl, class, threads)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Seconds > 0 {
-						b.ReportMetric(base[impl]/res.Seconds, "speedup")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTable1CG regenerates Table I: CG runtime when strong scaling.
 func BenchmarkTable1CG(b *testing.B) { benchTable(b, "cg") }
-
-// BenchmarkFig3CG regenerates Figure 3: CG speedup against thread count.
-func BenchmarkFig3CG(b *testing.B) { benchFigure(b, "cg") }
 
 // BenchmarkTable1CGTraced re-runs Table I's CG omp cells with the
 // OMPT-style collector installed (flat-profile aggregation, no retained
@@ -145,41 +109,6 @@ func BenchmarkTable1CGTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2EP regenerates Table II: EP runtime when strong scaling.
-func BenchmarkTable2EP(b *testing.B) { benchTable(b, "ep") }
-
-// BenchmarkFig4EP regenerates Figure 4: EP speedup against thread count.
-func BenchmarkFig4EP(b *testing.B) { benchFigure(b, "ep") }
-
-// BenchmarkTable3IS regenerates Table III: IS runtime when strong scaling.
-func BenchmarkTable3IS(b *testing.B) { benchTable(b, "is") }
-
-// BenchmarkFig5IS regenerates Figure 5: IS speedup against thread count.
-func BenchmarkFig5IS(b *testing.B) { benchFigure(b, "is") }
-
-// ---------------------------------------------------------------------
-// Ablation A1 — reduction lowering: the paper's shared atomic cells (CAS
-// loop for *, Listing 6) under contention.
-
-// BenchmarkAblationReductionCASMul measures the raw Listing 6 CAS loop
-// under full contention: every thread multiplying one shared cell.
-func BenchmarkAblationReductionCASMul(b *testing.B) {
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	cell := atomicx.NewFloat64(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		omp.Parallel(func(t *omp.Thread) {
-			omp.For(t, 1024, func(int64) {
-				cell.Mul(2)
-				cell.Mul(0.5)
-			})
-		}, omp.NumThreads(threads))
-	}
-}
-
 // ---------------------------------------------------------------------
 // Barrier: cost of one full-team rendezvous inside a running region, at
 // team sizes 1, 2, 4 and an always-oversubscribed 8.
@@ -199,10 +128,6 @@ func benchBarrier(b *testing.B, before func(t *omp.Thread)) {
 	}
 }
 
-// BenchmarkBarrier measures the balanced rendezvous: all threads arrive
-// together.
-func BenchmarkBarrier(b *testing.B) { benchBarrier(b, func(*omp.Thread) {}) }
-
 // BenchmarkBarrierSkewed is the NPB CG shape: one thread does ≈20 µs of work
 // between barriers, so every other thread waits about that long each
 // generation. ns/op minus the 20 µs is what waiting costs the late arriver's
@@ -215,47 +140,6 @@ func BenchmarkBarrierSkewed(b *testing.B) {
 		}
 	})
 }
-
-// ---------------------------------------------------------------------
-// Ablation A3 — schedule kinds over a deliberately imbalanced loop
-// (cost ∝ i²): static suffers tail imbalance, dynamic/guided rebalance.
-
-func benchSchedule(b *testing.B, kind omp.SchedKind, chunk int64) {
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	const trip = 2048
-	sink := omp.NewReduction(omp.ReduceSum, 0.0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		omp.Parallel(func(t *omp.Thread) {
-			local := 0.0
-			omp.For(t, trip, func(j int64) {
-				for k := int64(0); k < j; k++ {
-					local += float64(k&7) * 1e-9
-				}
-			}, omp.Schedule(kind, chunk))
-			sink.Combine(local)
-		}, omp.NumThreads(threads))
-	}
-	_ = sink.Value()
-}
-
-// BenchmarkAblationScheduleStatic: block partition (tail-heavy here).
-func BenchmarkAblationScheduleStatic(b *testing.B) { benchSchedule(b, omp.Static, 0) }
-
-// BenchmarkAblationScheduleStatic1: cyclic, the paper's IS rank() distribution.
-func BenchmarkAblationScheduleStatic1(b *testing.B) { benchSchedule(b, omp.Static, 1) }
-
-// BenchmarkAblationScheduleDynamic: chunk pops with half-range stealing.
-func BenchmarkAblationScheduleDynamic(b *testing.B) { benchSchedule(b, omp.Dynamic, 16) }
-
-// BenchmarkAblationScheduleGuided: exponentially shrinking chunks.
-func BenchmarkAblationScheduleGuided(b *testing.B) { benchSchedule(b, omp.Guided, 16) }
-
-// BenchmarkAblationScheduleTrapezoidal: linear taper (runtime extension).
-func BenchmarkAblationScheduleTrapezoidal(b *testing.B) { benchSchedule(b, omp.Trapezoidal, 16) }
 
 // ---------------------------------------------------------------------
 // Worksharing engine — the headline number of the unified stealing engine:
@@ -294,33 +178,10 @@ func BenchmarkImbalancedFor(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation A4 — fork/join overhead: the EPCC syncbench "PARALLEL"
-// microbenchmark — an empty region, so the hot-team wake/join path is all
-// that is measured.
+// Fork/join overhead: the EPCC syncbench "PARALLEL" microbenchmark — an
+// empty region, so the hot-team wake/join path is all that is measured.
 
-func BenchmarkAblationFork(b *testing.B) {
-	for _, n := range benchThreads() {
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				omp.Parallel(func(t *omp.Thread) {}, omp.NumThreads(n))
-			}
-		})
-	}
-}
-
-// BenchmarkAblationForkBarrier adds one explicit barrier inside the region
-// (syncbench "BARRIER").
-func BenchmarkAblationForkBarrier(b *testing.B) {
-	for _, n := range benchThreads() {
-		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				omp.Parallel(func(t *omp.Thread) { omp.Barrier(t) }, omp.NumThreads(n))
-			}
-		})
-	}
-}
-
-// BenchmarkForkOverhead is BenchmarkAblationFork with allocation reporting:
+// BenchmarkForkOverhead times an empty region and reports allocations:
 // the warm fork/join path is required to stay at 0 allocs/op for every team
 // size (the hot-team fast path), which CI asserts via TestWarmRegionZeroAlloc
 // and this benchmark makes visible as a number. x-floor is the cost as a
@@ -376,13 +237,14 @@ func BenchmarkParallelForRange(b *testing.B) {
 // server has.
 
 func BenchmarkServingRegions(b *testing.B) {
+	const span = 256 // per-request array length summed inside each region
 	for _, team := range []int{1, 2} {
-		for _, conc := range bench.ServingConcurrency {
+		for _, conc := range []int{4, 32} {
 			b.Run(fmt.Sprintf("team=%d/conc=%d", team, conc), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetParallelism(conc)
 				b.RunParallel(func(pb *testing.PB) {
-					data := make([]float64, bench.ServingSpan)
+					data := make([]float64, span)
 					for i := range data {
 						data[i] = float64(i)
 					}
@@ -392,7 +254,7 @@ func BenchmarkServingRegions(b *testing.B) {
 					}, team)
 					body := func(t *omp.Thread) {
 						tid := t.Tid
-						omp.ForRange(t, bench.ServingSpan, func(lo, hi int64) {
+						omp.ForRange(t, span, func(lo, hi int64) {
 							s := 0.0
 							for i := lo; i < hi; i++ {
 								s += data[i]
@@ -456,53 +318,7 @@ func BenchmarkTiledMatmul(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation A5 — front-end throughput: the preprocessor over a pragma-dense
-// source file, and the packed clause encode/decode round trip.
-
-var preprocessInput = []byte(`package p
-
-func kernels(a, b []float64, n int) float64 {
-	sum := 0.0
-	//omp parallel for reduction(+:sum) schedule(static) num_threads(8)
-	for i := 0; i < n; i++ {
-		sum += a[i] * b[i]
-	}
-	//omp parallel private(i) default(shared)
-	{
-		//omp for schedule(dynamic,16) nowait
-		for i := 0; i < n; i++ {
-			a[i] = b[i] * 2
-		}
-		//omp barrier
-		//omp single
-		{
-			b[0] = 0
-		}
-		//omp critical(update)
-		{
-			sum += 1
-		}
-	}
-	//omp parallel for collapse(2) schedule(guided,4)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 64; j++ {
-			a[i*64+j] = float64(i + j)
-		}
-	}
-	return sum
-}
-`)
-
-// BenchmarkPreprocess measures the full tokenise→parse→pack→rewrite→gofmt
-// pipeline on a representative annotated file.
-func BenchmarkPreprocess(b *testing.B) {
-	b.SetBytes(int64(len(preprocessInput)))
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Preprocess(preprocessInput, core.Options{Filename: "bench.go"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Front end: the module build driver.
 
 // BenchmarkDriverColdVsWarm measures the module build driver
 // (internal/driver, `gompcc -module`) over a synthetic pragma-annotated
@@ -571,134 +387,6 @@ func kernel%d(a, b []float64, n int) float64 {
 		}
 		filesPerSec(b)
 	})
-}
-
-// BenchmarkClausePack measures the Section III-A2 packed encoding: a full
-// directive into the 32-bit extra_data array and back.
-func BenchmarkClausePack(b *testing.B) {
-	d, err := core.ParseDirective("parallel for private(i,j) firstprivate(c) reduction(+:sx,sy) schedule(guided,64) collapse(2) num_threads(8)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		tree := core.NewTree()
-		idx, err := tree.Encode(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tree.Decode(idx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDirectiveParse measures tokeniser + parser alone (the front
-// half of the front-end).
-func BenchmarkDirectiveParse(b *testing.B) {
-	const text = "parallel for private(i,j) reduction(+:sum) schedule(dynamic,64) if(n > 100) num_threads(2*k)"
-	b.SetBytes(int64(len(text)))
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ParseDirective(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Tasking — the explicit-task subsystem against its serial and
-// loop-directive alternatives. The workloads and their tuning constants
-// live in internal/bench (FibTask, ImbalancedKernel, TaskFib*/Taskloop*)
-// so these targets and the npbsuite tasking table measure the identical
-// configuration.
-
-// BenchmarkTaskFib runs recursive Fibonacci through the work-stealing task
-// runtime against the serial recursion — the canonical irregular workload
-// loop directives cannot express. The speedup metric is task-parallel over
-// serial on the same host; with GOMAXPROCS ≥ 4 it exceeds 1 once steals
-// distribute the spawn tree.
-func BenchmarkTaskFib(b *testing.B) {
-	want := bench.FibSerial(bench.TaskFibN)
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if bench.FibSerial(bench.TaskFibN) != want {
-				b.Fatal("wrong fib")
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("tasks/threads=%d", threads), func(b *testing.B) {
-		// Serial baseline, timed in-place (nested testing.Benchmark
-		// deadlocks inside a running benchmark).
-		serialStart := omp.GetWtime()
-		const serialReps = 3
-		for i := 0; i < serialReps; i++ {
-			if bench.FibSerial(bench.TaskFibN) != want {
-				b.Fatal("wrong fib")
-			}
-		}
-		serialPerOp := (omp.GetWtime() - serialStart) / serialReps
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got := 0
-			omp.Parallel(func(t *omp.Thread) {
-				omp.Single(t, func() { got = bench.FibTask(t, bench.TaskFibN) })
-			}, omp.NumThreads(threads))
-			if got != want {
-				b.Fatal("wrong fib")
-			}
-		}
-		b.StopTimer()
-		if b.N > 0 && b.Elapsed() > 0 && serialPerOp > 0 {
-			perOp := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(serialPerOp/perOp, "speedup")
-		}
-	})
-}
-
-// BenchmarkTaskloopVsFor runs the same imbalanced kernel (cost ∝ i²) under
-// the two loop lowerings: taskloop chunks through the work-stealing deques,
-// worksharing for through static and dynamic dispatch. Taskloop's stealing
-// rebalances like dynamic dispatch but without a shared iteration counter
-// on the hot path.
-func BenchmarkTaskloopVsFor(b *testing.B) {
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	sink := omp.NewReduction(omp.ReduceSum, 0.0)
-	b.Run("taskloop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			omp.Parallel(func(t *omp.Thread) {
-				omp.Single(t, func() {
-					omp.Taskloop(t, bench.TaskloopTrip, func(_ *omp.Thread, lo, hi int64) {
-						sink.Combine(bench.ImbalancedKernel(lo, hi))
-					}, omp.Grainsize(bench.TaskloopGrain))
-				})
-			}, omp.NumThreads(threads))
-		}
-	})
-	b.Run("for-static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			omp.Parallel(func(t *omp.Thread) {
-				omp.ForRange(t, bench.TaskloopTrip, func(lo, hi int64) {
-					sink.Combine(bench.ImbalancedKernel(lo, hi))
-				})
-			}, omp.NumThreads(threads))
-		}
-	})
-	b.Run("for-dynamic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			omp.Parallel(func(t *omp.Thread) {
-				omp.ForRange(t, bench.TaskloopTrip, func(lo, hi int64) {
-					sink.Combine(bench.ImbalancedKernel(lo, hi))
-				}, omp.Schedule(omp.Dynamic, bench.TaskloopGrain))
-			}, omp.NumThreads(threads))
-		}
-	})
-	_ = sink.Value()
 }
 
 // ---------------------------------------------------------------------

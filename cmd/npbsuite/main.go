@@ -1,17 +1,7 @@
 // Command npbsuite regenerates the paper's evaluation: strong-scaling
 // sweeps of NPB CG, EP and IS comparing the OpenMP-runtime flavour against
 // the goroutine baseline, printed as the analogues of the paper's
-// Tables I–III and Figures 3–5, plus a tasking section measuring the
-// explicit-task subsystem (recursive fib through task/taskwait, taskloop
-// against dynamic worksharing on the same kernel; -tasks=false omits it)
-// and a blocked-LU section measuring the task-dependence subsystem
-// (dependence-DAG factorisation against taskwait-per-level; -lu=false
-// omits it) and a tiled-matmul section measuring the loop-transformation
-// subsystem (cache-blocked C = A·B, naive vs tiled vs tiled+parallel,
-// bitwise-verified; -mm=false omits it) and a serving section measuring
-// concurrent fork/join throughput — many requester goroutines each opening
-// small private parallel regions, the workload the hot-team fast path
-// serves (-serving=false omits it).
+// Tables I–III and Figures 3–5.
 //
 // Usage:
 //
@@ -44,21 +34,14 @@ import (
 // written as BENCH_<class>.json so successive PRs accumulate a perf
 // trajectory that tooling can diff without re-parsing the human tables.
 type jsonReport struct {
-	Timestamp  string           `json:"timestamp"`
-	Class      string           `json:"class"`
-	Threads    []int            `json:"threads"`
-	Runs       int              `json:"runs"`
-	NumCPU     int              `json:"num_cpu"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Host       hostInfo         `json:"host"`
-	Kernels    []*bench.Sweep   `json:"kernels"`
-	Tasks      *bench.TaskSweep `json:"tasks,omitempty"`
-	LU         *bench.LUSweep   `json:"lu,omitempty"`
-	MM         *bench.MMSweep   `json:"mm,omitempty"`
-	// Serving is the concurrent fork/join throughput section: many
-	// requester goroutines each opening small private regions, the
-	// workload the hot-team fast path serves.
-	Serving *bench.ServingSweep `json:"serving,omitempty"`
+	Timestamp  string         `json:"timestamp"`
+	Class      string         `json:"class"`
+	Threads    []int          `json:"threads"`
+	Runs       int            `json:"runs"`
+	NumCPU     int            `json:"num_cpu"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	Host       hostInfo       `json:"host"`
+	Kernels    []*bench.Sweep `json:"kernels"`
 	// Metrics holds one runtime-metrics snapshot per kernel from an
 	// extra instrumented pass at the largest thread count — fork and
 	// steal counts, barrier-wait time, task statistics — kept out of
@@ -114,10 +97,6 @@ func main() {
 		threadsF = flag.String("threads", "", "comma-separated thread counts (default: host ladder)")
 		paperTh  = flag.Bool("paper-threads", false, "use the paper's thread counts {1,2,16,32,64,96,128}")
 		runs     = flag.Int("runs", 1, "repetitions per configuration (paper uses 5)")
-		tasks    = flag.Bool("tasks", true, "append the tasking section (explicit-task fib, taskloop vs for)")
-		lu       = flag.Bool("lu", true, "append the blocked-LU section (dependence DAG vs taskwait-per-level)")
-		mm       = flag.Bool("mm", true, "append the tiled-matmul section (naive vs tiled vs tiled+parallel)")
-		serving  = flag.Bool("serving", true, "append the serving section (concurrent fork/join throughput)")
 		jsonOut  = flag.Bool("json", false, "also write machine-readable results to BENCH_<class>.json")
 		metricsF = flag.Bool("metrics", true, "with -json, embed a per-kernel runtime-metrics block from an extra instrumented pass")
 		serveF   = flag.String("serve", "", "serve /debug/gomp on this address (host:port) and keep the kernel sweep looping forever so the endpoints stay scrapeable")
@@ -209,48 +188,6 @@ func main() {
 				}
 			}
 		}
-	}
-	if *tasks {
-		tsw := bench.RunTaskSweep(threads, *runs, progress)
-		if !*quiet {
-			fmt.Fprint(os.Stderr, "\r\033[K")
-		}
-		fmt.Println(tsw.Table())
-		report.Tasks = tsw
-	}
-	if *lu {
-		lsw := bench.RunLUSweep(threads, *runs, progress)
-		if !*quiet {
-			fmt.Fprint(os.Stderr, "\r\033[K")
-		}
-		fmt.Println(lsw.Table())
-		report.LU = lsw
-		for _, p := range lsw.Points {
-			if !p.Verified {
-				exit = 1
-			}
-		}
-	}
-	if *mm {
-		msw := bench.RunMMSweep(threads, *runs, progress)
-		if !*quiet {
-			fmt.Fprint(os.Stderr, "\r\033[K")
-		}
-		fmt.Println(msw.Table())
-		report.MM = msw
-		for _, p := range msw.Points {
-			if !p.Verified {
-				exit = 1
-			}
-		}
-	}
-	if *serving {
-		ssw := bench.RunServingSweep(threads, *runs, progress)
-		if !*quiet {
-			fmt.Fprint(os.Stderr, "\r\033[K")
-		}
-		fmt.Println(ssw.Table())
-		report.Serving = ssw
 	}
 	if *jsonOut {
 		path := fmt.Sprintf("BENCH_%s.json", class)

@@ -10,10 +10,9 @@
 //
 //   - internal/core — the contribution: pragma tokeniser (keywords stay
 //     identifiers), directive parser (including cancel and cancellation
-//     point), bit-packed 32-bit clause encoding (extra_data emulation),
-//     the source-to-source preprocessor over go/ast — one parse, a
-//     directive tree, one lowering recursion where the paper rescans per
-//     directive kind — and the loop-transformation engine (transform.go):
+//     point) and validator, the source-to-source preprocessor over
+//     go/ast — one parse, a directive tree, one lowering recursion where
+//     the paper rescans per directive kind — and the loop-transformation engine (transform.go):
 //     the OpenMP 5.1 tile and unroll directives over a loop-nest IR lifted
 //     from ast.ForStmt headers, handed as IR to a worksharing directive
 //     stacked above so that it distributes the generated loops (see "Loop
@@ -44,17 +43,12 @@
 //     arrival-order omp.Reduction.
 //   - internal/npb{,/cg,/ep,/is} — the three benchmark kernels, each as
 //     serial reference, omp-runtime port, and idiomatic-goroutine baseline.
-//   - internal/fortran — the Section IV interop simulation (column-major
-//     1-based arrays, trailing-underscore symbol mangling).
 //   - internal/bench + cmd/npbsuite — the evaluation harness regenerating
 //     the analogues of the paper's Tables I–III and Figures 3–5.
 //
-// The benchmarks in bench_test.go map one-to-one onto the paper's tables
-// and figures (BenchmarkTable1CG … BenchmarkFig5IS) plus the ablations
-// (BenchmarkAblation*), the rendezvous pair (BenchmarkBarrier,
-// BenchmarkBarrierSkewed), the tasking pair
-// (BenchmarkTaskFib, BenchmarkTaskloopVsFor) comparing the explicit-task
-// subsystem against serial recursion and the loop-directive lowerings,
+// The benchmarks in bench_test.go are the ones CI runs: Table I's CG
+// cells (BenchmarkTable1CG, and BenchmarkTable1CGTraced with a collector
+// installed), BenchmarkBarrierSkewed (the NPB CG barrier shape),
 // BenchmarkImbalancedFor, the worksharing engine's headline number
 // (monotonic shared-range versus nonmonotonic stealing dispatch of a
 // triangular workload), BenchmarkBlockedLU, the dependence subsystem's: a
@@ -127,8 +121,8 @@
 // same discipline; omp.TrimTeams hands the cached teams back when a
 // process goes quiet. Both caches are capped and nested regions debit a
 // global thread-limit reservation, so the serving shape cannot
-// oversubscribe. BenchmarkForkOverhead and BenchmarkServingRegions (and
-// the npbsuite serving section of BENCH_<class>.json) measure the path;
+// oversubscribe. BenchmarkForkOverhead and BenchmarkServingRegions measure
+// the path;
 // internal/kmp's package doc details the protocol and its memory-model
 // argument.
 //

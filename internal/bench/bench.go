@@ -10,6 +10,11 @@
 //
 // Each configuration is run R times (the paper uses 5) and the mean
 // reported, timed with the kernels' internal timers, as in the paper.
+//
+// The package also holds the blocked-LU and tiled-matmul kernels
+// (lu.go, matmul.go) and the cross-core round-trip floor (floor.go) that
+// the root package's benchmarks, examples/tile and the benchmark harness
+// time.
 package bench
 
 import (

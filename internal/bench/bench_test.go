@@ -62,26 +62,6 @@ func TestSweepRendering(t *testing.T) {
 	}
 }
 
-// The tasking sweep must produce a complete table: one row per thread
-// count with all four timings populated.
-func TestTaskSweepRendering(t *testing.T) {
-	sw := RunTaskSweep([]int{1, 2}, 1, nil)
-	if len(sw.Points) != 2 {
-		t.Fatalf("task sweep produced %d points, want 2", len(sw.Points))
-	}
-	for _, p := range sw.Points {
-		if p.FibSeconds <= 0 || p.FibSerial <= 0 || p.TaskloopSecs <= 0 || p.ForDynamicSecs <= 0 {
-			t.Fatalf("point %+v has an unpopulated timing", p)
-		}
-	}
-	table := sw.Table()
-	for _, want := range []string{"Tasking", "task fib", "taskloop", "| 1 |", "fib speedup"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("tasking table missing %q:\n%s", want, table)
-		}
-	}
-}
-
 func TestSweepThreadsSorted(t *testing.T) {
 	sw, err := RunSweep("ep", npb.ClassS, []int{4, 1}, 1, nil)
 	if err != nil {
@@ -136,21 +116,6 @@ func TestBlockedLUMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestLUSweepRendering(t *testing.T) {
-	sw := RunLUSweep([]int{1, 2}, 1, nil)
-	tbl := sw.Table()
-	for _, want := range []string{"Blocked LU", "dep DAG", "| 1", "| 2"} {
-		if !strings.Contains(tbl, want) {
-			t.Errorf("LU table missing %q:\n%s", want, tbl)
-		}
-	}
-	for _, p := range sw.Points {
-		if !p.Verified {
-			t.Errorf("LU sweep point threads=%d failed verification", p.Threads)
-		}
-	}
-}
-
 // The tiled-matmul verification contract: every formulation executes the
 // identical floating-point chain per output cell, so equality is exact —
 // including the fringe tiles that MMN % MMTile != 0 forces.
@@ -170,21 +135,6 @@ func TestMatmulFormulationsBitwiseEqual(t *testing.T) {
 		MMTiledParallel(dst, a, b, th)
 		if d := MMMaxDiff(dst, ref); d != 0 {
 			t.Fatalf("tiled+parallel (threads=%d) diverges from naive by %g", th, d)
-		}
-	}
-}
-
-func TestMMSweepRendering(t *testing.T) {
-	sw := RunMMSweep([]int{1, 2}, 1, nil)
-	tbl := sw.Table()
-	for _, want := range []string{"Tiled matmul", "naive (s)", "tiled+parallel", "| 1 |", "yes"} {
-		if !strings.Contains(tbl, want) {
-			t.Fatalf("MM table missing %q:\n%s", want, tbl)
-		}
-	}
-	for _, p := range sw.Points {
-		if !p.Verified {
-			t.Fatal("MM sweep failed verification")
 		}
 	}
 }

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-
-	"gomp/omp"
-)
+import "gomp/omp"
 
 // Blocked right-looking LU factorisation (no pivoting) — the canonical
 // dependence-DAG workload (the SparseLU/Cholesky family every tasking
@@ -37,8 +31,7 @@ import (
 // dataflow, so the factor is bitwise identical to the serial blocked
 // sweep — verification is exact equality, no tolerance.
 
-// Blocked-LU workload parameters, shared between BenchmarkBlockedLU and
-// the npbsuite LU table so both measure the identical configuration.
+// Blocked-LU workload parameters (BenchmarkBlockedLU in the root package).
 const (
 	// LUN is the matrix order.
 	LUN = 384
@@ -221,108 +214,4 @@ func LUMaxDiff(a, b []float64) float64 {
 		}
 	}
 	return m
-}
-
-// LUPoint is one (threads) row of the blocked-LU sweep.
-type LUPoint struct {
-	Threads      int
-	SerialSecs   float64
-	TaskwaitSecs float64
-	DAGSecs      float64
-	Runs         int
-	Verified     bool
-}
-
-// LUSweep is the blocked-LU experiment across thread counts: the
-// dependence-DAG formulation against taskwait-per-level and the serial
-// blocked reference.
-type LUSweep struct {
-	N, Block       int
-	Threads        []int
-	Points         []LUPoint
-	Oversubscribed map[int]bool
-}
-
-// RunLUSweep measures the three formulations across the thread list, runs
-// times each, reporting means — the same protocol as RunSweep.
-func RunLUSweep(threads []int, runs int, progress func(string)) *LUSweep {
-	if runs < 1 {
-		runs = 1
-	}
-	sw := &LUSweep{N: LUN, Block: LUBlock, Threads: threads, Oversubscribed: map[int]bool{}}
-	ref := NewLUMatrix()
-	LUSerial(ref)
-	for _, th := range threads {
-		sw.Oversubscribed[th] = th > runtime.NumCPU()
-		p := LUPoint{Threads: th, Runs: runs, Verified: true}
-		for r := 0; r < runs; r++ {
-			if progress != nil {
-				progress(fmt.Sprintf("blocked-lu: threads=%d run %d/%d", th, r+1, runs))
-			}
-			a := NewLUMatrix()
-			start := omp.GetWtime()
-			LUSerial(a)
-			p.SerialSecs += omp.GetWtime() - start
-			if LUMaxDiff(a, ref) != 0 {
-				p.Verified = false
-			}
-
-			a = NewLUMatrix()
-			start = omp.GetWtime()
-			LUTaskwait(a, th)
-			p.TaskwaitSecs += omp.GetWtime() - start
-			if LUMaxDiff(a, ref) != 0 {
-				p.Verified = false
-			}
-
-			a = NewLUMatrix()
-			start = omp.GetWtime()
-			LUDAG(a, th)
-			p.DAGSecs += omp.GetWtime() - start
-			if LUMaxDiff(a, ref) != 0 {
-				p.Verified = false
-			}
-		}
-		f := float64(runs)
-		p.SerialSecs /= f
-		p.TaskwaitSecs /= f
-		p.DAGSecs /= f
-		sw.Points = append(sw.Points, p)
-	}
-	return sw
-}
-
-// Table renders the blocked-LU section, markdown formatted like the
-// Table I–III analogues.
-func (sw *LUSweep) Table() string {
-	var b strings.Builder
-	runs := 1
-	if len(sw.Points) > 0 {
-		runs = sw.Points[0].Runs
-	}
-	fmt.Fprintf(&b, "Blocked LU — %d×%d, %d×%d blocks: dependence DAG vs taskwait-per-level (mean of %d runs)\n\n",
-		sw.N, sw.N, sw.Block, sw.Block, runs)
-	b.WriteString("| Threads | serial (s) | taskwait (s) | dep DAG (s) | DAG/taskwait | verified |\n")
-	b.WriteString("|---:|---:|---:|---:|---:|---:|\n")
-	oversub := false
-	for _, p := range sw.Points {
-		note := ""
-		if sw.Oversubscribed[p.Threads] {
-			note, oversub = " *", true
-		}
-		ratio := 0.0
-		if p.TaskwaitSecs > 0 {
-			ratio = p.DAGSecs / p.TaskwaitSecs
-		}
-		ok := "yes"
-		if !p.Verified {
-			ok = "NO"
-		}
-		fmt.Fprintf(&b, "| %d%s | %.3f | %.3f | %.3f | %.2f | %s |\n",
-			p.Threads, note, p.SerialSecs, p.TaskwaitSecs, p.DAGSecs, ratio, ok)
-	}
-	if oversub {
-		b.WriteString("\n\\* oversubscribed: more threads than processors on this host\n")
-	}
-	return b.String()
 }

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"runtime"
-	"strings"
-
-	"gomp/omp"
-)
+import "gomp/omp"
 
 // Tiled matrix multiplication — the cache-blocking workload of the
 // loop-transformation subsystem. C = A·B over MMN×MMN float64 matrices in
@@ -130,112 +124,4 @@ func MMMaxDiff(a, b []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MMPoint is one (threads) row of the tiled-matmul sweep.
-type MMPoint struct {
-	Threads   int
-	NaiveSecs float64
-	TiledSecs float64
-	ParSecs   float64
-	Runs      int
-	Verified  bool
-}
-
-// MMSweep is the tiled-matmul experiment across thread counts: cache
-// blocking against the naive sweep, and the distributed tile grid against
-// both.
-type MMSweep struct {
-	N, Tile        int
-	Threads        []int
-	Points         []MMPoint
-	Oversubscribed map[int]bool
-}
-
-// RunMMSweep measures the three formulations across the thread list, runs
-// times each, reporting means — the same protocol as RunSweep. The serial
-// formulations do not depend on the thread count but are re-timed per row
-// so every ratio in a row shares its measurement conditions.
-func RunMMSweep(threads []int, runs int, progress func(string)) *MMSweep {
-	if runs < 1 {
-		runs = 1
-	}
-	sw := &MMSweep{N: MMN, Tile: MMTile, Threads: threads, Oversubscribed: map[int]bool{}}
-	a, b := NewMMPair()
-	ref := make([]float64, MMN*MMN)
-	MMNaive(ref, a, b)
-	dst := make([]float64, MMN*MMN)
-	for _, th := range threads {
-		sw.Oversubscribed[th] = th > runtime.NumCPU()
-		p := MMPoint{Threads: th, Runs: runs, Verified: true}
-		for r := 0; r < runs; r++ {
-			if progress != nil {
-				progress(fmt.Sprintf("tiled-matmul: threads=%d run %d/%d", th, r+1, runs))
-			}
-			start := omp.GetWtime()
-			MMNaive(dst, a, b)
-			p.NaiveSecs += omp.GetWtime() - start
-			if MMMaxDiff(dst, ref) != 0 {
-				p.Verified = false
-			}
-
-			start = omp.GetWtime()
-			MMTiled(dst, a, b)
-			p.TiledSecs += omp.GetWtime() - start
-			if MMMaxDiff(dst, ref) != 0 {
-				p.Verified = false
-			}
-
-			start = omp.GetWtime()
-			MMTiledParallel(dst, a, b, th)
-			p.ParSecs += omp.GetWtime() - start
-			if MMMaxDiff(dst, ref) != 0 {
-				p.Verified = false
-			}
-		}
-		f := float64(runs)
-		p.NaiveSecs /= f
-		p.TiledSecs /= f
-		p.ParSecs /= f
-		sw.Points = append(sw.Points, p)
-	}
-	return sw
-}
-
-// Table renders the tiled-matmul section, markdown formatted like the
-// Table I–III analogues.
-func (sw *MMSweep) Table() string {
-	var b strings.Builder
-	runs := 1
-	if len(sw.Points) > 0 {
-		runs = sw.Points[0].Runs
-	}
-	fmt.Fprintf(&b, "Tiled matmul — %d×%d, %d×%d tiles: naive vs tiled vs tiled+parallel (mean of %d runs)\n\n",
-		sw.N, sw.N, sw.Tile, sw.Tile, runs)
-	b.WriteString("| Threads | naive (s) | tiled (s) | tiled+parallel (s) | tiled/naive | par/tiled | verified |\n")
-	b.WriteString("|---:|---:|---:|---:|---:|---:|---:|\n")
-	oversub := false
-	for _, p := range sw.Points {
-		note := ""
-		if sw.Oversubscribed[p.Threads] {
-			note, oversub = " *", true
-		}
-		tilRatio, parRatio := 0.0, 0.0
-		if p.NaiveSecs > 0 {
-			tilRatio = p.TiledSecs / p.NaiveSecs
-		}
-		if p.TiledSecs > 0 {
-			parRatio = p.ParSecs / p.TiledSecs
-		}
-		ok := "yes"
-		if !p.Verified {
-			ok = "NO"
-		}
-		fmt.Fprintf(&b, "| %d%s | %.3f | %.3f | %.3f | %.2f | %.2f | %s |\n",
-			p.Threads, note, p.NaiveSecs, p.TiledSecs, p.ParSecs, tilRatio, parRatio, ok)
-	}
-	if oversub {
-		b.WriteString("\n\\* oversubscribed: more threads than processors on this host\n")
-	}
-	return b.String()
 }

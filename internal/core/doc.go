@@ -15,12 +15,13 @@
 //     design Section III-A describes (reserving them would break existing
 //     code that uses `parallel` or `shared` as variable names).
 //
-//  2. Parsing (parse.go) into directive nodes with clause data packed into
-//     an extra-data array of 32-bit integers (encode.go), reproducing the
-//     Zig compiler's extra_data representation bit for bit: list clauses
-//     (private, firstprivate, shared, …) as index slices into the array,
-//     and the scalar clauses bit-packed — 3-bit schedule kind + 29-bit
-//     chunk, 2-bit default, 1-bit nowait, 4-bit collapse (Section III-A2).
+//  2. Parsing (parse.go) into a Directive whose Clauses are plain Go
+//     fields, checked by Validate (validate.go). The paper packs clause
+//     data into the Zig compiler's 32-bit extra_data array; nothing here
+//     packs, but the field widths stay as input bounds (chunk below 2^29,
+//     collapse at most 15 — the paper's §III-A2 limits — and the same
+//     packing's grainsize, num_tasks and tile-size bounds), kept as a
+//     dialect rule so every accepted pragma fits the paper's encoding.
 //
 //  3. Preprocessing (preprocess.go and friends): the source rewriter. The
 //     paper's Listing 5 is multi-pass — replace every parallel region,
@@ -77,6 +78,5 @@
 // the work-stealing task runtime (internal/kmp/task.go): a task block is
 // outlined into a deferred closure with firstprivate values captured by
 // copy at creation, and a taskloop carves its canonical for statement into
-// chunk tasks by grainsize/num_tasks — the packed clause word reuses the
-// schedule-chunk trick bit for bit (encode.go word 5).
+// chunk tasks by grainsize/num_tasks.
 package core

@@ -14,7 +14,7 @@ import (
 // indented by brace depth, the user's statements moved to their new depth,
 // user expressions in a new context printed with gofmt's spacing.
 
-// schedConst maps the packed 3-bit schedule enum to the omp constant
+// schedConst maps the schedule enum to the omp constant
 // generated code references.
 func schedConst(s SchedEnum) string {
 	switch s {

@@ -190,7 +190,7 @@ func TestParseErrors(t *testing.T) {
 		"for schedule(monotonic:runtime)",            // modifier belongs in OMP_SCHEDULE
 		"parallel ordered",                           // loop-only clause on parallel
 		"ordered nowait",                             // ordered block takes no clauses
-		"for collapse(16)",                           // exceeds 4-bit packing
+		"for collapse(16)",                           // exceeds MaxCollapse
 		"parallel private(x) shared(x)",              // duplicate data-sharing
 		"parallel reduction(+:x) private(x)",         // reduction vs private
 		"sections reduction(+:x)",                    // not lowered on sections
@@ -227,12 +227,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseChunkAtPackingLimit(t *testing.T) {
-	if _, err := ParseDirective("for schedule(static,536870911)"); err != nil {
-		t.Errorf("chunk 2^29-1 rejected: %v", err)
-	}
-	if _, err := ParseDirective("for schedule(static,536870912)"); err == nil {
-		t.Error("chunk 2^29 accepted, but it does not fit 29 bits")
+// Each clause bound of validate.go's limits block: the largest legal value
+// parses and the next one is rejected.
+func TestParseAtClauseLimits(t *testing.T) {
+	for _, c := range []struct {
+		clause     string
+		ok, reject string
+	}{
+		{"schedule chunk", "for schedule(static,536870911)", "for schedule(static,536870912)"},
+		{"collapse", "for collapse(15)", "for collapse(16)"},
+		{"grainsize", "taskloop grainsize(1073741823)", "taskloop grainsize(1073741824)"},
+		{"num_tasks", "taskloop num_tasks(1073741823)", "taskloop num_tasks(1073741824)"},
+		{"tile sizes", "tile sizes(4, 536870911)", "tile sizes(4, 536870912)"},
+	} {
+		if _, err := ParseDirective(c.ok); err != nil {
+			t.Errorf("%s: %q rejected at limit - 1: %v", c.clause, c.ok, err)
+		}
+		if _, err := ParseDirective(c.reject); err == nil {
+			t.Errorf("%s: %q accepted at the limit", c.clause, c.reject)
+		}
 	}
 }
 

@@ -87,8 +87,23 @@ var allowedClauses = map[DirKind]clauseSet{
 	DirUnroll: allowUnrollSpec,
 }
 
-// Loop-transformation limits.
+// Clause limits. MaxChunk and MaxCollapse are the paper's §III-A2 limits,
+// the field widths of its 32-bit clause packing; MaxTaskIter and
+// MaxTileSize extend that packing to taskloop and tile. Nothing packs
+// clauses here: the four are kept as a dialect rule, so every accepted
+// pragma still fits the paper's encoding.
 const (
+	// MaxChunk bounds the schedule chunk: a chunk must be below 2^29 (the
+	// paper's "maximum chunk of 536870912 iterations").
+	MaxChunk = 1 << 29
+	// MaxCollapse is the deepest collapse: "it is unlikely that a user
+	// would wish to collapse more than 16 loops".
+	MaxCollapse = 15
+	// MaxTaskIter bounds grainsize and num_tasks: a value must be below
+	// 2^30.
+	MaxTaskIter = 1 << 30
+	// MaxTileSize bounds each tile size: a size must be below 2^29.
+	MaxTileSize = 1 << 29
 	// MaxTileDepth caps the sizes-clause arity: tiling k loops generates a
 	// 2k-deep nest, and a collapse clause stacked above must still be able
 	// to name every generated grid loop within MaxCollapse.
@@ -145,10 +160,10 @@ func Validate(d *Directive) error {
 	}
 
 	if c.HasSchedule && c.Chunk >= MaxChunk {
-		return fmt.Errorf("pragma: chunk %d exceeds the encodable maximum %d", c.Chunk, MaxChunk-1)
+		return fmt.Errorf("pragma: chunk %d exceeds the maximum %d", c.Chunk, MaxChunk-1)
 	}
 	if c.Collapse > MaxCollapse {
-		return fmt.Errorf("pragma: collapse %d exceeds the encodable maximum %d", c.Collapse, MaxCollapse)
+		return fmt.Errorf("pragma: collapse %d exceeds the maximum %d", c.Collapse, MaxCollapse)
 	}
 	if c.Chunk > 0 && !c.HasSchedule {
 		return fmt.Errorf("pragma: chunk without schedule clause")
@@ -177,7 +192,7 @@ func Validate(d *Directive) error {
 		return fmt.Errorf("pragma: grainsize and num_tasks are mutually exclusive (OpenMP 5.2 §12.6)")
 	}
 	if c.Grainsize >= MaxTaskIter || c.NumTasks >= MaxTaskIter {
-		return fmt.Errorf("pragma: task granularity exceeds the encodable maximum %d", int64(MaxTaskIter)-1)
+		return fmt.Errorf("pragma: task granularity exceeds the maximum %d", int64(MaxTaskIter)-1)
 	}
 
 	// Depend items: a storage location may appear in at most one depend

@@ -77,8 +77,9 @@ func (tm *Team) wakeTeam(self *Thread) {
 // wakeTaskWaiters wakes the parked threads of the current region that wait
 // at a task scheduling point: a thread parked in a barrier or the ordered
 // ticket does not look at tasks, and waking it for every spawn would cost
-// the spawner a scheduler round trip each time. (With wakeTeam here,
-// BenchmarkTaskFib at two threads on a 2-vCPU Xeon ran 12–14 % slower.)
+// the spawner a scheduler round trip each time. (With wakeTeam here, a
+// task-recursive fib(27) at two threads on a 2-vCPU Xeon ran 12–14 %
+// slower.)
 func (tm *Team) wakeTaskWaiters(self *Thread) {
 	for _, th := range tm.threads[:tm.n] {
 		if th != self && th.taskWaiting.Load() != 0 {
