@@ -3,7 +3,7 @@ package gomp
 // The benchmarks CI runs (`go test -run '^$' -bench . -benchtime 1x .`):
 // Table I's CG cells with and without a collector, and one target per
 // runtime subsystem — worksharing, task dependences, loop transformations,
-// the module driver, fork/join and the barrier.
+// the module driver, fork/join, the barrier and the atomic directive.
 //
 // The problem class defaults to S so the full suite is CI-sized; set
 // NPB_CLASS=W (or A…) to scale up. cmd/npbsuite prints all of the paper's
@@ -225,6 +225,40 @@ func BenchmarkParallelForRange(b *testing.B) {
 				omp.ParallelForRange(int64(len(x)), body, omp.NumThreads(n))
 			}
 		})
+	}
+}
+
+// BenchmarkAtomicUpdate times a `parallel for` whose body does `//omp
+// atomic` on one of eight int64 counters per iteration, in the two ways the
+// directive has been lowered: the typed helper the lowering emits now (one
+// native add) and the process-wide critical section it replaced.
+func BenchmarkAtomicUpdate(b *testing.B) {
+	const n = 4096
+	var counts [8]int64
+	lowerings := []struct {
+		name   string
+		update func(i int64)
+	}{
+		{"helper", func(i int64) { omp.AtomicAdd(&counts[i%8], 1) }},
+		{"critical", func(i int64) { omp.Critical("__omp_atomic", func() { counts[i%8] += 1 }) }},
+	}
+	for _, threads := range []int{1, 2} {
+		for _, l := range lowerings {
+			b.Run(fmt.Sprintf("threads=%d/%s", threads, l.name), func(b *testing.B) {
+				region := func(t *omp.Thread) {
+					omp.ForRange(t, n, func(lo, hi int64) {
+						for i := lo; i < hi; i++ {
+							l.update(i)
+						}
+					})
+				}
+				omp.Parallel(region, omp.NumThreads(threads)) // warm the team
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					omp.Parallel(region, omp.NumThreads(threads))
+				}
+			})
+		}
 	}
 }
 

@@ -38,9 +38,6 @@
 //     the prefix dropped), the structured constructs generated code
 //     targets, and the v2 surface: context-aware error-returning region
 //     launch, generic ForEach/ReduceInto, and Cancel/CancellationPoint.
-//   - internal/atomicx — atomic cells with the paper's Listing 6 CAS-loop
-//     lowering for multiply/divide, behind the atomic re-exports and the
-//     arrival-order omp.Reduction.
 //   - internal/npb{,/cg,/ep,/is} — the three benchmark kernels, each as
 //     serial reference, omp-runtime port, and idiomatic-goroutine baseline.
 //   - internal/bench + cmd/npbsuite — the evaluation harness regenerating

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"gomp/omp"
@@ -47,7 +48,7 @@ func main() {
 	omp.SetCancellation(true)
 	haystack := make([]int, 4<<20)
 	haystack[3<<20] = 42
-	var found omp.AtomicInt64
+	var found atomic.Int64
 	found.Store(-1)
 	omp.Parallel(func(t *omp.Thread) {
 		omp.ForRange(t, int64(len(haystack)), func(lo, hi int64) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"gomp/internal/atomicx"
 	"gomp/omp"
 )
 
@@ -61,13 +60,17 @@ func main() {
 	fmt.Printf("all samples valid: %v\n", ok)
 
 	// The CAS loop itself, visible: concurrent multiplications on one
-	// atomic cell, exactly the paper's pseudo-code.
-	cell := atomicx.NewFloat64(1)
+	// float64, exactly the paper's pseudo-code and what `//omp atomic`
+	// lowers `cell *= 2` to.
+	cell := 1.0
 	omp.Parallel(func(t *omp.Thread) {
 		omp.For(t, 64, func(i int64) {
-			cell.Mul(2)   // CAS loop
-			cell.Mul(0.5) // CAS loop
+			for _, f := range []float64{2, 0.5} {
+				x := omp.AtomicLoad(&cell)
+				for !omp.AtomicCAS(&cell, &x, x*f) {
+				}
+			}
 		})
 	}, omp.NumThreads(8))
-	fmt.Printf("atomic multiply ladder returned to %v (expected 1)\n", cell.Load())
+	fmt.Printf("atomic multiply ladder returned to %v (expected 1)\n", cell)
 }

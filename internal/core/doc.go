@@ -74,6 +74,16 @@
 //	//omp taskloop [grainsize(n) | num_tasks(n)] [nogroup]
 //	//             [private…] [firstprivate…] [shared…] [if…] [final…] [untied]
 //
+// The front end never runs go/types: where a lowering needs a type, it
+// hands a user value to a generic helper in omp/codegen_support.go and gc
+// infers the type. A loop variable is omp.LoopVar(lb, k, st), in its lower
+// bound's type as `i := lb` would have it, with an int64 trip count; an
+// `//omp atomic` update is omp.AtomicAdd/Sub/And/Or on the variable's
+// address (a native atomic for an integer) or, for any other operator and
+// for `x = expr`, the paper's Listing 6 loop over omp.AtomicLoad and
+// omp.AtomicCAS. Threadprivate accesses inside a region use the region's
+// thread variable; only those outside any region look the thread up.
+//
 // The tasking directives (task, taskwait, taskgroup, taskloop) lower onto
 // the work-stealing task runtime (internal/kmp/task.go): a task block is
 // outlined into a deferred closure with firstprivate values captured by

@@ -563,7 +563,7 @@ func (lw *lowerer) rawClause(s string) string {
 	var out []splice
 	for v, access := range lw.tpVars {
 		for _, off := range identOffsets(tf, e, v) {
-			out = append(out, splice{off, off + len(v), access})
+			out = append(out, splice{off: off, end: off + len(v), text: access})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].off > out[j].off })
@@ -620,7 +620,7 @@ func (p *exprPrinter) ident(x *ast.Ident) string {
 		off := lw.off(x.Pos())
 		rens := lw.renames
 		if i := sort.Search(len(rens), func(i int) bool { return rens[i].off >= off }); i < len(rens) && rens[i].off == off && rens[i].end == off+len(x.Name) {
-			return rens[i].text
+			return lw.spliced(rens[i])
 		}
 	}
 	return x.Name

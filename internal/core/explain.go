@@ -60,7 +60,7 @@ func Explain(d *Directive) string {
 	case DirBarrier:
 		base = "full-team rendezvous (omp.Barrier)"
 	case DirAtomic:
-		base = "make the update statement atomic via the __omp_atomic critical section"
+		base = "update the variable atomically: a native atomic for integer + - & |, else a compare-and-swap loop (omp.AtomicAdd/Sub/And/Or, omp.AtomicLoad + omp.AtomicCAS)"
 	case DirThreadPrivate:
 		base = "give each listed package-level variable one instance per thread (omp.ThreadPrivate cell + accessor rewriting)"
 	case DirTask:

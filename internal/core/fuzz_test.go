@@ -115,7 +115,8 @@ func FuzzParseDirective(f *testing.F) {
 // FuzzTransform: the whole pipeline, seeded from the lowering fixtures.
 // Hostile input must yield a diagnostic, never a panic; and whatever
 // Transform accepts must come out as Go that parses, is a gofmt fixed
-// point, holds no pragma, and that Transform leaves alone when fed back.
+// point, holds no pragma, that Transform leaves alone when fed back, and
+// that type-checks against the real gomp/omp whenever the input does.
 func FuzzTransform(f *testing.F) {
 	for _, src := range lowerFixtures(f) {
 		f.Add(src)
@@ -139,5 +140,6 @@ func FuzzTransform(f *testing.F) {
 		if again, err := Transform(res.Output, opts); err != nil || again.Changed {
 			t.Fatalf("Transform(output) changed it or failed (%v):\n%s", err, res.Output)
 		}
+		checkTypedOutput(t, src, res.Output)
 	})
 }

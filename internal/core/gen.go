@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"slices"
 	"sort"
 )
@@ -293,7 +294,7 @@ func (lw *lowerer) loopRenames(n *node, nest *loopNest, vars [][2]string) ([]spl
 			return nil, false
 		}
 		for _, off := range identOffsets(lw.tf, nest.body, v) {
-			out = append(out, splice{off, off + len(v), pair[1]})
+			out = append(out, splice{off: off, end: off + len(v), text: pair[1]})
 			lw.edited(off, off)
 		}
 	}
@@ -386,10 +387,7 @@ func (lw *lowerer) genFor(n *node) {
 	e.code("{\n" + bind)
 	// Bounds per nest level, evaluated once before any shadowing.
 	for i, h := range hs {
-		fmt.Fprintf(e, "__omp_lb%d := int64(%s)\n", i, lw.print(h.LB, 1))
-		fmt.Fprintf(e, "__omp_st%d := int64(%s)\n", i, lw.print(h.Step, 1))
-		fmt.Fprintf(e, "__omp_trip%d := omp.TripCount(__omp_lb%d, int64(%s), __omp_st%d, %t)\n",
-			i, i, lw.print(h.UB, 2), i, h.Inclusive)
+		lw.bounds(fmt.Sprintf("__omp_trip%d", i), i, h)
 	}
 	// Suffix products for collapse index reconstruction.
 	for i := 0; i < len(hs)-1; i++ {
@@ -418,18 +416,15 @@ func (lw *lowerer) genFor(n *node) {
 	fmt.Fprintf(e, "omp.ForRange(%s, __omp_trip, func(__omp_clo, __omp_chi int64) {\n", tvar)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
 	if len(hs) == 1 {
-		h := hs[0]
-		fmt.Fprintf(e, "%s := int(__omp_lb0 + __omp_k*__omp_st0)\n_ = %s\n", h.Var, h.Var)
+		loopVar(e, hs[0].Var, 0, "__omp_k")
 	} else {
 		e.code("__omp_r := __omp_k\n")
 		for i, h := range hs {
 			if i < len(hs)-1 {
-				fmt.Fprintf(e, "%s := int(__omp_lb%d + (__omp_r/__omp_suf%d)*__omp_st%d)\n_ = %s\n",
-					h.Var, i, i, i, h.Var)
+				loopVar(e, h.Var, i, fmt.Sprintf("__omp_r/__omp_suf%d", i))
 				fmt.Fprintf(e, "__omp_r %%= __omp_suf%d\n", i)
 			} else {
-				fmt.Fprintf(e, "%s := int(__omp_lb%d + __omp_r*__omp_st%d)\n_ = %s\n",
-					h.Var, i, i, h.Var)
+				loopVar(e, h.Var, i, "__omp_r")
 			}
 		}
 	}
@@ -462,6 +457,23 @@ func (lw *lowerer) genFor(n *node) {
 		e.code(lw.cancelGuard(tvar, orphan))
 	}
 	e.code("}")
+}
+
+// bounds binds nest level i's lower bound as written, so that it keeps the
+// loop variable's type (`0` stays int, `int64(0)` int64, as `i := lb`
+// would have them), its step as an int64 (a descending loop over an
+// unsigned variable steps by a negative amount), and its trip count, an
+// int64, as trip. Each is evaluated once, before any shadowing.
+func (lw *lowerer) bounds(trip string, i int, h *loopHeader) {
+	fmt.Fprintf(lw.e, "__omp_lb%d := %s\n", i, lw.print(h.LB, 1))
+	fmt.Fprintf(lw.e, "__omp_st%d := int64(%s)\n", i, lw.print(h.Step, 1))
+	fmt.Fprintf(lw.e, "%s := omp.TripCount(__omp_lb%d, %s, __omp_st%d, %t)\n", trip, i, lw.print(h.UB, 2), i, h.Inclusive)
+}
+
+// loopVar declares the user's loop variable v of level i at the logical
+// iteration k, in the type of the level's lower bound.
+func loopVar(e *emitter, v string, i int, k string) {
+	fmt.Fprintf(e, "%s := omp.LoopVar(__omp_lb%d, %s, __omp_st%d)\n_ = %s\n", v, i, k, i, v)
 }
 
 // --------------------------------------------------------------- sections
@@ -559,27 +571,101 @@ func (lw *lowerer) genWrapped(n *node, what, call, args string) {
 	fmt.Fprintf(e, "\n}%s)\n}", args)
 }
 
-// genAtomic serialises the following update statement. The lowering is a
-// named critical section rather than a bare atomic instruction: without
-// type information the preprocessor cannot choose an atomic cell, and the
-// OpenMP atomic directive only promises atomicity, which mutual exclusion
-// provides. Kernels that need true lock-free updates use the
-// omp.AtomicInt64/AtomicFloat64 cells directly.
+// genAtomic lowers `//omp atomic` to the typed helpers of
+// omp/codegen_support.go on the updated variable's address, the Go
+// compiler inferring its type. `x++`, `x--` and `x op= e` for + - & | are
+// one helper call, e evaluated once: a native atomic instruction for an
+// integer, the CAS loop for a float. Any other operator, and `x = expr`,
+// are the paper's Listing 6 loop written out: load x, evaluate the new
+// value with the loaded value in place of x — so a float sum associates as
+// written — and compare-and-swap, again if another thread got in between,
+// evaluating expr once per attempt. x must be addressable and numeric.
 func (lw *lowerer) genAtomic(n *node) {
+	var x, val ast.Expr // the updated variable; its new value in the loop
+	helper := ""
 	switch s := n.stmt.(type) {
-	case *ast.AssignStmt, *ast.IncDecStmt:
-		if n.inner == nil {
-			// The statement keeps its own line's layout: on one line, with
-			// no comment inside, it prints as written.
-			from, to := lw.off(s.Pos()), lw.off(s.End())
-			if lw.tf.Line(s.Pos()) != lw.tf.Line(s.End()) || lw.hasComment(from, to) {
-				lw.reformat = true
-			}
-			fmt.Fprintf(lw.e, "omp.Critical(\"__omp_atomic\", %s)", closure("func()", lw.text(from, to)))
-			return
+	case *ast.IncDecStmt:
+		x, val, helper = s.X, intLit(1), "omp.AtomicAdd"
+		if s.Tok == token.DEC {
+			helper = "omp.AtomicSub"
+		}
+	case *ast.AssignStmt:
+		if len(s.Lhs) != 1 || len(s.Rhs) != 1 || s.Tok == token.DEFINE {
+			break
+		}
+		x, val = s.Lhs[0], s.Rhs[0]
+		switch s.Tok {
+		case token.ADD_ASSIGN:
+			helper = "omp.AtomicAdd"
+		case token.SUB_ASSIGN:
+			helper = "omp.AtomicSub"
+		case token.AND_ASSIGN:
+			helper = "omp.AtomicAnd"
+		case token.OR_ASSIGN:
+			helper = "omp.AtomicOr"
+		case token.ASSIGN:
+			val = withLoaded(val, types.ExprString(x))
+		default: // op= for the other operators: the token order is go/token's
+			val = binary(ident("__omp_x"), s.Tok-token.ADD_ASSIGN+token.ADD, val)
 		}
 	}
-	lw.fail(n, "directive must immediately precede an assignment or increment statement")
+	if x == nil || n.inner != nil {
+		lw.fail(n, "directive must immediately precede an update statement: x++, x--, x op= expr or x = expr")
+		return
+	}
+	var addr ast.Expr = &ast.UnaryExpr{Op: token.AND, X: x}
+	if star, ok := x.(*ast.StarExpr); ok {
+		addr = star.X
+	}
+	if helper != "" {
+		lw.e.code(lw.print(call(helper, addr, val), 1))
+		return
+	}
+	cas := &ast.UnaryExpr{Op: token.NOT, X: call("omp.AtomicCAS", ident("__omp_p"), &ast.UnaryExpr{Op: token.AND, X: ident("__omp_x")}, val)}
+	fmt.Fprintf(lw.e, "{\n__omp_p := %s\n__omp_x := omp.AtomicLoad(__omp_p)\nfor %s {\n}\n}", lw.print(addr, 1), lw.print(cas, 1))
+}
+
+// withLoaded returns e with every occurrence of the atomic's target, whose
+// canonical text is x, replaced by the loaded value __omp_x; only the nodes
+// on the way to one are copied.
+func withLoaded(e ast.Expr, x string) ast.Expr {
+	if types.ExprString(e) == x {
+		return ident("__omp_x")
+	}
+	switch t := e.(type) {
+	case *ast.ParenExpr:
+		c := *t
+		c.X = withLoaded(t.X, x)
+		return &c
+	case *ast.UnaryExpr:
+		c := *t
+		c.X = withLoaded(t.X, x)
+		return &c
+	case *ast.StarExpr:
+		c := *t
+		c.X = withLoaded(t.X, x)
+		return &c
+	case *ast.BinaryExpr:
+		c := *t
+		c.X, c.Y = withLoaded(t.X, x), withLoaded(t.Y, x)
+		return &c
+	case *ast.SelectorExpr:
+		c := *t
+		c.X = withLoaded(t.X, x)
+		return &c
+	case *ast.IndexExpr:
+		c := *t
+		c.X, c.Index = withLoaded(t.X, x), withLoaded(t.Index, x)
+		return &c
+	case *ast.CallExpr:
+		c := *t
+		c.Args = make([]ast.Expr, len(t.Args))
+		for i, a := range t.Args {
+			c.Args[i] = withLoaded(a, x)
+		}
+		return &c
+	}
+	return e
 }
 
 // ---------------------------------------------------------------- tasking
@@ -675,15 +761,13 @@ func (lw *lowerer) genTaskloop(n *node) {
 
 	e := lw.e
 	e.code("{\n" + bind)
-	fmt.Fprintf(e, "__omp_lb0 := int64(%s)\n", lw.print(h.LB, 1))
-	fmt.Fprintf(e, "__omp_st0 := int64(%s)\n", lw.print(h.Step, 1))
-	fmt.Fprintf(e, "__omp_trip := omp.TripCount(__omp_lb0, int64(%s), __omp_st0, %t)\n", lw.print(h.UB, 2), h.Inclusive)
+	lw.bounds("__omp_trip", 0, h)
 	shadowDecls(e, c.FirstPrivate) // creation-time snapshot
 	fmt.Fprintf(e, "omp.Taskloop(%s, __omp_trip, func(%s *omp.Thread, __omp_clo, __omp_chi int64) {\n", tvar, tvar)
 	// Per-task copies: each chunk task privatises from the snapshot.
 	shadowDecls(e, c.Private, c.FirstPrivate)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
-	fmt.Fprintf(e, "%s := int(__omp_lb0 + __omp_k*__omp_st0)\n_ = %s\n", h.Var, h.Var)
+	loopVar(e, h.Var, 0, "__omp_k")
 	e.code(open)
 	lw.user(body)
 	e.code(close + "\n}\n}")
@@ -805,7 +889,7 @@ func (lw *lowerer) threadPrivate() error {
 			e := &emitter{depth: lw.indentOf(from)}
 			fmt.Fprintf(e, "var %s = omp.NewThreadPrivate[%s](%s)", cell, typeText, initFn)
 			lw.reformat = lw.reformat || e.bad
-			out = append(out, splice{from, to, string(e.out)})
+			out = append(out, splice{off: from, end: to, text: string(e.out)})
 			if lw.declaredElsewhere(v, from, to) {
 				lw.reformat = true // an accessor cannot be declared: format.Source reports it
 			}
@@ -816,7 +900,7 @@ func (lw *lowerer) threadPrivate() error {
 					if lw.parenthesised(off, off+len(v)) {
 						text = access[1 : len(access)-1] // gofmt keeps one pair
 					}
-					out = append(out, splice{off, off + len(v), text})
+					out = append(out, splice{off: off, end: off + len(v), text: text, thread: true})
 					lw.edited(off, off)
 				}
 			}
@@ -832,7 +916,8 @@ func (lw *lowerer) threadPrivate() error {
 }
 
 // parenthesised reports whether src[from:to] is the whole of a parenthesised
-// expression — not an argument list, which follows the function it calls.
+// expression — not an argument list, which follows the function it calls,
+// nor a type assertion's type.
 func (u *unit) parenthesised(from, to int) bool {
 	if from < 1 || to >= len(u.src) || u.src[from-1] != '(' || u.src[to] != ')' {
 		return false
@@ -841,7 +926,7 @@ func (u *unit) parenthesised(from, to int) bool {
 		return true
 	}
 	c := u.src[from-2]
-	return !(c == ')' || c == ']' || c == '}' || c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80)
+	return !(c == ')' || c == ']' || c == '}' || c == '.' || c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80)
 }
 
 // declaredElsewhere reports whether name is declared in the file outside

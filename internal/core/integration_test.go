@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,41 +12,14 @@ func runPreprocessed(t *testing.T, src string) string {
 	return buildPreprocessed(t, src)(4)
 }
 
-// buildPreprocessed lowers src and builds it, returning a function that
-// runs the program with OMP_NUM_THREADS=threads and returns its stdout. The
-// generated file must live inside the module tree so its gomp/internal
-// imports resolve; t.TempDir() would fall outside it.
+// buildPreprocessed lowers src and builds it (buildProgram).
 func buildPreprocessed(t *testing.T, src string) func(threads int) string {
 	t.Helper()
 	out, err := Preprocess([]byte(src), Options{Filename: "main.go"})
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
-	dir, err := os.MkdirTemp(".", "e2e-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bin, err := filepath.Abs(filepath.Join(dir, "prog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stdout, err := exec.Command("go", "build", "-o", bin, "./"+dir).CombinedOutput(); err != nil {
-		t.Fatalf("go build failed: %v\n--- output ---\n%s\n--- generated ---\n%s", err, stdout, out)
-	}
-	return func(threads int) string {
-		t.Helper()
-		cmd := exec.Command(bin)
-		cmd.Env = append(os.Environ(), fmt.Sprintf("OMP_NUM_THREADS=%d", threads))
-		stdout, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("run failed: %v\n--- output ---\n%s\n--- generated ---\n%s", err, stdout, out)
-		}
-		return string(stdout)
-	}
+	return buildProgram(t, out)
 }
 
 // The quickstart of the paper's workflow: annotate, preprocess, run. A

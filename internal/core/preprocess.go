@@ -486,6 +486,20 @@ func (u *unit) importsOmp() bool {
 type splice struct {
 	off, end int
 	text     string
+	// thread: text is a threadprivate accessor calling omp.Current(), for
+	// which the thread variable in scope is substituted (spliced).
+	thread bool
+}
+
+// spliced returns the text s puts in where the lowering stands.
+func (lw *lowerer) spliced(s splice) string {
+	if !s.thread {
+		return s.text
+	}
+	if tvar := lw.threadAt(s.off); tvar != "" {
+		return strings.Replace(s.text, "omp.Current()", tvar, 1)
+	}
+	return s.text
 }
 
 // mergeSplices merges two splice lists that are each ascending by offset.
@@ -565,7 +579,7 @@ func (lw *lowerer) render(from, to int) {
 			return
 		case ren <= sub: // an insertion goes before a directive at the same offset
 			emitText(lw.e, lw.src[pos:ren])
-			emitText(lw.e, rens[r].text)
+			emitText(lw.e, lw.spliced(rens[r]))
 			pos = rens[r].end
 			r++
 		default:
@@ -638,10 +652,13 @@ func (lw *lowerer) unbind(b threadBinding) { lw.tvar, lw.tvarAt = b.name, b.at }
 // of the innermost enclosing generated closure or user function that has
 // one, or "" when the construct is orphaned (no enclosing parallel region —
 // the generated code then binds omp.Current()).
-func (lw *lowerer) threadVar(n *node) string {
+func (lw *lowerer) threadVar(n *node) string { return lw.threadAt(n.start) }
+
+// threadAt is threadVar for the source text at off.
+func (lw *lowerer) threadAt(off int) string {
 	name, at := lw.tvar, lw.tvarAt
 	for _, f := range lw.threadFns {
-		if f.start > at && f.start <= n.start && n.start < f.end {
+		if f.start > at && f.start <= off && off < f.end && f.name != "_" {
 			name, at = f.name, f.start
 		}
 	}

@@ -259,7 +259,7 @@ func f(x *int) {
 	}
 }
 `)
-	wantContains(t, out, `omp.Critical("__omp_atomic", func() { *x++ })`)
+	wantContains(t, out, `omp.AtomicAdd(x, 1)`)
 }
 
 func TestPreprocessSentinelVariants(t *testing.T) {

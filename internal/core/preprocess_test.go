@@ -131,12 +131,12 @@ func f(a []float64) {
 }
 `)
 	wantContains(t, out,
-		"__omp_lb0 := int64(0)",
+		"__omp_lb0 := 0",
 		"__omp_st0 := int64(1)",
-		"omp.TripCount(__omp_lb0, int64(len(a)), __omp_st0, false)",
+		"omp.TripCount(__omp_lb0, len(a), __omp_st0, false)",
 		"omp.ForRange(__omp_t, __omp_trip",
 		"omp.Schedule(omp.Dynamic, 8)",
-		"i := int(__omp_lb0 + __omp_k*__omp_st0)",
+		"i := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)",
 	)
 	// nowait: no barrier after the loop.
 	if strings.Contains(out, "omp.Barrier(") {
@@ -173,7 +173,7 @@ func f(a []int) {
 	}
 }
 `)
-	wantContains(t, out, "omp.TripCount(__omp_lb0, int64(1), __omp_st0, true)", "int64(-1)")
+	wantContains(t, out, "omp.TripCount(__omp_lb0, 1, __omp_st0, true)", "int64(-1)")
 }
 
 func TestPreprocessLoopStepExpression(t *testing.T) {
@@ -349,7 +349,7 @@ func f(x *int) {
 	}
 }
 `)
-	wantContains(t, out, `omp.Critical("__omp_atomic", func() { *x += 1 })`)
+	wantContains(t, out, `omp.AtomicAdd(x, 1)`)
 }
 
 func TestPreprocessSections(t *testing.T) {

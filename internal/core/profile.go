@@ -59,7 +59,7 @@ func (u *unit) profileSplices() []splice {
 			}
 			fmt.Fprintf(&b, "%sdefer omp.ZoneAt(%q, %d, %q)()", indent, u.opts.Filename, u.tf.Line(fn.Pos()), name)
 		}
-		out = append(out, splice{bodyStart + 1, bodyStart + 1, b.String()})
+		out = append(out, splice{off: bodyStart + 1, end: bodyStart + 1, text: b.String()})
 	}
 	return out
 }

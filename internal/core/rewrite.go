@@ -158,7 +158,8 @@ type loopHeader struct {
 // extractLoopHeader validates and decomposes a worksharing for statement.
 // The supported shape is the OpenMP canonical loop form transliterated to
 // Go: `for i := lb; i < ub; i++` with <, <=, >, >= comparisons and ++, --,
-// +=, -= increments. The loop variable must be used directly (type int).
+// +=, -= increments. The loop variable may have any integer type: the
+// lowering keeps the lower bound's.
 func (lw *lowerer) extractLoopHeader(f *ast.ForStmt) (*loopHeader, error) {
 	h := &loopHeader{Body: f.Body, For: f}
 

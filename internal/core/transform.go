@@ -148,15 +148,25 @@ func (lw *lowerer) loops(n *node, depth int) (*loopNest, error) {
 // expression where needed is sound; generated code hoists it wherever a
 // hot path would otherwise re-evaluate per iteration.
 func tripExpr(h *loopHeader) ast.Expr {
-	return call("int", call("omp.TripCount", call("int64", h.LB), call("int64", h.UB), call("int64", h.Step), ident(strconv.FormatBool(h.Inclusive))))
+	return call("int", call("omp.TripCount", h.LB, h.UB, stepArg(h), ident(strconv.FormatBool(h.Inclusive))))
+}
+
+// stepArg is a level's step as an int64 argument: a constant as a
+// literal, anything else converted.
+func stepArg(h *loopHeader) ast.Expr {
+	if v, ok := constInt(h.Step); ok {
+		return intLit(v)
+	}
+	return call("int64", h.Step)
 }
 
 // pointAssign renders the reconstruction of a level's original loop
-// variable from a logical-iteration expression: var := (lb) + (k)*(step).
-// The explicit discard keeps Go's unused-variable rule satisfied when the
-// body ignores the variable.
+// variable from an int logical-iteration expression k, in the type of the
+// level's lower bound: var := omp.LoopVar(lb, int64(k), step). The explicit
+// discard keeps Go's unused-variable rule satisfied when the body ignores
+// the variable.
 func (lw *lowerer) pointAssign(h *loopHeader, k ast.Expr) string {
-	v := binary(paren(h.LB), token.ADD, binary(paren(k), token.MUL, paren(h.Step)))
+	v := call("omp.LoopVar", h.LB, call("int64", k), stepArg(h))
 	return fmt.Sprintf("%s := %s\n_ = %s\n", h.Var, lw.print(v, 1), h.Var)
 }
 
@@ -439,7 +449,7 @@ func (lw *lowerer) unroll(n *node) *loopNest {
 		for k := int64(0); k < factor; k++ {
 			var kExpr ast.Expr = ident("__omp_uk")
 			if k > 0 {
-				kExpr = paren(binary(kExpr, token.ADD, intLit(k)))
+				kExpr = binary(kExpr, token.ADD, intLit(k))
 			}
 			e.code("{\n" + lw.pointAssign(h, kExpr) + open)
 			lw.user(body)

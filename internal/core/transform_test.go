@@ -39,8 +39,8 @@ func f(m []int, ni, nj int) {
 		"__omp_tile1 += 16",
 		"min(__omp_tile0+8,",
 		"min(__omp_tile1+16,",
-		"i := (0) + (__omp_pt0)*(1)",
-		"j := (0) + (__omp_pt1)*(1)",
+		"i := omp.LoopVar(0, int64(__omp_pt0), 1)",
+		"j := omp.LoopVar(0, int64(__omp_pt1), 1)",
 		`import omp "gomp/omp"`, // TripCount lives in the runtime package
 	)
 	if strings.Contains(out, "omp.Parallel") || strings.Contains(out, "omp.ForRange") {
@@ -71,7 +71,7 @@ func f(m []int, ni, nj int) {
 		// the tile size over each level's logical iteration space.
 		"__omp_st0 := int64((8))",
 		"__omp_st1 := int64((16))",
-		"__omp_tile0 := int(__omp_lb0 + (__omp_r/__omp_suf0)*__omp_st0)",
+		"__omp_tile0 := omp.LoopVar(__omp_lb0, __omp_r/__omp_suf0, __omp_st0)",
 		// Point loops survive inside the distributed chunk body.
 		"min(__omp_tile0+8,",
 		"min(__omp_tile1+16,",
@@ -98,8 +98,8 @@ func f(a []int, n int) {
 }
 `)
 	wantContains(t, out,
-		"i := (n - 1) + (__omp_pt0)*(-1)",
-		"j := (0) + (__omp_pt0)*(3)",
+		"i := omp.LoopVar(n-1, int64(__omp_pt0), -1)",
+		"j := omp.LoopVar(0, int64(__omp_pt0), 3)",
 	)
 }
 
@@ -139,8 +139,8 @@ func f(a []int, n int) {
 	wantContains(t, out,
 		"__omp_um := __omp_ut - __omp_ut%4",
 		"for __omp_uk := 0; __omp_uk < __omp_um; __omp_uk += 4",
-		"i := (0) + (__omp_uk+1)*(1)",
-		"i := (0) + (__omp_uk+3)*(1)",
+		"i := omp.LoopVar(0, int64(__omp_uk+1), 1)",
+		"i := omp.LoopVar(0, int64(__omp_uk+3), 1)",
 		"for __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++",
 	)
 	if got := strings.Count(out, "a[i] = i"); got != 5 {

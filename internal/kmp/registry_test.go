@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // registrySlots counts the registry's entries: all of them, and those whose
@@ -114,6 +115,55 @@ func TestOrphanedTeamsBoundedAndReclaimed(t *testing.T) {
 	}
 	if live := len(liveTeams()); live != 0 {
 		t.Errorf("%d teams survive TrimTeams with no region in flight: unreachable, their workers leaked", live)
+	}
+}
+
+// A dropped slot is unbound and deleted under one lock, so a walk of the
+// registry while disposed teams' workers exit never meets an entry with
+// neither a thread bound nor a team parked: the state that once made the
+// count above read "33 registry entries … but 32 parked teams".
+func TestDroppedSlotsNeverSeenUnbound(t *testing.T) {
+	TrimTeams()
+	for round := 0; round < 10; round++ {
+		var wg sync.WaitGroup
+		for range 32 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ForkCall(Ident{}, 2, func(th *Thread) { th.Barrier() })
+			}()
+		}
+		wg.Wait()
+		var stop atomic.Bool
+		var seen atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for !stop.Load() {
+				for i := range goidReg {
+					s := &goidReg[i]
+					s.mu.RLock()
+					for _, sl := range s.m {
+						if sl.cur.Load() == nil && sl.hot.Load() == nil {
+							seen.Add(1)
+						}
+					}
+					s.mu.RUnlock()
+				}
+			}
+		}()
+		TrimTeams() // disposes the parked teams: their workers exit and drop their slots
+		left := 0
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			if left, _ = registrySlots(); left == 0 {
+				break
+			}
+		}
+		stop.Store(true)
+		<-done
+		if n := seen.Load(); n != 0 || left != 0 {
+			t.Fatalf("round %d: %d sightings of an entry with no thread and no team; %d entries left", round, n, left)
+		}
 	}
 }
 

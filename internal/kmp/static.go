@@ -1,5 +1,7 @@
 package kmp
 
+import "math"
+
 // Static worksharing: the lowering target of schedule(static[,chunk]) loops,
 // mirroring __kmpc_for_static_init_* / __kmpc_for_static_fini. Static
 // partitioning needs no shared state — every thread computes its share from
@@ -13,31 +15,45 @@ package kmp
 // normalisation including the <-vs-<= comparison-operator distinction the
 // paper extracts from the while-loop header.
 
+// Integer is the type set of a canonical loop's variable: any integer type.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 |
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
+
 // TripCount returns the iteration count of the canonical loop
 // `for i := lb; i CMP ub; i += st`, where inclusive selects <= (or >= for
-// negative st) instead of < (>). A zero st panics; a loop that never runs
-// has trip 0.
-func TripCount(lb, ub, st int64, inclusive bool) int64 {
-	if st == 0 {
-		panic("kmp: loop increment must be non-zero")
-	}
-	if st > 0 {
-		if inclusive {
-			ub++
-		}
-		if ub <= lb {
+// negative st) instead of < (>). The bounds compare in the loop variable's
+// own type T; the distance between them is taken as a uint64, which holds
+// it exactly for every T, so no intermediate value overflows. A zero st
+// panics, and so does a count int64 cannot hold; a loop that never runs has
+// trip 0.
+func TripCount[T Integer](lb, ub T, st int64, inclusive bool) int64 {
+	var dist, mag uint64 // distance to the bound in the direction of travel; |st|
+	switch {
+	case st > 0:
+		if ub < lb || ub == lb && !inclusive {
 			return 0
 		}
-		return (ub - lb + st - 1) / st
+		dist, mag = uint64(ub)-uint64(lb), uint64(st)
+	case st < 0:
+		if ub > lb || ub == lb && !inclusive {
+			return 0
+		}
+		dist, mag = uint64(lb)-uint64(ub), -uint64(st)
+	default:
+		panic("kmp: loop increment must be non-zero")
 	}
-	// Negative stride: count down.
-	if inclusive {
-		ub--
+	// Iterations land at distance 0 and at each whole step after it, up to
+	// the bound, which an exclusive loop stops short of.
+	if !inclusive {
+		dist--
 	}
-	if ub >= lb {
-		return 0
+	steps := dist / mag
+	if steps >= math.MaxInt64 {
+		panic("kmp: loop iteration count overflows int64")
 	}
-	return (lb - ub + (-st) - 1) / (-st)
+	return int64(steps) + 1
 }
 
 // StaticBlock computes thread tid's contiguous block of a trip-count

@@ -1,6 +1,8 @@
 package kmp
 
 import (
+	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +26,10 @@ func TestTripCount(t *testing.T) {
 		{0, -5, 1, false, 0},  // never runs
 		{-5, 0, -1, false, 0}, // never runs (wrong direction)
 		{-10, -4, 2, false, 3},
+		// ub-lb+st-1 overflows int64 here: the count comes from the
+		// unsigned distance.
+		{-(1 << 62), 1 << 62, 1 << 61, true, 5},
+		{1 << 62, -(1 << 62), -(1 << 61), true, 5},
 	}
 	for _, c := range cases {
 		if got := TripCount(c.lb, c.ub, c.st, c.inclusive); got != c.want {
@@ -63,6 +69,74 @@ func TestTripCountPanicsOnZeroStride(t *testing.T) {
 		}
 	}()
 	TripCount(0, 10, 0, false)
+}
+
+// tripOracle counts the k ≥ 0 with lb + k·st on the loop's side of ub, in
+// exact arithmetic: ⌈(ub−lb)/st⌉ for an exclusive bound, ⌊(ub−lb)/st⌋ + 1
+// for an inclusive one, and never below zero.
+func tripOracle(lb, ub, st *big.Int, inclusive bool) *big.Int {
+	num, den := new(big.Int).Sub(ub, lb), new(big.Int).Set(st)
+	if den.Sign() < 0 {
+		num.Neg(num)
+		den.Neg(den)
+	}
+	q, m := new(big.Int).DivMod(num, den, new(big.Int)) // floor, for den > 0
+	switch {
+	case inclusive:
+		q.Add(q, big.NewInt(1))
+	case m.Sign() != 0:
+		q.Add(q, big.NewInt(1)) // ceiling
+	}
+	if q.Sign() < 0 {
+		q.SetInt64(0)
+	}
+	return q
+}
+
+// checkTrip runs TripCount in T and compares it with the oracle over the
+// bounds' exact values: a count int64 cannot hold must panic, as must a
+// zero step.
+func checkTrip[T Integer](t *testing.T, lb, ub T, blb, bub *big.Int, st int64, inclusive bool) {
+	t.Helper()
+	var got int64
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		got = TripCount(lb, ub, st, inclusive)
+		return false
+	}()
+	if st == 0 {
+		if !panicked {
+			t.Fatalf("TripCount(%v, %v, 0, %v) did not panic", lb, ub, inclusive)
+		}
+		return
+	}
+	want := tripOracle(blb, bub, big.NewInt(st), inclusive)
+	if !want.IsInt64() {
+		if !panicked {
+			t.Fatalf("TripCount(%v, %v, %d, %v) = %d, want a panic (exact count %v)", lb, ub, st, inclusive, got, want)
+		}
+		return
+	}
+	if panicked || got != want.Int64() {
+		t.Fatalf("TripCount(%v, %v, %d, %v) = %d (panicked %v), want %v", lb, ub, st, inclusive, got, panicked, want)
+	}
+}
+
+// FuzzTripCount checks TripCount against exact arithmetic for int64 and
+// uint64 loop variables, whose extremes no int64 intermediate holds.
+func FuzzTripCount(f *testing.F) {
+	f.Add(int64(-(1 << 62)), int64(1<<62), int64(1<<61), true)
+	f.Add(int64(1<<62), int64(-(1 << 62)), int64(-(1 << 61)), true)
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), int64(1), true)
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), int64(1), false)
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), false)
+	f.Add(int64(0), int64(-1), int64(2), false)
+	f.Add(int64(5), int64(5), int64(0), true)
+	f.Fuzz(func(t *testing.T, lb, ub, st int64, inclusive bool) {
+		checkTrip(t, lb, ub, big.NewInt(lb), big.NewInt(ub), st, inclusive)
+		ulb, uub := uint64(lb), uint64(ub)
+		checkTrip(t, ulb, uub, new(big.Int).SetUint64(ulb), new(big.Int).SetUint64(uub), st, inclusive)
+	})
 }
 
 // Property: StaticBlock partitions [0,trip) exactly — disjoint, covering,

@@ -239,13 +239,20 @@ func enterSlot(id uint64) (sl *gslot, cur *Thread, hot *Team) {
 // worker goroutine) ends, after any team has been parked: it is the owner's
 // last use of the pointer. A slot left empty is dropped, so goroutines that
 // exit leave no entry; one left with only a parked team is TrimTeams's.
+// Keeping a slot takes no lock. Dropping one unbinds it under the shard
+// lock, together with the delete, so that no walk of the registry sees an
+// entry with neither a thread bound nor a team parked.
 func leaveSlot(id uint64, sl *gslot, prev *Thread) {
-	sl.cur.Store(prev)
 	if prev != nil || sl.hot.Load() != nil {
-		return
+		sl.cur.Store(prev)
+		if prev != nil || sl.hot.Load() != nil {
+			return
+		}
+		// TrimTeams took the parked team in between: drop the slot after all.
 	}
 	s := &goidReg[id%goidShards]
 	s.mu.Lock()
+	sl.cur.Store(nil)
 	delete(s.m, id)
 	s.mu.Unlock()
 	slotPool.Put(sl)

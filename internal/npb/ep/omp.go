@@ -17,7 +17,7 @@ var tpScratch = omp.NewThreadPrivate[scratch](nil)
 //
 // with the sums folded in thread order at the loop's barrier (omp.Reduce),
 // so a team size gives the same bits on every run, the annulus counters
-// combined through atomic cells (the atomic directive of the paper's port)
+// combined by the atomic directive's lowering (as in the paper's port)
 // and the scratch array threadprivate.
 func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	m, err := params(class)
@@ -27,7 +27,7 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	nn := int64(1) << (m - mk)
 	st := &Stats{Class: class, Pairs: 1 << m, Threads: threads}
 
-	var q [nq]omp.AtomicInt64
+	var q [nq]int64
 
 	var tm npb.Timer
 	tm.Start()
@@ -47,8 +47,8 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 		}, omp.Schedule(omp.Static, 0), omp.NoWait())
 		for l := 0; l < nq; l++ {
 			if localQ[l] != 0 {
-				// //omp atomic — lock-free RMW per counter.
-				q[l].Add(localQ[l])
+				// //omp atomic: one native add per counter.
+				omp.AtomicAdd(&q[l], localQ[l])
 			}
 		}
 		omp.Reduce(t, omp.ReduceSum, &st.Sx, localSx)
@@ -58,7 +58,7 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 
 	st.Seconds = tm.Seconds()
 	for l := 0; l < nq; l++ {
-		st.Q[l] = q[l].Load()
+		st.Q[l] = q[l]
 		st.Gc += st.Q[l]
 	}
 	return st, nil

@@ -2,9 +2,9 @@ package omp
 
 import (
 	"math"
+	"sync/atomic"
 	"unsafe"
 
-	"gomp/internal/atomicx"
 	"gomp/internal/kmp"
 )
 
@@ -13,12 +13,14 @@ import (
 // worksharing constructs (a //omp for with no lexically enclosing parallel).
 func Current() *Thread { return kmp.Current() }
 
-// Numeric constrains the generic reduction to the types the reduction
-// clause accepts for arithmetic and bitwise operators.
+// Integer is the type set of a canonical loop's variable and of the
+// bitwise atomic updates: any integer type.
+type Integer = kmp.Integer
+
+// Numeric constrains the generic reduction and the atomic updates to the
+// types the reduction clause accepts for arithmetic and bitwise operators.
 type Numeric interface {
-	~int | ~int8 | ~int16 | ~int32 | ~int64 |
-		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 |
-		~float32 | ~float64
+	Integer | ~float32 | ~float64
 }
 
 // Reduce is the lowering of every reduction clause: every thread of t's
@@ -75,12 +77,12 @@ func checkOp[T Numeric](op ReduceOp) {
 
 // Reduction is the arrival-order reduction cell, for combines no construct
 // orders, such as explicit tasks folding partials as they finish. The value
-// lives as its bit pattern in an atomicx.Uint64; partials fold in T's
+// lives as its bit pattern in an atomic.Uint64; partials fold in T's
 // domain inside the paper's Listing 6 CAS loop, and integer sums take the
 // native RMW fast path.
 type Reduction[T Numeric] struct {
 	op   ReduceOp
-	bits atomicx.Uint64
+	bits atomic.Uint64
 }
 
 // NewReduction builds a reduction cell seeded with initial.
@@ -117,9 +119,10 @@ func (r *Reduction[T]) Combine(partial T) {
 		r.bits.Add(bitsOf(partial))
 		return
 	}
-	r.bits.RMW(func(cur uint64) uint64 {
-		return bitsOf(reduceFold(r.op, fromBits[T](cur), partial))
-	})
+	cur := r.bits.Load()
+	for !r.bits.CompareAndSwap(cur, bitsOf(reduceFold(r.op, fromBits[T](cur), partial))) {
+		cur = r.bits.Load()
+	}
 }
 
 // Value returns the reduced result; call after the parallel region joins.
