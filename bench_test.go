@@ -157,9 +157,11 @@ func benchImbalanced(b *testing.B, mod omp.SchedModifier) {
 	for i := 0; i < b.N; i++ {
 		omp.Parallel(func(t *omp.Thread) {
 			local := 0.0
-			omp.For(t, trip, func(j int64) {
-				for k := int64(0); k < j; k++ { // triangular: iteration j costs ∝ j
-					local += float64(k&7) * 1e-9
+			omp.ForRange(t, trip, func(lo, hi int64) {
+				for j := lo; j < hi; j++ {
+					for k := int64(0); k < j; k++ { // triangular: iteration j costs ∝ j
+						local += float64(k&7) * 1e-9
+					}
 				}
 			}, omp.Schedule(omp.Dynamic, 1, mod))
 			sink.Combine(local)

@@ -37,7 +37,7 @@
 //   - omp — the public, importable user-facing API (omp_* routines with
 //     the prefix dropped), the structured constructs generated code
 //     targets, and the v2 surface: context-aware error-returning region
-//     launch, generic ForEach/ReduceInto, and Cancel/CancellationPoint.
+//     launch (ParallelErr, WithContext) and Cancel/CancellationPoint.
 //   - internal/npb{,/cg,/ep,/is} — the three benchmark kernels, each as
 //     serial reference, omp-runtime port, and idiomatic-goroutine baseline.
 //   - internal/bench + cmd/npbsuite — the evaluation harness regenerating
@@ -225,13 +225,13 @@
 // hidden and underscore trees, _test.go files, prior <suffix>.go
 // outputs and anything carrying the standard `// Code generated …
 // DO NOT EDIT.` marker (which every driver output carries); a parallel
-// transform fan-out across `-jobs` workers — run as an omp.ForEach on
-// this repository's own runtime, so the driver dogfoods the stack it
-// builds for and reports into the same metrics registry
-// (driver-cold-files / driver-warm-files / driver-transform time under
-// GOMP_METRICS); a content-hash cache; and atomic output writes
-// (temp-file + rename, every gompcc mode), so an interrupted run never
-// leaves a truncated output behind.
+// transform fan-out across `-jobs` workers — an omp.ForRange with
+// schedule(dynamic,1) inside omp.ParallelErr, on this repository's own
+// runtime, so the driver dogfoods the stack it builds for and reports
+// into the same metrics registry (driver-cold-files / driver-warm-files /
+// driver-transform time under GOMP_METRICS); a content-hash cache; and
+// atomic output writes (temp-file + rename, every gompcc mode), so an
+// interrupted run never leaves a truncated output behind.
 //
 // The cache is a manifest at <module>/.gompcc-cache/manifest.json
 // mapping each module-relative source path to the SHA-256 of its

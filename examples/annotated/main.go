@@ -1,13 +1,12 @@
-// Annotated: the one example whose own source carries the pragmas.
-// Every other walkthrough embeds annotated code in strings and pushes
-// it through the preprocessor in-process; this file is the thing the
-// preprocessor consumes. As written it is plain serial Go — the
+// Annotated: the smallest example whose own source carries the pragmas
+// (quickstart, pi and stencil are the others); this file is the thing
+// the preprocessor consumes. As written it is plain serial Go — the
 // directives are comments — so it runs unmodified:
 //
 //	go run ./examples/annotated
 //
 // and it is what the module build driver transforms; CI self-hosts
-// gompcc over examples/ and this file is the tree's real transform:
+// gompcc over examples/:
 //
 //	go run ./cmd/gompcc -module examples -outdir build -jobs 4
 //	go run ./build/annotated

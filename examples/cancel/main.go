@@ -1,17 +1,19 @@
 // Cancellation and the v2 API: what an external program sees when it
-// imports the top-level omp package — no internal/ paths, generic
-// constructs, and OpenMP cancellation bound to context.Context.
+// imports the top-level omp package — no internal/ paths, and OpenMP
+// cancellation bound to context.Context. ParallelErr and WithContext have
+// no pragma spelling, so this example calls the runtime directly; each
+// loop is the ForRange that `//omp for` lowers to.
 //
 // Three scenarios:
 //
-//  1. A request with a deadline: ParallelFor under WithContext returns
-//     context.DeadlineExceeded when the budget expires mid-loop, the
-//     bounded-latency shape of a production request handler.
+//  1. A request with a deadline: a loop under ParallelErr and WithContext
+//     returns context.DeadlineExceeded when the budget expires mid-loop,
+//     the bounded-latency shape of a production request handler.
 //
 //  2. A parallel search: the first thread to find the needle cancels the
 //     worksharing loop, and the team stops dispatching chunks.
 //
-//  3. A failing element: ParallelForErr turns one bad input into an error
+//  3. A failing element: ParallelErr turns one bad input into an error
 //     and cancels the rest of the team instead of crashing the process.
 //
 // Usage:
@@ -36,10 +38,14 @@ func main() {
 
 	const trip = 1 << 40 // far more work than the deadline allows
 	start := time.Now()
-	err := omp.ParallelForErr(trip, func(t *omp.Thread, i int64) error {
-		time.Sleep(50 * time.Microsecond) // stand-in for per-item work
+	err := omp.ParallelErr(func(t *omp.Thread) error {
+		omp.ForRange(t, trip, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				time.Sleep(50 * time.Microsecond) // stand-in for per-item work
+			}
+		}, omp.Schedule(omp.Dynamic, 8), omp.NoWait())
 		return nil
-	}, omp.NumThreads(4), omp.Schedule(omp.Dynamic, 8), omp.WithContext(ctx))
+	}, omp.NumThreads(4), omp.WithContext(ctx))
 	fmt.Printf("deadline run: err=%v after %v (deadline 25ms, %t)\n",
 		err, time.Since(start).Round(time.Millisecond),
 		errors.Is(err, context.DeadlineExceeded))
@@ -67,22 +73,18 @@ func main() {
 	data := make([]float64, 1<<20)
 	data[12345] = -1
 	errBad := errors.New("negative input")
-	err = omp.ParallelForErr(int64(len(data)), func(t *omp.Thread, i int64) error {
-		if data[i] < 0 {
-			return fmt.Errorf("element %d: %w", i, errBad)
-		}
-		return nil
+	err = omp.ParallelErr(func(t *omp.Thread) error {
+		var bad error
+		omp.ForRange(t, int64(len(data)), func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				if data[i] < 0 {
+					bad = fmt.Errorf("element %d: %w", i, errBad)
+					omp.Cancel(t, omp.CancelParallel) // no further chunks
+					return
+				}
+			}
+		}, omp.NoWait())
+		return bad
 	}, omp.NumThreads(4))
 	fmt.Printf("validation: err=%v (%t)\n", err, errors.Is(err, errBad))
-
-	// --- generic constructs over typed data ----------------------------
-	type sample struct {
-		raw, squared int
-	}
-	samples := make([]sample, 8)
-	_ = omp.ForEach(samples, func(t *omp.Thread, i int64, s *sample) {
-		s.raw = int(i)
-		s.squared = int(i * i)
-	}, omp.NumThreads(4))
-	fmt.Printf("foreach: %v\n", samples)
 }

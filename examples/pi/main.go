@@ -1,76 +1,69 @@
-// Reductions tour: π by midpoint integration (sum reduction), a geometric-
-// mean computation (the multiplication reduction), and a logical-AND
-// validity check, each folded in thread order at the loop's barrier by
-// omp.Reduce; then the paper's Listing 6 compare-and-swap loop on its own,
-// an atomic multiply.
+// Reductions tour, written as //omp pragma source: π by midpoint
+// integration (the sum reduction), a geometric mean (the multiplication
+// reduction) and a logical-AND validity check, each folded in thread order
+// at the loop's end; then an atomic multiply, which `//omp atomic` lowers
+// to the paper's Listing 6 compare-and-swap loop.
+//
+// As written the file is plain serial Go — the directives are comments:
 //
 //	go run ./examples/pi
+//
+// Through the preprocessor the same loops run on the omp runtime:
+//
+//	go run ./cmd/gompcc -module examples -outdir build -jobs 4
+//	go run ./build/pi
+//
+// Both builds print the same lines: each float is printed to fewer digits
+// than a reordered parallel sum can move, and the atomic ladder only ever
+// multiplies by powers of two.
 package main
 
 import (
 	"fmt"
 	"math"
-
-	"gomp/omp"
 )
 
 func main() {
 	const n = 10_000_000
 	h := 1.0 / float64(n)
 
-	// π = ∫₀¹ 4/(1+x²) dx — the canonical OpenMP reduction example.
-	// Each thread sums its share privately, from the operator's identity;
-	// omp.Reduce folds the partials into pi in thread order at the loop's
-	// barrier, so the loop itself runs nowait.
+	// π = ∫₀¹ 4/(1+x²) dx — the canonical OpenMP reduction example. Each
+	// thread sums its share privately, from the operator's identity.
 	pi := 0.0
-	omp.Parallel(func(t *omp.Thread) {
-		local := 0.0
-		omp.ForRange(t, n, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				x := h * (float64(i) + 0.5)
-				local += 4 / (1 + x*x)
-			}
-		}, omp.NoWait())
-		omp.Reduce(t, omp.ReduceSum, &pi, local)
-	})
-	fmt.Printf("pi ≈ %.12f (error %.2e) on %d threads\n",
-		pi*h, math.Abs(pi*h-math.Pi), omp.GetMaxThreads())
+	//omp parallel for reduction(+:pi)
+	for i := 0; i < n; i++ {
+		x := h * (float64(i) + 0.5)
+		pi += 4 / (1 + x*x)
+	}
+	pi *= h
+	fmt.Printf("pi ≈ %.10f (error below 1e-12: %v)\n", pi, math.Abs(pi-math.Pi) < 1e-12)
 
 	// Geometric mean via reduction(*:prod): the identity is 1.
 	const m = 4096
 	prod := 1.0
-	omp.Parallel(func(t *omp.Thread) {
-		local := omp.ReduceIdentity(omp.ReduceProd, prod)
-		omp.For(t, m, func(i int64) {
-			local *= 1 + float64(i%5)/1e4
-		}, omp.NoWait())
-		omp.Reduce(t, omp.ReduceProd, &prod, local)
-	}, omp.NumThreads(8))
+	//omp parallel for reduction(*:prod) num_threads(8)
+	for i := 0; i < m; i++ {
+		prod *= 1 + float64(i%5)/1e4
+	}
 	fmt.Printf("geometric mean of %d factors: %.9f\n", m, math.Pow(prod, 1.0/m))
 
 	// reduction(&&:ok): every sample must satisfy the predicate.
 	ok := true
-	omp.Parallel(func(t *omp.Thread) {
-		local := true
-		omp.For(t, m, func(i int64) {
-			local = local && (i*i >= 0)
-		}, omp.NoWait())
-		omp.ReduceBool(t, omp.ReduceLogicalAnd, &ok, local)
-	}, omp.NumThreads(8))
+	//omp parallel for reduction(&&:ok) num_threads(8)
+	for i := 0; i < m; i++ {
+		ok = ok && (i*i >= 0)
+	}
 	fmt.Printf("all samples valid: %v\n", ok)
 
-	// The CAS loop itself, visible: concurrent multiplications on one
-	// float64, exactly the paper's pseudo-code and what `//omp atomic`
-	// lowers `cell *= 2` to.
+	// Concurrent multiplications on one float64: no native atomic exists,
+	// so the update becomes a load and a compare-and-swap retry loop.
 	cell := 1.0
-	omp.Parallel(func(t *omp.Thread) {
-		omp.For(t, 64, func(i int64) {
-			for _, f := range []float64{2, 0.5} {
-				x := omp.AtomicLoad(&cell)
-				for !omp.AtomicCAS(&cell, &x, x*f) {
-				}
-			}
-		})
-	}, omp.NumThreads(8))
+	//omp parallel for num_threads(8)
+	for i := 0; i < 64; i++ {
+		for _, f := range []float64{2, 0.5} {
+			//omp atomic
+			cell *= f
+		}
+	}
 	fmt.Printf("atomic multiply ladder returned to %v (expected 1)\n", cell)
 }

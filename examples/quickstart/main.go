@@ -1,72 +1,60 @@
-// Quickstart: the v2 API in five minutes — the generic collection
-// constructs for everyday use, then the directive-shaped primitives they
-// are built from, which is what the preprocessor targets and what every
-// NPB kernel in this repository is written with.
+// Quickstart: OpenMP loop directives in Go, written the way the paper's
+// programs are — plain Go whose //omp comments the gompcc preprocessor
+// lowers onto the omp runtime. As written the file runs serially:
 //
 //	go run ./examples/quickstart
+//
+// Through the preprocessor the same loops run on a thread team:
+//
+//	go run ./cmd/gompcc -module examples -outdir build -jobs 4
+//	go run ./build/quickstart
+//
+// Both builds print the same lines: the inputs are small multiples of
+// powers of two, so every partial sum is exact and the order in which a
+// parallel reduction folds them cannot move the result.
 package main
 
 import (
 	"fmt"
 	"math"
-
-	"gomp/omp"
 )
 
 func main() {
 	const n = 1 << 20
 	a := make([]float64, n)
 	b := make([]float64, n)
-	_ = omp.ForEach(a, func(t *omp.Thread, i int64, v *float64) {
-		*v = float64(i%1000) * 0.001
-		b[i] = float64((i+1)%1000) * 0.002
-	})
+	//omp parallel for
+	for i := 0; i < n; i++ {
+		a[i] = float64(i%1000) / 1024
+		b[i] = float64((i+1)%1000) / 512
+	}
 
-	// A parallel dot product in one construct: ReduceInto seeds each
-	// thread with the + identity, folds partials atomically, and writes
-	// the result back — the v2 form of
-	//   //omp parallel for reduction(+:dot) schedule(static)
+	// A dot product: each thread sums its share from the + identity, and
+	// the partials fold into dot in thread order when the loop ends.
 	dot := 0.0
-	start := omp.GetWtime()
-	if err := omp.ReduceInto(omp.ReduceSum, &dot, n, func(t *omp.Thread, i int64, acc float64) float64 {
-		return acc + a[i]*b[i]
-	}); err != nil {
-		panic(err)
+	//omp parallel for reduction(+:dot) schedule(static)
+	for i := 0; i < n; i++ {
+		dot += a[i] * b[i]
 	}
-	elapsed := omp.GetWtime() - start
+	fmt.Printf("dot product over %d elements: %.6f\n", n, dot)
 
-	serial := 0.0
-	for i := range a {
-		serial += a[i] * b[i]
-	}
-	fmt.Printf("dot product over %d elements on %d threads: %.6f (serial %.6f, diff %.2e) in %.3f ms\n",
-		n, omp.GetMaxThreads(), dot, serial, math.Abs(dot-serial), elapsed*1e3)
-
-	// The same shape written against the v1 primitives — what generated
-	// code looks like: explicit region, worksharing loop, reduction fold.
-	// Here with a dynamic schedule and a max reduction: find the largest
-	// |a[i]−b[i]| gap.
+	// A max reduction under a dynamic schedule on a team of four: the
+	// largest |a[i]−b[i]| gap.
 	gap := math.Inf(-1)
-	omp.Parallel(func(t *omp.Thread) {
-		local := omp.ReduceIdentity(omp.ReduceMax, gap)
-		omp.For(t, n, func(i int64) {
-			if d := math.Abs(a[i] - b[i]); d > local {
-				local = d
-			}
-		}, omp.Schedule(omp.Dynamic, 4096), omp.NoWait())
-		omp.Reduce(t, omp.ReduceMax, &gap, local)
-	}, omp.NumThreads(4))
-	fmt.Printf("largest gap (4 threads, dynamic schedule): %.3f\n", gap)
-
-	// Thread introspection inside a region, with panic-to-error recovery:
-	// ParallelErr returns instead of crashing if a thread panics.
-	err := omp.ParallelErr(func(t *omp.Thread) error {
-		omp.Critical("io", func() {
-			fmt.Printf("  hello from thread %d of %d\n", t.Tid, t.NumThreads())
-		})
-		return nil
-	}, omp.NumThreads(3))
-	if err != nil {
-		panic(err)
+	//omp parallel for reduction(max:gap) schedule(dynamic,4096) num_threads(4)
+	for i := 0; i < n; i++ {
+		gap = max(gap, math.Abs(a[i]-b[i]))
 	}
+	fmt.Printf("largest gap: %.6f\n", gap)
+
+	// A shared counter under an atomic update.
+	above := 0
+	//omp parallel for
+	for i := 0; i < n; i++ {
+		if a[i] > b[i] {
+			//omp atomic
+			above++
+		}
+	}
+	fmt.Printf("elements with a > b: %d\n", above)
 }

@@ -3,7 +3,16 @@
 // kind to show their behaviour on a balanced loop, plus a deliberately
 // imbalanced variant where dynamic/guided scheduling earns its keep.
 //
+// The file is //omp pragma source. Its loops carry schedule(runtime), so
+// omp.SetSchedule picks the schedule each run uses, as omp_set_schedule
+// does in C. As written it runs serially:
+//
 //	go run ./examples/stencil
+//
+// Through the preprocessor the loops run on a thread team:
+//
+//	go run ./cmd/gompcc -module examples -outdir build -jobs 4
+//	go run ./build/stencil
 package main
 
 import (
@@ -18,7 +27,7 @@ const (
 	steps  = 100
 )
 
-func runGrid(threads int, sched omp.SchedKind, chunk int64) (float64, float64) {
+func runGrid(threads int) (float64, float64) {
 	a := make([]float64, nx*ny)
 	b := make([]float64, nx*ny)
 	// Hot left edge, cold elsewhere.
@@ -27,7 +36,8 @@ func runGrid(threads int, sched omp.SchedKind, chunk int64) (float64, float64) {
 		b[i*ny] = 100
 	}
 	start := omp.GetWtime()
-	omp.Parallel(func(t *omp.Thread) {
+	//omp parallel num_threads(threads)
+	{
 		for s := 0; s < steps; s++ {
 			// Ping-pong by step parity, chosen thread-locally so no
 			// shared state is mutated between barriers.
@@ -35,16 +45,15 @@ func runGrid(threads int, sched omp.SchedKind, chunk int64) (float64, float64) {
 			if s%2 == 1 {
 				src, dst = b, a
 			}
-			omp.ForRange(t, nx-2, func(lo, hi int64) {
-				for i := int(lo) + 1; i <= int(hi); i++ {
-					row := i * ny
-					for j := 1; j < ny-1; j++ {
-						dst[row+j] = 0.25 * (src[row+j-1] + src[row+j+1] + src[row-ny+j] + src[row+ny+j])
-					}
+			//omp for schedule(runtime)
+			for i := 1; i < nx-1; i++ {
+				row := i * ny
+				for j := 1; j < ny-1; j++ {
+					dst[row+j] = 0.25 * (src[row+j-1] + src[row+j+1] + src[row-ny+j] + src[row+ny+j])
 				}
-			}, omp.Schedule(sched, chunk))
+			}
 		}
-	}, omp.NumThreads(threads))
+	}
 	elapsed := omp.GetWtime() - start
 
 	// steps is even, so the final sweep (s = steps-1, odd) wrote into a.
@@ -55,19 +64,30 @@ func runGrid(threads int, sched omp.SchedKind, chunk int64) (float64, float64) {
 	return elapsed, total
 }
 
+// imbalanced sums a loop whose per-iteration cost grows with the index,
+// the case where schedule(static) leaves the last thread holding the bag.
+func imbalanced(threads int) float64 {
+	sum := 0.0
+	//omp parallel for reduction(+:sum) schedule(runtime) num_threads(threads)
+	for i := int64(0); i < 4096; i++ {
+		for k := int64(0); k < i*i/1024+1; k++ {
+			sum += math.Sqrt(float64(k))
+		}
+	}
+	return sum
+}
+
 func main() {
 	fmt.Printf("2-D Jacobi %dx%d, %d sweeps\n\n", nx, ny, steps)
-	serialT, serialSum := runGrid(1, omp.Static, 0)
+	omp.SetSchedule(omp.Static, 0)
+	serialT, serialSum := runGrid(1)
 	fmt.Printf("%-22s %8.1f ms  (checksum %.3f)\n", "serial", serialT*1e3, serialSum)
 
-	threads := omp.GetNumProcs()
-	if threads > 8 {
-		threads = 8
-	}
+	threads := min(omp.GetNumProcs(), 8)
 	type cfg struct {
 		name  string
 		kind  omp.SchedKind
-		chunk int64
+		chunk int
 	}
 	for _, c := range []cfg{
 		{"static", omp.Static, 0},
@@ -75,34 +95,22 @@ func main() {
 		{"dynamic,8", omp.Dynamic, 8},
 		{"guided,4", omp.Guided, 4},
 	} {
-		t, sum := runGrid(threads, c.kind, c.chunk)
+		omp.SetSchedule(c.kind, c.chunk)
+		t, sum := runGrid(threads)
 		ok := math.Abs(sum-serialSum) < 1e-6*math.Abs(serialSum)
 		fmt.Printf("%-22s %8.1f ms  speedup %4.2f  checksum ok=%v\n",
 			fmt.Sprintf("%d threads %s", threads, c.name), t*1e3, serialT/t, ok)
 	}
 
-	// Imbalanced workload: per-iteration cost grows with the index, the
-	// case where schedule(static) leaves the last thread holding the bag.
 	fmt.Printf("\nimbalanced loop (cost ∝ i²), %d threads:\n", threads)
-	work := func(i int64) float64 {
-		s := 0.0
-		for k := int64(0); k < i*i/1024+1; k++ {
-			s += math.Sqrt(float64(k))
-		}
-		return s
-	}
 	for _, c := range []cfg{
 		{"static", omp.Static, 0},
 		{"dynamic,16", omp.Dynamic, 16},
 		{"guided,16", omp.Guided, 16},
 	} {
-		sum := 0.0
+		omp.SetSchedule(c.kind, c.chunk)
 		start := omp.GetWtime()
-		omp.Parallel(func(t *omp.Thread) {
-			local := 0.0
-			omp.For(t, 4096, func(i int64) { local += work(i) }, omp.Schedule(c.kind, c.chunk), omp.NoWait())
-			omp.Reduce(t, omp.ReduceSum, &sum, local)
-		}, omp.NumThreads(threads))
+		sum := imbalanced(threads)
 		fmt.Printf("%-22s %8.1f ms (sum %.0f)\n", c.name, (omp.GetWtime()-start)*1e3, sum)
 	}
 }

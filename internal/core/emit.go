@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"iter"
 	"slices"
 	"sort"
 	"strconv"
@@ -355,16 +356,25 @@ func tidy(b []byte) []byte {
 
 // hasComment reports whether a comment starts in src[from:to].
 func (u *unit) hasComment(from, to int) bool {
-	cs := u.file.Comments
-	i := sort.Search(len(cs), func(i int) bool { return u.off(cs[i].End()) > from })
-	for ; i < len(cs) && u.off(cs[i].Pos()) < to; i++ {
-		for _, c := range cs[i].List {
-			if o := u.off(c.Pos()); o >= from && o < to {
-				return true
+	for range u.comments(from, to) {
+		return true
+	}
+	return false
+}
+
+// comments yields the comments that start in src[from:to], in order.
+func (u *unit) comments(from, to int) iter.Seq[*ast.Comment] {
+	return func(yield func(*ast.Comment) bool) {
+		cs := u.file.Comments
+		i := sort.Search(len(cs), func(i int) bool { return u.off(cs[i].End()) > from })
+		for ; i < len(cs) && u.off(cs[i].Pos()) < to; i++ {
+			for _, c := range cs[i].List {
+				if o := u.off(c.Pos()); o >= from && o < to && !yield(c) {
+					return
+				}
 			}
 		}
 	}
-	return false
 }
 
 // edited notes that the source line holding off now reads differently —

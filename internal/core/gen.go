@@ -461,11 +461,16 @@ func (lw *lowerer) genFor(n *node) {
 
 // bounds binds nest level i's lower bound as written, so that it keeps the
 // loop variable's type (`0` stays int, `int64(0)` int64, as `i := lb`
-// would have them), its step as an int64 (a descending loop over an
-// unsigned variable steps by a negative amount), and its trip count, an
-// int64, as trip. Each is evaluated once, before any shadowing.
+// would have them; for `i = lb` the bound is assigned to a copy of i, which
+// takes i's type and keeps i used), its step as an int64 (a descending loop
+// over an unsigned variable steps by a negative amount), and its trip
+// count, an int64, as trip. Each is evaluated once, before any shadowing.
 func (lw *lowerer) bounds(trip string, i int, h *loopHeader) {
-	fmt.Fprintf(lw.e, "__omp_lb%d := %s\n", i, lw.print(h.LB, 1))
+	if h.Assign {
+		fmt.Fprintf(lw.e, "__omp_lb%d := %s\n__omp_lb%d = %s\n", i, h.Var, i, lw.print(h.LB, 1))
+	} else {
+		fmt.Fprintf(lw.e, "__omp_lb%d := %s\n", i, lw.print(h.LB, 1))
+	}
 	fmt.Fprintf(lw.e, "__omp_st%d := int64(%s)\n", i, lw.print(h.Step, 1))
 	fmt.Fprintf(lw.e, "%s := omp.TripCount(__omp_lb%d, %s, __omp_st%d, %t)\n", trip, i, lw.print(h.UB, 2), i, h.Inclusive)
 }
@@ -580,6 +585,8 @@ func (lw *lowerer) genWrapped(n *node, what, call, args string) {
 // value with the loaded value in place of x — so a float sum associates as
 // written — and compare-and-swap, again if another thread got in between,
 // evaluating expr once per attempt. x must be addressable and numeric.
+// Comments written inside the statement go on lines of their own above
+// the code that replaces it.
 func (lw *lowerer) genAtomic(n *node) {
 	var x, val ast.Expr // the updated variable; its new value in the loop
 	helper := ""
@@ -616,6 +623,9 @@ func (lw *lowerer) genAtomic(n *node) {
 	var addr ast.Expr = &ast.UnaryExpr{Op: token.AND, X: x}
 	if star, ok := x.(*ast.StarExpr); ok {
 		addr = star.X
+	}
+	for c := range lw.comments(lw.off(n.stmt.Pos()), lw.off(n.stmt.End())) {
+		lw.e.code(c.Text + "\n") // the tree printed below carries no comments
 	}
 	if helper != "" {
 		lw.e.code(lw.print(call(helper, addr, val), 1))

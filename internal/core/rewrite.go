@@ -148,6 +148,7 @@ type loopHeader struct {
 	UB        ast.Expr // upper bound (right of the comparison)
 	Step      ast.Expr // increment (signed)
 	Inclusive bool     // <= or >= comparison
+	Assign    bool     // `i = lb`: the loop assigns a variable declared outside it
 	Body      *ast.BlockStmt
 	For       *ast.ForStmt
 	// Line is the for-line of a loop a transformation generated (Body and
@@ -159,7 +160,7 @@ type loopHeader struct {
 // The supported shape is the OpenMP canonical loop form transliterated to
 // Go: `for i := lb; i < ub; i++` with <, <=, >, >= comparisons and ++, --,
 // +=, -= increments. The loop variable may have any integer type: the
-// lowering keeps the lower bound's.
+// lowering keeps the lower bound's, or for `i = lb` the variable's own.
 func (lw *lowerer) extractLoopHeader(f *ast.ForStmt) (*loopHeader, error) {
 	h := &loopHeader{Body: f.Body, For: f}
 
@@ -174,6 +175,7 @@ func (lw *lowerer) extractLoopHeader(f *ast.ForStmt) (*loopHeader, error) {
 	}
 	h.Var = id.Name
 	h.LB = init.Rhs[0]
+	h.Assign = init.Tok == token.ASSIGN
 
 	// Condition: `i CMP ub` (or `ub CMP i`, which we reject for clarity).
 	cond, ok := f.Cond.(*ast.BinaryExpr)

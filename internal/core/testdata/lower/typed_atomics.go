@@ -19,6 +19,8 @@ func update(n int) (int64, uint32, uint32, float64, tally, uint64) {
 		//omp atomic
 		i64 += 3
 		//omp atomic
+		i64 += /* weight */ 2 * int64(i%3)
+		//omp atomic
 		i64 = i64 + 1 + 1
 		//omp atomic
 		i64++

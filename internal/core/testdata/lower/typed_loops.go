@@ -69,6 +69,18 @@ func unrolled(n uint) uint {
 	return s
 }
 
+// assigned has the assignment form of the canonical loop: the loop
+// variable is declared outside it, and the body uses it in its own type.
+func assigned(a []int64) int64 {
+	var s int64
+	var i int64
+	//omp parallel for reduction(+:s)
+	for i = 0; i < int64(len(a)); i++ {
+		s += a[i] * i
+	}
+	return s
+}
+
 func main() {
-	fmt.Println(batches(1000), grid(7, 9), tiles(11), tasks(50), unrolled(23))
+	fmt.Println(batches(1000), grid(7, 9), tiles(11), tasks(50), unrolled(23), assigned([]int64{3, 1, 4, 1, 5, 9, 2, 6}))
 }

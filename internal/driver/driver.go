@@ -189,20 +189,24 @@ func (d *Driver) Run() (*Report, error) {
 	}
 
 	results := make([]fileResult, len(files))
-	worker := func(_ *omp.Thread, i int64, f *sourceFile) {
-		results[i] = d.processOne(*f, prev)
+	work := func(lo, hi int64) {
+		for i := lo; i < hi; i++ {
+			results[i] = d.processOne(files[i], prev)
+		}
 	}
 	if cfg.Jobs <= 1 || len(files) < 2 {
-		for i := range files {
-			worker(nil, int64(i), &files[i])
-		}
+		work(0, int64(len(files)))
 	} else {
-		// The dogfooding call site: the crawl fan-out is itself an
-		// omp.ForEach-shaped workload, run on the very runtime whose
-		// sources the driver preprocesses.
-		// Files differ in cost by an order of magnitude (no pragma, or
-		// dozens): hand them out one at a time.
-		if err := omp.ForEach(files, worker, omp.NumThreads(cfg.Jobs), omp.Schedule(omp.Dynamic, 1)); err != nil {
+		// The dogfooding call site: the crawl fan-out runs on the very
+		// runtime whose sources the driver preprocesses. ParallelErr turns
+		// a worker's panic into an error; the loop runs nowait, so the
+		// join is its only rendezvous. Files differ in cost by an order of
+		// magnitude (no pragma, or dozens): hand them out one at a time.
+		err := omp.ParallelErr(func(t *omp.Thread) error {
+			omp.ForRange(t, int64(len(files)), work, omp.Schedule(omp.Dynamic, 1), omp.NoWait())
+			return nil
+		}, omp.NumThreads(cfg.Jobs))
+		if err != nil {
 			return nil, fmt.Errorf("driver: worker team: %w", err)
 		}
 	}

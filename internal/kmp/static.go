@@ -208,17 +208,3 @@ func forStaticCancel(t *Thread, tid, nth int, trip, chunk int64, body func(begin
 		body(lo, min(lo+sub, end))
 	}
 }
-
-// LastIterStatic reports whether thread tid executes the sequentially last
-// iteration under the given static schedule — the lastprivate predicate.
-func LastIterStatic(tid, nth int, trip, chunk int64) bool {
-	if trip == 0 {
-		return false
-	}
-	if chunk <= 0 {
-		begin, end := StaticBlock(tid, nth, trip)
-		return begin < end && end == trip
-	}
-	lastChunk := (trip - 1) / chunk
-	return int(lastChunk%int64(nth)) == tid
-}

@@ -223,42 +223,3 @@ func TestForStaticBlockVsChunked(t *testing.T) {
 		}
 	}
 }
-
-func TestLastIterStatic(t *testing.T) {
-	// Block: the thread owning the final iteration.
-	for _, tc := range []struct {
-		nth   int
-		trip  int64
-		chunk int64
-	}{{4, 100, 0}, {4, 100, 7}, {3, 10, 1}, {8, 5, 0}, {5, 0, 0}} {
-		owners := 0
-		for tid := 0; tid < tc.nth; tid++ {
-			if LastIterStatic(tid, tc.nth, tc.trip, tc.chunk) {
-				owners++
-				// Verify by brute force that this tid really runs trip-1.
-				found := false
-				if tc.chunk <= 0 {
-					b, e := StaticBlock(tid, tc.nth, tc.trip)
-					found = b <= tc.trip-1 && tc.trip-1 < e
-				} else {
-					StaticChunked(tid, tc.nth, tc.trip, tc.chunk, func(b, e int64) {
-						if b <= tc.trip-1 && tc.trip-1 < e {
-							found = true
-						}
-					})
-				}
-				if !found {
-					t.Fatalf("nth=%d trip=%d chunk=%d: LastIterStatic true for tid %d which does not run the last iteration",
-						tc.nth, tc.trip, tc.chunk, tid)
-				}
-			}
-		}
-		wantOwners := 1
-		if tc.trip == 0 {
-			wantOwners = 0
-		}
-		if owners != wantOwners {
-			t.Fatalf("nth=%d trip=%d chunk=%d: %d last-iteration owners, want %d", tc.nth, tc.trip, tc.chunk, owners, wantOwners)
-		}
-	}
-}

@@ -251,3 +251,37 @@ func TestTracerHook(t *testing.T) {
 		t.Fatal("collector received events after being uninstalled")
 	}
 }
+
+// Oversubscription: teams far larger than the processor count must fork,
+// synchronise and join — the configuration the paper's 96/128-thread table
+// rows need on smaller hosts.
+func TestForkOversubscribed(t *testing.T) {
+	const n = 96
+	var count atomic.Int32
+	ForkCall(Ident{}, n, func(th *Thread) {
+		count.Add(1)
+		th.Barrier()
+		th.Barrier()
+	})
+	if count.Load() != n {
+		t.Fatalf("oversubscribed fork ran %d threads, want %d", count.Load(), n)
+	}
+}
+
+// A long sequence of forks with varying sizes stresses hot-team resize and
+// barrier rebuild paths.
+func TestForkResizeChurn(t *testing.T) {
+	sizes := []int{2, 7, 3, 16, 1, 5, 16, 2}
+	for round := 0; round < 10; round++ {
+		for _, n := range sizes {
+			var count atomic.Int32
+			ForkCall(Ident{}, n, func(th *Thread) {
+				count.Add(1)
+				th.Barrier()
+			})
+			if int(count.Load()) != n {
+				t.Fatalf("size %d: ran %d", n, count.Load())
+			}
+		}
+	}
+}

@@ -34,7 +34,7 @@ func TestProfilerCapturesRegions(t *testing.T) {
 		{"barrier and dynamic loop", 42, 5, func(loc omp.Option) {
 			omp.Parallel(func(th *omp.Thread) {
 				omp.Barrier(th)
-				omp.For(th, 100, func(int64) {}, omp.Schedule(omp.Dynamic, 10))
+				omp.ForRange(th, 100, func(lo, hi int64) {}, omp.Schedule(omp.Dynamic, 10))
 			}, omp.NumThreads(4), loc)
 		}, 4, 0},
 		{"parallel-for storm", 43, 2000, func(loc omp.Option) {
@@ -118,7 +118,7 @@ func TestProfilerCapturesLoops(t *testing.T) {
 	p.Start()
 	defer p.Stop()
 	omp.Parallel(func(th *omp.Thread) {
-		omp.For(th, 50, func(int64) {}, omp.Schedule(omp.Guided, 4), omp.Loc("k.go", 7, "for"))
+		omp.ForRange(th, 50, func(lo, hi int64) {}, omp.Schedule(omp.Guided, 4), omp.Loc("k.go", 7, "for"))
 	}, omp.NumThreads(3))
 	p.Stop()
 	found := false
@@ -193,9 +193,11 @@ func TestNoProfilerNoPanic(t *testing.T) {
 // was recorded (stealing is scheduling-dependent).
 func profiledWorkload(p *Profiler) bool {
 	omp.Parallel(func(th *omp.Thread) {
-		omp.For(th, 64, func(i int64) {
-			if i == 0 {
-				time.Sleep(2 * time.Millisecond) // pin one thread, invite steals
+		omp.ForRange(th, 64, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				if i == 0 {
+					time.Sleep(2 * time.Millisecond) // pin one thread, invite steals
+				}
 			}
 		}, omp.Schedule(omp.Dynamic, 1), omp.Loc("work.go", 10, "for"))
 		var x int

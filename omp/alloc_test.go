@@ -32,9 +32,10 @@ func TestParallelWarmZeroAlloc(t *testing.T) {
 }
 
 // A worksharing loop must stay allocation-free too, in both spellings: a
-// ForRange inside a Parallel region (implicit barrier and static scheduling
-// run entirely on team-owned state) and the fused constructs gompcc emits
-// for `//omp parallel for`, whose loop travels in the runtime's region
+// ForRange inside a Parallel region, which is what gompcc emits for
+// `//omp parallel for` (implicit barrier and static scheduling run entirely
+// on team-owned state), and the fused ParallelFor/ParallelForRange the
+// benchmark harness calls, whose loop travels in the runtime's region
 // descriptor rather than in a wrapper closure. The bodies are built once, so
 // any allocation counted is the runtime's own.
 func TestParallelForRangeWarmZeroAlloc(t *testing.T) {

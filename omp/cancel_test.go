@@ -61,11 +61,15 @@ func TestWithContextDeadline(t *testing.T) {
 	ctx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer stop()
 	var iters atomic.Int64
-	err := ParallelForErr(1<<40, func(th *Thread, i int64) error {
-		iters.Add(1)
-		time.Sleep(50 * time.Microsecond)
+	err := ParallelErr(func(th *Thread) error {
+		ForRange(th, 1<<40, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				iters.Add(1)
+				time.Sleep(50 * time.Microsecond)
+			}
+		}, Schedule(Dynamic, 8), NoWait())
 		return nil
-	}, NumThreads(4), WithContext(ctx), Schedule(Dynamic, 8))
+	}, NumThreads(4), WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -74,19 +78,28 @@ func TestWithContextDeadline(t *testing.T) {
 	}
 }
 
+// spin is enough work per iteration that a loop of 1<<22 or more cannot
+// finish before a few-millisecond deadline.
+func spin(i int64) int64 {
+	acc := i
+	for j := int64(0); j < 24; j++ {
+		acc = acc*31 + j
+	}
+	return acc & 1
+}
+
 func TestWithContextDeadlineStaticSchedule(t *testing.T) {
 	ctx, stop := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer stop()
-	sink := make([]int, 4)
-	err := ForEach(make([]int64, 1<<22), func(th *Thread, i int64, v *int64) {
-		// Enough work per element that the whole loop cannot finish
-		// before the deadline; static blocks observe the cancel flag
-		// between bounded sub-chunks.
-		acc := i
-		for j := int64(0); j < 24; j++ {
-			acc = acc*31 + j
-		}
-		sink[th.Tid] += int(acc & 1)
+	sink := make([]int64, 4)
+	err := ParallelErr(func(th *Thread) error {
+		// Static blocks observe the cancel flag between bounded sub-chunks.
+		ForRange(th, 1<<22, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				sink[th.Tid] += spin(i)
+			}
+		}, NoWait())
+		return nil
 	}, NumThreads(4), WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -97,8 +110,8 @@ func TestWithContextAlreadyCancelled(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
 	var iters atomic.Int64
-	err := ParallelForErr(1<<20, func(th *Thread, i int64) error {
-		iters.Add(1)
+	err := ParallelErr(func(th *Thread) error {
+		ForRange(th, 1<<20, func(lo, hi int64) { iters.Add(hi - lo) }, NoWait())
 		return nil
 	}, NumThreads(4), WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
@@ -106,16 +119,25 @@ func TestWithContextAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// A thread that fails an iteration cancels the region: the team stops at
+// the next chunk boundary instead of running the rest of the loop.
 func TestBodyErrorCancelsRemainingIterations(t *testing.T) {
 	sentinel := errors.New("bad element")
 	var after atomic.Int64
-	err := ParallelForErr(1<<20, func(th *Thread, i int64) error {
-		if i == 0 {
-			return sentinel
-		}
-		after.Add(1)
-		return nil
-	}, NumThreads(4), Schedule(Dynamic, 16))
+	err := ParallelErr(func(th *Thread) error {
+		var bad error
+		ForRange(th, 1<<20, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				if i == 0 {
+					bad = sentinel
+					Cancel(th, CancelParallel)
+					return
+				}
+				after.Add(1)
+			}
+		}, Schedule(Dynamic, 16), NoWait())
+		return bad
+	}, NumThreads(4))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -124,65 +146,28 @@ func TestBodyErrorCancelsRemainingIterations(t *testing.T) {
 	}
 }
 
-func TestForEachTypesAndCompletion(t *testing.T) {
-	type pair struct{ a, b int }
-	s := make([]pair, 10000)
-	if err := ForEach(s, func(th *Thread, i int64, v *pair) {
-		v.a = int(i)
-		v.b = 2 * int(i)
-	}, NumThreads(4)); err != nil {
-		t.Fatal(err)
+// A panic in one thread's loop chunk comes back as ParallelErr's error, and
+// the team it tore down is usable again.
+func TestParallelErrRecoversLoopPanic(t *testing.T) {
+	err := ParallelErr(func(th *Thread) error {
+		ForRange(th, 1<<16, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				if i == 1000 {
+					panic("loop kaboom")
+				}
+			}
+		}, Schedule(Dynamic, 64), NoWait())
+		return nil
+	}, NumThreads(4))
+	if err == nil || !strings.Contains(err.Error(), "loop kaboom") {
+		t.Fatalf("err = %v, want recovered panic mentioning loop kaboom", err)
 	}
-	for i := range s {
-		if s[i].a != i || s[i].b != 2*i {
-			t.Fatalf("s[%d] = %+v", i, s[i])
-		}
-	}
-}
-
-func TestReduceInto(t *testing.T) {
-	a := make([]float64, 100000)
-	for i := range a {
-		a[i] = float64(i)
-	}
-	sum := 1.5 // prior value participates once
-	if err := ReduceInto(ReduceSum, &sum, int64(len(a)), func(th *Thread, i int64, acc float64) float64 {
-		return acc + a[i]
-	}, NumThreads(4)); err != nil {
-		t.Fatal(err)
-	}
-	want := 1.5 + float64(len(a)-1)*float64(len(a))/2
-	if sum != want {
-		t.Fatalf("sum = %v, want %v", sum, want)
-	}
-
-	best := int64(1 << 62)
-	if err := ReduceInto(ReduceMin, &best, 1000, func(th *Thread, i int64, acc int64) int64 {
-		v := (i - 500) * (i - 500)
-		if v < acc {
-			return v
-		}
-		return acc
-	}, NumThreads(4)); err != nil {
-		t.Fatal(err)
-	}
-	if best != 0 {
-		t.Fatalf("min = %d, want 0", best)
-	}
-}
-
-func TestReduceIntoLeavesDestinationOnError(t *testing.T) {
-	ctx, stop := context.WithCancel(context.Background())
-	stop()
-	sum := 42.0
-	err := ReduceInto(ReduceSum, &sum, 1<<20, func(th *Thread, i int64, acc float64) float64 {
-		return acc + 1
-	}, NumThreads(4), WithContext(ctx))
-	if err == nil {
-		t.Fatal("want error from cancelled context")
-	}
-	if sum != 42.0 {
-		t.Fatalf("sum = %v, want untouched 42", sum)
+	var n atomic.Int64
+	Parallel(func(th *Thread) {
+		ForRange(th, 1000, func(lo, hi int64) { n.Add(hi - lo) })
+	}, NumThreads(4))
+	if n.Load() != 1000 {
+		t.Fatalf("loop after the panic covered %d iterations, want 1000", n.Load())
 	}
 }
 
@@ -193,9 +178,11 @@ func TestGenericReductionTypedVariants(t *testing.T) {
 	r := NewReduction(ReduceMax, watts(1))
 	Parallel(func(th *Thread) {
 		local := r.Identity()
-		For(th, 1000, func(i int64) {
-			if w := watts(i % 777); w > local {
-				local = w
+		ForRange(th, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				if w := watts(i % 777); w > local {
+					local = w
+				}
 			}
 		})
 		r.Combine(local)
@@ -207,7 +194,11 @@ func TestGenericReductionTypedVariants(t *testing.T) {
 	u := NewReduction(ReduceSum, uint64(1<<63))
 	Parallel(func(th *Thread) {
 		local := u.Identity()
-		For(th, 1000, func(i int64) { local += uint64(i) })
+		ForRange(th, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local += uint64(i)
+			}
+		})
 		u.Combine(local)
 	}, NumThreads(4))
 	if got := u.Value(); got != 1<<63+999*1000/2 {
@@ -369,13 +360,13 @@ func TestParallelErrRecoversTaskPanic(t *testing.T) {
 func TestWithContextDeadlineSerialTeam(t *testing.T) {
 	ctx, stop := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer stop()
-	var sink atomic.Int64
-	err := ParallelForErr(1<<40, func(th *Thread, i int64) error {
-		acc := i
-		for j := int64(0); j < 24; j++ {
-			acc = acc*31 + j
-		}
-		sink.Add(acc & 1)
+	var sink int64
+	err := ParallelErr(func(th *Thread) error {
+		ForRange(th, 1<<40, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				sink += spin(i)
+			}
+		}, NoWait())
 		return nil
 	}, NumThreads(1), WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -396,11 +387,13 @@ func TestCancelForOutsideLoopIsNoop(t *testing.T) {
 		if Cancel(th, CancelFor) { // no enclosing loop: must not activate
 			stray.Add(1)
 		}
-		For(th, 1<<20, func(i int64) {
-			ran.Add(1)
-			if i == 0 {
-				if Cancel(th, CancelFor) {
-					cancelled.Add(1)
+		ForRange(th, 1<<20, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				ran.Add(1)
+				if i == 0 {
+					if Cancel(th, CancelFor) {
+						cancelled.Add(1)
+					}
 				}
 			}
 		}, Schedule(Dynamic, 64))

@@ -7,9 +7,9 @@ import (
 )
 
 // The v2 entry points: error-aware, context-aware parallel regions and the
-// OpenMP cancellation constructs. The paper's constructs (Parallel, For, …)
-// mirror directives exactly and therefore can neither fail nor be
-// interrupted; serving traffic where every request carries a deadline needs
+// OpenMP cancellation constructs. The paper's constructs (Parallel,
+// ForRange, …) mirror directives exactly and therefore can neither fail nor
+// be interrupted; serving traffic where every request carries a deadline needs
 // both, so these wrappers bind a region to a context.Context and surface
 // panics and errors instead of crashing the process. The runtime half lives
 // in internal/kmp/cancel.go.
@@ -30,10 +30,9 @@ const (
 // WithContext binds ctx to the parallel region: when ctx is cancelled or its
 // deadline passes, region cancellation activates and every team thread stops
 // at its next cancellation point — the next loop chunk, barrier, task
-// scheduling point, or explicit CancellationPoint. Only the error-returning
-// entry points (ParallelErr, ParallelForErr, ForEach, ReduceInto) can report
-// the resulting ctx.Err(); on the void constructs the region simply returns
-// early.
+// scheduling point, or explicit CancellationPoint. Only ParallelErr can
+// report the resulting ctx.Err(); on the void constructs the region simply
+// returns early.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
@@ -47,35 +46,6 @@ func WithContext(ctx context.Context) Option {
 func ParallelErr(body func(t *Thread) error, opts ...Option) error {
 	r, _ := clauses(opts)
 	return kmp.ForkCallErr(r.loc, r.n, r.ctx, body)
-}
-
-// ParallelForErr fuses ParallelErr and For: body receives each iteration of
-// [0, trip) on some team thread and may return an error, which cancels the
-// team — remaining chunks are not dispatched — and becomes the call's
-// result. With WithContext, a deadline mid-loop stops iteration at the next
-// chunk boundary and returns the context's error.
-func ParallelForErr(trip int64, body func(t *Thread, i int64) error, opts ...Option) error {
-	r, l := clauses(opts)
-	sched := l.sched
-	return kmp.ForkCallErr(r.loc, r.n, r.ctx, func(t *Thread) error {
-		var first error
-		// No per-iteration cancellation probe: the loop drivers already
-		// observe the region flag at every chunk boundary (DispatchNext,
-		// forStaticCancel), which is the granularity this construct
-		// promises; an error ends the erring thread's own chunk via the
-		// return below. Like ParallelFor, the loop runs nowait: the join
-		// is its closing barrier.
-		kmp.Loop(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				if err := body(t, i); err != nil {
-					first = err
-					t.Cancel(kmp.CancelParallel)
-					return
-				}
-			}
-		})
-		return first
-	})
 }
 
 // Cancel is the cancel directive: it requests cancellation of the innermost

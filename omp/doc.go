@@ -14,23 +14,23 @@
 //     explicit-context variants on *Thread, which are free of that lookup.
 //
 //   - The structured constructs the preprocessor lowers pragmas onto:
-//     Parallel, For, ParallelFor, Single, Masked, Sections, Critical,
-//     Barrier, the explicit-tasking constructs (Task, Taskwait, Taskgroup,
-//     Taskloop), the cancellation pair (Cancel, CancellationPoint) and the
-//     reduction fold (Reduce, ReduceBool). These correspond to the paper's
+//     Parallel, ForRange, Single, Masked, Sections, Critical, Barrier, the
+//     explicit-tasking constructs (Task, Taskwait, Taskgroup, Taskloop),
+//     the cancellation pair (Cancel, CancellationPoint) and the reduction
+//     fold (Reduce, ReduceBool). These correspond to the paper's
 //     `.omp.internal` namespace of generic wrappers over the __kmpc_*
 //     families — not intended to be pretty for humans, but usable directly.
+//     The fused ParallelFor and ParallelForRange and the arrival-order
+//     Reduction cell are the benchmark harness's hand-written forms.
 //
-//   - The v2 library constructs, which only an importable package (not a
-//     pragma) can express: error- and context-aware region launch
-//     (ParallelErr, ParallelForErr, WithContext) that recovers worker
-//     panics and tears teams down on deadline, and the type-safe generic
-//     collection constructs (ForEach over any slice type, ReduceInto over
-//     any Numeric type, the arrival-order Reduction cell).
+//   - Error- and context-aware region launch (ParallelErr, WithContext),
+//     which only an importable package (not a pragma) can express: it
+//     recovers worker panics and tears teams down on deadline. A loop
+//     inside it is a ForRange like any other.
 //
 // # Loop scheduling
 //
-// Worksharing loops (For, ForRange, ParallelFor) take a Schedule option
+// Worksharing loops (ForRange, ParallelFor) take a Schedule option
 // mirroring the schedule clause. One engine backs it: every thread claims
 // schedule-sized chunks by popping them off the front of a range of
 // unclaimed iterations, which comes in two configurations:
@@ -207,13 +207,19 @@
 //	ctx, stop := context.WithTimeout(context.Background(), 50*time.Millisecond)
 //	defer stop()
 //	dot := 0.0
-//	err := omp.ReduceInto(omp.ReduceSum, &dot, int64(len(a)),
-//		func(t *omp.Thread, i int64, acc float64) float64 {
-//			return acc + a[i]*b[i]
-//		}, omp.WithContext(ctx))
+//	err := omp.ParallelErr(func(t *omp.Thread) error {
+//		local := 0.0
+//		omp.ForRange(t, int64(len(a)), func(lo, hi int64) {
+//			for i := lo; i < hi; i++ {
+//				local += a[i] * b[i]
+//			}
+//		}, omp.NoWait())
+//		omp.Reduce(t, omp.ReduceSum, &dot, local)
+//		return nil
+//	}, omp.WithContext(ctx))
 //
-// err is context.DeadlineExceeded when the deadline tore the team down, and
-// dot is then left untouched.
+// err is context.DeadlineExceeded when the deadline tore the team down; dot
+// then holds a partial sum and should be discarded.
 //
 // # Observability
 //

@@ -54,7 +54,11 @@ func TestGenericReductionEndToEnd(t *testing.T) {
 	r := NewReduction(ReduceSum, sum)
 	Parallel(func(th *Thread) {
 		local := r.Identity()
-		For(th, 1000, func(i int64) { local += 0.5 })
+		ForRange(th, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local += 0.5
+			}
+		})
 		r.Combine(local)
 	}, NumThreads(4))
 	if got := r.Value(); got != 3.5+500 {
@@ -64,7 +68,11 @@ func TestGenericReductionEndToEnd(t *testing.T) {
 	prod := NewReduction(ReduceProd, int64(3))
 	Parallel(func(th *Thread) {
 		local := prod.Identity()
-		For(th, 10, func(i int64) { local *= 2 })
+		ForRange(th, 10, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local *= 2
+			}
+		})
 		prod.Combine(local)
 	}, NumThreads(4))
 	if got := prod.Value(); got != 3*1024 {
@@ -76,7 +84,11 @@ func TestGenericBitwise(t *testing.T) {
 	or := NewReduction(ReduceBitOr, uint32(0))
 	Parallel(func(th *Thread) {
 		local := or.Identity()
-		For(th, 8, func(i int64) { local |= 1 << uint(i) })
+		ForRange(th, 8, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local |= 1 << uint(i)
+			}
+		})
 		or.Combine(local)
 	}, NumThreads(3))
 	if got := or.Value(); got != 0xFF {
@@ -86,7 +98,11 @@ func TestGenericBitwise(t *testing.T) {
 	and := NewReduction(ReduceBitAnd, int32(-1))
 	Parallel(func(th *Thread) {
 		local := and.Identity()
-		For(th, 4, func(i int64) { local &= ^(int32(1) << uint(i)) })
+		ForRange(th, 4, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local &= ^(int32(1) << uint(i))
+			}
+		})
 		and.Combine(local)
 	}, NumThreads(2))
 	if got := and.Value(); got != ^int32(0xF) {
@@ -96,7 +112,11 @@ func TestGenericBitwise(t *testing.T) {
 	xor := NewReduction(ReduceBitXor, uint64(0))
 	Parallel(func(th *Thread) {
 		local := xor.Identity()
-		For(th, 7, func(i int64) { local ^= uint64(i) })
+		ForRange(th, 7, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local ^= uint64(i)
+			}
+		})
 		xor.Combine(local)
 	}, NumThreads(2))
 	want := uint64(0 ^ 1 ^ 2 ^ 3 ^ 4 ^ 5 ^ 6)
@@ -110,10 +130,12 @@ func TestGenericMinMax(t *testing.T) {
 	mx := NewReduction(ReduceMax, math.Inf(-1))
 	Parallel(func(th *Thread) {
 		lmn, lmx := mn.Identity(), mx.Identity()
-		For(th, 1000, func(i int64) {
-			v := float64((i*31)%997) - 500
-			lmn = math.Min(lmn, v)
-			lmx = math.Max(lmx, v)
+		ForRange(th, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				v := float64((i*31)%997) - 500
+				lmn = math.Min(lmn, v)
+				lmx = math.Max(lmx, v)
+			}
 		})
 		mn.Combine(lmn)
 		mx.Combine(lmx)

@@ -43,8 +43,10 @@ func TestForCoversIterationSpace(t *testing.T) {
 	const trip = 1000
 	counts := make([]int32, trip)
 	Parallel(func(th *Thread) {
-		For(th, trip, func(i int64) {
-			atomic.AddInt32(&counts[i], 1)
+		ForRange(th, trip, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
 		})
 	}, NumThreads(4))
 	for i, c := range counts {
@@ -68,7 +70,11 @@ func TestForSchedules(t *testing.T) {
 		const trip = 500
 		var sum atomic.Int64
 		Parallel(func(th *Thread) {
-			For(th, trip, func(i int64) { sum.Add(i) }, opt)
+			ForRange(th, trip, func(lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					sum.Add(i)
+				}
+			}, opt)
 		}, NumThreads(4))
 		if want := int64(trip * (trip - 1) / 2); sum.Load() != want {
 			t.Fatalf("schedule variant covered sum %d, want %d", sum.Load(), want)
@@ -83,7 +89,7 @@ func TestForRuntimeScheduleUsesICV(t *testing.T) {
 	const trip = 200
 	var sum atomic.Int64
 	Parallel(func(th *Thread) {
-		For(th, trip, func(i int64) { sum.Add(1) }, Schedule(Runtime, 0))
+		ForRange(th, trip, func(lo, hi int64) { sum.Add(hi - lo) }, Schedule(Runtime, 0))
 	}, NumThreads(4))
 	if sum.Load() != trip {
 		t.Fatalf("runtime schedule covered %d, want %d", sum.Load(), trip)
@@ -97,7 +103,7 @@ func TestForImplicitBarrier(t *testing.T) {
 	var done atomic.Int32
 	var violation atomic.Bool
 	Parallel(func(th *Thread) {
-		For(th, trip, func(i int64) { done.Add(1) })
+		ForRange(th, trip, func(lo, hi int64) { done.Add(int32(hi - lo)) })
 		if done.Load() != trip {
 			violation.Store(true)
 		}
@@ -113,7 +119,7 @@ func TestForNoWaitSkipsBarrier(t *testing.T) {
 	const trip = 100
 	var sum atomic.Int64
 	Parallel(func(th *Thread) {
-		For(th, trip, func(i int64) { sum.Add(1) }, NoWait())
+		ForRange(th, trip, func(lo, hi int64) { sum.Add(hi - lo) }, NoWait())
 		Barrier(th)
 		if th.Tid == 0 && sum.Load() != trip {
 			t.Errorf("nowait loop covered %d, want %d", sum.Load(), trip)

@@ -21,8 +21,10 @@ func TestOrderedParallelFor(t *testing.T) {
 		const trip = 200
 		var got []int64
 		omp.Parallel(func(th *omp.Thread) {
-			omp.For(th, trip, func(i int64) {
-				omp.Ordered(th, func() { got = append(got, i) })
+			omp.ForRange(th, trip, func(lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					omp.Ordered(th, func() { got = append(got, i) })
+				}
 			}, opts...)
 		}, omp.NumThreads(4))
 		if len(got) != trip {

@@ -7,7 +7,7 @@ import (
 	"gomp/internal/kmp"
 )
 
-// Option configures a Parallel, For or ParallelFor construct — the analog of
+// Option configures a Parallel, ForRange or ParallelFor construct — the analog of
 // a directive clause. Options not meaningful for a construct are ignored,
 // mirroring how the paper's parser accepts a clause set per directive.
 type Option func(*config)
@@ -196,22 +196,11 @@ func Parallel(body func(t *Thread), opts ...Option) {
 	kmp.ForkCallCtx(r.loc, r.n, r.ctx, body)
 }
 
-// For runs a worksharing loop of trip iterations inside a parallel region:
-// the lowering of `//omp for`. body is invoked for each iteration index in
-// [0, trip) assigned to this thread. The loop ends with an implicit barrier
-// unless NoWait is given. Without a Schedule option the loop is
-// schedule(static).
-func For(t *Thread, trip int64, body func(i int64), opts ...Option) {
-	ForRange(t, trip, func(lo, hi int64) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	}, opts...)
-}
-
-// ForRange is For at chunk granularity: body receives each half-open
-// iteration range assigned to this thread. Kernels with vectorisable inner
-// loops (the NPB ports) use this form to keep the hot loop free of calls.
+// ForRange runs a worksharing loop of trip iterations inside a parallel
+// region: the lowering of `//omp for`. body receives each half-open chunk
+// of [0, trip) assigned to this thread, so the hot loop inside it stays
+// free of calls. The loop ends with an implicit barrier unless NoWait is
+// given. Without a Schedule option the loop is schedule(static).
 //
 // An orphaned worksharing loop — t nil because no parallel region encloses
 // the construct — binds to a team of one and runs the whole range, as the
@@ -237,9 +226,11 @@ func Ordered(t *Thread, body func()) {
 	t.Ordered(body)
 }
 
-// ParallelFor fuses Parallel and For: the lowering of
-// `//omp parallel for`. body receives the executing thread and an iteration
-// index in [0, trip).
+// ParallelFor fuses Parallel and a worksharing loop: body receives the
+// executing thread and an iteration index in [0, trip). The lowering emits
+// Parallel + ForRange for `//omp parallel for`; this form and
+// ParallelForRange serve hand-written callers such as the benchmark
+// harness.
 func ParallelFor(trip int64, body func(t *Thread, i int64), opts ...Option) {
 	r, l := clauses(opts)
 	kmp.ForkCallLoop(r.loc, r.n, r.ctx, l.sched, trip, nil, body)

@@ -11,16 +11,18 @@ func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float
 	v := initial
 	Parallel(func(t *Thread) {
 		local := ReduceIdentity(op, v)
-		For(t, trip, func(i int64) {
-			switch op {
-			case ReduceSum:
-				local += f(i)
-			case ReduceProd:
-				local *= f(i)
-			case ReduceMin:
-				local = math.Min(local, f(i))
-			case ReduceMax:
-				local = math.Max(local, f(i))
+		ForRange(t, trip, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				switch op {
+				case ReduceSum:
+					local += f(i)
+				case ReduceProd:
+					local *= f(i)
+				case ReduceMin:
+					local = math.Min(local, f(i))
+				case ReduceMax:
+					local = math.Max(local, f(i))
+				}
 			}
 		}, NoWait())
 		Reduce(t, op, &v, local)
@@ -115,8 +117,10 @@ func TestInt64Reductions(t *testing.T) {
 		v := c.initial
 		Parallel(func(t *Thread) {
 			local := ReduceIdentity(c.op, v)
-			For(t, c.trip, func(i int64) {
-				local = reduceFold(c.op, local, c.f(i))
+			ForRange(t, c.trip, func(lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					local = reduceFold(c.op, local, c.f(i))
+				}
 			}, NoWait())
 			Reduce(t, c.op, &v, local)
 		}, NumThreads(4))
@@ -158,7 +162,11 @@ func TestBoolReductions(t *testing.T) {
 	and := true
 	Parallel(func(t *Thread) {
 		local := true
-		For(t, 1000, func(i int64) { local = local && (i != 617) }, NoWait())
+		ForRange(t, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local = local && (i != 617)
+			}
+		}, NoWait())
 		ReduceBool(t, ReduceLogicalAnd, &and, local)
 	}, NumThreads(4))
 	if and {
@@ -169,7 +177,11 @@ func TestBoolReductions(t *testing.T) {
 	var or flag
 	Parallel(func(t *Thread) {
 		var local flag
-		For(t, 1000, func(i int64) { local = local || (i == 617) }, NoWait())
+		ForRange(t, 1000, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				local = local || (i == 617)
+			}
+		}, NoWait())
 		ReduceBool(t, ReduceLogicalOr, &or, local)
 	}, NumThreads(4))
 	if !or {
@@ -223,7 +235,7 @@ func TestReductionInitialValueOnce(t *testing.T) {
 		v := int64(1000)
 		Parallel(func(t *Thread) {
 			var local int64
-			For(t, 10, func(i int64) { local += 1 }, NoWait())
+			ForRange(t, 10, func(lo, hi int64) { local += hi - lo }, NoWait())
 			Reduce(t, ReduceSum, &v, local)
 		}, NumThreads(nth))
 		if v != 1010 {

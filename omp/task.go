@@ -141,7 +141,7 @@ func Taskgroup(t *Thread, body func(), opts ...Option) {
 
 // Taskloop chunks [0, trip) into explicit tasks: the lowering of
 // `//omp taskloop`, and a second, task-granular scheduling strategy for
-// loops next to For's static/dynamic dispatch. body receives each chunk
+// loops next to ForRange's static/dynamic dispatch. body receives each chunk
 // with the thread executing it. Granularity comes from Grainsize or
 // NumTasks (default: two chunks per team thread); the call waits for all
 // chunks unless NoGroup is given.
