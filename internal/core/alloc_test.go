@@ -13,18 +13,21 @@ import (
 	"testing"
 )
 
-// The lowering writes each file's output once, into one buffer (emit.go).
-// This is the front end's allocation budget, the twin of the runtime's
-// zero-allocation fork path: the corpus fixtures, lowered one file at a
-// time, must stay under a ceiling of bytes and allocations per file. The
-// ceilings are this design's figures with Go 1.24 (≈19.5 KB and 376
-// allocations per file) plus headroom, and lie below what building each
-// directive's text apart and copying it into its parent's costs (≈29 KB
-// and 421). Allocation counts are deterministic, so a failure is a
-// regression, not noise.
+// The lowering writes each file's output once, into one buffer (emit.go),
+// and generated text goes straight into it: expressions are printed through
+// one reused buffer, and no syntax tree, string or statement list is built
+// only to be printed or searched once. This is the front end's allocation
+// budget, the twin of the runtime's zero-allocation fork path: the corpus
+// fixtures, lowered one file at a time, must stay under a ceiling of bytes
+// and allocations per file. The ceilings are this design's figures with
+// Go 1.24 (≈16.3 KB and 302 allocations per file) plus about 5%, and lie
+// below what building generated expressions as trees and text as strings
+// costs (≈19.5 KB and 376), itself below building each directive's text
+// apart and copying it into its parent's (≈29 KB and 421). Allocation
+// counts are deterministic, so a failure is a regression, not noise.
 const (
-	budgetBytesPerFile  = 22 << 10
-	budgetAllocsPerFile = 410
+	budgetBytesPerFile  = 17100
+	budgetAllocsPerFile = 318
 )
 
 func TestLoweringAllocationBudget(t *testing.T) {

@@ -77,11 +77,18 @@
 // The front end never runs go/types: where a lowering needs a type, it
 // hands a user value to a generic helper in omp/codegen_support.go and gc
 // infers the type. A loop variable is omp.LoopVar(lb, k, st), in its lower
-// bound's type as `i := lb` would have it, with an int64 trip count; an
-// `//omp atomic` update is omp.AtomicAdd/Sub/And/Or on the variable's
-// address (a native atomic for an integer) or, for any other operator and
-// for `x = expr`, the paper's Listing 6 loop over omp.AtomicLoad and
-// omp.AtomicCAS. Threadprivate accesses inside a region use the region's
+// bound's type as `i := lb` would have it, with an int64 trip count. For the
+// assignment form `for i = lb; …` the lower bound is first bound to a copy
+// of i (`__omp_lb0 := i` then `__omp_lb0 = lb`; __omp_tlb0 and __omp_ulb
+// under tile and unroll, and a full unroll's `i := i` then `i = 3`), so the
+// loop variable takes the declared variable's type. Every lowering declares
+// its own copy of i, in the construct: the original variable keeps the
+// value it had before the construct, not the exit value a serial run of the
+// loop leaves in it (only the identity `unroll partial(1)`, which keeps the
+// loop as written, leaves that). An `//omp atomic` update is omp.AtomicAdd/Sub/And/Or
+// on the variable's address (a native atomic for an integer) or, for any
+// other operator and for `x = expr`, the paper's Listing 6 loop over
+// omp.AtomicLoad and omp.AtomicCAS. Threadprivate accesses inside a region use the region's
 // thread variable; only those outside any region look the thread up.
 //
 // The tasking directives (task, taskwait, taskgroup, taskloop) lower onto

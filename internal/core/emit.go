@@ -149,12 +149,28 @@ func (e *emitter) resolve(i int) {
 // with '{' is one level in — every shape the generators write.
 func (e *emitter) code(s string) { emitCode(e, s) }
 
-// Write writes generated Go, as code does: fmt.Fprintf(e, …) writes a
-// template.
-func (e *emitter) Write(p []byte) (int, error) {
-	emitCode(e, p)
-	return len(p), nil
+// put writes the concatenation of parts as code would: code lays text out
+// line by line, so writing it in pieces writes the same bytes.
+func (e *emitter) put(parts ...string) {
+	for _, s := range parts {
+		emitCode(e, s)
+	}
 }
+
+// num writes a decimal integer of generated Go.
+func (e *emitter) num(v int64) {
+	var b [20]byte
+	emitCode(e, strconv.AppendInt(b[:0], v, 10))
+}
+
+// quote writes s as a Go string literal.
+func (e *emitter) quote(s string) {
+	var b [64]byte
+	emitCode(e, strconv.AppendQuote(b[:0], s))
+}
+
+// WriteString is code, for what writes to the emitter or to a printer.
+func (e *emitter) WriteString(s string) { emitCode(e, s) }
 
 func emitCode[S ~string | ~[]byte](e *emitter, s S) {
 	for {
@@ -263,14 +279,19 @@ func (lw *lowerer) user(b body) {
 }
 
 // capture runs f with the lowering writing into a scratch buffer, which it
-// returns; release hands the buffer back once its text is written.
+// returns; release hands the buffer back once its text is written. The
+// scratch emitter is kept for the next capture.
 func (lw *lowerer) capture(f func()) []byte {
-	e := lw.e
-	lw.e, lw.spare = &emitter{out: lw.spare}, nil
+	e, s := lw.e, lw.spareE
+	if s == nil {
+		s = &emitter{}
+	}
+	*s = emitter{out: lw.spare, secs: s.secs[:0]}
+	lw.e, lw.spare, lw.spareE = s, nil, nil
 	f()
-	out := lw.e.out
-	lw.reformat = lw.reformat || lw.e.bad
-	lw.e = e
+	out := s.out
+	lw.reformat = lw.reformat || s.bad
+	lw.e, lw.spareE, s.out = e, s, nil
 	return out
 }
 
@@ -529,9 +550,10 @@ func (w *prefixOf) Write(p []byte) (int, error) {
 // in force; a clause expression is parsed on its own, and its identifiers
 // are renamed by name. Anything it does not lay out exactly like gofmt —
 // literals of functions, composites and types with bodies, a subtree of the
-// file spanning lines or holding a comment — sets bad.
+// file spanning lines or holding a comment — sets bad. It prints into the
+// lowerer's reusable buffer (printer, done).
 type exprPrinter struct {
-	strings.Builder
+	buf    []byte
 	last   token.Token // the operator just written, if nothing followed it
 	lw     *lowerer
 	clause bool // a clause expression, not part of the file
@@ -539,23 +561,40 @@ type exprPrinter struct {
 	bad    bool
 }
 
-// print returns e as gofmt prints it at depth (1 for a statement's own
-// expressions; one more inside each call of several arguments, binary
-// right operand or index).
-func (lw *lowerer) print(e ast.Expr, depth int) string {
-	p := &exprPrinter{lw: lw}
-	return p.run(e, depth)
+// printer returns a printer writing into the lowerer's spare buffer, which
+// it holds until done: a printer started while another prints (the text of
+// a function literal lowers what is nested in it) gets a buffer of its own.
+func (lw *lowerer) printer(clause bool) exprPrinter {
+	p := exprPrinter{buf: lw.pbuf[:0], lw: lw, clause: clause}
+	lw.pbuf = nil
+	return p
 }
 
-// clauseText returns a clause's host expression printed at depth, with the
+// done hands the printer's buffer back for the next one.
+func (p *exprPrinter) done() {
+	if cap(p.buf) > cap(p.lw.pbuf) {
+		p.lw.pbuf = p.buf[:0]
+	}
+}
+
+// expr writes x where the emitter stands, as gofmt prints it at depth (1
+// for a statement's own expressions; one more inside each call of several
+// arguments, binary right operand or index).
+func (lw *lowerer) expr(x ast.Expr, depth int) {
+	p := lw.printer(false)
+	p.run(x, depth)
+	p.end()
+}
+
+// clause writes a clause's host expression printed at depth, with the
 // file's threadprivate variables replaced by their accessors as they are
 // everywhere else.
-func (lw *lowerer) clauseText(s string, depth int) string {
-	p := &exprPrinter{lw: lw, clause: true}
-	if text := p.run(lw.clauseExpr(s), depth); !p.bad {
-		return text
+func (lw *lowerer) clause(s string, depth int) {
+	p := lw.printer(true)
+	if p.run(lw.clauseExpr(s), depth); p.bad {
+		p.buf = append(p.buf[:0], lw.rawClause(s)...)
 	}
-	return lw.rawClause(s)
+	p.end()
 }
 
 // rawClause is s with the threadprivate variables replaced and nothing
@@ -583,10 +622,9 @@ func (lw *lowerer) rawClause(s string) string {
 	return s
 }
 
-func (p *exprPrinter) run(e ast.Expr, depth int) string {
+func (p *exprPrinter) run(e ast.Expr, depth int) {
 	p.expr1(e, token.LowestPrec, depth)
 	p.lw.reformat = p.lw.reformat || p.bad
-	return p.String()
 }
 
 // clauseExpr parses a clause's raw host expression. One that does not parse
@@ -785,15 +823,41 @@ func (p *exprPrinter) op(tok token.Token) {
 	p.last = tok
 }
 
-// WriteString and WriteByte write anything but an operator.
+// WriteString, WriteByte, put and num write anything but an operator.
 func (p *exprPrinter) WriteString(s string) {
-	p.Builder.WriteString(s)
+	p.buf = append(p.buf, s...)
 	p.last = token.ILLEGAL
 }
 
 func (p *exprPrinter) WriteByte(c byte) error {
+	p.buf = append(p.buf, c)
 	p.last = token.ILLEGAL
-	return p.Builder.WriteByte(c)
+	return nil
+}
+
+func (p *exprPrinter) put(parts ...string) {
+	for _, s := range parts {
+		p.WriteString(s)
+	}
+}
+
+func (p *exprPrinter) num(v int64) {
+	p.buf = strconv.AppendInt(p.buf, v, 10)
+	p.last = token.ILLEGAL
+}
+
+// text returns what the printer wrote, for text that is kept, and end
+// writes it where the emitter stands and hands the buffer back: the two
+// ways a printer that wrote generated text around expressions finishes.
+func (p *exprPrinter) text() string {
+	p.lw.reformat = p.lw.reformat || p.bad
+	return string(p.buf)
+}
+
+func (p *exprPrinter) end() {
+	p.lw.reformat = p.lw.reformat || p.bad
+	emitCode(p.lw.e, p.buf)
+	p.done()
 }
 
 func (p *exprPrinter) basicLit(x *ast.BasicLit) {

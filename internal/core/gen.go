@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // Per-directive code generation: the «perform … replacement» half of the
@@ -35,8 +36,14 @@ func schedConst(s SchedEnum) string {
 	return ""
 }
 
-func (lw *lowerer) locArg(n *node, region string) string {
-	return fmt.Sprintf("omp.Loc(%q, %d, %q)", lw.opts.Filename, n.line, region)
+// loc writes the source location omp.Loc(file, line, region) of n's pragma.
+func (lw *lowerer) loc(n *node, region string) {
+	e := lw.e
+	e.code("omp.Loc(")
+	e.quote(lw.opts.Filename)
+	e.code(", ")
+	e.num(int64(n.line))
+	e.put(", \"", region, "\")")
 }
 
 // gen dispatches to the per-directive generators, which write n's
@@ -62,13 +69,15 @@ func (lw *lowerer) gen(n *node) {
 	case DirTaskgroup:
 		// The block runs on the encountering thread, which then waits for
 		// every descendant task spawned inside.
-		lw.genWrapped(n, "a taskgroup", "omp.Taskgroup", ", "+lw.locArg(n, "taskgroup"))
+		lw.genWrapped(n, "a taskgroup", "omp.Taskgroup", "taskgroup")
 	case DirCritical:
 		body, ok := lw.block(n, "a critical block")
 		if !ok {
 			return
 		}
-		fmt.Fprintf(e, "omp.Critical(%q, func() {\n", n.d.Clauses.Name)
+		e.code("omp.Critical(")
+		e.quote(n.d.Clauses.Name)
+		e.code(", func() {\n")
 		lw.user(body)
 		e.code("\n})")
 	case DirAtomic:
@@ -79,16 +88,17 @@ func (lw *lowerer) gen(n *node) {
 			e.code("omp.Barrier(omp.Current())")
 			return
 		}
-		fmt.Fprintf(e, "omp.Barrier(%s)", tvar)
-		if g := lw.cancelGuard(tvar, false); g != "" {
-			e.code("\n" + g)
+		e.put("omp.Barrier(", tvar, ")")
+		if lw.cancels {
+			e.code("\n")
+			lw.cancelGuard(tvar, false)
 		}
 	case DirTaskwait:
-		fmt.Fprintf(e, "omp.Taskwait(%s)", lw.threadOrCurrent(n))
+		e.put("omp.Taskwait(", lw.threadOrCurrent(n), ")")
 	case DirTaskyield:
 		// A task scheduling point: the thread may pick up another ready
 		// task before resuming.
-		fmt.Fprintf(e, "omp.Taskyield(%s)", lw.threadOrCurrent(n))
+		e.put("omp.Taskyield(", lw.threadOrCurrent(n), ")")
 	case DirThreadPrivate:
 		// The pragma goes; threadPrivate rewrote the declarations.
 	case DirTask:
@@ -113,7 +123,7 @@ func (lw *lowerer) threadOrCurrent(n *node) string {
 	return "omp.Current()"
 }
 
-// cancelGuard returns the branch-out guard emitted after a barrier when the
+// cancelGuard writes the branch-out guard emitted after a barrier when the
 // file uses cancellation: barriers (implicit and explicit) are cancellation
 // points, so a thread released from a cancelled team's barrier must skip to
 // the end of the enclosing construct instead of running the code behind it.
@@ -125,11 +135,10 @@ func (lw *lowerer) threadOrCurrent(n *node) string {
 // user's function, where a bare return would exit (or fail to compile in)
 // the caller; an orphaned construct binds to a team of one whose region
 // ends with the function anyway.
-func (lw *lowerer) cancelGuard(tvar string, orphan bool) string {
-	if orphan || !lw.cancels {
-		return ""
+func (lw *lowerer) cancelGuard(tvar string, orphan bool) {
+	if !orphan && lw.cancels {
+		lw.e.put("if omp.CancellationPoint(", tvar, ", omp.CancelParallel) {\nreturn\n}\n")
 	}
-	return fmt.Sprintf("if omp.CancellationPoint(%s, omp.CancelParallel) {\nreturn\n}\n", tvar)
 }
 
 // shadowDecls emits the private/firstprivate lowering: a same-name local
@@ -150,7 +159,7 @@ func shadowDecls(e *emitter, vars ...[]string) {
 					continue next
 				}
 			}
-			fmt.Fprintf(e, "%s := %s\n_ = %s\n", v, v, v)
+			e.put(v, " := ", v, "\n_ = ", v, "\n")
 		}
 	}
 }
@@ -216,54 +225,69 @@ func (lw *lowerer) genParallel(n *node) {
 	// the fork; inside the region, a thread-local copy shadows it,
 	// initialised to the operator's identity as the standard requires
 	// (Section III-B1), and is folded into it at the end of the body.
-	reductions := func(f func(v, ptr string, op ReduceOp)) {
+	reductions := func(f func(v string, op ReduceOp)) {
 		for _, r := range c.Reductions {
 			for _, v := range r.Vars {
-				f(v, "__omp_red_"+v, r.Op)
+				f(v, r.Op)
 			}
 		}
 	}
 	e := lw.e
 	e.code("{\n")
-	reductions(func(v, ptr string, _ ReduceOp) { fmt.Fprintf(e, "%s := &%s\n", ptr, v) })
+	reductions(func(v string, _ ReduceOp) { e.put(redPrefix, v, " := &", v, "\n") })
 	e.code("omp.Parallel(func(__omp_t *omp.Thread) {\n")
 	shadowDecls(e, c.Private, c.FirstPrivate)
-	reductions(func(v, _ string, op ReduceOp) { fmt.Fprintf(e, "%s := %s\n_ = %s\n", v, identity(op, v), v) })
+	reductions(func(v string, op ReduceOp) {
+		e.put(v, " := ")
+		identity(e, op, v)
+		e.put("\n_ = ", v, "\n")
+	})
 	lw.user(body)
 	e.code("\n")
-	reductions(func(v, ptr string, op ReduceOp) { fmt.Fprintf(e, "%s\n", reduceCall(op, "__omp_t", ptr, v)) })
+	reductions(func(v string, op ReduceOp) { reduceCall(e, op, "__omp_t", redPrefix, v, v) })
 	e.code("}, ")
 	// The options are arguments of a call of several: gofmt's depth 2.
 	if c.NumThreads != "" {
-		fmt.Fprintf(e, "omp.NumThreads(%s), ", lw.clauseText(c.NumThreads, 2))
+		e.code("omp.NumThreads(")
+		lw.clause(c.NumThreads, 2)
+		e.code("), ")
 	}
 	if c.If != "" {
-		fmt.Fprintf(e, "omp.If(%s), ", lw.clauseText(c.If, 2))
+		e.code("omp.If(")
+		lw.clause(c.If, 2)
+		e.code("), ")
 	}
-	e.code(lw.locArg(n, "parallel") + ")\n}")
+	lw.loc(n, "parallel")
+	e.code(")\n}")
 }
 
-// identity is the initialiser of a reduction variable's per-thread copy:
-// the operator's identity, typed like v (read before the copy's scope
+// redPrefix names what stands for a reduction variable: the pointer to it
+// a region takes before the fork, and a loop's per-thread partial.
+const redPrefix = "__omp_red_"
+
+// identity writes the initialiser of a reduction variable's per-thread
+// copy: the operator's identity, typed like v (read before the copy's scope
 // begins, so v is the shared variable).
-func identity(op ReduceOp, v string) string {
+func identity(e *emitter, op ReduceOp, v string) {
 	switch op {
 	case RedLogicalAnd:
-		return "true"
+		e.code("true")
 	case RedLogicalOr:
-		return "false"
+		e.code("false")
+	default:
+		e.put("omp.ReduceIdentity(", op.RuntimeName(), ", ", v, ")")
 	}
-	return fmt.Sprintf("omp.ReduceIdentity(%s, %s)", op.RuntimeName(), v)
 }
 
-// reduceCall is the fold of a reduction variable: thread tvar's partial
-// local into the shared variable at ptr, at the reduction's barrier.
-func reduceCall(op ReduceOp, tvar, ptr, local string) string {
-	fn := "omp.Reduce"
+// reduceCall writes the fold of a reduction variable on a line of its own:
+// thread tvar's partial local into the shared variable at ptr+v, at the
+// reduction's barrier.
+func reduceCall(e *emitter, op ReduceOp, tvar, ptr, v, local string) {
+	fn := "omp.Reduce("
 	if op == RedLogicalAnd || op == RedLogicalOr {
-		fn = "omp.ReduceBool"
+		fn = "omp.ReduceBool("
 	}
-	return fmt.Sprintf("%s(%s, %s, %s, %s)", fn, tvar, op.RuntimeName(), ptr, local)
+	e.put(fn, tvar, ", ", op.RuntimeName(), ", ", ptr, v, ", ", local, ")\n")
 }
 
 // ------------------------------------------------------------------ for
@@ -360,7 +384,7 @@ func (lw *lowerer) genFor(n *node) {
 	var renamed [][2]string
 	for _, r := range c.Reductions {
 		for _, v := range r.Vars {
-			renamed = append(renamed, [2]string{v, "__omp_red_" + v})
+			renamed = append(renamed, [2]string{v, redPrefix + v})
 		}
 	}
 	for _, v := range c.LastPrivate {
@@ -381,22 +405,25 @@ func (lw *lowerer) genFor(n *node) {
 	}
 	lastPrivates := renamed[len(renamed)-len(c.LastPrivate):]
 	tvar, bind, orphan := lw.team(n)
-	open, body, close := lw.nestParts(nest, depth)
+	body := lw.nestBody(nest)
 
 	e := lw.e
-	e.code("{\n" + bind)
+	e.put("{\n", bind)
 	// Bounds per nest level, evaluated once before any shadowing.
 	for i, h := range hs {
-		lw.bounds(fmt.Sprintf("__omp_trip%d", i), i, h)
+		lw.bounds(i, h, true)
 	}
 	// Suffix products for collapse index reconstruction.
 	for i := 0; i < len(hs)-1; i++ {
-		fmt.Fprintf(e, "__omp_suf%d := ", i)
+		e.code("__omp_suf")
+		e.num(int64(i))
+		e.code(" := ")
 		for j := i + 1; j < len(hs); j++ {
 			if j > i+1 {
 				e.code(" * ")
 			}
-			fmt.Fprintf(e, "__omp_trip%d", j)
+			e.code("__omp_trip")
+			e.num(int64(j))
 		}
 		e.code("\n")
 	}
@@ -407,54 +434,62 @@ func (lw *lowerer) genFor(n *node) {
 	}
 	shadowDecls(e, c.Private, c.FirstPrivate)
 	reductions(func(op ReduceOp, v, local string) {
-		fmt.Fprintf(e, "%s := %s\n_ = %s\n", local, identity(op, v), local)
+		e.put(local, " := ")
+		identity(e, op, v)
+		e.put("\n_ = ", local, "\n")
 	})
 	for _, p := range lastPrivates {
-		fmt.Fprintf(e, "%s := %s\n_ = %s\n", p[1], p[0], p[1])
+		e.put(p[1], " := ", p[0], "\n_ = ", p[1], "\n")
 	}
 
-	fmt.Fprintf(e, "omp.ForRange(%s, __omp_trip, func(__omp_clo, __omp_chi int64) {\n", tvar)
+	e.put("omp.ForRange(", tvar, ", __omp_trip, func(__omp_clo, __omp_chi int64) {\n")
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
 	if len(hs) == 1 {
-		loopVar(e, hs[0].Var, 0, "__omp_k")
+		loopVar(e, hs[0].Var, 0, "__omp_k", -1)
 	} else {
 		e.code("__omp_r := __omp_k\n")
 		for i, h := range hs {
 			if i < len(hs)-1 {
-				loopVar(e, h.Var, i, fmt.Sprintf("__omp_r/__omp_suf%d", i))
-				fmt.Fprintf(e, "__omp_r %%= __omp_suf%d\n", i)
+				loopVar(e, h.Var, i, "__omp_r", i)
+				e.code("__omp_r %= __omp_suf")
+				e.num(int64(i))
+				e.code("\n")
 			} else {
-				loopVar(e, h.Var, i, "__omp_r")
+				loopVar(e, h.Var, i, "__omp_r", -1)
 			}
 		}
 	}
-	e.code(open)
+	nest.open(e, depth)
 	saved := lw.renames
 	lw.renames = mergeSplices(saved, renames)
 	lw.user(body)
 	lw.renames = saved
-	e.code(close + "\n")
+	nest.close(e, depth)
+	e.code("\n")
 	for _, p := range lastPrivates {
-		fmt.Fprintf(e, "if __omp_k == __omp_trip-1 {\n%s = %s\n}\n", p[0], p[1])
+		e.put("if __omp_k == __omp_trip-1 {\n", p[0], " = ", p[1], "\n}\n")
 	}
 	e.code("}\n}, omp.NoWait()") // the barrier is the reduction's, or emitted below
 	if c.HasSchedule {
-		mod := ""
+		e.put(", omp.Schedule(", schedConst(c.Sched), ", ")
+		e.num(c.Chunk)
 		if c.SchedMod != SchedModNone {
-			mod = ", " + c.SchedMod.RuntimeName()
+			e.put(", ", c.SchedMod.RuntimeName())
 		}
-		fmt.Fprintf(e, ", omp.Schedule(%s, %d%s)", schedConst(c.Sched), c.Chunk, mod)
+		e.code(")")
 	}
 	if c.Ordered {
 		e.code(", omp.OrderedClause()")
 	}
-	e.code(", " + lw.locArg(n, "for") + ")\n")
-	reductions(func(op ReduceOp, v, local string) { fmt.Fprintf(e, "%s\n", reduceCall(op, tvar, "&"+v, local)) })
+	e.code(", ")
+	lw.loc(n, "for")
+	e.code(")\n")
+	reductions(func(op ReduceOp, v, local string) { reduceCall(e, op, tvar, "&", v, local) })
 	if !c.NoWait {
 		if len(c.Reductions) == 0 {
-			fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
+			e.put("omp.Barrier(", tvar, ")\n")
 		}
-		e.code(lw.cancelGuard(tvar, orphan))
+		lw.cancelGuard(tvar, orphan)
 	}
 	e.code("}")
 }
@@ -465,20 +500,49 @@ func (lw *lowerer) genFor(n *node) {
 // takes i's type and keeps i used), its step as an int64 (a descending loop
 // over an unsigned variable steps by a negative amount), and its trip
 // count, an int64, as trip. Each is evaluated once, before any shadowing.
-func (lw *lowerer) bounds(trip string, i int, h *loopHeader) {
+func (lw *lowerer) bounds(i int, h *loopHeader, numbered bool) {
+	e, n := lw.e, int64(i)
+	e.code("__omp_lb")
+	e.num(n)
 	if h.Assign {
-		fmt.Fprintf(lw.e, "__omp_lb%d := %s\n__omp_lb%d = %s\n", i, h.Var, i, lw.print(h.LB, 1))
+		e.put(" := ", h.Var, "\n__omp_lb")
+		e.num(n)
+		e.code(" = ")
 	} else {
-		fmt.Fprintf(lw.e, "__omp_lb%d := %s\n", i, lw.print(h.LB, 1))
+		e.code(" := ")
 	}
-	fmt.Fprintf(lw.e, "__omp_st%d := int64(%s)\n", i, lw.print(h.Step, 1))
-	fmt.Fprintf(lw.e, "%s := omp.TripCount(__omp_lb%d, %s, __omp_st%d, %t)\n", trip, i, lw.print(h.UB, 2), i, h.Inclusive)
+	lw.expr(h.LB, 1)
+	e.code("\n__omp_st")
+	e.num(n)
+	e.code(" := int64(")
+	lw.expr(h.Step, 1)
+	e.code(")\n__omp_trip")
+	if numbered {
+		e.num(n)
+	}
+	e.code(" := omp.TripCount(__omp_lb")
+	e.num(n)
+	e.code(", ")
+	lw.expr(h.UB, 2)
+	e.code(", __omp_st")
+	e.num(n)
+	e.put(", ", strconv.FormatBool(h.Inclusive), ")\n")
 }
 
 // loopVar declares the user's loop variable v of level i at the logical
-// iteration k, in the type of the level's lower bound.
-func loopVar(e *emitter, v string, i int, k string) {
-	fmt.Fprintf(e, "%s := omp.LoopVar(__omp_lb%d, %s, __omp_st%d)\n_ = %s\n", v, i, k, i, v)
+// iteration k — k/__omp_suf<div> when div is not negative — in the type of
+// the level's lower bound.
+func loopVar(e *emitter, v string, i int, k string, div int) {
+	e.put(v, " := omp.LoopVar(__omp_lb")
+	e.num(int64(i))
+	e.put(", ", k)
+	if div >= 0 {
+		e.code("/__omp_suf")
+		e.num(int64(div))
+	}
+	e.code(", __omp_st")
+	e.num(int64(i))
+	e.put(")\n_ = ", v, "\n")
 }
 
 // --------------------------------------------------------------- sections
@@ -500,7 +564,7 @@ func (lw *lowerer) genSections(n *node) {
 	tvar, bind, orphan := lw.team(n)
 
 	e := lw.e
-	fmt.Fprintf(e, "{\n%somp.Sections(%s, []func(){\n", bind, tvar)
+	e.put("{\n", bind, "omp.Sections(", tvar, ", []func(){\n")
 	orig := lw.indentOf(lw.off(blk.Lbrace)) + 1
 	for _, sec := range n.Subdirectives {
 		sec.done = true
@@ -513,9 +577,11 @@ func (lw *lowerer) genSections(n *node) {
 	if c.NoWait {
 		e.code(", omp.NoWait()")
 	}
-	e.code(", " + lw.locArg(n, "sections") + ")\n")
+	e.code(", ")
+	lw.loc(n, "sections")
+	e.code(")\n")
 	if !c.NoWait {
-		e.code(lw.cancelGuard(tvar, orphan)) // the construct's implicit barrier is a cancellation point
+		lw.cancelGuard(tvar, orphan) // the construct's implicit barrier is a cancellation point
 	}
 	e.code("}")
 }
@@ -531,20 +597,22 @@ func (lw *lowerer) genSingle(n *node) {
 	tvar, bind, orphan := lw.team(n)
 
 	e := lw.e
-	e.code("{\n" + bind)
+	e.put("{\n", bind)
 	if len(c.CopyPrivate) == 1 {
-		v := lw.clauseText(c.CopyPrivate[0], 2)
-		fmt.Fprintf(e, "if %s.Single() {\n", tvar)
+		v := c.CopyPrivate[0]
+		e.put("if ", tvar, ".Single() {\n")
 		shadowDecls(e, c.Private, c.FirstPrivate)
 		lw.user(body)
-		fmt.Fprintf(e, "\nomp.CopyPrivatePublish(%s, %s)\n}\n", tvar, v)
-		fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
-		fmt.Fprintf(e, "omp.CopyPrivateAssign(%s, &%s)\n", tvar, v)
+		e.put("\nomp.CopyPrivatePublish(", tvar, ", ")
+		lw.clause(v, 2)
+		e.put(")\n}\nomp.Barrier(", tvar, ")\nomp.CopyPrivateAssign(", tvar, ", &")
+		lw.clause(v, 2)
+		e.code(")\n")
 		if !c.NoWait {
-			fmt.Fprintf(e, "omp.Barrier(%s)\n", tvar)
+			e.put("omp.Barrier(", tvar, ")\n")
 		}
 	} else {
-		fmt.Fprintf(e, "omp.Single(%s, func() {\n", tvar)
+		e.put("omp.Single(", tvar, ", func() {\n")
 		shadowDecls(e, c.Private, c.FirstPrivate)
 		lw.user(body)
 		e.code("\n}")
@@ -554,7 +622,7 @@ func (lw *lowerer) genSingle(n *node) {
 		e.code(")\n")
 	}
 	if !c.NoWait {
-		e.code(lw.cancelGuard(tvar, orphan)) // the closing barrier is a cancellation point
+		lw.cancelGuard(tvar, orphan) // the closing barrier is a cancellation point
 	}
 	e.code("}")
 	if len(c.CopyPrivate) > 1 { // after the body, whose diagnostics come first
@@ -564,16 +632,22 @@ func (lw *lowerer) genSingle(n *node) {
 
 // genWrapped lowers the constructs that run their block under one runtime
 // call taking the thread and a niladic closure: master, ordered, taskgroup.
-func (lw *lowerer) genWrapped(n *node, what, call, args string) {
+// A non-empty region is passed in an omp.Loc after the closure.
+func (lw *lowerer) genWrapped(n *node, what, call, region string) {
 	body, ok := lw.block(n, what)
 	if !ok {
 		return
 	}
 	tvar, bind, _ := lw.team(n)
 	e := lw.e
-	fmt.Fprintf(e, "{\n%s%s(%s, func() {\n", bind, call, tvar)
+	e.put("{\n", bind, call, "(", tvar, ", func() {\n")
 	lw.user(body)
-	fmt.Fprintf(e, "\n}%s)\n}", args)
+	e.code("\n}")
+	if region != "" {
+		e.code(", ")
+		lw.loc(n, region)
+	}
+	e.code(")\n}")
 }
 
 // genAtomic lowers `//omp atomic` to the typed helpers of
@@ -628,11 +702,15 @@ func (lw *lowerer) genAtomic(n *node) {
 		lw.e.code(c.Text + "\n") // the tree printed below carries no comments
 	}
 	if helper != "" {
-		lw.e.code(lw.print(call(helper, addr, val), 1))
+		lw.expr(call(helper, addr, val), 1)
 		return
 	}
 	cas := &ast.UnaryExpr{Op: token.NOT, X: call("omp.AtomicCAS", ident("__omp_p"), &ast.UnaryExpr{Op: token.AND, X: ident("__omp_x")}, val)}
-	fmt.Fprintf(lw.e, "{\n__omp_p := %s\n__omp_x := omp.AtomicLoad(__omp_p)\nfor %s {\n}\n}", lw.print(addr, 1), lw.print(cas, 1))
+	lw.e.code("{\n__omp_p := ")
+	lw.expr(addr, 1)
+	lw.e.code("\n__omp_x := omp.AtomicLoad(__omp_p)\nfor ")
+	lw.expr(cas, 1)
+	lw.e.code(" {\n}\n}")
 }
 
 // withLoaded returns e with every occurrence of the atomic's target, whose
@@ -686,10 +764,14 @@ func withLoaded(e ast.Expr, x string) ast.Expr {
 func (lw *lowerer) taskOptions(n *node, region string) {
 	c, e := &n.d.Clauses, lw.e
 	if c.If != "" {
-		fmt.Fprintf(e, ", omp.If(%s)", lw.clauseText(c.If, 2))
+		e.code(", omp.If(")
+		lw.clause(c.If, 2)
+		e.code(")")
 	}
 	if c.Final != "" {
-		fmt.Fprintf(e, ", omp.Final(%s)", lw.clauseText(c.Final, 2))
+		e.code(", omp.Final(")
+		lw.clause(c.Final, 2)
+		e.code(")")
 	}
 	if c.Untied {
 		e.code(", omp.Untied()")
@@ -698,23 +780,32 @@ func (lw *lowerer) taskOptions(n *node, region string) {
 		e.code(", omp.Mergeable()")
 	}
 	if c.Grainsize > 0 {
-		fmt.Fprintf(e, ", omp.Grainsize(%d)", c.Grainsize)
+		e.code(", omp.Grainsize(")
+		e.num(c.Grainsize)
+		e.code(")")
 	}
 	if c.NumTasks > 0 {
-		fmt.Fprintf(e, ", omp.NumTasks(%d)", c.NumTasks)
+		e.code(", omp.NumTasks(")
+		e.num(c.NumTasks)
+		e.code(")")
 	}
 	if c.NoGroup {
 		e.code(", omp.NoGroup()")
 	}
 	if c.Priority != "" {
-		fmt.Fprintf(e, ", omp.Priority(%s)", lw.clauseText(c.Priority, 2))
+		e.code(", omp.Priority(")
+		lw.clause(c.Priority, 2)
+		e.code(")")
 	}
 	for _, dc := range c.Depends {
 		for _, v := range dc.Vars {
-			fmt.Fprintf(e, ", %s(%q, &%s)", dc.Mode.RuntimeName(), v, v)
+			e.put(", ", dc.Mode.RuntimeName(), "(")
+			e.quote(v)
+			e.put(", &", v, ")")
 		}
 	}
-	e.code(", " + lw.locArg(n, region))
+	e.code(", ")
+	lw.loc(n, region)
 }
 
 // genTask lowers `//omp task` over the following block into an omp.Task call
@@ -733,9 +824,9 @@ func (lw *lowerer) genTask(n *node) {
 		return
 	}
 	e := lw.e
-	e.code("{\n" + bind)
+	e.put("{\n", bind)
 	shadowDecls(e, c.FirstPrivate) // creation-time copies the closure captures
-	fmt.Fprintf(e, "omp.Task(%s, func(%s *omp.Thread) {\n", tvar, tvar)
+	e.put("omp.Task(", tvar, ", func(", tvar, " *omp.Thread) {\n")
 	shadowDecls(e, c.Private)
 	lw.user(body)
 	e.code("\n}")
@@ -767,20 +858,21 @@ func (lw *lowerer) genTaskloop(n *node) {
 	}
 	tvar, bind, _ := lw.team(n)
 	defer lw.unbind(lw.bindThread(n, tvar))
-	open, body, close := lw.nestParts(nest, 1)
+	body := lw.nestBody(nest)
 
 	e := lw.e
-	e.code("{\n" + bind)
-	lw.bounds("__omp_trip", 0, h)
+	e.put("{\n", bind)
+	lw.bounds(0, h, false)
 	shadowDecls(e, c.FirstPrivate) // creation-time snapshot
-	fmt.Fprintf(e, "omp.Taskloop(%s, __omp_trip, func(%s *omp.Thread, __omp_clo, __omp_chi int64) {\n", tvar, tvar)
+	e.put("omp.Taskloop(", tvar, ", __omp_trip, func(", tvar, " *omp.Thread, __omp_clo, __omp_chi int64) {\n")
 	// Per-task copies: each chunk task privatises from the snapshot.
 	shadowDecls(e, c.Private, c.FirstPrivate)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
-	loopVar(e, h.Var, 0, "__omp_k")
-	e.code(open)
+	loopVar(e, h.Var, 0, "__omp_k", -1)
+	nest.open(e, 1)
 	lw.user(body)
-	e.code(close + "\n}\n}")
+	nest.close(e, 1)
+	e.code("\n}\n}")
 	lw.taskOptions(n, "taskloop")
 	e.code(")\n}")
 }
@@ -819,13 +911,15 @@ func (lw *lowerer) genCancel(n *node) {
 			cond = binary(paren(binary(paren(lw.clauseExpr(c.If)), token.LAND, cond)), token.LOR, point)
 		}
 	}
-	p := &exprPrinter{lw: lw, clause: true}
-	text := p.run(cond, 1)
-	if p.bad {
+	lw.e.code("if ")
+	p := lw.printer(true)
+	if p.run(cond, 1); p.bad {
 		kind := c.Cancel.RuntimeName()
-		text = fmt.Sprintf("((%s) && omp.Cancel(%s, %s)) || omp.CancellationPoint(%s, %s)", lw.rawClause(c.If), tvar, kind, tvar, kind)
+		p.buf = p.buf[:0]
+		p.put("((", lw.rawClause(c.If), ") && omp.Cancel(", tvar, ", ", kind, ")) || omp.CancellationPoint(", tvar, ", ", kind, ")")
 	}
-	fmt.Fprintf(lw.e, "if %s {\nreturn\n}", text)
+	p.end()
+	lw.e.code(" {\nreturn\n}")
 }
 
 // ---------------------------------------------------------- threadprivate
@@ -897,7 +991,7 @@ func (lw *lowerer) threadPrivate() error {
 					fmt.Sprintf("var __omp_v %s = %s", typeText, lw.src[lw.off(val.Pos()):lw.off(val.End())]), "return &__omp_v")
 			}
 			e := &emitter{depth: lw.indentOf(from)}
-			fmt.Fprintf(e, "var %s = omp.NewThreadPrivate[%s](%s)", cell, typeText, initFn)
+			e.put("var ", cell, " = omp.NewThreadPrivate[", typeText, "](", initFn, ")")
 			lw.reformat = lw.reformat || e.bad
 			out = append(out, splice{off: from, end: to, text: string(e.out)})
 			if lw.declaredElsewhere(v, from, to) {

@@ -59,7 +59,7 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	lw := &lowerer{unit: u, cur: u.root, tvarAt: -1}
+	lw := &lowerer{unit: u, cur: u.root, tvarAt: -1, pbuf: make([]byte, 0, 256)}
 	if opts.Profile {
 		lw.renames = u.profileSplices()
 		lw.usesOmp = len(lw.renames) > 0
@@ -239,13 +239,32 @@ func analyze(src []byte, opts Options) (*unit, error) {
 // bind gives every statement-taking pragma the statement it immediately
 // precedes — one ordered merge of the file's statements and pragmas, with
 // nothing but comments allowed in between — and nests the pragmas by source
-// range as it goes.
+// range as it goes. The statements come from one pre-order walk, so in
+// ascending position, and are merged as they come: only the ones enclosing
+// the walk's position are kept.
 func (u *unit) bind() error {
-	var stmts []ast.Stmt // pre-order, so ascending by position
+	var err error
+	i, stack := 0, []*node{u.root}
+	var open []ast.Stmt // the statements enclosing the walk's position
+	// upTo places the pragmas up to offset to; next is the statement at
+	// to, nil at the end of the file.
+	upTo := func(to int, next ast.Stmt) {
+		for ; i < len(u.pragmas) && u.pragmas[i].start <= to && err == nil; i++ {
+			err = u.place(u.pragmas[i], open, next, &stack)
+		}
+	}
 	ast.Inspect(u.file, func(n ast.Node) bool {
+		if err != nil {
+			return false
+		}
 		switch x := n.(type) {
 		case ast.Stmt:
-			stmts = append(stmts, x)
+			off := u.off(x.Pos())
+			upTo(off, x)
+			for len(open) > 0 && u.off(open[len(open)-1].End()) <= off {
+				open = open[:len(open)-1]
+			}
+			open = append(open, x)
 			if l, ok := x.(*ast.LabeledStmt); ok {
 				if _, ok := l.Stmt.(*ast.EmptyStmt); ok {
 					u.reformat = true // gofmt drops the empty line after a label of nothing
@@ -266,40 +285,40 @@ func (u *unit) bind() error {
 		}
 		return true
 	})
-	j, stack := 0, []*node{u.root}
-	var open []ast.Stmt // the statements enclosing stmts[j]
-	for _, p := range u.pragmas {
-		for ; j < len(stmts) && u.off(stmts[j].Pos()) < p.start; j++ {
-			for len(open) > 0 && u.off(open[len(open)-1].End()) <= u.off(stmts[j].Pos()) {
-				open = open[:len(open)-1]
-			}
-			open = append(open, stmts[j])
-		}
-		for len(open) > 0 && u.off(open[len(open)-1].End()) <= p.start {
-			open = open[:len(open)-1]
-		}
-		// A directive lowers to statements (a threadprivate to nothing):
-		// where none can go, format.Source reports the generated file.
-		if len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)) || len(open) == 0 && p.d.Kind != DirThreadPrivate {
-			u.reformat = true
-		}
-		if takesStmt(p.d.Kind) {
-			if j < len(stmts) && onlyComments(u.src[p.cEnd:u.off(stmts[j].Pos())]) {
-				p.stmt, p.end = stmts[j], u.off(stmts[j].End())
-			}
-		} else if d := u.file.Decls; p.d.Kind != DirThreadPrivate && !slices.ContainsFunc(d, func(d ast.Decl) bool {
-			return u.off(d.Pos()) <= p.start && p.start < u.off(d.End())
-		}) {
-			return u.errf(p, "directive must appear inside a function body")
-		}
-		// Ranges now nest or are disjoint.
-		for p.start >= stack[len(stack)-1].end {
-			stack = stack[:len(stack)-1]
-		}
-		p.parent = stack[len(stack)-1]
-		p.parent.Subdirectives = append(p.parent.Subdirectives, p)
-		stack = append(stack, p)
+	upTo(len(u.src), nil)
+	return err
+}
+
+// place binds pragma p, which comes before next (nil: no statement
+// follows it) and after every statement already walked; open are those of
+// them still enclosing p's position. stack holds the pragmas whose ranges
+// may enclose p's.
+func (u *unit) place(p *node, open []ast.Stmt, next ast.Stmt, stack *[]*node) error {
+	for len(open) > 0 && u.off(open[len(open)-1].End()) <= p.start {
+		open = open[:len(open)-1]
 	}
+	// A directive lowers to statements (a threadprivate to nothing):
+	// where none can go, format.Source reports the generated file.
+	if len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)) || len(open) == 0 && p.d.Kind != DirThreadPrivate {
+		u.reformat = true
+	}
+	if takesStmt(p.d.Kind) {
+		if next != nil && onlyComments(u.src[p.cEnd:u.off(next.Pos())]) {
+			p.stmt, p.end = next, u.off(next.End())
+		}
+	} else if d := u.file.Decls; p.d.Kind != DirThreadPrivate && !slices.ContainsFunc(d, func(d ast.Decl) bool {
+		return u.off(d.Pos()) <= p.start && p.start < u.off(d.End())
+	}) {
+		return u.errf(p, "directive must appear inside a function body")
+	}
+	// Ranges now nest or are disjoint.
+	s := *stack
+	for p.start >= s[len(s)-1].end {
+		s = s[:len(s)-1]
+	}
+	p.parent = s[len(s)-1]
+	p.parent.Subdirectives = append(p.parent.Subdirectives, p)
+	*stack = append(s, p)
 	return nil
 }
 
@@ -528,9 +547,13 @@ func mergeSplices(a, b []splice) []splice {
 type lowerer struct {
 	*unit
 	// e is where the lowering writes: the file's output buffer, or a
-	// scratch buffer (capture); spare is a scratch buffer to reuse.
-	e     *emitter
-	spare []byte
+	// scratch buffer (capture); spare and spareE are a scratch buffer and
+	// emitter to reuse.
+	e      *emitter
+	spare  []byte
+	spareE *emitter
+	// pbuf is the expression printers' buffer to reuse (printer).
+	pbuf []byte
 	// cur is the node whose Subdirectives the range being rendered may hold.
 	cur *node
 	// renames are the substitutions in force, ascending by offset:

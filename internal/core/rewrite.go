@@ -156,6 +156,13 @@ type loopHeader struct {
 	Line string
 }
 
+// stepUp and stepDown are the steps of i++ and i--. Generated trees are
+// never modified, so every loop shares them.
+var (
+	stepUp   = intLit(1)
+	stepDown = intLit(-1)
+)
+
 // extractLoopHeader validates and decomposes a worksharing for statement.
 // The supported shape is the OpenMP canonical loop form transliterated to
 // Go: `for i := lb; i < ub; i++` with <, <=, >, >= comparisons and ++, --,
@@ -201,9 +208,9 @@ func (lw *lowerer) extractLoopHeader(f *ast.ForStmt) (*loopHeader, error) {
 			return nil, fmt.Errorf("worksharing loop increment must update the loop variable %s", h.Var)
 		}
 		if post.Tok == token.INC {
-			h.Step = intLit(1)
+			h.Step = stepUp
 		} else {
-			h.Step = intLit(-1)
+			h.Step = stepDown
 		}
 	case *ast.AssignStmt:
 		if len(post.Lhs) != 1 || len(post.Rhs) != 1 {

@@ -81,6 +81,39 @@ func assigned(a []int64) int64 {
 	return s
 }
 
+// transformedAssigned tiles and unrolls the assignment form: each copy of
+// the loop variable a transformation declares takes the declared
+// variable's type, which the body uses as such.
+func transformedAssigned(a []int64) int64 {
+	var s int64
+	var i int64
+	//omp tile sizes(4)
+	for i = 0; i < int64(len(a)); i++ {
+		s += a[i] * i
+	}
+	var j, t int32
+	//omp unroll partial(3)
+	for j = 1; j <= int32(len(a)); j++ {
+		t += j * int32(a[j-1])
+	}
+	var k, u int16
+	//omp unroll full
+	for k = 3; k > 0; k-- {
+		u += k * int16(a[k])
+	}
+	s += int64(t) + int64(u)
+	var r, c int64
+	//omp parallel for collapse(2) reduction(+:s)
+	//omp tile sizes(3,2)
+	for r = 0; r < 5; r++ {
+		for c = int64(len(a)) - 1; c >= 0; c -= 2 {
+			s += a[c] * (r + 1)
+		}
+	}
+	return s
+}
+
 func main() {
-	fmt.Println(batches(1000), grid(7, 9), tiles(11), tasks(50), unrolled(23), assigned([]int64{3, 1, 4, 1, 5, 9, 2, 6}))
+	a := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	fmt.Println(batches(1000), grid(7, 9), tiles(11), tasks(50), unrolled(23), assigned(a), transformedAssigned(a))
 }

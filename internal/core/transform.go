@@ -6,7 +6,6 @@ import (
 	"go/ast"
 	"go/token"
 	"strconv"
-	"strings"
 )
 
 // Loop-transformation engine: the OpenMP 5.1 tile and unroll directives
@@ -41,6 +40,8 @@ const (
 	tileGridVar  = "__omp_tile" // tile-grid (inter-tile) loop variables
 	tilePointVar = "__omp_pt"   // intra-tile point loop variables
 	tileHiVar    = "__omp_hi"   // hoisted point-loop upper bounds
+	tileLBVar    = "__omp_tlb"  // lower bounds of assignment-form levels
+	unrollLBVar  = "__omp_ulb"  // the unrolled level's, likewise
 )
 
 // Unroll heuristics for the bare `unroll` directive (and bare `partial`):
@@ -83,28 +84,49 @@ func (n *loopNest) vars() []string {
 	return out
 }
 
-// inner returns what surrounds the body's text inside level depth-1 of the
-// nest: for a generated nest, the levels a consumer of depth levels leaves
-// in place plus pre, and everything that closes them.
-func (n *loopNest) inner(depth int) (open, close string) {
-	if !n.generated() {
-		return "", ""
+// open writes what comes between a directive consuming depth levels of the
+// nest and the user's body, which it runs per iteration: for a generated
+// nest, the levels it leaves in place plus pre. close writes what follows
+// the body: post and the braces closing those levels.
+func (n *loopNest) open(w stringWriter, depth int) {
+	if n.generated() {
+		w.WriteString("\n")
+		n.levels(w, depth)
 	}
-	var b strings.Builder
-	b.WriteString("\n")
-	for _, h := range n.hs[depth:] {
-		b.WriteString(h.Line)
-	}
-	return b.String() + n.pre, n.post + "\n" + strings.Repeat("}\n", 2*len(n.hs)-depth)
 }
 
-// nestParts returns what a directive consuming depth levels of nest runs
-// per iteration: the generated levels it leaves in place around the user's
-// body, and the body, whose nested directives are lowered as it is written.
-func (lw *lowerer) nestParts(nest *loopNest, depth int) (open string, b body, close string) {
+func (n *loopNest) close(w stringWriter, depth int) {
+	if n.generated() {
+		w.WriteString(n.post)
+		w.WriteString("\n")
+		braces(w, 2*len(n.hs)-depth)
+	}
+}
+
+// levels writes the nest's levels from depth on, and pre.
+func (n *loopNest) levels(w stringWriter, depth int) {
+	for _, h := range n.hs[depth:] {
+		w.WriteString(h.Line)
+	}
+	w.WriteString(n.pre)
+}
+
+// braces writes k closing braces, each on a line of its own.
+func braces(w stringWriter, k int) {
+	for range k {
+		w.WriteString("}\n")
+	}
+}
+
+// stringWriter is where generated text goes: the emitter, or a printer
+// building text that is kept.
+type stringWriter interface{ WriteString(string) }
+
+// nestBody returns the user's body of nest, whose nested directives are
+// lowered as it is written.
+func (lw *lowerer) nestBody(nest *loopNest) body {
 	defer lw.leave(lw.enter(nest.owner))
-	open, close = nest.inner(depth)
-	return open, lw.blockText(nest.body), close
+	return lw.blockText(nest.body)
 }
 
 var errNotFor = errors.New("directive must immediately precede a for statement")
@@ -143,31 +165,80 @@ func (lw *lowerer) loops(n *node, depth int) (*loopNest, error) {
 	return &loopNest{hs: hs, body: hs[depth-1].Body, owner: owner}, nil
 }
 
-// tripExpr builds a level's trip count as a host int expression. The
-// bounds are loop-invariant by the canonical form, so re-evaluating the
-// expression where needed is sound; generated code hoists it wherever a
-// hot path would otherwise re-evaluate per iteration.
+// tripExpr builds a level's trip count as a host int expression, for a
+// tile's grid level, which a directive stacked above may take as its upper
+// bound; trip prints the same expression without building it.
 func tripExpr(h *loopHeader) ast.Expr {
-	return call("int", call("omp.TripCount", h.LB, h.UB, stepArg(h), ident(strconv.FormatBool(h.Inclusive))))
-}
-
-// stepArg is a level's step as an int64 argument: a constant as a
-// literal, anything else converted.
-func stepArg(h *loopHeader) ast.Expr {
+	var step ast.Expr = call("int64", h.Step)
 	if v, ok := constInt(h.Step); ok {
-		return intLit(v)
+		step = intLit(v)
 	}
-	return call("int64", h.Step)
+	return call("int", call("omp.TripCount", h.LB, h.UB, step, ident(strconv.FormatBool(h.Inclusive))))
 }
 
-// pointAssign renders the reconstruction of a level's original loop
-// variable from an int logical-iteration expression k, in the type of the
-// level's lower bound: var := omp.LoopVar(lb, int64(k), step). The explicit
-// discard keeps Go's unused-variable rule satisfied when the body ignores
-// the variable.
-func (lw *lowerer) pointAssign(h *loopHeader, k ast.Expr) string {
-	v := call("omp.LoopVar", h.LB, call("int64", k), stepArg(h))
-	return fmt.Sprintf("%s := %s\n_ = %s\n", h.Var, lw.print(v, 1), h.Var)
+// trip writes a level's trip count as a host int expression at depth:
+// int(omp.TripCount(lb, ub, step, inclusive)). The bounds are
+// loop-invariant by the canonical form, so re-evaluating the expression
+// where needed is sound; generated code hoists it wherever a hot path
+// would otherwise re-evaluate per iteration.
+func (p *exprPrinter) trip(h *loopHeader, depth int) {
+	// int(…) has one argument, its arguments stay at depth; TripCount's
+	// four are one deeper.
+	p.WriteString("int(omp.TripCount(")
+	p.expr1(h.LB, token.LowestPrec, depth+1)
+	p.WriteString(", ")
+	p.expr1(h.UB, token.LowestPrec, depth+1)
+	p.WriteString(", ")
+	p.step(h, depth+1)
+	p.WriteString(", ")
+	p.WriteString(strconv.FormatBool(h.Inclusive))
+	p.WriteString("))")
+}
+
+// step writes a level's step as an int64 argument at depth: a constant as
+// a literal, anything else converted.
+func (p *exprPrinter) step(h *loopHeader, depth int) {
+	if v, ok := constInt(h.Step); ok {
+		p.num(v)
+		return
+	}
+	p.WriteString("int64(")
+	p.expr1(h.Step, token.LowestPrec, depth)
+	p.WriteByte(')')
+}
+
+// pointAssign writes the reconstruction of a level's original loop
+// variable from the logical iteration k+plus, an int, in the type of the
+// lower bound lb (h.LB when lb is ""): v := omp.LoopVar(lb, int64(k+plus),
+// step). The explicit discard keeps Go's unused-variable rule satisfied
+// when the body ignores the variable.
+func (p *exprPrinter) pointAssign(h *loopHeader, lb, k string, plus int64) {
+	// A call of three arguments: they sit at gofmt's depth 2, where a sum
+	// is written without blanks.
+	p.put(h.Var, " := omp.LoopVar(")
+	if lb == "" {
+		p.expr1(h.LB, token.LowestPrec, 2)
+	} else {
+		p.WriteString(lb)
+	}
+	p.put(", int64(", k)
+	if plus > 0 {
+		p.WriteByte('+')
+		p.num(plus)
+	}
+	p.WriteString("), ")
+	p.step(h, 2)
+	p.put(")\n_ = ", h.Var, "\n")
+}
+
+// typedBound writes, for an assignment-form level (`for i = lb; …`), the
+// binding of name to the level's lower bound in the type of the declared
+// variable: name := i, then name = lb. It also keeps i used, which the
+// loop no longer assigns.
+func (p *exprPrinter) typedBound(h *loopHeader, name string) {
+	p.put(name, " := ", h.Var, "\n", name, " = ")
+	p.expr1(h.LB, token.LowestPrec, 1)
+	p.WriteByte('\n')
 }
 
 // transform applies the tile or unroll directive n. A tile returns its
@@ -184,17 +255,20 @@ func (lw *lowerer) transform(n *node) *loopNest {
 }
 
 // loopText writes the nest n generated and no directive consumed. A source
-// nest is the identity unroll's: only the pragma goes.
+// nest is the identity unroll's: only the pragma goes. The text starts on
+// the pragma's line and ends on the line of the last closing brace.
 func (lw *lowerer) loopText(n *node, nest *loopNest) {
 	if !nest.generated() {
 		defer lw.leave(lw.enter(nest.owner))
 		lw.render(nest.owner.cEnd, nest.owner.end)
 		return
 	}
-	open, body, close := lw.nestParts(nest, 0)
-	lw.e.code(strings.TrimPrefix(open, "\n"))
-	lw.user(body)
-	lw.e.code(strings.TrimSuffix(close, "\n"))
+	e := lw.e
+	nest.levels(e, 0)
+	lw.user(lw.nestBody(nest))
+	e.put(nest.post, "\n")
+	braces(e, 2*len(nest.hs)-1)
+	e.code("}")
 }
 
 // checkTransformBody rejects statements that would change meaning under
@@ -302,31 +376,54 @@ func (lw *lowerer) tile(n *node) *loopNest {
 		return nil
 	}
 	lw.usesOmp = true
-	open, close := src.inner(k)
-	out := &loopNest{body: src.body, owner: src.owner, post: close, declared: src.declared}
-	var pre strings.Builder
+	out := &loopNest{body: src.body, owner: src.owner, declared: src.declared}
+	p := lw.printer(false)
+	defer p.done()
 	for i, size := range sizes {
 		h := src.hs[i]
-		grid := fmt.Sprintf("%s%d", tileGridVar, i)
-		trip := tripExpr(h)
-		// The bound is a comparison's right operand (gofmt's depth 2).
-		out.hs = append(out.hs, &loopHeader{
-			Var: grid, LB: intLit(0), UB: trip, Step: paren(intLit(int64(size))),
-			Line: fmt.Sprintf("for %s := 0; %s < %s; %s += %d {\n", grid, grid, lw.print(trip, 2), grid, size),
-		})
+		grid := tileGridVar + strconv.Itoa(i)
+		// for __omp_tileI := 0; __omp_tileI < trip; __omp_tileI += size {
+		// — the bound is a comparison's right operand (gofmt's depth 2).
+		p.buf = p.buf[:0]
+		p.put("for ", grid, " := 0; ", grid, " < ")
+		p.trip(h, 2)
+		p.put("; ", grid, " += ")
+		p.num(size)
+		p.WriteString(" {\n")
+		out.hs = append(out.hs, &loopHeader{Var: grid, LB: intLit(0), UB: tripExpr(h), Step: paren(intLit(size)), Line: p.text()})
 		out.declared = append(out.declared, h.Var)
+	}
+	p.buf = p.buf[:0]
+	// Assignment-form levels bind their lower bounds typed like the
+	// declared variables, once per tile.
+	for i, h := range src.hs[:k] {
+		if h.Assign {
+			p.typedBound(h, tileLBVar+strconv.Itoa(i))
+		}
+	}
+	for i, size := range sizes {
 		// Point loops: cover one tile each, fringe-guarded by min against
 		// the level trip count, bounds hoisted into the init (a two-value
-		// assignment: depth 2).
-		hi := call("min", binary(ident(grid), token.ADD, intLit(int64(size))), trip)
-		fmt.Fprintf(&pre, "for %s%d, %s%d := %s, %s; %s%d < %s%d; %s%d++ {\n",
-			tilePointVar, i, tileHiVar, i, grid, lw.print(hi, 2),
-			tilePointVar, i, tileHiVar, i, tilePointVar, i)
+		// assignment: depth 2, so min's two arguments sit at depth 3).
+		n, grid := strconv.Itoa(i), out.hs[i].Var
+		p.put("for ", tilePointVar, n, ", ", tileHiVar, n, " := ", grid, ", min(", grid, "+")
+		p.num(size)
+		p.WriteString(", ")
+		p.trip(src.hs[i], 3)
+		p.put("); ", tilePointVar, n, " < ", tileHiVar, n, "; ", tilePointVar, n, "++ {\n")
 	}
-	for i := range sizes {
-		pre.WriteString(lw.pointAssign(src.hs[i], ident(fmt.Sprintf("%s%d", tilePointVar, i))))
+	for i, h := range src.hs[:k] {
+		lb := ""
+		if h.Assign {
+			lb = tileLBVar + strconv.Itoa(i)
+		}
+		p.pointAssign(h, lb, tilePointVar+strconv.Itoa(i), 0)
 	}
-	out.pre = pre.String() + open
+	src.open(&p, k)
+	out.pre = p.text()
+	p.buf = p.buf[:0]
+	src.close(&p, k)
+	out.post = p.text()
 	return out
 }
 
@@ -425,40 +522,62 @@ func (lw *lowerer) unroll(n *node) *loopNest {
 		return src // partial(1) is the identity transformation
 	}
 	// Every copy of the body is the same text: lower it once.
-	open, body, close := lw.nestParts(src, 1)
-	body = lw.materialize(body)
+	body := lw.materialize(lw.nestBody(src))
 	defer lw.release(body.text)
 	e := lw.e
 	e.code("{\n")
+	copyBody := func() {
+		src.open(e, 1)
+		lw.user(body)
+		src.close(e, 1)
+		e.code("\n}\n")
+	}
 	if spec == UnrollFull {
 		lb, _ := constInt(h.LB)
 		st, _ := constInt(h.Step)
 		for k := int64(0); k < trip; k++ {
-			fmt.Fprintf(e, "{\n%s := %d\n_ = %s\n%s", h.Var, lb+k*st, h.Var, open)
-			lw.user(body)
-			e.code(close + "\n}\n")
+			// An assignment-form variable's copy takes its type from it.
+			if h.Assign {
+				e.put("{\n", h.Var, " := ", h.Var, "\n", h.Var, " = ")
+			} else {
+				e.put("{\n", h.Var, " := ")
+			}
+			e.num(lb + k*st)
+			e.put("\n_ = ", h.Var, "\n")
+			copyBody()
 		}
 	} else {
 		if factor == 0 {
 			factor = defaultUnrollFactor
 		}
 		lw.usesOmp = true
-		fmt.Fprintf(e, "__omp_ut := %s\n", lw.print(tripExpr(h), 1))
-		fmt.Fprintf(e, "__omp_um := __omp_ut - __omp_ut%%%d\n", factor)
-		fmt.Fprintf(e, "for __omp_uk := 0; __omp_uk < __omp_um; __omp_uk += %d {\n", factor)
+		p := lw.printer(false)
+		lb := ""
+		if h.Assign {
+			lb = unrollLBVar
+			p.typedBound(h, lb)
+		}
+		p.WriteString("__omp_ut := ")
+		p.trip(h, 1)
+		p.WriteString("\n__omp_um := __omp_ut - __omp_ut%")
+		p.num(factor)
+		p.WriteString("\nfor __omp_uk := 0; __omp_uk < __omp_um; __omp_uk += ")
+		p.num(factor)
+		p.WriteString(" {\n")
+		p.end()
 		for k := int64(0); k < factor; k++ {
-			var kExpr ast.Expr = ident("__omp_uk")
-			if k > 0 {
-				kExpr = binary(kExpr, token.ADD, intLit(k))
-			}
-			e.code("{\n" + lw.pointAssign(h, kExpr) + open)
-			lw.user(body)
-			e.code(close + "\n}\n")
+			e.code("{\n")
+			p = lw.printer(false)
+			p.pointAssign(h, lb, "__omp_uk", k)
+			p.end()
+			copyBody()
 		}
 		// Scalar remainder loop: the trip%factor fringe iterations.
-		e.code("}\nfor __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++ {\n" + lw.pointAssign(h, ident("__omp_uk")) + open)
-		lw.user(body)
-		e.code(close + "\n}\n")
+		e.code("}\nfor __omp_uk := __omp_um; __omp_uk < __omp_ut; __omp_uk++ {\n")
+		p = lw.printer(false)
+		p.pointAssign(h, lb, "__omp_uk", 0)
+		p.end()
+		copyBody()
 	}
 	e.code("}")
 	return nil

@@ -62,17 +62,40 @@ func isGenerated(src []byte) bool {
 }
 
 // inBuild reports whether the file at path, holding src, is one the
-// preprocessor takes: go/build's MatchFile (reading src, not the disk
-// again) says the current configuration compiles it — its //go:build line
-// and GOOS/GOARCH suffix allow it, exactly as `go build` decides — and it
-// carries no generated-code marker.
-func inBuild(path string, src []byte) (bool, error) {
-	bctx := build.Default
-	bctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
-	if ok, err := bctx.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil || !ok {
-		return false, err
+// preprocessor takes: go/build's MatchFile under ctx (the driver passes
+// build.Default), reading src rather than the disk, says the configuration
+// compiles it — its //go:build line and GOOS/GOARCH suffix allow it, exactly
+// as `go build` decides — and it carries no generated-code marker.
+//
+// Most files give MatchFile nothing to decide, and asking it costs a
+// 4 KiB reader and an import scan per file, so it is asked only when
+// plainFile cannot answer for it.
+func inBuild(ctx *build.Context, path string, src []byte) (bool, error) {
+	if !plainFile(filepath.Base(path), src) {
+		bctx := *ctx
+		bctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
+		if ok, err := bctx.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil || !ok {
+			return false, err
+		}
 	}
 	return !isGenerated(src), nil
+}
+
+// plainFile reports whether go/build's MatchFile would answer (true, nil)
+// for the file named name holding src, judged without running it. MatchFile
+// drops a file for its name (a leading '.' or '_', another extension, a
+// _GOOS or _GOARCH suffix), for a build constraint (a //go:build line, or
+// a // +build line) in the comments above its package clause, or fails on a
+// NUL byte; a name without '_' and a file in which none of those spellings
+// occurs anywhere leave it no reason to do either. A file naming "C" — an
+// import "C" — goes to MatchFile too: go/build decides cgo files by the
+// configuration elsewhere (Import drops them with cgo off), and this keeps
+// the answer MatchFile's should it ever do so here.
+func plainFile(name string, src []byte) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasPrefix(name, ".") && !strings.Contains(name, "_") &&
+		bytes.IndexByte(src, 0) < 0 &&
+		!bytes.Contains(src, []byte("//go:build")) && !bytes.Contains(src, []byte("+build")) &&
+		!bytes.Contains(src, []byte(`"C"`))
 }
 
 // crawl walks cfg.Module and returns the candidate file set: every file

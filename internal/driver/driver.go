@@ -8,11 +8,15 @@
 // the file set out across a worker team, balanced file by file — using
 // the repo's own omp package, so the driver dogfoods the runtime it
 // builds for. Each worker reads its file once and decides everything from
-// those bytes: build tags and the generated-code marker, the cache key,
-// the transform. A content-hash cache (cache.go) persisted as a manifest
-// under .gompcc-cache/ lets warm runs skip unchanged files entirely.
-// And every output lands via temp-file + rename (atomic.go), so a
-// crashed or cancelled run never leaves a half-written _omp.go behind.
+// those bytes: build membership and the generated-code marker, the cache
+// key, the transform. Build membership is go/build's MatchFile answer, and
+// MatchFile runs only for a file whose name or bytes give it something to
+// decide (inBuild, crawl.go); every other .go file is in the build. A
+// content-hash cache (cache.go) persisted as a manifest under
+// .gompcc-cache/ lets warm runs skip unchanged files entirely. And every
+// output lands via temp-file + rename (atomic.go), in a directory the pass
+// creates once, on its first write into it, so a crashed or cancelled run
+// never leaves a half-written _omp.go behind.
 //
 // Two output layouts exist. In-place (OutDir == ""): each
 // pragma-bearing file gains a sibling <name><Suffix>.go, the layout
@@ -25,10 +29,12 @@ package driver
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"gomp/internal/core"
@@ -189,9 +195,10 @@ func (d *Driver) Run() (*Report, error) {
 	}
 
 	results := make([]fileResult, len(files))
+	dirs := &dirSet{made: map[string]error{}}
 	work := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
-			results[i] = d.processOne(files[i], prev)
+			results[i] = d.processOne(files[i], prev, dirs)
 		}
 	}
 	if cfg.Jobs <= 1 || len(files) < 2 {
@@ -212,7 +219,10 @@ func (d *Driver) Run() (*Report, error) {
 	}
 
 	rep := &Report{}
-	next := newManifest(core.EngineVersion, cfg.flagKey())
+	var next *manifest
+	if caching {
+		next = newManifest(core.EngineVersion, cfg.flagKey())
+	}
 	for i, res := range results {
 		if res.excluded {
 			if res.err != nil { // a build constraint go/build cannot read
@@ -244,7 +254,9 @@ func (d *Driver) Run() (*Report, error) {
 			}
 		}
 		rep.TransformNs += res.transformNs
-		next.Files[files[i].rel] = fileEntry{Hash: res.hash, Action: res.action, Output: res.output}
+		if caching {
+			next.Files[files[i].rel] = fileEntry{Hash: res.hash, Action: res.action, Output: res.output}
+		}
 	}
 	if caching {
 		if err := next.save(filepath.Join(cfg.CacheDir, manifestName)); err != nil {
@@ -277,19 +289,39 @@ func (d *Driver) outAbs(rel string) string {
 	return filepath.Join(root, filepath.FromSlash(rel))
 }
 
+// dirSet is the output directories one pass has created, each once, on
+// the first write into it; the workers share it.
+type dirSet struct {
+	mu   sync.Mutex
+	made map[string]error // directory → what creating it returned
+}
+
+// ensure creates dir, with its parents, unless this pass already has. A
+// directory that could not be created fails every file written into it.
+func (s *dirSet) ensure(dir string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err, ok := s.made[dir]
+	if !ok {
+		err = os.MkdirAll(dir, 0o755)
+		s.made[dir] = err
+	}
+	return err
+}
+
 // processOne is the per-file worker body. It reads the file once, drops
 // it if the build does not compile it, hashes it when caching, consults
 // the previous manifest, and only on a miss pays the transform and the
 // atomic write. It runs concurrently with itself on other files and
-// shares no mutable state.
-func (d *Driver) processOne(f sourceFile, prev *manifest) fileResult {
+// shares nothing mutable but the pass's set of created directories.
+func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResult {
 	cfg := d.cfg
 	mirror := cfg.OutDir != ""
 	src, err := os.ReadFile(f.path)
 	if err != nil {
 		return fileResult{err: err}
 	}
-	if ok, err := inBuild(f.path, src); !ok {
+	if ok, err := inBuild(&build.Default, f.path, src); !ok {
 		return fileResult{excluded: true, err: err}
 	}
 	res := fileResult{pragma: core.ContainsPragma(src)}
@@ -350,7 +382,7 @@ func (d *Driver) processOne(f sourceFile, prev *manifest) fileResult {
 	}
 	res.action, res.output = action, outRel
 	outPath := d.outAbs(outRel)
-	if err := os.MkdirAll(filepath.Dir(outPath), 0o755); err != nil {
+	if err := dirs.ensure(filepath.Dir(outPath)); err != nil {
 		res.err = err
 		return res
 	}
