@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gomp/internal/driver"
 )
 
 // Golden-file coverage of the CLI's three modes: single-file output,
@@ -42,6 +44,36 @@ func TestGoldenSingleFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join("testdata", "single.golden"), got)
+}
+
+// -o output is processFile's result under the driver's generated-code
+// header naming the input, so a module crawl skips the file: the module
+// holding only that output has no source file to transform.
+func TestSingleFileOutputMarkedGenerated(t *testing.T) {
+	in := filepath.Join("testdata", "single.go")
+	root := t.TempDir()
+	if err := writeFile(in, filepath.Join(root, "kernel.go"), false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(root, "kernel.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "single.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := driver.GeneratedHeader(in)
+	if !bytes.HasPrefix(got, head) || !bytes.Equal(got[len(head):], want) {
+		t.Fatalf("-o output is not the header %q followed by single.golden:\n%s", head, got)
+	}
+	var log bytes.Buffer
+	if err := runModule(root, "", "_omp", "off", 1, false, false, 0, &log); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), ": 0 files (0 pragma)") {
+		t.Fatalf("module crawl took the -o output for a source file:\n%s", log.String())
+	}
 }
 
 // The loop-transformation pipeline pinned end to end: tile strip-mines

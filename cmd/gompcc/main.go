@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	gompcc [-o output.go] input.go    # write transformed source
+//	gompcc [-o output.go] input.go    # write transformed source, marked generated
 //	gompcc -stdout input.go           # print to stdout
 //	gompcc -dir pkgdir -suffix _omp   # transform every *.go in a package
 //	gompcc -explain input.go          # describe each directive, change nothing
@@ -117,11 +117,11 @@ func main() {
 		}
 		return
 	}
-	res, err := processFile(in, *profile)
-	if err != nil {
-		fail(err)
-	}
 	if *toStdout {
+		res, err := processFile(in, *profile)
+		if err != nil {
+			fail(err)
+		}
 		os.Stdout.Write(res)
 		return
 	}
@@ -129,10 +129,21 @@ func main() {
 	if dst == "" {
 		dst = strings.TrimSuffix(in, ".go") + "_omp.go"
 	}
-	if err := driver.WriteFileAtomic(dst, res, 0o644); err != nil {
+	if err := writeFile(in, dst, *profile); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "gompcc: %s -> %s\n", in, dst)
+}
+
+// writeFile transforms in and writes the result to dst under the driver's
+// generated-code header, which names in as the source: the output is
+// marked generated, so a module crawl never takes it for a source file.
+func writeFile(in, dst string, profile bool) error {
+	res, err := processFile(in, profile)
+	if err != nil {
+		return err
+	}
+	return driver.WriteFileAtomic(dst, append(driver.GeneratedHeader(in), res...), 0o644)
 }
 
 // runModule wires the -module flag set to the build driver. Under

@@ -165,12 +165,15 @@ func shadowDecls(e *emitter, vars ...[]string) {
 }
 
 // checkDefaultNone enforces default(none): every free variable assigned in
-// the body must be covered by a data-sharing clause.
+// the body must be covered by a data-sharing clause. The clauses are the
+// pragma's as written: the parallel half of a `parallel for` carries the
+// default, the loop half the reductions and lastprivates that cover the
+// variables.
 func (lw *lowerer) checkDefaultNone(n *node, body ast.Node, exempt ...string) bool {
-	c := &n.d.Clauses
-	if c.Default != DefaultNone {
+	if n.d.Clauses.Default != DefaultNone {
 		return true
 	}
+	c := &n.pragma.Clauses
 	listed := map[string]bool{}
 	for _, l := range [][]string{c.Private, c.FirstPrivate, c.LastPrivate, c.Shared, exempt} {
 		for _, v := range l {

@@ -272,10 +272,10 @@ func (d *Driver) Run() (*Report, error) {
 	return rep, nil
 }
 
-// generatedHeader marks driver outputs, following the Go convention the
-// crawler (and any other tool) recognises; the source line keeps the
-// provenance greppable.
-func generatedHeader(rel string) []byte {
+// GeneratedHeader marks preprocessor outputs — the driver's and gompcc's
+// single-file -o output — following the Go convention the crawler (and any
+// other tool) recognises; the source line keeps the provenance greppable.
+func GeneratedHeader(rel string) []byte {
 	return fmt.Appendf(nil, "// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
 }
 
@@ -363,7 +363,7 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 		}
 		if tr.Changed {
 			action = actionTransform
-			head, body = generatedHeader(f.rel), tr.Output
+			head, body = GeneratedHeader(f.rel), tr.Output
 		}
 		// Not Changed despite the sentinel scan: the "pragma" lives in
 		// a string literal or other non-comment text. The file is then

@@ -371,7 +371,7 @@ func TestOutputIsHeaderAndTransform(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := append(generatedHeader(rel), tr.Output...); !bytes.Equal(got, want) {
+				if want := append(GeneratedHeader(rel), tr.Output...); !bytes.Equal(got, want) {
 					t.Errorf("%s:\n%s\nwant header + Transform output:\n%s", out, got, want)
 				}
 			}

@@ -15,6 +15,8 @@ import (
 	"gomp/internal/npb"
 )
 
+//go:generate go run gomp/cmd/gompcc -o omp.go _omp/parallel.go
+
 // classParams mirrors the NPB CG problem classes.
 type classParams struct {
 	na     int     // matrix order

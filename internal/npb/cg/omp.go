@@ -1,137 +1,175 @@
+// Code generated by gompcc from _omp/parallel.go. DO NOT EDIT.
+
 package cg
+
+import omp "gomp/omp"
 
 import (
 	"math"
 
 	"gomp/internal/npb"
-	"gomp/omp"
 )
 
-// The omp flavour mirrors the paper's port: only conj_grad is parallelised
-// (it "accounts for around 95% of the runtime"); the power-iteration driver
-// stays sequential, exactly as the paper leaves it in Fortran. The region
-// uses worksharing loops with nowait chaining where the static partition
-// makes it safe, and reductions on both the region's loops — the clause
-// inventory Section V-A lists.
-//
-// Unlike the frozen serial reference (cg.go) and the pinned goroutine
-// baseline, the omp flavour tunes its per-thread code: partial sums live in
-// a register for the whole block, and the SpMV reslices each CSR row once.
-// None of it reorders a floating-point operation, so ζ and rnorm are those
-// of the untuned loops, bit for bit (TestParallelBitsPinned).
-
-// spmvRowsOMP is spmvRows with each CSR row resliced once: the row's values
-// and columns are bounds-checked at the reslice, so the only check left per
-// nonzero is the gather w[col]. The sum runs in the same order, so q is
-// bit-identical to spmvRows'.
-func spmvRowsOMP(m *Matrix, w, q []float64, lo, hi int) {
-	a, col, rowStr := m.A, m.ColIdx, m.RowStr[lo:hi+1]
-	q = q[lo:hi]
-	for j := range q {
-		av := a[rowStr[j]:rowStr[j+1]]
-		cv := col[rowStr[j]:rowStr[j+1]]
-		cv = cv[:len(av)]
-		sum := 0.0
-		for k, v := range av {
-			sum += v * w[cv[k]]
-		}
-		q[j] = sum
+// rowDot returns row j of A·w with the CSR row resliced once: the row's
+// values and columns are bounds-checked at the reslice, so the only check
+// left per nonzero is the gather w[col]. The sum runs in spmvRows' order,
+// so the result is bit-identical to spmvRows'.
+func rowDot(m *Matrix, w []float64, j int) float64 {
+	lo, hi := m.RowStr[j], m.RowStr[j+1]
+	av, cv := m.A[lo:hi], m.ColIdx[lo:hi]
+	cv = cv[:len(av)]
+	sum := 0.0
+	for k, v := range av {
+		sum += v * w[cv[k]]
 	}
+	return sum
 }
 
-// ConjGradOMP is conj_grad on the OpenMP runtime. The caller provides the
-// per-run scratch vectors.
-//
-// Each fused loop is the lowering of `for nowait reduction(+:…)`: it runs
-// nowait, and omp.Reduce folds the team's partials into the shared scalar
-// in thread order at the reduction's barrier, the loop's one rendezvous.
-// The fold is 0 + s0 + s1 + …, so the result is the same at a team size on
-// every run. As in NPB-OMP's conj_grad, the master resets the scalars at
-// the top of each iteration.
+// ConjGradOMP is conj_grad with OpenMP loop pragmas; the caller provides
+// the per-run scratch vectors. As in the paper's port, only conj_grad is
+// parallel ("around 95% of the runtime"); the power iteration stays serial.
+// Each thread owns the same static rows in every loop, so the loops chain
+// with nowait, and each reduction folds the team's partials at its one
+// barrier in thread order, 0 + s0 + s1 + …: the same bits at a team size
+// on every run. The fold starts from the shared scalar, so the master
+// zeroes it between a barrier after every thread's last read of it and
+// the barrier before its loop, whose lowering reads it to type the thread
+// copies: rho at the top of an iteration, as in NPB-OMP, d after the rho
+// loop. The p update's barrier publishes p for the next SpMV. rowDot
+// reorders no floating-point operation, so ζ and rnorm are those of the
+// serial loops, bit for bit (TestParallelBitsPinned).
 func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
-	n := int64(m.N)
+	n := m.N
 	var rho, rho0, d, sum float64
 
-	omp.Parallel(func(t *omp.Thread) {
-		// Initialisation: each thread owns the same static block in
-		// every loop of the region, so nowait chaining between loops
-		// over own-rows data is safe. Each loop body sums into a
-		// register seeded from the thread's partial and stores it back
-		// once per block.
-		local := 0.0
-		omp.ForRange(t, n, func(lo, hi int64) {
-			s := local
-			for j := lo; j < hi; j++ {
-				q[j] = 0
-				z[j] = 0
-				r[j] = x[j]
-				p[j] = r[j]
-				s += r[j] * r[j]
-			}
-			local = s
-		}, omp.NoWait())
-		omp.Reduce(t, omp.ReduceSum, &rho, local)
+	{
+		omp.Parallel(func(__omp_t *omp.Thread) {
 
-		for cgit := 0; cgit < cgitmax; cgit++ {
-			// Every thread read rho0 and rho before the barrier that
-			// ended the previous iteration (or read nothing yet).
-			if t.Master() {
-				rho0 = rho
-				d = 0
-				rho = 0
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64(1)
+				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, rho)
+				_ = __omp_red_rho
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = j
+
+						q[j] = 0
+						z[j] = 0
+						r[j] = x[j]
+						p[j] = r[j]
+						__omp_red_rho += r[j] * r[j]
+
+					}
+				}, omp.NoWait(), omp.Loc("parallel.go", 43, "for"))
+				omp.Reduce(__omp_t, omp.ReduceSum, &rho, __omp_red_rho)
 			}
 
-			// q = A·p fused with d = p·q over own rows; the
-			// preceding barrier guarantees p is complete.
-			local = 0
-			omp.ForRange(t, n, func(lo, hi int64) {
-				spmvRowsOMP(m, p, q, int(lo), int(hi))
-				s := local
-				for j := lo; j < hi; j++ {
-					s += p[j] * q[j]
-				}
-				local = s
-			}, omp.NoWait())
-			omp.Reduce(t, omp.ReduceSum, &d, local)
-			alpha := rho0 / d
+			for cgit := 0; cgit < cgitmax; cgit++ {
+				{
+					omp.Masked(__omp_t, func() {
 
-			// z, r updates fused with the next rho — own rows only.
-			local = 0
-			omp.ForRange(t, n, func(lo, hi int64) {
-				s := local
-				for j := lo; j < hi; j++ {
-					z[j] += alpha * p[j]
-					r[j] -= alpha * q[j]
-					s += r[j] * r[j]
-				}
-				local = s
-			}, omp.NoWait())
-			omp.Reduce(t, omp.ReduceSum, &rho, local)
-			beta := rho / rho0
+						rho0 = rho
+						rho = 0
 
-			// p update; the implicit barrier publishes p for the
-			// gather in the next iteration's SpMV.
-			omp.ForRange(t, n, func(lo, hi int64) {
-				for j := lo; j < hi; j++ {
-					p[j] = r[j] + beta*p[j]
+					})
 				}
-			})
-		}
 
-		// Final residual ‖x − A·z‖; z is complete (barriers above).
-		local = 0
-		omp.ForRange(t, n, func(lo, hi int64) {
-			spmvRowsOMP(m, z, r, int(lo), int(hi))
-			s := local
-			for j := lo; j < hi; j++ {
-				dd := x[j] - r[j]
-				s += dd * dd
+				{
+					__omp_lb0 := 0
+					__omp_st0 := int64(1)
+					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+					__omp_trip := __omp_trip0
+					__omp_red_d := omp.ReduceIdentity(omp.ReduceSum, d)
+					_ = __omp_red_d
+					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+							_ = j
+
+							q[j] = rowDot(m, p, j)
+							__omp_red_d += p[j] * q[j]
+
+						}
+					}, omp.NoWait(), omp.Loc("parallel.go", 59, "for"))
+					omp.Reduce(__omp_t, omp.ReduceSum, &d, __omp_red_d)
+				}
+				alpha := rho0 / d
+
+				{
+					__omp_lb0 := 0
+					__omp_st0 := int64(1)
+					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+					__omp_trip := __omp_trip0
+					__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, rho)
+					_ = __omp_red_rho
+					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+							_ = j
+
+							z[j] += alpha * p[j]
+							r[j] -= alpha * q[j]
+							__omp_red_rho += r[j] * r[j]
+
+						}
+					}, omp.NoWait(), omp.Loc("parallel.go", 66, "for"))
+					omp.Reduce(__omp_t, omp.ReduceSum, &rho, __omp_red_rho)
+				}
+				beta := rho / rho0
+
+				{
+					omp.Masked(__omp_t, func() {
+
+						d = 0
+
+					})
+				}
+
+				{
+					__omp_lb0 := 0
+					__omp_st0 := int64(1)
+					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+					__omp_trip := __omp_trip0
+					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+							_ = j
+
+							p[j] = r[j] + beta*p[j]
+
+						}
+					}, omp.NoWait(), omp.Loc("parallel.go", 79, "for"))
+					omp.Barrier(__omp_t)
+				}
 			}
-			local = s
-		}, omp.NoWait())
-		omp.Reduce(t, omp.ReduceSum, &sum, local)
-	}, omp.NumThreads(threads))
 
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64(1)
+				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, sum)
+				_ = __omp_red_sum
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = j
+
+						r[j] = rowDot(m, z, j)
+						dd := x[j] - r[j]
+						__omp_red_sum += dd * dd
+
+					}
+				}, omp.NoWait(), omp.Loc("parallel.go", 85, "for"))
+				omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)
+			}
+
+		}, omp.NumThreads(threads), omp.Loc("parallel.go", 41, "parallel"))
+	}
 	return math.Sqrt(sum)
 }
 

@@ -21,6 +21,8 @@ import (
 	"gomp/internal/npb"
 )
 
+//go:generate go run gomp/cmd/gompcc -o omp.go _omp/parallel.go
+
 // Batch geometry: NPB generates deviates in batches of 2^MK pairs so the
 // scratch arrays stay cache-resident; each batch jumps the LCG to its own
 // starting seed, which is what makes the loop embarrassingly parallel.

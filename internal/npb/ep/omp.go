@@ -1,24 +1,20 @@
+// Code generated by gompcc from _omp/parallel.go. DO NOT EDIT.
+
 package ep
 
-import (
-	"gomp/internal/npb"
-	"gomp/omp"
-)
+import omp "gomp/omp"
 
-// tpScratch is the threadprivate uniform-deviate buffer: one 2·2^16-element
-// array per thread, persisting across parallel regions — the paper notes
-// the EP port uses the threadprivate directive for exactly this.
-var tpScratch = omp.NewThreadPrivate[scratch](nil)
+import "gomp/internal/npb"
 
-// RunParallel executes EP on the OpenMP runtime: the lowering of
-//
-//	//omp parallel for reduction(+:sx,sy) schedule(static)
-//	for k := 0; k < nn; k++ { … }
-//
-// with the sums folded in thread order at the loop's barrier (omp.Reduce),
-// so a team size gives the same bits on every run, the annulus counters
-// combined by the atomic directive's lowering (as in the paper's port)
-// and the scratch array threadprivate.
+// deviates is the uniform-deviate buffer, threadprivate: one 2·2^16-element
+// array per thread, persisting across parallel regions. The paper notes its
+// EP port uses the threadprivate directive for exactly this.
+var __omp_tp_deviates = omp.NewThreadPrivate[scratch](nil)
+
+// RunParallel executes EP with OpenMP pragmas: a region reduction folds the
+// sums in thread order at the region's end, so a team size gives the same
+// bits on every run, and the annulus counters are combined by the atomic
+// directive, as in the paper's port.
 func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	m, err := params(class)
 	if err != nil {
@@ -26,40 +22,54 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	}
 	nn := int64(1) << (m - mk)
 	st := &Stats{Class: class, Pairs: 1 << m, Threads: threads}
-
-	var q [nq]int64
+	var sx, sy float64
 
 	var tm npb.Timer
 	tm.Start()
-	omp.Parallel(func(t *omp.Thread) {
-		buf := tpScratch.Get(t)
-		var localSx, localSy float64
-		var localQ [nq]int64
-		omp.ForRange(t, nn, func(lo, hi int64) {
-			for k := lo; k < hi; k++ {
-				r := runBatch(k, buf)
-				localSx += r.sx
-				localSy += r.sy
-				for l := 0; l < nq; l++ {
-					localQ[l] += r.q[l]
-				}
+	{
+		__omp_red_sx := &sx
+		__omp_red_sy := &sy
+		omp.Parallel(func(__omp_t *omp.Thread) {
+			sx := omp.ReduceIdentity(omp.ReduceSum, sx)
+			_ = sx
+			sy := omp.ReduceIdentity(omp.ReduceSum, sy)
+			_ = sy
+
+			var q [nq]int64
+			{
+				__omp_lb0 := int64(0)
+				__omp_st0 := int64(1)
+				__omp_trip0 := omp.TripCount(__omp_lb0, nn, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						k := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = k
+
+						r := runBatch(k, &(*__omp_tp_deviates.Get(__omp_t)))
+						sx += r.sx
+						sy += r.sy
+						for l := range q {
+							q[l] += r.q[l]
+						}
+
+					}
+				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 30, "for"))
 			}
-		}, omp.Schedule(omp.Static, 0), omp.NoWait())
-		for l := 0; l < nq; l++ {
-			if localQ[l] != 0 {
-				// //omp atomic: one native add per counter.
-				omp.AtomicAdd(&q[l], localQ[l])
+			for l := range q {
+				omp.AtomicAdd(&st.Q[l], q[l])
 			}
-		}
-		omp.Reduce(t, omp.ReduceSum, &st.Sx, localSx)
-		omp.Reduce(t, omp.ReduceSum, &st.Sy, localSy)
-	}, omp.NumThreads(threads))
+
+			omp.Reduce(__omp_t, omp.ReduceSum, __omp_red_sx, sx)
+			omp.Reduce(__omp_t, omp.ReduceSum, __omp_red_sy, sy)
+		}, omp.NumThreads(threads), omp.Loc("parallel.go", 27, "parallel"))
+	}
 	tm.Stop()
 
 	st.Seconds = tm.Seconds()
-	for l := 0; l < nq; l++ {
-		st.Q[l] = q[l]
-		st.Gc += st.Q[l]
+	st.Sx, st.Sy = sx, sy
+	for _, c := range st.Q {
+		st.Gc += c
 	}
 	return st, nil
 }

@@ -5,18 +5,10 @@
 // the total runtime") and notes the port uses private and firstprivate
 // clauses plus a schedule(static,1) loop.
 //
-// The omp flavour ranks in three phases (omp.go): count, every thread
-// counting its static block of keys into a private histogram over the
-// whole key range; block scan, every thread summing the histograms over
-// its block of key values into a prefix whose running total stays in a
-// register; offsets, every thread adding the lower threads' block totals.
-// NPB's OpenMP IS without USE_BUCKETS has every thread prefix-sum its
-// whole histogram instead: T serial load–add–store chains through memory
-// on the critical path, each about 210 µs at class W on a 2-vCPU Intel
-// Xeon (70 µs with the total in a register) in a 0.9 ms two-thread rank.
-// Buckets lose here (9.6 ms against 1.7 ms at one thread on class W) and
-// survive only in the pinned goroutine baseline (goroutine.go). genKeys
-// draws the keys in four lanes, one per draw of a key.
+// The omp flavour's rankOMP ranks in three phases, count, block scan and
+// offsets; its comment in _omp/parallel.go gives them and why they beat
+// NPB's per-thread prefix sums. genKeys draws the keys in four lanes, one
+// per draw of a key.
 //
 // Every flavour ends with NPB's full verification, untimed: the keys
 // placed by their ranks must come out sorted. fullVerify decides it at
@@ -31,6 +23,8 @@ import (
 
 	"gomp/internal/npb"
 )
+
+//go:generate go run gomp/cmd/gompcc -o omp.go _omp/parallel.go
 
 // maxIterations is NPB's MAX_ITERATIONS: the number of timed rank calls.
 const maxIterations = 10

@@ -1,9 +1,17 @@
+// Code generated by gompcc from _omp/parallel.go. DO NOT EDIT.
+
 package is
 
 import (
 	"gomp/internal/npb"
 	"gomp/omp"
 )
+
+// keyBlock is the strip a worksharing loop iteration covers: keyBlock keys
+// to count or draw, or keyBlock key values to scan. A strip runs as a plain
+// range loop, so a key pays for its own work alone; as one iteration of a
+// generated loop it would also pay that iteration's omp.LoopVar index.
+const keyBlock = 1024
 
 // histograms returns the threads × maxKey histogram space rankOMP works in:
 // a prefix of buff2 when it fits, since buff2 is dead while ranking and
@@ -23,62 +31,117 @@ type padI32 struct {
 	_ [60]byte
 }
 
-// rankOMP computes the cumulative rank array in the package comment's three
-// phases, a barrier after each of the first two. hist holds threads × maxKey
-// words, thread t owning the t-th maxKey-long run, and totals threads
-// slots; only the granted team's are read, since the team can be narrower
-// than requested and words past it stale. Integer arithmetic over
-// deterministic partitions keeps the ranks bit-identical to rankSerial.
+// rankOMP computes the cumulative rank array in three phases, a barrier
+// after each of the first two. Count: every thread counts its static share
+// of the keys into its own histogram over the whole key range. Block scan:
+// every thread sums the team's histograms over its static share of the
+// key values into a prefix whose running total stays in a register, and
+// stores its share's total. Offsets: every thread adds the lower threads'
+// totals over the same share, the scan and offsets loops having one
+// schedule. A cancellable team hands a share over in several chunks, in
+// order, so the running total carries from strip to strip.
+//
+// NPB's OpenMP IS without USE_BUCKETS has every thread prefix-sum its
+// whole histogram instead: T serial load–add–store chains through memory
+// on the critical path, each about 210 µs at class W on a 2-vCPU Intel
+// Xeon (70 µs with the total in a register) in a 0.9 ms two-thread rank.
+// Buckets lose here (9.6 ms against 1.7 ms at one thread on class W) and
+// survive only in the pinned goroutine baseline (goroutine.go).
+//
+// hist holds threads × maxKey words, thread t owning the t-th maxKey-long
+// run, and totals threads slots; only the team's are read, since the team
+// can be narrower than requested and words past it stale. Integer
+// arithmetic over deterministic partitions keeps the ranks bit-identical
+// to rankSerial.
 func (pr *problem) rankOMP(hist []int32, totals []padI32, threads int) {
-	maxKey := int64(pr.maxKey)
-	omp.Parallel(func(t *omp.Thread) {
-		mine := hist[int64(t.Tid)*maxKey:][:maxKey]
-		clear(mine)
-		omp.ForRange(t, int64(pr.nKeys), func(lo, hi int64) {
-			for _, k := range pr.keys[lo:hi] {
-				mine[k]++
-			}
-		}, omp.Schedule(omp.Static, 0), omp.NoWait())
-		omp.Barrier(t)
-		// Block scan. A cancellable team hands a block over in several
-		// chunks, so the running total carries from one to the next.
-		last := int64(t.NumThreads()-1) * maxKey
-		total := int32(0)
-		omp.ForRange(t, maxKey, func(lo, hi int64) {
-			ranks := pr.ranks[lo:hi]
-			clear(ranks)
-			for h := int64(0); h < last; h += maxKey {
-				for i, c := range hist[h+lo : h+hi] {
-					ranks[i] += c
-				}
-			}
-			run := total
-			for i, c := range hist[last+lo : last+hi] {
-				run += ranks[i] + c
-				ranks[i] = run
-			}
-			total = run
-		}, omp.Schedule(omp.Static, 0), omp.NoWait())
-		totals[t.Tid].v = total
-		omp.Barrier(t)
+	maxKey := int(pr.maxKey)
+	{
+		omp.Parallel(func(__omp_t *omp.Thread) {
 
-		// Offsets. Thread 0 adds nothing but still meets the loop, as a team
-		// must; the region's join publishes the ranks.
-		offset := int32(0)
-		for tt := range t.Tid {
-			offset += totals[tt].v
-		}
-		omp.ForRange(t, maxKey, func(lo, hi int64) {
-			ranks := pr.ranks[lo:hi]
-			for i := range ranks {
-				ranks[i] += offset
+			tid := omp.GetThreadNum()
+			last := (omp.GetNumThreads() - 1) * maxKey
+			mine := hist[tid*maxKey:][:maxKey]
+			clear(mine)
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64((keyBlock))
+				__omp_trip0 := omp.TripCount(__omp_lb0, pr.nKeys, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						b := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = b
+
+						for _, k := range pr.keys[b:min(b+keyBlock, pr.nKeys)] {
+							mine[k]++
+						}
+
+					}
+				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 62, "for"))
 			}
-		}, omp.Schedule(omp.Static, 0), omp.NoWait())
-	}, omp.NumThreads(threads))
+			omp.Barrier(__omp_t)
+
+			total := int32(0)
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64((keyBlock))
+				__omp_trip0 := omp.TripCount(__omp_lb0, maxKey, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						b := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = b
+
+						strip := pr.ranks[b:min(b+keyBlock, maxKey)]
+						clear(strip)
+						for h := 0; h < last; h += maxKey {
+							for i, c := range hist[h+b:][:len(strip)] {
+								strip[i] += c
+							}
+						}
+						run := total
+						for i, c := range hist[last+b:][:len(strip)] {
+							run += strip[i] + c
+							strip[i] = run
+						}
+						total = run
+
+					}
+				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 71, "for"))
+			}
+			totals[tid].v = total
+			omp.Barrier(__omp_t)
+
+			// The region's join publishes the ranks.
+			offset := int32(0)
+			for _, t := range totals[:tid] {
+				offset += t.v
+			}
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64((keyBlock))
+				__omp_trip0 := omp.TripCount(__omp_lb0, maxKey, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						b := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = b
+
+						strip := pr.ranks[b:min(b+keyBlock, maxKey)]
+						for i := range strip {
+							strip[i] += offset
+						}
+
+					}
+				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 95, "for"))
+			}
+
+		}, omp.NumThreads(threads), omp.Loc("parallel.go", 56, "parallel"))
+	}
 }
 
 // RunParallel executes IS with rank() on the OpenMP runtime. Key generation
-// is also parallel, seed-jumped per block, and produces the identical
+// is also parallel, seed-jumped per strip, and produces the identical
 // sequence to the serial generator.
 func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	pr, err := allocProblem(class)
@@ -88,9 +151,25 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	omp.ParallelForRange(int64(pr.nKeys), func(t *omp.Thread, lo, hi int64) {
-		pr.genKeys(int(lo), int(hi))
-	}, omp.NumThreads(threads), omp.Schedule(omp.Static, 0))
+	{
+		omp.Parallel(func(__omp_t *omp.Thread) {
+			{
+				__omp_lb0 := 0
+				__omp_st0 := int64((keyBlock))
+				__omp_trip0 := omp.TripCount(__omp_lb0, pr.nKeys, __omp_st0, false)
+				__omp_trip := __omp_trip0
+				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
+					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
+						b := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
+						_ = b
+
+						pr.genKeys(b, min(b+keyBlock, pr.nKeys))
+
+					}
+				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 116, "for"))
+			}
+		}, omp.NumThreads(threads), omp.Loc("parallel.go", 116, "parallel"))
+	}
 
 	pr.buff2 = pr.histograms(threads)
 	totals := make([]padI32, threads)
