@@ -393,7 +393,7 @@ func kernel%d(a, b []float64, n int) float64 {
 		b.ReportMetric(float64(nfiles)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 	}
 	b.Run(fmt.Sprintf("cold/jobs=%d", jobs), func(b *testing.B) {
-		d, err := driver.New(driver.Config{Module: mkmodule(b), Jobs: jobs, CacheDir: driver.CacheOff})
+		d, err := driver.New(driver.Config{Module: mkmodule(b), OutDir: b.TempDir(), Jobs: jobs, CacheDir: driver.CacheOff})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func kernel%d(a, b []float64, n int) float64 {
 		filesPerSec(b)
 	})
 	b.Run(fmt.Sprintf("warm/jobs=%d", jobs), func(b *testing.B) {
-		d, err := driver.New(driver.Config{Module: mkmodule(b), Jobs: jobs})
+		d, err := driver.New(driver.Config{Module: mkmodule(b), OutDir: b.TempDir(), Jobs: jobs})
 		if err != nil {
 			b.Fatal(err)
 		}

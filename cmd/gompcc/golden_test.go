@@ -11,8 +11,8 @@ import (
 	"gomp/internal/driver"
 )
 
-// Golden-file coverage of the CLI's three modes: single-file output,
-// -stdout (both produce processFile's bytes), and -dir batch processing.
+// Golden-file coverage of the CLI's outputs: single-file -o and -stdout
+// (both processFile's bytes), and the -module mirror of testdata/dir.
 // Regenerate with:
 //
 //	go test ./cmd/gompcc -run TestGolden -update
@@ -47,8 +47,9 @@ func TestGoldenSingleFile(t *testing.T) {
 }
 
 // -o output is processFile's result under the driver's generated-code
-// header naming the input, so a module crawl skips the file: the module
-// holding only that output has no source file to transform.
+// header naming the input, so a module build takes it for generated: the
+// mirror of a module holding only that output copies it byte for byte
+// and transforms nothing.
 func TestSingleFileOutputMarkedGenerated(t *testing.T) {
 	in := filepath.Join("testdata", "single.go")
 	root := t.TempDir()
@@ -68,11 +69,15 @@ func TestSingleFileOutputMarkedGenerated(t *testing.T) {
 		t.Fatalf("-o output is not the header %q followed by single.golden:\n%s", head, got)
 	}
 	var log bytes.Buffer
-	if err := runModule(root, "", "_omp", "off", 1, false, false, 0, &log); err != nil {
+	out := t.TempDir()
+	if err := runModule(root, out, "off", 1, false, false, 0, &log); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), ": 0 files (0 pragma)") {
-		t.Fatalf("module crawl took the -o output for a source file:\n%s", log.String())
+	if !strings.Contains(log.String(), ": 1 files (0 pragma), 0 transformed, 0 cached, 1 copied") {
+		t.Fatalf("module build took the -o output for a source file:\n%s", log.String())
+	}
+	if mirrored, err := os.ReadFile(filepath.Join(out, "kernel.go")); err != nil || !bytes.Equal(mirrored, got) {
+		t.Fatalf("mirror of the -o output is not a verbatim copy (%v):\n%s", err, mirrored)
 	}
 }
 
@@ -88,54 +93,38 @@ func TestGoldenTile(t *testing.T) {
 	compareGolden(t, filepath.Join("testdata", "tile.golden"), got)
 }
 
-// -dir mode: files are processed in sorted filename order, every
-// non-test, non-generated file gets an output (pragma-free files pass
-// through), and each output matches its golden.
+// The mirror of testdata/dir: each pragma-bearing file is the driver's
+// generated-code header followed by its golden, the pragma-free gamma.go
+// is copied verbatim, and nothing else is written.
 func TestGoldenDir(t *testing.T) {
 	srcDir := filepath.Join("testdata", "dir")
-	entries, err := os.ReadDir(srcDir)
+	out := t.TempDir()
+	var log bytes.Buffer
+	if err := runModule(srcDir, out, "off", 2, false, false, 0, &log); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	if !strings.Contains(log.String(), ": 3 files (2 pragma), 2 transformed, 0 cached, 1 copied") {
+		t.Errorf("summary: %s", log.String())
+	}
+	got := snapshotTree(t, out)
+	if len(got) != 3 {
+		t.Errorf("mirror holds %d files, want alpha.go, beta.go and gamma.go: %v", len(got), got)
+	}
+	for _, name := range []string{"alpha.go", "beta.go"} {
+		head := driver.GeneratedHeader(name)
+		if !strings.HasPrefix(got[name], string(head)) {
+			t.Errorf("%s lacks the header %q:\n%s", name, head, got[name])
+			continue
+		}
+		// Goldens carry a .golden suffix (not .go) so they are never
+		// mistaken for module sources.
+		compareGolden(t, filepath.Join(srcDir, strings.TrimSuffix(name, ".go")+".golden"), []byte(got[name][len(head):]))
+	}
+	gamma, err := os.ReadFile(filepath.Join(srcDir, "gamma.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := t.TempDir()
-	var inputs []string
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(srcDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(work, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		inputs = append(inputs, e.Name())
-	}
-	var log bytes.Buffer
-	if err := processDir(work, "_omp", false, &log); err != nil {
-		t.Fatal(err)
-	}
-	// Sorted processing order: the log mentions inputs alphabetically.
-	var logged []string
-	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) >= 2 {
-			logged = append(logged, filepath.Base(fields[1]))
-		}
-	}
-	wantOrder := []string{"alpha.go", "beta.go", "gamma.go"}
-	if strings.Join(logged, ",") != strings.Join(wantOrder, ",") {
-		t.Errorf("-dir processing order = %v, want %v", logged, wantOrder)
-	}
-	for _, name := range inputs {
-		outName := strings.TrimSuffix(name, ".go") + "_omp.go"
-		got, err := os.ReadFile(filepath.Join(work, outName))
-		if err != nil {
-			t.Fatalf("missing -dir output %s: %v", outName, err)
-		}
-		// Goldens carry a .golden suffix (not .go) so they are never
-		// mistaken for -dir inputs.
-		compareGolden(t, filepath.Join(srcDir, strings.TrimSuffix(name, ".go")+"_omp.golden"), got)
+	if got["gamma.go"] != string(gamma) {
+		t.Errorf("gamma.go not copied verbatim:\n%s", got["gamma.go"])
 	}
 }

@@ -6,14 +6,16 @@
 //
 // Usage:
 //
-//	gompcc [-o output.go] input.go    # write transformed source, marked generated
-//	gompcc -stdout input.go           # print to stdout
-//	gompcc -dir pkgdir -suffix _omp   # transform every *.go in a package
-//	gompcc -explain input.go          # describe each directive, change nothing
-//	gompcc -profile input.go          # also auto-instrument for profiling
-//	gompcc -module root [-jobs N]     # module-scale parallel build driver
-//	gompcc -module root -watch        # …re-running as sources change
+//	gompcc [-o output.go] input.go          # write transformed source, marked generated
+//	gompcc -stdout input.go                 # print to stdout
+//	gompcc -explain input.go…               # describe each directive, change nothing
+//	gompcc -profile input.go                # also auto-instrument for profiling
+//	gompcc -module root -outdir out [-jobs N]  # mirror a whole tree, transformed
+//	gompcc -module root -outdir out -watch  # …re-running as sources change
 //	go build -toolexec="gompcc -toolexec" ./…   # inside a plain go build
+//
+// The package documentation of gomp/internal/driver describes the three
+// build paths (single file, mirror, toolexec) and what each writes.
 //
 // Files without pragmas pass through unchanged. With -profile, every
 // function containing a pragma gets a source-located profiling span and
@@ -25,16 +27,6 @@
 // on-demand profile/timeline windows, imbalance analysis — for its
 // whole run, so a long-lived instrumented program is monitorable
 // without rebuilding.
-//
-// -module hands the whole tree to the build driver (internal/driver): a
-// crawl that respects build tags and skips vendor/testdata/generated
-// trees, a transform fan-out across -jobs workers running on the repo's
-// own omp runtime, a content-hash cache under .gompcc-cache/ so warm
-// runs skip unchanged files entirely, and atomic output writes. -outdir
-// mirrors the transformed module into a separate buildable tree instead
-// of writing _omp.go siblings. All output writes — single-file and -dir
-// modes included — go through temp-file + rename, so an interrupted run
-// never truncates an existing output.
 package main
 
 import (
@@ -45,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -58,7 +49,7 @@ func main() {
 	// -toolexec dispatches before flag parsing: everything after it is
 	// the tool's own command line (full of flags gompcc must not eat).
 	if len(os.Args) > 1 && os.Args[1] == "-toolexec" {
-		code, err := driver.Toolexec(os.Args[2:], core.Options{})
+		code, err := driver.Toolexec(os.Args[2:])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gompcc:", err)
 		}
@@ -67,12 +58,10 @@ func main() {
 	var (
 		out      = flag.String("o", "", "output file (default: <input>_omp.go)")
 		toStdout = flag.Bool("stdout", false, "write the transformed source to stdout")
-		dir      = flag.String("dir", "", "transform every .go file in this directory instead of a single file")
-		suffix   = flag.String("suffix", "_omp", "filename suffix for -dir and -module outputs")
-		explain  = flag.Bool("explain", false, "print each recognized directive with its parsed clauses and the lowering it will receive, without rewriting")
+		explain  = flag.Bool("explain", false, "print each recognized directive of the input files with its parsed clauses and the lowering it will receive, without rewriting")
 		profile  = flag.Bool("profile", false, "auto-instrument the output: profiling spans in pragma-containing functions, profiler lifecycle in main")
-		module   = flag.String("module", "", "module-scale build driver: crawl this tree and transform every pragma-bearing file")
-		outdir   = flag.String("outdir", "", "with -module: mirror the transformed tree under this root instead of writing _omp.go siblings")
+		module   = flag.String("module", "", "build driver: crawl this tree and mirror it under -outdir, transforming every pragma-bearing file")
+		outdir   = flag.String("outdir", "", "with -module: the root the transformed tree is mirrored under (required)")
 		jobs     = flag.Int("jobs", 0, "with -module: transform worker count (default GOMAXPROCS; 1 = serial)")
 		cache    = flag.String("cache", "", "with -module: cache directory (default <module>/.gompcc-cache; 'off' disables)")
 		watch    = flag.Bool("watch", false, "with -module: keep running, re-transforming as sources change")
@@ -81,42 +70,23 @@ func main() {
 	flag.Parse()
 
 	if *module != "" {
-		if err := runModule(*module, *outdir, *suffix, *cache, *jobs, *profile, *watch, *interval, os.Stderr); err != nil {
+		if err := runModule(*module, *outdir, *cache, *jobs, *profile, *watch, *interval, os.Stderr); err != nil {
 			fail(err)
 		}
 		return
 	}
-	if *explain && *dir != "" {
-		// The dry run stays a dry run in batch mode: explain every file
-		// processDir would rewrite, write nothing.
-		names, err := eligibleFiles(*dir, *suffix)
-		if err != nil {
-			fail(err)
-		}
-		for _, name := range names {
-			if err := explainFile(filepath.Join(*dir, name), os.Stdout); err != nil {
-				fail(err)
-			}
-		}
-		return
-	}
-	if *dir != "" {
-		if err := processDir(*dir, *suffix, *profile, os.Stderr); err != nil {
+	if *explain && flag.NArg() > 0 {
+		// A dry run: explain every file named, write nothing.
+		if err := explainFiles(flag.Args(), os.Stdout); err != nil {
 			fail(err)
 		}
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gompcc [-o out.go | -stdout | -explain | -module root] input.go")
+		fmt.Fprintln(os.Stderr, "usage: gompcc [-o out.go | -stdout] input.go | -explain input.go… | -module root -outdir out")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-	if *explain {
-		if err := explainFile(in, os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
 	if *toStdout {
 		res, err := processFile(in, *profile)
 		if err != nil {
@@ -150,11 +120,10 @@ func writeFile(in, dst string, profile bool) error {
 // GOMP_METRICS the pass itself is profiled — the driver's fan-out runs
 // on the omp runtime, so the flat profile and the driver-cold/warm
 // counters report the build like any other workload.
-func runModule(module, outdir, suffix, cache string, jobs int, profile, watch bool, interval time.Duration, log io.Writer) error {
+func runModule(module, outdir, cache string, jobs int, profile, watch bool, interval time.Duration, log io.Writer) error {
 	d, err := driver.New(driver.Config{
 		Module:   module,
 		OutDir:   outdir,
-		Suffix:   suffix,
 		Jobs:     jobs,
 		CacheDir: cache,
 		Profile:  profile,
@@ -194,6 +163,16 @@ func runModule(module, outdir, suffix, cache string, jobs int, profile, watch bo
 	return lastErr
 }
 
+// explainFiles explains each of paths in turn (explainFile).
+func explainFiles(paths []string, w io.Writer) error {
+	for _, path := range paths {
+		if err := explainFile(path, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // explainFile prints every recognized directive of path — its line, its
 // parsed clause set rendered back to pragma syntax, and the lowering or
 // transformation the preprocessor would apply — without rewriting
@@ -224,62 +203,8 @@ func processFile(path string, profile bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Preprocess(src, core.Options{Filename: filepath.Base(path), Profile: profile})
-}
-
-// eligibleFiles lists the .go files of dir that batch modes operate on, in
-// sorted filename order — explicitly sorted rather than relying on the
-// directory listing, so diagnostics and log output are deterministic
-// across platforms and filesystems.
-func eligibleFiles(dir, suffix string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasSuffix(name, suffix+".go") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// processDir transforms every eligible .go file of dir; log receives one
-// progress line per file. A failing file does not stop the batch: every
-// file is attempted, each failure is logged where it occurred, and the
-// returned error summarises the count — one bad file never masks the
-// rest of the package.
-func processDir(dir, suffix string, profile bool, log io.Writer) error {
-	names, err := eligibleFiles(dir, suffix)
-	if err != nil {
-		return err
-	}
-	failed := 0
-	for _, name := range names {
-		in := filepath.Join(dir, name)
-		res, err := processFile(in, profile)
-		if err == nil {
-			dst := filepath.Join(dir, strings.TrimSuffix(name, ".go")+suffix+".go")
-			if werr := driver.WriteFileAtomic(dst, res, 0o644); werr != nil {
-				err = werr
-			} else {
-				fmt.Fprintf(log, "gompcc: %s -> %s\n", in, dst)
-			}
-		}
-		if err != nil {
-			failed++
-			fmt.Fprintf(log, "gompcc: %s: %v\n", in, err)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d files failed", failed, len(names))
-	}
-	return nil
+	res, err := core.Transform(src, core.Options{Filename: filepath.Base(path), Profile: profile})
+	return res.Output, err
 }
 
 func fail(err error) {

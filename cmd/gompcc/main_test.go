@@ -1,9 +1,9 @@
 package main
 
 import (
-	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -105,109 +105,6 @@ func f() {
 	}
 }
 
-func TestProcessDir(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"a.go": "package p\n\nfunc a(v []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(v); i++ {\n\t\tv[i] = i\n\t}\n}\n",
-		"b.go": "package p\n\nfunc b() {}\n",
-		// Must be skipped: tests, and already-generated outputs.
-		"c_test.go": "package p\n",
-		"a_omp.go":  "package p\n",
-	}
-	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := processDir(dir, "_omp", false, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	outA, err := os.ReadFile(filepath.Join(dir, "a_omp.go"))
-	if err != nil {
-		t.Fatal("a_omp.go not produced")
-	}
-	if !strings.Contains(string(outA), "omp.Parallel(") {
-		t.Fatal("a_omp.go not lowered")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "b_omp.go")); err != nil {
-		t.Fatal("b_omp.go not produced (pass-through file should still be emitted)")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "c_test_omp.go")); err == nil {
-		t.Fatal("test file was transformed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "a_omp_omp.go")); err == nil {
-		t.Fatal("generated output was re-transformed")
-	}
-}
-
-// A failing file no longer aborts the batch: every file is attempted,
-// the failure is logged in place, and the summary error counts it — so
-// one bad file cannot mask diagnostics (or outputs) for the rest.
-func TestProcessDirAggregatesFailures(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"a.go":   "package p\n\nfunc a(v []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(v); i++ {\n\t\tv[i] = i\n\t}\n}\n",
-		"bad.go": "package p\n\nfunc f() {\n\t//omp paralel\n\t{\n\t}\n}\n",
-		"z.go":   "package p\n\nfunc z(v []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(v); i++ {\n\t\tv[i] = i\n\t}\n}\n",
-	}
-	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var log strings.Builder
-	err := processDir(dir, "_omp", false, &log)
-	if err == nil || !strings.Contains(err.Error(), "1 of 3 files failed") {
-		t.Fatalf("err = %v, want failure summary", err)
-	}
-	if !strings.Contains(log.String(), "bad.go:4") {
-		t.Fatalf("log lacks the positioned diagnostic:\n%s", log.String())
-	}
-	// Both good files — including z.go, sorted after the failure —
-	// were still transformed.
-	for _, want := range []string{"a_omp.go", "z_omp.go"} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Errorf("%s not produced despite unrelated failure", want)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "bad_omp.go")); err == nil {
-		t.Error("failed file produced an output")
-	}
-}
-
-// Output writes go through temp-file + rename: an overwrite is total,
-// and no temporary files survive a batch.
-func TestProcessDirWritesAtomically(t *testing.T) {
-	dir := t.TempDir()
-	src := "package p\n\nfunc a(v []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(v); i++ {\n\t\tv[i] = i\n\t}\n}\n"
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A pre-existing stale output is replaced wholesale.
-	if err := os.WriteFile(filepath.Join(dir, "a_omp.go"), []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := processDir(dir, "_omp", false, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(filepath.Join(dir, "a_omp.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "omp.Parallel(") || strings.Contains(string(out), "stale") {
-		t.Fatalf("output not replaced atomically:\n%s", out)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Errorf("temporary file left behind: %s", e.Name())
-		}
-	}
-}
-
 // -explain is a dry run: every directive is listed with its line, its
 // re-rendered clause set, and the lowering/transformation description, and
 // the input file is never modified.
@@ -291,33 +188,35 @@ func TestExplainFileBadPragma(t *testing.T) {
 	}
 }
 
-// -explain combined with -dir stays a dry run: every eligible file is
-// explained and nothing is written (the batch listing is shared with
-// processDir, so the coverage set matches).
+// -explain over every file of a directory (gompcc -explain dir/*.go)
+// stays a dry run: each file is explained and nothing is written.
 func TestExplainDirWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	src := "package p\n\nfunc f(a []int, n int) {\n\t//omp unroll partial(2)\n\tfor i := 0; i < n; i++ {\n\t\ta[i]++\n\t}\n}\n"
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	files := map[string]string{
+		"x.go": "package p\n\nfunc f(a []int, n int) {\n\t//omp unroll partial(2)\n\tfor i := 0; i < n; i++ {\n\t\ta[i]++\n\t}\n}\n",
+		"y.go": "package p\n\nfunc g() {}\n",
 	}
-	names, err := eligibleFiles(dir, "_omp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, name := range names {
-		if err := explainFile(filepath.Join(dir, name), &b); err != nil {
+	var paths []string
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		paths = append(paths, path)
 	}
-	if !strings.Contains(b.String(), "unroll the loop body 2") {
-		t.Errorf("explain output missing the unroll description:\n%s", b.String())
+	sort.Strings(paths)
+	var b strings.Builder
+	if err := explainFiles(paths, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "unroll the loop body 2") || !strings.Contains(b.String(), "y.go: no omp pragmas") {
+		t.Errorf("explain output misses a file:\n%s", b.String())
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
+	if len(entries) != len(files) {
 		t.Fatalf("dry run created files: %v", entries)
 	}
 }

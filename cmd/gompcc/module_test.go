@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -63,35 +64,43 @@ func snapshotTree(t *testing.T, root string) map[string]string {
 
 // The acceptance criterion, end to end through the CLI layer: the
 // second consecutive -module run over an unchanged tree performs zero
-// re-transforms, and the manifest proves it recorded every file.
+// re-transforms and copies nothing again.
 func TestModuleWarmRunIsAllCacheHits(t *testing.T) {
-	root := copyTestdataDir(t)
+	root, out := copyTestdataDir(t), t.TempDir()
 	var log bytes.Buffer
-	if err := runModule(root, "", "_omp", "", 4, false, false, 0, &log); err != nil {
+	if err := runModule(root, out, "", 4, false, false, 0, &log); err != nil {
 		t.Fatalf("cold run: %v\n%s", err, log.String())
 	}
 	cold := log.String()
-	if !strings.Contains(cold, "2 transformed, 0 cached") {
+	if !strings.Contains(cold, "2 transformed, 0 cached, 1 copied") {
 		t.Fatalf("cold summary unexpected: %s", cold)
 	}
 	log.Reset()
-	if err := runModule(root, "", "_omp", "", 4, false, false, 0, &log); err != nil {
+	if err := runModule(root, out, "", 4, false, false, 0, &log); err != nil {
 		t.Fatalf("warm run: %v\n%s", err, log.String())
 	}
 	warm := log.String()
-	if !strings.Contains(warm, "0 transformed, 2 cached") {
+	if !strings.HasSuffix(warm, "0 transformed, 3 cached\n") {
 		t.Fatalf("warm run re-transformed: %s", warm)
 	}
 }
 
-// Determinism: -jobs 1 and -jobs 8 produce byte-identical outputs and
+// -module without -outdir is refused, naming the flag.
+func TestModuleNeedsOutdir(t *testing.T) {
+	err := runModule(copyTestdataDir(t), "", "off", 1, false, false, 0, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-outdir") {
+		t.Fatalf("err = %v, want one naming -outdir", err)
+	}
+}
+
+// Determinism: -jobs 1 and -jobs 8 produce byte-identical mirrors and
 // manifests over testdata/dir — the parallel fan-out shares nothing
 // and the manifest is a pure function of tree content and flags.
 func TestModuleJobsDeterminism(t *testing.T) {
-	serialRoot := copyTestdataDir(t)
-	parallelRoot := copyTestdataDir(t)
-	for root, jobs := range map[string]int{serialRoot: 1, parallelRoot: 8} {
-		d, err := driver.New(driver.Config{Module: root, Jobs: jobs})
+	trees := map[int][2]string{}
+	for _, jobs := range []int{1, 8} {
+		root, out := copyTestdataDir(t), t.TempDir()
+		d, err := driver.New(driver.Config{Module: root, OutDir: out, Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,38 +111,41 @@ func TestModuleJobsDeterminism(t *testing.T) {
 		if err := rep.Err(); err != nil {
 			t.Fatal(err)
 		}
+		trees[jobs] = [2]string{root, out}
 	}
-	serial := snapshotTree(t, serialRoot)
-	parallel := snapshotTree(t, parallelRoot)
-	if len(serial) != len(parallel) {
-		t.Fatalf("tree shapes differ: %d vs %d files", len(serial), len(parallel))
-	}
-	for rel, want := range serial {
-		got, ok := parallel[rel]
-		if !ok {
-			t.Errorf("missing in -jobs 8 tree: %s", rel)
-			continue
+	for i, what := range []string{"module (manifest)", "mirror"} {
+		serial := snapshotTree(t, trees[1][i])
+		parallel := snapshotTree(t, trees[8][i])
+		if len(serial) != len(parallel) {
+			t.Fatalf("%s tree shapes differ: %d vs %d files", what, len(serial), len(parallel))
 		}
-		if got != want {
-			t.Errorf("%s differs between -jobs 1 and -jobs 8", rel)
+		for rel, want := range serial {
+			got, ok := parallel[rel]
+			if !ok {
+				t.Errorf("missing in the -jobs 8 %s: %s", what, rel)
+				continue
+			}
+			if got != want {
+				t.Errorf("%s %s differs between -jobs 1 and -jobs 8", what, rel)
+			}
 		}
 	}
-	if _, ok := serial[".gompcc-cache/manifest.json"]; !ok {
+	if _, ok := snapshotTree(t, trees[1][0])[".gompcc-cache/manifest.json"]; !ok {
 		t.Fatal("manifest not written")
 	}
 }
 
-// Module outputs are generated files the next crawl must skip: a third
-// run after the first two keeps the file count stable.
+// A mirror nested inside the module it mirrors is not crawled back: a
+// second run keeps the file count stable.
 func TestModuleOutputsNotRecrawled(t *testing.T) {
 	root := copyTestdataDir(t)
 	var log bytes.Buffer
 	for i := 0; i < 2; i++ {
-		if err := runModule(root, "", "_omp", "", 2, false, false, 0, &log); err != nil {
+		if err := runModule(root, filepath.Join(root, "gen"), "", 2, false, false, 0, &log); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(log.String(), "3 files (2 pragma)") {
+	if strings.Count(log.String(), "3 files (2 pragma)") != 2 {
 		t.Fatalf("file count drifted across runs:\n%s", log.String())
 	}
 }

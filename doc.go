@@ -217,54 +217,14 @@
 //
 // # Build integration
 //
-// The paper's preprocessor story ends at single files; the module
-// build driver (internal/driver, `gompcc -module`) is what makes the
-// translation layer fast enough to sit inside a normal build over a
-// whole module. A pass has four phases: a tree crawler that honours
-// build constraints (go/build MatchFile) and skips vendor/, testdata/,
-// hidden and underscore trees, _test.go files, prior <suffix>.go
-// outputs and anything carrying the standard `// Code generated …
-// DO NOT EDIT.` marker (which every driver output carries); a parallel
-// transform fan-out across `-jobs` workers — an omp.ForRange with
-// schedule(dynamic,1) inside omp.ParallelErr, on this repository's own
-// runtime, so the driver dogfoods the stack it builds for and reports
-// into the same metrics registry (driver-cold-files / driver-warm-files /
-// driver-transform time under GOMP_METRICS); a content-hash cache; and
-// atomic output writes (temp-file + rename, every gompcc mode), so an
-// interrupted run never leaves a truncated output behind.
-//
-// The cache is a manifest at <module>/.gompcc-cache/manifest.json
-// mapping each module-relative source path to the SHA-256 of its
-// bytes, the action taken (transform / copy / skip) and its output
-// path. Flag set and transform-engine version (core.EngineVersion) are
-// manifest-wide: changing either discards the whole cache, because
-// they affect every file alike. The manifest is timestamp-free and
-// sorted, so it — like every output — is byte-identical at every
-// `-jobs` value, and a warm run over an unchanged tree performs zero
-// re-transforms. `-cache off` disables it; deleting the directory is
-// always safe.
-//
-// Two output layouts: in-place (the default) writes <name>_omp.go
-// siblings, the `gompcc -dir` convention; `-outdir root` mirrors the
-// eligible sources under root — pragma-bearing files transformed in
-// place of their originals, pragma-free files copied verbatim — giving
-// a tree `go build` / `go vet` consume as-is (CI self-hosts the driver
-// over examples/ this way). `-watch` turns the pass into an
-// incremental loop: a portable mtime+size poll (no filesystem-event
-// dependency) decides when to run, the content hashes decide what to
-// transform, so a spurious wakeup costs one crawl and zero transforms.
-//
-// For builds that want no generated files at all there is the
-// toolexec route:
-//
-//	go build -toolexec="gompcc -toolexec" ./...
-//
-// gompcc then wraps every toolchain invocation, preprocesses
-// pragma-bearing compile inputs into a temporary directory and rewrites
-// the argument slots, leaving link/asm/vet untouched. One requirement:
-// a pragma-bearing file must already declare the runtime dependency —
-// `import _ "gomp/omp"` — because the go command computes the build
-// graph from the original sources (the way cgo requires import "C").
+// The paper's preprocessor story ends at single files. gompcc also
+// mirrors a whole module into a buildable transformed tree (`gompcc
+// -module root -outdir out`, with a content-hash cache, a parallel
+// fan-out on this repository's own runtime and atomic writes) and runs
+// inside a plain `go build -toolexec="gompcc -toolexec"`. The package
+// documentation of gomp/internal/driver is the account of all three
+// paths: what each writes, what the crawl skips, and how the cache
+// decides what a warm pass transforms.
 //
 // BenchmarkDriverColdVsWarm tracks driver throughput (files/s) for the
 // cold fan-out versus the warm hash-and-stat pass.

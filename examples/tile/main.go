@@ -67,11 +67,11 @@ func main() {
 	}
 
 	fmt.Println("\n--- transformed (gompcc output) ---")
-	out, err := core.Preprocess([]byte(annotated), core.Options{Filename: "tile.go"})
+	res, err := core.Transform([]byte(annotated), core.Options{Filename: "tile.go"})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(string(out))
+	fmt.Print(string(res.Output))
 
 	// The same computation through the runtime: the three formulations of
 	// internal/bench execute the identical floating-point chain per output

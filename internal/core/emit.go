@@ -598,16 +598,12 @@ func (lw *lowerer) clause(s string, depth int) {
 }
 
 // rawClause is s with the threadprivate variables replaced and nothing
-// else touched, for format.Source to lay out.
+// else touched, for format.Source to lay out. clause asks for it only for
+// an s that clauseExpr parsed and the printer could not lay out, so s
+// parses.
 func (lw *lowerer) rawClause(s string) string {
-	if len(lw.tpVars) == 0 {
-		return s
-	}
 	fset := token.NewFileSet()
-	e, err := parser.ParseExprFrom(fset, "", s, 0)
-	if err != nil {
-		return s // the generated file will not parse either, and says so
-	}
+	e, _ := parser.ParseExprFrom(fset, "", s, 0)
 	tf := fset.File(e.Pos())
 	var out []splice
 	for v, access := range lw.tpVars {

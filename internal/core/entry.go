@@ -5,19 +5,19 @@ import (
 	"slices"
 )
 
-// The batch-oriented face of the front end. Preprocess is a pure
-// function — it builds all parser, AST and encoding state per call and
-// touches no package-level variables — so the module build driver
-// (internal/driver) can fan files out across a worker team. Transform is
-// the entry point it calls: one file in, one result out, every
-// diagnostic positioned, nothing written to any stream.
+// The batch-oriented face of the front end. Transform is a pure function —
+// it builds all parser, AST and encoding state per call and touches no
+// package-level variables — so the module build driver (internal/driver)
+// can fan files out across a worker team: one file in, one result out,
+// every diagnostic positioned (opts.Filename and a line), nothing written
+// to any stream.
 
 // EngineVersion identifies the transform engine's output format. It
 // participates in the build driver's content hashes, so bumping it
-// invalidates every cached transform. Bump it whenever Preprocess can
+// invalidates every cached transform. Bump it whenever Transform can
 // produce different output for the same input and options: new
 // directives, changed lowerings, changed formatting.
-const EngineVersion = "gomp-core/13"
+const EngineVersion = "gomp-core/14"
 
 // TransformResult is one file's trip through the preprocessor.
 type TransformResult struct {
@@ -27,18 +27,6 @@ type TransformResult struct {
 	// Changed reports whether any pragma lowered or any instrumentation
 	// applied; a pragma-free file round-trips with Changed=false.
 	Changed bool
-}
-
-// Transform rewrites one annotated source file, the concurrency-safe
-// entry point batch drivers call: any number of Transform calls may run
-// simultaneously. Errors carry opts.Filename and a line, exactly as
-// Preprocess reports them.
-func Transform(src []byte, opts Options) (TransformResult, error) {
-	out, err := Preprocess(src, opts)
-	if err != nil {
-		return TransformResult{}, err
-	}
-	return TransformResult{Output: out, Changed: !bytes.Equal(out, src)}, nil
 }
 
 // ContainsPragma reports whether any line of src begins with a pragma

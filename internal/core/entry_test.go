@@ -27,26 +27,39 @@ func TestContainsPragma(t *testing.T) {
 	}
 }
 
+// preprocess is Transform's output alone, the form most tests compare.
+func preprocess(src []byte, opts Options) ([]byte, error) {
+	res, err := Transform(src, opts)
+	return res.Output, err
+}
+
+// Transform reads Changed from the lowering; it must agree with comparing
+// the preprocessed bytes with the input: a pragma lowered or a function
+// instrumented changes the file, while a pragma-free file, one whose
+// "pragma" is string-literal text, and a profiled file with nothing to
+// instrument come back as they went in.
 func TestTransformMatchesPreprocess(t *testing.T) {
-	src := []byte("package p\n\nfunc f(a []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(a); i++ {\n\t\ta[i] = i\n\t}\n}\n")
-	res, err := Transform(src, Options{Filename: "t.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Preprocess(src, Options{Filename: "t.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Changed || !bytes.Equal(res.Output, want) {
-		t.Fatalf("Transform diverged from Preprocess (changed=%v)", res.Changed)
-	}
-	plain := []byte("package p\n\nfunc f() {}\n")
-	res, err = Transform(plain, Options{Filename: "t.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Changed || !bytes.Equal(res.Output, plain) {
-		t.Fatal("pragma-free file reported as changed")
+	pragma := "package p\n\nfunc f(a []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(a); i++ {\n\t\ta[i] = i\n\t}\n}\n"
+	for _, c := range []struct {
+		src     string
+		profile bool
+		changed bool
+	}{
+		{pragma, false, true},
+		{pragma, true, true},
+		{"package main\n\nfunc main() {}\n", true, true},
+		{"package p\n\nfunc f() {}\n", false, false},
+		{"package p\n\nfunc f() {}\n", true, false},
+		{"package p\n\nconst doc = `\n//omp parallel for\n`\n", false, false},
+	} {
+		res, err := Transform([]byte(c.src), Options{Filename: "t.go", Profile: c.profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Changed != c.changed || res.Changed == bytes.Equal(res.Output, []byte(c.src)) {
+			t.Errorf("Transform(%q, profile=%v): Changed = %v, want %v (output equal to input: %v)",
+				c.src, c.profile, res.Changed, c.changed, bytes.Equal(res.Output, []byte(c.src)))
+		}
 	}
 }
 

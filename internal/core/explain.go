@@ -20,7 +20,7 @@ type PragmaInfo struct {
 
 // Inspect tokenises and parses every pragma of src in source order without
 // rewriting the file. Directive parse or validation errors are returned
-// with position information, exactly as Preprocess would report them.
+// with position information, exactly as Transform would report them.
 func Inspect(src []byte, opts Options) ([]PragmaInfo, error) {
 	opts.defaults()
 	u, err := analyze(src, opts)

@@ -117,6 +117,7 @@ func FuzzParseDirective(f *testing.F) {
 // Transform accepts must come out as Go that parses, is a gofmt fixed
 // point, holds no pragma, that Transform leaves alone when fed back, and
 // that type-checks against the real gomp/omp whenever the input does.
+// Changed, which the lowering reports, must say whether the bytes changed.
 func FuzzTransform(f *testing.F) {
 	for _, src := range lowerFixtures(f) {
 		f.Add(src)
@@ -124,7 +125,13 @@ func FuzzTransform(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src []byte) {
 		opts := Options{Filename: "fuzz.go"}
 		res, err := Transform(src, opts)
-		if err != nil || !res.Changed {
+		if err != nil {
+			return
+		}
+		if res.Changed == bytes.Equal(res.Output, src) {
+			t.Fatalf("Changed = %v, yet output == input is %v:\n%s", res.Changed, !res.Changed, src)
+		}
+		if !res.Changed {
 			return
 		}
 		formatted, err := format.Source(res.Output)

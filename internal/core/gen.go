@@ -269,8 +269,9 @@ func (lw *lowerer) genParallel(n *node) {
 const redPrefix = "__omp_red_"
 
 // identity writes the initialiser of a reduction variable's per-thread
-// copy: the operator's identity, typed like v (read before the copy's scope
-// begins, so v is the shared variable).
+// copy: the operator's identity, typed like v. It takes v's address, not
+// its value (before the copy's scope begins, so v is the shared variable):
+// reading v would race with a thread still writing it.
 func identity(e *emitter, op ReduceOp, v string) {
 	switch op {
 	case RedLogicalAnd:
@@ -278,7 +279,7 @@ func identity(e *emitter, op ReduceOp, v string) {
 	case RedLogicalOr:
 		e.code("false")
 	default:
-		e.put("omp.ReduceIdentity(", op.RuntimeName(), ", ", v, ")")
+		e.put("omp.ReduceIdentity(", op.RuntimeName(), ", &", v, ")")
 	}
 }
 

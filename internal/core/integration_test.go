@@ -15,9 +15,9 @@ func runPreprocessed(t *testing.T, src string) string {
 // buildPreprocessed lowers src and builds it (buildProgram).
 func buildPreprocessed(t *testing.T, src string) func(threads int) string {
 	t.Helper()
-	out, err := Preprocess([]byte(src), Options{Filename: "main.go"})
+	out, err := preprocess([]byte(src), Options{Filename: "main.go"})
 	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
+		t.Fatalf("Transform: %v", err)
 	}
 	return buildProgram(t, out)
 }

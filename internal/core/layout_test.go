@@ -18,14 +18,14 @@ import (
 // format.Source: settle's fallback counter must not move.
 
 // layoutInputs returns every annotated input the repository ships, keyed by
-// a name: the lowering fixtures (not the diagnostics, not the one input
-// that is deliberately out of gofmt layout), gompcc's golden inputs, the
+// a name: the lowering fixtures (not the diagnostics, not the inputs that
+// take the fallback on purpose), gompcc's golden inputs, the
 // pragma-bearing examples, and the scale test's source.
 func layoutInputs(t *testing.T) map[string][]byte {
 	t.Helper()
 	in := map[string][]byte{"scaledSource(4)": scaledSource(4)}
 	for name, src := range lowerFixtures(t) {
-		if !strings.HasPrefix(name, "err_") && name != uncleanFixture {
+		if !strings.HasPrefix(name, "err_") && !strings.HasPrefix(name, fallbackPrefix) && name != uncleanFixture {
 			in[name] = src
 		}
 	}
@@ -56,11 +56,16 @@ func layoutInputs(t *testing.T) map[string][]byte {
 // uncleanFixture is the lowering fixture written out of gofmt layout.
 const uncleanFixture = "unclean_input.go"
 
+// fallbackPrefix starts the names of the lowering fixtures that hold text
+// the emitter leaves to format.Source: function and composite literals in
+// a loop bound or a clause.
+const fallbackPrefix = "fallback_"
+
 // lowerChecked lowers src and fails unless the output is a gofmt fixed
 // point.
 func lowerChecked(t *testing.T, name string, src []byte, opts Options) []byte {
 	t.Helper()
-	out, err := Preprocess(src, opts)
+	out, err := preprocess(src, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -126,6 +131,16 @@ func TestUnsafeTextFallsBack(t *testing.T) {
 		if out := lowerChecked(t, name, []byte(c.src), Options{Filename: "f.go"}); !strings.Contains(string(out), c.keep) {
 			t.Errorf("%s: output lost %q:\n%s", name, c.keep, out)
 		}
+		if n := fallbacks.Load() - before; n != 1 {
+			t.Errorf("%s: format.Source ran %d times, want 1", name, n)
+		}
+	}
+	for name, src := range lowerFixtures(t) {
+		if !strings.HasPrefix(name, fallbackPrefix) {
+			continue
+		}
+		before := fallbacks.Load()
+		lowerChecked(t, name, src, Options{Filename: name})
 		if n := fallbacks.Load() - before; n != 1 {
 			t.Errorf("%s: format.Source ran %d times, want 1", name, n)
 		}

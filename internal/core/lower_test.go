@@ -47,10 +47,10 @@ var locCall = regexp.MustCompile(`omp\.Loc\("([^"]+)", (\d+), "([^"]+)"\)`)
 func TestLowerGolden(t *testing.T) {
 	for name, src := range lowerFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			got, err := Preprocess(src, fixtureOptions(name))
+			got, err := preprocess(src, fixtureOptions(name))
 			wantErr := strings.HasPrefix(name, "err_")
 			if (err != nil) != wantErr {
-				t.Fatalf("Preprocess error = %v, want error: %v", err, wantErr)
+				t.Fatalf("Transform error = %v, want error: %v", err, wantErr)
 			}
 			if err != nil {
 				got = []byte("error: " + err.Error() + "\n")
@@ -81,7 +81,7 @@ func TestLocNamesThePragmaLine(t *testing.T) {
 		if strings.HasPrefix(name, "err_") {
 			continue
 		}
-		out, err := Preprocess(src, fixtureOptions(name))
+		out, err := preprocess(src, fixtureOptions(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -135,7 +135,7 @@ func onlyTransformations(t *testing.T, src []byte) bool {
 func TestUnparsableInputOneDiagnostic(t *testing.T) {
 	src := "package p\n\nfunc f(a []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(a); i++ {\n\t\ta[i] = = 1\n\t\tb[i] = = 2\n\t}\n}\n"
 	for _, opts := range []Options{{Filename: "bad.go"}, {Filename: "bad.go", Profile: true}} {
-		_, err := Preprocess([]byte(src), opts)
+		_, err := preprocess([]byte(src), opts)
 		if err == nil {
 			t.Fatal("no error for a file that does not parse")
 		}
@@ -147,7 +147,7 @@ func TestUnparsableInputOneDiagnostic(t *testing.T) {
 			t.Errorf("the user's syntax error is blamed on generated code: %q", msg)
 		}
 		if _, ierr := Inspect([]byte(src), opts); ierr == nil || ierr.Error() != msg {
-			t.Errorf("Inspect reports %v, Preprocess %q", ierr, msg)
+			t.Errorf("Inspect reports %v, Transform %q", ierr, msg)
 		}
 	}
 }
@@ -187,7 +187,7 @@ func f(n *int) {
 		"standalone between": "package p\nfunc f() {\n\t//omp parallel\n\t//omp barrier\n\t{\n\t}\n}\n",
 		"no loops generated": "package p\nfunc f(n int) {\n\t//omp for\n\t//omp critical\n\tfor i := 0; i < n; i++ {\n\t}\n}\n",
 	} {
-		if _, err := Preprocess([]byte(src), Options{}); err == nil || !strings.Contains(err.Error(), "would be discarded") {
+		if _, err := preprocess([]byte(src), Options{}); err == nil || !strings.Contains(err.Error(), "would be discarded") {
 			t.Errorf("%s: error = %v, want a would-be-discarded diagnostic", name, err)
 		}
 	}
@@ -251,7 +251,7 @@ func f() {
 	}
 }`, "threadprivate variable x cannot appear"},
 	} {
-		_, err := Preprocess([]byte(c.src), Options{Filename: "t.go"})
+		_, err := preprocess([]byte(c.src), Options{Filename: "t.go"})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want it to mention %q", name, err, c.want)
 		}
@@ -272,7 +272,7 @@ func f(n int) {
 		}
 	}
 }`
-	if _, err := Preprocess([]byte(src), Options{}); err == nil || !strings.Contains(err.Error(), "lacks the ordered clause") {
+	if _, err := preprocess([]byte(src), Options{}); err == nil || !strings.Contains(err.Error(), "lacks the ordered clause") {
 		t.Fatalf("error = %v, want the missing ordered clause diagnosed", err)
 	}
 }

@@ -15,13 +15,10 @@ import (
 	"unicode"
 )
 
-// Options configures Preprocess.
+// Options configures Transform.
 type Options struct {
 	// Filename appears in diagnostics and generated omp.Loc calls.
 	Filename string
-	// OmpImport is the import path of the runtime API package; generated
-	// code references it as `omp`.
-	OmpImport string
 	// Profile enables automatic instrumentation (gompcc -profile): every
 	// function containing a pragma gets a source-located profiling span,
 	// and func main gains the profiler lifecycle, so the built program
@@ -35,14 +32,16 @@ func (o *Options) defaults() {
 	if o.Filename == "" {
 		o.Filename = "src.go"
 	}
-	if o.OmpImport == "" {
-		o.OmpImport = "gomp/omp"
-	}
 }
 
-// Preprocess rewrites pragma-annotated Go source into plain Go that calls
-// the omp runtime — the whole of Section III-B as one function. The result
-// is gofmt-formatted. Source without pragmas is returned unchanged.
+// ompImport is the import path of the runtime API package; generated code
+// references it as `omp`.
+const ompImport = "gomp/omp"
+
+// Transform rewrites pragma-annotated Go source into plain Go that calls
+// the omp runtime — the whole of Section III-B as one function. The output
+// is gofmt-formatted. Source without pragmas (and, under Profile, nothing
+// to instrument) is returned unchanged, with Changed false.
 //
 // The paper's Listing 5 replaces one kind of directive at a time and
 // rescans between replacements, which in Zig walks an in-memory token
@@ -53,11 +52,11 @@ func (o *Options) defaults() {
 // output, the paper's splice-without-reprint design; only an input that is
 // not in gofmt layout, or text the emitter cannot lay out, sends the output
 // through format.Source (settle).
-func Preprocess(src []byte, opts Options) ([]byte, error) {
+func Transform(src []byte, opts Options) (TransformResult, error) {
 	opts.defaults()
 	u, err := analyze(src, opts)
 	if err != nil {
-		return nil, err
+		return TransformResult{}, err
 	}
 	lw := &lowerer{unit: u, cur: u.root, tvarAt: -1, pbuf: make([]byte, 0, 256)}
 	if opts.Profile {
@@ -65,10 +64,10 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 		lw.usesOmp = len(lw.renames) > 0
 	}
 	if len(u.pragmas) == 0 && len(lw.renames) == 0 {
-		return src, nil
+		return TransformResult{Output: src}, nil
 	}
 	if err := lw.threadPrivate(); err != nil {
-		return nil, err
+		return TransformResult{}, err
 	}
 	// Lowered Go is three to four times the pragmas'.
 	e := &emitter{out: make([]byte, 0, 4*len(src)+64)}
@@ -80,7 +79,7 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 	lw.render(0, clause)
 	imp, body := len(e.out), len(e.out)
 	if !u.importsOmp() {
-		e.out = strconv.AppendQuote(append(e.out, "\n\nimport omp "...), opts.OmpImport)
+		e.out = strconv.AppendQuote(append(e.out, "\n\nimport omp "...), ompImport)
 		body = len(e.out)
 	}
 	lw.render(clause, len(src))
@@ -90,7 +89,7 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 		}
 	}
 	if lw.err != nil {
-		return nil, lw.err
+		return TransformResult{}, lw.err
 	}
 	out := e.out
 	if body > imp {
@@ -103,7 +102,13 @@ func Preprocess(src []byte, opts Options) ([]byte, error) {
 	// Form feeds and the like steer gofmt's column writer wherever they
 	// sit, and multi-line raw strings must keep their lines.
 	u.reformat = u.reformat || e.bad || bytes.ContainsAny(src, "\f\v\r") || u.multiLineRaw()
-	return u.settle(out)
+	out, err = u.settle(out)
+	if err != nil {
+		return TransformResult{}, err
+	}
+	// Every pragma was lowered or the profiler instrumented something:
+	// the output differs from src.
+	return TransformResult{Output: out, Changed: true}, nil
 }
 
 // unit is one file's trip through the front end: the single parse, every
@@ -493,7 +498,7 @@ func (u *unit) groupSections(n *node, blk *ast.BlockStmt) error {
 // to foreign code.
 func (u *unit) importsOmp() bool {
 	for _, imp := range u.file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == u.opts.OmpImport && (imp.Name == nil || imp.Name.Name == "omp") {
+		if strings.Trim(imp.Path.Value, `"`) == ompImport && (imp.Name == nil || imp.Name.Name == "omp") {
 			return true
 		}
 	}

@@ -285,7 +285,7 @@ func f() {
 	}
 }
 `
-	if _, err := Preprocess([]byte(src), Options{}); err == nil {
+	if _, err := preprocess([]byte(src), Options{}); err == nil {
 		t.Fatal("atomic over a call statement accepted")
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 func pp(t *testing.T, src string) string {
 	t.Helper()
-	out, err := Preprocess([]byte(src), Options{Filename: "test.go"})
+	out, err := preprocess([]byte(src), Options{Filename: "test.go"})
 	if err != nil {
-		t.Fatalf("Preprocess: %v\nsource:\n%s", err, src)
+		t.Fatalf("Transform: %v\nsource:\n%s", err, src)
 	}
 	return string(out)
 }
@@ -93,7 +93,7 @@ func f() float64 {
 `)
 	wantContains(t, out,
 		"__omp_red_sum := &sum",
-		"sum := omp.ReduceIdentity(omp.ReduceSum, sum)",
+		"sum := omp.ReduceIdentity(omp.ReduceSum, &sum)",
 		"omp.Reduce(__omp_t, omp.ReduceSum, __omp_red_sum, sum)",
 	)
 	wantAbsent(t, out, "NewReduction", "Value()")
@@ -208,7 +208,7 @@ func f(a []float64) float64 {
 		"omp.Parallel(func(__omp_t *omp.Thread)",
 		"omp.NumThreads(8)",
 		"omp.ForRange(__omp_t",
-		"__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, sum)",
+		"__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, &sum)",
 		"omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)",
 	)
 	wantAbsent(t, out, "omp.Critical")
@@ -459,11 +459,11 @@ func f() {
 	_ = x
 }
 `
-	if _, err := Preprocess([]byte(src), Options{}); err == nil {
+	if _, err := preprocess([]byte(src), Options{}); err == nil {
 		t.Fatal("default(none) with unlisted assigned variable did not error")
 	}
 	ok := strings.Replace(src, "default(none)", "default(none) shared(x)", 1)
-	if _, err := Preprocess([]byte(ok), Options{}); err != nil {
+	if _, err := preprocess([]byte(ok), Options{}); err != nil {
 		t.Fatalf("default(none) with listed variable errored: %v", err)
 	}
 }
@@ -574,7 +574,7 @@ func f() {}`, "no package-level var"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Preprocess([]byte(c.src), Options{Filename: c.name + ".go"})
+			_, err := preprocess([]byte(c.src), Options{Filename: c.name + ".go"})
 			if err == nil {
 				t.Fatalf("no error, want %q", c.wantErr)
 			}
@@ -695,7 +695,7 @@ func TestPreprocessCancelOutsideRegionRejected(t *testing.T) {
 		"package p\n\nfunc f() {\n\t//omp cancel parallel\n}\n",
 		"package p\n\nfunc f() {\n\t//omp cancellation point for\n}\n",
 	} {
-		if _, err := Preprocess([]byte(src), Options{Filename: "test.go"}); err == nil {
+		if _, err := preprocess([]byte(src), Options{Filename: "test.go"}); err == nil {
 			t.Errorf("cancel outside any region preprocessed without error:\n%s", src)
 		} else if !strings.Contains(err.Error(), "outside a parallel region") {
 			t.Errorf("unexpected error: %v", err)
@@ -823,7 +823,7 @@ func f(n int) {
 }
 
 func TestPreprocessOrderedWithoutClauseRejected(t *testing.T) {
-	_, err := Preprocess([]byte(`package p
+	_, err := preprocess([]byte(`package p
 
 func f(n int) {
 	//omp parallel for schedule(dynamic)
@@ -844,7 +844,7 @@ func TestPreprocessOrderedBehindSiblingInnerLoopStillRejected(t *testing.T) {
 	// A nested ordered loop that merely precedes the ordered block (a
 	// sibling, not an ancestor) must not satisfy the binding check: the
 	// block binds to the clause-less outer loop.
-	_, err := Preprocess([]byte(`package p
+	_, err := preprocess([]byte(`package p
 
 func f(n int) {
 	//omp for schedule(dynamic)

@@ -30,9 +30,9 @@ func main() {
 	fmt.Println(compute(100) + helper())
 }
 `
-	out, err := Preprocess([]byte(src), Options{Filename: "app.go", Profile: true})
+	out, err := preprocess([]byte(src), Options{Filename: "app.go", Profile: true})
 	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
+		t.Fatalf("Transform: %v", err)
 	}
 	text := string(out)
 	if !strings.Contains(text, `defer omp.ZoneAt("app.go", 5, "compute")()`) {
@@ -56,7 +56,7 @@ func main() {
 	println("hi")
 }
 `
-	out, err := Preprocess([]byte(mainOnly), Options{Filename: "m.go", Profile: true})
+	out, err := preprocess([]byte(mainOnly), Options{Filename: "m.go", Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 
 func F() int { return 2 }
 `
-	out, err = Preprocess([]byte(lib), Options{Filename: "lib.go", Profile: true})
+	out, err = preprocess([]byte(lib), Options{Filename: "lib.go", Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func (g *Grid) Relax() {
 	}
 }
 `
-	out, err := Preprocess([]byte(src), Options{Filename: "grid.go", Profile: true})
+	out, err := preprocess([]byte(src), Options{Filename: "grid.go", Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,9 @@ func main() {
 	fmt.Println(compute(100000))
 }
 `
-	out, err := Preprocess([]byte(src), Options{Filename: "main.go", Profile: true})
+	out, err := preprocess([]byte(src), Options{Filename: "main.go", Profile: true})
 	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
+		t.Fatalf("Transform: %v", err)
 	}
 	dir, err := os.MkdirTemp(".", "e2e-profile-*")
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // mention want.
 func ppErr(t *testing.T, src, want string) {
 	t.Helper()
-	_, err := Preprocess([]byte(src), Options{Filename: "test.go"})
+	_, err := preprocess([]byte(src), Options{Filename: "test.go"})
 	if err == nil {
 		t.Fatalf("expected error containing %q, got success\nsource:\n%s", want, src)
 	}

@@ -141,7 +141,7 @@ func TestLoweredFixturesTypeCheck(t *testing.T) {
 		if strings.HasPrefix(name, "err_") {
 			continue
 		}
-		out, err := Preprocess(src, fixtureOptions(name))
+		out, err := preprocess(src, fixtureOptions(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -199,7 +199,7 @@ func TestEndToEndTypedFixtures(t *testing.T) {
 	for _, name := range []string{"typed_loops.go", "typed_atomics.go"} {
 		t.Run(name, func(t *testing.T) {
 			src := fixtures[name]
-			out, err := Preprocess(src, Options{Filename: name})
+			out, err := preprocess(src, Options{Filename: name})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,13 +27,13 @@ const manifestName = "manifest.json"
 
 // manifestVersion is the manifest format version; a reader finding a
 // different number discards the file.
-const manifestVersion = 1
+const manifestVersion = 2
 
-// Per-file actions recorded in the manifest.
+// Per-file actions recorded in the manifest; the output is the file's
+// module-relative path under the mirror root either way.
 const (
 	actionTransform = "transform" // pragmas lowered, output written
-	actionCopy      = "copy"      // mirror layout, verbatim copy written
-	actionSkip      = "skip"      // in-place layout, nothing to lower
+	actionCopy      = "copy"      // verbatim copy written
 )
 
 // fileEntry is one file's record: its source hash and what the driver
@@ -41,7 +41,6 @@ const (
 type fileEntry struct {
 	Hash   string `json:"hash"`
 	Action string `json:"action"`
-	Output string `json:"output,omitempty"` // module-relative, "" for skip
 }
 
 // manifest is the persisted outcome of one pass.

@@ -12,13 +12,12 @@ import (
 
 // The tree crawler: phase one of a driver pass. It walks the module and
 // returns every source file the preprocessor should consider, in
-// deterministic (WalkDir lexical) order. What it skips is as important
-// as what it finds — generated outputs must never be re-transformed,
-// and trees the Go toolchain itself ignores (vendor/, testdata/,
-// leading-dot and leading-underscore names) stay invisible here too.
+// deterministic (WalkDir lexical) order: not tests, and nothing in the
+// trees the Go toolchain itself ignores (vendor/, testdata/, leading-dot
+// and leading-underscore names), the cache, or the mirror's own root.
 // The crawl itself only lists directories: the checks that need a file's
-// bytes (build constraints, the generated-code marker) run in the worker
-// that reads the file anyway (inBuild), so each file is read once.
+// bytes (build constraints, the generated-code header) run in the worker
+// that reads the file anyway, so each file is read once.
 
 // sourceFile is one crawled candidate: its module-relative
 // slash-separated path (the manifest key) and its absolute path.
@@ -29,8 +28,7 @@ type sourceFile struct {
 
 // generatedRx matches the Go convention for generated files
 // (https://go.dev/s/generatedcode): a whole-line comment anywhere
-// before real code. Driver outputs carry exactly this marker, so a
-// mirror tree nested inside the module can never be re-consumed.
+// before real code. GeneratedHeader writes exactly this marker.
 var generatedRx = regexp.MustCompile(`(?m)^// Code generated .* DO NOT EDIT\.$`)
 
 // skipDir reports whether a directory subtree is invisible to the
@@ -40,13 +38,10 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// eligibleName reports whether a file's base name is a candidate:
-// a .go file that is not a test, not a previously generated
-// <suffix>.go output, and not toolchain-ignored.
-func eligibleName(name, suffix string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasSuffix(name, suffix+".go") &&
+// eligibleName reports whether a file's base name is a candidate: a .go
+// file that is not a test and not toolchain-ignored.
+func eligibleName(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
 		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
@@ -61,24 +56,21 @@ func isGenerated(src []byte) bool {
 	return bytes.Contains(head, []byte(" DO NOT EDIT.")) && generatedRx.Match(head)
 }
 
-// inBuild reports whether the file at path, holding src, is one the
-// preprocessor takes: go/build's MatchFile under ctx (the driver passes
-// build.Default), reading src rather than the disk, says the configuration
-// compiles it — its //go:build line and GOOS/GOARCH suffix allow it, exactly
-// as `go build` decides — and it carries no generated-code marker.
+// inBuild reports whether the file at path, holding src, is one the build
+// compiles: go/build's MatchFile under ctx (the driver passes
+// build.Default), reading src rather than the disk, says its //go:build
+// line and GOOS/GOARCH suffix allow it, exactly as `go build` decides.
 //
 // Most files give MatchFile nothing to decide, and asking it costs a
 // 4 KiB reader and an import scan per file, so it is asked only when
 // plainFile cannot answer for it.
 func inBuild(ctx *build.Context, path string, src []byte) (bool, error) {
-	if !plainFile(filepath.Base(path), src) {
-		bctx := *ctx
-		bctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
-		if ok, err := bctx.MatchFile(filepath.Dir(path), filepath.Base(path)); err != nil || !ok {
-			return false, err
-		}
+	if plainFile(filepath.Base(path), src) {
+		return true, nil
 	}
-	return !isGenerated(src), nil
+	bctx := *ctx
+	bctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
+	return bctx.MatchFile(filepath.Dir(path), filepath.Base(path))
 }
 
 // plainFile reports whether go/build's MatchFile would answer (true, nil)
@@ -106,10 +98,8 @@ func crawl(cfg Config) ([]sourceFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var outAbs, cacheAbs string
-	if cfg.OutDir != "" {
-		outAbs, _ = filepath.Abs(cfg.OutDir)
-	}
+	var cacheAbs string
+	outAbs, _ := filepath.Abs(cfg.OutDir)
 	if cfg.CacheDir != CacheOff {
 		cacheAbs, _ = filepath.Abs(cfg.CacheDir)
 	}
@@ -128,7 +118,7 @@ func crawl(cfg Config) ([]sourceFile, error) {
 			return nil
 		}
 		name := d.Name()
-		if !eligibleName(name, cfg.Suffix) {
+		if !eligibleName(name) {
 			return nil
 		}
 		rel, err := filepath.Rel(root, path)

@@ -11,10 +11,9 @@ import (
 )
 
 // FuzzInBuild checks the driver's build decision against its definition:
-// go/build's MatchFile over the same bytes, then the generated-code marker.
-// plainFile answers for most files without MatchFile, so the decision and
-// the error must match it for any base name and any file, under either cgo
-// setting.
+// go/build's MatchFile over the same bytes. plainFile answers for most
+// files without MatchFile, so the decision and the error must match it for
+// any base name and any file, under either cgo setting.
 func FuzzInBuild(f *testing.F) {
 	names := []string{
 		"a.go", "linux.go", "a.b.go", "a_foo.go", "_a.go", ".a.go", "a.c", "a",
@@ -65,9 +64,8 @@ func FuzzInBuild(f *testing.F) {
 
 		ctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
 		want, wantErr := ctx.MatchFile("dir", name)
-		want = want && wantErr == nil && !isGenerated(src)
 		if got != want || errText(gotErr) != errText(wantErr) {
-			t.Fatalf("inBuild(%q, %q) = %v, %v; MatchFile and the marker say %v, %v", name, src, got, gotErr, want, wantErr)
+			t.Fatalf("inBuild(%q, %q) = %v, %v; MatchFile says %v, %v", name, src, got, gotErr, want, wantErr)
 		}
 	})
 }

@@ -1,30 +1,54 @@
-// Package driver is the module-scale build driver behind `gompcc
-// -module`: the layer that turns the per-file preprocessor into
-// something that sits inside a normal build over millions of lines.
+// Package driver is how annotated source becomes a build. gompcc offers
+// three paths from //omp pragmas to the Go toolchain, each one
+// core.Transform per pragma-bearing file; this comment is the whole
+// account, and gompcc's usage, the README and the gomp package
+// documentation point here.
 //
-// A run has four phases. The crawler walks a Go module and discovers
-// every preprocessor-eligible source file (crawl.go), skipping vendor/,
-// testdata/, hidden trees and prior outputs. The transform engine fans
-// the file set out across a worker team, balanced file by file — using
-// the repo's own omp package, so the driver dogfoods the runtime it
-// builds for. Each worker reads its file once and decides everything from
-// those bytes: build membership and the generated-code marker, the cache
-// key, the transform. Build membership is go/build's MatchFile answer, and
-// MatchFile runs only for a file whose name or bytes give it something to
-// decide (inBuild, crawl.go); every other .go file is in the build. A
-// content-hash cache (cache.go) persisted as a manifest under
-// .gompcc-cache/ lets warm runs skip unchanged files entirely. And every
-// output lands via temp-file + rename (atomic.go), in a directory the pass
-// creates once, on its first write into it, so a crashed or cancelled run
-// never leaves a half-written _omp.go behind.
+// Single file. `gompcc -o out.go in.go` writes in.go's transform to
+// out.go behind GeneratedHeader (without -o, next to in.go as
+// in_omp.go); `gompcc -stdout in.go` prints the bare transform. The NPB
+// kernels keep their omp flavours this way: internal/npb/<k>/omp.go is
+// the -o output of <k>/_omp/parallel.go, from a //go:generate line.
 //
-// Two output layouts exist. In-place (OutDir == ""): each
-// pragma-bearing file gains a sibling <name><Suffix>.go, the layout
-// `gompcc -dir` established. Mirror (OutDir set): the module's
-// eligible sources are reproduced under OutDir with pragma-bearing
-// files transformed in place of their originals and pragma-free files
-// copied verbatim — a tree the ordinary Go toolchain can build and vet
-// as-is, which is how CI self-hosts the driver over examples/.
+// Mirror. `gompcc -module root -outdir out` reproduces root's buildable
+// sources under out at the same relative paths: a pragma-bearing file is
+// written transformed, behind GeneratedHeader; every other file the build
+// compiles is copied verbatim. A file that already carries a generated-code
+// header, such as a committed -o output, is copied and never transformed.
+// out may sit inside root, which the crawl then skips, but may not be
+// root itself. out builds and vets with the plain go command; CI self-hosts the driver
+// this way over examples/ and internal/npb/. A pass has four phases:
+//
+//   - The crawl (crawl.go) lists every candidate .go file, skipping tests,
+//     vendor/, testdata/, hidden and underscore trees, the cache and out.
+//   - A worker team fans the files out one at a time, on this
+//     repository's own omp runtime, so the driver dogfoods the runtime it
+//     builds for. Each worker reads its file once and decides everything
+//     from those bytes: build membership (go/build's MatchFile, asked only
+//     when the name or bytes give it something to decide: inBuild), the
+//     generated-code header, the cache key and the transform.
+//   - The content-hash cache (cache.go) is a manifest under
+//     <root>/.gompcc-cache: per file the SHA-256 of its bytes and the
+//     action (transform or copy), plus the flag set and
+//     core.EngineVersion, which a change of either discards whole. A warm
+//     pass skips every file whose entry matches and whose output is still
+//     on disk. The manifest is timestamp-free and sorted, so it, like every
+//     output, is byte-identical at every -jobs value. -cache off disables
+//     it.
+//   - Every output lands via temp file + rename (atomic.go), in a directory
+//     the pass creates once, so a crashed or cancelled run never leaves a
+//     half-written file behind.
+//
+// -watch polls the crawled files' mtimes and sizes and runs a pass when
+// they change (watch.go); the cache decides what the pass transforms.
+// With a profiler on (gompcc under GOMP_METRICS) each pass adds its cold
+// and warm file counts and transform time to the metrics registry.
+//
+// Toolexec. `go build -toolexec="gompcc -toolexec" ./...` transforms
+// pragma-bearing compile inputs into a temporary directory as the go
+// command compiles them, with no generated file on disk (toolexec.go).
+// The annotated package must import gomp/omp (a blank import will do),
+// because the go command plans the build from the original sources.
 package driver
 
 import (
@@ -46,12 +70,9 @@ import (
 type Config struct {
 	// Module is the root directory to crawl.
 	Module string
-	// OutDir selects mirror layout when non-empty: eligible sources are
-	// written under it (transformed or copied) at their module-relative
-	// paths. Empty selects in-place <name><Suffix>.go siblings.
+	// OutDir is the mirror's root: every buildable source is written under
+	// it, transformed or copied, at its module-relative path.
 	OutDir string
-	// Suffix names in-place outputs; it defaults to "_omp".
-	Suffix string
 	// Jobs is the transform worker-team size; it defaults to
 	// GOMAXPROCS. 1 is exactly serial.
 	Jobs int
@@ -60,8 +81,6 @@ type Config struct {
 	CacheDir string
 	// Profile forwards `gompcc -profile` auto-instrumentation.
 	Profile bool
-	// OmpImport forwards the runtime import path override.
-	OmpImport string
 }
 
 // CacheOff as Config.CacheDir disables the content-hash cache: every
@@ -69,9 +88,6 @@ type Config struct {
 const CacheOff = "off"
 
 func (c *Config) defaults() {
-	if c.Suffix == "" {
-		c.Suffix = "_omp"
-	}
 	if c.Jobs <= 0 {
 		c.Jobs = runtime.GOMAXPROCS(0)
 	}
@@ -84,15 +100,7 @@ func (c *Config) defaults() {
 // bytes. It is stored in the manifest; any difference invalidates the
 // whole cache, because flags apply to every file alike.
 func (c *Config) flagKey() string {
-	layout := "inplace"
-	if c.OutDir != "" {
-		layout = "mirror"
-	}
-	imp := c.OmpImport
-	if imp == "" {
-		imp = "gomp/omp"
-	}
-	return fmt.Sprintf("layout=%s suffix=%s profile=%v ompimport=%s", layout, c.Suffix, c.Profile, imp)
+	return fmt.Sprintf("profile=%v", c.Profile)
 }
 
 // Driver runs module-scale preprocessing passes for one Config. A
@@ -106,6 +114,22 @@ type Driver struct {
 func New(cfg Config) (*Driver, error) {
 	if cfg.Module == "" {
 		return nil, fmt.Errorf("driver: no module root")
+	}
+	if cfg.OutDir == "" {
+		return nil, fmt.Errorf("driver: no output root: -module needs -outdir")
+	}
+	// Mirroring a tree onto itself would overwrite every annotated source
+	// with its transform.
+	mod, err := filepath.Abs(cfg.Module)
+	if err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
+	}
+	out, err := filepath.Abs(cfg.OutDir)
+	if err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
+	}
+	if out == mod {
+		return nil, fmt.Errorf("driver: -outdir %s is the module root itself", cfg.OutDir)
 	}
 	info, err := os.Stat(cfg.Module)
 	if err != nil {
@@ -132,7 +156,7 @@ type Report struct {
 	Pragma      int // files containing pragma sentinels
 	Transformed int // cold: preprocessed this pass
 	Cached      int // warm: skipped via manifest hash match
-	Copied      int // mirror layout: pragma-free files copied
+	Copied      int // written verbatim: no pragma, or generated already
 	Failed      int // files whose transform errored
 	TransformNs int64
 	Diags       []FileError // in module-relative path order
@@ -169,10 +193,9 @@ func (r *Report) Err() error {
 // index-addressed so the fan-out shares nothing and the aggregate is
 // identical at every Jobs value.
 type fileResult struct {
-	excluded    bool   // not in the build: tags, GOOS/GOARCH or generated
-	action      string // actionTransform, actionCopy, actionSkip
+	excluded    bool   // not in the build: tags or GOOS/GOARCH
+	action      string // actionTransform or actionCopy
 	hash        string
-	output      string // module-relative output path, "" when none
 	cached      bool
 	pragma      bool
 	transformNs int64
@@ -255,7 +278,7 @@ func (d *Driver) Run() (*Report, error) {
 		}
 		rep.TransformNs += res.transformNs
 		if caching {
-			next.Files[files[i].rel] = fileEntry{Hash: res.hash, Action: res.action, Output: res.output}
+			next.Files[files[i].rel] = fileEntry{Hash: res.hash, Action: res.action}
 		}
 	}
 	if caching {
@@ -277,16 +300,6 @@ func (d *Driver) Run() (*Report, error) {
 // other tool) recognises; the source line keeps the provenance greppable.
 func GeneratedHeader(rel string) []byte {
 	return fmt.Appendf(nil, "// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
-}
-
-// outAbs resolves a module-relative output path against the layout's
-// root: OutDir under the mirror layout, the module itself in-place.
-func (d *Driver) outAbs(rel string) string {
-	root := d.cfg.Module
-	if d.cfg.OutDir != "" {
-		root = d.cfg.OutDir
-	}
-	return filepath.Join(root, filepath.FromSlash(rel))
 }
 
 // dirSet is the output directories one pass has created, each once, on
@@ -316,7 +329,6 @@ func (s *dirSet) ensure(dir string) error {
 // shares nothing mutable but the pass's set of created directories.
 func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResult {
 	cfg := d.cfg
-	mirror := cfg.OutDir != ""
 	src, err := os.ReadFile(f.path)
 	if err != nil {
 		return fileResult{err: err}
@@ -324,22 +336,20 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 	if ok, err := inBuild(&build.Default, f.path, src); !ok {
 		return fileResult{excluded: true, err: err}
 	}
-	res := fileResult{pragma: core.ContainsPragma(src)}
+	// A generated file, gompcc's own -o output among them, is part of the
+	// build as it stands: it is copied, never transformed.
+	res := fileResult{pragma: !isGenerated(src) && core.ContainsPragma(src)}
 	if cfg.CacheDir != CacheOff {
 		res.hash = sourceHash(src)
 	}
+	outPath := filepath.Join(cfg.OutDir, filepath.FromSlash(f.rel))
 
 	// Warm path: same bytes under the same flags and engine (the
 	// manifest loader already rejected mismatched flag sets), and the
-	// recorded output — if any — still on disk.
+	// output still on disk.
 	if e, ok := prev.lookup(f.rel); ok && e.Hash == res.hash {
-		live := e.Output == ""
-		if !live {
-			_, statErr := os.Stat(d.outAbs(e.Output))
-			live = statErr == nil
-		}
-		if live {
-			res.action, res.output, res.cached = e.Action, e.Output, true
+		if _, err := os.Stat(outPath); err == nil {
+			res.action, res.cached = e.Action, true
 			return res
 		}
 	}
@@ -348,47 +358,28 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 	// behind its header, not joined to it first.
 	var head []byte
 	body := src
-	action := actionCopy
+	res.action = actionCopy
 	if res.pragma {
 		begin := time.Now()
-		tr, err := core.Transform(src, core.Options{
-			Filename:  filepath.ToSlash(f.rel),
-			OmpImport: cfg.OmpImport,
-			Profile:   cfg.Profile,
-		})
+		tr, err := core.Transform(src, core.Options{Filename: filepath.ToSlash(f.rel), Profile: cfg.Profile})
 		res.transformNs = time.Since(begin).Nanoseconds()
 		if err != nil {
 			res.err = err
 			return res
 		}
+		// Not Changed despite the sentinel scan: the "pragma" lives in a
+		// string literal or other non-comment text, and the file is copied.
 		if tr.Changed {
-			action = actionTransform
+			res.action = actionTransform
 			head, body = GeneratedHeader(f.rel), tr.Output
 		}
-		// Not Changed despite the sentinel scan: the "pragma" lives in
-		// a string literal or other non-comment text. The file is then
-		// an ordinary copy — in particular it must NOT gain an in-place
-		// _omp.go sibling, which would duplicate its declarations.
 	}
-	if action == actionCopy && !mirror {
-		// In-place layout: a file with nothing to lower needs no
-		// output — the original is already part of the build.
-		res.action = actionSkip
-		return res
-	}
-	outRel := f.rel
-	if !mirror {
-		outRel = strings.TrimSuffix(f.rel, ".go") + cfg.Suffix + ".go"
-	}
-	res.action, res.output = action, outRel
-	outPath := d.outAbs(outRel)
 	if err := dirs.ensure(filepath.Dir(outPath)); err != nil {
 		res.err = err
 		return res
 	}
 	if err := writeFileAtomic(outPath, 0o644, head, body); err != nil {
 		res.err = err
-		return res
 	}
 	return res
 }

@@ -64,8 +64,9 @@ func mustRun(t *testing.T, cfg Config) *Report {
 	return rep
 }
 
-func TestRunInPlaceCrawlAndTransform(t *testing.T) {
-	root := t.TempDir()
+func TestRunCrawlAndTransform(t *testing.T) {
+	root, out := t.TempDir(), t.TempDir()
+	gen := "// Code generated by x. DO NOT EDIT.\n\npackage p\n\n//omp barrier\n"
 	writeTree(t, root, map[string]string{
 		"go.mod":                  "module m\n",
 		"a.go":                    pragmaSrc,
@@ -76,37 +77,42 @@ func TestRunInPlaceCrawlAndTransform(t *testing.T) {
 		"testdata/td.go":          pragmaSrc,
 		".hidden/h.go":            pragmaSrc,
 		"_skip/s.go":              pragmaSrc,
-		"gen.go":                  "// Code generated by x. DO NOT EDIT.\n\npackage p\n\n//omp barrier\n",
+		"gen.go":                  gen,
 		"tagged.go":               "//go:build ignore\n\npackage p\n",
 		"strlit.go":               stringPragmaSrc,
-		"old_omp.go":              "package p\n",
 		filepath.Join("sub", "x"): "not go\n",
 	})
-	rep := mustRun(t, Config{Module: root, Jobs: 2})
+	rep := mustRun(t, Config{Module: root, OutDir: out, Jobs: 2})
 
-	// Eligible: a.go, plain.go, sub/b.go, strlit.go. Everything else is
-	// a test, vendored, testdata, hidden, underscore, generated,
-	// build-tag-excluded, a prior _omp output, or not Go at all.
-	if rep.Files != 4 {
-		t.Fatalf("Files = %d, want 4 (report: %s)", rep.Files, rep.Summary())
+	// In the build: a.go, plain.go, sub/b.go, strlit.go and gen.go.
+	// Everything else is a test, vendored, testdata, hidden, underscore,
+	// build-tag-excluded, or not Go at all.
+	if rep.Files != 5 {
+		t.Fatalf("Files = %d, want 5 (report: %s)", rep.Files, rep.Summary())
 	}
-	if rep.Transformed != 2 || rep.Pragma != 3 {
-		t.Fatalf("Transformed = %d Pragma = %d, want 2/3 (%s)", rep.Transformed, rep.Pragma, rep.Summary())
+	if rep.Transformed != 2 || rep.Pragma != 3 || rep.Copied != 3 {
+		t.Fatalf("Transformed = %d Pragma = %d Copied = %d, want 2/3/3 (%s)", rep.Transformed, rep.Pragma, rep.Copied, rep.Summary())
 	}
-	for _, want := range []string{"a_omp.go", "sub/b_omp.go"} {
-		out, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(want)))
+	for _, want := range []string{"a.go", "sub/b.go"} {
+		got, err := os.ReadFile(filepath.Join(out, filepath.FromSlash(want)))
 		if err != nil {
 			t.Fatalf("missing output %s: %v", want, err)
 		}
-		if !bytes.Contains(out, []byte("omp.Parallel(")) {
+		if !bytes.Contains(got, []byte("omp.Parallel(")) {
 			t.Errorf("%s not lowered", want)
 		}
-		if !bytes.HasPrefix(out, []byte("// Code generated by gompcc")) {
+		if !bytes.HasPrefix(got, []byte("// Code generated by gompcc")) {
 			t.Errorf("%s lacks the generated-code header", want)
 		}
 	}
-	for _, absent := range []string{"plain_omp.go", "strlit_omp.go", "vendor/v_omp.go", "gen_omp.go"} {
-		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(absent))); err == nil {
+	// A generated file is copied, its pragma-like text untouched.
+	for rel, want := range map[string]string{"plain.go": plainSrc, "strlit.go": stringPragmaSrc, "gen.go": gen} {
+		if got, err := os.ReadFile(filepath.Join(out, rel)); err != nil || string(got) != want {
+			t.Errorf("%s not a verbatim copy (%v):\n%s", rel, err, got)
+		}
+	}
+	for _, absent := range []string{"a_test.go", "vendor/v.go", "testdata/td.go", ".hidden/h.go", "_skip/s.go", "tagged.go", "sub/x", "go.mod"} {
+		if _, err := os.Stat(filepath.Join(out, filepath.FromSlash(absent))); err == nil {
 			t.Errorf("%s written, want skipped", absent)
 		}
 	}
@@ -117,26 +123,26 @@ func TestRunInPlaceCrawlAndTransform(t *testing.T) {
 func TestWarmRunTransformsNothing(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc, "sub/b.go": pragmaSrc, "plain.go": plainSrc})
-	cfg := Config{Module: root, Jobs: 4}
+	cfg := Config{Module: root, OutDir: t.TempDir(), Jobs: 4}
 	cold := mustRun(t, cfg)
-	if cold.Transformed != 2 || cold.Cached != 0 {
+	if cold.Transformed != 2 || cold.Copied != 1 || cold.Cached != 0 {
 		t.Fatalf("cold pass: %s", cold.Summary())
 	}
 	warm := mustRun(t, cfg)
-	if warm.Transformed != 0 || warm.Cached != 2 {
+	if warm.Transformed != 0 || warm.Copied != 0 || warm.Cached != 3 {
 		t.Fatalf("warm pass re-transformed: %s", warm.Summary())
 	}
-	m := loadManifest(filepath.Join(root, cacheDirName, manifestName), core.EngineVersion, (&Config{Module: root, Suffix: "_omp"}).flagKey())
+	m := loadManifest(filepath.Join(root, cacheDirName, manifestName), core.EngineVersion, cfg.flagKey())
 	if m == nil {
 		t.Fatal("manifest unreadable after warm pass")
 	}
 	if len(m.Files) != 3 {
 		t.Fatalf("manifest entries = %d, want 3", len(m.Files))
 	}
-	if e := m.Files["a.go"]; e.Action != actionTransform || e.Output != "a_omp.go" {
+	if e := m.Files["a.go"]; e.Action != actionTransform {
 		t.Fatalf("manifest a.go entry = %+v", e)
 	}
-	if e := m.Files["plain.go"]; e.Action != actionSkip || e.Output != "" {
+	if e := m.Files["plain.go"]; e.Action != actionCopy {
 		t.Fatalf("manifest plain.go entry = %+v", e)
 	}
 }
@@ -145,7 +151,7 @@ func TestWarmRunTransformsNothing(t *testing.T) {
 func TestEditRetransformsOnlyChangedFile(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc, "b.go": pragmaSrc})
-	cfg := Config{Module: root}
+	cfg := Config{Module: root, OutDir: t.TempDir()}
 	mustRun(t, cfg)
 	writeTree(t, root, map[string]string{"b.go": strings.Replace(pragmaSrc, "Sum", "Sum2", 1)})
 	rep := mustRun(t, cfg)
@@ -157,28 +163,28 @@ func TestEditRetransformsOnlyChangedFile(t *testing.T) {
 // Deleting an output makes the next pass regenerate it despite the
 // hash match — the manifest trusts disk, not itself.
 func TestDeletedOutputRegenerates(t *testing.T) {
-	root := t.TempDir()
+	root, out := t.TempDir(), t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
-	cfg := Config{Module: root}
+	cfg := Config{Module: root, OutDir: out}
 	mustRun(t, cfg)
-	if err := os.Remove(filepath.Join(root, "a_omp.go")); err != nil {
+	if err := os.Remove(filepath.Join(out, "a.go")); err != nil {
 		t.Fatal(err)
 	}
 	rep := mustRun(t, cfg)
 	if rep.Transformed != 1 {
 		t.Fatalf("deleted output not regenerated: %s", rep.Summary())
 	}
-	if _, err := os.Stat(filepath.Join(root, "a_omp.go")); err != nil {
+	if _, err := os.Stat(filepath.Join(out, "a.go")); err != nil {
 		t.Fatal("output still missing after pass")
 	}
 }
 
 // A flag-set change discards the whole cache.
 func TestFlagChangeInvalidatesCache(t *testing.T) {
-	root := t.TempDir()
+	root, out := t.TempDir(), t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
-	mustRun(t, Config{Module: root})
-	rep := mustRun(t, Config{Module: root, Profile: true})
+	mustRun(t, Config{Module: root, OutDir: out})
+	rep := mustRun(t, Config{Module: root, OutDir: out, Profile: true})
 	if rep.Transformed != 1 || rep.Cached != 0 {
 		t.Fatalf("profile-flag change did not invalidate: %s", rep.Summary())
 	}
@@ -187,7 +193,7 @@ func TestFlagChangeInvalidatesCache(t *testing.T) {
 func TestCacheOff(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
-	cfg := Config{Module: root, CacheDir: CacheOff}
+	cfg := Config{Module: root, OutDir: t.TempDir(), CacheDir: CacheOff}
 	mustRun(t, cfg)
 	rep := mustRun(t, cfg)
 	if rep.Transformed != 1 || rep.Cached != 0 {
@@ -195,6 +201,38 @@ func TestCacheOff(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(root, cacheDirName)); err == nil {
 		t.Fatal("cache directory created with caching disabled")
+	}
+}
+
+// A driver needs a mirror root other than the module, which it would
+// overwrite; the refusal names gompcc's flag for it.
+func TestNewNeedsSeparateOutDir(t *testing.T) {
+	root := t.TempDir()
+	for _, out := range []string{"", root, filepath.Join(root, "sub", "..")} {
+		if _, err := New(Config{Module: root, OutDir: out}); err == nil || !strings.Contains(err.Error(), "-outdir") {
+			t.Errorf("New with OutDir %q: %v, want an error naming -outdir", out, err)
+		}
+	}
+}
+
+// A package that holds gompcc -o output (internal/npb/<k>/omp.go is one)
+// keeps it in the mirror: the generated file is copied byte for byte and
+// never transformed, even where it still holds pragma-like lines, so the
+// mirrored package keeps every declaration it had.
+func TestMirrorCopiesGeneratedFiles(t *testing.T) {
+	root, out := t.TempDir(), t.TempDir()
+	tr, err := core.Transform([]byte(pragmaSrc), core.Options{Filename: "_omp/sum.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated := string(GeneratedHeader("_omp/sum.go")) + string(tr.Output) + "\n//omp barrier\n"
+	writeTree(t, root, map[string]string{"_omp/sum.go": pragmaSrc, "omp.go": generated, "plain.go": plainSrc})
+	rep := mustRun(t, Config{Module: root, OutDir: out})
+	if rep.Files != 2 || rep.Pragma != 0 || rep.Transformed != 0 || rep.Copied != 2 {
+		t.Fatalf("mirror pass: %s", rep.Summary())
+	}
+	if got, err := os.ReadFile(filepath.Join(out, "omp.go")); err != nil || string(got) != generated {
+		t.Fatalf("generated omp.go not copied verbatim (%v):\n%s", err, got)
 	}
 }
 
@@ -252,7 +290,8 @@ func TestDiagnosticsAggregate(t *testing.T) {
 		"bad.go": "package p\n\nfunc f() {\n\t//omp paralel\n\t{\n\t}\n}\n",
 		"z.go":   pragmaSrc,
 	})
-	d, err := New(Config{Module: root, Jobs: 4})
+	out := t.TempDir()
+	d, err := New(Config{Module: root, OutDir: out, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +309,13 @@ func TestDiagnosticsAggregate(t *testing.T) {
 	if aggErr == nil || !strings.Contains(aggErr.Error(), "bad.go:4") || !strings.Contains(aggErr.Error(), "1 of 3 files failed") {
 		t.Fatalf("aggregate error = %v", aggErr)
 	}
-	for _, want := range []string{"a_omp.go", "z_omp.go"} {
-		if _, err := os.Stat(filepath.Join(root, want)); err != nil {
+	for _, want := range []string{"a.go", "z.go"} {
+		if _, err := os.Stat(filepath.Join(out, want)); err != nil {
 			t.Errorf("%s not produced despite unrelated failure", want)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(out, "bad.go")); err == nil {
+		t.Error("failed file produced an output")
 	}
 	// The failed file must not be recorded as clean: the next pass
 	// retries it rather than treating it as cached.
@@ -293,12 +335,14 @@ func TestDriverMetricsHook(t *testing.T) {
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc, "plain.go": plainSrc})
 	p := trace.Enable()
 	defer trace.Disable()
-	cfg := Config{Module: root}
+	cfg := Config{Module: root, OutDir: t.TempDir()}
 	mustRun(t, cfg)
 	mustRun(t, cfg)
+	// Cold counts the one transform; warm, the second pass's cache hits:
+	// the transform and plain.go's copy.
 	m := p.Metrics()
-	if m.DriverColdFiles.Value() != 1 || m.DriverWarmFiles.Value() != 1 {
-		t.Fatalf("driver metrics cold=%d warm=%d, want 1/1", m.DriverColdFiles.Value(), m.DriverWarmFiles.Value())
+	if m.DriverColdFiles.Value() != 1 || m.DriverWarmFiles.Value() != 2 {
+		t.Fatalf("driver metrics cold=%d warm=%d, want 1/2", m.DriverColdFiles.Value(), m.DriverWarmFiles.Value())
 	}
 	if m.DriverTransformNs.Value() <= 0 {
 		t.Fatal("no transform time recorded")
@@ -341,43 +385,42 @@ func noTemps(t *testing.T, root string) {
 }
 
 // A transformed output is the generated-code header followed by exactly
-// what core.Transform returns, in both layouts; it is written via temp file
-// + rename, and no temporary survives the pass.
+// what core.Transform returns, whether the mirror lies apart from the
+// module or inside it; it is written via temp file + rename, and no
+// temporary survives the pass.
 func TestOutputIsHeaderAndTransform(t *testing.T) {
-	for _, mirror := range []bool{false, true} {
-		name := map[bool]string{false: "in-place", true: "mirror"}[mirror]
+	for _, nested := range []bool{false, true} {
+		name := map[bool]string{false: "mirror", true: "nested"}[nested]
 		t.Run(name, func(t *testing.T) {
 			root := t.TempDir()
 			files := map[string]string{"a.go": pragmaSrc, "sub/b.go": strings.Replace(pragmaSrc, "Sum", "Total", 1), "plain.go": plainSrc}
 			writeTree(t, root, files)
-			cfg := Config{Module: root, Jobs: 2}
-			outRoot, outRel := root, map[string]string{"a.go": "a_omp.go", "sub/b.go": "sub/b_omp.go"}
-			if mirror {
-				cfg.OutDir = t.TempDir()
-				outRoot, outRel = cfg.OutDir, map[string]string{"a.go": "a.go", "sub/b.go": "sub/b.go"}
+			cfg := Config{Module: root, OutDir: t.TempDir(), Jobs: 2}
+			if nested {
+				cfg.OutDir = filepath.Join(root, "gen")
 			}
-			keep := filepath.Join(outRoot, "keep.txt")
-			linkOld(t, filepath.Join(outRoot, outRel["a.go"]), keep)
+			keep := filepath.Join(root, "keep.txt")
+			linkOld(t, filepath.Join(cfg.OutDir, "a.go"), keep)
 			rep := mustRun(t, cfg)
 			if rep.Transformed != 2 {
 				t.Fatalf("pass: %s", rep.Summary())
 			}
-			for rel, out := range outRel {
+			for _, rel := range []string{"a.go", "sub/b.go"} {
 				tr, err := core.Transform([]byte(files[rel]), core.Options{Filename: rel})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := os.ReadFile(filepath.Join(outRoot, filepath.FromSlash(out)))
+				got, err := os.ReadFile(filepath.Join(cfg.OutDir, filepath.FromSlash(rel)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := append(GeneratedHeader(rel), tr.Output...); !bytes.Equal(got, want) {
-					t.Errorf("%s:\n%s\nwant header + Transform output:\n%s", out, got, want)
+					t.Errorf("%s:\n%s\nwant header + Transform output:\n%s", rel, got, want)
 				}
 			}
-			assertReplaced(t, filepath.Join(outRoot, outRel["a.go"]), keep)
+			assertReplaced(t, filepath.Join(cfg.OutDir, "a.go"), keep)
 			noTemps(t, root)
-			noTemps(t, outRoot)
+			noTemps(t, cfg.OutDir)
 		})
 	}
 }
@@ -389,7 +432,7 @@ func TestToolexecOutputIsAtomic(t *testing.T) {
 	tmp := t.TempDir()
 	dst, keep := filepath.Join(tmp, "d00", "hot.go"), filepath.Join(tmp, "keep.txt")
 	linkOld(t, dst, keep)
-	got, n, err := rewriteCompileArgs([]string{"compile", filepath.Join(src, "hot.go")}, tmp, core.Options{})
+	got, n, err := rewriteCompileArgs([]string{"compile", filepath.Join(src, "hot.go")}, tmp)
 	if err != nil || n != 1 || got[1] != dst {
 		t.Fatalf("rewrite = %v, %d, %v; want %s", got, n, err, dst)
 	}

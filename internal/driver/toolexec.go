@@ -32,15 +32,13 @@ import (
 //	import _ "gomp/omp"
 //
 // the way cgo requires `import "C"`. Without it the compile step has
-// no gomp/omp in its importcfg and fails. (The -module and -dir modes
-// have no such requirement: their outputs are real files the go
-// command reads directly.)
+// no gomp/omp in its importcfg and fails. (Single-file and mirror output
+// has no such requirement: it is real files the go command reads
+// directly; the package comment compares the three.)
 
 // Toolexec executes argv (tool path first) with pragma-bearing compile
-// inputs preprocessed, and returns the tool's exit code. opts supplies
-// Profile/OmpImport overrides; opts.Filename is ignored (each file gets
-// its own).
-func Toolexec(argv []string, opts core.Options) (int, error) {
+// inputs preprocessed, and returns the tool's exit code.
+func Toolexec(argv []string) (int, error) {
 	if len(argv) == 0 {
 		return 2, fmt.Errorf("toolexec: no tool to run")
 	}
@@ -51,7 +49,7 @@ func Toolexec(argv []string, opts core.Options) (int, error) {
 			return 1, err
 		}
 		defer os.RemoveAll(tmp)
-		args, _, err = rewriteCompileArgs(argv, tmp, opts)
+		args, _, err = rewriteCompileArgs(argv, tmp)
 		if err != nil {
 			return 1, err
 		}
@@ -83,7 +81,7 @@ func isCompileTool(tool string) bool {
 // — cost one read and a sentinel scan each. Distinct argument
 // directories map to distinct subdirectories of tmp, so same-named
 // files cannot collide.
-func rewriteCompileArgs(argv []string, tmp string, opts core.Options) ([]string, int, error) {
+func rewriteCompileArgs(argv []string, tmp string) ([]string, int, error) {
 	out := make([]string, len(argv))
 	copy(out, argv)
 	rewritten := 0
@@ -99,9 +97,7 @@ func rewriteCompileArgs(argv []string, tmp string, opts core.Options) ([]string,
 		if !core.ContainsPragma(src) {
 			continue
 		}
-		fileOpts := opts
-		fileOpts.Filename = filepath.ToSlash(arg)
-		res, err := core.Transform(src, fileOpts)
+		res, err := core.Transform(src, core.Options{Filename: filepath.ToSlash(arg)})
 		if err != nil {
 			return nil, rewritten, err
 		}

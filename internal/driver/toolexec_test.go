@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gomp/internal/core"
 )
 
 // rewriteCompileArgs: only pragma-bearing .go file arguments move to
@@ -22,7 +20,7 @@ func TestRewriteCompileArgs(t *testing.T) {
 		"/toolchain/compile", "-o", "out.a", "-p", "p", "-lang=go1.24",
 		filepath.Join(src, "hot.go"), filepath.Join(src, "plain.go"), "nonexistent.go",
 	}
-	got, n, err := rewriteCompileArgs(argv, tmp, core.Options{})
+	got, n, err := rewriteCompileArgs(argv, tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestRewriteCompileArgs(t *testing.T) {
 func TestRewriteCompileArgsReportsErrors(t *testing.T) {
 	src := t.TempDir()
 	writeTree(t, src, map[string]string{"bad.go": "package p\n\nfunc f() {\n\t//omp paralel\n\t{\n\t}\n}\n"})
-	_, _, err := rewriteCompileArgs([]string{"compile", filepath.Join(src, "bad.go")}, t.TempDir(), core.Options{})
+	_, _, err := rewriteCompileArgs([]string{"compile", filepath.Join(src, "bad.go")}, t.TempDir())
 	if err == nil || !strings.Contains(err.Error(), "bad.go:4") {
 		t.Fatalf("err = %v, want positioned diagnostic", err)
 	}

@@ -13,7 +13,7 @@ import (
 func TestWatchRerunsOnChange(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
-	d, err := New(Config{Module: root})
+	d, err := New(Config{Module: root, OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWatchRerunsOnChange(t *testing.T) {
 func TestWatchIdleRunsNothing(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc})
-	d, err := New(Config{Module: root})
+	d, err := New(Config{Module: root, OutDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

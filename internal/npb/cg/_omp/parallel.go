@@ -28,10 +28,10 @@ func rowDot(m *Matrix, w []float64, j int) float64 {
 // with nowait, and each reduction folds the team's partials at its one
 // barrier in thread order, 0 + s0 + s1 + …: the same bits at a team size
 // on every run. The fold starts from the shared scalar, so the master
-// zeroes it between a barrier after every thread's last read of it and
-// the barrier before its loop, whose lowering reads it to type the thread
-// copies: rho at the top of an iteration, as in NPB-OMP, d after the rho
-// loop. The p update's barrier publishes p for the next SpMV. rowDot
+// zeroes rho and d at the top of an iteration, as in NPB-OMP: after the
+// barriers that follow every thread's last read of them, before the
+// barrier of the loop that folds into them. The p update's barrier
+// publishes p for the next SpMV. rowDot
 // reorders no floating-point operation, so ζ and rnorm are those of the
 // serial loops, bit for bit (TestParallelBitsPinned).
 func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
@@ -53,6 +53,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 			//omp master
 			{
 				rho0 = rho
+				d = 0
 				rho = 0
 			}
 
@@ -70,11 +71,6 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				rho += r[j] * r[j]
 			}
 			beta := rho / rho0
-
-			//omp master
-			{
-				d = 0
-			}
 
 			//omp for
 			for j := 0; j < n; j++ {

@@ -32,10 +32,10 @@ func rowDot(m *Matrix, w []float64, j int) float64 {
 // with nowait, and each reduction folds the team's partials at its one
 // barrier in thread order, 0 + s0 + s1 + …: the same bits at a team size
 // on every run. The fold starts from the shared scalar, so the master
-// zeroes it between a barrier after every thread's last read of it and
-// the barrier before its loop, whose lowering reads it to type the thread
-// copies: rho at the top of an iteration, as in NPB-OMP, d after the rho
-// loop. The p update's barrier publishes p for the next SpMV. rowDot
+// zeroes rho and d at the top of an iteration, as in NPB-OMP: after the
+// barriers that follow every thread's last read of them, before the
+// barrier of the loop that folds into them. The p update's barrier
+// publishes p for the next SpMV. rowDot
 // reorders no floating-point operation, so ζ and rnorm are those of the
 // serial loops, bit for bit (TestParallelBitsPinned).
 func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
@@ -50,7 +50,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				__omp_st0 := int64(1)
 				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 				__omp_trip := __omp_trip0
-				__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, rho)
+				__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, &rho)
 				_ = __omp_red_rho
 				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
 					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
@@ -73,6 +73,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 					omp.Masked(__omp_t, func() {
 
 						rho0 = rho
+						d = 0
 						rho = 0
 
 					})
@@ -83,7 +84,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 					__omp_st0 := int64(1)
 					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 					__omp_trip := __omp_trip0
-					__omp_red_d := omp.ReduceIdentity(omp.ReduceSum, d)
+					__omp_red_d := omp.ReduceIdentity(omp.ReduceSum, &d)
 					_ = __omp_red_d
 					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
 						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
@@ -94,7 +95,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 							__omp_red_d += p[j] * q[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 59, "for"))
+					}, omp.NoWait(), omp.Loc("parallel.go", 60, "for"))
 					omp.Reduce(__omp_t, omp.ReduceSum, &d, __omp_red_d)
 				}
 				alpha := rho0 / d
@@ -104,7 +105,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 					__omp_st0 := int64(1)
 					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 					__omp_trip := __omp_trip0
-					__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, rho)
+					__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, &rho)
 					_ = __omp_red_rho
 					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
 						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
@@ -116,18 +117,10 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 							__omp_red_rho += r[j] * r[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 66, "for"))
+					}, omp.NoWait(), omp.Loc("parallel.go", 67, "for"))
 					omp.Reduce(__omp_t, omp.ReduceSum, &rho, __omp_red_rho)
 				}
 				beta := rho / rho0
-
-				{
-					omp.Masked(__omp_t, func() {
-
-						d = 0
-
-					})
-				}
 
 				{
 					__omp_lb0 := 0
@@ -142,7 +135,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 							p[j] = r[j] + beta*p[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 79, "for"))
+					}, omp.NoWait(), omp.Loc("parallel.go", 75, "for"))
 					omp.Barrier(__omp_t)
 				}
 			}
@@ -152,7 +145,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				__omp_st0 := int64(1)
 				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 				__omp_trip := __omp_trip0
-				__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, sum)
+				__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, &sum)
 				_ = __omp_red_sum
 				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
 					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
@@ -164,7 +157,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 						__omp_red_sum += dd * dd
 
 					}
-				}, omp.NoWait(), omp.Loc("parallel.go", 85, "for"))
+				}, omp.NoWait(), omp.Loc("parallel.go", 81, "for"))
 				omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)
 			}
 

@@ -30,9 +30,9 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 		__omp_red_sx := &sx
 		__omp_red_sy := &sy
 		omp.Parallel(func(__omp_t *omp.Thread) {
-			sx := omp.ReduceIdentity(omp.ReduceSum, sx)
+			sx := omp.ReduceIdentity(omp.ReduceSum, &sx)
 			_ = sx
-			sy := omp.ReduceIdentity(omp.ReduceSum, sy)
+			sy := omp.ReduceIdentity(omp.ReduceSum, &sy)
 			_ = sy
 
 			var q [nq]int64

@@ -29,10 +29,11 @@ func TripCount[T Integer](lb, ub T, st int64, inclusive bool) int64 {
 func LoopVar[T Integer](lb T, k, st int64) T { return lb + T(k*st) }
 
 // ReduceIdentity returns the identity element of op for T, inferred from a
-// sample value (the reduction variable itself). Generated reductions
-// initialise each thread's copy with it, as the OpenMP standard requires.
-func ReduceIdentity[T Numeric](op ReduceOp, sample T) T {
-	_ = sample // only for type inference
+// pointer to the reduction variable, which it never reads: another thread
+// may be writing the shared variable while a thread initialises its copy.
+// Generated reductions initialise each thread's copy with it, as the
+// OpenMP standard requires.
+func ReduceIdentity[T Numeric](op ReduceOp, _ *T) T {
 	r := Reduction[T]{op: op}
 	return r.Identity()
 }

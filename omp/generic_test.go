@@ -162,7 +162,7 @@ func TestGenericRejectsLogical(t *testing.T) {
 
 func TestGenericBitAndOnFloatPanics(t *testing.T) {
 	mustPanic(t, "NewReduction of float bitand", func() { NewReduction(ReduceBitAnd, 1.0) })
-	mustPanic(t, "ReduceIdentity of float bitand", func() { ReduceIdentity(ReduceBitAnd, 1.0) })
+	mustPanic(t, "ReduceIdentity of float bitand", func() { ReduceIdentity(ReduceBitAnd, new(float64)) })
 }
 
 func TestCurrentMatchesThread(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 func reduceFloat64(op ReduceOp, initial float64, trip int64, f func(int64) float64) float64 {
 	v := initial
 	Parallel(func(t *Thread) {
-		local := ReduceIdentity(op, v)
+		local := ReduceIdentity(op, &v)
 		ForRange(t, trip, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				switch op {
@@ -76,7 +76,7 @@ func TestFloat64ReductionIdentity(t *testing.T) {
 		ReduceMax:  math.Inf(-1),
 	}
 	for op, want := range cases {
-		if got := ReduceIdentity(op, 0.0); got != want {
+		if got := ReduceIdentity(op, new(float64)); got != want {
 			t.Errorf("float64 identity(%s) = %g, want %g", op, got, want)
 		}
 	}
@@ -116,7 +116,7 @@ func TestInt64Reductions(t *testing.T) {
 	for _, c := range cases {
 		v := c.initial
 		Parallel(func(t *Thread) {
-			local := ReduceIdentity(c.op, v)
+			local := ReduceIdentity(c.op, &v)
 			ForRange(t, c.trip, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					local = reduceFold(c.op, local, c.f(i))
@@ -141,7 +141,7 @@ func TestInt64ReductionIdentity(t *testing.T) {
 		ReduceBitXor: 0,
 	}
 	for op, want := range cases {
-		if got := ReduceIdentity(op, int64(0)); got != want {
+		if got := ReduceIdentity(op, new(int64)); got != want {
 			t.Errorf("int64 identity(%s) = %d, want %d", op, got, want)
 		}
 	}
