@@ -208,8 +208,9 @@ func BenchmarkForkOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelForRange is the fused construct gompcc emits for every
-// `//omp parallel for`: fork, static loop, join, over a body built once.
+// BenchmarkParallelForRange times the API's fused parallel-for (gompcc
+// emits Parallel around a ForStart/ForNext loop instead): fork, static
+// loop, join, over a body built once.
 // 0 allocs/op: the loop travels in the runtime's region descriptor.
 func BenchmarkParallelForRange(b *testing.B) {
 	x, y := make([]float64, 1024), make([]float64, 1024)

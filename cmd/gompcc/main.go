@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	gompcc [-o output.go] input.go          # write transformed source, marked generated
+//	gompcc -o output.go input.go            # write transformed source, marked generated
 //	gompcc -stdout input.go                 # print to stdout
 //	gompcc -explain input.go…               # describe each directive, change nothing
 //	gompcc -profile input.go                # also auto-instrument for profiling
@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"gomp/internal/core"
@@ -56,7 +55,7 @@ func main() {
 		os.Exit(code)
 	}
 	var (
-		out      = flag.String("o", "", "output file (default: <input>_omp.go)")
+		out      = flag.String("o", "", "output file (this or -stdout is required for a single input)")
 		toStdout = flag.Bool("stdout", false, "write the transformed source to stdout")
 		explain  = flag.Bool("explain", false, "print each recognized directive of the input files with its parsed clauses and the lowering it will receive, without rewriting")
 		profile  = flag.Bool("profile", false, "auto-instrument the output: profiling spans in pragma-containing functions, profiler lifecycle in main")
@@ -83,26 +82,34 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gompcc [-o out.go | -stdout] input.go | -explain input.go… | -module root -outdir out")
+		fmt.Fprintln(os.Stderr, "usage: gompcc (-o out.go | -stdout) input.go | -explain input.go… | -module root -outdir out")
 		os.Exit(2)
 	}
-	in := flag.Arg(0)
-	if *toStdout {
-		res, err := processFile(in, *profile)
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(res)
-		return
-	}
-	dst := *out
-	if dst == "" {
-		dst = strings.TrimSuffix(in, ".go") + "_omp.go"
-	}
-	if err := writeFile(in, dst, *profile); err != nil {
+	if err := runFile(flag.Arg(0), *out, *toStdout, *profile, os.Stdout, os.Stderr); err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "gompcc: %s -> %s\n", in, dst)
+}
+
+// runFile transforms the single input in to stdout or to the file dst. An
+// output beside the input would not build with it (both declare the same
+// functions), so one of the two must be asked for.
+func runFile(in, dst string, toStdout, profile bool, stdout, log io.Writer) error {
+	switch {
+	case toStdout:
+		res, err := processFile(in, profile)
+		if err != nil {
+			return err
+		}
+		_, err = stdout.Write(res)
+		return err
+	case dst == "":
+		return fmt.Errorf("%s: name the output with -o out.go, or print it with -stdout", in)
+	}
+	if err := writeFile(in, dst, profile); err != nil {
+		return err
+	}
+	fmt.Fprintf(log, "gompcc: %s -> %s\n", in, dst)
+	return nil
 }
 
 // writeFile transforms in and writes the result to dst under the driver's

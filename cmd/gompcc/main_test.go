@@ -220,3 +220,26 @@ func TestExplainDirWritesNothing(t *testing.T) {
 		t.Fatalf("dry run created files: %v", entries)
 	}
 }
+
+// A bare `gompcc in.go` is refused, naming -o and -stdout, and writes
+// nothing: an in_omp.go beside in.go would not build with it.
+func TestSingleFileNeedsOutput(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.go")
+	src := "package p\n\nfunc fill(a []int) {\n\t//omp parallel for\n\tfor i := 0; i < len(a); i++ {\n\t\ta[i] = i\n\t}\n}\n"
+	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, log strings.Builder
+	err := runFile(in, "", false, false, &stdout, &log)
+	if err == nil || !strings.Contains(err.Error(), "-o") || !strings.Contains(err.Error(), "-stdout") {
+		t.Fatalf("err = %v, want one naming -o and -stdout", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || stdout.Len() != 0 || log.Len() != 0 {
+		t.Fatalf("refused run wrote %v, stdout %q, log %q", entries, stdout.String(), log.String())
+	}
+}

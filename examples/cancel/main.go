@@ -2,7 +2,7 @@
 // imports the top-level omp package — no internal/ paths, and OpenMP
 // cancellation bound to context.Context. ParallelErr and WithContext have
 // no pragma spelling, so this example calls the runtime directly; each
-// loop is the ForRange that `//omp for` lowers to.
+// loop is a ForRange, the hand-written form of what `//omp for` lowers to.
 //
 // Three scenarios:
 //

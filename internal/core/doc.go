@@ -77,7 +77,10 @@
 // The front end never runs go/types: where a lowering needs a type, it
 // hands a user value to a generic helper in omp/codegen_support.go and gc
 // infers the type. A loop variable is omp.LoopVar(lb, k, st), in its lower
-// bound's type as `i := lb` would have it, with an int64 trip count. For the
+// bound's type as `i := lb` would have it, with an int64 trip count. A
+// worksharing loop is a plain loop over the thread's chunks (omp.ForStart,
+// omp.ForNext) around the user's loop, whose single level steps its
+// variable in the post statement, omp.LoopVar(i, 1, st). For the
 // assignment form `for i = lb; …` the lower bound is first bound to a copy
 // of i (`__omp_lb0 := i` then `__omp_lb0 = lb`; __omp_tlb0 and __omp_ulb
 // under tile and unroll, and a full unroll's `i := i` then `i = 3`), so the

@@ -44,9 +44,9 @@ func Explain(d *Directive) string {
 	case DirParallel:
 		base = "fork a hot goroutine team over the outlined block (omp.Parallel)"
 	case DirParallelFor:
-		base = "fork a team and workshare the canonical loop's iteration space across it (omp.Parallel + omp.ForRange)"
+		base = "fork a team and workshare the canonical loop's iteration space across it in a loop over the thread's chunks (omp.Parallel + omp.ForStart/ForNext)"
 	case DirFor:
-		base = "workshare the canonical loop's iteration space across the enclosing team (omp.ForRange)"
+		base = "workshare the canonical loop's iteration space across the enclosing team in a loop over the thread's chunks (omp.ForStart/ForNext)"
 	case DirSections:
 		base = "distribute the section blocks across the team (omp.Sections)"
 	case DirSection:

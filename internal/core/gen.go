@@ -362,12 +362,13 @@ func clauseNaming(subs []*node, v string, copyPrivate bool) *node {
 
 // genFor lowers `//omp for`: bounds, increment and comparison operator are
 // lifted from the for-statement header (Section III-B2), the iteration
-// space is normalised to a trip count, and the body runs under
-// omp.ForRange with the requested schedule. Reduction and lastprivate
-// variables are renamed to per-thread temporaries inside the body and
-// folded back after the loop: a reduction by omp.Reduce, whose barrier is
-// the loop's. A reducing loop with nowait still takes that barrier, which
-// conforms: every thread of the team meets the loop.
+// space is normalised to a trip count, and the body runs in a plain loop
+// over the thread's chunks, omp.ForStart/omp.ForNext, in the function the
+// construct sits in — the runtime's scheduling calls around the user's own
+// loop. Reduction and lastprivate variables are renamed to per-thread locals
+// inside the body and folded back after the loop: a reduction by omp.Reduce,
+// whose barrier is the loop's. A reducing loop with nowait still takes that
+// barrier, which conforms: every thread of the team meets the loop.
 func (lw *lowerer) genFor(n *node) {
 	c := &n.d.Clauses
 	depth := max(c.Collapse, 1)
@@ -377,8 +378,10 @@ func (lw *lowerer) genFor(n *node) {
 		return
 	}
 	hs := nest.hs[:depth]
-	if hasEscapingReturn(nest.body) {
-		lw.fail(n, "return inside a worksharing loop is not allowed")
+	// The body is no function of its own: a branch out of it would skip
+	// the thread's detach from the loop, its barrier or its reduction.
+	if err := checkTransformBody(nest.body, "a worksharing loop", false, false); err != nil {
+		lw.fail(n, "%v", err)
 		return
 	}
 	if !lw.checkDefaultNone(n, nest.body, nest.vars()...) {
@@ -413,9 +416,10 @@ func (lw *lowerer) genFor(n *node) {
 
 	e := lw.e
 	e.put("{\n", bind)
-	// Bounds per nest level, evaluated once before any shadowing.
+	// Bounds per nest level, evaluated once before any shadowing; a single
+	// level's trip count is the loop's.
 	for i, h := range hs {
-		lw.bounds(i, h, true)
+		lw.bounds(i, h, len(hs) > 1)
 	}
 	// Suffix products for collapse index reconstruction.
 	for i := 0; i < len(hs)-1; i++ {
@@ -431,27 +435,49 @@ func (lw *lowerer) genFor(n *node) {
 		}
 		e.code("\n")
 	}
-	if len(hs) == 1 {
-		e.code("__omp_trip := __omp_trip0\n")
-	} else {
+	if len(hs) > 1 {
 		e.code("__omp_trip := __omp_trip0 * __omp_suf0\n")
 	}
 	shadowDecls(e, c.Private, c.FirstPrivate)
 	reductions(func(op ReduceOp, v, local string) {
 		e.put(local, " := ")
 		identity(e, op, v)
-		e.put("\n_ = ", local, "\n")
+		e.code("\n")
 	})
 	for _, p := range lastPrivates {
-		e.put(p[1], " := ", p[0], "\n_ = ", p[1], "\n")
+		e.put(p[1], " := ", p[0], "\n")
 	}
 
-	e.put("omp.ForRange(", tvar, ", __omp_trip, func(__omp_clo, __omp_chi int64) {\n")
-	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
+	if slices.ContainsFunc(lw.pragmas, func(p *node) bool { return lw.chunkLoop(p) == n }) {
+		// Go scopes labels to the function: the pragma's line tells loops
+		// apart. A label sits one level out.
+		e.depth--
+		e.put("__omp_for", strconv.Itoa(n.line), ":\n")
+		e.depth++
+	}
+	e.put("for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(", tvar, ", __omp_trip")
+	if c.HasSchedule {
+		e.put(", omp.Schedule(", schedConst(c.Sched), ", ")
+		e.num(c.Chunk)
+		if c.SchedMod != SchedModNone {
+			e.put(", ", c.SchedMod.RuntimeName())
+		}
+		e.code(")")
+	}
+	if c.Ordered {
+		e.code(", omp.OrderedClause()")
+	}
+	e.code(", ")
+	lw.loc(n, "for")
+	e.put("); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(", tvar, ") {\n")
 	if len(hs) == 1 {
-		loopVar(e, hs[0].Var, 0, "__omp_k", -1)
+		// The loop variable is computed once per chunk and stepped by the
+		// inner loop's post statement, which a continue still runs.
+		v := hs[0].Var
+		e.put("for __omp_k, ", v, " := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); ")
+		e.put("__omp_k < __omp_chi; __omp_k, ", v, " = __omp_k+1, omp.LoopVar(", v, ", 1, __omp_st0) {\n")
 	} else {
-		e.code("__omp_r := __omp_k\n")
+		e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n__omp_r := __omp_k\n")
 		for i, h := range hs {
 			if i < len(hs)-1 {
 				loopVar(e, h.Var, i, "__omp_r", i)
@@ -469,25 +495,11 @@ func (lw *lowerer) genFor(n *node) {
 	lw.user(body)
 	lw.renames = saved
 	nest.close(e, depth)
-	e.code("\n")
+	e.code("\n}\n")
 	for _, p := range lastPrivates {
-		e.put("if __omp_k == __omp_trip-1 {\n", p[0], " = ", p[1], "\n}\n")
+		e.put("if __omp_chi == __omp_trip {\n", p[0], " = ", p[1], "\n}\n")
 	}
-	e.code("}\n}, omp.NoWait()") // the barrier is the reduction's, or emitted below
-	if c.HasSchedule {
-		e.put(", omp.Schedule(", schedConst(c.Sched), ", ")
-		e.num(c.Chunk)
-		if c.SchedMod != SchedModNone {
-			e.put(", ", c.SchedMod.RuntimeName())
-		}
-		e.code(")")
-	}
-	if c.Ordered {
-		e.code(", omp.OrderedClause()")
-	}
-	e.code(", ")
-	lw.loc(n, "for")
-	e.code(")\n")
+	e.code("}\n")
 	reductions(func(op ReduceOp, v, local string) { reduceCall(e, op, tvar, "&", v, local) })
 	if !c.NoWait {
 		if len(c.Reductions) == 0 {
@@ -496,6 +508,35 @@ func (lw *lowerer) genFor(n *node) {
 		lw.cancelGuard(tvar, orphan)
 	}
 	e.code("}")
+}
+
+// chunkLoop returns the worksharing loop whose chunk loop the cancellation
+// directive n continues: the `for` n sits directly in (transformations
+// aside), with no function literal of the user's in between. Otherwise n's
+// guard returns from the generated closure or function literal it sits in.
+func (lw *lowerer) chunkLoop(n *node) *node {
+	if n.d.Kind != DirCancel && n.d.Kind != DirCancellationPoint {
+		return nil
+	}
+	a := n.parent
+	for a != nil && (a.d.kind() == DirTile || a.d.kind() == DirUnroll) {
+		a = a.parent
+	}
+	if a == nil || a.d.kind() != DirFor {
+		return nil
+	}
+	inLit := false
+	ast.Inspect(a.stmt, func(x ast.Node) bool {
+		if inLit || x == nil || lw.off(x.Pos()) > n.start || lw.off(x.End()) <= n.start {
+			return false
+		}
+		_, inLit = x.(*ast.FuncLit)
+		return !inLit
+	})
+	if inLit {
+		a = nil
+	}
+	return a
 }
 
 // bounds binds nest level i's lower bound as written, so that it keeps the
@@ -887,9 +928,11 @@ func (lw *lowerer) genTaskloop(n *node) {
 // and `//omp cancellation point …` directives. omp.Cancel activates
 // cancellation and reports whether the encountering thread must branch to
 // the end of the construct, which the generated guard performs with a bare
-// return — every outlined construct body (parallel region closure,
-// worksharing chunk closure, task body) is a niladic function, so the
-// return exits exactly the innermost construct. An if clause gates
+// return — every outlined construct body (parallel region, task) is a
+// niladic function, so the return exits exactly the innermost construct —
+// or, directly in a worksharing loop's body, by continuing the loop over
+// the thread's chunks (chunkLoop), whose next omp.ForNext detaches the
+// thread from the cancelled loop. An if clause gates
 // activation, short-circuiting before the runtime call as the standard's
 // `cancel ... if(expr)` requires — but a cancel region is itself a
 // cancellation point regardless of the clause (OpenMP 5.2 §11.5), so the
@@ -923,6 +966,10 @@ func (lw *lowerer) genCancel(n *node) {
 		p.put("((", lw.rawClause(c.If), ") && omp.Cancel(", tvar, ", ", kind, ")) || omp.CancellationPoint(", tvar, ", ", kind, ")")
 	}
 	p.end()
+	if loop := lw.chunkLoop(n); loop != nil {
+		lw.e.put(" {\ncontinue __omp_for", strconv.Itoa(loop.line), "\n}")
+		return
+	}
 	lw.e.code(" {\nreturn\n}")
 }
 

@@ -514,6 +514,114 @@ func main() {
 	}
 }
 
+// A cancellation directive directly in a worksharing loop's body continues
+// the lowered chunk loop, whose next ForNext sees the cancellation and
+// detaches the thread; one inside a critical section returns from that
+// closure. A cancellable team runs the search under static, static,1 and
+// dynamic,1, twenty rounds each, so the dispatch ring cycles through its
+// buffers many times over. The target must be found every time, nothing may
+// hang, and the team must still run an ordinary loop afterwards.
+func TestEndToEndCancelForClosureFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	run := buildPreprocessed(t, `package main
+
+import (
+	"fmt"
+
+	omp "gomp/omp"
+)
+
+func findStatic(a []int, target int) int {
+	found := -1
+	//omp parallel
+	{
+		//omp for schedule(static)
+		for i := 0; i < len(a); i++ {
+			if a[i] == target {
+				//omp critical
+				{
+					found = i
+					//omp cancellation point for
+				}
+				//omp cancel for
+			}
+			//omp cancellation point for
+		}
+	}
+	return found
+}
+
+func findStatic1(a []int, target int) int {
+	found := -1
+	//omp parallel
+	{
+		//omp for schedule(static,1)
+		for i := 0; i < len(a); i++ {
+			if a[i] == target {
+				//omp critical
+				{
+					found = i
+				}
+				//omp cancel for
+			}
+			//omp cancellation point for
+		}
+	}
+	return found
+}
+
+func findDynamic1(a []int, target int) int {
+	found := -1
+	//omp parallel
+	{
+		//omp for schedule(dynamic,1)
+		for i := 0; i < len(a); i++ {
+			if a[i] == target {
+				//omp critical
+				{
+					found = i
+				}
+				//omp cancel for
+			}
+			//omp cancellation point for
+		}
+	}
+	return found
+}
+
+func main() {
+	omp.SetCancellation(true)
+	a := make([]int, 5000)
+	for i := range a {
+		a[i] = i
+	}
+	ok := true
+	for round := 0; round < 20; round++ {
+		target := (round*797 + 13) % len(a)
+		for _, find := range []func([]int, int) int{findStatic, findStatic1, findDynamic1} {
+			if got := find(a, target); got != target {
+				fmt.Println("round", round, "found", got, "want", target)
+				ok = false
+			}
+		}
+	}
+	sum := 0
+	//omp parallel for reduction(+:sum) schedule(dynamic,7)
+	for i := 0; i < len(a); i++ {
+		sum += a[i]
+	}
+	fmt.Println(ok, sum == len(a)*(len(a)-1)/2)
+}
+`)
+	for _, threads := range []int{2, 4} {
+		if got := strings.TrimSpace(run(threads)); got != "true true" {
+			t.Fatalf("threads=%d: output = %q, want \"true true\"", threads, got)
+		}
+	}
+}
+
 // Task dependences end to end: annotate, preprocess, run. A three-stage
 // dependence chain over shared cells must observe each predecessor's value
 // (the chain serialises the tasks regardless of which thread runs them),

@@ -69,8 +69,9 @@ func Transform(src []byte, opts Options) (TransformResult, error) {
 	if err := lw.threadPrivate(); err != nil {
 		return TransformResult{}, err
 	}
-	// Lowered Go is three to four times the pragmas'.
-	e := &emitter{out: make([]byte, 0, 4*len(src)+64)}
+	// Lowered Go is three to four times the source, plus the lines each
+	// directive generates.
+	e := &emitter{out: make([]byte, 0, 4*len(src)+128*len(u.pragmas)+64)}
 	lw.e = e
 	// The import goes after the package clause. Whether it is needed is
 	// known once everything behind the clause is lowered, so it is written

@@ -134,9 +134,10 @@ func f(a []float64) {
 		"__omp_lb0 := 0",
 		"__omp_st0 := int64(1)",
 		"omp.TripCount(__omp_lb0, len(a), __omp_st0, false)",
-		"omp.ForRange(__omp_t, __omp_trip",
-		"omp.Schedule(omp.Dynamic, 8)",
-		"i := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)",
+		"omp.ForStart(__omp_t, __omp_trip, omp.Schedule(omp.Dynamic, 8)",
+		"omp.ForNext(__omp_t)",
+		"for __omp_k, i := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0);",
+		"__omp_k, i = __omp_k+1, omp.LoopVar(i, 1, __omp_st0)",
 	)
 	// nowait: no barrier after the loop.
 	if strings.Contains(out, "omp.Barrier(") {
@@ -157,7 +158,8 @@ func f(a []int) {
 	}
 }
 `)
-	wantContains(t, out, "omp.Barrier(__omp_t)", "omp.NoWait()")
+	wantContains(t, out, "omp.Barrier(__omp_t)")
+	wantAbsent(t, out, "omp.NoWait()")
 }
 
 func TestPreprocessInclusiveAndDescendingLoops(t *testing.T) {
@@ -207,7 +209,7 @@ func f(a []float64) float64 {
 	wantContains(t, out,
 		"omp.Parallel(func(__omp_t *omp.Thread)",
 		"omp.NumThreads(8)",
-		"omp.ForRange(__omp_t",
+		"omp.ForStart(__omp_t",
 		"__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, &sum)",
 		"omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)",
 	)
@@ -288,7 +290,7 @@ func f(n int) int {
 	wantContains(t, out,
 		"__omp_lp_last := last",
 		"__omp_lp_last = i",
-		"if __omp_k == __omp_trip-1 { last = __omp_lp_last }",
+		"if __omp_chi == __omp_trip { last = __omp_lp_last }",
 	)
 }
 
@@ -664,7 +666,7 @@ func find(a []int, target int) int {
 	// The false branch still consults CancellationPoint: a cancel region
 	// is a cancellation point regardless of its if clause.
 	wantContains(t, out,
-		"if ((found >= 0) && omp.Cancel(__omp_t, omp.CancelFor)) || omp.CancellationPoint(__omp_t, omp.CancelFor) { return }",
+		"if ((found >= 0) && omp.Cancel(__omp_t, omp.CancelFor)) || omp.CancellationPoint(__omp_t, omp.CancelFor) { continue __omp_for5 }",
 	)
 }
 

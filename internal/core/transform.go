@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strconv"
 )
 
@@ -272,25 +273,30 @@ func (lw *lowerer) loopText(n *node, nest *loopNest) {
 }
 
 // checkTransformBody rejects statements that would change meaning under
-// loop restructuring. The OpenMP canonical loop form forbids exiting the
-// loop from inside (return, break, goto out); duplication (unroll)
-// additionally forbids continue — which would skip the remaining unrolled
-// copies, not the remaining loop — and labels, which Go scopes to the
-// function and so cannot be duplicated. Tiling keeps one copy of the body
-// inside a still-innermost point loop, so continue binds equivalently and
-// stays legal. Statements inside nested loops, switches and function
-// literals bind locally and are exempt; inLoop says the body already sits
-// inside a loop a tile generated.
-func checkTransformBody(body ast.Node, duplicated, inLoop bool) error {
+// loop restructuring or worksharing; construct names the loop in its
+// messages. The OpenMP canonical loop form forbids exiting the loop from
+// inside (return, break, goto out, a labelled break or continue naming a
+// statement outside the body); duplication (unroll) additionally forbids
+// continue — which would skip the remaining unrolled copies, not the
+// remaining loop — and labels, which Go scopes to the function and so cannot
+// be duplicated. Tiling keeps one copy of the body inside a still-innermost
+// point loop, and a worksharing loop one inside its chunk's loop, so continue
+// binds equivalently and stays legal. Statements inside nested loops,
+// switches and function literals bind locally and are exempt; inLoop says
+// the body already sits inside a loop a tile generated.
+func checkTransformBody(body ast.Node, construct string, duplicated, inLoop bool) error {
 	var err error
 	// Inspect gives pre-order calls plus a nil call after each node whose
 	// children were visited; pushing one frame per descended node keeps an
 	// ancestry summary without a second pass.
 	type frame struct{ loop, sw bool }
-	stack := []frame{{loop: inLoop}}
-	in := func(want func(frame) bool) bool {
+	stack := append(make([]frame, 0, 16), frame{loop: inLoop})
+	// labels are those the body declares: a break or continue naming one
+	// that compiles is inside the statement it names.
+	var labels []string
+	inside := func(sw bool) bool { // a loop, or a switch too, encloses the node
 		for _, f := range stack {
-			if want(f) {
+			if f.loop || sw && f.sw {
 				return true
 			}
 		}
@@ -308,29 +314,26 @@ func checkTransformBody(body ast.Node, duplicated, inLoop bool) error {
 		case *ast.FuncLit:
 			return false // its control flow is self-contained
 		case *ast.ReturnStmt:
-			err = fmt.Errorf("return inside a transformed loop is not allowed (OpenMP forbids branching out of a canonical loop)")
-			return false
+			err = fmt.Errorf("return inside %s is not allowed (OpenMP forbids branching out of a canonical loop)", construct)
 		case *ast.LabeledStmt:
 			if duplicated {
 				err = fmt.Errorf("label %s inside an unrolled loop body is not supported (Go labels are function-scoped and cannot be duplicated)", s.Label.Name)
-				return false
 			}
+			labels = append(labels, s.Label.Name)
 		case *ast.BranchStmt:
-			switch s.Tok {
-			case token.BREAK:
-				if !in(func(f frame) bool { return f.loop || f.sw }) {
-					err = fmt.Errorf("break inside a transformed loop is not allowed (OpenMP forbids branching out of a canonical loop)")
-					return false
-				}
-			case token.CONTINUE:
-				if duplicated && !in(func(f frame) bool { return f.loop }) {
-					err = fmt.Errorf("continue inside an unrolled loop body is not supported (it would skip the remaining unrolled copies)")
-					return false
-				}
-			case token.GOTO:
-				err = fmt.Errorf("goto inside a transformed loop is not allowed")
-				return false
+			switch {
+			case s.Tok == token.GOTO:
+				err = fmt.Errorf("goto inside %s is not allowed", construct)
+			case s.Label != nil && !slices.Contains(labels, s.Label.Name):
+				err = fmt.Errorf("%s %s inside %s is not allowed (OpenMP forbids branching out of a canonical loop)", s.Tok, s.Label.Name, construct)
+			case s.Tok == token.BREAK && !inside(true):
+				err = fmt.Errorf("break inside %s is not allowed (OpenMP forbids branching out of a canonical loop)", construct)
+			case s.Tok == token.CONTINUE && duplicated && !inside(false):
+				err = fmt.Errorf("continue inside an unrolled loop body is not supported (it would skip the remaining unrolled copies)")
 			}
+		}
+		if err != nil {
+			return false
 		}
 		fr := frame{}
 		switch n.(type) {
@@ -371,7 +374,7 @@ func (lw *lowerer) tile(n *node) *loopNest {
 		lw.fail(n, "sizes arity %d must match a perfect rectangular loop nest: %v", k, err)
 		return nil
 	}
-	if err := checkTransformBody(src.body, false, src.generated()); err != nil {
+	if err := checkTransformBody(src.body, "a transformed loop", false, src.generated()); err != nil {
 		lw.fail(n, "%v", err)
 		return nil
 	}
@@ -497,7 +500,7 @@ func (lw *lowerer) unroll(n *node) *loopNest {
 		return nil
 	}
 	h := src.hs[0]
-	if err := checkTransformBody(src.body, true, src.generated()); err != nil {
+	if err := checkTransformBody(src.body, "a transformed loop", true, src.generated()); err != nil {
 		lw.fail(n, "%v", err)
 		return nil
 	}
@@ -520,6 +523,14 @@ func (lw *lowerer) unroll(n *node) *loopNest {
 		return nil
 	case spec != UnrollFull && factor == 1:
 		return src // partial(1) is the identity transformation
+	}
+	// A worksharing loop in the body whose chunk loop a cancellation
+	// directive continues carries a label, which Go cannot duplicate.
+	for _, p := range lw.pragmas {
+		if loop := lw.chunkLoop(p); loop != nil && loop.start > n.start && loop.start < n.end {
+			lw.fail(p, "cancellation inside a worksharing loop inside an unrolled loop body is not supported (the loop's label would be duplicated)")
+			return nil
+		}
 	}
 	// Every copy of the body is the same text: lower it once.
 	body := lw.materialize(lw.nestBody(src))

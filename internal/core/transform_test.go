@@ -66,7 +66,7 @@ func f(m []int, ni, nj int) {
 `)
 	wantContains(t, out,
 		"omp.Parallel(func(__omp_t *omp.Thread)",
-		"omp.ForRange(__omp_t,",
+		"omp.ForStart(__omp_t,",
 		// The worksharing loop reconstructs tile-grid origins, stepping by
 		// the tile size over each level's logical iteration space.
 		"__omp_st0 := int64((8))",
@@ -296,6 +296,60 @@ func f(a []int, n int) {
 		}
 	}
 }`, "label lbl inside an unrolled loop body"},
+		{"continue-outer-from-for", `package p
+func f(a [][]int) {
+outer:
+	for _, row := range a {
+		//omp parallel for
+		for i := 0; i < len(row); i++ {
+			if row[i] < 0 {
+				continue outer
+			}
+			row[i]++
+		}
+	}
+}`, "continue outer inside a worksharing loop is not allowed"},
+		{"break-outer-from-nested-loop", `package p
+func f(a [][]int) {
+outer:
+	for _, row := range a {
+		//omp parallel for
+		for i := 0; i < len(row); i++ {
+			for j := range row {
+				if j == i {
+					break outer
+				}
+			}
+		}
+	}
+}`, "break outer inside a worksharing loop is not allowed"},
+		{"continue-outer-from-tile", `package p
+func f(a [][]int) {
+outer:
+	for _, row := range a {
+		//omp tile sizes(4)
+		for i := 0; i < len(row); i++ {
+			if row[i] < 0 {
+				continue outer
+			}
+		}
+	}
+}`, "continue outer inside a transformed loop is not allowed"},
+		{"cancel-for-in-unrolled-body", `package p
+func f(a []int) {
+	//omp parallel
+	{
+		//omp unroll partial(2)
+		for r := 0; r < 4; r++ {
+			//omp for
+			for i := 0; i < len(a); i++ {
+				if a[i] < 0 {
+					//omp cancel for
+				}
+			}
+		}
+	}
+}`, "the loop's label would be duplicated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { ppErr(t, tc.src, tc.wantErr) })
@@ -370,5 +424,5 @@ func f(m []int, ni, nj int) {
 	}
 }
 `)
-	wantContains(t, out, "omp.ForRange", "__omp_suf0", "min(__omp_tile1+4,")
+	wantContains(t, out, "omp.ForStart", "__omp_suf0", "min(__omp_tile1+4,")
 }

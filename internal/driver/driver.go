@@ -5,8 +5,8 @@
 // documentation point here.
 //
 // Single file. `gompcc -o out.go in.go` writes in.go's transform to
-// out.go behind GeneratedHeader (without -o, next to in.go as
-// in_omp.go); `gompcc -stdout in.go` prints the bare transform. The NPB
+// out.go behind GeneratedHeader; `gompcc -stdout in.go` prints the bare
+// transform, and one of the two is required. The NPB
 // kernels keep their omp flavours this way: internal/npb/<k>/omp.go is
 // the -o output of <k>/_omp/parallel.go, from a //go:generate line.
 //

@@ -2,11 +2,13 @@ package kmp
 
 import "sync/atomic"
 
-// Dynamic worksharing: the lowering target of schedule(dynamic|guided|
-// runtime|auto|trapezoidal) loops, of ordered loops and of the monotonic:
-// modifier. There is one engine: a thread claims a chunk by popping it off
-// the front of a range with one CAS, and DispatchInit decides whose range
-// that is, in one of two configurations.
+// Worksharing loops: DispatchInit/DispatchNext is the one loop protocol,
+// for every schedule. A static loop without the ordered clause, and any
+// loop in a team of one, is the thread's own (static.go). The rest —
+// schedule(dynamic|guided|runtime|auto|trapezoidal) loops, ordered loops and
+// the monotonic: modifier — share one engine: a thread claims a chunk by
+// popping it off the front of a range with one CAS, and DispatchInit decides
+// whose range that is, in one of two configurations.
 //
 //   - Per-thread (nonmonotonic, the OpenMP 5.0 default for dynamic-family
 //     kinds, in a team of more than one thread, 0 < trip < 2^31): every
@@ -16,23 +18,23 @@ import "sync/atomic"
 //     upper half of a victim's range, so the only shared write traffic is
 //     the steals themselves.
 //
-//   - Shared (everything else: monotonic:, ordered, a team of one, trip <= 0,
-//     trips of 2^31 or more, static kinds served through dispatch): the team
-//     pops from ranges[0] and nobody steals — libomp's __kmpc_dispatch_next_8
-//     counter. The range's hi is the constant trip, so its word holds lo
-//     alone, a full 64 bits: no trip count is too long for it. Chunks leave
-//     it in increasing iteration order, which is what monotonic: promises
-//     and what the ordered ticket chain (ordered.go) relies on.
+//   - Shared (everything else: monotonic:, ordered, trip <= 0, trips of
+//     2^31 or more): the team pops from ranges[0] and nobody steals —
+//     libomp's __kmpc_dispatch_next_8 counter. The range's hi is the
+//     constant trip, so its word holds lo alone, a full 64 bits: no trip
+//     count is too long for it. Chunks leave it in increasing iteration
+//     order, which is what monotonic: promises and what the ordered ticket
+//     chain (ordered.go) relies on.
 //
 // Chunk sizing is one policy object either way (schedPolicy, sched.go):
 // dynamic, guided and trapezoidal are pure nextChunk(remaining, issued)
 // functions of the popped range and the popping thread's chunk count. The one
-// loop that does not pop is an ordered static loop: schedule(static)'s
-// round-robin mapping is not a range (grabStaticOrdered).
+// loop here that does not pop is an ordered static loop: schedule(static)'s
+// mapping is not a range (staticMapping).
 //
 // The loop descriptor lives in a ring of per-team buffers, like libomp's
 // dispatch buffers: each thread counts the worksharing loops it has
-// entered (Thread.dispatchSeq) and instance s uses buffer s mod ring. The
+// entered (Thread.wsSeq) and instance s uses buffer s mod ring. The
 // OpenMP rules require all team threads to encounter the same sequence of
 // worksharing regions, so the sequence numbers agree; with nowait loops a
 // fast thread may race ahead, at most ring-1 loops, before waiting for a
@@ -125,18 +127,15 @@ func (b *dispatchBuf) free() {
 	b.done.Store(0)
 }
 
-// DispatchInit attaches the thread to worksharing-loop instance over a
+// DispatchInit attaches the thread to a worksharing-loop instance over a
 // trip-count iteration space with the given schedule. Mirrors
-// __kmpc_dispatch_init_8: the first thread to arrive publishes the loop
-// descriptor — choosing the configuration and seeding its ranges — and the
-// rest join it. schedule(runtime) resolves against the run-sched ICV here,
-// at loop entry, exactly once per loop.
+// __kmpc_dispatch_init_8, and __kmpc_for_static_init for the loops that are
+// the thread's own (staticInit); for the rest the first thread to arrive
+// publishes the loop descriptor — choosing the configuration and seeding its
+// ranges — and the others join it. schedule(runtime) resolves against the
+// run-sched ICV here, at loop entry, exactly once per loop.
 func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
-	if loc == (Ident{}) {
-		// Unlocated loops — the loop half of a combined parallel-for — are
-		// attributed to their region, as static loops are.
-		loc = t.team.loc
-	}
+	tm := t.team
 	if sched.Kind == SchedRuntime {
 		rs := GetICV().RunSched
 		if rs.Kind == SchedRuntime { // guard: ICV must not self-refer
@@ -151,6 +150,26 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 		}
 		sched = rs
 	}
+	// Static loops count as worksharing instances too, so `cancel for` can
+	// name them (cancel.go); the counter advances identically on every
+	// thread by the OpenMP same-sequence rule.
+	t.wsSeq++
+	t.curWsSeq = t.wsSeq
+	t.chunkIdx = 0
+	t.curChunkLo, t.curChunkHi, t.orderedSeen = 0, 0, 0
+	static := sched.Kind == SchedStatic || sched.Kind == SchedStaticChunked
+	if tm.n == 1 || static && !sched.Ordered {
+		t.staticInit(trip, sched.Chunk)
+		return
+	}
+	if static { // ordered: the buffer adds only the ticket chain
+		t.stat = staticMapping(t.Tid, tm.n, trip, sched.Chunk)
+	}
+	if loc == (Ident{}) {
+		// Unlocated loops — the loop half of a combined parallel-for — are
+		// attributed to their region, as static loops are.
+		loc = tm.loc
+	}
 	// Whether the loop is recorded is decided here, once: detach records
 	// its loop-fini span only if loopNs holds this loop's entry.
 	t.loopNs = 0
@@ -161,16 +180,9 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 			Arg0: trip, Arg1: sched.Chunk,
 		})
 	}
-	tm := t.team
 	tm.touch(dirtyLoops)
-	t.wsSeq++
-	t.curWsSeq = t.wsSeq
-	t.chunkIdx = 0
-	t.curChunkLo, t.curChunkHi, t.orderedSeen = 0, 0, 0
-	seq := t.dispatchSeq
-	t.dispatchSeq++
-	buf := &tm.disp[seq%dispatchRing]
-	want := uint64(seq) + 1
+	want := t.wsSeq
+	buf := &tm.disp[want%dispatchRing]
 
 	for {
 		tag := buf.tag.Load()
@@ -225,12 +237,15 @@ func (b *dispatchBuf) fill(loc Ident, sched Sched, trip int64, n int) {
 }
 
 // DispatchNext returns the next chunk [lo, hi) of the loop the thread is
-// attached to, or ok == false when the iteration space is exhausted — at
-// which point the thread is detached and the buffer may be recycled.
+// attached to, or ok == false when the thread's share is exhausted — at
+// which point the thread is detached and a dispatch buffer may be recycled.
 // Mirrors __kmpc_dispatch_next_8. Every grab — a pop, own or shared, or a
 // steal — is a cancellation point: a cancelled loop (or region) dispatches
 // no further iterations.
 func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
+	if t.inStatic {
+		return t.staticNext()
+	}
 	buf := t.curLoop
 	if buf == nil {
 		return 0, 0, false
@@ -246,7 +261,12 @@ func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 		return 0, 0, false
 	}
 	if buf.staticOrd {
-		lo, hi, ok = t.grabStaticOrdered(buf)
+		// An ordered static loop keeps schedule(static)'s deterministic
+		// mapping (OpenMP guarantees its reproducibility even under
+		// ordered); every thread walks its chunks in increasing iteration
+		// order, so the ticket chain resolves bottom-up as it does for a
+		// shared range's issue order.
+		lo, hi, ok = t.stat.take()
 	} else {
 		lo, hi, ok = t.grab(buf)
 	}
@@ -258,36 +278,6 @@ func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 		t.curChunkLo, t.curChunkHi, t.orderedSeen = lo, hi, 0
 	}
 	return lo, hi, ok
-}
-
-// grabStaticOrdered hands the thread its own chunks of a static-schedule
-// ordered loop, preserving the deterministic iteration-to-thread mapping of
-// schedule(static): chunk c goes to thread c mod nth (round-robin) or, with
-// no chunk, each thread gets its balanced block. Every thread walks its
-// chunks in increasing iteration order, so the ordered ticket chain resolves
-// bottom-up exactly as it does for a shared range's issue order.
-func (t *Thread) grabStaticOrdered(b *dispatchBuf) (int64, int64, bool) {
-	if chunk := b.sched.Chunk; chunk > 0 {
-		lo := (int64(t.Tid) + t.chunkIdx*b.nth) * chunk
-		if lo >= b.trip {
-			return 0, 0, false
-		}
-		t.chunkIdx++
-		hi := lo + chunk
-		if hi > b.trip {
-			hi = b.trip
-		}
-		return lo, hi, true
-	}
-	if t.chunkIdx > 0 {
-		return 0, 0, false // the block partition is a single chunk
-	}
-	lo, hi := StaticBlock(t.Tid, int(b.nth), b.trip)
-	if lo >= hi {
-		return 0, 0, false
-	}
-	t.chunkIdx++
-	return lo, hi, true
 }
 
 // grab claims the thread's next chunk. On a shared range that is one pop. On
@@ -364,16 +354,9 @@ func (b *dispatchBuf) pop(i int, idx *int64) (int64, int64, bool) {
 // frees the buffer for reuse by instance seq+ring.
 func (t *Thread) detach(buf *dispatchBuf) {
 	t.curLoop = nil
-	t.curWsSeq = 0 // the thread is no longer inside a worksharing loop
-	if g := eventGate.Load(); g != 0 && t.loopNs != 0 {
-		// Attributed to the loop's own location (buf.loc) so the profiler
-		// never shows an unlocated loop-fini row; the span runs from this
-		// thread's DispatchInit to its drain.
-		t.event(g, TraceEvent{
-			Kind: TraceLoopFini, Loc: buf.loc, When: t.loopNs,
-			Dur: TraceNow() - t.loopNs,
-		})
-	}
+	// Attributed to the loop's own location so the profiler never shows an
+	// unlocated loop-fini row.
+	t.loopDone(buf.loc)
 	if buf.done.Add(1) == int32(t.team.n) {
 		buf.done.Store(0)
 		buf.tag.Store(0)
@@ -381,16 +364,15 @@ func (t *Thread) detach(buf *dispatchBuf) {
 	}
 }
 
-// ForDynamic is the convenience wrapper the generated code uses for a whole
-// dynamic-family loop: init, drain chunks through body, detach. No barrier
-// is performed (nowait is the caller's concern, as with Loop).
-func ForDynamic(t *Thread, loc Ident, sched Sched, trip int64, body func(begin, end int64)) {
-	t.DispatchInit(loc, sched, trip)
-	for {
-		lo, hi, ok := t.DispatchNext()
-		if !ok {
-			return
-		}
-		body(lo, hi)
+// loopDone ends the thread's worksharing loop, static or dispatched; a
+// recorded loop writes its loop-fini span, from DispatchInit to the drain.
+func (t *Thread) loopDone(loc Ident) {
+	t.inStatic = false
+	t.curWsSeq = 0
+	if g := eventGate.Load(); g != 0 && t.loopNs != 0 {
+		t.event(g, TraceEvent{
+			Kind: TraceLoopFini, Loc: loc, When: t.loopNs,
+			Dur: TraceNow() - t.loopNs,
+		})
 	}
 }

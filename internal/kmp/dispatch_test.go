@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// forLoop drains thread th's share of a worksharing loop through body: the
+// DispatchInit/DispatchNext loop a lowered `//omp for` runs, without the
+// closing barrier.
+func forLoop(th *Thread, loc Ident, sched Sched, trip int64, body func(lo, hi int64)) {
+	th.DispatchInit(loc, sched, trip)
+	for lo, hi, ok := th.DispatchNext(); ok; lo, hi, ok = th.DispatchNext() {
+		body(lo, hi)
+	}
+}
+
 // runLoop drives a dynamic-family loop on a real team, asserts exact single
 // coverage of [0, trip) and returns each thread's chunks in claim order.
 func runLoop(t *testing.T, nth int, sched Sched, trip int64) [][][2]int64 {
@@ -76,7 +86,7 @@ func TestDispatchMonotonicModifierOrder(t *testing.T) {
 		const nth, trip = 4, 2000
 		lows := make([][]int64, nth)
 		ForkCall(Ident{}, nth, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: kind, Chunk: 3, Mod: SchedModMonotonic}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: kind, Chunk: 3, Mod: SchedModMonotonic}, trip, func(lo, hi int64) {
 				lows[th.Tid] = append(lows[th.Tid], lo)
 			})
 			th.Barrier()
@@ -108,7 +118,7 @@ func TestStealOccursAndIsTraced(t *testing.T) {
 	defer SetCollector(nil)
 	var covered atomic.Int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, trip, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, trip, func(lo, hi int64) {
 			covered.Add(hi - lo)
 			if lo < trip/nth {
 				// Thread 0's seeded block is slow: everyone else goes
@@ -134,7 +144,7 @@ func TestDispatchHugeTripSharedRange(t *testing.T) {
 	for _, mod := range []SchedModifier{SchedModNonmonotonic, SchedModMonotonic} {
 		chunks := make([][][2]int64, nth)
 		ForkCall(Ident{}, nth, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1 << 24, Mod: mod}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1 << 24, Mod: mod}, trip, func(lo, hi int64) {
 				chunks[th.Tid] = append(chunks[th.Tid], [2]int64{lo, hi})
 			})
 			th.Barrier()
@@ -260,7 +270,7 @@ func TestDynamicSharesWork(t *testing.T) {
 	const nth, trip = 4, 100000
 	var perThread [nth]atomic.Int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 16}, trip, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 16}, trip, func(lo, hi int64) {
 			perThread[th.Tid].Add(hi - lo)
 		})
 		th.Barrier()
@@ -283,7 +293,7 @@ func TestDispatchRingNoWaitLoops(t *testing.T) {
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		for l := 0; l < loops; l++ {
 			trip := int64(10 + l) // distinct trip per loop catches descriptor mixups
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, trip, func(lo, hi int64) {
 				sums[l].Add(hi - lo)
 			})
 			// no barrier: nowait
@@ -328,7 +338,7 @@ func ringWaitParked(t *testing.T) {
 				ahead.Add(1)
 			}
 			trip := int64(10 + l)
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, trip, func(lo, hi int64) {
 				sums[l].Add(hi - lo)
 			})
 			switch {
@@ -364,8 +374,9 @@ func TestSectionsDistribution(t *testing.T) {
 	const nSections = 7
 	var ran [nSections]atomic.Int32
 	ForkCall(Ident{}, 3, func(th *Thread) {
-		th.Sections(Ident{}, nSections, func(i int) {
-			ran[i].Add(1)
+		// omp.Sections: a dynamic loop over section indices, one per chunk.
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, nSections, func(lo, hi int64) {
+			ran[lo].Add(int32(hi - lo))
 		})
 		th.Barrier()
 	})
@@ -476,7 +487,7 @@ func TestRuntimeCarriesExplicitModifier(t *testing.T) {
 	const nth, trip = 4, 1500
 	lows := make([][]int64, nth)
 	ForkCall(Ident{}, nth, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedRuntime, Mod: SchedModMonotonic}, trip, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedRuntime, Mod: SchedModMonotonic}, trip, func(lo, hi int64) {
 			lows[th.Tid] = append(lows[th.Tid], lo)
 		})
 		th.Barrier()
@@ -501,7 +512,7 @@ func TestRuntimeCarriesExplicitModifier(t *testing.T) {
 func TestStealingNonPositiveTrip(t *testing.T) {
 	for _, trip := range []int64{0, -1, -4096} {
 		ForkCall(Ident{}, 4, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
 				t.Errorf("trip %d dispatched chunk [%d,%d)", trip, lo, hi)
 			})
 			th.Barrier()
@@ -529,7 +540,7 @@ func TestStealEventCarriesLoopLoc(t *testing.T) {
 	SetCollector(col)
 	defer SetCollector(nil)
 	ForkCall(Ident{Region: "parallel"}, 4, func(th *Thread) {
-		ForDynamic(th, loopLoc, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 256, func(lo, hi int64) {
+		forLoop(th, loopLoc, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 256, func(lo, hi int64) {
 			if lo < 64 {
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -4,8 +4,7 @@
 // The paper lowers OpenMP pragmas to the __kmpc_* entry points of libomp:
 //
 //   - parallel regions   → __kmpc_fork_call          → ForkCall
-//   - static loops       → __kmpc_for_static_init/fini → Loop / StaticBlock / StaticChunked
-//   - dynamic/guided/runtime loops → __kmpc_dispatch_init/next → (*Thread).DispatchInit/DispatchNext
+//   - worksharing loops  → __kmpc_for_static_init/fini, __kmpc_dispatch_init/next → (*Thread).DispatchInit/DispatchNext
 //   - barriers           → __kmpc_barrier            → (*Thread).Barrier
 //   - reductions         → __kmpc_reduce             → (*Thread).Reduce
 //   - critical           → __kmpc_critical           → Critical
@@ -234,15 +233,22 @@
 // thread) loses nothing unless a thread records more than that between
 // two drains. Rings shrink back after it is uninstalled.
 //
-// Spans. A span event (fork end, barrier, static loop fini, task run) is
+// Spans. A span event (fork end, barrier, loop fini, task run) is
 // decided at its start and written at its end with the gate word loaded
-// there. A dynamic loop's span is decided at DispatchInit and carried to
-// its drain in Thread.loopNs (0: not recorded), so a span never starts
-// before its construct. A static loop's span is written only while a
+// there. A loop's span is decided at DispatchInit and carried to its drain
+// in Thread.loopNs (0: not recorded), so a span never starts before its
+// construct. A static loop's span is written only while a
 // collector is installed: it feeds the profiler's imbalance analysis, and
 // a post-mortem gains nothing from it (a thread stuck inside a static loop
 // never writes its span), so the recorder-only warm path of a fused
 // `parallel for` reads no clock at all.
+//
+// # One loop protocol
+//
+// Every worksharing loop is DispatchInit, then DispatchNext until it returns
+// false; no barrier follows unless the caller writes one. A static loop
+// without the ordered clause, or any loop in a team of one, is the thread's
+// own (static.go); the rest share a dispatch buffer (dispatch.go).
 //
 // # Explicit tasking
 //

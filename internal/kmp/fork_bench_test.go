@@ -53,12 +53,13 @@ func BenchmarkOrdered(b *testing.B) {
 				ordered := func() {
 					h = 0
 					kmp.ForkCall(kmp.Ident{Region: "bench"}, n, func(t *kmp.Thread) {
-						kmp.ForDynamic(t, kmp.Ident{}, sched, trip, func(lo, hi int64) {
+						t.DispatchInit(kmp.Ident{}, sched, trip)
+						for lo, hi, ok := t.DispatchNext(); ok; lo, hi, ok = t.DispatchNext() {
 							for i := lo; i < hi; i++ {
 								v := work(i)
 								t.Ordered(func() { h = h*31 + v })
 							}
-						})
+						}
 					})
 				}
 				want := serial()

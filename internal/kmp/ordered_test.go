@@ -18,7 +18,7 @@ func runOrderedLoop(t *testing.T, nth int, sched Sched, trip int64) {
 	sched.Ordered = true
 	var got []int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
-		ForDynamic(th, Ident{}, sched, trip, func(lo, hi int64) {
+		forLoop(th, Ident{}, sched, trip, func(lo, hi int64) {
 			for k := lo; k < hi; k++ {
 				i := k
 				th.Ordered(func() { got = append(got, i) })
@@ -68,7 +68,7 @@ func TestOrderedPartialRegions(t *testing.T) {
 	const nth, trip = 4, 120
 	var got []int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 5, Ordered: true}, trip, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 5, Ordered: true}, trip, func(lo, hi int64) {
 			for k := lo; k < hi; k++ {
 				if k%2 != 0 {
 					continue // odd iterations never encounter the region
@@ -94,7 +94,7 @@ func TestOrderedPartialRegions(t *testing.T) {
 func TestOrderedClauseWithoutRegions(t *testing.T) {
 	var covered atomic.Int64
 	ForkCall(Ident{}, 4, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3, Ordered: true}, 100, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3, Ordered: true}, 100, func(lo, hi int64) {
 			covered.Add(hi - lo)
 		})
 		th.Barrier()
@@ -142,7 +142,7 @@ func TestOrderedGrid(t *testing.T) {
 					var asked [trip]atomic.Bool
 					var got []int64
 					ForkCall(Ident{}, nth, func(th *Thread) {
-						ForDynamic(th, Ident{}, sched, trip, func(lo, hi int64) {
+						forLoop(th, Ident{}, sched, trip, func(lo, hi int64) {
 							for k := lo; k < hi; k++ {
 								runs[k].Add(1)
 								if p.hit(k, hi) {
@@ -202,7 +202,7 @@ func TestOrderedCancelReleasesWaiters(t *testing.T) {
 	go func() {
 		defer close(done)
 		ForkCall(Ident{}, 4, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Ordered: true}, 400, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Ordered: true}, 400, func(lo, hi int64) {
 				for k := lo; k < hi; k++ {
 					if k == 5 && th.Cancel(CancelLoop) {
 						return // branch to the loop's end, region's ticket never issued
@@ -231,7 +231,7 @@ func TestOrderedFinishAfterSuccessorAdvances(t *testing.T) {
 	go func() {
 		defer close(done)
 		ForkCall(Ident{}, 2, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 5, Ordered: true}, 20, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 5, Ordered: true}, 20, func(lo, hi int64) {
 				for k := lo; k < hi; k++ {
 					i := k
 					th.Ordered(func() { got = append(got, i) })
@@ -274,7 +274,7 @@ func TestOrderedStaticKeepsMapping(t *testing.T) {
 			sched.Kind = SchedStaticChunked
 		}
 		ForkCall(Ident{}, nth, func(th *Thread) {
-			ForDynamic(th, Ident{}, sched, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, sched, trip, func(lo, hi int64) {
 				for k := lo; k < hi; k++ {
 					i := k
 					th.Ordered(func() { owner[i] = th.Tid })

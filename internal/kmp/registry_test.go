@@ -266,10 +266,14 @@ func TestPropagatedPanicReleasesSlot(t *testing.T) {
 			t.Errorf("n=%d: %d registry entries, %d teams left: the abandoned team's workers leaked", n, left, live)
 		}
 	}
+	// A loop whose body panicked is abandoned mid-share; the thread's next
+	// loop starts afresh and leaves it outside any loop instance.
 	ForkCall(Ident{}, 2, func(th *Thread) {
-		panics(func() { Loop(th, Ident{}, Sched{Kind: SchedStatic}, 8, func(lo, hi int64) { panic("boom") }) })
-		if th.curWsSeq != 0 {
-			t.Errorf("thread %d: still inside loop instance %d after its body panicked", th.Tid, th.curWsSeq)
+		panics(func() { forLoop(th, Ident{}, Sched{Kind: SchedStatic}, 8, func(lo, hi int64) { panic("boom") }) })
+		var n int64
+		forLoop(th, Ident{}, Sched{Kind: SchedStatic}, 8, func(lo, hi int64) { n += hi - lo })
+		if n != 4 || th.curWsSeq != 0 {
+			t.Errorf("thread %d: loop after a panicked one ran %d iterations, still inside instance %d", th.Tid, n, th.curWsSeq)
 		}
 	})
 }

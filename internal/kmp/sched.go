@@ -228,9 +228,8 @@ func (p *schedPolicy) nextChunk(remaining, issued int64) int64 {
 // the per-thread-range calibration: guided shrinks against the thread's
 // local remainder with divisor 2 (which reproduces libomp's trip/(2n) first
 // chunk on a static-seeded block), while on a shared range it shrinks
-// against the team's remainder with divisor 2·nth. Static kinds routed
-// through the dispatch API degenerate to a fixed block-sized chunk,
-// preserving libomp's behaviour of serving static via dispatch when asked.
+// against the team's remainder with divisor 2·nth. auto on a shared range
+// degenerates to a fixed block-sized chunk.
 func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
 	if nth < 1 {
 		nth = 1
@@ -257,8 +256,8 @@ func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
 			delta *= nth
 		}
 		return schedPolicy{min: minChunk, first: first, delta: delta}
-	case SchedStatic, SchedStaticChunked, SchedAuto:
-		if sched.Kind == SchedAuto && stealing {
+	case SchedAuto:
+		if stealing {
 			// auto under stealing: halve the local remainder, floor 1 —
 			// big cache-friendly chunks early, fine-grained tail for
 			// thieves to rebalance.
@@ -266,13 +265,10 @@ func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
 		}
 		chunk := sched.Chunk
 		if chunk <= 0 {
-			chunk = (trip + nth - 1) / nth
-			if chunk < 1 {
-				chunk = 1
-			}
+			chunk = max((trip+nth-1)/nth, 1)
 		}
 		return schedPolicy{fixed: chunk}
-	default: // SchedDynamicChunked
+	default: // SchedDynamicChunked, and the static kinds, which never pop
 		return schedPolicy{fixed: sched.effectiveChunk()}
 	}
 }

@@ -2,8 +2,9 @@ package kmp
 
 import "math"
 
-// Static worksharing: the lowering target of schedule(static[,chunk]) loops,
-// mirroring __kmpc_for_static_init_* / __kmpc_for_static_fini. Static
+// Static worksharing: schedule(static[,chunk]) loops, the thread-local
+// engine behind DispatchInit/DispatchNext, mirroring
+// __kmpc_for_static_init_* / __kmpc_for_static_fini. Static
 // partitioning needs no shared state — every thread computes its share from
 // (tid, nthreads, trip) alone — which is why the paper notes that, unlike
 // parallel regions, worksharing loops need no outlined function.
@@ -77,134 +78,77 @@ func StaticBlock(tid, nth int, trip int64) (begin, end int64) {
 	return begin, end
 }
 
-// StaticChunked iterates thread tid's chunks of a trip-count iteration space
-// under schedule(static, chunk): chunk c goes to thread c mod nth, so thread
-// tid owns chunks tid, tid+nth, tid+2·nth, … body receives each chunk as a
-// half-open range. The paper's IS port ranks its buckets under
-// schedule(static,1), which degenerates to a pure cyclic distribution.
-func StaticChunked(tid, nth int, trip, chunk int64, body func(begin, end int64)) {
+// staticShare is a thread's share of a static loop: the pieces
+// [next, next+size) clipped to end, next stepping by stride.
+type staticShare struct{ next, size, stride, end int64 }
+
+// staticMapping is the one static mapping, of schedule(static[, chunk])
+// loops and of ordered static ones alike: thread tid's share of a
+// trip-count iteration space. With no chunk (chunk <= 0) the share is the
+// thread's balanced block (StaticBlock); otherwise chunk c goes to thread
+// c mod nth, so thread tid owns chunks tid, tid+nth, tid+2·nth, …
+func staticMapping(tid, nth int, trip, chunk int64) staticShare {
 	if chunk <= 0 {
-		chunk = 1
+		lo, hi := StaticBlock(tid, nth, trip)
+		return staticShare{lo, hi - lo, hi - lo, hi}
 	}
-	stride := int64(nth) * chunk
-	for lo := int64(tid) * chunk; lo < trip; lo += stride {
-		hi := lo + chunk
-		if hi > trip {
-			hi = trip
+	return staticShare{int64(tid) * chunk, chunk, int64(nth) * chunk, trip}
+}
+
+// take returns the share's next piece; ok is false once it is done.
+func (s *staticShare) take() (lo, hi int64, ok bool) {
+	if s.next >= s.end {
+		return 0, 0, false
+	}
+	lo, hi = s.next, min(s.next+s.size, s.end)
+	s.next += s.stride
+	return lo, hi, true
+}
+
+// staticInit starts the thread's share of a static loop (DispatchInit): the
+// __kmpc_for_static_init half. A static share needs no shared state, so the
+// loop takes no dispatch buffer and stores to no line but the thread's own.
+// A team of one runs the whole range as its block, whatever the schedule.
+//
+// The loop's participation span is what lets the profiler's imbalance
+// analysis see a skewed static partition, attributed to the enclosing
+// region. Only a collector gets it: a thread stuck inside a static loop never
+// writes its span, so the flight recorder would gain nothing but two clock
+// reads per thread per loop.
+func (t *Thread) staticInit(trip, chunk int64) {
+	n := t.team.n
+	if n == 1 {
+		chunk = 0
+	}
+	t.inStatic = true
+	t.stat = staticMapping(t.Tid, n, trip, chunk)
+	if t.team.cancellable && chunk <= 0 {
+		// A cancellable team's block goes out in sub-chunks, each after a
+		// cancellation check (staticNext): ~32 checks per block bound the
+		// post-cancellation overshoot at ~3% of the thread's share without
+		// measurably slowing the uncancelled path; the absolute cap keeps
+		// the check interval tolerable when blocks are huge.
+		t.stat.size = min(max((t.stat.size+31)/32, 1), 4096)
+		t.stat.stride = t.stat.size
+	}
+	t.loopNs = 0
+	if n > 1 {
+		if g := eventGate.Load(); g&tagCol != 0 {
+			t.loopNs = TraceNow()
 		}
-		body(lo, hi)
 	}
 }
 
-// Loop executes thread t's share of a worksharing loop of trip iterations
-// under sched: what every loop construct of the omp package lowers to. It
-// performs no barrier — the caller decides, which is how the nowait clause
-// is honoured (§III-A2 packs nowait as a single bit; the generated code
-// simply omits the trailing Barrier call). A zero loc attributes the loop
-// to the enclosing region. An orphaned or serialised loop (t nil, a team of
-// one) runs the whole range on the caller through the static driver, whose
-// cancellable path keeps observing deadlines and cancel directives.
-func Loop(t *Thread, loc Ident, sched Sched, trip int64, body func(lo, hi int64)) {
-	switch k := sched.Kind; {
-	case !t.InParallel():
-		forStatic(t, trip, 0, body)
-	case sched.Ordered || (k != SchedStatic && k != SchedStaticChunked):
-		ForDynamic(t, loc, sched, trip, body)
-	default:
-		forStatic(t, trip, sched.Chunk, body)
+// staticNext returns the next piece of the thread's static share, or ok ==
+// false once the share is done or the loop cancelled, which ends the loop for
+// the thread (the __kmpc_for_static_fini half).
+func (t *Thread) staticNext() (lo, hi int64, ok bool) {
+	if t.team.cancellable && t.loopCancelled() {
+		t.loopDone(t.team.loc)
+		return 0, 0, false
 	}
-}
-
-// forStatic runs body over thread t's share of a trip-count iteration space
-// under schedule(static[,chunk]) (chunk <= 0 selects the block partition):
-// __kmpc_for_static_init/fini.
-func forStatic(t *Thread, trip, chunk int64, body func(begin, end int64)) {
-	tid, nth := 0, 1
-	cancellable := false
-	if t != nil && t.team != nil {
-		tid, nth = t.Tid, t.team.n
-		// Static loops count as worksharing instances too, so `cancel for`
-		// can name them (cancel.go) — the counter advances identically on
-		// every thread by the OpenMP same-sequence rule. The instance
-		// context clears at loop exit: a Cancel(CancelLoop) issued between
-		// loops must report "not inside a loop", not poison the slot with
-		// a finished instance.
-		t.wsSeq++
-		t.curWsSeq = t.wsSeq
-		// Static shares need no shared dispatch state, but their
-		// per-thread participation span is what lets the profiler's
-		// imbalance analysis see a skewed static partition; attributed to
-		// the enclosing region (static loops carry no own Ident). Only a
-		// collector gets it: a thread stuck inside a static loop never
-		// writes its span, so the flight recorder would gain nothing but
-		// two clock reads per thread per loop.
-		var g uint64
-		var start int64
-		if nth > 1 {
-			if g0 := eventGate.Load(); g0&tagCol != 0 {
-				g, start = g0, TraceNow()
-			}
-		}
-		defer func() {
-			t.curWsSeq = 0
-			if g != 0 {
-				t.event(g, TraceEvent{
-					Kind: TraceLoopFini, Loc: t.team.loc,
-					When: start, Dur: TraceNow() - start,
-				})
-			}
-		}()
-		cancellable = t.team.cancellable
+	if lo, hi, ok = t.stat.take(); !ok {
+		t.loopDone(t.team.loc)
 	}
-	if cancellable {
-		forStaticCancel(t, tid, nth, trip, chunk, body)
-		return
-	}
-	if chunk > 0 {
-		StaticChunked(tid, nth, trip, chunk, body)
-		return
-	}
-	begin, end := StaticBlock(tid, nth, trip)
-	if begin < end {
-		body(begin, end)
-	}
-}
-
-// forStaticCancel is forStatic for cancellable teams: the thread's share is
-// delivered in bounded sub-chunks with a cancellation check between
-// consecutive chunks, so a context deadline or a `cancel` directive stops a
-// static loop at the next chunk boundary instead of running its whole block.
-// Non-cancellable teams keep the single-call fast path above.
-func forStaticCancel(t *Thread, tid, nth int, trip, chunk int64, body func(begin, end int64)) {
-	if chunk > 0 {
-		stride := int64(nth) * chunk
-		for lo := int64(tid) * chunk; lo < trip; lo += stride {
-			if t.loopCancelled() {
-				return
-			}
-			body(lo, min(lo+chunk, trip))
-		}
-		return
-	}
-	begin, end := StaticBlock(tid, nth, trip)
-	if begin >= end {
-		return
-	}
-	// ~32 checks per block bounds the post-cancellation overshoot at ~3%
-	// of the thread's share without measurably slowing the uncancelled
-	// path; the absolute cap keeps the check interval tolerable when the
-	// per-iteration body is expensive and blocks are huge.
-	sub := (end - begin + 31) / 32
-	if sub > 4096 {
-		sub = 4096
-	}
-	if sub < 1 {
-		sub = 1
-	}
-	for lo := begin; lo < end; lo += sub {
-		if t.loopCancelled() {
-			return
-		}
-		body(lo, min(lo+sub, end))
-	}
+	return lo, hi, ok
 }

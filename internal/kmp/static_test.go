@@ -1,8 +1,10 @@
 package kmp
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -168,24 +170,22 @@ func TestStaticBlockPartition(t *testing.T) {
 	}
 }
 
-// Property: StaticChunked covers [0,trip) exactly once across the team, with
-// chunk c assigned to thread c mod nth.
+// Property: the chunked static mapping covers [0,trip) exactly once across
+// the team, with chunk c assigned to thread c mod nth.
 func TestStaticChunkedPartition(t *testing.T) {
 	check := func(trip int64, nth int, chunk int64) bool {
 		seen := make([]int, trip)
 		for tid := 0; tid < nth; tid++ {
-			StaticChunked(tid, nth, trip, chunk, func(b, e int64) {
-				if b >= e {
-					return
-				}
+			share := staticMapping(tid, nth, trip, chunk)
+			for b, e, ok := share.take(); ok; b, e, ok = share.take() {
 				wantTid := int((b / chunk) % int64(nth))
-				if wantTid != tid {
+				if wantTid != tid || b >= e {
 					t.Fatalf("chunk [%d,%d) ran on tid %d, want %d", b, e, tid, wantTid)
 				}
 				for i := b; i < e; i++ {
 					seen[i]++
 				}
-			})
+			}
 		}
 		for i, c := range seen {
 			if c != 1 {
@@ -203,23 +203,78 @@ func TestStaticChunkedPartition(t *testing.T) {
 	}
 }
 
-func TestForStaticBlockVsChunked(t *testing.T) {
-	// Executed through a real team: every iteration exactly once.
-	for _, chunk := range []int64{0, 1, 5} {
-		const trip = 103
-		counts := make([]int32, trip)
-		ForkCall(Ident{}, 4, func(th *Thread) {
-			forStatic(th, trip, chunk, func(b, e int64) {
-				for i := b; i < e; i++ {
-					counts[i]++ // disjoint writes, no atomics needed
+// TestStaticAndDispatchedLoops drives every loop kind through a real team
+// the way a lowered `//omp for` does — DispatchInit, then DispatchNext until
+// the thread is done — over edge trip counts and team sizes, in plain and
+// cancellable teams, with and without the ordered clause. Every iteration
+// must run exactly once; under a static kind thread tid must get exactly its
+// StaticBlock or its round-robin chunks, ordered or not, since OpenMP
+// guarantees schedule(static)'s mapping.
+func TestStaticAndDispatchedLoops(t *testing.T) {
+	kinds := []Sched{
+		{Kind: SchedStatic},
+		{Kind: SchedStaticChunked, Chunk: 3},
+		{Kind: SchedDynamicChunked, Chunk: 2},
+		{Kind: SchedGuidedChunked},
+	}
+	for _, nth := range []int{1, 2, 3, 8} {
+		for _, trip := range []int64{0, 1, int64(nth - 1), 103} {
+			for _, k := range kinds {
+				for _, cancellable := range []bool{false, true} {
+					for _, ordered := range []bool{false, true} {
+						sched := k
+						sched.Ordered = ordered
+						name := fmt.Sprintf("nth=%d/trip=%d/%v/cancellable=%v/ordered=%v", nth, trip, sched, cancellable, ordered)
+						checkLoopKind(t, name, nth, trip, sched, cancellable)
+					}
 				}
-			})
-			th.Barrier()
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("chunk=%d: iteration %d ran %d times", chunk, i, c)
 			}
+		}
+	}
+}
+
+func checkLoopKind(t *testing.T, name string, nth int, trip int64, sched Sched, cancellable bool) {
+	t.Helper()
+	counts := make([]int32, trip)
+	got := make([][]int64, nth)
+	body := func(th *Thread) error {
+		forLoop(th, Ident{}, sched, trip, func(lo, hi int64) {
+			for i := lo; i < hi; i++ {
+				counts[i]++ // disjoint writes, no atomics needed
+				got[th.Tid] = append(got[th.Tid], i)
+			}
+		})
+		if th.curWsSeq != 0 {
+			t.Errorf("%s: thread %d still inside loop instance %d after its share", name, th.Tid, th.curWsSeq)
+		}
+		th.Barrier()
+		return nil
+	}
+	if cancellable {
+		if err := ForkCallErr(Ident{}, nth, nil, body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	} else {
+		ForkCall(Ident{}, nth, func(th *Thread) { _ = body(th) })
+	}
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("%s: iteration %d ran %d times", name, i, c)
+		}
+	}
+	if sched.Kind != SchedStatic && sched.Kind != SchedStaticChunked {
+		return
+	}
+	for tid := range nth {
+		var want []int64
+		share := staticMapping(tid, nth, trip, sched.Chunk)
+		for lo, hi, ok := share.take(); ok; lo, hi, ok = share.take() {
+			for i := lo; i < hi; i++ {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(got[tid], want) {
+			t.Fatalf("%s: thread %d ran %v, want %v", name, tid, got[tid], want)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestDispatchMixedSchedulesNoWait(t *testing.T) {
 	}
 	ForkCall(Ident{}, 6, func(th *Thread) {
 		for l, sched := range scheds {
-			ForDynamic(th, Ident{}, sched, trips[l], func(lo, hi int64) {
+			forLoop(th, Ident{}, sched, trips[l], func(lo, hi int64) {
 				sums[l].Add(hi - lo)
 			})
 		}
@@ -149,7 +149,7 @@ func TestSinglesInterleavedWithLoops(t *testing.T) {
 				singles.Add(1)
 			}
 			th.Barrier()
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 2}, 50, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 2}, 50, func(lo, hi int64) {
 				iters.Add(hi - lo)
 			})
 			th.Barrier()
@@ -195,12 +195,12 @@ func TestZeroTripLoops(t *testing.T) {
 	} {
 		var n atomic.Int64 // shared across the team
 		ForkCall(Ident{}, 3, func(th *Thread) {
-			ForDynamic(th, Ident{}, sched, 0, func(lo, hi int64) {
+			forLoop(th, Ident{}, sched, 0, func(lo, hi int64) {
 				t.Errorf("body invoked for zero-trip loop")
 			})
 			th.Barrier()
 			// And the team must still be able to run another loop.
-			ForDynamic(th, Ident{}, sched, 10, func(lo, hi int64) { n.Add(hi - lo) })
+			forLoop(th, Ident{}, sched, 10, func(lo, hi int64) { n.Add(hi - lo) })
 			th.Barrier()
 		})
 		if n.Load() != 10 {
@@ -293,7 +293,7 @@ func TestStealRacesCancelFor(t *testing.T) {
 		counts := make([]atomic.Int32, trip)
 		var after atomic.Int64
 		ForkCall(Ident{}, nth, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					counts[i].Add(1)
 				}
@@ -306,7 +306,7 @@ func TestStealRacesCancelFor(t *testing.T) {
 			th.Barrier()
 			// The cancelled-loop slot must have been retired at the
 			// barrier: a follow-up stealing loop covers fully.
-			ForDynamic(th, Ident{}, Sched{Kind: SchedGuidedChunked, Chunk: 2}, 512, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedGuidedChunked, Chunk: 2}, 512, func(lo, hi int64) {
 				after.Add(hi - lo)
 			})
 			th.Barrier()
@@ -340,7 +340,7 @@ func TestStealRacesRegionTeardown(t *testing.T) {
 		}()
 		err := ForkCallErr(Ident{}, nth, ctx, func(th *Thread) error {
 			started.Store(true)
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 4, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 4, Mod: SchedModNonmonotonic}, trip, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					counts[i].Add(1)
 				}
@@ -372,7 +372,7 @@ func TestStealingRingNoWaitLoops(t *testing.T) {
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		for l := 0; l < loops; l++ {
 			trip := int64(64 + 13*l)
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, trip, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, trip, func(lo, hi int64) {
 				sums[l].Add(hi - lo)
 			})
 			// no barrier: nowait
@@ -387,11 +387,16 @@ func TestStealingRingNoWaitLoops(t *testing.T) {
 }
 
 func TestStaticChunkedZeroAndNegativeChunk(t *testing.T) {
-	// chunk <= 0 is clamped to 1 rather than dividing by zero.
-	var count int
-	StaticChunked(0, 1, 5, 0, func(lo, hi int64) { count += int(hi - lo) })
-	if count != 5 {
-		t.Fatalf("chunk=0 covered %d of 5", count)
+	// chunk <= 0 selects the block partition rather than dividing by zero.
+	for _, chunk := range []int64{0, -3} {
+		share := staticMapping(0, 1, 5, chunk)
+		lo, hi, ok := share.take()
+		if !ok || lo != 0 || hi != 5 {
+			t.Fatalf("chunk=%d: first chunk [%d,%d) ok=%v, want [0,5)", chunk, lo, hi, ok)
+		}
+		if _, _, ok := share.take(); ok {
+			t.Fatalf("chunk=%d: a second chunk after the block", chunk)
+		}
 	}
 }
 

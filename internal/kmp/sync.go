@@ -198,22 +198,3 @@ func (t *Thread) CopyPrivateFetch() any {
 	tm.copyPB.mu.Unlock()
 	return v
 }
-
-// -------------------------------------------------------------- sections
-
-// Sections distributes the numbered blocks of a sections construct across
-// the team by dynamic dispatch, one section per chunk — how libomp lowers
-// sections (a hidden dynamic loop over section indices). run receives each
-// section index this thread should execute. No implied barrier.
-func (t *Thread) Sections(loc Ident, n int, run func(index int)) {
-	t.DispatchInit(loc, Sched{Kind: SchedDynamicChunked, Chunk: 1}, int64(n))
-	for {
-		lo, hi, ok := t.DispatchNext()
-		if !ok {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			run(int(i))
-		}
-	}
-}

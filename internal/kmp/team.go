@@ -221,14 +221,17 @@ func (tm *Team) runRegion(th *Thread, w *work) {
 		return
 	case w.fn != nil:
 		w.fn(th)
-	case w.rng != nil:
-		Loop(th, Ident{}, w.sched, w.trip, func(lo, hi int64) { w.rng(th, lo, hi) })
 	default:
-		Loop(th, Ident{}, w.sched, w.trip, func(lo, hi int64) {
+		th.DispatchInit(Ident{}, w.sched, w.trip)
+		for lo, hi, ok := th.DispatchNext(); ok; lo, hi, ok = th.DispatchNext() {
+			if w.rng != nil {
+				w.rng(th, lo, hi)
+				continue
+			}
 			for i := lo; i < hi; i++ {
 				w.iter(th, i)
 			}
-		})
+		}
 	}
 	th.taskDrain()
 }

@@ -149,7 +149,7 @@ func TestTeamReuseCleanState(t *testing.T) {
 				singles.Add(1)
 			}
 			th.Barrier()
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, 100, func(lo, hi int64) {
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 3}, 100, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					sum.Add(1)
 				}

@@ -87,40 +87,41 @@ type Thread struct {
 	labelLoc uint32
 	labelOn  bool
 
-	// red is the thread's reduction slot (Thread.Reduce). It also fills
-	// the struct to whole lines, which get line-aligned (layout_test.go).
+	// red is the thread's reduction slot (Thread.Reduce). With the pad it
+	// fills the struct to whole lines, line-aligned (layout_test.go).
 	red uint64
+	_   [24]byte
 }
 
 // regionState is what a thread keeps about the region it is in; enter
 // clears it whole.
 type regionState struct {
-	// Worksharing bookkeeping: sequence numbers count the worksharing and
-	// single constructs this thread has entered in the current region, so
-	// that every team member agrees on which shared buffer backs which
-	// construct instance (libomp's th_dispatch buffer index).
-	dispatchSeq uint32
-	singleSeq   uint32
-	curLoop     *dispatchBuf
+	// Worksharing bookkeeping: sequence numbers count the worksharing loops
+	// and single constructs this thread has entered in the current region,
+	// so that every team member agrees on which shared buffer backs which
+	// construct instance (libomp's th_dispatch buffer index). curWsSeq is
+	// the loop instance the thread is in (0 = none). The OpenMP
+	// same-sequence rule keeps the numbers equal across the team, which is
+	// also what lets `cancel for` name its loop instance by number alone
+	// (Team.cancelledLoop).
+	singleSeq uint32
+	curLoop   *dispatchBuf
+	wsSeq     uint64
+	curWsSeq  uint64
 
-	// wsSeq counts every worksharing loop (static or dynamic) this thread
-	// has entered in the current region; curWsSeq is the instance it is in
-	// (0 = none). The OpenMP same-sequence rule keeps these equal across
-	// the team, which is what lets `cancel for` name its loop instance by
-	// number alone (Team.cancelledLoop).
-	wsSeq    uint64
-	curWsSeq uint64
-
-	// Per-loop owner-only dispatch state (dispatch.go, ordered.go):
-	// chunkIdx counts the chunks this thread has claimed from the current
-	// loop (the trapezoidal taper index, and an ordered static loop's
-	// round-robin position); curChunkLo/curChunkHi
+	// Per-loop owner-only dispatch state (dispatch.go, ordered.go,
+	// static.go): chunkIdx counts the chunks this thread has claimed from
+	// the current loop (the trapezoidal taper index); curChunkLo/curChunkHi
 	// bound the chunk an ordered loop is executing, and orderedSeen counts
-	// the ordered regions completed within it.
+	// the ordered regions completed within it. stat is the thread's share of
+	// a static loop, ordered or not; inStatic says the loop is a static one
+	// without a dispatch buffer.
 	chunkIdx    int64
 	curChunkLo  int64
 	curChunkHi  int64
 	orderedSeen int64
+	stat        staticShare
+	inStatic    bool
 
 	// Explicit tasking (task.go): the task the thread is currently
 	// executing (nil = implicit task not yet materialised) and the

@@ -66,7 +66,7 @@ func TestTraceEventSpansAndPayloads(t *testing.T) {
 	loopLoc := Ident{File: "ev.go", Line: 9, Region: "for"}
 	events, _ := collect(t, 0, func() {
 		ForkCall(loc, 4, func(th *Thread) {
-			ForDynamic(th, loopLoc, Sched{Kind: SchedDynamicChunked, Chunk: 8}, 1000, func(lo, hi int64) {})
+			forLoop(th, loopLoc, Sched{Kind: SchedDynamicChunked, Chunk: 8}, 1000, func(lo, hi int64) {})
 			th.Barrier()
 		})
 	})
@@ -163,7 +163,7 @@ func TestRingOverflowDropsAreCountedNotCorrupted(t *testing.T) {
 	events, col := collect(t, 16, func() {
 		ForkCall(Ident{Region: "p"}, 2, func(th *Thread) {
 			for i := 0; i < 200; i++ {
-				ForDynamic(th, Ident{File: "of.go", Line: i, Region: "for"},
+				forLoop(th, Ident{File: "of.go", Line: i, Region: "for"},
 					Sched{Kind: SchedDynamicChunked, Chunk: 4}, 64, func(lo, hi int64) {})
 				th.Barrier()
 			}
@@ -266,7 +266,7 @@ func TestSinkAndFlightReadTheSameRecords(t *testing.T) {
 	before := TraceNow() // the rings still hold earlier runs of this test
 	events, _ := collect(t, 0, func() {
 		ForkCall(loc, 2, func(th *Thread) {
-			ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 4}, 64, func(lo, hi int64) {})
+			forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 4}, 64, func(lo, hi int64) {})
 			th.Barrier()
 		})
 	})
@@ -307,7 +307,7 @@ func TestLoopSpanStartsInsideItsLoop(t *testing.T) {
 	// A recorded loop first, so a stale entry timestamp would be at hand.
 	SetFlightRecorder(true)
 	ForkCall(Ident{Region: "before"}, 2, func(th *Thread) {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 8, func(lo, hi int64) {})
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 8, func(lo, hi int64) {})
 	})
 	SetFlightRecorder(false)
 	var mu sync.Mutex
@@ -326,7 +326,7 @@ func TestLoopSpanStartsInsideItsLoop(t *testing.T) {
 	var install sync.Once
 	before := TraceNow()
 	ForkCall(Ident{Region: "parallel"}, 2, func(th *Thread) {
-		ForDynamic(th, Ident{File: "stale.go", Line: 1, Region: "for"}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 64,
+		forLoop(th, Ident{File: "stale.go", Line: 1, Region: "for"}, Sched{Kind: SchedDynamicChunked, Chunk: 1}, 64,
 			func(lo, hi int64) { install.Do(func() { SetCollector(col) }) })
 	})
 	after := TraceNow()
@@ -384,7 +384,7 @@ func TestTracerLifecycleStress(t *testing.T) {
 				default:
 				}
 				ForkCall(Ident{File: "stress.go", Line: g, Region: "parallel"}, 4, func(th *Thread) {
-					ForDynamic(th, Ident{File: "stress.go", Line: 100 + g, Region: "for"},
+					forLoop(th, Ident{File: "stress.go", Line: 100 + g, Region: "for"},
 						Sched{Kind: SchedDynamicChunked, Chunk: 1}, 64, func(lo, hi int64) {
 							if lo == 0 {
 								time.Sleep(10 * time.Microsecond) // invite steals

@@ -254,7 +254,7 @@ func TestCancelReleasesParkedOrderedAndTaskWaits(t *testing.T) {
 			var inOrdered atomic.Bool
 			var peer atomic.Pointer[Thread]
 			return ForkCallErr(Ident{}, 2, nil, func(th *Thread) error {
-				ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Ordered: true}, 2, func(lo, hi int64) {
+				forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 1, Ordered: true}, 2, func(lo, hi int64) {
 					if lo == 0 {
 						// The holder of ticket 0 never runs its region: the
 						// peer, holding iteration 1, waits for it and parks.
@@ -401,7 +401,7 @@ func reuseAfterCancel(n int) error {
 	var got []int64
 	var ran atomic.Int32
 	err := ForkCallErr(Ident{}, n, nil, func(th *Thread) error {
-		ForDynamic(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 2, Ordered: true}, 50, func(lo, hi int64) {
+		forLoop(th, Ident{}, Sched{Kind: SchedDynamicChunked, Chunk: 2, Ordered: true}, 50, func(lo, hi int64) {
 			for k := lo; k < hi; k++ {
 				th.Ordered(func() { got = append(got, k) })
 			}

@@ -48,14 +48,10 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 			{
 				__omp_lb0 := 0
 				__omp_st0 := int64(1)
-				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
-				__omp_trip := __omp_trip0
+				__omp_trip := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 				__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, &rho)
-				_ = __omp_red_rho
-				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-						j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-						_ = j
+				for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Loc("parallel.go", 43, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+					for __omp_k, j := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, j = __omp_k+1, omp.LoopVar(j, 1, __omp_st0) {
 
 						q[j] = 0
 						z[j] = 0
@@ -64,7 +60,7 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 						__omp_red_rho += r[j] * r[j]
 
 					}
-				}, omp.NoWait(), omp.Loc("parallel.go", 43, "for"))
+				}
 				omp.Reduce(__omp_t, omp.ReduceSum, &rho, __omp_red_rho)
 			}
 
@@ -82,20 +78,16 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				{
 					__omp_lb0 := 0
 					__omp_st0 := int64(1)
-					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
-					__omp_trip := __omp_trip0
+					__omp_trip := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 					__omp_red_d := omp.ReduceIdentity(omp.ReduceSum, &d)
-					_ = __omp_red_d
-					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-							_ = j
+					for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Loc("parallel.go", 60, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+						for __omp_k, j := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, j = __omp_k+1, omp.LoopVar(j, 1, __omp_st0) {
 
 							q[j] = rowDot(m, p, j)
 							__omp_red_d += p[j] * q[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 60, "for"))
+					}
 					omp.Reduce(__omp_t, omp.ReduceSum, &d, __omp_red_d)
 				}
 				alpha := rho0 / d
@@ -103,21 +95,17 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				{
 					__omp_lb0 := 0
 					__omp_st0 := int64(1)
-					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
-					__omp_trip := __omp_trip0
+					__omp_trip := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 					__omp_red_rho := omp.ReduceIdentity(omp.ReduceSum, &rho)
-					_ = __omp_red_rho
-					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-							_ = j
+					for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Loc("parallel.go", 67, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+						for __omp_k, j := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, j = __omp_k+1, omp.LoopVar(j, 1, __omp_st0) {
 
 							z[j] += alpha * p[j]
 							r[j] -= alpha * q[j]
 							__omp_red_rho += r[j] * r[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 67, "for"))
+					}
 					omp.Reduce(__omp_t, omp.ReduceSum, &rho, __omp_red_rho)
 				}
 				beta := rho / rho0
@@ -125,17 +113,14 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 				{
 					__omp_lb0 := 0
 					__omp_st0 := int64(1)
-					__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
-					__omp_trip := __omp_trip0
-					omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-						for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-							j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-							_ = j
+					__omp_trip := omp.TripCount(__omp_lb0, n, __omp_st0, false)
+					for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Loc("parallel.go", 75, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+						for __omp_k, j := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, j = __omp_k+1, omp.LoopVar(j, 1, __omp_st0) {
 
 							p[j] = r[j] + beta*p[j]
 
 						}
-					}, omp.NoWait(), omp.Loc("parallel.go", 75, "for"))
+					}
 					omp.Barrier(__omp_t)
 				}
 			}
@@ -143,21 +128,17 @@ func ConjGradOMP(m *Matrix, x, z, p, q, r []float64, threads int) float64 {
 			{
 				__omp_lb0 := 0
 				__omp_st0 := int64(1)
-				__omp_trip0 := omp.TripCount(__omp_lb0, n, __omp_st0, false)
-				__omp_trip := __omp_trip0
+				__omp_trip := omp.TripCount(__omp_lb0, n, __omp_st0, false)
 				__omp_red_sum := omp.ReduceIdentity(omp.ReduceSum, &sum)
-				_ = __omp_red_sum
-				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-						j := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-						_ = j
+				for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Loc("parallel.go", 81, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+					for __omp_k, j := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, j = __omp_k+1, omp.LoopVar(j, 1, __omp_st0) {
 
 						r[j] = rowDot(m, z, j)
 						dd := x[j] - r[j]
 						__omp_red_sum += dd * dd
 
 					}
-				}, omp.NoWait(), omp.Loc("parallel.go", 81, "for"))
+				}
 				omp.Reduce(__omp_t, omp.ReduceSum, &sum, __omp_red_sum)
 			}
 

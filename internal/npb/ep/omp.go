@@ -39,12 +39,9 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 			{
 				__omp_lb0 := int64(0)
 				__omp_st0 := int64(1)
-				__omp_trip0 := omp.TripCount(__omp_lb0, nn, __omp_st0, false)
-				__omp_trip := __omp_trip0
-				omp.ForRange(__omp_t, __omp_trip, func(__omp_clo, __omp_chi int64) {
-					for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {
-						k := omp.LoopVar(__omp_lb0, __omp_k, __omp_st0)
-						_ = k
+				__omp_trip := omp.TripCount(__omp_lb0, nn, __omp_st0, false)
+				for __omp_clo, __omp_chi, __omp_ok := omp.ForStart(__omp_t, __omp_trip, omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 30, "for")); __omp_ok; __omp_clo, __omp_chi, __omp_ok = omp.ForNext(__omp_t) {
+					for __omp_k, k := __omp_clo, omp.LoopVar(__omp_lb0, __omp_clo, __omp_st0); __omp_k < __omp_chi; __omp_k, k = __omp_k+1, omp.LoopVar(k, 1, __omp_st0) {
 
 						r := runBatch(k, &(*__omp_tp_deviates.Get(__omp_t)))
 						sx += r.sx
@@ -54,7 +51,7 @@ func RunParallel(class npb.Class, threads int) (*Stats, error) {
 						}
 
 					}
-				}, omp.NoWait(), omp.Schedule(omp.Static, 0), omp.Loc("parallel.go", 30, "for"))
+				}
 			}
 			for l := range q {
 				omp.AtomicAdd(&st.Q[l], q[l])

@@ -14,14 +14,15 @@
 //     explicit-context variants on *Thread, which are free of that lookup.
 //
 //   - The structured constructs the preprocessor lowers pragmas onto:
-//     Parallel, ForRange, Single, Masked, Sections, Critical, Barrier, the
+//     Parallel, ForStart/ForNext, Single, Masked, Sections, Critical,
+//     Barrier, the
 //     explicit-tasking constructs (Task, Taskwait, Taskgroup, Taskloop),
 //     the cancellation pair (Cancel, CancellationPoint) and the reduction
 //     fold (Reduce, ReduceBool). These correspond to the paper's
 //     `.omp.internal` namespace of generic wrappers over the __kmpc_*
 //     families — not intended to be pretty for humans, but usable directly.
-//     The fused ParallelFor and ParallelForRange and the arrival-order
-//     Reduction cell are the benchmark harness's hand-written forms.
+//     ForRange, the fused ParallelFor and ParallelForRange and the
+//     arrival-order Reduction cell are the hand-written forms.
 //
 //   - Error- and context-aware region launch (ParallelErr, WithContext),
 //     which only an importable package (not a pragma) can express: it
@@ -30,10 +31,12 @@
 //
 // # Loop scheduling
 //
-// Worksharing loops (ForRange, ParallelFor) take a Schedule option
-// mirroring the schedule clause. One engine backs it: every thread claims
-// schedule-sized chunks by popping them off the front of a range of
-// unclaimed iterations, which comes in two configurations:
+// `//omp for` lowers to a ForStart/ForNext loop over the thread's chunks
+// around the user's own loop. Worksharing loops take a Schedule option
+// mirroring the schedule clause. Under a static schedule each thread
+// computes its chunks from its number alone; the other kinds share one
+// engine: every thread claims schedule-sized chunks by popping them off the
+// front of a range of unclaimed iterations, in two configurations:
 //
 //   - Per-thread (nonmonotonic). Each team thread is seeded with its
 //     contiguous static block of the iteration space as a splittable range.
@@ -79,7 +82,7 @@
 // for && and ||), made by every thread at the end of the construct with its
 // private partial, which started at the operator's identity:
 //
-//	omp.ForRange(t, n, func(lo, hi int64) { … local += a[i] … }, omp.NoWait())
+//	for lo, hi, ok := omp.ForStart(t, n); ok; lo, hi, ok = omp.ForNext(t) { … local += a[i] … }
 //	omp.Reduce(t, omp.ReduceSum, &sum, local) // every thread then reads sum
 //
 // Each thread stores its partial's bits in a slot of its own and arrives at
@@ -163,9 +166,9 @@
 //	for i := 0; i < n; i++ {
 //		for j := 0; j < m; j++ { … }
 //
-// the ForRange iteration space is the 64×64 tile grid (one logical
+// the loop's iteration space is the 64×64 tile grid (one logical
 // iteration per tile, TripCount over the grid loops' origins), and each
-// chunk body runs whole tiles through the fringe-guarded point loops. A
+// chunk runs whole tiles through the fringe-guarded point loops. A
 // tile therefore behaves like a natural chunk: schedule clauses granulate
 // in tiles, steals migrate tiles, and cancellation checks run between
 // tiles, never inside one.

@@ -196,18 +196,43 @@ func Parallel(body func(t *Thread), opts ...Option) {
 	kmp.ForkCallCtx(r.loc, r.n, r.ctx, body)
 }
 
-// ForRange runs a worksharing loop of trip iterations inside a parallel
-// region: the lowering of `//omp for`. body receives each half-open chunk
-// of [0, trip) assigned to this thread, so the hot loop inside it stays
-// free of calls. The loop ends with an implicit barrier unless NoWait is
-// given. Without a Schedule option the loop is schedule(static).
-//
-// An orphaned worksharing loop — t nil because no parallel region encloses
-// the construct — binds to a team of one and runs the whole range, as the
-// OpenMP standard specifies.
+// ForStart begins thread t's share of a worksharing loop of trip
+// iterations and returns its first chunk [lo, hi) of [0, trip); ForNext
+// returns each next one, and ok is false once the share is done. The pair
+// is the lowering of `//omp for`, which writes the implicit barrier itself.
+// Without a Schedule option the loop is schedule(static). An orphaned loop —
+// t nil because no parallel region encloses the construct — binds to a team
+// of one and runs the whole range as one chunk, as the OpenMP standard
+// specifies.
+func ForStart(t *Thread, trip int64, opts ...Option) (lo, hi int64, ok bool) {
+	_, l := clauses(opts)
+	return forStart(t, l, trip)
+}
+
+func forStart(t *Thread, l loopClauses, trip int64) (lo, hi int64, ok bool) {
+	if t == nil {
+		return 0, trip, trip > 0
+	}
+	t.DispatchInit(l.loc, l.sched, trip)
+	return t.DispatchNext()
+}
+
+// ForNext returns thread t's next chunk of the loop ForStart began.
+func ForNext(t *Thread) (lo, hi int64, ok bool) {
+	if t == nil {
+		return 0, 0, false
+	}
+	return t.DispatchNext()
+}
+
+// ForRange is the ForStart/ForNext loop for hand-written callers: body
+// receives each chunk, and the implicit barrier follows unless NoWait is
+// given.
 func ForRange(t *Thread, trip int64, body func(lo, hi int64), opts ...Option) {
 	_, l := clauses(opts)
-	kmp.Loop(t, l.loc, l.sched, trip, body)
+	for lo, hi, ok := forStart(t, l, trip); ok; lo, hi, ok = ForNext(t) {
+		body(lo, hi)
+	}
 	if !l.nowait {
 		t.Barrier()
 	}
@@ -218,17 +243,11 @@ func ForRange(t *Thread, trip int64, body func(lo, hi int64), opts ...Option) {
 // Iterations' ordered regions run in sequential iteration order; the body
 // must be encountered at most once per iteration. Outside an ordered-clause
 // loop (including orphaned and serialised constructs) body runs immediately.
-func Ordered(t *Thread, body func()) {
-	if t == nil {
-		body()
-		return
-	}
-	t.Ordered(body)
-}
+func Ordered(t *Thread, body func()) { t.Ordered(body) }
 
 // ParallelFor fuses Parallel and a worksharing loop: body receives the
 // executing thread and an iteration index in [0, trip). The lowering emits
-// Parallel + ForRange for `//omp parallel for`; this form and
+// Parallel + ForStart/ForNext for `//omp parallel for`; this form and
 // ParallelForRange serve hand-written callers such as the benchmark
 // harness.
 func ParallelFor(trip int64, body func(t *Thread, i int64), opts ...Option) {
@@ -283,16 +302,18 @@ func Masked(t *Thread, body func()) {
 func Sections(t *Thread, blocks []func(), opts ...Option) {
 	c := getConfig(opts)
 	defer putConfig(c)
-	if t == nil || !t.InParallel() {
-		for _, b := range blocks { // orphaned: team of one runs them all
-			b()
-		}
-		return
-	}
 	if c.loc.Region == "" {
 		c.loc.Region = "sections"
 	}
-	t.Sections(c.loc, len(blocks), func(i int) { blocks[i]() })
+	// One section per chunk, handed out dynamically: how libomp lowers
+	// sections, a hidden dynamic loop over section indices. An orphaned
+	// construct's team of one runs them all.
+	l := loopClauses{sched: Sched{Kind: Dynamic, Chunk: 1}, loc: c.loc}
+	for lo, hi, ok := forStart(t, l, int64(len(blocks))); ok; lo, hi, ok = ForNext(t) {
+		for _, b := range blocks[lo:hi] {
+			b()
+		}
+	}
 	if !c.nowait {
 		t.Barrier()
 	}
