@@ -78,7 +78,7 @@ func BenchmarkTable1CG(b *testing.B) { benchTable(b, "cg") }
 // timeline) — the enabled-overhead guard for the observability layer.
 // Compare kernel-s/op against BenchmarkTable1CG's matching omp cells;
 // the documented budget is <10% (measured ~1–3% on class S, see
-// doc.go's Observability chapter). Disabled-tracing cost is covered by
+// omp/doc.go's Observability chapter). Disabled-tracing cost is covered by
 // BenchmarkTable1CG itself: every event site degrades to one atomic
 // pointer load when no collector is installed.
 func BenchmarkTable1CGTraced(b *testing.B) {

@@ -70,7 +70,7 @@ func TestSingleFileOutputMarkedGenerated(t *testing.T) {
 	}
 	var log bytes.Buffer
 	out := t.TempDir()
-	if err := runModule(root, out, "off", 1, false, false, 0, &log); err != nil {
+	if err := runModule(root, out, "off", 1, false, &log); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(log.String(), ": 1 files (0 pragma), 0 transformed, 0 cached, 1 copied") {
@@ -100,7 +100,7 @@ func TestGoldenDir(t *testing.T) {
 	srcDir := filepath.Join("testdata", "dir")
 	out := t.TempDir()
 	var log bytes.Buffer
-	if err := runModule(srcDir, out, "off", 2, false, false, 0, &log); err != nil {
+	if err := runModule(srcDir, out, "off", 2, false, &log); err != nil {
 		t.Fatalf("%v\n%s", err, log.String())
 	}
 	if !strings.Contains(log.String(), ": 3 files (2 pragma), 2 transformed, 0 cached, 1 copied") {

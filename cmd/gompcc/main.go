@@ -11,7 +11,6 @@
 //	gompcc -explain input.go…               # describe each directive, change nothing
 //	gompcc -profile input.go                # also auto-instrument for profiling
 //	gompcc -module root -outdir out [-jobs N]  # mirror a whole tree, transformed
-//	gompcc -module root -outdir out -watch  # …re-running as sources change
 //	go build -toolexec="gompcc -toolexec" ./…   # inside a plain go build
 //
 // The package documentation of gomp/internal/driver describes the three
@@ -30,14 +29,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"time"
 
 	"gomp/internal/core"
 	"gomp/internal/driver"
@@ -63,13 +59,11 @@ func main() {
 		outdir   = flag.String("outdir", "", "with -module: the root the transformed tree is mirrored under (required)")
 		jobs     = flag.Int("jobs", 0, "with -module: transform worker count (default GOMAXPROCS; 1 = serial)")
 		cache    = flag.String("cache", "", "with -module: cache directory (default <module>/.gompcc-cache; 'off' disables)")
-		watch    = flag.Bool("watch", false, "with -module: keep running, re-transforming as sources change")
-		interval = flag.Duration("interval", 500*time.Millisecond, "with -watch: source poll interval")
 	)
 	flag.Parse()
 
 	if *module != "" {
-		if err := runModule(*module, *outdir, *cache, *jobs, *profile, *watch, *interval, os.Stderr); err != nil {
+		if err := runModule(*module, *outdir, *cache, *jobs, *profile, os.Stderr); err != nil {
 			fail(err)
 		}
 		return
@@ -127,7 +121,7 @@ func writeFile(in, dst string, profile bool) error {
 // GOMP_METRICS the pass itself is profiled — the driver's fan-out runs
 // on the omp runtime, so the flat profile and the driver-cold/warm
 // counters report the build like any other workload.
-func runModule(module, outdir, cache string, jobs int, profile, watch bool, interval time.Duration, log io.Writer) error {
+func runModule(module, outdir, cache string, jobs int, profile bool, log io.Writer) error {
 	d, err := driver.New(driver.Config{
 		Module:   module,
 		OutDir:   outdir,
@@ -141,33 +135,15 @@ func runModule(module, outdir, cache string, jobs int, profile, watch bool, inte
 	if os.Getenv("GOMP_METRICS") != "" {
 		defer omp.Profile()()
 	}
-	report := func(rep *driver.Report, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(log, "gompcc: module %s: %s\n", module, rep.Summary())
-		for _, dg := range rep.Diags {
-			fmt.Fprintf(log, "gompcc: %v\n", dg.Err)
-		}
-		return rep.Err()
+	rep, err := d.Run()
+	if err != nil {
+		return err
 	}
-	if !watch {
-		return report(d.Run())
+	fmt.Fprintf(log, "gompcc: module %s: %s\n", module, rep.Summary())
+	for _, dg := range rep.Diags {
+		fmt.Fprintf(log, "gompcc: %v\n", dg.Err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	var lastErr error
-	d.Watch(ctx, interval, func(rep *driver.Report, err error) {
-		if err := report(rep, err); err != nil {
-			// A failing pass keeps the watch alive — the next save may
-			// fix it — but leaves the exit status non-zero.
-			fmt.Fprintf(log, "gompcc: %v\n", err)
-			lastErr = err
-		} else {
-			lastErr = nil
-		}
-	})
-	return lastErr
+	return rep.Err()
 }
 
 // explainFiles explains each of paths in turn (explainFile).

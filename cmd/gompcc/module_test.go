@@ -68,7 +68,7 @@ func snapshotTree(t *testing.T, root string) map[string]string {
 func TestModuleWarmRunIsAllCacheHits(t *testing.T) {
 	root, out := copyTestdataDir(t), t.TempDir()
 	var log bytes.Buffer
-	if err := runModule(root, out, "", 4, false, false, 0, &log); err != nil {
+	if err := runModule(root, out, "", 4, false, &log); err != nil {
 		t.Fatalf("cold run: %v\n%s", err, log.String())
 	}
 	cold := log.String()
@@ -76,7 +76,7 @@ func TestModuleWarmRunIsAllCacheHits(t *testing.T) {
 		t.Fatalf("cold summary unexpected: %s", cold)
 	}
 	log.Reset()
-	if err := runModule(root, out, "", 4, false, false, 0, &log); err != nil {
+	if err := runModule(root, out, "", 4, false, &log); err != nil {
 		t.Fatalf("warm run: %v\n%s", err, log.String())
 	}
 	warm := log.String()
@@ -87,7 +87,7 @@ func TestModuleWarmRunIsAllCacheHits(t *testing.T) {
 
 // -module without -outdir is refused, naming the flag.
 func TestModuleNeedsOutdir(t *testing.T) {
-	err := runModule(copyTestdataDir(t), "", "off", 1, false, false, 0, io.Discard)
+	err := runModule(copyTestdataDir(t), "", "off", 1, false, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-outdir") {
 		t.Fatalf("err = %v, want one naming -outdir", err)
 	}
@@ -141,7 +141,7 @@ func TestModuleOutputsNotRecrawled(t *testing.T) {
 	root := copyTestdataDir(t)
 	var log bytes.Buffer
 	for i := 0; i < 2; i++ {
-		if err := runModule(root, filepath.Join(root, "gen"), "", 2, false, false, 0, &log); err != nil {
+		if err := runModule(root, filepath.Join(root, "gen"), "", 2, false, &log); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,5 +226,17 @@ func main() {
 	out, err = exec.Command(serialBin).CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "sum 499500") {
 		t.Fatalf("serial app output = %q, %v", out, err)
+	}
+	// The two builds compiled main from the same source with the same
+	// compiler, but are different cache entries: the serial build, run
+	// after the toolexec one, did not reuse its object.
+	for bin, want := range map[string]bool{bin: true, serialBin: false} {
+		syms, err := exec.Command("go", "tool", "nm", bin).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v\n%s", bin, err, syms)
+		}
+		if got := strings.Contains(string(syms), "gomp/omp.ForStart"); got != want {
+			t.Errorf("%s references gomp/omp.ForStart: %v, want %v", filepath.Base(bin), got, want)
+		}
 	}
 }

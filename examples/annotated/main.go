@@ -11,11 +11,22 @@
 //	go run ./cmd/gompcc -module examples -outdir build -jobs 4
 //	go run ./build/annotated
 //
-// Serial and transformed runs print identical output: the reduction
+// or inside a plain go build, with gompcc as the compiler's wrapper (the
+// blank import below is what that needs: the go command plans the build
+// from this source, which calls no omp function until it is transformed):
+//
+//	go build -o gompcc ./cmd/gompcc
+//	go run -toolexec="$PWD/gompcc -toolexec" ./examples/annotated
+//
+// Serial and transformed builds print identical output: the reduction
 // over integers is order-insensitive, so the parallel result is exact.
 package main
 
-import "fmt"
+import (
+	"fmt"
+
+	_ "gomp/omp"
+)
 
 func main() {
 	const n = 100000

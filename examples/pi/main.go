@@ -13,7 +13,14 @@
 //	go run ./cmd/gompcc -module examples -outdir build -jobs 4
 //	go run ./build/pi
 //
-// Both builds print the same lines: each float is printed to fewer digits
+// or inside a plain go build, with gompcc as the compiler's wrapper (the
+// blank import below is what that needs: the go command plans the build
+// from this source, which calls no omp function until it is transformed):
+//
+//	go build -o gompcc ./cmd/gompcc
+//	go run -toolexec="$PWD/gompcc -toolexec" ./examples/pi
+//
+// Every build prints the same lines: each float is printed to fewer digits
 // than a reordered parallel sum can move, and the atomic ladder only ever
 // multiplies by powers of two.
 package main
@@ -21,6 +28,8 @@ package main
 import (
 	"fmt"
 	"math"
+
+	_ "gomp/omp"
 )
 
 func main() {

@@ -9,7 +9,14 @@
 //	go run ./cmd/gompcc -module examples -outdir build -jobs 4
 //	go run ./build/quickstart
 //
-// Both builds print the same lines: the inputs are small multiples of
+// or inside a plain go build, with gompcc as the compiler's wrapper (the
+// blank import below is what that needs: the go command plans the build
+// from this source, which calls no omp function until it is transformed):
+//
+//	go build -o gompcc ./cmd/gompcc
+//	go run -toolexec="$PWD/gompcc -toolexec" ./examples/quickstart
+//
+// Every build prints the same lines: the inputs are small multiples of
 // powers of two, so every partial sum is exact and the order in which a
 // parallel reduction folds them cannot move the result.
 package main
@@ -17,6 +24,8 @@ package main
 import (
 	"fmt"
 	"math"
+
+	_ "gomp/omp"
 )
 
 func main() {

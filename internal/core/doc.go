@@ -56,23 +56,45 @@
 //     not lay out (multi-line raw strings and comments, renamed lines
 //     aligned with a neighbour's trailing comment).
 //
-// The pragma surface accepted, on a line comment immediately preceding the
-// construct it applies to:
+// # Directives and clauses
 //
-//	//omp parallel [private(a,b)] [firstprivate(c)] [shared(d)]
-//	//              [default(shared|none)] [reduction(op:v,…)]
-//	//              [num_threads(expr)] [if(expr)]
-//	//omp for [schedule(kind[,chunk])] [collapse(n)] [nowait]
-//	//        [private…] [firstprivate…] [lastprivate…] [reduction…]
-//	//omp parallel for …          (fusion of the two)
-//	//omp sections / //omp section
-//	//omp single [nowait] / //omp master / //omp barrier
-//	//omp critical[(name)] / //omp atomic / //omp threadprivate(v)
-//	//omp task [private…] [firstprivate…] [shared…] [default…]
-//	//         [if(expr)] [final(expr)] [untied]
-//	//omp taskwait / //omp taskgroup
-//	//omp taskloop [grainsize(n) | num_tasks(n)] [nogroup]
-//	//             [private…] [firstprivate…] [shared…] [if…] [final…] [untied]
+// A pragma is a line comment immediately preceding the construct it
+// applies to. The directives and the clauses each accepts (Validate
+// rejects any other clause rather than ignore it):
+//
+//	parallel                     private firstprivate shared default reduction num_threads if
+//	for                          private firstprivate lastprivate reduction schedule collapse ordered nowait
+//	parallel for                 the union of the two, less nowait
+//	sections, section            private firstprivate nowait (on sections)
+//	single                       private firstprivate copyprivate nowait
+//	master, masked               —
+//	critical[(name)]             —
+//	barrier                      —
+//	atomic                       — (x++, x--, x op= e, x = expr)
+//	threadprivate(vars)          — (package-level variables)
+//	ordered                      — (in a loop carrying the ordered clause)
+//	task                         private firstprivate shared default if final untied depend priority mergeable
+//	taskwait, taskyield          —
+//	taskgroup                    —
+//	taskloop                     private firstprivate shared default if final untied grainsize num_tasks nogroup priority mergeable
+//	cancel <kind>                if
+//	cancellation point <kind>    —
+//	tile                         sizes(t1,…,tk)
+//	unroll                       full | partial[(n)]
+//
+// Schedules are static[,chunk], dynamic, guided, auto, runtime and
+// trapezoidal (an extension), with the monotonic: and nonmonotonic:
+// modifiers. Reduction operators are + - * min max & | ^ && || (the bitwise
+// ones on integers only); every reduction lowers to omp.Reduce or
+// omp.ReduceBool, which folds the partials in thread order at the
+// construct's barrier, so a team size gives the same bits on every run.
+// The <kind> of cancel and cancellation point is parallel, for or
+// taskgroup; cancel takes effect only with cancellation on
+// (OMP_CANCELLATION, or omp.SetCancellation). OpenMP also allows lastprivate and reduction on
+// sections and collapse, reduction and lastprivate on taskloop; they are
+// not lowered there, so they are rejected.
+//
+// # Lowering
 //
 // The front end never runs go/types: where a lowering needs a type, it
 // hands a user value to a generic helper in omp/codegen_support.go and gc
@@ -99,4 +121,60 @@
 // outlined into a deferred closure with firstprivate values captured by
 // copy at creation, and a taskloop carves its canonical for statement into
 // chunk tasks by grainsize/num_tasks.
+//
+// # Loop transformations
+//
+// The tile and unroll directives (OpenMP 5.1, §9 of the 5.2 spec; the
+// Kruse & Finkel loop-transformation pragma papers) are the only
+// directives that do not lower to runtime calls: they rewrite the
+// annotated canonical loop nest into restructured plain-Go loops
+// (transform.go, over a loop-nest IR lifted from the for-statement
+// headers). In the directive tree a transformation is the inner of the
+// directive stacked above it, and is lowered first:
+//
+//	//omp parallel for collapse(2)
+//	//omp tile sizes(64,64)
+//	for i := 0; i < n; i++ {
+//		for j := 0; j < m; j++ { … }
+//	}
+//
+// strip-mines the nest into a 4-deep grid/point nest and distributes the
+// 64×64 tile grid across the team. The ordering rules follow:
+//
+//   - The directive nearest the loop applies first; each directive above
+//     it applies to the loop(s) the transformation below generated. So
+//     `parallel for collapse(2)` above `tile sizes(64,64)` distributes
+//     the generated tile grid, and `unroll` above `tile` unrolls the
+//     generated grid loop.
+//
+//   - tile sizes(t1,…,tk) consumes a k-deep perfect rectangular nest and
+//     generates a 2k-deep nest: k tile-grid loops (canonical worksharing
+//     shape, stepping by ti over the level's logical iteration space)
+//     over k point loops (tuple-init, hoisted min(origin+ti, trip)
+//     fringe bound — correct for trip counts the sizes do not divide). A
+//     collapse stacked above may name at most the k grid loops; deeper
+//     collapses are rejected as non-canonical.
+//
+//   - unroll consumes the loop structure entirely: full expands a
+//     constant-trip loop into straight-line blocks; partial(n) emits a
+//     factor-stepped main loop with n body copies plus a scalar
+//     remainder loop covering trip%n — so nothing can be stacked above
+//     an unroll except another transformation's generated loop. Bare
+//     unroll chooses heuristically: full for constant trips ≤ 16,
+//     otherwise partial(4).
+//
+//   - A directive written between a transformation and its loop cannot
+//     be applied to loops that no longer exist, so it is rejected with a
+//     stack-it-above diagnostic instead.
+//
+// Branching that would change meaning under restructuring (return, break,
+// goto out of the nest; continue and labels in duplicated unroll bodies)
+// is rejected at preprocessing time.
+//
+// The runtime never sees a transformation, only the generated shape: under
+// the stacked `parallel for` above, the loop's iteration space is the tile
+// grid (one logical iteration per tile), and each chunk runs whole tiles
+// through the fringe-guarded point loops. A tile therefore behaves like a
+// natural chunk: schedule clauses granulate in tiles, steals migrate tiles,
+// and cancellation checks run between tiles, never inside one.
 package core

@@ -49,7 +49,7 @@ var allowedClauses = map[DirKind]clauseSet{
 		allowCollapse | allowOrdered | allowNumThreads | allowIf,
 	// OpenMP also allows lastprivate/reduction on sections; this
 	// implementation does not lower them there, so they are rejected
-	// rather than silently ignored (README "Known limits").
+	// rather than silently ignored ("Directives and clauses" in doc.go).
 	DirSections:      allowPrivate | allowFirstPrivate | allowNoWait,
 	DirSection:       0,
 	DirSingle:        allowPrivate | allowFirstPrivate | allowCopyPrivate | allowNoWait,

@@ -7,10 +7,10 @@ import (
 
 // WriteFileAtomic writes data to path via a temporary file in the same
 // directory followed by a rename, so a reader — including a concurrent
-// `go build`, or the next driver run after a crash or a cancelled
-// watch pass — only ever observes the old complete content or the new
-// complete content, never a truncated file. On any failure the
-// temporary is removed and the previous content of path is untouched.
+// `go build`, or the next driver run after a crash — only ever observes
+// the old complete content or the new complete content, never a
+// truncated file. On any failure the temporary is removed and the
+// previous content of path is untouched.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return writeFileAtomic(path, perm, data)
 }

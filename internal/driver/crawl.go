@@ -11,7 +11,7 @@ import (
 )
 
 // The tree crawler: phase one of a driver pass. It walks the module and
-// returns every source file the preprocessor should consider, in
+// returns every source file the build might compile, in
 // deterministic (WalkDir lexical) order: not tests, and nothing in the
 // trees the Go toolchain itself ignores (vendor/, testdata/, leading-dot
 // and leading-underscore names), the cache, or the mirror's own root.
@@ -38,11 +38,24 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// eligibleName reports whether a file's base name is a candidate: a .go
-// file that is not a test and not toolchain-ignored.
+// eligibleName reports whether a file's base name is a candidate: a file
+// of a kind go/build compiles into a package (.go, or one of sourceExts)
+// that is not a test and not toolchain-ignored.
 func eligibleName(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
+	return (strings.HasSuffix(name, ".go") || sourceExts[filepath.Ext(name)]) &&
+		!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
+}
+
+// sourceExts are the non-Go source kinds go/build adds to a package
+// (assembly, C and its kin, headers, SWIG, system objects). The mirror
+// copies them verbatim, so a package whose function bodies live in
+// assembly builds from it as from the original.
+var sourceExts = map[string]bool{
+	".s": true, ".S": true, ".sx": true,
+	".c": true, ".cc": true, ".cpp": true, ".cxx": true, ".m": true,
+	".h": true, ".hh": true, ".hpp": true, ".hxx": true,
+	".f": true, ".F": true, ".for": true, ".f90": true,
+	".swig": true, ".swigcxx": true, ".syso": true,
 }
 
 // isGenerated reports whether the file head carries the generated-code

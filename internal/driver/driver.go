@@ -1,8 +1,11 @@
-// Package driver is how annotated source becomes a build. gompcc offers
-// three paths from //omp pragmas to the Go toolchain, each one
-// core.Transform per pragma-bearing file; this comment is the whole
-// account, and gompcc's usage, the README and the gomp package
+// Package driver is how annotated source becomes a build. This comment is
+// the whole account of it; gompcc's usage, the README and the gomp package
 // documentation point here.
+//
+// # Build integration
+//
+// gompcc offers three paths from //omp pragmas to the Go toolchain, each
+// one core.Transform per pragma-bearing file.
 //
 // Single file. `gompcc -o out.go in.go` writes in.go's transform to
 // out.go behind GeneratedHeader; `gompcc -stdout in.go` prints the bare
@@ -13,14 +16,17 @@
 // Mirror. `gompcc -module root -outdir out` reproduces root's buildable
 // sources under out at the same relative paths: a pragma-bearing file is
 // written transformed, behind GeneratedHeader; every other file the build
-// compiles is copied verbatim. A file that already carries a generated-code
-// header, such as a committed -o output, is copied and never transformed.
-// out may sit inside root, which the crawl then skips, but may not be
-// root itself. out builds and vets with the plain go command; CI self-hosts the driver
-// this way over examples/ and internal/npb/. A pass has four phases:
+// compiles — Go or not: assembly, C, headers, system objects — is copied
+// verbatim. A file that already carries a generated-code header, such as a
+// committed -o output, is copied and never transformed. Files a package
+// embeds with //go:embed are not copied. out may sit inside root, which
+// the crawl then skips, but may not be root itself. out builds and vets
+// with the plain go command; CI self-hosts the driver this way over
+// examples/, internal/npb/ and internal/kmp/. A pass has four phases:
 //
-//   - The crawl (crawl.go) lists every candidate .go file, skipping tests,
-//     vendor/, testdata/, hidden and underscore trees, the cache and out.
+//   - The crawl (crawl.go) lists every candidate source file, skipping
+//     tests, vendor/, testdata/, hidden and underscore trees, the cache
+//     and out.
 //   - A worker team fans the files out one at a time, on this
 //     repository's own omp runtime, so the driver dogfoods the runtime it
 //     builds for. Each worker reads its file once and decides everything
@@ -36,19 +42,21 @@
 //     output, is byte-identical at every -jobs value. -cache off disables
 //     it.
 //   - Every output lands via temp file + rename (atomic.go), in a directory
-//     the pass creates once, so a crashed or cancelled run never leaves a
-//     half-written file behind.
+//     the pass creates once, so a crashed run never leaves a half-written
+//     file behind.
 //
-// -watch polls the crawled files' mtimes and sizes and runs a pass when
-// they change (watch.go); the cache decides what the pass transforms.
 // With a profiler on (gompcc under GOMP_METRICS) each pass adds its cold
-// and warm file counts and transform time to the metrics registry.
+// and warm file counts and transform time to the metrics registry;
+// BenchmarkDriverColdVsWarm tracks cold against warm throughput in files/s.
 //
 // Toolexec. `go build -toolexec="gompcc -toolexec" ./...` transforms
 // pragma-bearing compile inputs into a temporary directory as the go
 // command compiles them, with no generated file on disk (toolexec.go).
 // The annotated package must import gomp/omp (a blank import will do),
-// because the go command plans the build from the original sources.
+// because the go command plans the build from the original sources;
+// without it gompcc stops with a diagnostic naming the file. gompcc adds
+// its own identity to the compiler's, so the build cache keeps toolexec
+// and plain compiles of the same source apart.
 package driver
 
 import (
@@ -104,8 +112,8 @@ func (c *Config) flagKey() string {
 }
 
 // Driver runs module-scale preprocessing passes for one Config. A
-// Driver is stateless between passes — all persistence lives in the
-// manifest — so one value serves both single runs and watch loops.
+// Driver is stateless between passes: all persistence lives in the
+// manifest.
 type Driver struct {
 	cfg Config
 }
@@ -337,8 +345,9 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 		return fileResult{excluded: true, err: err}
 	}
 	// A generated file, gompcc's own -o output among them, is part of the
-	// build as it stands: it is copied, never transformed.
-	res := fileResult{pragma: !isGenerated(src) && core.ContainsPragma(src)}
+	// build as it stands: it is copied, never transformed, as is every
+	// non-Go source.
+	res := fileResult{pragma: strings.HasSuffix(f.rel, ".go") && !isGenerated(src) && core.ContainsPragma(src)}
 	if cfg.CacheDir != CacheOff {
 		res.hash = sourceHash(src)
 	}

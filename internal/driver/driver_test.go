@@ -3,7 +3,9 @@ package driver
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,16 +149,25 @@ func TestWarmRunTransformsNothing(t *testing.T) {
 	}
 }
 
-// Editing one file invalidates exactly that file.
+// Editing one file invalidates exactly that file, and a file new since
+// the last pass is transformed beside the cached rest.
 func TestEditRetransformsOnlyChangedFile(t *testing.T) {
-	root := t.TempDir()
+	root, out := t.TempDir(), t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc, "b.go": pragmaSrc})
-	cfg := Config{Module: root, OutDir: t.TempDir()}
+	cfg := Config{Module: root, OutDir: out}
 	mustRun(t, cfg)
 	writeTree(t, root, map[string]string{"b.go": strings.Replace(pragmaSrc, "Sum", "Sum2", 1)})
 	rep := mustRun(t, cfg)
 	if rep.Transformed != 1 || rep.Cached != 1 {
 		t.Fatalf("after edit: %s", rep.Summary())
+	}
+	writeTree(t, root, map[string]string{"c.go": strings.Replace(pragmaSrc, "Sum", "Sum3", 1)})
+	rep = mustRun(t, cfg)
+	if rep.Files != 3 || rep.Transformed != 1 || rep.Cached != 2 {
+		t.Fatalf("after new file: %s", rep.Summary())
+	}
+	if got, err := os.ReadFile(filepath.Join(out, "c.go")); err != nil || !bytes.Contains(got, []byte("omp.Parallel(")) {
+		t.Fatalf("new file not transformed into the mirror (%v):\n%s", err, got)
 	}
 }
 
@@ -266,6 +277,50 @@ func TestMirrorLayout(t *testing.T) {
 	warm := mustRun(t, Config{Module: root, OutDir: out, Jobs: 2})
 	if warm.Transformed != 0 || warm.Copied != 0 || warm.Cached != 3 {
 		t.Fatalf("mirror warm pass: %s", warm.Summary())
+	}
+}
+
+// A package whose function body lives in assembly builds from its
+// mirror: the _amd64.s file is copied verbatim beside the transformed
+// source, and of it and its //go:build !amd64 Go fallback the mirror keeps
+// what the build compiles, as for .go files.
+func TestMirrorCopiesAssembly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go build on the mirror")
+	}
+	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, out := t.TempDir(), t.TempDir()
+	writeTree(t, root, map[string]string{
+		"p.go":         strings.Replace(pragmaSrc, "s += a[i]", "s = add(s, a[i])", 1),
+		"add_decl.go":  "//go:build amd64\n\npackage p\n\nfunc add(a, b int) int\n",
+		"add_other.go": "//go:build !amd64\n\npackage p\n\nfunc add(a, b int) int { return a + b }\n",
+		"add_amd64.s": "#include \"textflag.h\"\n\n" +
+			"TEXT ·add(SB), NOSPLIT, $0-24\n\tMOVQ a+0(FP), AX\n\tADDQ b+8(FP), AX\n\tMOVQ AX, ret+16(FP)\n\tRET\n",
+		"notes.txt": "not a source\n",
+	})
+	rep := mustRun(t, Config{Module: root, OutDir: out})
+	want := 2 // p.go and the Go fallback
+	if runtime.GOARCH == "amd64" {
+		want = 3 // p.go, the declaration and the assembly
+		if got, err := os.ReadFile(filepath.Join(out, "add_amd64.s")); err != nil || !bytes.Contains(got, []byte("ADDQ")) {
+			t.Fatalf("add_amd64.s not copied into the mirror (%v)", err)
+		}
+	}
+	if rep.Files != want || rep.Transformed != 1 {
+		t.Fatalf("mirror pass: %s", rep.Summary())
+	}
+	if _, err := os.Stat(filepath.Join(out, "notes.txt")); err == nil {
+		t.Error("notes.txt copied, want skipped")
+	}
+	gomod := "module m\n\ngo 1.24\n\nrequire gomp v0.0.0\n\nreplace gomp => " + repoRoot + "\n"
+	writeTree(t, out, map[string]string{"go.mod": gomod})
+	cmd := exec.Command("go", "build", "./...")
+	cmd.Dir = out
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build of the mirror: %v\n%s", err, b)
 	}
 }
 

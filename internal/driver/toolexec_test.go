@@ -78,3 +78,55 @@ func TestIsCompileTool(t *testing.T) {
 		}
 	}
 }
+
+// A transformed file whose compile has no gomp/omp in its importcfg fails
+// with a diagnostic naming the file and the blank import it needs, not
+// with gc's "could not import gomp/omp"; with the import present it is
+// rewritten.
+func TestRewriteCompileArgsNeedsRuntimeImport(t *testing.T) {
+	src := t.TempDir()
+	writeTree(t, src, map[string]string{
+		"hot.go":      pragmaSrc,
+		"without.cfg": "# import config\npackagefile fmt=/cache/fmt.a\n",
+		"with.cfg":    "# import config\npackagefile fmt=/cache/fmt.a\npackagefile gomp/omp=/cache/omp.a\n",
+	})
+	hot := filepath.Join(src, "hot.go")
+	argv := func(cfg string) []string {
+		return []string{"compile", "-p", "p", "-importcfg", filepath.Join(src, cfg), hot}
+	}
+	_, _, err := rewriteCompileArgs(argv("without.cfg"), t.TempDir())
+	if err == nil || !strings.Contains(err.Error(), hot) || !strings.Contains(err.Error(), `import _ "gomp/omp"`) {
+		t.Fatalf("err = %v, want one naming %s and the blank import", err, hot)
+	}
+	if _, n, err := rewriteCompileArgs(argv("with.cfg"), t.TempDir()); err != nil || n != 1 {
+		t.Fatalf("with gomp/omp imported: %d rewritten, %v", n, err)
+	}
+}
+
+// gompcc's answer to `compile -V=full` keeps the form the go command
+// parses — a release line whole, a development line's buildID field last
+// — and differs from the compiler's own, so the cache keeps toolexec
+// and plain compiles apart.
+func TestVersionLine(t *testing.T) {
+	const id = "gompcc=gomp-core.15+0011223344556677"
+	for line, want := range map[string]string{
+		"compile version go1.24.0\n":                       "compile version go1.24.0 " + id,
+		"compile version go1.24.0 X:framepointer\n":        "compile version go1.24.0 X:framepointer " + id,
+		"compile version devel go1.25-abc buildID=a/b/c\n": "compile version devel go1.25-abc buildID=a/b/c+" + id,
+	} {
+		got := versionLine(line, id)
+		if got != want {
+			t.Errorf("versionLine(%q) = %q, want %q", line, got, want)
+		}
+		f := strings.Fields(got)
+		if f[0] != "compile" || f[1] != "version" || f[2] == "devel" && !strings.HasPrefix(f[len(f)-1], "buildID=") {
+			t.Errorf("%q is not a -V=full line the go command accepts", got)
+		}
+		if f[2] == "devel" && !strings.HasSuffix(f[len(f)-1][strings.LastIndex(f[len(f)-1], "/")+1:], id) {
+			t.Errorf("%q: the content ID the go command reads leaves out gompcc's identity", got)
+		}
+	}
+	if real, err := identity(); err != nil || strings.ContainsAny(real, " /") || !strings.HasPrefix(real, "gompcc=") {
+		t.Fatalf("identity() = %q, %v: want a gompcc= field with no space or slash", real, err)
+	}
+}

@@ -19,10 +19,22 @@
 // This package provides those entry points natively: goroutine worker teams
 // stand in for the pthread teams of libomp. Teams are "hot" — workers are
 // created once and kept between parallel regions, exactly as libomp keeps
-// its hot team — and the fork fast path is engineered so that a warm region
-// costs zero heap allocations and no global locks (see the next section).
+// its hot team.
 //
 // # Hot teams and the fork fast path
+//
+// The paper's runtime runs one HPC kernel per process; this one also serves
+// the shape in which many concurrent requests each open small parallel
+// regions, where fork/join overhead and per-region garbage are the
+// governing costs. A warm region — team cached, workers parked — therefore
+// spawns no goroutine, takes no global lock (the scheduler's included) and
+// allocates nothing. The same holds for a fused parallel-for
+// (omp.ParallelFor, ParallelForRange), whose loop rides in the region
+// descriptor, for a lowered `parallel for`, which is a plain loop over the
+// thread's chunks with no chunk closure, and for omp's common options
+// (NumThreads up to 64, NoWait, OrderedClause, If), which are cached
+// values. Cancellable and context-bound regions stay on the path; a
+// context costs one watcher goroutine per region, and only when supplied.
 //
 // Where a team comes from (hotteam.go, thread.go). Every goroutine that is
 // inside a region or has forked one owns a slot in the thread registry, a
@@ -75,9 +87,18 @@
 // re-initialises only what the previous region dirtied. Nothing allocates:
 // cancellation is a flag in the barrier's wait predicate (cancel.go), the
 // barrier one sense-reversing word (barrier.go), the one-thread path runs
-// from a sync.Pool, the error box is embedded in the team.
-// TestWarmRegionZeroAlloc, TestForkHandshakeLayout and BenchmarkForkJoin
-// (read against BenchmarkCrossCoreFloor) hold the design to this.
+// from a sync.Pool, the error box is embedded in the team. Nested regions
+// debit a process-wide thread-limit reservation, so the serving shape
+// cannot oversubscribe past OMP_THREAD_LIMIT.
+//
+// What holds the design to this: TestWarmRegionZeroAlloc here and
+// TestParallelWarmZeroAlloc / TestParallelForRangeWarmZeroAlloc in omp
+// (testing.AllocsPerRun, in CI), TestForkHandshakeLayout (one writer per
+// line), BenchmarkForkJoin read against BenchmarkCrossCoreFloor (the host's
+// own cross-core round trip), and the repository's BenchmarkForkOverhead
+// (an x-floor column) and BenchmarkServingRegions (many goroutines each
+// forking private regions). omp.TrimTeams hands every cached team back when
+// a process goes quiet; the next region rebuilds from cold.
 //
 // # Waiting
 //
@@ -225,7 +246,7 @@
 // overwrites from then on are not of its records and are not counted.
 //
 // Capacity. A ring holds the recorder's size — DefaultFlightRecords, or
-// GOMP_FLIGHT=<n>, or SetFlightRingSize — rounded to a power of two within
+// GOMP_FLIGHT=<n> — rounded to a power of two within
 // [16, 65536]. While a collector is installed it holds the larger of that
 // and the collector's size (NewCollector, trace.WithRingSize). A thread
 // resizes its own ring at its first event after the size changed, keeping

@@ -8,8 +8,8 @@ import (
 )
 
 // Flight recorder: the always-on black box of the runtime. It answers "what
-// was the runtime doing just before it misbehaved" — after a hang, a
-// watchdog trip or a SIGQUIT, with no prior opt-in — by reading the same
+// was the runtime doing just before it misbehaved" — after a hang or a
+// watchdog trip, with no prior opt-in — by reading the same
 // per-thread event rings a Collector drains ("Events" in doc.go). It keeps
 // fork/join, barrier, dispatch, steal, task, dependence and cancel events
 // but no static-loop spans, and a run of back-to-back identical regions is

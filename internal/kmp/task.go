@@ -1,9 +1,7 @@
 package kmp
 
 import (
-	"context"
 	"fmt"
-	rtrace "runtime/trace"
 	"sync/atomic"
 )
 
@@ -307,20 +305,13 @@ func (t *Thread) runOneTask() bool {
 		return true
 	}
 	var start int64
-	var reg *rtrace.Region
 	if g != 0 {
 		start = TraceNow()
-		if c := collectorOf(g); c != nil && c.BridgeGoTrace && rtrace.IsEnabled() {
-			reg = rtrace.StartRegion(context.Background(), "omp:task "+node.loc.String())
-		}
 	}
 	if t.team != nil && t.team.catch {
 		t.runTaskRecover(node, &t.team.ebox)
 	} else {
 		t.runTask(node, node.fn)
-	}
-	if reg != nil {
-		reg.End()
 	}
 	if g != 0 {
 		// A complete task-execution span: When is the dequeue, Dur the

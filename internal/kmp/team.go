@@ -3,7 +3,6 @@ package kmp
 import (
 	"context"
 	"fmt"
-	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 )
@@ -504,9 +503,6 @@ func fork(loc Ident, nthreads int, ctx context.Context, w *work) error {
 		if fold, folded = master.foldFork(g, loc, n); !folded {
 			regionStart = TraceNow()
 			master.event(g, TraceEvent{Kind: TraceForkBegin, Loc: loc, NThreads: n, When: regionStart})
-		}
-		if c := collectorOf(g); c != nil && c.BridgeGoTrace && rtrace.IsEnabled() {
-			defer rtrace.StartRegion(context.Background(), "omp:"+loc.String()).End()
 		}
 	}
 

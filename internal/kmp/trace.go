@@ -427,14 +427,6 @@ type Collector struct {
 	// rings back in time order.
 	Drained func()
 
-	// BridgeGoTrace additionally mirrors parallel-region and task spans
-	// into Go's runtime/trace as user regions when a runtime trace is
-	// being recorded, so `go tool trace` shows omp structure inline with
-	// scheduler data. The bridge calls runtime/trace at the event site
-	// (regions and tied tasks begin and end on one goroutine, which is
-	// what runtime/trace regions require), not at drain time.
-	BridgeGoTrace bool
-
 	id      uint64 // the tag of records written for this collector
 	ringLog uint64 // log2 of the ring capacity it asks for
 

@@ -12,8 +12,8 @@ import (
 // recorder and hang watchdog (internal/kmp). Unlike the Profiler —
 // which exists only while someone collects — these read state the
 // runtime maintains unconditionally, so they answer "what was the
-// runtime doing just now" after the fact: on a watchdog trip, a
-// SIGQUIT, or a /debug/gomp/flight scrape of a wedged process.
+// runtime doing just now" after the fact: on a watchdog trip or a
+// /debug/gomp/flight scrape of a wedged process.
 
 // Health is the runtime's self-diagnosis plus the trace layer's own
 // state: what /debug/gomp/health serves.
@@ -105,8 +105,8 @@ func WriteFlightText(w io.Writer) error {
 
 // WriteDiagnostics writes the full diagnostic dump — health, dependence
 // cycles, stuck workers, live team status and the flight-recorder tail —
-// to w. This is what omp.DumpDiagnostics, the SIGQUIT handler and the
-// watchdog's default trip action emit; every section reads only
+// to w. This is what omp.DumpDiagnostics and the watchdog's default
+// trip action emit; every section reads only
 // sampler-visible state, so dumping never perturbs or stops the
 // workload (it works precisely when the workload is wedged).
 func WriteDiagnostics(w io.Writer) error {

@@ -102,11 +102,6 @@ func WithTimeline(capacity int) Option {
 	}
 }
 
-// WithGoTrace bridges parallel-region and task spans into Go's
-// runtime/trace as user regions, so gomp activity lines up with
-// goroutine scheduling in `go tool trace`.
-func WithGoTrace() Option { return func(p *Profiler) { p.goTrace = true } }
-
 // Profiler aggregates runtime events. Install with Start, detach with
 // Stop. Only one profiler is active at a time (the collector pointer is
 // global, as an OMPT tool is); starting a second one supersedes the
@@ -114,7 +109,6 @@ func WithGoTrace() Option { return func(p *Profiler) { p.goTrace = true } }
 type Profiler struct {
 	ringSize    int
 	timelineCap int
-	goTrace     bool
 
 	col *kmp.Collector
 	met Metrics
@@ -143,7 +137,6 @@ func New(opts ...Option) *Profiler {
 	p.col = kmp.NewCollector(p.ringSize)
 	p.col.Sink = p.consume
 	p.col.Drained = p.drained
-	p.col.BridgeGoTrace = p.goTrace
 	return p
 }
 

@@ -28,9 +28,6 @@ import (
 //	                           go to stderr.
 //	GOMP_PPROF_LABELS=1        label team goroutines with
 //	                           omp_region/omp_gtid pprof labels
-//	GOMP_SIGQUIT=1             dump diagnostics to stderr on SIGQUIT
-//	                           (replaces Go's default die-with-stacks;
-//	                           unix only)
 
 func init() {
 	if v := os.Getenv("GOMP_WATCHDOG"); v != "" && !envOff(v) {
@@ -42,9 +39,6 @@ func init() {
 	}
 	if v := os.Getenv("GOMP_PPROF_LABELS"); v != "" && !envOff(v) {
 		kmp.SetProfLabels(true)
-	}
-	if v := os.Getenv("GOMP_SIGQUIT"); v != "" && !envOff(v) {
-		HandleSIGQUIT()
 	}
 }
 
@@ -67,11 +61,6 @@ func DumpDiagnostics(w io.Writer) error { return trace.WriteDiagnostics(w) }
 // (default on; GOMP_FLIGHT=off disables it from the environment).
 // Disabling stops recording but keeps the captured history readable.
 func SetFlightRecorder(on bool) { kmp.SetFlightRecorder(on) }
-
-// SetFlightRingSize sets the per-thread flight-ring capacity in records
-// (rounded to a power of two, clamped to [16, 65536]); each thread resizes
-// its ring at its next event. GOMP_FLIGHT=<n> sets it from the environment.
-func SetFlightRingSize(records int) { kmp.SetFlightRingSize(records) }
 
 // SetProfileLabels enables or disables pprof region labelling: team
 // goroutines carry omp_region ("file.go:42 parallel") and omp_gtid

@@ -33,9 +33,9 @@
 //
 // `//omp for` lowers to a ForStart/ForNext loop over the thread's chunks
 // around the user's own loop. Worksharing loops take a Schedule option
-// mirroring the schedule clause. Under a static schedule each thread
-// computes its chunks from its number alone; the other kinds share one
-// engine: every thread claims schedule-sized chunks by popping them off the
+// mirroring the schedule clause. Under a static schedule, and in a team of
+// one, each thread computes its chunks from its number alone; the other
+// kinds share one engine: every thread claims schedule-sized chunks by popping them off the
 // front of a range of unclaimed iterations, in two configurations:
 //
 //   - Per-thread (nonmonotonic). Each team thread is seeded with its
@@ -49,8 +49,8 @@
 //     steals — the classic __kmpc_dispatch_next protocol, handing out chunks
 //     in increasing order. Selected by the Monotonic modifier —
 //     Schedule(Dynamic, 4, Monotonic) — and used for loops carrying the
-//     ordered clause, whose ticket protocol needs in-order chunks, for
-//     teams of one and for iteration spaces of 2³¹ or more.
+//     ordered clause, whose ticket protocol needs in-order chunks, and for
+//     iteration spaces of 2³¹ or more.
 //
 // Chunk sizing is a per-schedule policy over the remaining iterations:
 // dynamic issues fixed chunks, guided a shrinking fraction of the
@@ -75,6 +75,11 @@
 // are woken and released, by `cancel for` as by `cancel parallel`. Steals
 // emit TraceLoopSteal events, observable through internal/trace's profiler
 // (a "steals" column in the flat profile).
+//
+// A loop under tile or unroll reaches this package in its generated shape:
+// a tile is one logical iteration, so schedules granulate, steals migrate
+// and cancellation checks run in whole tiles ("Loop transformations" in
+// internal/core).
 //
 // # Reductions
 //
@@ -153,59 +158,11 @@
 // examples/wavefront for the full program and internal/bench's blocked LU
 // (BenchmarkBlockedLU) for the dependence-DAG-vs-taskwait comparison.
 //
-// # Loop transformations
+// # Errors and deadlines
 //
-// The preprocessor's tile and unroll directives (OpenMP 5.1) never reach
-// this package at run time: they restructure the annotated loops into
-// plain Go before outlining, and only the worksharing directive stacked
-// above them lowers to runtime calls. What this package sees is the
-// generated shape — for
-//
-//	//omp parallel for collapse(2)
-//	//omp tile sizes(64,64)
-//	for i := 0; i < n; i++ {
-//		for j := 0; j < m; j++ { … }
-//
-// the loop's iteration space is the 64×64 tile grid (one logical
-// iteration per tile, TripCount over the grid loops' origins), and each
-// chunk runs whole tiles through the fringe-guarded point loops. A
-// tile therefore behaves like a natural chunk: schedule clauses granulate
-// in tiles, steals migrate tiles, and cancellation checks run between
-// tiles, never inside one.
-//
-// Ordering rules for stacked directives, the remainder-loop semantics of
-// partial unrolling, and the bare-unroll heuristics are documented in the
-// repository root's doc.go ("Loop transformations") — the short form: the
-// directive nearest the loop applies first, tile generates a nest a
-// collapse can consume (at most its depth), unroll consumes the loop
-// structure entirely and leaves a trip%factor scalar remainder loop.
-//
-// # Serving: warm regions and the fork fast path
-//
-// Parallel is cheap enough to sit on a request path. After the first
-// region from a given goroutine, the runtime's team affinity hands the
-// same warm team back on every subsequent fork: workers are already
-// spawned (parked on an atomic generation word between regions), the
-// barrier is already sized, and the whole fork/join round trip allocates
-// nothing — including the common options (NumThreads up to 64, NoWait,
-// OrderedClause, If), which are cached singletons, worksharing loops
-// inside the region, and the fused ParallelFor/ParallelForRange, whose
-// loop rides in the runtime's region descriptor. TestParallelWarmZeroAlloc
-// and TestParallelForRangeWarmZeroAlloc pin the property;
-// BenchmarkServingRegions measures many concurrent goroutines each
-// running private regions, the serving shape.
-//
-// Two knobs matter for servers. OMP_WAIT_POLICY chooses how long a
-// worker spins before parking between regions — passive (default) parks
-// quickly and coexists with oversubscription; active trades CPU for
-// latency. TrimTeams releases every idle cached team (workers exit,
-// structures become garbage) for processes that have gone quiet; the
-// next Parallel simply rebuilds from cold. Cancellable regions
-// (SetCancellation(true)) and context-bound regions (WithContext) stay on
-// the fast path; only the context watcher goroutine is an extra cost, paid
-// per region, and only when a context is actually supplied.
-//
-// A minimal parallel dot product with a deadline:
+// ParallelErr runs a region whose body returns an error; a worker's panic
+// comes back as an error too, and WithContext tears the team down when its
+// context ends. A parallel dot product with a deadline:
 //
 //	ctx, stop := context.WithTimeout(context.Background(), 50*time.Millisecond)
 //	defer stop()
@@ -224,53 +181,88 @@
 // err is context.DeadlineExceeded when the deadline tore the team down; dot
 // then holds a partial sum and should be discarded.
 //
+// Regions are cheap enough for a request path: a warm one allocates
+// nothing ("Hot teams and the fork fast path" in internal/kmp). Two knobs
+// matter for servers. OMP_WAIT_POLICY chooses how long a worker spins
+// before parking — passive (the default) parks quickly and coexists with
+// oversubscription, active trades CPU for latency. TrimTeams releases every
+// idle cached team when a process goes quiet.
+//
 // # Observability
 //
-// Profile enables the process-wide profiler — an OMPT-style collector
-// on the runtime's per-thread lock-free event rings — and returns the
-// stop function that prints a gprof-style flat profile of every
-// parallel region, worksharing loop and task construct, named by the
-// user's file:line:
+// The paper's future-work item ("add support for profiling … instrument
+// applications … functionality similar to that of gprof", Section VI) is an
+// OMPT-style tools interface, shaped like libomp's: one process-global tool,
+// event records at the construct boundaries, near-zero cost when none is
+// attached. Profile installs the process-wide profiler and returns the stop
+// function that prints a gprof-style flat profile of every parallel region,
+// worksharing loop and task construct, named by the user's file:line:
 //
 //	defer omp.Profile()()
 //
 // `gompcc -profile` injects exactly that call into main, plus
 // `defer omp.ZoneAt(file, line, fn)()` into every pragma-containing
-// function, so an annotated program self-reports without source
-// changes. Two environment switches extend the report:
-// GOMP_TRACE_JSON=<path> exports the full event timeline as Chrome
-// trace-event JSON — load it at ui.perfetto.dev or chrome://tracing to
-// see one track per runtime thread with work steals drawn as flow
-// arrows — and GOMP_METRICS=1 appends the runtime metrics snapshot
-// (fork / barrier / steal / task counters and wait-time histograms).
+// function — without shifting a line, so the lowered constructs still
+// report the user's pragma locations — and an annotated program
+// self-reports without source changes:
 //
-// The profiler reads the same per-thread event rings as the flight
-// recorder below, drained at region joins ("Events" in internal/kmp's
-// package doc); its cost on NPB CG class S is measured within noise
-// against a <10% budget. Without a profiler, ZoneAt is a no-op.
+//	gompcc -profile -o out/app.go app.go
+//	GOMP_TRACE_JSON=trace.json GOMP_METRICS=1 go run ./out
+//
+// GOMP_TRACE_JSON=<path> exports the event timeline as Chrome trace-event
+// JSON — load it at ui.perfetto.dev or chrome://tracing for one track per
+// runtime thread, regions, loops and tasks named by file:line, and work
+// steals drawn as flow arrows from victim to thief. GOMP_METRICS=1 appends
+// the metrics registry: counters, gauges and log2 histograms for forks,
+// barrier-wait time, steals, task-queue depth and dependence stalls, also
+// exported through expvar as "gomp". internal/trace holds the three
+// aggregations (Profiler.Report, Metrics, WriteTimeline). examples/profile
+// shows all three over an NPB CG run.
+//
+// Cost. The runtime writes each event once, into a per-thread ring that the
+// profiler and the flight recorder (below) both read ("Events" in
+// internal/kmp); the profiler drains the rings at region joins. Enabled
+// collection stays within a <10% budget on NPB CG class S
+// (BenchmarkTable1CGTraced against BenchmarkTable1CG, a CI step), and
+// trace.WithRingSize(n) sizes the rings while a profiler runs. Events
+// overwritten before a drain are counted, never waited for, and reported
+// as a WARNING footer on the text report and as
+// gomp_trace_dropped_events_total in the metrics. Without a profiler,
+// ZoneAt is a no-op.
 //
 // # Live monitoring
 //
 // ServeDebug mounts the runtime's /debug/gomp endpoint suite on a
-// background HTTP server, so a long-running serving workload is
-// scrapeable and inspectable without stopping it:
+// background HTTP server, so a long-running workload is inspectable
+// without stopping it:
 //
 //	dbg, err := omp.ServeDebug("localhost:6060")
 //	defer dbg.Close()
 //
-// endpoints: /debug/gomp/status (live teams and per-worker states,
-// JSON), /debug/gomp/health (hang/deadlock diagnosis, JSON),
-// /debug/gomp/flight (always-on event history), /debug/gomp/metrics
-// (OpenMetrics / Prometheus text format), /debug/gomp/profile?seconds=N
-// and /debug/gomp/timeline?seconds=N (on-demand capture windows),
-// /debug/gomp/regions (per-region load imbalance and straggler blame),
-// /debug/pprof/ (standard Go pprof), /debug/vars (expvar). Setting
 // GOMP_DEBUG_ADDR=<addr> on a `gompcc -profile` build starts the same
-// server automatically for the program's lifetime; ":0" picks an
-// ephemeral port printed to stderr.
+// server for the program's lifetime (":0" picks a port, printed to
+// stderr), and `npbsuite -serve <addr>` keeps the NPB kernels looping as a
+// scrape target. The endpoints:
 //
-// A Prometheus scrape against /debug/gomp/metrics needs nothing
-// special:
+//	/debug/gomp/status    live teams and per-worker states (JSON)
+//	/debug/gomp/health    watchdog / stuck-worker / dependence-cycle
+//	                      diagnosis (JSON; ?strict=1 answers 503 when
+//	                      unhealthy, for liveness probes)
+//	/debug/gomp/flight    the flight recorder's event history (JSON;
+//	                      ?format=text for a table)
+//	/debug/gomp/metrics   the metrics registry, OpenMetrics text
+//	/debug/gomp/profile   ?seconds=N capture window → text report
+//	/debug/gomp/timeline  ?seconds=N capture window → Chrome trace JSON
+//	/debug/gomp/regions   per-region imbalance and blame (below)
+//	/debug/pprof/         standard Go pprof, with omp_region/omp_gtid
+//	                      labels when region labelling is on
+//	/debug/vars           standard expvar, including "gomp"
+//
+// Every pooled runtime thread keeps a packed atomic state word — activity
+// (running, in barrier, stealing, spinning, parked) plus an interned region
+// location — updated by owner-side stores on paths it already executes, so
+// sampling stops nothing and the fork fast path stays allocation-free. A
+// Prometheus scrape needs nothing special:
 //
 //	scrape_configs:
 //	  - job_name: gomp
@@ -278,30 +270,37 @@
 //	    static_configs:
 //	      - targets: ["localhost:6060"]
 //
-// Status sampling reads only per-thread atomic state words maintained
-// on paths the runtime already executes, so scraping neither stops the
-// world nor disturbs the allocation-free fork fast path.
+// /debug/gomp/regions splits each region's busy time (loop participation
+// plus task bodies) by worker:
+//
+//	imbalance  workers  max-busy   mean-busy  blame   blame-idle  bar-wait   what-if  region
+//	     0.72        4   177.5ms     103.1ms  g4       297.7ms     0.011ms    1.72x  monitor.go:2 skewed triangular
+//	     0.01        4   145.2ms     143.5ms  g3         6.7ms     0.008ms    1.01x  monitor.go:1 balanced sweep
+//
+// imbalance is (max−mean)/mean busy time (0.75 in theory for a triangular
+// loop split statically over four threads); blame names the straggler whose
+// block the rest of the team waits for, and blame-idle the teammate idle
+// time it caused (Σ max−busy_i); what-if is max/mean, the speedup a balanced
+// redistribution (a dynamic schedule, smaller chunks) would recover.
+// examples/monitor scrapes its own endpoints and checks that the skewed
+// loop is the one blamed.
 //
 // # Troubleshooting hangs
 //
 // A parallel program that stops making progress is the one situation a
 // profiler you must enable in advance cannot help with, so the runtime
-// keeps three always-on diagnostics:
+// keeps three always-on diagnostics.
 //
 // The flight recorder keeps each runtime thread's most recent events
 // (fork, barrier, loop steal, task run, dependence stall and release;
-// "Events" in internal/kmp's package doc) with no profiler installed,
-// without breaking the zero-allocation fork fast path: 256 records per
-// thread by default, GOMP_FLIGHT=<n> or SetFlightRingSize resizes,
-// GOMP_FLIGHT=off or SetFlightRecorder(false) disables. A run of
-// back-to-back regions at one location and team size is one record,
-// marked ×N with its region count (an open fork-begin while the next one
-// runs), so a region storm leaves the history before it in place.
-// Snapshot it with DumpDiagnostics(w), scrape /debug/gomp/flight, or — after
-// HandleSIGQUIT (or GOMP_SIGQUIT=1) — interrogate a wedged process the
-// classic way:
-//
-//	kill -QUIT <pid>    # full diagnostic dump to stderr
+// "Events" in internal/kmp) with no profiler installed, without breaking
+// the zero-allocation fork fast path: 256 records per thread by default,
+// GOMP_FLIGHT=<n> resizes, GOMP_FLIGHT=off or SetFlightRecorder(false)
+// disables. A run of back-to-back regions at one location and team size is
+// one record, marked ×N with its region count, so a region storm leaves the
+// history before it in place. Read it from a live process at
+// /debug/gomp/flight, from a wedged one with DumpDiagnostics(os.Stderr), or
+// on a watchdog trip, which dumps it.
 //
 // The watchdog. StartWatchdog(threshold) (GOMP_WATCHDOG=30s from the
 // environment; 0 selects the 10s default) samples the per-worker state
@@ -310,30 +309,31 @@
 // cycle among withheld tasks — two sibling tasks whose depend clauses
 // wait on each other, a proof of deadlock — trips it immediately. The
 // trip handler (yours via StartWatchdogConfig, or the default stderr
-// report) receives a HangReport naming each stuck worker's region and
-// each cycle's pragma locations:
+// report followed by DumpDiagnostics) receives a HangReport naming each
+// stuck worker's region and each cycle's pragma locations:
 //
+//	gomp: WATCHDOG TRIP — runtime appears hung
 //	hang report (threshold 10s):
 //	  dependence cycle (deadlock): lu.go:41 inout:a -> lu.go:47 inout:b -> lu.go:41 inout:a
+//	    task lu.go:41 inout:a depend(inout:injected)
+//	    task lu.go:47 inout:b depend(inout:injected)
 //
-// The same diagnosis is served continuously at /debug/gomp/health
-// (?strict=1 turns unhealthy into HTTP 503, for liveness probes),
-// exported as the gomp_health gauge and gomp_watchdog_trips_total
-// counter, and appended as a WARNING footer to any profiler report
-// produced while unhealthy. ReadHealth returns it in-process.
+// The same diagnosis is served at /debug/gomp/health, exported as the
+// gomp_health gauge and the gomp_watchdog_trips_total counter, and appended
+// as a WARNING footer to any profiler report produced while unhealthy.
+// ReadHealth returns it in-process.
 //
-// pprof attribution. SetProfileLabels(true) (GOMP_PPROF_LABELS=1; also
-// enabled for the duration of Profile) labels team goroutines with
-// omp_region — the enclosing pragma's file:line — and omp_gtid, so
-// `go tool pprof` CPU and goroutine profiles break down by parallel
-// region. With ServeDebug mounted, /debug/pprof/goroutine?debug=1
-// shows at a glance which region every parked worker is in.
+// pprof attribution. SetProfileLabels(true) (GOMP_PPROF_LABELS=1; also on
+// for the duration of Profile) labels team goroutines with omp_region —
+// the enclosing pragma's file:line — and omp_gtid, so `go tool pprof` CPU
+// and goroutine profiles break down by parallel region. With ServeDebug
+// mounted, /debug/pprof/goroutine?debug=1 shows which region every parked
+// worker is in.
 //
-// The usual diagnosis workflow: arm GOMP_WATCHDOG in production; on a
-// trip, read the hang report for who is stuck where (a dependence
-// cycle is definitive — fix the depend clauses it names), then the
-// flight-recorder tail for what the runtime did in the seconds before
-// it wedged; /debug/pprof/goroutine tells you what the rest of the
-// process was doing. `go run ./examples/diagnose` walks the complete
-// loop against an injected deadlock.
+// The workflow: arm GOMP_WATCHDOG in production; on a trip, read the hang
+// report for who is stuck where (a dependence cycle is definitive — fix the
+// depend clauses it names), then the flight-recorder tail for what the
+// runtime did in the seconds before it wedged; /debug/pprof/goroutine tells
+// you what the rest of the process was doing. `go run ./examples/diagnose`
+// walks the loop against an injected deadlock.
 package omp

@@ -30,8 +30,8 @@ var listedFuncs = []string{
 	"GetCancellation", "SetCancellation", "NewNestLock", "GetWtime", "GetWtick",
 	// Tool support, the analogue of OpenMP's omp_control_tool and OMPD:
 	// the debug server, diagnostics dumps and the watchdog.
-	"ServeDebug", "DumpDiagnostics", "HandleSIGQUIT", "ReadHealth",
-	"SetFlightRingSize", "StartWatchdog", "StartWatchdogConfig",
+	"ServeDebug", "DumpDiagnostics", "ReadHealth",
+	"StartWatchdog", "StartWatchdogConfig",
 	// Regions that can fail or time out, which no pragma spells.
 	"ParallelErr", "WithContext",
 }
