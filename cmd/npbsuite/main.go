@@ -105,12 +105,10 @@ func main() {
 	flag.Parse()
 
 	if *serveF != "" {
-		// Serving mode: enable profiling up front so /metrics and
-		// /regions accumulate history, publish the registry on
-		// /debug/vars, and bring the endpoint suite up before the first
-		// sweep starts.
-		p := trace.Enable()
-		p.Metrics().PublishExpvar()
+		// Serving mode: start a profiler up front so /metrics and
+		// /regions accumulate history, and bring the endpoint suite up
+		// before the first sweep starts.
+		trace.New().Start()
 		dbg, err := omp.ServeDebug(*serveF)
 		if err != nil {
 			fail(err)

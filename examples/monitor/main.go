@@ -1,5 +1,5 @@
 // Live monitoring: a serving workload inspected over HTTP while it
-// runs. The program enables the runtime profiler, mounts the
+// runs. The program starts the runtime profiler, mounts the
 // /debug/gomp endpoint suite on an ephemeral port (omp.ServeDebug),
 // drives two contrasting parallel regions in the background — a
 // balanced sweep and a deliberately skewed triangular loop under
@@ -10,7 +10,7 @@
 //   - /debug/gomp/metrics  OpenMetrics text, Prometheus-scrapeable
 //   - /debug/gomp/profile  a fresh capture window, text report
 //   - /debug/gomp/timeline a fresh capture window, Chrome trace JSON
-//   - /debug/gomp/regions  per-region imbalance and blame analysis
+//   - /debug/gomp/regions  per-region imbalance and blame analysis (JSON)
 //
 // The final check is the one that matters: /regions must report a
 // clearly higher load imbalance for the skewed loop than for the
@@ -103,9 +103,9 @@ func get(base, path string) (string, error) {
 }
 
 func run(w io.Writer) error {
-	p := trace.Enable()
-	defer trace.Disable()
-	p.Metrics().PublishExpvar()
+	p := trace.New()
+	p.Start()
+	defer p.Stop()
 
 	dbg, err := omp.ServeDebug("127.0.0.1:0")
 	if err != nil {

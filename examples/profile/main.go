@@ -6,8 +6,9 @@
 //   - a gprof-style flat profile attributing time, barrier waits, loop
 //     initialisations and steals to each parallel region,
 //
-//   - a runtime metrics snapshot (fork/steal/task counters, wait-time
-//     histograms),
+//   - the runtime metrics (fork/steal/task counters, wait-time
+//     histograms) in the OpenMetrics exposition /debug/gomp/metrics
+//     serves,
 //
 //   - a Chrome trace-event timeline — one track per runtime thread,
 //     steals drawn as flow arrows — written to gomp-trace.json and
@@ -35,7 +36,7 @@ func main() {
 }
 
 // run executes the demo workload under a profiler and writes the flat
-// profile and metrics snapshot to w and the timeline to tracePath
+// profile and metrics exposition to w and the timeline to tracePath
 // (skipped when empty).
 func run(w io.Writer, tracePath string) error {
 	prof := trace.New(trace.WithTimeline(0))
@@ -85,8 +86,10 @@ func run(w io.Writer, tracePath string) error {
 	fmt.Fprintln(w, "flat profile (gprof-style):")
 	fmt.Fprint(w, prof.Report())
 
-	fmt.Fprintln(w)
-	fmt.Fprint(w, prof.Metrics().Text())
+	fmt.Fprintln(w, "\nruntime metrics (OpenMetrics):")
+	if err := prof.WriteOpenMetrics(w); err != nil {
+		return err
+	}
 
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -10,7 +10,7 @@ import (
 )
 
 // The demo must produce all three views non-empty: flat profile rows,
-// a metrics snapshot with activity, and a Perfetto-loadable timeline.
+// a metrics exposition with activity, and a Perfetto-loadable timeline.
 func TestProfileExampleOutput(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
@@ -24,8 +24,7 @@ func TestProfileExampleOutput(t *testing.T) {
 		"flat profile (gprof-style):",
 		"profile.go:48",             // the demo's own region, by file:line
 		"makea (matrix generation)", // application zone
-		"runtime metrics:",
-		"forks",
+		"gomp_forks_total ",
 		"timeline written to",
 	} {
 		if !strings.Contains(text, want) {

@@ -174,7 +174,7 @@ func (e *emitter) WriteString(s string) { emitCode(e, s) }
 
 func emitCode[S ~string | ~[]byte](e *emitter, s S) {
 	for {
-		i := indexNL(s)
+		i := indexByte(s, '\n')
 		line := s
 		if i >= 0 {
 			line = s[:i]
@@ -199,13 +199,16 @@ func emitCode[S ~string | ~[]byte](e *emitter, s S) {
 }
 
 // emitText writes text of the source file (or text already lowered from
-// it): as it is outside any section, else laid out by the innermost one.
+// it): as it is outside any section, else laid out by the innermost one. A
+// line that starts inside a raw string is part of the string and is copied
+// as it is. The text never starts or ends inside a token.
 func emitText[S ~string | ~[]byte](e *emitter, t S) {
 	if len(e.secs) == 0 {
 		e.out = append(e.out, t...)
 		return
 	}
 	s := e.sec()
+	raw, lit := indexByte(t, '`') >= 0, byte(0)
 	for len(t) > 0 {
 		if s.state != pastIndent {
 			i := 0
@@ -227,20 +230,60 @@ func emitText[S ~string | ~[]byte](e *emitter, t S) {
 				e.bol = false
 			}
 		}
-		i := indexNL(t)
+		i := indexByte(t, '\n')
 		if i < 0 {
 			e.out = append(e.out, t...)
 			return
 		}
 		e.out = append(e.out, t[:i+1]...)
+		if raw && endsInRaw(&lit, t[:i+1]) {
+			e.bol, t = false, t[i+1:]
+			continue // s.state stays pastIndent: the next line is the string's
+		}
 		e.bol, t = true, t[i+1:]
 		s.state, s.tabs, s.spaces = inIndent, 0, 0
 	}
 }
 
-func indexNL[S ~string | ~[]byte](s S) int {
+// endsInRaw scans one line of Go text, ending in '\n', from lexical state
+// *lit (0 in code, else the quote that opened the literal it is inside, or
+// '*' in a block comment), and reports whether the line ends inside a raw
+// string.
+func endsInRaw[S ~string | ~[]byte](lit *byte, line S) bool {
+	for j := 0; j < len(line); j++ {
+		c, next := line[j], line[min(j+1, len(line)-1)]
+		switch *lit {
+		case 0:
+			switch {
+			case c == '"' || c == '\'' || c == '`':
+				*lit = c
+			case c == '/' && next == '/':
+				return false
+			case c == '/' && next == '*':
+				*lit, j = '*', j+1
+			}
+		case '*':
+			if c == '*' && next == '/' {
+				*lit, j = 0, j+1
+			}
+		case '`':
+			if c == '`' {
+				*lit = 0
+			}
+		default:
+			if c == '\\' {
+				j++
+			} else if c == *lit {
+				*lit = 0
+			}
+		}
+	}
+	return *lit == '`'
+}
+
+func indexByte[S ~string | ~[]byte](s S, c byte) int {
 	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
+		if s[i] == c {
 			return i
 		}
 	}

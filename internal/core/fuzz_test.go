@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"go/format"
+	"go/scanner"
+	"go/token"
 	"testing"
 )
 
@@ -141,6 +143,12 @@ func FuzzTransform(f *testing.F) {
 		if !bytes.Equal(formatted, res.Output) {
 			t.Fatalf("output is not a gofmt fixed point:\n%s", res.Output)
 		}
+		out := stringLiterals(res.Output)
+		for lit, n := range stringLiterals(src) {
+			if out[lit] < n {
+				t.Fatalf("string literal %s appears %d times in the input, %d in the output:\n%s", lit, n, out[lit], res.Output)
+			}
+		}
 		if infos, err := Inspect(res.Output, opts); err != nil || len(infos) > 0 {
 			t.Fatalf("output still holds pragmas (%d, %v):\n%s", len(infos), err, res.Output)
 		}
@@ -149,4 +157,20 @@ func FuzzTransform(f *testing.F) {
 		}
 		checkTypedOutput(t, src, res.Output)
 	})
+}
+
+// stringLiterals counts the string literals of Go source src by their text.
+func stringLiterals(src []byte) map[string]int {
+	var s scanner.Scanner
+	s.Init(token.NewFileSet().AddFile("", -1, len(src)), src, nil, 0)
+	lits := map[string]int{}
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return lits
+		}
+		if tok == token.STRING {
+			lits[lit]++
+		}
+	}
 }

@@ -150,8 +150,7 @@ func main() {
 		"%time",
 		"main.go:5 compute", // the injected zone, named by pragma location
 		"main.go:7",         // the parallel-for region itself
-		"runtime metrics:",
-		"forks",
+		"gomp_forks_total ", // GOMP_METRICS=1: the OpenMetrics exposition
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("self-report missing %q:\n%s", want, report)

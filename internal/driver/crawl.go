@@ -14,7 +14,8 @@ import (
 // returns every source file the build might compile, in
 // deterministic (WalkDir lexical) order: not tests, and nothing in the
 // trees the Go toolchain itself ignores (vendor/, testdata/, leading-dot
-// and leading-underscore names), the cache, or the mirror's own root.
+// and leading-underscore names, directories below the root holding a
+// go.mod: other modules), the cache, or the mirror's own root.
 // The crawl itself only lists directories: the checks that need a file's
 // bytes (build constraints, the generated-code header) run in the worker
 // that reads the file anyway, so each file is read once.
@@ -127,6 +128,9 @@ func crawl(cfg Config) ([]sourceFile, error) {
 			}
 			if skipDir(d.Name()) || path == outAbs || path == cacheAbs {
 				return filepath.SkipDir
+			}
+			if fi, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && !fi.IsDir() {
+				return filepath.SkipDir // another module, as go build ./... sees it
 			}
 			return nil
 		}

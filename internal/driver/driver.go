@@ -21,12 +21,13 @@
 // committed -o output, is copied and never transformed. Files a package
 // embeds with //go:embed are not copied. out may sit inside root, which
 // the crawl then skips, but may not be root itself. out builds and vets
-// with the plain go command; CI self-hosts the driver this way over
-// examples/, internal/npb/ and internal/kmp/. A pass has four phases:
+// with the plain go command; CI self-hosts the whole module this way and
+// builds gompcc from the mirror. A pass has four phases:
 //
 //   - The crawl (crawl.go) lists every candidate source file, skipping
-//     tests, vendor/, testdata/, hidden and underscore trees, the cache
-//     and out.
+//     tests, vendor/, testdata/, hidden and underscore trees, nested
+//     modules (a directory below root holding a go.mod), the cache and
+//     out.
 //   - A worker team fans the files out one at a time, on this
 //     repository's own omp runtime, so the driver dogfoods the runtime it
 //     builds for. Each worker reads its file once and decides everything
@@ -45,9 +46,9 @@
 //     the pass creates once, so a crashed run never leaves a half-written
 //     file behind.
 //
-// With a profiler on (gompcc under GOMP_METRICS) each pass adds its cold
-// and warm file counts and transform time to the metrics registry;
-// BenchmarkDriverColdVsWarm tracks cold against warm throughput in files/s.
+// Each pass returns a Report: its cold and warm file counts and summed
+// transform time. BenchmarkDriverColdVsWarm tracks cold against warm
+// throughput in files/s.
 //
 // Toolexec. `go build -toolexec="gompcc -toolexec" ./...` transforms
 // pragma-bearing compile inputs into a temporary directory as the go
@@ -70,7 +71,6 @@ import (
 	"time"
 
 	"gomp/internal/core"
-	"gomp/internal/trace"
 	"gomp/omp"
 )
 
@@ -160,13 +160,13 @@ func (e FileError) Error() string { return e.Err.Error() }
 
 // Report is the outcome of one driver pass.
 type Report struct {
-	Files       int // eligible files crawled
-	Pragma      int // files containing pragma sentinels
-	Transformed int // cold: preprocessed this pass
-	Cached      int // warm: skipped via manifest hash match
-	Copied      int // written verbatim: no pragma, or generated already
-	Failed      int // files whose transform errored
-	TransformNs int64
+	Files       int         // eligible files crawled
+	Pragma      int         // files containing pragma sentinels
+	Transformed int         // cold: preprocessed this pass
+	Cached      int         // warm: skipped via manifest hash match
+	Copied      int         // written verbatim: no pragma, or generated already
+	Failed      int         // files whose transform errored
+	TransformNs int64       // summed per-file transform time
 	Diags       []FileError // in module-relative path order
 }
 
@@ -293,12 +293,6 @@ func (d *Driver) Run() (*Report, error) {
 		if err := next.save(filepath.Join(cfg.CacheDir, manifestName)); err != nil {
 			return rep, fmt.Errorf("driver: writing manifest: %w", err)
 		}
-	}
-	if p := trace.Default(); p != nil {
-		m := p.Metrics()
-		m.DriverColdFiles.Add(int64(rep.Transformed))
-		m.DriverWarmFiles.Add(int64(rep.Cached))
-		m.DriverTransformNs.Add(rep.TransformNs)
 	}
 	return rep, nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gomp/internal/core"
-	"gomp/internal/trace"
 )
 
 const pragmaSrc = `package p
@@ -336,6 +335,26 @@ func TestNestedOutDirNotRecrawled(t *testing.T) {
 	}
 }
 
+// A directory below the root that holds a go.mod is another module, which
+// go build ./... leaves out: the mirror must too, or its files land in out
+// as packages of the outer module.
+func TestMirrorSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"a.go":            pragmaSrc,
+		"nested/go.mod":   "module nested\n",
+		"nested/b.go":     plainSrc,
+		"nested/sub/c.go": plainSrc,
+	})
+	out := filepath.Join(root, "gen")
+	if rep := mustRun(t, Config{Module: root, OutDir: out}); rep.Files != 1 {
+		t.Fatalf("nested module crawled: %s", rep.Summary())
+	}
+	if _, err := os.Stat(filepath.Join(out, "nested")); err == nil {
+		t.Fatal("nested module copied into the mirror")
+	}
+}
+
 // One bad file fails the pass but masks nothing: every other file is
 // still processed and the aggregate error names the casualty.
 func TestDiagnosticsAggregate(t *testing.T) {
@@ -383,27 +402,19 @@ func TestDiagnosticsAggregate(t *testing.T) {
 	}
 }
 
-// The driver reports its throughput into the process profiler's
-// metrics registry, like any other runtime subsystem.
-func TestDriverMetricsHook(t *testing.T) {
+// A pass reports its throughput in its Report: the cold pass counts the
+// one transform and its time, the warm pass the cache hits (the transform
+// and plain.go's copy).
+func TestReportCountsColdWarmAndTransformTime(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"a.go": pragmaSrc, "plain.go": plainSrc})
-	p := trace.Enable()
-	defer trace.Disable()
 	cfg := Config{Module: root, OutDir: t.TempDir()}
-	mustRun(t, cfg)
-	mustRun(t, cfg)
-	// Cold counts the one transform; warm, the second pass's cache hits:
-	// the transform and plain.go's copy.
-	m := p.Metrics()
-	if m.DriverColdFiles.Value() != 1 || m.DriverWarmFiles.Value() != 2 {
-		t.Fatalf("driver metrics cold=%d warm=%d, want 1/2", m.DriverColdFiles.Value(), m.DriverWarmFiles.Value())
+	cold := mustRun(t, cfg)
+	if cold.Transformed != 1 || cold.TransformNs <= 0 {
+		t.Fatalf("cold pass: %s, transform time %dns; want 1 transformed in > 0ns", cold.Summary(), cold.TransformNs)
 	}
-	if m.DriverTransformNs.Value() <= 0 {
-		t.Fatal("no transform time recorded")
-	}
-	if !strings.Contains(p.Metrics().Text(), "driver-cold-files") {
-		t.Fatal("metrics text omits the driver block")
+	if warm := mustRun(t, cfg); warm.Cached != 2 || warm.Transformed != 0 {
+		t.Fatalf("warm pass: %s; want 2 cached, 0 transformed", warm.Summary())
 	}
 }
 

@@ -103,12 +103,8 @@ func (p *Profiler) Analyses() []RegionAnalysis {
 	return out
 }
 
-// AnalysisReport renders the imbalance rows as an aligned text table —
-// the /debug/gomp/regions?format=text view and the Report section.
-func (p *Profiler) AnalysisReport() string {
-	return renderAnalyses(p.Analyses())
-}
-
+// renderAnalyses renders the imbalance rows as an aligned text table, the
+// Report's closing section.
 func renderAnalyses(rows []RegionAnalysis) string {
 	var b strings.Builder
 	b.WriteString("per-region load imbalance ((max-mean)/mean busy) and blame:\n")

@@ -19,7 +19,7 @@ import (
 // state: what /debug/gomp/health serves.
 type Health struct {
 	kmp.HealthStatus
-	// ProfilerActive reports whether a default profiler is collecting.
+	// ProfilerActive reports whether a profiler is running (Default).
 	ProfilerActive bool `json:"profiler_active"`
 }
 
@@ -74,41 +74,13 @@ func FlightEvents() []FlightEvent {
 	return out
 }
 
-// WriteFlightText renders the flight snapshot as an aligned table, one
-// row per record, oldest first — the human form of /debug/gomp/flight. A
-// fork record standing for a run of N back-to-back regions ends in ×N.
-func WriteFlightText(w io.Writer) error {
-	evs := FlightEvents()
-	if len(evs) == 0 {
-		_, err := fmt.Fprintln(w, "flight recorder: no events recorded (recorder off or no regions run)")
-		return err
-	}
-	base := evs[0].WhenNs
-	if _, err := fmt.Fprintf(w, "flight recorder: %d events (t0 = oldest record)\n", len(evs)); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  %12s  %-14s  %4s  %4s  %10s  %s\n", "t+", "kind", "gtid", "tid", "dur", "region")
-	for _, ev := range evs {
-		dur, run := "", ""
-		if ev.DurNs > 0 {
-			dur = time.Duration(ev.DurNs).Round(time.Microsecond).String()
-		}
-		if ev.Folded > 0 {
-			run = fmt.Sprintf("  ×%d", ev.Folded+1)
-		}
-		fmt.Fprintf(w, "  %12s  %-14s  %4d  %4d  %10s  %s%s\n",
-			time.Duration(ev.WhenNs-base).Round(time.Microsecond),
-			ev.Kind, ev.Gtid, ev.Tid, dur, ev.Region, run)
-	}
-	return nil
-}
-
 // WriteDiagnostics writes the full diagnostic dump — health, dependence
 // cycles, stuck workers, live team status and the flight-recorder tail —
-// to w. This is what omp.DumpDiagnostics and the watchdog's default
-// trip action emit; every section reads only
-// sampler-visible state, so dumping never perturbs or stops the
-// workload (it works precisely when the workload is wedged).
+// to w; the tail is the flight recorder's text rendering (/flight serves
+// JSON). This is what omp.DumpDiagnostics and the watchdog's default trip
+// action emit; every section reads only sampler-visible state, so dumping
+// never perturbs or stops the workload (it works precisely when the
+// workload is wedged).
 func WriteDiagnostics(w io.Writer) error {
 	h := ReadHealth()
 	fmt.Fprintf(w, "=== gomp diagnostics ===\n")
@@ -147,6 +119,31 @@ func WriteDiagnostics(w io.Writer) error {
 		}
 	}
 
+	// The flight recorder's tail, one row per record, oldest first; a fork
+	// record standing for a run of N back-to-back regions ends in ×N.
 	fmt.Fprintf(w, "\n-- flight recorder --\n")
-	return WriteFlightText(w)
+	evs := FlightEvents()
+	if len(evs) == 0 {
+		_, err := fmt.Fprintln(w, "flight recorder: no events recorded (recorder off or no regions run)")
+		return err
+	}
+	base := evs[0].WhenNs
+	fmt.Fprintf(w, "flight recorder: %d events (t0 = oldest record)\n", len(evs))
+	fmt.Fprintf(w, "  %12s  %-14s  %4s  %4s  %10s  %s\n", "t+", "kind", "gtid", "tid", "dur", "region")
+	for _, ev := range evs {
+		dur, run := "", ""
+		if ev.DurNs > 0 {
+			dur = time.Duration(ev.DurNs).Round(time.Microsecond).String()
+		}
+		if ev.Folded > 0 {
+			run = fmt.Sprintf("  ×%d", ev.Folded+1)
+		}
+		_, err := fmt.Fprintf(w, "  %12s  %-14s  %4d  %4d  %10s  %s%s\n",
+			time.Duration(ev.WhenNs-base).Round(time.Microsecond),
+			ev.Kind, ev.Gtid, ev.Tid, dur, ev.Region, run)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

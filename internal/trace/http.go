@@ -13,34 +13,15 @@ import (
 )
 
 // The /debug/gomp HTTP surface: live production observability without
-// stopping the workload. Seven endpoints hang off the handler returned
-// by Handler (conventionally mounted at /debug/gomp by omp.ServeDebug):
-//
-//	/status   instantaneous runtime state — every live team and the
-//	          packed per-worker state word (running/in-barrier/
-//	          stealing/spinning/parked) with its current region
-//	/health   runtime self-diagnosis — watchdog state, stuck workers,
-//	          dependence cycles detected right now (JSON)
-//	/flight   the flight recorder's merged most-recent event history,
-//	          JSON or ?format=text — works with no profiler installed; a
-//	          run of back-to-back regions is one folded record
-//	/metrics  the registry in OpenMetrics/Prometheus text format
-//	/profile  capture ?seconds=N (default 1) of events, return the
-//	          text Report with flat profile and imbalance analysis
-//	/timeline capture ?seconds=N and return a Chrome trace-event JSON
-//	          loadable in chrome://tracing or Perfetto
-//	/regions  per-region imbalance/blame rows as JSON (?format=text
-//	          for the aligned table); uses the default profiler's
-//	          accumulated data, or a fresh ?seconds=N window
+// stopping the workload. Handler serves seven endpoints — its index page
+// lists them, and "Live monitoring" in package omp documents them — each
+// report in one rendering: JSON for /status, /health, /flight and
+// /regions, OpenMetrics text for /metrics, the text Report for /profile
+// and Chrome trace-event JSON for /timeline.
 //
 // Sampling /status reads only the atomic mirrors the runtime maintains
 // on its normal paths, so scraping never stops the world and never
 // perturbs the zero-allocation fork fast path.
-
-// Resume reinstalls the profiler's collector as the runtime's active
-// tool without resetting its aggregates — the inverse of Stop, used to
-// hand the event stream back after a windowed capture superseded it.
-func (p *Profiler) Resume() { kmp.SetCollector(p.col) }
 
 // captureMu serialises windowed captures: the collector pointer is
 // process-global, so two overlapping /profile requests would otherwise
@@ -48,8 +29,8 @@ func (p *Profiler) Resume() { kmp.SetCollector(p.col) }
 var captureMu sync.Mutex
 
 // captureWindow records a fresh profiler for window d (or until ctx is
-// done), then restores whichever profiler was active before. The
-// returned profiler is stopped and ready for Report/WriteTimeline.
+// done), then hands the runtime back to the profiler that ran before.
+// The returned profiler is stopped and ready for Report/WriteTimeline.
 func captureWindow(ctx context.Context, d time.Duration, opts ...Option) *Profiler {
 	captureMu.Lock()
 	defer captureMu.Unlock()
@@ -60,10 +41,7 @@ func captureWindow(ctx context.Context, d time.Duration, opts ...Option) *Profil
 	case <-time.After(d):
 	case <-ctx.Done():
 	}
-	p.Stop()
-	if prev != nil {
-		prev.Resume()
-	}
+	p.stopFor(prev)
 	return p
 }
 
@@ -119,14 +97,12 @@ func serveIndex(w http.ResponseWriter, r *http.Request) {
 
   status              live teams and per-worker states (JSON)
   health              watchdog/stuck-worker/dep-cycle self-diagnosis (JSON)
-  flight[?format=text]
-                      flight-recorder event history (always on); a run of
-                      back-to-back regions is one record (folded, ×N)
+  flight              flight-recorder event history (always on, JSON); a
+                      run of back-to-back regions is one folded record
   metrics             registry in OpenMetrics text format
   profile?seconds=N   capture a window, return the text report
   timeline?seconds=N  capture a window, return Chrome trace JSON
-  regions[?format=text][&seconds=N]
-                      per-region imbalance and blame analysis
+  regions[?seconds=N] per-region imbalance and blame analysis (JSON)
 `)
 }
 
@@ -158,20 +134,11 @@ func serveHealth(w http.ResponseWriter, r *http.Request) {
 // of most recent events, merged and time-ordered. No capture window, no
 // profiler needed — the history already exists.
 func serveFlight(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		WriteFlightText(w)
-		return
-	}
-	evs := FlightEvents()
-	if evs == nil {
-		evs = []FlightEvent{}
-	}
-	writeJSON(w, evs)
+	writeJSON(w, FlightEvents())
 }
 
-// serveMetrics renders the default profiler's registry; with profiling
-// disabled it still serves a valid exposition reporting
+// serveMetrics renders the running profiler's registry; with none
+// running it still serves a valid exposition reporting
 // gomp_profiler_active 0.
 func serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", OpenMetricsContentType)
@@ -192,18 +159,13 @@ func serveTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveRegions reports imbalance/blame rows. Without ?seconds it reads
-// the default profiler's whole accumulated history (free — no capture);
-// with ?seconds=N, or when no profiler is active, it captures a fresh
+// the running profiler's whole accumulated history (free — no capture);
+// with ?seconds=N, or when no profiler runs, it captures a fresh
 // window so the answer reflects what the workload is doing now.
 func serveRegions(w http.ResponseWriter, r *http.Request) {
 	p := Default()
 	if p == nil || r.URL.Query().Get("seconds") != "" {
 		p = captureWindow(r.Context(), seconds(r, 1))
-	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, p.AnalysisReport())
-		return
 	}
 	rows := p.Analyses()
 	if rows == nil {

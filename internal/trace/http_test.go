@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gomp/internal/kmp"
 	. "gomp/internal/trace"
 	"gomp/omp"
 )
@@ -167,14 +168,15 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) 
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// Every endpoint of the suite must serve correct output against a live
-// default profiler with accumulated history.
+// Every endpoint of the suite must serve correct output against a
+// running profiler with accumulated history.
 func TestHTTPEndpoints(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
-	p := Enable()
-	defer Disable()
+	p := New()
+	p.Start()
+	defer p.Stop()
 	runContrastLoops(10)
 
 	// Index lists the endpoints; unknown paths 404.
@@ -228,10 +230,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code != 200 || len(flight) == 0 {
 		t.Errorf("/flight: code %d, %d events, want history", code, len(flight))
 	}
-	_, _, ftext := get(t, srv, "/flight?format=text")
-	if !strings.Contains(ftext, "flight recorder") {
-		t.Errorf("/flight?format=text: %q", ftext)
-	}
 
 	// /metrics: OpenMetrics exposition fed by the live registry.
 	code, ctype, body = get(t, srv, "/metrics")
@@ -248,7 +246,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("/metrics: health metrics missing:\n%s", body)
 	}
 
-	// /regions without ?seconds reads the default profiler's history.
+	// /regions without ?seconds reads the running profiler's history.
 	code, _, body = get(t, srv, "/regions")
 	if code != 200 {
 		t.Errorf("/regions: code %d", code)
@@ -259,10 +257,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if len(rows) < 2 {
 		t.Fatalf("/regions: %d rows, want >= 2:\n%s", len(rows), body)
-	}
-	_, _, text := get(t, srv, "/regions?format=text")
-	if !strings.Contains(text, "imbalance") {
-		t.Errorf("/regions?format=text: %q", text)
 	}
 
 	// Windowed capture endpoints: drive load during the window.
@@ -293,12 +287,94 @@ func TestHTTPEndpoints(t *testing.T) {
 	wg.Wait()
 
 	// The windowed captures must have handed the event stream back to
-	// the default profiler: fresh forks keep landing in its aggregates.
+	// the running profiler: fresh forks keep landing in its aggregates.
 	before := p.Metrics().Forks.Value()
 	runContrastLoops(2)
 	p.Flush()
 	if after := p.Metrics().Forks.Value(); after <= before {
-		t.Errorf("default profiler lost the stream after capture: forks %d -> %d", before, after)
+		t.Errorf("running profiler lost the stream after capture: forks %d -> %d", before, after)
+	}
+}
+
+// A profiler started with New().Start() is the running one: the endpoints
+// report it, and a capture window hands the runtime back to it afterwards.
+func TestCaptureHandsBackStartedProfiler(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+
+	p := New()
+	p.Start()
+	defer p.Stop()
+	if !ReadHealth().ProfilerActive {
+		t.Error("ReadHealth().ProfilerActive = false while a started profiler runs")
+	}
+	if _, _, body := get(t, srv, "/metrics"); !strings.Contains(body, "gomp_profiler_active 1\n") {
+		t.Errorf("/metrics while a started profiler runs:\n%s", body)
+	}
+	// Regions run during the window belong to the window's profiler; the
+	// started one must not count them as events lost to full rings.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("during.go", 1, "parallel"))
+			}
+		}
+	}()
+	code, _, _ := get(t, srv, "/profile?seconds=0.01")
+	close(stop)
+	<-done
+	if code != 200 {
+		t.Fatalf("/profile: code %d", code)
+	}
+	if Default() != p {
+		t.Fatal("the capture window did not hand the runtime back")
+	}
+	omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("after.go", 7, "parallel"))
+	found := false
+	for _, s := range p.Summaries() {
+		found = found || strings.Contains(s.Name, "after.go:7") && s.Calls == 1
+	}
+	if !found {
+		t.Errorf("region forked after the capture missing from the started profiler: %+v", p.Summaries())
+	}
+	if drops := p.Metrics().RingDrops.Value(); drops != 0 {
+		t.Errorf("the started profiler counts %d ring drops after the capture window", drops)
+	}
+}
+
+// Profilers started and stopped on several goroutines while capture windows
+// open and close must leave, once all have stopped, no profiler running and
+// no collector installed: a window never hands the runtime back to a
+// profiler that stopped meanwhile.
+func TestStartStopDuringCaptures(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := New()
+				p.Start()
+				omp.Parallel(func(*omp.Thread) {}, omp.NumThreads(2))
+				p.Stop()
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if code, _, _ := get(t, srv, "/profile?seconds=0.01"); code != 200 {
+			t.Errorf("/profile: code %d", code)
+		}
+	}
+	wg.Wait()
+	if Default() != nil || kmp.ActiveCollector() != nil {
+		t.Fatalf("after every profiler stopped: Default() = %p, collector installed = %v", Default(), kmp.ActiveCollector() != nil)
 	}
 }
 
@@ -332,8 +408,9 @@ func TestScrapeDuringChurn(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
-	Enable()
-	defer Disable()
+	p := New()
+	p.Start()
+	defer p.Stop()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,20 +1,13 @@
 package trace
 
-import (
-	"expvar"
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // The metrics registry: cheap aggregate counters, gauges and histograms
 // fed by the event stream, independent of the per-region flat profile.
-// A Metrics value is safe for concurrent update and read; snapshots are
-// plain JSON-able structs so npbsuite can embed one per kernel in
-// BENCH_<class>.json, and PublishExpvar exposes the live registry on
-// the standard /debug/vars surface.
+// A Metrics value is safe for concurrent update and read. It leaves the
+// process two ways: as a Snapshot, a plain JSON-able struct npbsuite
+// embeds per kernel in BENCH_<class>.json, and as the OpenMetrics
+// exposition (openmetrics.go) that /debug/gomp/metrics serves.
 
 // Counter is a monotonically increasing event count.
 type Counter struct{ v atomic.Int64 }
@@ -122,14 +115,6 @@ type Metrics struct {
 	Cancels       Counter // cancel-directive encounters
 	RingDrops     Counter // events lost to full rings (bounded history)
 
-	// Build-driver throughput (internal/driver, `gompcc -module`): the
-	// preprocessor is itself an omp workload, so its cold/warm split
-	// and transform time report through the same registry as any other
-	// runtime subsystem.
-	DriverColdFiles   Counter // files transformed (cache miss)
-	DriverWarmFiles   Counter // files skipped via manifest hash match
-	DriverTransformNs Counter // summed per-file transform time
-
 	// TaskQueue tracks spawned-but-not-yet-run deferred tasks: an
 	// approximate ready/withheld backlog with its peak.
 	TaskQueue Gauge
@@ -162,9 +147,6 @@ type MetricsSnapshot struct {
 	DepReleases   int64        `json:"dep_releases"`
 	Cancels       int64        `json:"cancels"`
 	RingDrops     int64        `json:"ring_drops"`
-	DriverCold    int64        `json:"driver_cold_files"`
-	DriverWarm    int64        `json:"driver_warm_files"`
-	DriverNs      int64        `json:"driver_transform_ns"`
 	TaskQueuePeak int64        `json:"task_queue_peak"`
 	BarrierWait   HistSnapshot `json:"barrier_wait_hist"`
 	TaskRunHist   HistSnapshot `json:"task_run_hist"`
@@ -191,90 +173,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		DepReleases:   m.DepReleases.Value(),
 		Cancels:       m.Cancels.Value(),
 		RingDrops:     m.RingDrops.Value(),
-		DriverCold:    m.DriverColdFiles.Value(),
-		DriverWarm:    m.DriverWarmFiles.Value(),
-		DriverNs:      m.DriverTransformNs.Value(),
 		TaskQueuePeak: m.TaskQueue.Peak(),
 		BarrierWait:   m.BarrierWait.Snapshot(),
 		TaskRunHist:   m.TaskRun.Snapshot(),
 	}
-}
-
-// Text renders the registry as an aligned human-readable block.
-func (m *Metrics) Text() string {
-	s := m.Snapshot()
-	var b strings.Builder
-	row := func(name string, v int64) { fmt.Fprintf(&b, "  %-18s %12d\n", name, v) }
-	dur := func(name string, ns int64) {
-		fmt.Fprintf(&b, "  %-18s %12s\n", name, time.Duration(ns).Round(time.Microsecond))
-	}
-	b.WriteString("runtime metrics:\n")
-	row("forks", s.Forks)
-	dur("region-time", s.RegionNs)
-	row("barriers", s.Barriers)
-	dur("barrier-wait", s.BarrierWaitNs)
-	row("loop-inits", s.LoopInits)
-	dur("loop-time", s.LoopNs)
-	row("loop-steals", s.LoopSteals)
-	row("stolen-iters", s.StolenIters)
-	row("task-spawns", s.TaskSpawns)
-	row("task-runs", s.TaskRuns)
-	dur("task-time", s.TaskNs)
-	row("task-steals", s.TaskSteals)
-	row("task-queue-peak", s.TaskQueuePeak)
-	row("taskgroups", s.Taskgroups)
-	row("taskloops", s.Taskloops)
-	row("dep-stalls", s.DepStalls)
-	row("dep-releases", s.DepReleases)
-	row("cancels", s.Cancels)
-	row("ring-drops", s.RingDrops)
-	if s.DriverCold > 0 || s.DriverWarm > 0 {
-		row("driver-cold-files", s.DriverCold)
-		row("driver-warm-files", s.DriverWarm)
-		dur("driver-transform", s.DriverNs)
-	}
-	if s.BarrierWait.Count > 0 {
-		mean := time.Duration(s.BarrierWait.SumNs / s.BarrierWait.Count)
-		fmt.Fprintf(&b, "  %-18s %12s\n", "barrier-wait-mean", mean.Round(time.Microsecond))
-	}
-	if s.TaskRunHist.Count > 0 {
-		mean := time.Duration(s.TaskRunHist.SumNs / s.TaskRunHist.Count)
-		fmt.Fprintf(&b, "  %-18s %12s\n", "task-run-mean", mean.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// expvar publication: one process-wide "gomp" variable that reads the
-// most recently published registry, so re-publishing (a new profiler)
-// never trips expvar's duplicate-name panic.
-var (
-	expvarTarget atomic.Pointer[Metrics]
-	expvarOnce   sync.Once
-)
-
-// PublishExpvar exposes this registry as the expvar variable "gomp"
-// (the standard /debug/vars endpoint).
-//
-// Re-targeting semantics: expvar forbids publishing the same name
-// twice, so the "gomp" variable is registered exactly once and reads
-// through an atomic pointer to the most recently published registry —
-// calling PublishExpvar on a second Metrics (a new profiler after the
-// first was stopped) atomically re-targets the existing variable rather
-// than panicking. The variable therefore always reflects the registry
-// of the newest publisher, even after that profiler is disabled (its
-// final counts remain readable). When no registry has been published —
-// or profiling is disabled and the last registry is gone — the variable
-// yields a zero MetricsSnapshot, never nil, so /debug/vars consumers
-// always see a well-formed object.
-func (m *Metrics) PublishExpvar() {
-	expvarTarget.Store(m)
-	expvarOnce.Do(func() {
-		expvar.Publish("gomp", expvar.Func(func() any {
-			if t := expvarTarget.Load(); t != nil {
-				return t.Snapshot()
-			}
-			// Nil-safe: profiling disabled or nothing published yet.
-			return MetricsSnapshot{}
-		}))
-	})
 }

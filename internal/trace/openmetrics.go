@@ -71,11 +71,11 @@ func (e *expoWriter) histogram(name, help string, h HistSnapshot) {
 // time and imbalance analysis in OpenMetrics text format.
 func (p *Profiler) WriteOpenMetrics(w io.Writer) error {
 	snap := p.Metrics().Snapshot()
-	return writeExposition(w, &snap, p.Summaries(), p.Analyses(), true)
+	return writeExposition(w, &snap, p.Summaries(), p.Analyses(), Default() == p)
 }
 
-// WriteOpenMetrics renders the default profiler's registry. When
-// profiling is disabled it still writes a valid exposition — a single
+// WriteOpenMetrics renders the running profiler's registry. When none
+// runs it still writes a valid exposition — a single
 // gomp_profiler_active 0 gauge — so a scrape target never 500s just
 // because tracing is off.
 func WriteOpenMetrics(w io.Writer) error {
@@ -91,7 +91,7 @@ func writeExposition(w io.Writer, s *MetricsSnapshot, sums []RegionSummary, anal
 	if active {
 		act = 1
 	}
-	e.gauge("gomp_profiler_active", "Whether a gomp profiler is installed and collecting.", act)
+	e.gauge("gomp_profiler_active", "Whether the profiler reported here is running and collecting.", act)
 	if s != nil {
 		e.counter("gomp_forks", "Parallel regions forked and joined.", s.Forks)
 		e.counter("gomp_region_ns", "Summed parallel-region wall time in nanoseconds.", s.RegionNs)
@@ -111,9 +111,6 @@ func writeExposition(w io.Writer, s *MetricsSnapshot, sums []RegionSummary, anal
 		e.counter("gomp_dep_releases", "Successor tasks made ready by completions.", s.DepReleases)
 		e.counter("gomp_cancels", "Cancel-directive encounters.", s.Cancels)
 		e.counter("gomp_trace_dropped_events", "Trace events lost to full per-thread rings; nonzero means counts undercount activity.", s.RingDrops)
-		e.counter("gomp_driver_cold_files", "Build-driver files transformed on a cache miss.", s.DriverCold)
-		e.counter("gomp_driver_warm_files", "Build-driver files skipped via manifest hash match.", s.DriverWarm)
-		e.counter("gomp_driver_transform_ns", "Summed build-driver per-file transform time in nanoseconds.", s.DriverNs)
 		e.gauge("gomp_task_queue_peak", "High-water mark of spawned-but-not-yet-run deferred tasks.", s.TaskQueuePeak)
 		e.histogram("gomp_barrier_wait_hist_ns", "Distribution of per-arrival barrier wait in nanoseconds.", s.BarrierWait)
 		e.histogram("gomp_task_run_hist_ns", "Distribution of task body time in nanoseconds.", s.TaskRunHist)

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"expvar"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,12 +72,12 @@ func TestWriteExpositionGolden(t *testing.T) {
 	}
 }
 
-// With no default profiler the package-level writer must still emit a
+// With no profiler running the package-level writer must still emit a
 // valid exposition: gomp_profiler_active 0 and the # EOF trailer, so a
 // scrape target never errors just because tracing is off.
 func TestWriteOpenMetricsDisabled(t *testing.T) {
-	if cur := defaultProf.Swap(nil); cur != nil {
-		defer defaultProf.Store(cur)
+	if cur := running.Swap(nil); cur != nil {
+		defer running.Store(cur)
 	}
 	var b strings.Builder
 	if err := WriteOpenMetrics(&b); err != nil {
@@ -94,23 +92,5 @@ func TestWriteOpenMetricsDisabled(t *testing.T) {
 	}
 	if strings.Contains(out, "gomp_forks_total") {
 		t.Errorf("disabled exposition leaks registry families:\n%s", out)
-	}
-}
-
-// The "gomp" expvar must yield a well-formed zero snapshot — never
-// null — when no registry is currently published.
-func TestExpvarNilTargetSafe(t *testing.T) {
-	var m Metrics
-	m.PublishExpvar() // ensure the variable exists
-	old := expvarTarget.Swap(nil)
-	defer expvarTarget.Store(old)
-
-	got := expvar.Get("gomp").String()
-	if got == "null" {
-		t.Fatalf("expvar \"gomp\" yields null with no published registry")
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal([]byte(got), &snap); err != nil {
-		t.Fatalf("expvar \"gomp\" not a snapshot with no registry: %v\n%s", err, got)
 	}
 }

@@ -6,13 +6,18 @@
 // A Profiler installs an OMPT-style collector on the runtime
 // (kmp.SetCollector): every team thread records events into its own
 // ring, the one the flight recorder reads too, and the collector drains
-// them in batches at region joins and explicit flushes. The profiler
-// aggregates the stream three
-// ways at once:
+// them in batches at region joins and explicit flushes. The profiler last
+// started is the running one (Default): /debug/gomp, ReadHealth and the
+// package-level ZoneAt read it, and a capture window hands the runtime
+// back to it. The profiler aggregates the stream three ways at once, each
+// with one rendering:
 //
-//   - a gprof-style flat profile per source region (Report/Summaries),
-//   - a runtime metrics registry — counters, gauges, histograms — with
-//     an expvar surface and a text snapshot (Metrics),
+//   - a gprof-style flat profile per source region, as text with the
+//     imbalance analysis appended (Report; Summaries and Analyses are
+//     the rows),
+//   - a runtime metrics registry — counters, gauges, histograms — read
+//     as a MetricsSnapshot or as OpenMetrics exposition (Metrics,
+//     WriteOpenMetrics),
 //   - optionally a retained raw timeline exported as Chrome
 //     trace-event JSON loadable in Perfetto (WithTimeline +
 //     WriteTimeline), with work steals drawn as flow arrows.
@@ -27,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gomp/internal/kmp"
@@ -102,16 +108,17 @@ func WithTimeline(capacity int) Option {
 	}
 }
 
-// Profiler aggregates runtime events. Install with Start, detach with
-// Stop. Only one profiler is active at a time (the collector pointer is
-// global, as an OMPT tool is); starting a second one supersedes the
-// first.
+// Profiler aggregates runtime events. Start makes it the running
+// profiler, the one Default returns; Stop detaches it. Only one profiler
+// runs at a time (the collector pointer is global, as an OMPT tool is);
+// starting a second one supersedes the first.
 type Profiler struct {
 	ringSize    int
 	timelineCap int
 
-	col *kmp.Collector
-	met Metrics
+	col     *kmp.Collector
+	met     Metrics
+	stopped bool // guarded by runMu
 
 	mu           sync.Mutex
 	regions      map[string]*regionStats
@@ -121,8 +128,6 @@ type Profiler struct {
 	timelineDrop int64 // events past timelineCap
 	queueSteps   []queueStep
 	lastDrops    uint64
-	started      time.Time
-	startNs      int64
 }
 
 // New returns an idle profiler.
@@ -140,21 +145,59 @@ func New(opts ...Option) *Profiler {
 	return p
 }
 
-// Start installs the profiler's collector as the runtime's active tool.
+// running is the profiler whose collector is installed: the one Default
+// returns. runMu orders Start, Stop and a capture window's hand-back, so
+// running and the runtime's collector always change together.
+var (
+	runMu   sync.Mutex
+	running atomic.Pointer[Profiler]
+)
+
+// Default returns the running profiler — the one last started, until it
+// stops — or nil when none runs. Compiler-instrumented programs reach it
+// through omp.Profile and omp.ZoneAt: generated code cannot import this
+// package, and a process-wide profiler keeps each injected call a single
+// expression.
+func Default() *Profiler { return running.Load() }
+
+// Start installs the profiler's collector as the runtime's active tool and
+// makes p the running profiler, until p stops or another profiler starts.
 func (p *Profiler) Start() {
-	p.mu.Lock()
-	p.started = time.Now()
-	p.startNs = kmp.TraceNow()
-	p.mu.Unlock()
+	runMu.Lock()
+	prev := running.Load()
+	p.stopped = false
+	p.install()
+	runMu.Unlock()
+	if prev != nil && prev != p {
+		// Drain and close the superseded profiler's cursors: what it misses
+		// until it runs again was never its to read, not a ring overflow.
+		prev.Flush()
+	}
+}
+
+func (p *Profiler) install() {
+	running.Store(p)
 	kmp.SetCollector(p.col)
 }
 
-// Stop detaches the profiler (if it is still the active tool) and
-// drains any buffered events.
-func (p *Profiler) Stop() {
-	if kmp.ActiveCollector() == p.col {
-		kmp.SetCollector(nil)
+// Stop detaches the profiler (if it is still the running one) and drains
+// any buffered events.
+func (p *Profiler) Stop() { p.stopFor(nil) }
+
+// stopFor stops p and, if p was running, hands the runtime to next: the
+// profiler a capture window superseded, unless it stopped meanwhile.
+func (p *Profiler) stopFor(next *Profiler) {
+	runMu.Lock()
+	p.stopped = true
+	if running.Load() == p {
+		if next != nil && !next.stopped {
+			next.install()
+		} else {
+			running.Store(nil)
+			kmp.SetCollector(nil)
+		}
 	}
+	runMu.Unlock()
 	p.Flush()
 }
 
@@ -304,6 +347,17 @@ func (p *Profiler) Zone(name string) func() { return p.span(name) }
 // timeline name spans by the user's file:line.
 func (p *Profiler) ZoneAt(file string, line int, name string) func() {
 	return p.span(fmt.Sprintf("%s:%d %s", file, line, name))
+}
+
+// ZoneAt opens a source-located span on the running profiler; the
+// returned function closes it. When no profiler runs both open and close
+// are no-ops, so instrumented binaries pay one pointer load per zone when
+// profiling is off.
+func ZoneAt(file string, line int, name string) func() {
+	if p := running.Load(); p != nil {
+		return p.ZoneAt(file, line, name)
+	}
+	return func() {}
 }
 
 func (p *Profiler) span(name string) func() {

@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"strings"
 	"testing"
@@ -342,42 +341,14 @@ func TestMetricsRegistry(t *testing.T) {
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot not JSON-able: %v", err)
 	}
-	text := p.Metrics().Text()
-	for _, want := range []string{"forks", "barrier-wait", "task-runs", "dep-stalls"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics text missing %q:\n%s", want, text)
+	var expo strings.Builder
+	if err := p.WriteOpenMetrics(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"gomp_forks_total ", "gomp_barrier_wait_ns_total ", "gomp_task_runs_total ", "gomp_dep_stalls_total "} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, expo.String())
 		}
-	}
-}
-
-func TestMetricsExpvar(t *testing.T) {
-	p := New()
-	p.Start()
-	omp.Parallel(func(th *omp.Thread) { omp.Barrier(th) }, omp.NumThreads(2), omp.Loc("v.go", 1, "parallel"))
-	p.Stop()
-	p.Metrics().PublishExpvar()
-
-	v := expvar.Get("gomp")
-	if v == nil {
-		t.Fatal("expvar \"gomp\" not published")
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value not a JSON snapshot: %v", err)
-	}
-	if snap.Forks < 1 {
-		t.Errorf("expvar forks = %d, want >= 1", snap.Forks)
-	}
-
-	// Re-publishing (a second profiler) must not panic and must win.
-	p2 := New()
-	p2.Metrics().PublishExpvar()
-	var empty MetricsSnapshot
-	if err := json.Unmarshal([]byte(expvar.Get("gomp").String()), &empty); err != nil {
-		t.Fatalf("re-published expvar broken: %v", err)
-	}
-	if empty.Forks != 0 {
-		t.Errorf("expvar still reads old registry after re-publish")
 	}
 }
 
@@ -399,22 +370,34 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// Start makes a profiler the one Default returns, whoever starts it, until
+// it stops or another profiler starts; the package-level ZoneAt follows it.
 func TestDefaultProfiler(t *testing.T) {
 	if Default() != nil {
-		t.Fatal("default profiler active before Enable")
+		t.Fatal("a profiler runs before any started")
 	}
 	end := ZoneAt("off.go", 1, "zone")
 	end() // no-op path must not panic
-	p := Enable()
+	p := New()
+	p.Start()
 	if Default() != p {
-		t.Fatal("Enable did not install the default")
+		t.Fatal("Start did not make p the running profiler")
 	}
 	done := ZoneAt("on.go", 3, "compute")
 	done()
 	omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("on.go", 1, "parallel"))
-	got := Disable()
-	if got != p || Default() != nil {
-		t.Fatal("Disable did not uninstall the default")
+	q := New()
+	q.Start()
+	if Default() != q {
+		t.Fatal("a second Start did not replace the running profiler")
+	}
+	p.Stop() // p no longer runs: stopping it leaves q alone
+	if Default() != q {
+		t.Fatal("stopping a replaced profiler detached the running one")
+	}
+	q.Stop()
+	if Default() != nil {
+		t.Fatal("Stop did not detach the running profiler")
 	}
 	foundZone := false
 	for _, s := range p.Summaries() {
@@ -423,7 +406,7 @@ func TestDefaultProfiler(t *testing.T) {
 		}
 	}
 	if !foundZone {
-		t.Fatalf("default profiler missed the zone: %+v", p.Summaries())
+		t.Fatalf("running profiler missed the zone: %+v", p.Summaries())
 	}
 }
 

@@ -1,7 +1,6 @@
 package omp
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -34,26 +33,15 @@ type DebugServer struct {
 func (d *DebugServer) Close() error { return d.srv.Close() }
 
 // ServeDebug starts an HTTP server on addr (host:port; use ":0" for an
-// ephemeral port) exposing:
-//
-//	/debug/gomp/status    live teams and per-worker states (JSON)
-//	/debug/gomp/health    watchdog/stuck-worker/dep-cycle diagnosis
-//	/debug/gomp/flight    flight-recorder event history (always on)
-//	/debug/gomp/metrics   runtime metrics, OpenMetrics text format
-//	/debug/gomp/profile   ?seconds=N windowed capture, text report
-//	/debug/gomp/timeline  ?seconds=N windowed capture, Chrome JSON
-//	/debug/gomp/regions   per-region imbalance/blame analysis
-//	/debug/pprof/         standard Go pprof suite; CPU profiles carry
-//	                      omp_region/omp_gtid labels when region
-//	                      labelling is on (SetProfileLabels, Profile,
-//	                      GOMP_PPROF_LABELS=1)
-//	/debug/vars           standard expvar (includes "gomp" once a
-//	                      profiler has published its registry)
+// ephemeral port) serving the /debug/gomp endpoint suite ("Live
+// monitoring" in the package documentation) and the standard Go pprof
+// suite under /debug/pprof/, whose CPU profiles carry omp_region/omp_gtid
+// labels when region labelling is on (SetProfileLabels, Profile,
+// GOMP_PPROF_LABELS=1).
 //
 // The server runs on a background goroutine until Close. /status,
-// /health, /flight and /metrics work without an active profiler;
-// enable one (omp.Profile, trace.Enable, or a windowed ?seconds
-// capture) for region history.
+// /health, /flight and /metrics work without a running profiler; start
+// one (omp.Profile, or a windowed ?seconds capture) for region history.
 func ServeDebug(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -69,7 +57,6 @@ func ServeDebug(addr string) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	d := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: mux}}
 	go d.srv.Serve(ln)
 	return d, nil

@@ -26,8 +26,9 @@ func httpGet(t *testing.T, addr, path string) (int, string) {
 }
 
 // ServeDebug(":0") must bind an ephemeral port, report the real bound
-// address, and serve every mounted surface: the /debug/gomp suite, the
-// pprof suite, and expvar.
+// address, and serve every mounted surface: the /debug/gomp suite and the
+// pprof suite. Metrics leave only as the OpenMetrics exposition, so there
+// is no /debug/vars.
 func TestServeDebugEphemeralPort(t *testing.T) {
 	dbg, err := omp.ServeDebug(":0")
 	if err != nil {
@@ -49,11 +50,13 @@ func TestServeDebugEphemeralPort(t *testing.T) {
 		"/debug/gomp/metrics",
 		"/debug/pprof/",
 		"/debug/pprof/cmdline",
-		"/debug/vars",
 	} {
 		if code, _ := httpGet(t, dbg.Addr, path); code != 200 {
 			t.Errorf("GET %s: code %d, want 200", path, code)
 		}
+	}
+	if code, _ := httpGet(t, dbg.Addr, "/debug/vars"); code != 404 {
+		t.Errorf("GET /debug/vars: code %d, want 404", code)
 	}
 
 	// /debug/gomp without the trailing slash redirects into the suite.

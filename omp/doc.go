@@ -194,7 +194,7 @@
 // applications … functionality similar to that of gprof", Section VI) is an
 // OMPT-style tools interface, shaped like libomp's: one process-global tool,
 // event records at the construct boundaries, near-zero cost when none is
-// attached. Profile installs the process-wide profiler and returns the stop
+// attached. Profile starts the process-wide profiler and returns the stop
 // function that prints a gprof-style flat profile of every parallel region,
 // worksharing loop and task construct, named by the user's file:line:
 //
@@ -213,11 +213,15 @@
 // JSON — load it at ui.perfetto.dev or chrome://tracing for one track per
 // runtime thread, regions, loops and tasks named by file:line, and work
 // steals drawn as flow arrows from victim to thief. GOMP_METRICS=1 appends
-// the metrics registry: counters, gauges and log2 histograms for forks,
-// barrier-wait time, steals, task-queue depth and dependence stalls, also
-// exported through expvar as "gomp". internal/trace holds the three
-// aggregations (Profiler.Report, Metrics, WriteTimeline). examples/profile
-// shows all three over an NPB CG run.
+// the metrics registry — counters, gauges and log2 histograms for forks,
+// barrier-wait time, steals, task-queue depth and dependence stalls — as
+// the OpenMetrics exposition /debug/gomp/metrics serves. Each report has
+// one rendering: the flat profile is Profiler.Report's text, the metrics
+// leave as that exposition or as a Go MetricsSnapshot, the timeline as
+// Chrome JSON (internal/trace). examples/profile shows all three over an
+// NPB CG run. The running profiler is the one last started, by Profile or
+// trace.New(...).Start(), until it stops; a /profile or /timeline window
+// runs its own for the window, then hands the runtime back to it.
 //
 // Cost. The runtime writes each event once, into a per-thread ring that the
 // profiler and the flight recorder (below) both read ("Events" in
@@ -249,14 +253,13 @@
 //	                      diagnosis (JSON; ?strict=1 answers 503 when
 //	                      unhealthy, for liveness probes)
 //	/debug/gomp/flight    the flight recorder's event history (JSON;
-//	                      ?format=text for a table)
+//	                      DumpDiagnostics prints it as a table)
 //	/debug/gomp/metrics   the metrics registry, OpenMetrics text
 //	/debug/gomp/profile   ?seconds=N capture window → text report
 //	/debug/gomp/timeline  ?seconds=N capture window → Chrome trace JSON
-//	/debug/gomp/regions   per-region imbalance and blame (below)
+//	/debug/gomp/regions   per-region imbalance and blame (JSON, below)
 //	/debug/pprof/         standard Go pprof, with omp_region/omp_gtid
 //	                      labels when region labelling is on
-//	/debug/vars           standard expvar, including "gomp"
 //
 // Every pooled runtime thread keeps a packed atomic state word — activity
 // (running, in barrier, stealing, spinning, parked) plus an interned region
@@ -271,7 +274,8 @@
 //	      - targets: ["localhost:6060"]
 //
 // /debug/gomp/regions splits each region's busy time (loop participation
-// plus task bodies) by worker:
+// plus task bodies) by worker; the text report from Profile or
+// /debug/gomp/profile ends with the same rows as a table:
 //
 //	imbalance  workers  max-busy   mean-busy  blame   blame-idle  bar-wait   what-if  region
 //	     0.72        4   177.5ms     103.1ms  g4       297.7ms     0.011ms    1.72x  monitor.go:2 skewed triangular

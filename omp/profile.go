@@ -14,7 +14,7 @@ import (
 // import the public module surface, and `gompcc -profile` injects calls
 // to them with real source coordinates.
 
-// Profile enables the process-wide profiler and returns a stop function
+// Profile starts the process-wide profiler and returns a stop function
 // that writes a gprof-style flat profile of every parallel region, loop,
 // task construct and instrumented function to stderr. Typical use — and
 // what `gompcc -profile` injects into main:
@@ -28,9 +28,10 @@ import (
 //	                        in Perfetto (ui.perfetto.dev) or
 //	                        chrome://tracing, with one track per runtime
 //	                        thread and work steals drawn as flow arrows.
-//	GOMP_METRICS=1          also print the runtime metrics snapshot
-//	                        (fork/barrier/steal/task counters, wait-time
-//	                        histograms).
+//	GOMP_METRICS=1          also print the runtime metrics in the
+//	                        OpenMetrics exposition /debug/gomp/metrics
+//	                        serves (fork/barrier/steal/task counters,
+//	                        wait-time histograms).
 //	GOMP_DEBUG_ADDR=<addr>  additionally serve the live /debug/gomp
 //	                        endpoint suite (status, OpenMetrics, profile
 //	                        and timeline windows, imbalance analysis) on
@@ -43,7 +44,8 @@ func Profile() func() {
 	if jsonPath != "" {
 		opts = append(opts, trace.WithTimeline(0))
 	}
-	p := trace.Enable(opts...)
+	p := trace.New(opts...)
+	p.Start()
 	// While profiling, also label team goroutines for pprof so a CPU
 	// profile taken during the run attributes samples to pragma
 	// locations; restored to its previous setting at stop.
@@ -55,7 +57,6 @@ func Profile() func() {
 		if dbg, err = ServeDebug(addr); err != nil {
 			fmt.Fprintf(os.Stderr, "gomp: %v\n", err)
 		} else {
-			p.Metrics().PublishExpvar()
 			fmt.Fprintf(os.Stderr, "gomp: debug server on http://%s/debug/gomp/\n", dbg.Addr)
 		}
 	}
@@ -64,14 +65,10 @@ func Profile() func() {
 		if dbg != nil {
 			dbg.Close()
 		}
-		if trace.Default() == p {
-			trace.Disable()
-		} else {
-			p.Stop()
-		}
+		p.Stop()
 		fmt.Fprintf(os.Stderr, "gomp profile:\n%s", p.Report())
 		if os.Getenv("GOMP_METRICS") != "" {
-			fmt.Fprint(os.Stderr, p.Metrics().Text())
+			p.WriteOpenMetrics(os.Stderr)
 		}
 		if jsonPath != "" {
 			f, err := os.Create(jsonPath)
@@ -93,7 +90,7 @@ func Profile() func() {
 // ZoneAt opens a profiling span attributed to a source location and
 // returns its closer; `gompcc -profile` injects
 // `defer omp.ZoneAt(file, line, funcName)()` into functions containing
-// pragmas. When no profiler is active both calls are no-ops.
+// pragmas. When no profiler runs both calls are no-ops.
 func ZoneAt(file string, line int, name string) func() {
 	return trace.ZoneAt(file, line, name)
 }
