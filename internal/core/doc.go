@@ -51,10 +51,10 @@
 //     indented by brace depth, the user's statements are shifted to their
 //     new depth, and user expressions printed in a new context get gofmt's
 //     precedence spacing — one parse per file and no print, the paper's
-//     splice-without-reprint design. go/format runs only as a fallback,
-//     when the input is not gofmt-clean or holds text the emitter does
-//     not lay out (multi-line raw strings and comments, renamed lines
-//     aligned with a neighbour's trailing comment).
+//     splice-without-reprint design. The layout contract (gofmt output for
+//     gofmt input, the input's own layout otherwise) and the text that
+//     still goes through go/format are stated once, in emit.go's "Layout"
+//     comment.
 //
 // # Directives and clauses
 //

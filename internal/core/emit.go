@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
-	"go/printer"
 	"go/token"
 	"iter"
 	"slices"
@@ -17,8 +15,8 @@ import (
 	"sync/atomic"
 )
 
-// Layout: the lowering writes its output in gofmt layout itself, so nothing
-// re-parses or reprints the file it produces — the paper's preprocessor
+// Layout: the lowering lays out its output itself, so nothing re-parses or
+// reprints the file it produces — the paper's preprocessor
 // splices replacement text into the token stream the same way.
 //
 // Three things make that possible. Generated text is written through an
@@ -40,11 +38,19 @@ import (
 // under another) is lowered into a scratch buffer first, and scratch
 // buffers are reused.
 //
+// The contract: output is in gofmt layout whenever the input is, and a
+// gofmt-clean input comes out exactly as gofmt would lay out the lowered
+// file. An input that is not gofmt-clean keeps its own layout around the
+// generated code, as any preprocessor that splices rather than reprints
+// leaves it; nothing checks which of the two an input is. Either way, tidy
+// drops trailing blanks and squeezes runs of empty lines.
+//
 // What the emitter cannot lay out by those rules sets unit.reformat, and
-// settle then runs format.Source over the output instead: an input that is
-// not in gofmt layout, multi-line raw strings and /* */ comments (their
-// lines must not move), renamed text that gofmt aligns against its
-// neighbours, expressions spanning lines or holding comments.
+// settle then runs format.Source over the output instead: multi-line raw
+// strings and /* */ comments (their lines must not move), renamed text that
+// gofmt aligns against its neighbours, expressions spanning lines or holding
+// comments, an inserted import with no empty line after it, and form feeds
+// and the like.
 
 // emitter writes lowered text into one buffer: the file's output, or a
 // scratch buffer. Outside any section (below) it copies source text as it
@@ -504,54 +510,16 @@ func (u *unit) multiLineRaw() bool {
 	return found
 }
 
-// sortedImports reports whether every parenthesised import block is sorted
-// the way go/format sorts it: by path within each run of adjacent lines,
-// with no path twice.
-func (u *unit) sortedImports() bool {
-	for _, d := range u.file.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			return true
-		}
-		for j := 1; j < len(gd.Specs); j++ {
-			prev, cur := gd.Specs[j-1].(*ast.ImportSpec), gd.Specs[j].(*ast.ImportSpec)
-			if u.tf.Line(cur.Pos()) > 1+u.tf.Line(prev.End()) {
-				continue // a new run
-			}
-			if p, q := importPath(prev), importPath(cur); p >= q {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func importPath(s *ast.ImportSpec) string {
-	p, err := strconv.Unquote(s.Path.Value)
-	if err != nil {
-		return s.Path.Value
-	}
-	return p
-}
-
 // fallbacks counts the outputs settle handed to format.Source.
 var fallbacks atomic.Int64
 
-// settle returns the lowered file out in gofmt layout. It is the only
-// function of this package that uses go/printer or go/format. When the
-// lowering laid out everything itself, out is already gofmt's layout
-// provided the input was; settle checks that by printing the input's syntax
-// tree (already parsed) with gofmt's configuration and comparing the bytes.
-// Otherwise — an input not in gofmt layout, or text the lowering flagged —
-// format.Source lays out the output.
+// settle returns the lowered file out, laid out as the Layout comment says.
+// It is the only function of this package that uses go/format. Unless the
+// lowering flagged text it could not lay out itself, out is the lowering's
+// own layout, tidied; otherwise format.Source lays out the output.
 func (u *unit) settle(out []byte) ([]byte, error) {
-	if !u.reformat && u.sortedImports() {
-		// 1<<30 is go/format's number normalisation (printerNormalizeNumbers).
-		cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent | 1<<30, Tabwidth: 8}
-		same := &prefixOf{rest: u.src}
-		if cfg.Fprint(same, u.fset, u.file) == nil && len(same.rest) == 0 {
-			return tidy(out), nil
-		}
+	if !u.reformat {
+		return tidy(out), nil
 	}
 	fallbacks.Add(1)
 	// gofmt is not idempotent on every input (comments in odd places move
@@ -567,20 +535,6 @@ func (u *unit) settle(out []byte) ([]byte, error) {
 		out = formatted
 	}
 	return nil, fmt.Errorf("preprocess: generated code has no stable gofmt layout")
-}
-
-// prefixOf is a writer that accepts only what continues rest, so printing
-// into it compares with rest as it goes and stops at the first difference.
-type prefixOf struct{ rest []byte }
-
-var errDiffers = errors.New("differs")
-
-func (w *prefixOf) Write(p []byte) (int, error) {
-	if !bytes.HasPrefix(w.rest, p) {
-		return 0, errDiffers
-	}
-	w.rest = w.rest[len(p):]
-	return len(p), nil
 }
 
 // ---------------------------------------------------------- expressions

@@ -12,9 +12,10 @@ import (
 
 // Per-directive code generation: the «perform … replacement» half of the
 // paper's Listing 5. Every generator writes Go that calls the omp runtime
-// through an emitter (emit.go), already in gofmt's layout: generated lines
-// indented by brace depth, the user's statements moved to their new depth,
-// user expressions in a new context printed with gofmt's spacing.
+// through an emitter (emit.go), laid out as emit.go's "Layout" comment says:
+// generated lines indented by brace depth, the user's statements moved to
+// their new depth, user expressions in a new context printed with gofmt's
+// spacing.
 
 // schedConst maps the schedule enum to the omp constant
 // generated code references.
@@ -1045,8 +1046,8 @@ func (lw *lowerer) threadPrivate() error {
 			e.put("var ", cell, " = omp.NewThreadPrivate[", typeText, "](", initFn, ")")
 			lw.reformat = lw.reformat || e.bad
 			out = append(out, splice{off: from, end: to, text: string(e.out)})
-			if lw.declaredElsewhere(v, from, to) {
-				lw.reformat = true // an accessor cannot be declared: format.Source reports it
+			if lw.misused(v, from, to) {
+				return lw.errf(p, "threadprivate variable %s is declared again or used as a type", v)
 			}
 			access := fmt.Sprintf("(*%s.Get(omp.Current()))", cell)
 			for _, off := range identOffsets(lw.tf, lw.file, v) {
@@ -1084,10 +1085,11 @@ func (u *unit) parenthesised(from, to int) bool {
 	return !(c == ')' || c == ']' || c == '}' || c == '.' || c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= 0x80)
 }
 
-// declaredElsewhere reports whether name is declared in the file outside
-// src[from:to]: as a variable or constant, a parameter, result, field or
-// method, by := or range, or as an import name.
-func (u *unit) declaredElsewhere(name string, from, to int) bool {
+// misused reports whether name, outside src[from:to], is declared — as a
+// variable or constant, a parameter, result, field or method, by := or
+// range, or as an import name — or stands where only a type can: places
+// where a threadprivate accessor would not parse.
+func (u *unit) misused(name string, from, to int) bool {
 	found := false
 	check := func(ids ...*ast.Ident) {
 		for _, id := range ids {
@@ -1096,12 +1098,33 @@ func (u *unit) declaredElsewhere(name string, from, to int) bool {
 			}
 		}
 	}
+	typ := func(t ast.Expr) {
+		for p, ok := t.(*ast.StarExpr); ok; p, ok = t.(*ast.StarExpr) {
+			t = p.X
+		}
+		id, _ := ast.Unparen(t).(*ast.Ident)
+		check(id)
+	}
 	ast.Inspect(u.file, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.ValueSpec:
 			check(x.Names...)
+			typ(x.Type)
 		case *ast.Field:
 			check(x.Names...)
+			typ(x.Type)
+		case *ast.TypeSpec:
+			typ(x.Type)
+		case *ast.CompositeLit:
+			typ(x.Type)
+		case *ast.TypeAssertExpr:
+			typ(x.Type)
+		case *ast.ArrayType:
+			typ(x.Elt)
+		case *ast.MapType:
+			typ(x.Value)
+		case *ast.ChanType:
+			typ(x.Value)
 		case *ast.ImportSpec:
 			check(x.Name)
 		case *ast.AssignStmt:

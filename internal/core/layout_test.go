@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,14 +104,49 @@ func TestLoweringLaysOutWithoutFallback(t *testing.T) {
 	}
 }
 
-// An input out of gofmt layout takes the fallback and still comes out in
-// gofmt's layout.
-func TestUncleanInputFallsBack(t *testing.T) {
+// An input out of gofmt layout keeps its own layout around the generated
+// code (emit.go, "Layout"): nothing reprints it and format.Source does not
+// run, yet the output parses and type-checks, and every input line outside
+// the lowered loop comes through byte for byte, in order.
+func TestUncleanInputKeepsItsLayout(t *testing.T) {
 	src := lowerFixtures(t)[uncleanFixture]
+	if formatted, err := format.Source(src); err != nil || bytes.Equal(formatted, src) {
+		t.Fatalf("%s is meant to be out of gofmt layout (%v)", uncleanFixture, err)
+	}
 	before := fallbacks.Load()
-	lowerChecked(t, uncleanFixture, src, Options{Filename: uncleanFixture})
-	if n := fallbacks.Load() - before; n != 1 {
-		t.Fatalf("format.Source ran %d times, want 1", n)
+	out, err := preprocess(src, Options{Filename: uncleanFixture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fallbacks.Load() - before; n != 0 {
+		t.Errorf("format.Source ran %d times, want 0", n)
+	}
+	if err := typeCheck(out); err != nil {
+		t.Fatalf("output does not type-check: %v\n%s", err, out)
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, uncleanFixture, src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loop *ast.ForStmt
+	ast.Inspect(f, func(n ast.Node) bool {
+		if l, ok := n.(*ast.ForStmt); ok && loop == nil {
+			loop = l
+		}
+		return loop == nil
+	})
+	first, last := fset.Position(loop.Pos()).Line-1, fset.Position(loop.End()).Line // the pragma's line to the loop's
+	rest := strings.Split(string(out), "\n")
+	for i, line := range strings.Split(string(src), "\n") {
+		if n := i + 1; n >= first && n <= last {
+			continue
+		}
+		j := slices.Index(rest, line)
+		if j < 0 {
+			t.Fatalf("input line %d %q is not in the output in order:\n%s", i+1, line, out)
+		}
+		rest = rest[j+1:]
 	}
 }
 
@@ -123,6 +159,7 @@ func TestUnsafeTextFallsBack(t *testing.T) {
 		"aligned renamed line":  {"package p\n\nfunc f(a []int) int {\n\ts := 0\n\t//omp parallel for reduction(+:s)\n\tfor i := 0; i < len(a); i++ {\n\t\ts += a[i] // x\n\t\ti2 := i   // y\n\t\t_ = i2\n\t}\n\treturn s\n}\n", "// y"},
 		"multi-line bound":      {"package p\n\nfunc f(a []int, n int) {\n\t//omp parallel for\n\tfor i := 0; i < n+\n\t\t1; i++ {\n\t\ta[i] = 0\n\t}\n}\n", "n+1"},
 		"clause with a comment": {"package p\n\nfunc f(n int) {\n\t//omp parallel num_threads(n /* all */)\n\t{\n\t\t_ = n\n\t}\n}\n", "/* all */"},
+		"pragma after code":     {"package p\n\nfunc f() int {\n\tx := 1 //omp barrier\n\treturn x\n}\n", "x := 1\n\tomp.Barrier("},
 	} {
 		if formatted, err := format.Source([]byte(c.src)); err != nil || string(formatted) != c.src {
 			t.Fatalf("%s: the input is not in gofmt layout (%v):\n%s", name, err, formatted)
@@ -147,9 +184,9 @@ func TestUnsafeTextFallsBack(t *testing.T) {
 	}
 }
 
-// go/format and go/printer appear in this package's code only inside
-// settle, the fallback: the lowering itself never prints or re-parses its
-// output.
+// go/format appears in this package's code only inside settle, the
+// fallback, and go/printer nowhere: the lowering itself never prints its
+// input or re-parses its output.
 func TestOnlySettleFormats(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -167,7 +204,10 @@ func TestOnlySettleFormats(t *testing.T) {
 		names := map[string]bool{}
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			if path != "go/format" && path != "go/printer" {
+			if path == "go/printer" {
+				t.Errorf("%s imports go/printer", p)
+			}
+			if path != "go/format" {
 				continue
 			}
 			name := filepath.Base(path)

@@ -231,6 +231,7 @@ func f(a []int, n int) {
 	}
 }`, "keeps no source text"},
 		"executable directive outside any function": {"package p\n\n//omp barrier\nfunc f() {}\n", "inside a function body"},
+		"directive inside an expression":            {"package p\n\nfunc f(b, c int) int {\n\ta := b +\n\t\t//omp barrier\n\t\tc\n\treturn a\n}\n", "inside a statement"},
 		"section below the top level of its block": {`package p
 func f(n int) {
 	//omp sections

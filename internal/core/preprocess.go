@@ -40,7 +40,8 @@ const ompImport = "gomp/omp"
 
 // Transform rewrites pragma-annotated Go source into plain Go that calls
 // the omp runtime — the whole of Section III-B as one function. The output
-// is gofmt-formatted. Source without pragmas (and, under Profile, nothing
+// is laid out as emit.go's "Layout" comment says: in gofmt layout whenever
+// the input is. Source without pragmas (and, under Profile, nothing
 // to instrument) is returned unchanged, with Changed false.
 //
 // The paper's Listing 5 replaces one kind of directive at a time and
@@ -48,10 +49,10 @@ const ompImport = "gomp/omp"
 // stream. In Go a rescan is a run of go/parser, so here the file is parsed
 // once (analyze), its pragmas are nested into a directive tree, and the tree
 // is lowered in one recursion (lowerer) — see doc.go, stage 3. The lowering
-// writes gofmt's layout itself (emit.go) and nothing parses or prints the
-// output, the paper's splice-without-reprint design; only an input that is
-// not in gofmt layout, or text the emitter cannot lay out, sends the output
-// through format.Source (settle).
+// lays out its output itself (emit.go) and nothing prints the input or
+// parses the output, the paper's splice-without-reprint design; only text
+// the emitter cannot lay out sends the output through format.Source
+// (settle).
 func Transform(src []byte, opts Options) (TransformResult, error) {
 	opts.defaults()
 	u, err := analyze(src, opts)
@@ -117,7 +118,6 @@ func Transform(src []byte, opts Options) (TransformResult, error) {
 type unit struct {
 	opts Options
 	src  []byte
-	fset *token.FileSet
 	file *ast.File
 	tf   *token.File
 
@@ -204,7 +204,7 @@ func analyze(src []byte, opts Options) (*unit, error) {
 		}
 		return nil, fmt.Errorf("preprocess: %v", err)
 	}
-	u.fset, u.file, u.tf = fset, file, fset.File(file.Pos())
+	u.file, u.tf = file, fset.File(file.Pos())
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			start := u.off(c.Pos())
@@ -303,9 +303,13 @@ func (u *unit) place(p *node, open []ast.Stmt, next ast.Stmt, stack *[]*node) er
 	for len(open) > 0 && u.off(open[len(open)-1].End()) <= p.start {
 		open = open[:len(open)-1]
 	}
-	// A directive lowers to statements (a threadprivate to nothing):
-	// where none can go, format.Source reports the generated file.
-	if len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)) || len(open) == 0 && p.d.Kind != DirThreadPrivate {
+	// A directive lowers to statements (a threadprivate to nothing): inside
+	// a statement none can go; outside every function format.Source reports
+	// the generated file.
+	if len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)) {
+		return u.errf(p, "directive sits inside a statement, where no statement can go")
+	}
+	if len(open) == 0 && p.d.Kind != DirThreadPrivate {
 		u.reformat = true
 	}
 	if takesStmt(p.d.Kind) {
@@ -644,6 +648,11 @@ func (lw *lowerer) lower(n *node) {
 		e.depth += s.depth - s.orig
 	} else {
 		e.bol = false
+	}
+	// After code on its line, the replacement starts a line of its own: it
+	// must not continue that code (return x //omp barrier).
+	if _, ok := slices.BinarySearch(lw.trailing, n.line); ok && lw.src[n.start] == '/' {
+		e.code("\n")
 	}
 	lw.gen(n)
 	// The source after n continues the last line of its replacement, which

@@ -24,12 +24,15 @@ import (
 //   - the selector of a field/method access (x.name — "preceded by a
 //     period", the paper's rule)
 //   - keys of composite-literal key:value pairs (struct field names)
-//   - declared names of functions, types and labels
+//   - declared names of functions, types and labels, and the package
+//     clause's name
 func identOffsets(tf *token.File, root ast.Node, name string) []int {
 	var offs []int
 	skip := map[*ast.Ident]bool{}
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.File:
+			skip[x.Name] = true
 		case *ast.SelectorExpr:
 			skip[x.Sel] = true
 		case *ast.KeyValueExpr:

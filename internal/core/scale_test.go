@@ -68,14 +68,15 @@ func TestTransformAllocsScaleLinearly(t *testing.T) {
 }
 
 // BenchmarkTransform runs the lowering fixtures through Transform: the
-// front end's cost per file and, as us/directive, per pragma.
+// front end's cost per file, as MB/s of source, and, as us/directive, per
+// pragma.
 func BenchmarkTransform(b *testing.B) {
 	type input struct {
 		name string
 		src  []byte
 	}
 	var inputs []input
-	directives := 0
+	directives, size := 0, 0
 	for name, src := range lowerFixtures(b) {
 		if strings.HasPrefix(name, "err_") {
 			continue
@@ -85,8 +86,10 @@ func BenchmarkTransform(b *testing.B) {
 			b.Fatal(err)
 		}
 		directives += len(infos)
+		size += len(src)
 		inputs = append(inputs, input{name, src})
 	}
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 package p
 import "fmt"
-// Not gofmt-clean: the lowering must still produce gofmt output.
+// Not gofmt-clean: the lowering keeps this layout around its own code.
 func f(a []int,n int) {
   s:=0
 	//omp parallel for reduction(+:s)

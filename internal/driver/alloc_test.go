@@ -17,13 +17,15 @@ import (
 // name or header gives MatchFile something to decide (plainFile), and each
 // output directory is created once per pass. The ceilings are this
 // design's figures for a cold -outdir build of cmd/gompcc/testdata/dir with
-// Go 1.24 (≈8.7 KB and 125 allocations per file) plus about 5%; running
-// MatchFile on every file and MkdirAll per output read ≈13.9 KB and 151. A build runs at Jobs=1, and the figure is the least of several
+// Go 1.24 (≈7.96 KB and 111 allocations per file) plus about 5%; printing
+// each transformed input to check it was gofmt-clean read ≈8.8 KB and 129,
+// and running MatchFile on every file and MkdirAll per output ≈13.9 KB and
+// 151. A build runs at Jobs=1, and the figure is the least of several
 // builds: a garbage collection empties the sync.Pools that fmt and os draw
 // on, and the build after it refills them.
 const (
-	driverBytesPerFile  = 9150
-	driverAllocsPerFile = 132
+	driverBytesPerFile  = 8350
+	driverAllocsPerFile = 117
 )
 
 func TestColdBuildAllocationBudget(t *testing.T) {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"go/build"
 	"io"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -57,6 +60,58 @@ var sourceExts = map[string]bool{
 	".h": true, ".hh": true, ".hpp": true, ".hxx": true,
 	".f": true, ".F": true, ".for": true, ".f90": true,
 	".swig": true, ".swigcxx": true, ".syso": true,
+}
+
+// embedFiles returns the files that the package in dir embeds, relative
+// to dir and slash-separated: go/build's EmbedPatterns for the package,
+// each resolved as the go command resolves it. A pattern is a path.Match
+// glob; a directory it matches stands for the regular files in its tree,
+// less those under a name starting with '.' or '_' (unless the pattern
+// starts with all:) and less subdirectories holding a go.mod. A pattern
+// that matches nothing is go build's to report.
+func embedFiles(dir string) ([]string, error) {
+	pkg, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	fsys := os.DirFS(dir)
+	var files []string
+	for _, pattern := range pkg.EmbedPatterns {
+		glob, all := strings.CutPrefix(pattern, "all:")
+		matches, err := fs.Glob(fsys, glob)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range matches {
+			err := fs.WalkDir(fsys, m, func(p string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if p != m {
+					if name := d.Name(); !all && (name[0] == '.' || name[0] == '_') {
+						if d.IsDir() {
+							return fs.SkipDir
+						}
+						return nil
+					}
+					if d.IsDir() {
+						if _, err := fs.Stat(fsys, path.Join(p, "go.mod")); err == nil {
+							return fs.SkipDir // another module
+						}
+					}
+				}
+				if d.Type().IsRegular() {
+					files = append(files, p)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	slices.Sort(files)
+	return slices.Compact(files), nil
 }
 
 // isGenerated reports whether the file head carries the generated-code

@@ -18,8 +18,9 @@
 // written transformed, behind GeneratedHeader; every other file the build
 // compiles — Go or not: assembly, C, headers, system objects — is copied
 // verbatim. A file that already carries a generated-code header, such as a
-// committed -o output, is copied and never transformed. Files a package
-// embeds with //go:embed are not copied. out may sit inside root, which
+// committed -o output, is copied and never transformed. So are the files
+// a package embeds with //go:embed, as the go command resolves its
+// patterns (embedFiles). out may sit inside root, which
 // the crawl then skips, but may not be root itself. out builds and vets
 // with the plain go command; CI self-hosts the whole module this way and
 // builds gompcc from the mirror. A pass has four phases:
@@ -61,9 +62,11 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
 	"go/build"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -226,7 +229,7 @@ func (d *Driver) Run() (*Report, error) {
 	}
 
 	results := make([]fileResult, len(files))
-	dirs := &dirSet{made: map[string]error{}}
+	dirs := &dirSet{made: map[string]error{}, embedded: map[string]bool{}}
 	work := func(lo, hi int64) {
 		for i := lo; i < hi; i++ {
 			results[i] = d.processOne(files[i], prev, dirs)
@@ -304,11 +307,13 @@ func GeneratedHeader(rel string) []byte {
 	return fmt.Appendf(nil, "// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
 }
 
-// dirSet is the output directories one pass has created, each once, on
-// the first write into it; the workers share it.
+// dirSet is what one pass has done once per directory, shared by the
+// workers: the output directories it has created, each on the first write
+// into it, and the package directories whose embedded files it has copied.
 type dirSet struct {
-	mu   sync.Mutex
-	made map[string]error // directory → what creating it returned
+	mu       sync.Mutex
+	made     map[string]error // directory → what creating it returned
+	embedded map[string]bool  // package directories claimed by claimEmbeds
 }
 
 // ensure creates dir, with its parents, unless this pass already has. A
@@ -324,11 +329,51 @@ func (s *dirSet) ensure(dir string) error {
 	return err
 }
 
+// claimEmbeds reports whether no file of the package directory dir has
+// claimed copying its embedded files yet, and claims it.
+func (s *dirSet) claimEmbeds(dir string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.embedded[dir] {
+		return false
+	}
+	s.embedded[dir] = true
+	return true
+}
+
+// copyEmbeds copies the files that the package of f embeds (embedFiles)
+// into the mirror verbatim, unless another file of the package has.
+func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
+	rel, src := path.Dir(f.rel), filepath.Dir(f.path)
+	if !dirs.claimEmbeds(rel) {
+		return nil
+	}
+	files, err := embedFiles(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range files {
+		b, err := os.ReadFile(filepath.Join(src, filepath.FromSlash(e)))
+		if err != nil {
+			return err
+		}
+		out := filepath.Join(d.cfg.OutDir, filepath.FromSlash(rel), filepath.FromSlash(e))
+		if err := dirs.ensure(filepath.Dir(out)); err != nil {
+			return err
+		}
+		if err := writeFileAtomic(out, 0o644, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // processOne is the per-file worker body. It reads the file once, drops
-// it if the build does not compile it, hashes it when caching, consults
-// the previous manifest, and only on a miss pays the transform and the
-// atomic write. It runs concurrently with itself on other files and
-// shares nothing mutable but the pass's set of created directories.
+// it if the build does not compile it, copies its package's embedded files
+// if it names any, hashes it when caching, consults the previous manifest,
+// and only on a miss pays the transform and the atomic write. It runs
+// concurrently with itself on other files and shares nothing mutable but
+// the pass's dirSet.
 func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResult {
 	cfg := d.cfg
 	src, err := os.ReadFile(f.path)
@@ -337,6 +382,13 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 	}
 	if ok, err := inBuild(&build.Default, f.path, src); !ok {
 		return fileResult{excluded: true, err: err}
+	}
+	// The files a package embeds go into the mirror beside it, whatever
+	// the cache says of the file naming them: they may have changed alone.
+	if strings.HasSuffix(f.rel, ".go") && bytes.Contains(src, []byte("//go:embed")) {
+		if err := d.copyEmbeds(f, dirs); err != nil {
+			return fileResult{err: fmt.Errorf("%s: copying embedded files: %w", f.rel, err)}
+		}
 	}
 	// A generated file, gompcc's own -o output among them, is part of the
 	// build as it stands: it is copied, never transformed, as is every

@@ -323,6 +323,74 @@ func TestMirrorCopiesAssembly(t *testing.T) {
 	}
 }
 
+// A package that embeds files builds from its mirror: what its //go:embed
+// patterns match, a file and two directory trees, is copied verbatim,
+// leaving out the '.' and '_' names a plain directory pattern skips. Two
+// of its files embed, so the workers share the package's claim.
+func TestMirrorCopiesEmbeddedFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go run on the mirror")
+	}
+	root, out := t.TempDir(), t.TempDir()
+	writeTree(t, root, map[string]string{
+		"cmd/show/main.go": `package main
+
+import (
+	"embed"
+	"fmt"
+	"io/fs"
+)
+
+//go:embed greeting.txt
+var greeting string
+
+//go:embed static
+var static embed.FS
+
+//go:embed all:extra
+var extra embed.FS
+
+func main() {
+	fmt.Print(greeting)
+	for _, fsys := range []fs.FS{static, extra} {
+		fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				b, _ := fs.ReadFile(fsys, p)
+				fmt.Printf("%s: %s", p, b)
+			}
+			return err
+		})
+	}
+}
+`,
+		"cmd/show/again.go":           "package main\n\nimport _ \"embed\"\n\n//go:embed greeting.txt\nvar again string\n",
+		"cmd/show/greeting.txt":       "hello\n",
+		"cmd/show/static/a.txt":       "a\n",
+		"cmd/show/static/inner/b.txt": "b\n",
+		"cmd/show/static/.hidden":     "h\n",
+		"cmd/show/static/_skip/c.txt": "c\n",
+		"cmd/show/extra/_keep.txt":    "k\n",
+		"cmd/show/unused/d.txt":       "d\n",
+		"go.mod":                      "module m\n\ngo 1.24\n",
+	})
+	mustRun(t, Config{Module: root, OutDir: out})
+	for _, skipped := range []string{"static/.hidden", "static/_skip", "unused"} {
+		if _, err := os.Stat(filepath.Join(out, "cmd", "show", filepath.FromSlash(skipped))); err == nil {
+			t.Errorf("%s copied into the mirror, want skipped", skipped)
+		}
+	}
+	writeTree(t, out, map[string]string{"go.mod": "module m\n\ngo 1.24\n"})
+	cmd := exec.Command("go", "run", "./cmd/show")
+	cmd.Dir = out
+	b, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go run of the mirror: %v\n%s", err, b)
+	}
+	if want := "hello\nstatic/a.txt: a\nstatic/inner/b.txt: b\nextra/_keep.txt: k\n"; string(b) != want {
+		t.Errorf("the mirrored program printed %q, want %q", b, want)
+	}
+}
+
 // A mirror root nested inside the module must not be crawled back up.
 func TestNestedOutDirNotRecrawled(t *testing.T) {
 	root := t.TempDir()
