@@ -168,6 +168,28 @@ func f(v *int) {
 	wantContains(t, out, "omp.Task(__omp_t, func(__omp_t *omp.Thread) {", "omp.Taskwait(__omp_t)")
 }
 
+// A directive between a label and its statement lowers there: the label
+// then marks the generated code, and a goto to it still compiles.
+func TestDirectiveAfterLabel(t *testing.T) {
+	src := `package p
+
+func f(n int) int {
+again:
+	//omp barrier
+	n--
+	if n > 0 {
+		goto again
+	}
+	return n
+}
+`
+	out := pp(t, src)
+	wantContains(t, out, "again: omp.Barrier(omp.Current()) n--")
+	if !testing.Short() && !checkTypedOutput(t, []byte(src), []byte(out)) {
+		t.Fatal("the input does not type-check")
+	}
+}
+
 // A directive stacked above another applies to the construct the lower one
 // forms with the statement, as the statement after a C pragma may itself
 // be a pragma'd statement; it is never silently dropped.

@@ -300,26 +300,24 @@ func (u *unit) bind() error {
 // them still enclosing p's position. stack holds the pragmas whose ranges
 // may enclose p's.
 func (u *unit) place(p *node, open []ast.Stmt, next ast.Stmt, stack *[]*node) error {
+	var prev ast.Stmt // the statement before p in its list, if any
 	for len(open) > 0 && u.off(open[len(open)-1].End()) <= p.start {
-		open = open[:len(open)-1]
+		prev, open = open[len(open)-1], open[:len(open)-1]
 	}
-	// A directive lowers to statements (a threadprivate to nothing): inside
-	// a statement none can go; outside every function format.Source reports
-	// the generated file.
-	if len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)) {
+	// A directive lowers to statements (a threadprivate to nothing), which go
+	// only between statements. A standalone one after a return never runs,
+	// and ending a function it would leave no terminating statement.
+	switch k := p.d.Kind; {
+	case len(open) > 0 && !stmtPosition(open[len(open)-1], u.tf.Pos(p.start)):
 		return u.errf(p, "directive sits inside a statement, where no statement can go")
-	}
-	if len(open) == 0 && p.d.Kind != DirThreadPrivate {
-		u.reformat = true
-	}
-	if takesStmt(p.d.Kind) {
-		if next != nil && onlyComments(u.src[p.cEnd:u.off(next.Pos())]) {
-			p.stmt, p.end = next, u.off(next.End())
-		}
-	} else if d := u.file.Decls; p.d.Kind != DirThreadPrivate && !slices.ContainsFunc(d, func(d ast.Decl) bool {
-		return u.off(d.Pos()) <= p.start && p.start < u.off(d.End())
-	}) {
+	case k == DirThreadPrivate:
+	case len(open) == 0:
 		return u.errf(p, "directive must appear inside a function body")
+	case !takesStmt(k) && k != DirSection && leaves(prev):
+		return u.errf(p, "directive after the return, jump or panic on line %d can never run", u.tf.Line(prev.Pos()))
+	}
+	if takesStmt(p.d.Kind) && next != nil && onlyComments(u.src[p.cEnd:u.off(next.Pos())]) {
+		p.stmt, p.end = next, u.off(next.End())
 	}
 	// Ranges now nest or are disjoint.
 	s := *stack
@@ -333,7 +331,7 @@ func (u *unit) place(p *node, open []ast.Stmt, next ast.Stmt, stack *[]*node) er
 }
 
 // stmtPosition reports whether pos, inside s, lies between statements of
-// its list.
+// its list, or between a label and its statement.
 func stmtPosition(s ast.Stmt, pos token.Pos) bool {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
@@ -342,6 +340,23 @@ func stmtPosition(s ast.Stmt, pos token.Pos) bool {
 		return pos > s.Colon
 	case *ast.CommClause:
 		return pos > s.Colon
+	case *ast.LabeledStmt:
+		return pos > s.Colon
+	}
+	return false
+}
+
+// leaves reports whether control never passes from s (nil: none) to the
+// statement after it: s returns, jumps or calls panic.
+func leaves(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			id, ok := call.Fun.(*ast.Ident)
+			return ok && id.Name == "panic"
+		}
 	}
 	return false
 }
@@ -650,7 +665,7 @@ func (lw *lowerer) lower(n *node) {
 		e.bol = false
 	}
 	// After code on its line, the replacement starts a line of its own: it
-	// must not continue that code (return x //omp barrier).
+	// must not continue that code (x++ //omp barrier).
 	if _, ok := slices.BinarySearch(lw.trailing, n.line); ok && lw.src[n.start] == '/' {
 		e.code("\n")
 	}

@@ -29,8 +29,14 @@ import (
 func identOffsets(tf *token.File, root ast.Node, name string) []int {
 	var offs []int
 	skip := map[*ast.Ident]bool{}
+	// Inspect visits a node before its children: an identifier is marked
+	// to skip before it is reached.
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.Ident:
+			if x.Name == name && !skip[x] {
+				offs = append(offs, tf.Offset(x.Pos()))
+			}
 		case *ast.File:
 			skip[x.Name] = true
 		case *ast.SelectorExpr:
@@ -52,14 +58,6 @@ func identOffsets(tf *token.File, root ast.Node, name string) []int {
 		}
 		return true
 	})
-	ast.Inspect(root, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Name != name || skip[id] {
-			return true
-		}
-		offs = append(offs, tf.Offset(id.Pos()))
-		return true
-	})
 	sort.Ints(offs)
 	return offs
 }
@@ -70,9 +68,6 @@ func identOffsets(tf *token.File, root ast.Node, name string) []int {
 func declaresIdent(root ast.Node, name string) bool {
 	found := false
 	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			if x.Tok == token.DEFINE {

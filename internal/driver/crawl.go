@@ -50,6 +50,14 @@ func eligibleName(name string) bool {
 		!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
+// crawled reports whether the crawl takes up the file at rel, a slash-
+// separated path below a crawled directory: its name is eligible and no
+// directory on the way is skipped.
+func crawled(rel string) bool {
+	dir, name := path.Split(rel)
+	return eligibleName(name) && !slices.ContainsFunc(strings.Split(strings.TrimSuffix(dir, "/"), "/"), skipDir)
+}
+
 // sourceExts are the non-Go source kinds go/build adds to a package
 // (assembly, C and its kin, headers, SWIG, system objects). The mirror
 // copies them verbatim, so a package whose function bodies live in

@@ -342,7 +342,9 @@ func (s *dirSet) claimEmbeds(dir string) bool {
 }
 
 // copyEmbeds copies the files that the package of f embeds (embedFiles)
-// into the mirror verbatim, unless another file of the package has.
+// into the mirror verbatim, unless another file of the package has. A
+// file that the crawl itself mirrors, such as a .go file of the build, is
+// left to its own worker, which may write it transformed.
 func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 	rel, src := path.Dir(f.rel), filepath.Dir(f.path)
 	if !dirs.claimEmbeds(rel) {
@@ -353,9 +355,15 @@ func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 		return err
 	}
 	for _, e := range files {
-		b, err := os.ReadFile(filepath.Join(src, filepath.FromSlash(e)))
+		p := filepath.Join(src, filepath.FromSlash(e))
+		b, err := os.ReadFile(p)
 		if err != nil {
 			return err
+		}
+		if crawled(e) {
+			if ok, _ := inBuild(&build.Default, p, b); ok {
+				continue
+			}
 		}
 		out := filepath.Join(d.cfg.OutDir, filepath.FromSlash(rel), filepath.FromSlash(e))
 		if err := dirs.ensure(filepath.Dir(out)); err != nil {

@@ -326,7 +326,8 @@ func TestMirrorCopiesAssembly(t *testing.T) {
 // A package that embeds files builds from its mirror: what its //go:embed
 // patterns match, a file and two directory trees, is copied verbatim,
 // leaving out the '.' and '_' names a plain directory pattern skips. Two
-// of its files embed, so the workers share the package's claim.
+// of its files embed, so the workers share the package's claim. One tree
+// holds a package of the module, whose file the mirror keeps transformed.
 func TestMirrorCopiesEmbeddedFiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go run on the mirror")
@@ -363,7 +364,8 @@ func main() {
 	}
 }
 `,
-		"cmd/show/again.go":           "package main\n\nimport _ \"embed\"\n\n//go:embed greeting.txt\nvar again string\n",
+		"cmd/show/again.go":           "package main\n\nimport \"embed\"\n\n//go:embed greeting.txt\nvar again string\n\n//go:embed lib\nvar lib embed.FS\n",
+		"cmd/show/lib/sum.go":         pragmaSrc,
 		"cmd/show/greeting.txt":       "hello\n",
 		"cmd/show/static/a.txt":       "a\n",
 		"cmd/show/static/inner/b.txt": "b\n",
@@ -374,6 +376,12 @@ func main() {
 		"go.mod":                      "module m\n\ngo 1.24\n",
 	})
 	mustRun(t, Config{Module: root, OutDir: out})
+	// lib/sum.go is embedded and also a package file the crawl transforms:
+	// the transformed file must stay in the mirror, on a warm pass too.
+	mustRun(t, Config{Module: root, OutDir: out})
+	if b, err := os.ReadFile(filepath.Join(out, "cmd", "show", "lib", "sum.go")); err != nil || !bytes.HasPrefix(b, GeneratedHeader("cmd/show/lib/sum.go")) {
+		t.Errorf("mirrored lib/sum.go is not the transformed file (%v):\n%s", err, b)
+	}
 	for _, skipped := range []string{"static/.hidden", "static/_skip", "unused"} {
 		if _, err := os.Stat(filepath.Join(out, "cmd", "show", filepath.FromSlash(skipped))); err == nil {
 			t.Errorf("%s copied into the mirror, want skipped", skipped)
