@@ -54,7 +54,9 @@ func layoutInputs(t *testing.T) map[string][]byte {
 	return in
 }
 
-// uncleanFixture is the lowering fixture written out of gofmt layout.
+// uncleanFixture is the lowering fixture written out of gofmt layout. Its
+// file is testdata/lower/unclean_input.go.txt, so that `gofmt -l .` does
+// not list it; lowerFixtures keys it by this name.
 const uncleanFixture = "unclean_input.go"
 
 // fallbackPrefix starts the names of the lowering fixtures that hold text

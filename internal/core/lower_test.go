@@ -20,20 +20,26 @@ import (
 //	go test ./internal/core -run TestLowerGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/lower/*.golden")
 
-// lowerFixtures returns the fixture sources keyed by base name.
+// lowerFixtures returns the fixture sources keyed by base name. A fixture
+// that gofmt must not list, such as uncleanFixture, is stored as name.go.txt
+// and keyed, lowered and named in its output as name.go.
 func lowerFixtures(t testing.TB) map[string][]byte {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "lower", "*.go"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no fixtures under testdata/lower: %v", err)
 	}
-	out := make(map[string][]byte, len(paths))
-	for _, p := range paths {
+	txt, err := filepath.Glob(filepath.Join("testdata", "lower", "*.go.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(paths)+len(txt))
+	for _, p := range append(paths, txt...) {
 		src, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[filepath.Base(p)] = src
+		out[strings.TrimSuffix(filepath.Base(p), ".txt")] = src
 	}
 	return out
 }

@@ -12,24 +12,13 @@ import (
 // truncated file. On any failure the temporary is removed and the
 // previous content of path is untouched.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return writeFileAtomic(path, perm, data)
-}
-
-// writeFileAtomic is WriteFileAtomic of the concatenation of parts, which
-// are written one after the other rather than joined first.
-func writeFileAtomic(path string, perm os.FileMode, parts ...[]byte) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	var werr error
-	for _, p := range parts {
-		if werr == nil && len(p) > 0 {
-			_, werr = tmp.Write(p)
-		}
-	}
+	_, werr := tmp.Write(data)
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}

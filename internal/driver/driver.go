@@ -43,9 +43,14 @@
 //     on disk. The manifest is timestamp-free and sorted, so it, like every
 //     output, is byte-identical at every -jobs value. -cache off disables
 //     it.
-//   - Every output lands via temp file + rename (atomic.go), in a directory
-//     the pass creates once, so a crashed run never leaves a half-written
-//     file behind.
+//   - Every output is written with one create (writeOutput), in a
+//     directory the pass creates once; an output already there is removed
+//     and created again, so a write never goes through an old hard link or
+//     symlink. The writes are not atomic; the manifest carries the crash
+//     safety. A caching pass removes it after loading it, before its first
+//     write, and saves the next one atomically (atomic.go) after its last,
+//     so a pass that dies midway leaves no manifest, and the next pass
+//     rewrites every output.
 //
 // Each pass returns a Report: its cold and warm file counts and summed
 // transform time. BenchmarkDriverColdVsWarm tracks cold against warm
@@ -63,8 +68,10 @@ package driver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"go/build"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
@@ -213,9 +220,9 @@ type fileResult struct {
 	err         error
 }
 
-// Run executes one full pass: crawl, fan out, persist the manifest,
-// feed the metrics registry. The returned Report is complete even when
-// files failed; Report.Err carries the aggregate.
+// Run executes one full pass: crawl, load and remove the previous
+// manifest, fan out, save the next manifest. The returned Report is
+// complete even when files failed; Report.Err carries the aggregate.
 func (d *Driver) Run() (*Report, error) {
 	cfg := d.cfg
 	files, err := crawl(cfg)
@@ -223,9 +230,16 @@ func (d *Driver) Run() (*Report, error) {
 		return nil, err
 	}
 	caching := cfg.CacheDir != CacheOff
+	manifestPath := filepath.Join(cfg.CacheDir, manifestName)
 	var prev *manifest
 	if caching {
-		prev = loadManifest(filepath.Join(cfg.CacheDir, manifestName), core.EngineVersion, cfg.flagKey())
+		prev = loadManifest(manifestPath, core.EngineVersion, cfg.flagKey())
+		// Outputs are not written atomically. A pass that dies before
+		// saving the next manifest must leave none behind, or the next
+		// pass would take an output it cut short for cached.
+		if err := os.Remove(manifestPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("driver: removing manifest: %w", err)
+		}
 	}
 
 	results := make([]fileResult, len(files))
@@ -293,7 +307,7 @@ func (d *Driver) Run() (*Report, error) {
 		}
 	}
 	if caching {
-		if err := next.save(filepath.Join(cfg.CacheDir, manifestName)); err != nil {
+		if err := next.save(manifestPath); err != nil {
 			return rep, fmt.Errorf("driver: writing manifest: %w", err)
 		}
 	}
@@ -369,7 +383,7 @@ func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 		if err := dirs.ensure(filepath.Dir(out)); err != nil {
 			return err
 		}
-		if err := writeFileAtomic(out, 0o644, b); err != nil {
+		if err := writeOutput(out, b); err != nil {
 			return err
 		}
 	}
@@ -379,9 +393,10 @@ func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 // processOne is the per-file worker body. It reads the file once, drops
 // it if the build does not compile it, copies its package's embedded files
 // if it names any, hashes it when caching, consults the previous manifest,
-// and only on a miss pays the transform and the atomic write. It runs
-// concurrently with itself on other files and shares nothing mutable but
-// the pass's dirSet.
+// and only on a miss pays the transform and the write. The write is not
+// atomic; a pass cut short leaves no manifest (Run), so nothing it wrote
+// is ever taken for cached. It runs concurrently with itself on other
+// files and shares nothing mutable but the pass's dirSet.
 func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResult {
 	cfg := d.cfg
 	src, err := os.ReadFile(f.path)
@@ -441,8 +456,35 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 		res.err = err
 		return res
 	}
-	if err := writeFileAtomic(outPath, 0o644, head, body); err != nil {
+	if err := writeOutput(outPath, head, body); err != nil {
 		res.err = err
 	}
 	return res
+}
+
+// writeOutput writes the concatenation of parts to path, one part after the
+// other, through a single O_EXCL create. A path that already exists is
+// removed and created again, so the write replaces the file and never goes
+// through an old hard link or symlink. The write is not atomic; Run's
+// handling of the manifest makes that safe.
+func writeOutput(path string, parts ...[]byte) error {
+	const flags = os.O_WRONLY | os.O_CREATE | os.O_EXCL
+	f, err := os.OpenFile(path, flags, 0o644)
+	if errors.Is(err, fs.ErrExist) {
+		if err = os.Remove(path); err == nil {
+			f, err = os.OpenFile(path, flags, 0o644)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err == nil && len(p) > 0 {
+			_, err = f.Write(p)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -495,8 +495,8 @@ func TestReportCountsColdWarmAndTransformTime(t *testing.T) {
 }
 
 // linkOld puts content "old" at path and a hard link to it at keep: a write
-// through temp file + rename replaces path's directory entry and leaves
-// keep alone, while a write into the existing file would change both.
+// that replaces path's directory entry leaves keep alone, while a write
+// into the existing file would change both.
 func linkOld(t *testing.T, path, keep string) {
 	t.Helper()
 	writeTree(t, filepath.Dir(path), map[string]string{filepath.Base(path): "old"})
@@ -508,7 +508,7 @@ func linkOld(t *testing.T, path, keep string) {
 func assertReplaced(t *testing.T, path, keep string) {
 	t.Helper()
 	if got, err := os.ReadFile(keep); err != nil || string(got) != "old" {
-		t.Errorf("%s was written in place, not through temp file + rename (its old link reads %q, %v)", path, got, err)
+		t.Errorf("%s was written into the existing file, not replaced (its old link reads %q, %v)", path, got, err)
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) == "old" {
 		t.Errorf("%s not rewritten: %q, %v", path, got, err)
@@ -528,8 +528,8 @@ func noTemps(t *testing.T, root string) {
 
 // A transformed output is the generated-code header followed by exactly
 // what core.Transform returns, whether the mirror lies apart from the
-// module or inside it; it is written via temp file + rename, and no
-// temporary survives the pass.
+// module or inside it; it replaces the file rather than writing through an
+// old link, and no temporary is left behind.
 func TestOutputIsHeaderAndTransform(t *testing.T) {
 	for _, nested := range []bool{false, true} {
 		name := map[bool]string{false: "mirror", true: "nested"}[nested]
