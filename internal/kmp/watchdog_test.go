@@ -1,18 +1,22 @@
 package kmp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// A worker parked in a barrier past the threshold trips the watchdog,
-// and the report names the region it is stuck in.
+// A worker parked in a barrier past the threshold trips the watchdog
+// exactly once for the whole stall, and the report names the region it is
+// stuck in.
 func TestWatchdogTripsOnBarrierHang(t *testing.T) {
 	loc := Ident{File: "watchdog_test.go", Line: 10, Region: "parallel"}
+	const threshold = 50 * time.Millisecond
+	before := WatchdogTrips()
 	tripped := make(chan *HangReport, 1)
 	stop := StartWatchdog(WatchdogConfig{
-		Threshold: 50 * time.Millisecond,
+		Threshold: threshold,
 		Interval:  10 * time.Millisecond,
 		OnTrip: func(r *HangReport) {
 			select {
@@ -41,23 +45,27 @@ func TestWatchdogTripsOnBarrierHang(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("watchdog did not trip on a hung barrier")
 	}
+	// The episode latch: sweeps that keep finding the same stall while it
+	// lasts stay silent.
+	time.Sleep(3 * threshold)
+	trips := WatchdogTrips() - before
 	close(release)
 	<-done
+	if trips != 1 {
+		t.Errorf("one stall held for three thresholds after the first trip counted %d trips, want 1", trips)
+	}
 
 	found := false
 	for _, s := range rep.Stuck {
 		if s.State == StateInBarrier.String() && strings.Contains(s.Region, "watchdog_test.go:10") {
 			found = true
-			if s.ForNs < (50 * time.Millisecond).Nanoseconds() {
+			if s.ForNs < threshold.Nanoseconds() {
 				t.Errorf("stuck ForNs = %v, want >= threshold", time.Duration(s.ForNs))
 			}
 		}
 	}
 	if !found {
 		t.Fatalf("report does not name the in-barrier worker at the region: %s", rep)
-	}
-	if WatchdogTrips() == 0 {
-		t.Error("trip counter did not advance")
 	}
 	if LastHangReport() == nil {
 		t.Error("last report not retained")
@@ -181,7 +189,8 @@ func TestDepChainIsNotACycle(t *testing.T) {
 	}
 }
 
-// Healthy churn must not trip the watchdog.
+// Healthy churn must not trip the watchdog, also with a team
+// oversubscribed twice over (up to eight threads).
 func TestWatchdogNoFalsePositives(t *testing.T) {
 	before := WatchdogTrips()
 	stop := StartWatchdog(WatchdogConfig{
@@ -190,9 +199,11 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 	})
 	defer stop()
 	loc := Ident{File: "watchdog_test.go", Line: 210, Region: "parallel"}
+	over := min(2*runtime.GOMAXPROCS(0), 8)
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		ForkCall(loc, 2, func(th *Thread) { th.Barrier() })
+		ForkCall(loc, over, func(th *Thread) { th.Barrier() })
 	}
 	if got := WatchdogTrips(); got != before {
 		t.Fatalf("watchdog tripped %d times on healthy churn", got-before)

@@ -23,26 +23,36 @@ import (
 // on its normal paths, so scraping never stops the world and never
 // perturbs the zero-allocation fork fast path.
 
-// captureMu serialises windowed captures: the collector pointer is
-// process-global, so two overlapping /profile requests would otherwise
-// steal each other's event streams mid-window.
+// captureMu serialises windowed captures, so the running profiler feeds
+// one window at a time.
 var captureMu sync.Mutex
 
-// captureWindow records a fresh profiler for window d (or until ctx is
-// done), then hands the runtime back to the profiler that ran before.
-// The returned profiler is stopped and ready for Report/WriteTimeline.
+// captureWindow records window d (or until ctx is done) into a fresh
+// profiler. While a profiler runs, the fresh one reads beside it as its
+// tap, and the running profiler keeps every event; only when none runs
+// does the window start and stop its own. The returned profiler is
+// drained and ready for Report/WriteTimeline.
 func captureWindow(ctx context.Context, d time.Duration, opts ...Option) *Profiler {
 	captureMu.Lock()
 	defer captureMu.Unlock()
-	prev := Default()
-	p := New(opts...)
-	p.Start()
+	w := New(opts...)
+	runMu.Lock()
+	host := running.Load()
+	if host == nil {
+		w.install()
+	}
+	runMu.Unlock()
+	if host == nil {
+		defer w.Stop()
+	} else {
+		host.setTap(w)
+		defer host.setTap(nil)
+	}
 	select {
 	case <-time.After(d):
 	case <-ctx.Done():
 	}
-	p.stopFor(prev)
-	return p
+	return w
 }
 
 // seconds parses the request's ?seconds=N (float, default def), clamped

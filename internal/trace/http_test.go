@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -286,8 +287,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The windowed captures must have handed the event stream back to
-	// the running profiler: fresh forks keep landing in its aggregates.
+	// The windowed captures read beside the running profiler, which
+	// keeps folding fresh forks into its aggregates after them.
 	before := p.Metrics().Forks.Value()
 	runContrastLoops(2)
 	p.Flush()
@@ -296,9 +297,12 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// A profiler started with New().Start() is the running one: the endpoints
-// report it, and a capture window hands the runtime back to it afterwards.
-func TestCaptureHandsBackStartedProfiler(t *testing.T) {
+// A capture window reads beside the running profiler: while one goroutine
+// forks two-thread regions back to back, a /profile window counts some of
+// them, the running profiler keeps every one with no ring drop, and a zone
+// closed in the window lands in both. Throughout the window the started
+// profiler stays the running one.
+func TestCaptureWindowReadsBesideRunningProfiler(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -308,11 +312,9 @@ func TestCaptureHandsBackStartedProfiler(t *testing.T) {
 	if !ReadHealth().ProfilerActive {
 		t.Error("ReadHealth().ProfilerActive = false while a started profiler runs")
 	}
-	if _, _, body := get(t, srv, "/metrics"); !strings.Contains(body, "gomp_profiler_active 1\n") {
-		t.Errorf("/metrics while a started profiler runs:\n%s", body)
-	}
-	// Regions run during the window belong to the window's profiler; the
-	// started one must not count them as events lost to full rings.
+
+	// Each iteration forks one region inside one zone.
+	var forks int64
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -321,36 +323,93 @@ func TestCaptureHandsBackStartedProfiler(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("during.go", 1, "parallel"))
+			}
+			end := ZoneAt("beside.go", 3, "zone")
+			omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("beside.go", 1, "parallel"))
+			end()
+			forks++
+		}
+	}()
+	// Poll the running profiler and /metrics for as long as the window is open.
+	windowDone, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-windowDone:
+				return
+			default:
+			}
+			if Default() != p {
+				t.Error("Default() is not the started profiler during the window")
+				return
+			}
+			// Not get: t.Fatalf must not run off the test's goroutine.
+			resp, err := srv.Client().Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Errorf("GET /metrics during the window: %v", err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !strings.Contains(string(body), "gomp_profiler_active 1\n") {
+				t.Errorf("/metrics during the window:\n%s", body)
+				return
 			}
 		}
 	}()
-	code, _, _ := get(t, srv, "/profile?seconds=0.01")
+	code, _, report := get(t, srv, "/profile?seconds=0.2")
+	close(windowDone)
+	<-polled
 	close(stop)
 	<-done
 	if code != 200 {
 		t.Fatalf("/profile: code %d", code)
 	}
-	if Default() != p {
-		t.Fatal("the capture window did not hand the runtime back")
-	}
-	omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2), omp.Loc("after.go", 7, "parallel"))
-	found := false
-	for _, s := range p.Summaries() {
-		found = found || strings.Contains(s.Name, "after.go:7") && s.Calls == 1
-	}
-	if !found {
-		t.Errorf("region forked after the capture missing from the started profiler: %+v", p.Summaries())
+
+	p.Flush()
+	if got := p.Metrics().Forks.Value(); got != forks {
+		t.Errorf("running profiler counts %d forks, the goroutine completed %d", got, forks)
 	}
 	if drops := p.Metrics().RingDrops.Value(); drops != 0 {
-		t.Errorf("the started profiler counts %d ring drops after the capture window", drops)
+		t.Errorf("running profiler counts %d ring drops", drops)
+	}
+	zoneCalls := int64(0)
+	for _, s := range p.Summaries() {
+		if strings.HasPrefix(s.Name, "beside.go:3") {
+			zoneCalls = s.Calls
+		}
+	}
+	if zoneCalls != forks {
+		t.Errorf("running profiler counts %d zones, the goroutine closed %d", zoneCalls, forks)
+	}
+
+	// The window's report: one row per location, calls in the third column.
+	windowCalls := func(loc string) int64 {
+		for _, line := range strings.Split(report, "\n") {
+			if f := strings.Fields(line); len(f) > 10 && strings.HasPrefix(f[10], loc) {
+				n, err := strconv.ParseInt(f[2], 10, 64)
+				if err != nil {
+					t.Fatalf("report row %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		return 0
+	}
+	if n := windowCalls("beside.go:1"); n <= 0 || n > forks {
+		t.Errorf("window counts %d of the %d forks, want more than 0 and no more than all:\n%s", n, forks, report)
+	}
+	if n := windowCalls("beside.go:3"); n <= 0 || n > forks {
+		t.Errorf("window counts %d of the %d zones, want more than 0 and no more than all:\n%s", n, forks, report)
 	}
 }
 
 // Profilers started and stopped on several goroutines while capture windows
 // open and close must leave, once all have stopped, no profiler running and
-// no collector installed: a window never hands the runtime back to a
-// profiler that stopped meanwhile.
+// no collector installed: a window that started its own profiler stops
+// only that one, and a window reading beside a profiler that stops
+// meanwhile leaves it stopped.
 func TestStartStopDuringCaptures(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

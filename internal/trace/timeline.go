@@ -46,6 +46,18 @@ func named(loc kmp.Ident, fallback string) string {
 	return fallback
 }
 
+// slice renders span event ev as a complete ("X") slice on its thread's
+// track; instant renders point event ev as a thread-scoped instant.
+func slice(ev kmp.TraceEvent, name, cat string, args map[string]any) chromeEvent {
+	return chromeEvent{Name: name, Cat: cat, Ph: "X", Ts: us(ev.When), Dur: us(ev.Dur),
+		Pid: timelinePid, Tid: ev.Gtid, Args: args}
+}
+
+func instant(ev kmp.TraceEvent, name, cat string, args map[string]any) chromeEvent {
+	return chromeEvent{Name: name, Cat: cat, Ph: "i", S: "t", Ts: us(ev.When),
+		Pid: timelinePid, Tid: ev.Gtid, Args: args}
+}
+
 // WriteTimeline drains pending events and writes the retained timeline
 // as Chrome trace-event JSON. The profiler must have been constructed
 // with WithTimeline; otherwise only explicit zones (if any) appear.
@@ -64,26 +76,13 @@ func (p *Profiler) WriteTimeline(w io.Writer) error {
 		gtids[ev.Gtid] = true
 		switch ev.Kind {
 		case kmp.TraceForkEnd:
-			out = append(out, chromeEvent{
-				Name: named(ev.Loc, "parallel"), Cat: "region", Ph: "X",
-				Ts: us(ev.When), Dur: us(ev.Dur), Pid: timelinePid, Tid: ev.Gtid,
-				Args: map[string]any{"threads": ev.NThreads},
-			})
+			out = append(out, slice(ev, named(ev.Loc, "parallel"), "region", map[string]any{"threads": ev.NThreads}))
 		case kmp.TraceLoopFini:
-			out = append(out, chromeEvent{
-				Name: named(ev.Loc, "for"), Cat: "loop", Ph: "X",
-				Ts: us(ev.When), Dur: us(ev.Dur), Pid: timelinePid, Tid: ev.Gtid,
-			})
+			out = append(out, slice(ev, named(ev.Loc, "for"), "loop", nil))
 		case kmp.TraceTaskRun:
-			out = append(out, chromeEvent{
-				Name: "task " + named(ev.Loc, "(unlocated)"), Cat: "task", Ph: "X",
-				Ts: us(ev.When), Dur: us(ev.Dur), Pid: timelinePid, Tid: ev.Gtid,
-			})
+			out = append(out, slice(ev, "task "+named(ev.Loc, "(unlocated)"), "task", nil))
 		case kmp.TraceBarrier:
-			out = append(out, chromeEvent{
-				Name: "barrier", Cat: "sync", Ph: "X",
-				Ts: us(ev.When), Dur: us(ev.Dur), Pid: timelinePid, Tid: ev.Gtid,
-			})
+			out = append(out, slice(ev, "barrier", "sync", nil))
 		case kmp.TraceLoopSteal, kmp.TraceTaskSteal:
 			// A flow arrow from the victim's track to the thief's. The
 			// start step is nudged one ns earlier so the arrow renders
@@ -103,43 +102,22 @@ func (p *Profiler) WriteTimeline(w io.Writer) error {
 					Ts: us(ev.When - 1), Pid: timelinePid, Tid: victim},
 				chromeEvent{Name: name, Cat: cat, Ph: "f", BP: "e", ID: flowID,
 					Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid},
-				chromeEvent{Name: name, Cat: cat, Ph: "i", S: "t",
-					Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid, Args: args},
+				instant(ev, name, cat, args),
 			)
 		case kmp.TraceTaskSpawn:
-			out = append(out, chromeEvent{
-				Name: "spawn " + named(ev.Loc, "task"), Cat: "task", Ph: "i", S: "t",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-				Args: map[string]any{"deps": ev.Arg0, "priority": ev.Arg1},
-			})
+			out = append(out, instant(ev, "spawn "+named(ev.Loc, "task"), "task", map[string]any{"deps": ev.Arg0, "priority": ev.Arg1}))
 		case kmp.TraceTaskDepStall:
-			out = append(out, chromeEvent{
-				Name: "dep-stall", Cat: "dep", Ph: "i", S: "t",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-				Args: map[string]any{"waiting_on": ev.Arg0},
-			})
+			out = append(out, instant(ev, "dep-stall", "dep", map[string]any{"waiting_on": ev.Arg0}))
 		case kmp.TraceTaskDepRelease:
-			out = append(out, chromeEvent{
-				Name: "dep-release", Cat: "dep", Ph: "i", S: "t",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-				Args: map[string]any{"released": ev.Arg0, "successors": ev.Arg1},
-			})
+			out = append(out, instant(ev, "dep-release", "dep", map[string]any{"released": ev.Arg0, "successors": ev.Arg1}))
 		case kmp.TraceCancel:
-			out = append(out, chromeEvent{
-				Name: "cancel " + kmp.CancelKind(ev.Arg0).String(), Cat: "sync", Ph: "i", S: "p",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-			})
+			c := instant(ev, "cancel "+kmp.CancelKind(ev.Arg0).String(), "sync", nil)
+			c.S = "p" // process-scoped: drawn across every thread's track
+			out = append(out, c)
 		case kmp.TraceTaskgroup:
-			out = append(out, chromeEvent{
-				Name: "taskgroup", Cat: "task", Ph: "i", S: "t",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-			})
+			out = append(out, instant(ev, "taskgroup", "task", nil))
 		case kmp.TraceTaskloop:
-			out = append(out, chromeEvent{
-				Name: "taskloop", Cat: "task", Ph: "i", S: "t",
-				Ts: us(ev.When), Pid: timelinePid, Tid: ev.Gtid,
-				Args: map[string]any{"trip": ev.Arg0},
-			})
+			out = append(out, instant(ev, "taskloop", "task", map[string]any{"trip": ev.Arg0}))
 		}
 	}
 	for _, z := range zones {

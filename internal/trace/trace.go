@@ -8,9 +8,9 @@
 // ring, the one the flight recorder reads too, and the collector drains
 // them in batches at region joins and explicit flushes. The profiler last
 // started is the running one (Default): /debug/gomp, ReadHealth and the
-// package-level ZoneAt read it, and a capture window hands the runtime
-// back to it. The profiler aggregates the stream three ways at once, each
-// with one rendering:
+// package-level ZoneAt read it, and a capture window reads its event
+// stream beside it. The profiler aggregates the stream three ways at once,
+// each with one rendering:
 //
 //   - a gprof-style flat profile per source region, as text with the
 //     imbalance analysis appended (Report; Summaries and Analyses are
@@ -116,11 +116,11 @@ type Profiler struct {
 	ringSize    int
 	timelineCap int
 
-	col     *kmp.Collector
-	met     Metrics
-	stopped bool // guarded by runMu
+	col *kmp.Collector
+	met Metrics
 
 	mu           sync.Mutex
+	tap          *Profiler // a capture window reading beside p (setTap)
 	regions      map[string]*regionStats
 	zones        map[string]*regionStats
 	events       []kmp.TraceEvent // retained timeline (nil unless WithTimeline)
@@ -146,8 +146,9 @@ func New(opts ...Option) *Profiler {
 }
 
 // running is the profiler whose collector is installed: the one Default
-// returns. runMu orders Start, Stop and a capture window's hand-back, so
-// running and the runtime's collector always change together.
+// returns. runMu orders Start, Stop and a capture window's check for a
+// running profiler, so running and the runtime's collector always change
+// together.
 var (
 	runMu   sync.Mutex
 	running atomic.Pointer[Profiler]
@@ -165,12 +166,11 @@ func Default() *Profiler { return running.Load() }
 func (p *Profiler) Start() {
 	runMu.Lock()
 	prev := running.Load()
-	p.stopped = false
 	p.install()
 	runMu.Unlock()
 	if prev != nil && prev != p {
-		// Drain and close the superseded profiler's cursors: what it misses
-		// until it runs again was never its to read, not a ring overflow.
+		// Close the superseded profiler's cursors: what its rings overwrite
+		// from now on was not written for it, so it is not a drop.
 		prev.Flush()
 	}
 }
@@ -182,20 +182,10 @@ func (p *Profiler) install() {
 
 // Stop detaches the profiler (if it is still the running one) and drains
 // any buffered events.
-func (p *Profiler) Stop() { p.stopFor(nil) }
-
-// stopFor stops p and, if p was running, hands the runtime to next: the
-// profiler a capture window superseded, unless it stopped meanwhile.
-func (p *Profiler) stopFor(next *Profiler) {
+func (p *Profiler) Stop() {
 	runMu.Lock()
-	p.stopped = true
-	if running.Load() == p {
-		if next != nil && !next.stopped {
-			next.install()
-		} else {
-			running.Store(nil)
-			kmp.SetCollector(nil)
-		}
+	if running.CompareAndSwap(p, nil) {
+		kmp.SetCollector(nil)
 	}
 	runMu.Unlock()
 	p.Flush()
@@ -210,6 +200,9 @@ func (p *Profiler) Flush() int {
 	p.mu.Lock()
 	if d > p.lastDrops {
 		p.met.RingDrops.Add(int64(d - p.lastDrops))
+		if p.tap != nil {
+			p.tap.met.RingDrops.Add(int64(d - p.lastDrops))
+		}
 		p.lastDrops = d
 	}
 	p.mu.Unlock()
@@ -219,14 +212,12 @@ func (p *Profiler) Flush() int {
 // Metrics returns the profiler's live metrics registry.
 func (p *Profiler) Metrics() *Metrics { return &p.met }
 
-func (p *Profiler) region(key string) *regionStats {
-	if key == "" {
-		key = "(unlocated)"
-	}
-	st := p.regions[key]
+// stats returns m's row for key, adding it on first use.
+func stats(m map[string]*regionStats, key string) *regionStats {
+	st := m[key]
 	if st == nil {
 		st = &regionStats{name: key}
-		p.regions[key] = st
+		m[key] = st
 	}
 	return st
 }
@@ -238,7 +229,7 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ev := range batch {
-		st := p.region(ev.Loc.String())
+		st := stats(p.regions, named(ev.Loc, "(unlocated)"))
 		switch ev.Kind {
 		case kmp.TraceForkBegin:
 			if ev.NThreads > st.maxTeam {
@@ -308,6 +299,19 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 		}
 		p.timelineDrop += int64(len(batch) - room)
 	}
+	if p.tap != nil {
+		p.tap.consume(batch)
+	}
+}
+
+// setTap flushes p, then makes w (nil for none) the profiler that p's
+// drained batches, zone closes and ring drops are forwarded to, so w sees
+// what p sees from now on without taking it from p.
+func (p *Profiler) setTap(w *Profiler) {
+	p.Flush()
+	p.mu.Lock()
+	p.tap = w
+	p.mu.Unlock()
 }
 
 // queueStep is one move of the TaskQueue gauge: +1 at a spawn, -1 when the
@@ -334,6 +338,9 @@ func (p *Profiler) drained() {
 		p.met.TaskQueue.Add(s.delta)
 	}
 	p.queueSteps = steps[:0]
+	if p.tap != nil {
+		p.tap.drained()
+	}
 }
 
 // Zone opens an explicit application span named name; the returned
@@ -363,23 +370,26 @@ func ZoneAt(file string, line int, name string) func() {
 func (p *Profiler) span(name string) func() {
 	start := kmp.TraceNow()
 	return func() {
-		end := kmp.TraceNow()
-		gtid := 0
+		s := zoneSpan{name: name, start: start, dur: kmp.TraceNow() - start}
 		if th := kmp.Current(); th != nil {
-			gtid = th.Gtid
+			s.gtid = th.Gtid
 		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		z := p.zones[name]
-		if z == nil {
-			z = &regionStats{name: name}
-			p.zones[name] = z
-		}
-		z.calls++
-		z.total += time.Duration(end - start)
-		if p.timelineCap > 0 && len(p.zoneSpans) < p.timelineCap {
-			p.zoneSpans = append(p.zoneSpans, zoneSpan{name: name, start: start, dur: end - start, gtid: gtid})
-		}
+		p.closeZone(s)
+	}
+}
+
+// closeZone folds one closed zone into p and its tap.
+func (p *Profiler) closeZone(s zoneSpan) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	z := stats(p.zones, s.name)
+	z.calls++
+	z.total += time.Duration(s.dur)
+	if p.timelineCap > 0 && len(p.zoneSpans) < p.timelineCap {
+		p.zoneSpans = append(p.zoneSpans, s)
+	}
+	if p.tap != nil {
+		p.tap.closeZone(s)
 	}
 }
 

@@ -221,7 +221,8 @@
 // Chrome JSON (internal/trace). examples/profile shows all three over an
 // NPB CG run. The running profiler is the one last started, by Profile or
 // trace.New(...).Start(), until it stops; a /profile or /timeline window
-// runs its own for the window, then hands the runtime back to it.
+// reads its event stream beside it, and starts a profiler of its own only
+// when none runs.
 //
 // Cost. The runtime writes each event once, into a per-thread ring that the
 // profiler and the flight recorder (below) both read ("Events" in
