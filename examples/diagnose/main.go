@@ -9,15 +9,16 @@
 //     scrapes its own /debug/pprof/goroutine profile — the blocked
 //     worker must carry omp_region/omp_gtid labels resolving to the
 //     pragma's file:line;
-//  3. arms the hang watchdog, then INJECTS a dependence cycle (the
-//     deadlock `depend(inout:a)` ↔ `depend(inout:b)` tasks would form)
-//     — the watchdog must trip immediately, naming both pragma
-//     locations, /debug/gomp/health must report the cycle, and the
-//     OpenMetrics scrape must show gomp_health 0 with a trip counted;
-//  4. releases the cycle and checks health recovers.
+//  3. arms the hang watchdog (50ms threshold), then plants a real stall:
+//     one thread of the region at diagnose.go:3 blocks on a channel
+//     before the barrier — the watchdog must trip once, naming the
+//     in-barrier teammate and the pragma location, /debug/gomp/health
+//     must report it (503 under ?strict=1), and the OpenMetrics scrape
+//     must show gomp_health 0 with one trip counted;
+//  4. releases the channel and checks health recovers.
 //
 // Exit status 0 and a final "all diagnostics ok" line mean every check
-// passed; CI runs this binary and greps for the cycle being named.
+// passed; CI runs this binary and greps for the stall being named.
 //
 //	go run ./examples/diagnose
 package main
@@ -29,9 +30,9 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
-	"gomp/internal/kmp"
 	"gomp/internal/trace"
 	"gomp/omp"
 )
@@ -43,7 +44,8 @@ func main() {
 	}
 }
 
-func get(base, path string) (string, error) {
+// get fetches base+path and fails unless the response status is want.
+func get(base, path string, want int) (string, error) {
 	resp, err := http.Get(base + path)
 	if err != nil {
 		return "", err
@@ -53,7 +55,7 @@ func get(base, path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return "", fmt.Errorf("GET %s: %s", path, resp.Status)
 	}
 	return string(body), nil
@@ -101,7 +103,7 @@ func run(w io.Writer) error {
 			<-hold // park inside the region so the profile catches us
 			return
 		}
-		body, err := get(base, "/debug/pprof/goroutine?debug=1")
+		body, err := get(base, "/debug/pprof/goroutine?debug=1", http.StatusOK)
 		if err == nil {
 			switch {
 			case !strings.Contains(body, "omp_region"):
@@ -120,10 +122,10 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintln(w, "labels:   ok — parked worker attributed to diagnose.go:2 in goroutine profile")
 
-	// -- 3. watchdog vs an injected dependence cycle -------------------
+	// -- 3. watchdog vs a planted barrier stall -----------------------
 	trips := make(chan *omp.HangReport, 1)
 	stopWd := omp.StartWatchdogConfig(omp.WatchdogConfig{
-		Threshold: time.Hour, // only the cycle detector may trip
+		Threshold: 50 * time.Millisecond,
 		Interval:  5 * time.Millisecond,
 		OnTrip: func(r *omp.HangReport) {
 			select {
@@ -134,69 +136,68 @@ func run(w io.Writer) error {
 	})
 	defer stopWd()
 
-	release := kmp.InjectDepCycle(
-		kmp.Ident{File: "diagnose.go", Line: 10, Region: "inout:a"},
-		kmp.Ident{File: "diagnose.go", Line: 20, Region: "inout:b"},
-	)
+	stall := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		omp.Parallel(func(t *omp.Thread) {
+			if t.Tid == 0 {
+				<-stall // the hang: tid 0 never reaches the barrier
+			}
+			omp.Barrier(t)
+		}, omp.NumThreads(2), omp.Loc("diagnose.go", 3, "stalled barrier"))
+	}()
+	var once sync.Once
+	release := func() { once.Do(func() { close(stall); <-done }) }
+	defer release()
 
 	var report *omp.HangReport
 	select {
 	case report = <-trips:
 	case <-time.After(5 * time.Second):
-		release()
-		return fmt.Errorf("watchdog did not trip on injected cycle within 5s")
+		return fmt.Errorf("watchdog did not trip on the stalled barrier within 5s")
 	}
 	text := report.String()
-	if !strings.Contains(text, "deadlock") ||
-		!strings.Contains(text, "diagnose.go:10") || !strings.Contains(text, "diagnose.go:20") {
-		release()
-		return fmt.Errorf("trip report does not name the cycle:\n%s", text)
+	if !strings.Contains(text, "in-barrier") || !strings.Contains(text, "diagnose.go:3") {
+		return fmt.Errorf("trip report does not name the stalled barrier:\n%s", text)
 	}
-	fmt.Fprintf(w, "watchdog: ok — tripped on injected cycle\n%s", indent(text))
+	fmt.Fprintf(w, "watchdog: ok — tripped on the stalled barrier\n%s", indent(text))
 
-	body, err := get(base, "/debug/gomp/health")
+	body, err := get(base, "/debug/gomp/health?strict=1", http.StatusServiceUnavailable)
 	if err != nil {
-		release()
 		return err
 	}
 	var h struct {
 		Healthy bool              `json:"healthy"`
-		Cycles  []json.RawMessage `json:"dep_cycles"`
+		Stuck   []json.RawMessage `json:"stuck_workers"`
 	}
-	if err := json.Unmarshal([]byte(body), &h); err != nil || h.Healthy || len(h.Cycles) == 0 {
-		release()
-		return fmt.Errorf("/debug/gomp/health does not report the deadlock: err=%v body=%s", err, body)
+	if err := json.Unmarshal([]byte(body), &h); err != nil || h.Healthy || len(h.Stuck) == 0 {
+		return fmt.Errorf("/debug/gomp/health does not report the stall: err=%v body=%s", err, body)
 	}
-	if !strings.Contains(body, "diagnose.go:10") {
-		release()
-		return fmt.Errorf("/debug/gomp/health does not name the cycle: %s", body)
+	if !strings.Contains(body, "diagnose.go:3") {
+		return fmt.Errorf("/debug/gomp/health does not name the stalled region: %s", body)
 	}
-	fmt.Fprintln(w, "health:   ok — /debug/gomp/health names the dependence cycle")
+	fmt.Fprintln(w, "health:   ok — /debug/gomp/health?strict=1 answers 503 naming the stalled region")
 
-	body, err = get(base, "/debug/gomp/metrics")
+	body, err = get(base, "/debug/gomp/metrics", http.StatusOK)
 	if err != nil {
-		release()
 		return err
 	}
 	if !strings.Contains(body, "gomp_health 0") || !strings.Contains(body, "gomp_watchdog_trips_total 1") {
-		release()
 		return fmt.Errorf("OpenMetrics scrape missing health metrics:\n%s", body)
 	}
-	fmt.Fprintln(w, "metrics:  ok — gomp_health 0, gomp_watchdog_trips_total 1 while deadlocked")
+	fmt.Fprintln(w, "metrics:  ok — gomp_health 0, gomp_watchdog_trips_total 1 while stalled")
 
 	// -- 4. recovery ---------------------------------------------------
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if h := omp.ReadHealth(); h.Healthy {
-			break
-		}
+	for !omp.ReadHealth().Healthy {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("health did not recover after cycle release")
+			return fmt.Errorf("health did not recover after the stall was released")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	fmt.Fprintln(w, "recovery: ok — healthy again after the cycle was released")
+	fmt.Fprintln(w, "recovery: ok — healthy again after the stall was released")
 
 	fmt.Fprintln(w, "all diagnostics ok")
 	return nil

@@ -310,7 +310,11 @@
 // holds an atomic unresolved-predecessor counter, and the task is withheld
 // from the deques until the counter drains — predecessor completion walks
 // the successor list and enqueues newly ready tasks from whichever thread
-// finished last. Ready tasks carrying a priority clause route through a
+// finished last. A new task only gains edges from tasks already in the
+// table, so the DAG is acyclic in spawn order: a dependence hang is a
+// chain whose head never finishes, which leaves the region's other
+// workers in its barrier, where the watchdog (watchdog.go) sees them.
+// Ready tasks carrying a priority clause route through a
 // team-wide max-heap consulted before any deque. Discarded (cancelled)
 // tasks still release their successors, so dependence DAGs compose with
 // taskwait, taskgroup, cancellation, and region teardown. taskyield is one

@@ -194,7 +194,7 @@ func unregisterTeam(tm *Team) {
 }
 
 // liveTeams snapshots the registry: the team list every sampler
-// (ReadStatus, ReadFlight, the watchdog, the cycle detector) walks.
+// (ReadStatus, ReadFlight, the watchdog) walks.
 func liveTeams() []*Team {
 	teamReg.mu.Lock()
 	teams := make([]*Team, 0, len(teamReg.m))

@@ -172,19 +172,18 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 		node := &taskNode{parent: parent, group: t.curGroup, team: t.team, final: o.Final || inherit, loc: loc}
 		serial := t.team == nil || t.team.n == 1
 		if len(o.Deps) > 0 && !serial {
-			node.dep = &depState{undeferred: true, specs: o.Deps}
+			node.dep = &depState{undeferred: true}
 			node.dep.npred.Store(1)
-			t.team.addWithheld(node)
 			registerDeps(parent, node, o.Deps)
-			if node.releaseCreationRef() {
-				t.team.removeWithheld(node)
-			} else if g := eventGate.Load(); g != 0 {
-				// The encountering thread itself stalls on the
-				// unresolved predecessors (OpenMP 5.2 §12.5).
-				t.event(g, TraceEvent{
-					Kind: TraceTaskDepStall, Loc: loc, When: TraceNow(),
-					Arg0: int64(node.dep.npred.Load()),
-				})
+			if !node.releaseCreationRef() {
+				if g := eventGate.Load(); g != 0 {
+					// The encountering thread itself stalls on the
+					// unresolved predecessors (OpenMP 5.2 §12.5).
+					t.event(g, TraceEvent{
+						Kind: TraceTaskDepStall, Loc: loc, When: TraceNow(),
+						Arg0: int64(node.dep.npred.Load()),
+					})
+				}
 			}
 			t.waitDeps(node)
 		}
@@ -211,15 +210,10 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 	// Dependent task: withhold from the queues until the predecessor count
 	// drains. The creation reference keeps concurrent predecessor
 	// completions from enqueueing the task before registration finishes.
-	// The withheld registry entry goes in before edge registration so the
-	// cycle detector never misses a task whose predecessors are racing to
-	// complete.
-	node.dep = &depState{specs: o.Deps}
+	node.dep = &depState{}
 	node.dep.npred.Store(1)
-	t.team.addWithheld(node)
 	registerDeps(parent, node, o.Deps)
 	if node.releaseCreationRef() {
-		t.team.removeWithheld(node)
 		t.enqueueReady(node)
 	} else if g := eventGate.Load(); g != 0 {
 		// Withheld: the task stalls on unresolved predecessors — the

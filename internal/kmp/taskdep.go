@@ -98,9 +98,6 @@ type depState struct {
 	// For deferred tasks the transition to zero — and only that
 	// transition — enqueues the task.
 	npred atomic.Int32
-	// specs retains the task's depend items for diagnostics: the cycle
-	// detector (depcycle.go) names them in hang reports.
-	specs []DepSpec
 }
 
 // depEntry is the per-address dependence record of one task-generating
@@ -141,9 +138,12 @@ func addEdge(pred, node *taskNode) {
 }
 
 // registerDeps wires node into the parent's dependence DAG according to its
-// depend items. Called on the spawning thread with the parent current, so
-// table access is single-threaded; edge addition locks per-predecessor.
-// The caller must have set node.dep and armed the creation reference.
+// depend items. The DAG cannot hold a cycle: edges only run from tasks
+// already in the parent's table to the new one, so every edge points from
+// an earlier spawn to a later one. Called on the spawning thread with the
+// parent current, so table access is single-threaded; edge addition locks
+// per-predecessor. The caller must have set node.dep and armed the
+// creation reference.
 func registerDeps(parent, node *taskNode, deps []DepSpec) {
 	m := parent.depTable()
 	for _, sp := range deps {
@@ -189,9 +189,6 @@ func (n *taskNode) depComplete(t *Thread) {
 	for _, s := range succ {
 		if s.dep.npred.Add(-1) == 0 {
 			released++
-			if s.team != nil {
-				s.team.removeWithheld(s)
-			}
 			switch {
 			case s.dep.undeferred:
 			case s.priority > 0 && s.team != nil:

@@ -2,6 +2,8 @@ package kmp
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -476,4 +478,87 @@ func TestDepSelfDependenceDoesNotDeadlock(t *testing.T) {
 		t.Fatal("self-dependent task deadlocked the region")
 	}
 	checkOnce(t, "self-dep", []*depProbe{pred, self, succ})
+}
+
+// A seeded random dependence DAG: ~200 sibling tasks, each with 1–3 depend
+// items over 4 addresses in random in/out/inout modes, some naming one
+// address twice and some undeferred. Every task must run exactly once, and
+// for every conflicting pair — a shared address that either task writes —
+// the earlier spawn must end before the later one starts.
+func TestDepRandomDAGOrder(t *testing.T) {
+	for _, nth := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("threads=%d", nth), func(t *testing.T) {
+			const n, naddr = 200, 4
+			var cells [naddr]int
+			rng := rand.New(rand.NewSource(int64(nth)))
+			type task struct {
+				opts   TaskOpts
+				uses   [naddr]bool // some item names the address
+				writes [naddr]bool // some item on the address is out/inout
+				yield  bool        // the body yields, to vary interleavings
+			}
+			tasks := make([]task, n)
+			dups, undeferred := 0, 0
+			for i := range tasks {
+				tk := &tasks[i]
+				tk.opts.Undeferred = rng.Intn(10) == 0
+				tk.yield = rng.Intn(4) == 0
+				if tk.opts.Undeferred {
+					undeferred++
+				}
+				dup := false
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					a := rng.Intn(naddr)
+					mode := []DepMode{DepIn, DepOut, DepInOut}[rng.Intn(3)]
+					dup = dup || tk.uses[a]
+					tk.uses[a] = true
+					tk.writes[a] = tk.writes[a] || mode != DepIn
+					tk.opts.Deps = append(tk.opts.Deps, DepSpec{Name: fmt.Sprint("cell", a), Addr: &cells[a], Mode: mode})
+				}
+				if dup {
+					dups++
+				}
+			}
+			if dups == 0 || undeferred == 0 {
+				t.Fatalf("generator drew %d duplicate-address and %d undeferred tasks, want some of each", dups, undeferred)
+			}
+
+			var clock atomic.Int64
+			runs := make([]atomic.Int32, n)
+			start := make([]int64, n)
+			end := make([]int64, n)
+			ForkCall(Ident{}, nth, func(th *Thread) {
+				if th.Single() {
+					for i := range tasks {
+						th.SpawnTask(Ident{}, func(*Thread) {
+							runs[i].Add(1)
+							start[i] = clock.Add(1)
+							if tasks[i].yield {
+								runtime.Gosched()
+							}
+							end[i] = clock.Add(1)
+						}, tasks[i].opts)
+					}
+				}
+				th.Barrier()
+			})
+
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("task %d executed %d times, want exactly once", i, got)
+				}
+			}
+			for j := range tasks {
+				for i := 0; i < j; i++ {
+					for a := 0; a < naddr; a++ {
+						conflict := tasks[i].uses[a] && tasks[j].uses[a] && (tasks[i].writes[a] || tasks[j].writes[a])
+						if conflict && end[i] > start[j] {
+							t.Errorf("tasks %d and %d conflict on cell%d, but %d started before %d ended", i, j, a, j, i)
+							break
+						}
+					}
+				}
+			}
+		})
+	}
 }

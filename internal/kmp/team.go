@@ -131,14 +131,6 @@ type Team struct {
 	// drains it before the work-stealing deques (taskdep.go).
 	prioQ taskPrioQ
 
-	// Withheld dependent tasks (depcycle.go): every spawned task with
-	// depend items whose predecessor count has not drained, the set the
-	// hang watchdog's dependence-cycle detector walks. The size gauge
-	// keeps dependence-free paths off the mutex.
-	withheldMu sync.Mutex
-	withheld   map[*taskNode]struct{}
-	withheldN  atomic.Int32
-
 	// ebox collects the first error of a catch-mode (ForkCallErr) region,
 	// explicit tasks' panics included (they may run at any scheduling
 	// point, the region-end drain among them). Embedded, so catch regions
@@ -151,7 +143,7 @@ type Team struct {
 const (
 	dirtyLoops   uint32 = 1 << iota // dispatch buffers (DispatchInit)
 	dirtySingles                    // single/copyprivate buffers
-	dirtyTasks                      // task counters, priority queue, withheld set, deques
+	dirtyTasks                      // task counters, priority queue, deques
 )
 
 func (tm *Team) touch(bit uint32) {
@@ -342,7 +334,6 @@ func (tm *Team) reset() {
 	if dirty&dirtyTasks != 0 {
 		tm.taskCount.Store(0)
 		tm.prioQ.reset()
-		tm.resetWithheld()
 		// Deques are empty between regions (the implicit barrier drained
 		// them) but stolen slots may still reference completed closures;
 		// dropping the ring releases them and any growth.

@@ -8,25 +8,21 @@ import (
 	"time"
 )
 
-// Hang/deadlock watchdog: a sampler goroutine that reads the packed
-// per-worker state words (state.go) and the withheld-task registries
-// (depcycle.go), and trips when the runtime stops making progress.
+// Hang watchdog: a sampler goroutine that reads the packed per-worker
+// state words (state.go) and trips when a worker stops making progress.
 //
-// Two independent detectors feed one trip decision:
-//
-//   - Stuck wait states: a worker whose state word has not changed —
-//     same state, same transition sequence, same location — across
-//     samples spanning the threshold, while in a wait state
-//     (in-barrier, stealing). The transition sequence in the word is
-//     what makes "unchanged" meaningful: a worker bouncing through the
-//     same barrier between two samples produces a different word every
-//     time. Long barriers under honest imbalance DO trip this detector;
-//     that is intended — the threshold is the operator's definition of
-//     "too long", and the report names who is waiting where.
-//
-//   - Dependence cycles: DetectDepCycles over the withheld sets. A
-//     non-empty result is a proof of deadlock, reported immediately
-//     regardless of threshold.
+// A worker is stuck when its state word has not changed — same state,
+// same transition sequence, same location — across samples spanning the
+// threshold, while in a wait state (in-barrier, stealing). The
+// transition sequence in the word is what makes "unchanged" meaningful:
+// a worker bouncing through the same barrier between two samples
+// produces a different word every time. Long barriers under honest
+// imbalance DO trip the watchdog; that is intended — the threshold is
+// the operator's definition of "too long", and the report names who is
+// waiting where. A dependence chain whose head never finishes shows up
+// the same way: the region's other workers wait for it in the barrier.
+// Dependence edges cannot form a cycle (registerDeps, taskdep.go), so
+// there is no other hang to look for.
 //
 // The watchdog trips once per episode: the first failing sweep fires
 // OnTrip (and counts gomp_watchdog_trips_total), further failing sweeps
@@ -46,13 +42,12 @@ type StuckWorker struct {
 	ForNs int64 `json:"for_ns"`
 }
 
-// HangReport is what a watchdog trip delivers: the stuck workers, any
-// proven dependence cycles, and the sweep's trace-clock timestamp.
+// HangReport is what a watchdog trip delivers: the stuck workers and the
+// sweep's trace-clock timestamp.
 type HangReport struct {
 	WhenNs      int64         `json:"when_ns"`
 	ThresholdNs int64         `json:"threshold_ns"`
 	Stuck       []StuckWorker `json:"stuck,omitempty"`
-	Cycles      []DepCycle    `json:"cycles,omitempty"`
 }
 
 // String renders the report as the multi-line text a trip handler can
@@ -63,12 +58,6 @@ func (r *HangReport) String() string {
 	for _, s := range r.Stuck {
 		fmt.Fprintf(&b, "  worker g%d (tid %d) %s for %v in %s\n",
 			s.Gtid, s.Tid, s.State, time.Duration(s.ForNs).Round(time.Millisecond), s.Region)
-	}
-	for _, c := range r.Cycles {
-		fmt.Fprintf(&b, "  dependence cycle (deadlock): %s\n", c)
-		for _, t := range c.Tasks {
-			fmt.Fprintf(&b, "    task %s depend(%s)\n", t.Loc, strings.Join(t.Deps, ", "))
-		}
 	}
 	return b.String()
 }
@@ -207,9 +196,8 @@ func watchdogLoop(cfg WatchdogConfig, stop chan struct{}) {
 			}
 		}
 		prev = next
-		cycles := DetectDepCycles()
 		wd.stuck.Store(&stuck)
-		if len(stuck) == 0 && len(cycles) == 0 {
+		if len(stuck) == 0 {
 			tripped = false // clean sweep re-arms the episode latch
 			continue
 		}
@@ -217,7 +205,7 @@ func watchdogLoop(cfg WatchdogConfig, stop chan struct{}) {
 			continue
 		}
 		tripped = true
-		rep := &HangReport{WhenNs: now, ThresholdNs: thr, Stuck: stuck, Cycles: cycles}
+		rep := &HangReport{WhenNs: now, ThresholdNs: thr, Stuck: stuck}
 		wd.trips.Add(1)
 		wd.last.Store(rep)
 		if cfg.OnTrip != nil {
@@ -230,7 +218,7 @@ func watchdogLoop(cfg WatchdogConfig, stop chan struct{}) {
 // serves and the gomp_health gauge condenses.
 type HealthStatus struct {
 	// Healthy is false when workers are currently stuck past the
-	// watchdog threshold or a dependence cycle exists right now.
+	// watchdog threshold.
 	Healthy bool `json:"healthy"`
 	// WatchdogRunning/WatchdogThresholdNs describe the armed watchdog
 	// (threshold 0 when none ever armed).
@@ -241,29 +229,26 @@ type HealthStatus struct {
 	// FlightRecorder reports whether the flight recorder is recording.
 	FlightRecorder bool `json:"flight_recorder"`
 	// Stuck is the armed watchdog's most recent sweep result (empty
-	// with no watchdog); Cycles is detected on demand at read time and
-	// needs no watchdog.
-	Stuck  []StuckWorker `json:"stuck_workers,omitempty"`
-	Cycles []DepCycle    `json:"dep_cycles,omitempty"`
+	// with no watchdog).
+	Stuck []StuckWorker `json:"stuck_workers,omitempty"`
 	// LastTrip is the most recent trip's report, if any.
 	LastTrip *HangReport `json:"last_trip,omitempty"`
 }
 
-// ReadHealth snapshots the runtime's health. Cycle detection runs
-// inline (cheap when nothing is withheld); stuck-worker data comes from
-// the watchdog's last sweep, so it is empty unless a watchdog is armed.
+// ReadHealth snapshots the runtime's health. Stuck-worker data comes
+// from the watchdog's last sweep, so it is empty unless a watchdog is
+// armed.
 func ReadHealth() HealthStatus {
 	h := HealthStatus{
 		WatchdogRunning:     wd.running.Load(),
 		WatchdogThresholdNs: wd.thresholdNs.Load(),
 		WatchdogTrips:       wd.trips.Load(),
 		FlightRecorder:      FlightRecording(),
-		Cycles:              DetectDepCycles(),
 		LastTrip:            wd.last.Load(),
 	}
 	if sp := wd.stuck.Load(); sp != nil {
 		h.Stuck = *sp
 	}
-	h.Healthy = len(h.Stuck) == 0 && len(h.Cycles) == 0
+	h.Healthy = len(h.Stuck) == 0
 	return h
 }

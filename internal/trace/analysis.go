@@ -61,11 +61,11 @@ func (p *Profiler) Analyses() []RegionAnalysis {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []RegionAnalysis
-	for _, st := range p.regions {
+	for loc, st := range p.regions {
 		if len(st.perWorker) < 2 {
 			continue
 		}
-		a := RegionAnalysis{Name: st.name, Workers: len(st.perWorker)}
+		a := RegionAnalysis{Name: named(loc, "(unlocated)"), Workers: len(st.perWorker)}
 		var sum, max, min time.Duration
 		var barWait time.Duration
 		first := true

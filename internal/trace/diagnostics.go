@@ -23,8 +23,8 @@ type Health struct {
 	ProfilerActive bool `json:"profiler_active"`
 }
 
-// ReadHealth snapshots runtime health: watchdog state, currently stuck
-// workers, dependence cycles detected right now, and recorder status.
+// ReadHealth snapshots runtime health: watchdog state, the workers its
+// last sweep found stuck, and recorder status.
 func ReadHealth() Health {
 	return Health{HealthStatus: kmp.ReadHealth(), ProfilerActive: Default() != nil}
 }
@@ -74,9 +74,8 @@ func FlightEvents() []FlightEvent {
 	return out
 }
 
-// WriteDiagnostics writes the full diagnostic dump — health, dependence
-// cycles, stuck workers, live team status and the flight-recorder tail —
-// to w; the tail is the flight recorder's text rendering (/flight serves
+// WriteDiagnostics writes the full diagnostic dump — health, stuck
+// workers, live team status and the flight-recorder tail — to w; the tail is the flight recorder's text rendering (/flight serves
 // JSON). This is what omp.DumpDiagnostics and the watchdog's default trip
 // action emit; every section reads only sampler-visible state, so dumping
 // never perturbs or stops the workload (it works precisely when the
@@ -90,15 +89,6 @@ func WriteDiagnostics(w io.Writer) error {
 	fmt.Fprintf(w, "flight recorder:  %v\n", h.FlightRecorder)
 	fmt.Fprintf(w, "profiler active:  %v\n", h.ProfilerActive)
 
-	if len(h.Cycles) > 0 {
-		fmt.Fprintf(w, "\n-- dependence cycles (deadlock) --\n")
-		for _, c := range h.Cycles {
-			fmt.Fprintf(w, "  %s\n", c)
-			for _, t := range c.Tasks {
-				fmt.Fprintf(w, "    task %s depend(%v)\n", t.Loc, t.Deps)
-			}
-		}
-	}
 	if len(h.Stuck) > 0 {
 		fmt.Fprintf(w, "\n-- stuck workers --\n")
 		for _, s := range h.Stuck {

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gomp/internal/kmp"
 	. "gomp/internal/trace"
@@ -58,47 +60,66 @@ func TestWriteDiagnosticsSections(t *testing.T) {
 	}
 }
 
-// An injected dependence cycle must surface in ReadHealth, in the
-// diagnostics dump, and as a WARNING section in the profiler's report;
-// after release, health must recover.
-func TestReportWarnsOnDepCycle(t *testing.T) {
-	release := kmp.InjectDepCycle(
-		kmp.Ident{File: "deadlock.go", Line: 7, Region: "stage a"},
-		kmp.Ident{File: "deadlock.go", Line: 13, Region: "stage b"},
-	)
+// A planted barrier stall must surface in ReadHealth, in the diagnostics
+// dump, and as a WARNING section in the profiler's report; after release,
+// health must recover.
+func TestReportWarnsOnStuckBarrier(t *testing.T) {
+	stopWd := kmp.StartWatchdog(kmp.WatchdogConfig{
+		Threshold: 50 * time.Millisecond,
+		Interval:  5 * time.Millisecond,
+	})
+	defer stopWd()
 
-	h := ReadHealth()
-	if h.Healthy || len(h.Cycles) == 0 {
-		release()
-		t.Fatalf("injected cycle not visible: healthy=%v cycles=%d", h.Healthy, len(h.Cycles))
+	stall := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		omp.Parallel(func(th *omp.Thread) {
+			if th.Tid == 0 {
+				<-stall // the hang: tid 0 never reaches the barrier
+			}
+			omp.Barrier(th)
+		}, omp.NumThreads(2), omp.Loc("stall.go", 7, "stage a"))
+	}()
+	var once sync.Once
+	release := func() { once.Do(func() { close(stall); <-done }) }
+	defer release()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for ReadHealth().Healthy {
+		if time.Now().After(deadline) {
+			t.Fatal("planted barrier stall never made health unhealthy")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	var sb strings.Builder
 	if err := WriteDiagnostics(&sb); err != nil {
-		release()
 		t.Fatal(err)
 	}
 	dump := sb.String()
-	if !strings.Contains(dump, "dependence cycles") ||
-		!strings.Contains(dump, "deadlock.go:7") || !strings.Contains(dump, "deadlock.go:13") {
-		release()
-		t.Fatalf("diagnostics dump does not name the cycle:\n%s", dump)
+	if !strings.Contains(dump, "stuck workers") || !strings.Contains(dump, "in-barrier") ||
+		!strings.Contains(dump, "stall.go:7") {
+		t.Fatalf("diagnostics dump does not name the stalled barrier:\n%s", dump)
 	}
 
-	// A profiler report produced while the cycle exists must carry the
-	// health WARNING naming the pragma locations.
+	// A profiler report produced while the stall lasts must carry the
+	// health WARNING naming the pragma location.
 	p := New()
 	p.Start()
 	omp.Parallel(func(th *omp.Thread) {}, omp.NumThreads(2))
 	p.Stop()
 	rep := p.Report()
-	if !strings.Contains(rep, "WARNING") || !strings.Contains(rep, "deadlock.go:7") {
-		release()
+	if !strings.Contains(rep, "WARNING") || !strings.Contains(rep, "stall.go:7") {
 		t.Fatalf("report missing health warning:\n%s", rep)
 	}
 
 	release()
-	if h := ReadHealth(); !h.Healthy || len(h.Cycles) != 0 {
-		t.Errorf("health did not recover after release: healthy=%v cycles=%d", h.Healthy, len(h.Cycles))
+	deadline = time.Now().Add(10 * time.Second)
+	for h := ReadHealth(); !h.Healthy; h = ReadHealth() {
+		if time.Now().After(deadline) {
+			t.Fatalf("health did not recover after release: stuck=%v", h.Stuck)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -106,7 +106,7 @@ func serveIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `gomp runtime debug surface
 
   status              live teams and per-worker states (JSON)
-  health              watchdog/stuck-worker/dep-cycle self-diagnosis (JSON)
+  health              watchdog/stuck-worker self-diagnosis (JSON)
   flight              flight-recorder event history (always on, JSON); a
                       run of back-to-back regions is one folded record
   metrics             registry in OpenMetrics text format
@@ -123,11 +123,10 @@ func serveStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, kmp.ReadStatus())
 }
 
-// serveHealth reports the runtime's self-diagnosis: watchdog state,
-// workers stuck past the threshold, and dependence cycles detected at
-// request time. A scrape of a hung process is exactly when this must
-// work, so it reads only sampler-visible atomics and the withheld-task
-// registries.
+// serveHealth reports the runtime's self-diagnosis: watchdog state and
+// the workers its last sweep found stuck past the threshold. A scrape of
+// a hung process is exactly when this must work, so it reads only
+// sampler-visible atomics.
 func serveHealth(w http.ResponseWriter, r *http.Request) {
 	h := ReadHealth()
 	// Unhealthy still answers 200 — the scrape succeeded and the payload

@@ -137,7 +137,7 @@ func writeExposition(w io.Writer, s *MetricsSnapshot, sums []RegionSummary, anal
 	if h.Healthy {
 		healthy = 1
 	}
-	e.gauge("gomp_health", "Runtime self-diagnosis: 1 healthy, 0 when workers are stuck past the watchdog threshold or a dependence cycle exists.", healthy)
+	e.gauge("gomp_health", "Runtime self-diagnosis: 1 healthy, 0 when workers are stuck past the watchdog threshold.", healthy)
 	e.counter("gomp_watchdog_trips", "Hang-watchdog trip episodes since process start.", int64(h.WatchdogTrips))
 	e.b.WriteString("# EOF\n")
 	_, err := io.WriteString(w, e.b.String())

@@ -123,7 +123,7 @@ func (p *Profiler) WriteTimeline(w io.Writer) error {
 	for _, z := range zones {
 		gtids[z.gtid] = true
 		out = append(out, chromeEvent{
-			Name: z.name, Cat: "zone", Ph: "X",
+			Name: z.loc.String(), Cat: "zone", Ph: "X",
 			Ts: us(z.start), Dur: us(z.dur), Pid: timelinePid, Tid: z.gtid,
 		})
 	}

@@ -40,7 +40,6 @@ import (
 
 // regionStats accumulates one source region's activity.
 type regionStats struct {
-	name        string
 	calls       int64
 	total       time.Duration // summed region (or zone/task/loop) span time
 	maxTeam     int
@@ -81,8 +80,8 @@ func (st *regionStats) worker(gtid int) *workerLoad {
 
 // zoneSpan is one closed explicit zone retained for the timeline.
 type zoneSpan struct {
-	name       string
-	start, dur int64 // ns on the runtime's trace clock
+	loc        kmp.Ident // Region holds the zone's name
+	start, dur int64     // ns on the runtime's trace clock
 	gtid       int
 }
 
@@ -120,9 +119,9 @@ type Profiler struct {
 	met Metrics
 
 	mu           sync.Mutex
-	tap          *Profiler // a capture window reading beside p (setTap)
-	regions      map[string]*regionStats
-	zones        map[string]*regionStats
+	tap          *Profiler                  // a capture window reading beside p (setTap)
+	regions      map[kmp.Ident]*regionStats // keyed by location; named at render
+	zones        map[kmp.Ident]*regionStats
 	events       []kmp.TraceEvent // retained timeline (nil unless WithTimeline)
 	zoneSpans    []zoneSpan
 	timelineDrop int64 // events past timelineCap
@@ -133,8 +132,8 @@ type Profiler struct {
 // New returns an idle profiler.
 func New(opts ...Option) *Profiler {
 	p := &Profiler{
-		regions: make(map[string]*regionStats),
-		zones:   make(map[string]*regionStats),
+		regions: make(map[kmp.Ident]*regionStats),
+		zones:   make(map[kmp.Ident]*regionStats),
 	}
 	for _, o := range opts {
 		o(p)
@@ -212,12 +211,13 @@ func (p *Profiler) Flush() int {
 // Metrics returns the profiler's live metrics registry.
 func (p *Profiler) Metrics() *Metrics { return &p.met }
 
-// stats returns m's row for key, adding it on first use.
-func stats(m map[string]*regionStats, key string) *regionStats {
-	st := m[key]
+// stats returns m's row for loc, adding it on first use. Rows are keyed
+// by the location itself, so folding an event formats nothing.
+func stats(m map[kmp.Ident]*regionStats, loc kmp.Ident) *regionStats {
+	st := m[loc]
 	if st == nil {
-		st = &regionStats{name: key}
-		m[key] = st
+		st = &regionStats{}
+		m[loc] = st
 	}
 	return st
 }
@@ -229,7 +229,7 @@ func (p *Profiler) consume(batch []kmp.TraceEvent) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ev := range batch {
-		st := stats(p.regions, named(ev.Loc, "(unlocated)"))
+		st := stats(p.regions, ev.Loc)
 		switch ev.Kind {
 		case kmp.TraceForkBegin:
 			if ev.NThreads > st.maxTeam {
@@ -347,13 +347,13 @@ func (p *Profiler) drained() {
 // function closes it. Usable with defer:
 //
 //	defer prof.Zone("assembly")()
-func (p *Profiler) Zone(name string) func() { return p.span(name) }
+func (p *Profiler) Zone(name string) func() { return p.span(kmp.Ident{Region: name}) }
 
 // ZoneAt opens an explicit span attributed to a source location — the
 // form the compiler's -profile mode injects, so the flat profile and
 // timeline name spans by the user's file:line.
 func (p *Profiler) ZoneAt(file string, line int, name string) func() {
-	return p.span(fmt.Sprintf("%s:%d %s", file, line, name))
+	return p.span(kmp.Ident{File: file, Line: line, Region: name})
 }
 
 // ZoneAt opens a source-located span on the running profiler; the
@@ -367,10 +367,10 @@ func ZoneAt(file string, line int, name string) func() {
 	return func() {}
 }
 
-func (p *Profiler) span(name string) func() {
+func (p *Profiler) span(loc kmp.Ident) func() {
 	start := kmp.TraceNow()
 	return func() {
-		s := zoneSpan{name: name, start: start, dur: kmp.TraceNow() - start}
+		s := zoneSpan{loc: loc, start: start, dur: kmp.TraceNow() - start}
 		if th := kmp.Current(); th != nil {
 			s.gtid = th.Gtid
 		}
@@ -382,7 +382,7 @@ func (p *Profiler) span(name string) func() {
 func (p *Profiler) closeZone(s zoneSpan) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	z := stats(p.zones, s.name)
+	z := stats(p.zones, s.loc)
 	z.calls++
 	z.total += time.Duration(s.dur)
 	if p.timelineCap > 0 && len(p.zoneSpans) < p.timelineCap {
@@ -418,10 +418,10 @@ func (p *Profiler) Summaries() []RegionSummary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []RegionSummary
-	collect := func(m map[string]*regionStats) {
-		for _, st := range m {
+	collect := func(m map[kmp.Ident]*regionStats, unlocated string) {
+		for loc, st := range m {
 			s := RegionSummary{
-				Name:        st.name,
+				Name:        named(loc, unlocated),
 				Calls:       st.calls,
 				Total:       st.total,
 				MaxTeam:     st.maxTeam,
@@ -446,8 +446,8 @@ func (p *Profiler) Summaries() []RegionSummary {
 			out = append(out, s)
 		}
 	}
-	collect(p.regions)
-	collect(p.zones)
+	collect(p.regions, "(unlocated)")
+	collect(p.zones, "")
 	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
 	return out
 }
@@ -485,9 +485,6 @@ func (p *Profiler) Report() string {
 	// process should lead with what the watchdog knows.
 	if h := kmp.ReadHealth(); !h.Healthy || h.WatchdogTrips > 0 {
 		fmt.Fprintf(&b, "\nWARNING: runtime health — healthy=%v, watchdog trips=%d.\n", h.Healthy, h.WatchdogTrips)
-		for _, c := range h.Cycles {
-			fmt.Fprintf(&b, "  dependence cycle (deadlock): %s\n", c)
-		}
 		for _, s := range h.Stuck {
 			fmt.Fprintf(&b, "  worker g%d stuck %s in %s\n", s.Gtid, s.State, s.Region)
 		}

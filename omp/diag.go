@@ -51,7 +51,7 @@ func envOff(v string) bool {
 }
 
 // DumpDiagnostics writes the runtime's full diagnostic state to w:
-// health (watchdog status, stuck workers, dependence cycles), live
+// health (watchdog status, stuck workers), live
 // teams with per-worker states, and the flight recorder's most recent
 // event history. Reading is sampler-safe — it works while (and exactly
 // because) the workload is wedged.
@@ -73,17 +73,14 @@ func SetProfileLabels(on bool) { kmp.SetProfLabels(on) }
 // WatchdogConfig configures StartWatchdogConfig.
 type WatchdogConfig = kmp.WatchdogConfig
 
-// HangReport is a watchdog trip's findings: stuck workers and proven
-// dependence cycles.
+// HangReport is a watchdog trip's findings: the stuck workers.
 type HangReport = kmp.HangReport
 
-// StartWatchdog arms the hang/deadlock watchdog with the given trip
-// threshold (0 selects the 10s default) and returns a stop function. A
-// worker parked in a barrier or stealing sweep past the threshold — or
-// a dependence cycle among withheld tasks, detected immediately — trips
-// the watchdog: a hang report naming the stuck workers' regions and the
-// cycle's pragma locations is written to stderr, followed by a full
-// diagnostic dump. /debug/gomp/health and the gomp_health /
+// StartWatchdog arms the hang watchdog with the given trip threshold (0
+// selects the 10s default) and returns a stop function. A worker parked
+// in a barrier or stealing sweep past the threshold trips the watchdog:
+// a hang report naming the stuck workers' states and regions is written
+// to stderr, followed by a full diagnostic dump. /debug/gomp/health and the gomp_health /
 // gomp_watchdog_trips_total metrics reflect watchdog state either way.
 //
 // GOMP_WATCHDOG=1 (or =<duration>) arms it from the environment.
@@ -108,6 +105,6 @@ func StartWatchdogConfig(cfg WatchdogConfig) (stop func()) {
 // at /debug/gomp/health.
 type Health = trace.Health
 
-// ReadHealth snapshots runtime health: watchdog state, workers stuck
-// past the threshold, and dependence cycles detected right now.
+// ReadHealth snapshots runtime health: watchdog state and the workers
+// its last sweep found stuck past the threshold.
 func ReadHealth() Health { return trace.ReadHealth() }

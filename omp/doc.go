@@ -250,9 +250,9 @@
 // scrape target. The endpoints:
 //
 //	/debug/gomp/status    live teams and per-worker states (JSON)
-//	/debug/gomp/health    watchdog / stuck-worker / dependence-cycle
-//	                      diagnosis (JSON; ?strict=1 answers 503 when
-//	                      unhealthy, for liveness probes)
+//	/debug/gomp/health    watchdog / stuck-worker diagnosis (JSON;
+//	                      ?strict=1 answers 503 when unhealthy, for
+//	                      liveness probes)
 //	/debug/gomp/flight    the flight recorder's event history (JSON;
 //	                      DumpDiagnostics prints it as a table)
 //	/debug/gomp/metrics   the metrics registry, OpenMetrics text
@@ -309,19 +309,18 @@
 //
 // The watchdog. StartWatchdog(threshold) (GOMP_WATCHDOG=30s from the
 // environment; 0 selects the 10s default) samples the per-worker state
-// words and the task-dependence tables. A worker sitting in one barrier
-// or steal sweep, unmoved, past the threshold trips it; a dependence
-// cycle among withheld tasks — two sibling tasks whose depend clauses
-// wait on each other, a proof of deadlock — trips it immediately. The
-// trip handler (yours via StartWatchdogConfig, or the default stderr
-// report followed by DumpDiagnostics) receives a HangReport naming each
-// stuck worker's region and each cycle's pragma locations:
+// words. A worker sitting in one barrier or steal sweep, unmoved, past the
+// threshold trips it, once per stall. A depend chain whose head never
+// finishes shows up the same way, as its teammates waiting in the region's
+// barrier; depend clauses cannot wait on each other in a cycle, because a
+// task only ever waits on siblings spawned before it. The trip handler
+// (yours via StartWatchdogConfig, or the default stderr report followed by
+// DumpDiagnostics) receives a HangReport naming each stuck worker's state
+// and region:
 //
 //	gomp: WATCHDOG TRIP — runtime appears hung
 //	hang report (threshold 10s):
-//	  dependence cycle (deadlock): lu.go:41 inout:a -> lu.go:47 inout:b -> lu.go:41 inout:a
-//	    task lu.go:41 inout:a depend(inout:injected)
-//	    task lu.go:47 inout:b depend(inout:injected)
+//	  worker g6 (tid 1) in-barrier for 10.002s in lu.go:41 parallel
 //
 // The same diagnosis is served at /debug/gomp/health, exported as the
 // gomp_health gauge and the gomp_watchdog_trips_total counter, and appended
@@ -336,9 +335,9 @@
 // worker is in.
 //
 // The workflow: arm GOMP_WATCHDOG in production; on a trip, read the hang
-// report for who is stuck where (a dependence cycle is definitive — fix the
-// depend clauses it names), then the flight-recorder tail for what the
+// report for who is waiting where (the teammate missing from that barrier
+// is the one to look at), then the flight-recorder tail for what the
 // runtime did in the seconds before it wedged; /debug/pprof/goroutine tells
-// you what the rest of the process was doing. `go run ./examples/diagnose`
-// walks the loop against an injected deadlock.
+// you what the missing thread is blocked on. `go run ./examples/diagnose`
+// walks the loop against a planted barrier stall.
 package omp
