@@ -27,7 +27,6 @@ import (
 	"gomp/internal/bench"
 	"gomp/internal/npb"
 	"gomp/internal/trace"
-	"gomp/omp"
 )
 
 // jsonReport is the machine-readable form of one npbsuite invocation,
@@ -99,22 +98,9 @@ func main() {
 		runs     = flag.Int("runs", 1, "repetitions per configuration (paper uses 5)")
 		jsonOut  = flag.Bool("json", false, "also write machine-readable results to BENCH_<class>.json")
 		metricsF = flag.Bool("metrics", true, "with -json, embed a per-kernel runtime-metrics block from an extra instrumented pass")
-		serveF   = flag.String("serve", "", "serve /debug/gomp on this address (host:port) and keep the kernel sweep looping forever so the endpoints stay scrapeable")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
-
-	if *serveF != "" {
-		// Serving mode: start a profiler up front so /metrics and
-		// /regions accumulate history, and bring the endpoint suite up
-		// before the first sweep starts.
-		trace.New().Start()
-		dbg, err := omp.ServeDebug(*serveF)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "npbsuite: debug server on http://%s/debug/gomp/\n", dbg.Addr)
-	}
 
 	class, err := npb.ParseClass(*classF)
 	if err != nil {
@@ -194,31 +180,6 @@ func main() {
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-	if *serveF != "" {
-		// Keep the kernels sweeping so every scrape of /debug/gomp sees
-		// live fork/barrier/steal activity, not a quiesced runtime. The
-		// loop reruns the same kernel list at the largest thread count;
-		// terminate with ^C.
-		fmt.Fprintln(os.Stderr, "npbsuite: serving; kernels looping until interrupted")
-		th := threads[len(threads)-1]
-		for _, t := range threads {
-			if t > th {
-				th = t
-			}
-		}
-		for i := uint64(1); ; i++ {
-			for _, kernel := range strings.Split(*kernels, ",") {
-				kernel = strings.TrimSpace(kernel)
-				if kernel == "" {
-					continue
-				}
-				if _, err := bench.RunSweep(kernel, class, []int{th}, 1, func(string) {}); err != nil {
-					fail(err)
-				}
-			}
-			progress(fmt.Sprintf("serving: sweep %d done", i))
 		}
 	}
 	os.Exit(exit)

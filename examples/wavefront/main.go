@@ -87,12 +87,12 @@ func dagSweep(g []float64) {
 				for bi := 0; bi < nb; bi++ {
 					for bj := 0; bj < nb; bj++ {
 						bi, bj := bi, bj
-						opts := []omp.Option{omp.DependInOut("self", &tok[bi*nb+bj])}
+						opts := []omp.Option{omp.DependInOut(&tok[bi*nb+bj])}
 						if bi > 0 {
-							opts = append(opts, omp.DependIn("north", &tok[(bi-1)*nb+bj]))
+							opts = append(opts, omp.DependIn(&tok[(bi-1)*nb+bj]))
 						}
 						if bj > 0 {
-							opts = append(opts, omp.DependIn("west", &tok[bi*nb+bj-1]))
+							opts = append(opts, omp.DependIn(&tok[bi*nb+bj-1]))
 						}
 						omp.Task(t, func(*omp.Thread) { sweepTile(g, bi, bj) }, opts...)
 					}

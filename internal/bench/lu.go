@@ -173,26 +173,26 @@ func LUDAG(a []float64, threads int) {
 			for k := 0; k < LUNB; k++ {
 				k := k
 				omp.Task(t, func(*omp.Thread) { lu0(a, k) },
-					omp.DependInOut("diag", tok(k, k)))
+					omp.DependInOut(tok(k, k)))
 				for j := k + 1; j < LUNB; j++ {
 					j := j
 					omp.Task(t, func(*omp.Thread) { fwd(a, k, j) },
-						omp.DependIn("diag", tok(k, k)),
-						omp.DependInOut("row", tok(k, j)))
+						omp.DependIn(tok(k, k)),
+						omp.DependInOut(tok(k, j)))
 				}
 				for i := k + 1; i < LUNB; i++ {
 					i := i
 					omp.Task(t, func(*omp.Thread) { bdiv(a, i, k) },
-						omp.DependIn("diag", tok(k, k)),
-						omp.DependInOut("col", tok(i, k)))
+						omp.DependIn(tok(k, k)),
+						omp.DependInOut(tok(i, k)))
 				}
 				for i := k + 1; i < LUNB; i++ {
 					for j := k + 1; j < LUNB; j++ {
 						i, j := i, j
 						omp.Task(t, func(*omp.Thread) { bmod(a, i, j, k) },
-							omp.DependIn("col", tok(i, k)),
-							omp.DependIn("row", tok(k, j)),
-							omp.DependInOut("blk", tok(i, j)))
+							omp.DependIn(tok(i, k)),
+							omp.DependIn(tok(k, j)),
+							omp.DependInOut(tok(i, j)))
 					}
 				}
 			}

@@ -10,17 +10,12 @@ import (
 // barrier-wait time, steal counts, task statistics. It deliberately runs
 // outside the timed sweep: collection is cheap (a few stores per event)
 // but not free, and the perf-trajectory numbers in BENCH_<class>.json
-// must stay comparable with earlier, uninstrumented revisions. A profiler
-// that was running before (npbsuite -serve's) runs again afterwards.
+// must stay comparable with earlier, uninstrumented revisions.
 func MeasureMetrics(kernel string, class npb.Class, threads int) (*trace.MetricsSnapshot, error) {
-	prev := trace.Default()
 	p := trace.New()
 	p.Start()
 	_, err := Run(kernel, "omp", class, threads)
 	p.Stop()
-	if prev != nil {
-		prev.Start()
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,6 @@ const (
 	SchedGuided
 	SchedRuntime
 	SchedAuto
-	SchedTrapezoid
 )
 
 // String returns the clause spelling.
@@ -180,8 +179,6 @@ func (s SchedEnum) String() string {
 		return "runtime"
 	case SchedAuto:
 		return "auto"
-	case SchedTrapezoid:
-		return "trapezoidal"
 	}
 	return "none"
 }

@@ -82,12 +82,12 @@
 //	tile                         sizes(t1,…,tk)
 //	unroll                       full | partial[(n)]
 //
-// Schedules are static[,chunk], dynamic, guided, auto, runtime and
-// trapezoidal (an extension), with the monotonic: and nonmonotonic:
-// modifiers. Reduction operators are + - * min max & | ^ && || (the bitwise
-// ones on integers only); every reduction lowers to omp.Reduce or
-// omp.ReduceBool, which folds the partials in thread order at the
-// construct's barrier, so a team size gives the same bits on every run.
+// Schedules are OpenMP's static[,chunk], dynamic, guided, auto and
+// runtime, with the monotonic: and nonmonotonic: modifiers. Reduction
+// operators are + - * min max & | ^ && || (the bitwise ones on integers
+// only); every reduction lowers to omp.Reduce or omp.ReduceBool, which
+// folds the partials in thread order at the construct's barrier, so a team
+// size gives the same bits on every run.
 // The <kind> of cancel and cancellation point is parallel, for or
 // taskgroup; cancel takes effect only with cancellation on
 // (OMP_CANCELLATION, or omp.SetCancellation). OpenMP also allows lastprivate and reduction on

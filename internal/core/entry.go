@@ -17,7 +17,7 @@ import (
 // invalidates every cached transform. Bump it whenever Transform can
 // produce different output for the same input and options: new
 // directives, changed lowerings, changed formatting.
-const EngineVersion = "gomp-core/17"
+const EngineVersion = "gomp-core/18"
 
 // TransformResult is one file's trip through the preprocessor.
 type TransformResult struct {

@@ -24,7 +24,7 @@ var fuzzSeeds = []string{
 	"parallel for reduction(+:sx,sy) reduction(*:p) schedule(guided,8) collapse(2)",
 	"for schedule(nonmonotonic:dynamic,64) nowait private(i,j)",
 	"for schedule(monotonic:static) ordered lastprivate(y)",
-	"for collapse(15) schedule(trapezoidal,16)",
+	"for collapse(15) schedule(guided,16)",
 	"sections nowait",
 	"single copyprivate(v) nowait",
 	"critical(name_x)",

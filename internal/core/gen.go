@@ -31,8 +31,6 @@ func schedConst(s SchedEnum) string {
 		return "omp.Runtime"
 	case SchedAuto:
 		return "omp.Auto"
-	case SchedTrapezoid:
-		return "omp.Trapezoidal"
 	}
 	return ""
 }
@@ -805,8 +803,8 @@ func withLoaded(e ast.Expr, x string) ast.Expr {
 // ---------------------------------------------------------------- tasking
 
 // taskOptions writes the clause options shared by task and taskloop.
-// Depend items lower to omp.DependIn("v", &v)-style options: the variable's
-// address is the dependence address, its spelling the diagnostic name.
+// Depend items lower to omp.DependIn(&v)-style options: the variable's
+// address is the dependence address.
 func (lw *lowerer) taskOptions(n *node, region string) {
 	c, e := &n.d.Clauses, lw.e
 	if c.If != "" {
@@ -845,9 +843,7 @@ func (lw *lowerer) taskOptions(n *node, region string) {
 	}
 	for _, dc := range c.Depends {
 		for _, v := range dc.Vars {
-			e.put(", ", dc.Mode.RuntimeName(), "(")
-			e.quote(v)
-			e.put(", &", v, ")")
+			e.put(", ", dc.Mode.RuntimeName(), "(&", v, ")")
 		}
 	}
 	e.code(", ")

@@ -405,8 +405,6 @@ func (p *dirParser) parseSchedule(c *Clauses) error {
 		c.Sched = SchedRuntime
 	case p.eatToken(TokAuto) != nil:
 		c.Sched = SchedAuto
-	case p.eatToken(TokTrapezoidal) != nil:
-		c.Sched = SchedTrapezoid
 	default:
 		return fmt.Errorf("pragma: bad schedule kind at %s", *p.peek())
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,19 +102,41 @@ func TestParseSchedules(t *testing.T) {
 		kind  SchedEnum
 		chunk int64
 	}{
-		"for schedule(static)":         {SchedStatic, 0},
-		"for schedule(static,1)":       {SchedStatic, 1},
-		"for schedule(dynamic, 64)":    {SchedDynamic, 64},
-		"for schedule(guided,8)":       {SchedGuided, 8},
-		"for schedule(runtime)":        {SchedRuntime, 0},
-		"for schedule(auto)":           {SchedAuto, 0},
-		"for schedule(trapezoidal,16)": {SchedTrapezoid, 16},
+		"for schedule(static)":      {SchedStatic, 0},
+		"for schedule(static,1)":    {SchedStatic, 1},
+		"for schedule(dynamic, 64)": {SchedDynamic, 64},
+		"for schedule(guided,8)":    {SchedGuided, 8},
+		"for schedule(runtime)":     {SchedRuntime, 0},
+		"for schedule(auto)":        {SchedAuto, 0},
 	}
 	for text, want := range cases {
 		d := mustParse(t, text)
 		if d.Clauses.Sched != want.kind || d.Clauses.Chunk != want.chunk {
 			t.Errorf("%q → %v,%d want %v,%d", text, d.Clauses.Sched, d.Clauses.Chunk, want.kind, want.chunk)
 		}
+	}
+}
+
+// The schedule kinds are OpenMP's and no others: every keyword the lexer
+// knows is tried as one, and exactly these five parse.
+func TestParseScheduleKindsAreOpenMPs(t *testing.T) {
+	var got []string
+	for kw := range keywordTags {
+		if _, err := ParseDirective("for schedule(" + kw + ")"); err == nil {
+			got = append(got, kw)
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"auto", "dynamic", "guided", "runtime", "static"}; !slices.Equal(got, want) {
+		t.Errorf("schedule kinds = %v, want %v", got, want)
+	}
+	for s := SchedStatic; s <= SchedAuto; s++ {
+		if !slices.Contains(got, s.String()) {
+			t.Errorf("SchedEnum %d spells %q, not a schedule kind", s, s)
+		}
+	}
+	if s := SchedAuto + 1; s.String() != "none" {
+		t.Errorf("SchedEnum %d spells %q past the last kind", s, s)
 	}
 }
 

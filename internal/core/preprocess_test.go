@@ -919,12 +919,12 @@ func f() {
 }
 `)
 	wantContains(t, out,
-		`omp.DependOut("a", &a)`,
-		`omp.DependIn("a", &a)`,
-		`omp.DependOut("b", &b)`,
+		`omp.DependOut(&a)`,
+		`omp.DependIn(&a)`,
+		`omp.DependOut(&b)`,
 		`omp.Priority(2)`,
-		`omp.DependIn("b", &b)`,
-		`omp.DependInOut("c", &c)`,
+		`omp.DependIn(&b)`,
+		`omp.DependInOut(&c)`,
 		`omp.Mergeable()`,
 		`omp.Taskwait(t)`,
 	)

@@ -68,7 +68,6 @@ const (
 	TokGuided
 	TokRuntime
 	TokAuto
-	TokTrapezoidal
 	TokMonotonic
 	TokNonmonotonic
 	TokMin
@@ -136,7 +135,6 @@ var keywordTags = map[string]TokenTag{
 	"guided":        TokGuided,
 	"runtime":       TokRuntime,
 	"auto":          TokAuto,
-	"trapezoidal":   TokTrapezoidal,
 	"monotonic":     TokMonotonic,
 	"nonmonotonic":  TokNonmonotonic,
 	"min":           TokMin,

@@ -5,10 +5,11 @@ import "sync/atomic"
 // Worksharing loops: DispatchInit/DispatchNext is the one loop protocol,
 // for every schedule. A static loop without the ordered clause, and any
 // loop in a team of one, is the thread's own (static.go). The rest —
-// schedule(dynamic|guided|runtime|auto|trapezoidal) loops, ordered loops and
-// the monotonic: modifier — share one engine: a thread claims a chunk by
-// popping it off the front of a range with one CAS, and DispatchInit decides
-// whose range that is, in one of two configurations.
+// schedule(dynamic|guided) loops, ordered loops and the monotonic: modifier
+// — share one engine; runtime and auto first resolve to a kind (auto runs as
+// guided,1). A thread claims a chunk by popping it off the front of a range
+// with one CAS, and DispatchInit decides whose range that is, in one of two
+// configurations.
 //
 //   - Per-thread (nonmonotonic, the OpenMP 5.0 default for dynamic-family
 //     kinds, in a team of more than one thread, 0 < trip < 2^31): every
@@ -27,10 +28,9 @@ import "sync/atomic"
 //     chain (ordered.go) relies on.
 //
 // Chunk sizing is one policy object either way (schedPolicy, sched.go):
-// dynamic, guided and trapezoidal are pure nextChunk(remaining, issued)
-// functions of the popped range and the popping thread's chunk count. The one
-// loop here that does not pop is an ordered static loop: schedule(static)'s
-// mapping is not a range (staticMapping).
+// dynamic and guided are pure nextChunk(remaining) functions of the popped
+// range. The one loop here that does not pop is an ordered static loop:
+// schedule(static)'s mapping is not a range (staticMapping).
 //
 // The loop descriptor lives in a ring of per-team buffers, like libomp's
 // dispatch buffers: each thread counts the worksharing loops it has
@@ -97,7 +97,6 @@ type dispatchBuf struct {
 
 	// Loop parameters, written by the claimant before it publishes tag.
 	loc      Ident
-	sched    Sched
 	trip     int64
 	nth      int64
 	pol      schedPolicy
@@ -133,7 +132,8 @@ func (b *dispatchBuf) free() {
 // the thread's own (staticInit); for the rest the first thread to arrive
 // publishes the loop descriptor — choosing the configuration and seeding its
 // ranges — and the others join it. schedule(runtime) resolves against the
-// run-sched ICV here, at loop entry, exactly once per loop.
+// run-sched ICV here, at loop entry, exactly once per loop; schedule(auto),
+// written or resolved, runs as guided,1.
 func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 	tm := t.team
 	if sched.Kind == SchedRuntime {
@@ -150,12 +150,14 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 		}
 		sched = rs
 	}
+	if sched.Kind == SchedAuto {
+		sched.Kind, sched.Chunk = SchedGuidedChunked, 1
+	}
 	// Static loops count as worksharing instances too, so `cancel for` can
 	// name them (cancel.go); the counter advances identically on every
 	// thread by the OpenMP same-sequence rule.
 	t.wsSeq++
 	t.curWsSeq = t.wsSeq
-	t.chunkIdx = 0
 	t.curChunkLo, t.curChunkHi, t.orderedSeen = 0, 0, 0
 	static := sched.Kind == SchedStatic || sched.Kind == SchedStaticChunked
 	if tm.n == 1 || static && !sched.Ordered {
@@ -210,14 +212,14 @@ func (t *Thread) DispatchInit(loc Ident, sched Sched, trip int64) {
 func (b *dispatchBuf) fill(loc Ident, sched Sched, trip int64, n int) {
 	stealing := false
 	switch sched.Kind {
-	case SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal, SchedAuto:
+	case SchedDynamicChunked, SchedGuidedChunked:
 		// trip > 0 matters: StaticBlock's empty [0,0) seed would wrap
 		// through the packed 32-bit bounds for negative trips.
 		stealing = sched.Mod != SchedModMonotonic && !sched.Ordered &&
 			n > 1 && trip > 0 && trip < maxStealTrip
 	}
-	b.loc, b.sched, b.trip, b.nth = loc, sched, trip, int64(n)
-	b.pol = policyFor(sched, trip, int64(n), stealing)
+	b.loc, b.trip, b.nth = loc, trip, int64(n)
+	b.pol = policyFor(sched, int64(n), stealing)
 	b.stealing = stealing
 	b.ordered = sched.Ordered
 	b.staticOrd = sched.Ordered &&
@@ -288,9 +290,9 @@ func (t *Thread) DispatchNext() (lo, hi int64, ok bool) {
 // exhausted for this thread.
 func (t *Thread) grab(b *dispatchBuf) (int64, int64, bool) {
 	if !b.stealing {
-		return b.pop(0, &t.chunkIdx)
+		return b.pop(0)
 	}
-	if lo, hi, ok := b.pop(t.Tid, &t.chunkIdx); ok {
+	if lo, hi, ok := b.pop(t.Tid); ok {
 		return lo, hi, true
 	}
 	t.setWait(StateStealing)
@@ -308,8 +310,7 @@ func (t *Thread) grab(b *dispatchBuf) (int64, int64, bool) {
 				Arg0: int64(t.team.threads[victim].Gtid), Arg1: shi - slo,
 			})
 		}
-		size := b.pol.nextChunk(shi-slo, t.chunkIdx)
-		t.chunkIdx++
+		size := b.pol.nextChunk(shi - slo)
 		if slo+size < shi {
 			// Our own range is empty (that is why we stole) and only
 			// the owner installs, so a plain store publishes the
@@ -323,10 +324,9 @@ func (t *Thread) grab(b *dispatchBuf) (int64, int64, bool) {
 }
 
 // pop claims a policy-sized chunk from the front of range i: the popping
-// thread's own, or the team's ranges[0] when shared. idx is the thread's
-// chunk counter (the trapezoidal taper). A per-thread pop's CAS is
-// uncontended unless a thief is splitting the range at this very moment.
-func (b *dispatchBuf) pop(i int, idx *int64) (int64, int64, bool) {
+// thread's own, or the team's ranges[0] when shared. A per-thread pop's CAS
+// is uncontended unless a thief is splitting the range at this very moment.
+func (b *dispatchBuf) pop(i int) (int64, int64, bool) {
 	r := &b.ranges[i]
 	for {
 		w := r.bounds.Load()
@@ -337,13 +337,12 @@ func (b *dispatchBuf) pop(i int, idx *int64) (int64, int64, bool) {
 		if lo >= hi {
 			return 0, 0, false
 		}
-		size := b.pol.nextChunk(hi-lo, *idx)
+		size := b.pol.nextChunk(hi - lo)
 		next := uint64(lo + size)
 		if b.stealing {
 			next = packRange(lo+size, hi)
 		}
 		if r.bounds.CompareAndSwap(w, next) {
-			*idx++
 			return lo, lo + size, true
 		}
 		// A teammate popped, or a thief split the range, first; retry.

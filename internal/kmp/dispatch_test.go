@@ -2,6 +2,7 @@ package kmp
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -67,7 +68,7 @@ func TestDispatchDynamicCoverage(t *testing.T) {
 // nonmonotonic modifier and the unmodified default (which is nonmonotonic
 // per OpenMP 5.0) must behave identically.
 func TestDispatchStealingCoverage(t *testing.T) {
-	kinds := []SchedKind{SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal, SchedAuto}
+	kinds := []SchedKind{SchedDynamicChunked, SchedGuidedChunked, SchedAuto}
 	for _, kind := range kinds {
 		for _, nth := range []int{1, 2, 4, 8} {
 			for _, trip := range []int64{0, 1, 7, 100, 1001} {
@@ -82,7 +83,7 @@ func TestDispatchStealingCoverage(t *testing.T) {
 // The monotonic modifier puts every kind on a shared range; the per-thread
 // chunk lower bounds it hands out must be strictly increasing.
 func TestDispatchMonotonicModifierOrder(t *testing.T) {
-	for _, kind := range []SchedKind{SchedDynamicChunked, SchedGuidedChunked, SchedTrapezoidal} {
+	for _, kind := range []SchedKind{SchedDynamicChunked, SchedGuidedChunked, SchedAuto} {
 		const nth, trip = 4, 2000
 		lows := make([][]int64, nth)
 		ForkCall(Ident{}, nth, func(th *Thread) {
@@ -182,23 +183,71 @@ func TestDispatchGuidedCoverage(t *testing.T) {
 	}
 }
 
-// Under monotonic: trapezoidal tapers a shared range by each thread's own
-// chunk count times the team size, so no thread's chunks ever grow.
-func TestDispatchTrapezoidalCoverage(t *testing.T) {
-	for _, mod := range []SchedModifier{SchedModNone, SchedModMonotonic} {
-		for _, nth := range []int{1, 4} {
-			for _, trip := range []int64{0, 1, 100, 5000} {
-				chunks := runLoop(t, nth, Sched{Kind: SchedTrapezoidal, Chunk: 1, Mod: mod}, trip)
-				for tid, cs := range chunks {
-					for i := 1; i < len(cs) && mod == SchedModMonotonic; i++ {
-						if prev, cur := cs[i-1][1]-cs[i-1][0], cs[i][1]-cs[i][0]; cur > prev {
-							t.Fatalf("nth=%d trip=%d: thread %d's chunk %d has %d iterations after %d", nth, trip, tid, i, cur, prev)
+// Under monotonic: guided, and auto which runs as guided, shrink against the
+// team's remainder, which only falls, so no thread's chunks ever grow.
+func TestDispatchShrinkingCoverage(t *testing.T) {
+	for _, kind := range []SchedKind{SchedGuidedChunked, SchedAuto} {
+		for _, mod := range []SchedModifier{SchedModNone, SchedModMonotonic} {
+			for _, nth := range []int{1, 4} {
+				for _, trip := range []int64{0, 1, 100, 5000} {
+					chunks := runLoop(t, nth, Sched{Kind: kind, Chunk: 1, Mod: mod}, trip)
+					for tid, cs := range chunks {
+						for i := 1; i < len(cs) && mod == SchedModMonotonic; i++ {
+							if prev, cur := cs[i-1][1]-cs[i-1][0], cs[i][1]-cs[i][0]; cur > prev {
+								t.Fatalf("%v nth=%d trip=%d: thread %d's chunk %d has %d iterations after %d", kind, nth, trip, tid, i, cur, prev)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// On per-thread ranges auto is guided,1: two threads that claim chunks in
+// turn, so that the sequences depend on the engine alone, get the same
+// chunks under both schedules, steals included.
+func TestAutoRunsAsGuided(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20 {
+		trip := 1 + rng.Int64N(5000)
+		auto := lockstepChunks(Sched{Kind: SchedAuto}, trip)
+		guided := lockstepChunks(Sched{Kind: SchedGuidedChunked, Chunk: 1}, trip)
+		for tid := range auto {
+			if !slices.Equal(auto[tid], guided[tid]) {
+				t.Fatalf("trip %d: thread %d got %v under auto, %v under guided,1", trip, tid, auto[tid], guided[tid])
+			}
+		}
+	}
+}
+
+// lockstepChunks runs a two-thread loop whose threads call DispatchNext in
+// turn until each is dry, and returns each thread's chunks in claim order.
+func lockstepChunks(sched Sched, trip int64) [2][][2]int64 {
+	var out [2][][2]int64
+	var turn atomic.Int32
+	var dry [2]atomic.Bool
+	ForkCall(Ident{}, 2, func(th *Thread) {
+		me, other := int32(th.Tid), int32(1-th.Tid)
+		th.DispatchInit(Ident{}, sched, trip)
+		for {
+			for turn.Load() != me && !dry[other].Load() {
+				runtime.Gosched()
+			}
+			lo, hi, ok := th.DispatchNext()
+			if ok {
+				out[me] = append(out[me], [2]int64{lo, hi})
+			} else {
+				dry[me].Store(true)
+			}
+			turn.Store(other)
+			if !ok {
+				break
+			}
+		}
+		th.Barrier()
+	})
+	return out
 }
 
 func TestDispatchStaticViaDispatchAPI(t *testing.T) {
@@ -400,7 +449,8 @@ func TestParseSchedule(t *testing.T) {
 		{"GUIDED,2", Sched{Kind: SchedGuidedChunked, Chunk: 2}, false},
 		{"auto", Sched{Kind: SchedAuto}, false},
 		{"runtime", Sched{Kind: SchedRuntime}, false},
-		{"trapezoidal,8", Sched{Kind: SchedTrapezoidal, Chunk: 8}, false},
+		{"trapezoidal", Sched{}, true}, // libomp-internal, not OpenMP
+		{"trapezoidal,8", Sched{}, true},
 		{"nonmonotonic:dynamic,4", Sched{Kind: SchedDynamicChunked, Chunk: 4, Mod: SchedModNonmonotonic}, false},
 		{"monotonic:dynamic,4", Sched{Kind: SchedDynamicChunked, Chunk: 4, Mod: SchedModMonotonic}, false},
 		{"monotonic : guided , 8", Sched{Kind: SchedGuidedChunked, Chunk: 8, Mod: SchedModMonotonic}, false},
@@ -430,7 +480,7 @@ func TestSchedKindString(t *testing.T) {
 	pairs := map[SchedKind]string{
 		SchedStatic: "static", SchedStaticChunked: "static",
 		SchedDynamicChunked: "dynamic", SchedGuidedChunked: "guided",
-		SchedRuntime: "runtime", SchedAuto: "auto", SchedTrapezoidal: "trapezoidal",
+		SchedRuntime: "runtime", SchedAuto: "auto",
 	}
 	for k, want := range pairs {
 		if got := k.String(); got != want {
@@ -448,7 +498,7 @@ func TestSchedStringRoundTrip(t *testing.T) {
 		{Kind: SchedGuidedChunked, Mod: SchedModMonotonic},
 		{Kind: SchedDynamicChunked},
 		{Kind: SchedStaticChunked, Chunk: 16},
-		{Kind: SchedTrapezoidal, Chunk: 2, Mod: SchedModNonmonotonic},
+		{Kind: SchedGuidedChunked, Chunk: 2, Mod: SchedModNonmonotonic},
 		{Kind: SchedAuto},
 	} {
 		got, err := ParseSchedule(s.String())
@@ -469,7 +519,7 @@ func TestSchedStringRoundTrip(t *testing.T) {
 func TestSchedKindValues(t *testing.T) {
 	want := map[SchedKind]int32{
 		SchedStaticChunked: 33, SchedStatic: 34, SchedDynamicChunked: 35,
-		SchedGuidedChunked: 36, SchedRuntime: 37, SchedAuto: 38, SchedTrapezoidal: 39,
+		SchedGuidedChunked: 36, SchedRuntime: 37, SchedAuto: 38,
 	}
 	for k, v := range want {
 		if int32(k) != v {

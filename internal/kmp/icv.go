@@ -1,6 +1,7 @@
 package kmp
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -73,7 +74,8 @@ var (
 
 // defaultICV builds the boot ICV set from the environment, mirroring
 // libomp's __kmp_env_initialize: OMP_NUM_THREADS, OMP_SCHEDULE, OMP_DYNAMIC,
-// OMP_NESTED, OMP_WAIT_POLICY, OMP_THREAD_LIMIT.
+// OMP_NESTED, OMP_WAIT_POLICY, OMP_THREAD_LIMIT. A numeric or schedule value
+// it cannot use keeps the default and, as in libomp, warns on stderr.
 func defaultICV() ICV {
 	v := ICV{
 		NumThreads:      runtime.GOMAXPROCS(0),
@@ -87,11 +89,15 @@ func defaultICV() ICV {
 		first, _, _ := strings.Cut(s, ",")
 		if n, err := strconv.Atoi(strings.TrimSpace(first)); err == nil && n > 0 {
 			v.NumThreads = n
+		} else {
+			warnEnv("OMP_NUM_THREADS", s, v.NumThreads)
 		}
 	}
 	if s := os.Getenv("OMP_SCHEDULE"); s != "" {
 		if sched, err := ParseSchedule(s); err == nil {
 			v.RunSched = sched
+		} else {
+			warnEnv("OMP_SCHEDULE", s, v.RunSched)
 		}
 	}
 	if s := os.Getenv("OMP_DYNAMIC"); s != "" {
@@ -110,6 +116,8 @@ func defaultICV() ICV {
 	if s := os.Getenv("OMP_MAX_ACTIVE_LEVELS"); s != "" {
 		if n, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && n >= 0 {
 			v.MaxActiveLevels = n
+		} else {
+			warnEnv("OMP_MAX_ACTIVE_LEVELS", s, v.MaxActiveLevels)
 		}
 	}
 	if s := os.Getenv("OMP_CANCELLATION"); s != "" {
@@ -121,9 +129,16 @@ func defaultICV() ICV {
 	if s := os.Getenv("OMP_THREAD_LIMIT"); s != "" {
 		if n, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && n > 0 {
 			v.ThreadLimit = n
+		} else {
+			warnEnv("OMP_THREAD_LIMIT", s, "no limit")
 		}
 	}
 	return v
+}
+
+// warnEnv reports an environment value defaultICV ignores and what it keeps.
+func warnEnv(name, val string, kept any) {
+	fmt.Fprintf(os.Stderr, "omp: warning: ignoring %s=%q; keeping %v\n", name, val, kept)
 }
 
 func parseBool(s string) bool {

@@ -69,6 +69,9 @@ func TestForkHandshakeLayout(t *testing.T) {
 	// Offsets only mean lines if the allocator hands the structs out
 	// line-aligned, which it does for small objects whose size is a
 	// multiple of the line.
+	if sz := unsafe.Sizeof(th); sz%CacheLine != 0 {
+		t.Errorf("Thread is %d bytes, not a whole number of %d-byte lines: re-derive its trailing pad", sz, CacheLine)
+	}
 	for i := 0; i < 8; i++ {
 		tm := newTeamShell(1)
 		if a := uintptr(unsafe.Pointer(tm.handshake)) % CacheLine; a != 0 {

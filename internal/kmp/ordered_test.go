@@ -43,7 +43,7 @@ func TestOrderedSequence(t *testing.T) {
 		{Kind: SchedGuidedChunked, Chunk: 4},
 		{Kind: SchedStatic},
 		{Kind: SchedStaticChunked, Chunk: 5},
-		{Kind: SchedTrapezoidal, Chunk: 2},
+		{Kind: SchedGuidedChunked, Chunk: 2, Mod: SchedModMonotonic},
 	}
 	for _, sched := range scheds {
 		for _, nth := range []int{1, 3, 4} {

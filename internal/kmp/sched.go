@@ -30,14 +30,11 @@ const (
 	// SchedRuntime defers the choice to the run-sched-var ICV
 	// (OMP_SCHEDULE).
 	SchedRuntime SchedKind = 37
-	// SchedAuto lets the runtime pick. This implementation seeds every
-	// thread with its static block and lets dry threads steal half-ranges
-	// — static's locality with dynamic's rebalancing. (Before the stealing
-	// engine it was an alias of SchedStatic, as libomp on CPU targets.)
+	// SchedAuto lets the runtime pick. DispatchInit runs it as
+	// schedule(guided, 1): on per-thread ranges every thread starts on its
+	// static block, halving what it has left per pop, and dry threads steal
+	// — static's locality with dynamic's rebalancing.
 	SchedAuto SchedKind = 38
-	// SchedTrapezoidal is libomp's trapezoid self-scheduling: chunk sizes
-	// decrease linearly from trip/(2n) towards the minimum chunk.
-	SchedTrapezoidal SchedKind = 39
 )
 
 // String returns the OpenMP surface-syntax name of the schedule kind.
@@ -53,8 +50,6 @@ func (s SchedKind) String() string {
 		return "runtime"
 	case SchedAuto:
 		return "auto"
-	case SchedTrapezoidal:
-		return "trapezoidal"
 	default:
 		return fmt.Sprintf("SchedKind(%d)", int32(s))
 	}
@@ -150,8 +145,6 @@ func ParseSchedule(s string) (Sched, error) {
 		kind = SchedAuto
 	case "runtime":
 		kind = SchedRuntime
-	case "trapezoidal":
-		kind = SchedTrapezoidal
 	default:
 		return Sched{}, fmt.Errorf("kmp: unknown schedule kind %q", name)
 	}
@@ -188,87 +181,37 @@ func (s Sched) effectiveChunk() int64 {
 }
 
 // schedPolicy reduces every dynamic-family schedule to one pure function:
-// nextChunk(remaining, issued) — how many iterations the next chunk should
-// carry, given the remaining count and the number of chunks the caller has
-// already issued. dynamic is a constant, guided a fraction of the remainder,
-// trapezoidal a linear taper. The same policy object drives both
+// nextChunk(remaining) — how many iterations the next chunk should carry,
+// given how many the popped range has left. dynamic is a constant, guided a
+// fraction of the remainder. The same policy object drives both
 // configurations of the dispatch engine: a shared range feeds it the team's
 // remainder, a per-thread range the thread's own.
 type schedPolicy struct {
-	fixed int64 // fixed chunk size; 0 selects a shrinking policy
-	min   int64 // smallest chunk a shrinking policy may issue
-	div   int64 // guided: chunk = remaining/div (0 when not guided)
-	first int64 // trapezoidal: size of chunk 0
-	delta int64 // trapezoidal: per-chunk decrement
+	fixed int64 // fixed chunk size; 0 selects guided
+	min   int64 // guided: the smallest chunk it may issue
+	div   int64 // guided: chunk = remaining/div
 }
 
-func (p *schedPolicy) nextChunk(remaining, issued int64) int64 {
-	var size int64
-	switch {
-	case p.fixed > 0:
-		size = p.fixed
-	case p.div > 0:
-		size = remaining / p.div
-	default:
-		size = p.first - issued*p.delta
+func (p *schedPolicy) nextChunk(remaining int64) int64 {
+	size := p.fixed
+	if size == 0 {
+		size = max(remaining/p.div, p.min)
 	}
-	if size < p.min {
-		size = p.min
-	}
-	if size < 1 {
-		size = 1
-	}
-	if size > remaining {
-		size = remaining
-	}
-	return size
+	return min(size, remaining)
 }
 
-// policyFor builds the chunk policy for one loop instance. stealing selects
-// the per-thread-range calibration: guided shrinks against the thread's
-// local remainder with divisor 2 (which reproduces libomp's trip/(2n) first
-// chunk on a static-seeded block), while on a shared range it shrinks
-// against the team's remainder with divisor 2·nth. auto on a shared range
-// degenerates to a fixed block-sized chunk.
-func policyFor(sched Sched, trip, nth int64, stealing bool) schedPolicy {
-	if nth < 1 {
-		nth = 1
-	}
-	switch sched.Kind {
-	case SchedGuidedChunked:
-		if stealing {
-			return schedPolicy{min: sched.effectiveChunk(), div: 2}
-		}
-		return schedPolicy{min: sched.effectiveChunk(), div: 2 * nth}
-	case SchedTrapezoidal:
-		minChunk := sched.effectiveChunk()
-		first := trip / (2 * nth)
-		if first < minChunk {
-			first = minChunk
-		}
-		// Linear taper: with N = number of chunks ≈ 2·trip/(first+min),
-		// the decrement per chunk is (first-min)/N.
-		nChunks := (2*trip)/(first+minChunk) + 1
-		delta := (first - minChunk) / nChunks
-		if !stealing {
-			// A shared range is popped by the whole team, but each thread
-			// counts only its own chunks: one of them stands for nth.
-			delta *= nth
-		}
-		return schedPolicy{min: minChunk, first: first, delta: delta}
-	case SchedAuto:
-		if stealing {
-			// auto under stealing: halve the local remainder, floor 1 —
-			// big cache-friendly chunks early, fine-grained tail for
-			// thieves to rebalance.
-			return schedPolicy{min: 1, div: 2}
-		}
-		chunk := sched.Chunk
-		if chunk <= 0 {
-			chunk = max((trip+nth-1)/nth, 1)
-		}
-		return schedPolicy{fixed: chunk}
-	default: // SchedDynamicChunked, and the static kinds, which never pop
+// policyFor builds the chunk policy for one loop instance in a team of nth.
+// stealing selects the per-thread-range calibration: guided shrinks against
+// the thread's local remainder with divisor 2 (which reproduces libomp's
+// trip/(2n) first chunk on a static-seeded block), while on a shared range
+// it shrinks against the team's remainder with divisor 2·nth.
+func policyFor(sched Sched, nth int64, stealing bool) schedPolicy {
+	if sched.Kind != SchedGuidedChunked {
+		// dynamic, and the static kinds, which never pop
 		return schedPolicy{fixed: sched.effectiveChunk()}
 	}
+	if stealing {
+		nth = 1
+	}
+	return schedPolicy{min: sched.effectiveChunk(), div: 2 * nth}
 }

@@ -63,12 +63,12 @@ func TestDispatchMixedSchedulesNoWait(t *testing.T) {
 	scheds := []Sched{
 		{Kind: SchedDynamicChunked, Chunk: 3},
 		{Kind: SchedGuidedChunked, Chunk: 2},
-		{Kind: SchedTrapezoidal, Chunk: 1},
+		{Kind: SchedGuidedChunked},
 		{Kind: SchedDynamicChunked, Chunk: 64},
 		{Kind: SchedGuidedChunked, Chunk: 16},
 		{Kind: SchedStatic},
 		{Kind: SchedDynamicChunked, Chunk: 1},
-		{Kind: SchedTrapezoidal, Chunk: 8},
+		{Kind: SchedGuidedChunked, Chunk: 8},
 		{Kind: SchedGuidedChunked, Chunk: 1},
 		{Kind: SchedDynamicChunked, Chunk: 7},
 	}
@@ -191,7 +191,7 @@ func TestZeroTripLoops(t *testing.T) {
 	for _, sched := range []Sched{
 		{Kind: SchedDynamicChunked, Chunk: 4},
 		{Kind: SchedGuidedChunked},
-		{Kind: SchedTrapezoidal},
+		{Kind: SchedGuidedChunked, Mod: SchedModMonotonic},
 	} {
 		var n atomic.Int64 // shared across the team
 		ForkCall(Ident{}, 3, func(th *Thread) {
@@ -432,7 +432,7 @@ func TestDepReleaseRacesCancelTaskgroup(t *testing.T) {
 									t.Errorf("round %d: chain %d task %d ran before predecessor", round, c, d)
 								}
 								ran[c][d].Store(true)
-							}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cells[c], Mode: DepInOut}}})
+							}, TaskOpts{Deps: []DepSpec{{Addr: &cells[c], Mode: DepInOut}}})
 						}
 					}
 					release.Store(true)
@@ -482,7 +482,7 @@ func TestDepReleaseRacesRegionTeardown(t *testing.T) {
 						c := c
 						th.SpawnTask(Ident{}, func(*Thread) {
 							time.Sleep(time.Microsecond)
-						}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cells[c], Mode: DepInOut}}})
+						}, TaskOpts{Deps: []DepSpec{{Addr: &cells[c], Mode: DepInOut}}})
 					}
 				}
 			}
@@ -507,13 +507,13 @@ func TestDepPriorityReleaseContention(t *testing.T) {
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		if th.Single() {
 			th.SpawnTask(Ident{}, func(*Thread) {},
-				TaskOpts{Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepOut}}})
+				TaskOpts{Deps: []DepSpec{{Addr: &gate, Mode: DepOut}}})
 			for i := 0; i < fan; i++ {
 				v := int64(i)
 				th.SpawnTask(Ident{}, func(*Thread) { sum.Add(v) },
 					TaskOpts{
 						Priority: int32(i % 5),
-						Deps:     []DepSpec{{Name: "gate", Addr: &gate, Mode: DepIn}},
+						Deps:     []DepSpec{{Addr: &gate, Mode: DepIn}},
 					})
 			}
 		}

@@ -1,6 +1,10 @@
 package kmp
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,13 +247,67 @@ func TestICVEnvCommaList(t *testing.T) {
 func TestICVEnvGarbageIgnored(t *testing.T) {
 	t.Setenv("OMP_NUM_THREADS", "zero")
 	t.Setenv("OMP_SCHEDULE", "whatever,nope")
-	v := defaultICV()
+	var v ICV
+	stderrOf(t, func() { v = defaultICV() })
 	if v.NumThreads < 1 {
 		t.Errorf("NumThreads fell to %d on garbage input", v.NumThreads)
 	}
 	if v.RunSched.Kind != SchedStatic {
 		t.Errorf("RunSched = %+v, want static default", v.RunSched)
 	}
+}
+
+// Each numeric or schedule variable defaultICV cannot use gets one warning
+// line naming the variable, its value and the value kept; good values and
+// the boolean switches get none.
+func TestICVEnvBadValuesWarn(t *testing.T) {
+	t.Setenv("OMP_NUM_THREADS", "-2")
+	t.Setenv("OMP_SCHEDULE", "trapezoidal")
+	t.Setenv("OMP_MAX_ACTIVE_LEVELS", "deep")
+	t.Setenv("OMP_THREAD_LIMIT", "0")
+	t.Setenv("OMP_DYNAMIC", "true")
+	var v ICV
+	got := stderrOf(t, func() { v = defaultICV() })
+	want := fmt.Sprintf(`omp: warning: ignoring OMP_NUM_THREADS="-2"; keeping %d
+omp: warning: ignoring OMP_SCHEDULE="trapezoidal"; keeping static
+omp: warning: ignoring OMP_MAX_ACTIVE_LEVELS="deep"; keeping 1
+omp: warning: ignoring OMP_THREAD_LIMIT="0"; keeping no limit
+`, runtime.GOMAXPROCS(0))
+	if got != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", got, want)
+	}
+	if v.NumThreads != runtime.GOMAXPROCS(0) || v.RunSched != (Sched{Kind: SchedStatic}) ||
+		v.MaxActiveLevels != 1 || v.ThreadLimit != 0 || !v.Dynamic {
+		t.Errorf("ICV = %+v, want the defaults and dyn-var true", v)
+	}
+
+	t.Setenv("OMP_NUM_THREADS", "3")
+	t.Setenv("OMP_SCHEDULE", "guided")
+	t.Setenv("OMP_MAX_ACTIVE_LEVELS", "0")
+	t.Setenv("OMP_THREAD_LIMIT", "8")
+	if got := stderrOf(t, func() { defaultICV() }); got != "" {
+		t.Errorf("good values warned: %q", got)
+	}
+}
+
+// stderrOf returns what f writes to os.Stderr.
+func stderrOf(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	f()
+	os.Stderr = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestUpdateICVClampsThreads(t *testing.T) {

@@ -73,10 +73,8 @@ func (m DepMode) String() string {
 
 // DepSpec is one depend item as the public API hands it down: a dependence
 // address (pointer identity of Addr is the key — two &x of the same
-// variable compare equal) plus the mode, with Name kept for diagnostics and
-// trace attribution.
+// variable compare equal) plus the mode.
 type DepSpec struct {
-	Name string
 	Addr any
 	Mode DepMode
 }

@@ -69,7 +69,7 @@ func TestDepChain(t *testing.T) {
 					th.SpawnTask(Ident{}, func(*Thread) {
 						probes[i].start(t, "chain", preds...)
 						probes[i].finish()
-					}, TaskOpts{Deps: []DepSpec{{Name: "token", Addr: &token, Mode: DepInOut}}})
+					}, TaskOpts{Deps: []DepSpec{{Addr: &token, Mode: DepInOut}}})
 				}
 				th.Barrier()
 			})
@@ -100,18 +100,18 @@ func TestDepFanOut(t *testing.T) {
 				th.SpawnTask(Ident{}, func(*Thread) {
 					writer.start(t, "fan-out writer")
 					writer.finish()
-				}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepOut}}})
+				}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepOut}}})
 				for i := 0; i < readers; i++ {
 					i := i
 					th.SpawnTask(Ident{}, func(*Thread) {
 						rd[i].start(t, "fan-out reader", writer)
 						rd[i].finish()
-					}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepIn}}})
+					}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepIn}}})
 				}
 				th.SpawnTask(Ident{}, func(*Thread) {
 					closing.start(t, "fan-out closing writer", rd...)
 					closing.finish()
-				}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}})
+				}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}})
 				th.Barrier()
 			})
 			checkOnce(t, "fan-out", append(append([]*depProbe{writer}, rd...), closing))
@@ -141,11 +141,11 @@ func TestDepFanIn(t *testing.T) {
 					th.SpawnTask(Ident{}, func(*Thread) {
 						wr[i].start(t, "fan-in writer")
 						wr[i].finish()
-					}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cells[i], Mode: DepOut}}})
+					}, TaskOpts{Deps: []DepSpec{{Addr: &cells[i], Mode: DepOut}}})
 				}
 				var deps []DepSpec
 				for i := range cells {
-					deps = append(deps, DepSpec{Name: "cell", Addr: &cells[i], Mode: DepIn})
+					deps = append(deps, DepSpec{Addr: &cells[i], Mode: DepIn})
 				}
 				th.SpawnTask(Ident{}, func(*Thread) {
 					sink.start(t, "fan-in sink", wr...)
@@ -187,23 +187,23 @@ func TestDepDiamondChain(t *testing.T) {
 						d.a.start(t, "diamond a", prev...)
 						d.a.finish()
 					}, TaskOpts{Deps: []DepSpec{
-						{Name: "x", Addr: &x, Mode: DepOut},
-						{Name: "y", Addr: &y, Mode: DepOut},
+						{Addr: &x, Mode: DepOut},
+						{Addr: &y, Mode: DepOut},
 					}})
 					th.SpawnTask(Ident{}, func(*Thread) {
 						d.b.start(t, "diamond b", d.a)
 						d.b.finish()
-					}, TaskOpts{Deps: []DepSpec{{Name: "x", Addr: &x, Mode: DepInOut}}})
+					}, TaskOpts{Deps: []DepSpec{{Addr: &x, Mode: DepInOut}}})
 					th.SpawnTask(Ident{}, func(*Thread) {
 						d.c.start(t, "diamond c", d.a)
 						d.c.finish()
-					}, TaskOpts{Deps: []DepSpec{{Name: "y", Addr: &y, Mode: DepInOut}}})
+					}, TaskOpts{Deps: []DepSpec{{Addr: &y, Mode: DepInOut}}})
 					th.SpawnTask(Ident{}, func(*Thread) {
 						d.d.start(t, "diamond d", d.b, d.c)
 						d.d.finish()
 					}, TaskOpts{Deps: []DepSpec{
-						{Name: "x", Addr: &x, Mode: DepIn},
-						{Name: "y", Addr: &y, Mode: DepIn},
+						{Addr: &x, Mode: DepIn},
+						{Addr: &y, Mode: DepIn},
 					}})
 				}
 				th.Barrier()
@@ -229,11 +229,11 @@ func TestDepUndeferredWaits(t *testing.T) {
 		th.SpawnTask(Ident{}, func(*Thread) {
 			pred.start(t, "undeferred pred")
 			pred.finish()
-		}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepOut}}})
+		}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepOut}}})
 		th.SpawnTask(Ident{}, func(*Thread) {
 			mid.start(t, "undeferred mid", pred)
 			mid.finish()
-		}, TaskOpts{Undeferred: true, Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}})
+		}, TaskOpts{Undeferred: true, Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}})
 		// The undeferred task completed before SpawnTask returned.
 		if !mid.done.Load() {
 			t.Error("undeferred task not complete at spawn return")
@@ -241,7 +241,7 @@ func TestDepUndeferredWaits(t *testing.T) {
 		th.SpawnTask(Ident{}, func(*Thread) {
 			succ.start(t, "undeferred succ", pred, mid)
 			succ.finish()
-		}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepIn}}})
+		}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepIn}}})
 		th.Barrier()
 	})
 	checkOnce(t, "undeferred", []*depProbe{pred, mid, succ})
@@ -262,7 +262,7 @@ func TestDepTaskwaitDrainsWithheld(t *testing.T) {
 			i := i
 			th.SpawnTask(Ident{}, func(*Thread) {
 				order = append(order, i) // chain-serialised: no race
-			}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}})
+			}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}})
 		}
 		th.Taskwait()
 		if len(order) != n {
@@ -291,7 +291,7 @@ func TestDepTaskgroupWaits(t *testing.T) {
 		th.TaskgroupRun(Ident{}, func() {
 			for i := 0; i < 24; i++ {
 				th.SpawnTask(Ident{}, func(*Thread) { done.Add(1) },
-					TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}})
+					TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}})
 			}
 		})
 		if got := done.Load(); got != 24 {
@@ -341,7 +341,7 @@ func TestPriorityDequeueOrder(t *testing.T) {
 		// completion releases them all at once.
 		var gate int
 		th.SpawnTask(Ident{}, func(*Thread) {},
-			TaskOpts{Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepOut}}})
+			TaskOpts{Deps: []DepSpec{{Addr: &gate, Mode: DepOut}}})
 		for _, p := range []int32{0, 2, 0, 7, 1} {
 			p := p
 			th.SpawnTask(Ident{}, func(*Thread) {
@@ -349,7 +349,7 @@ func TestPriorityDequeueOrder(t *testing.T) {
 				if len(order) == 5 {
 					close(done)
 				}
-			}, TaskOpts{Priority: p, Deps: []DepSpec{{Name: "gate", Addr: &gate, Mode: DepIn}}})
+			}, TaskOpts{Priority: p, Deps: []DepSpec{{Addr: &gate, Mode: DepIn}}})
 		}
 		th.Barrier()
 	})
@@ -412,7 +412,7 @@ func TestDepUndeferredReleasedByOtherThread(t *testing.T) {
 					<-gate
 					time.Sleep(50 * time.Microsecond)
 					predDone.Add(1)
-				}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepOut}}})
+				}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepOut}}})
 				// Filler tasks keep the team's task count above zero
 				// through the release window, so the barrier drains keep
 				// popping — a stray enqueued waiter node surfaces as a
@@ -428,7 +428,7 @@ func TestDepUndeferredReleasedByOtherThread(t *testing.T) {
 						t.Error("undeferred task ran before predecessor")
 					}
 					midRuns.Add(1)
-				}, TaskOpts{Undeferred: true, Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}})
+				}, TaskOpts{Undeferred: true, Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}})
 			}
 			th.Barrier()
 		})
@@ -455,18 +455,18 @@ func TestDepSelfDependenceDoesNotDeadlock(t *testing.T) {
 				th.SpawnTask(Ident{}, func(*Thread) {
 					pred.start(t, "self-dep pred")
 					pred.finish()
-				}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepOut}}})
+				}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepOut}}})
 				th.SpawnTask(Ident{}, func(*Thread) {
 					self.start(t, "self-dep task", pred)
 					self.finish()
 				}, TaskOpts{Deps: []DepSpec{
-					{Name: "cell", Addr: &cell, Mode: DepIn},
-					{Name: "cell", Addr: &cell, Mode: DepOut},
+					{Addr: &cell, Mode: DepIn},
+					{Addr: &cell, Mode: DepOut},
 				}})
 				th.SpawnTask(Ident{}, func(*Thread) {
 					succ.start(t, "self-dep succ", pred, self)
 					succ.finish()
-				}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepIn}}})
+				}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepIn}}})
 				th.Taskwait()
 			}
 			th.Barrier()
@@ -513,7 +513,7 @@ func TestDepRandomDAGOrder(t *testing.T) {
 					dup = dup || tk.uses[a]
 					tk.uses[a] = true
 					tk.writes[a] = tk.writes[a] || mode != DepIn
-					tk.opts.Deps = append(tk.opts.Deps, DepSpec{Name: fmt.Sprint("cell", a), Addr: &cells[a], Mode: mode})
+					tk.opts.Deps = append(tk.opts.Deps, DepSpec{Addr: &cells[a], Mode: mode})
 				}
 				if dup {
 					dups++

@@ -90,7 +90,7 @@ type Thread struct {
 	// red is the thread's reduction slot (Thread.Reduce). With the pad it
 	// fills the struct to whole lines, line-aligned (layout_test.go).
 	red uint64
-	_   [24]byte
+	_   [32]byte
 }
 
 // regionState is what a thread keeps about the region it is in; enter
@@ -110,13 +110,10 @@ type regionState struct {
 	curWsSeq  uint64
 
 	// Per-loop owner-only dispatch state (dispatch.go, ordered.go,
-	// static.go): chunkIdx counts the chunks this thread has claimed from
-	// the current loop (the trapezoidal taper index); curChunkLo/curChunkHi
-	// bound the chunk an ordered loop is executing, and orderedSeen counts
-	// the ordered regions completed within it. stat is the thread's share of
-	// a static loop, ordered or not; inStatic says the loop is a static one
-	// without a dispatch buffer.
-	chunkIdx    int64
+	// static.go): curChunkLo/curChunkHi bound the chunk an ordered loop is
+	// executing, and orderedSeen counts the ordered regions completed within
+	// it. stat is the thread's share of a static loop, ordered or not;
+	// inStatic says the loop is a static one without a dispatch buffer.
 	curChunkLo  int64
 	curChunkHi  int64
 	orderedSeen int64

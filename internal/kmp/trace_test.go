@@ -118,7 +118,7 @@ func TestTraceTaskAndDependenceEvents(t *testing.T) {
 				var x int
 				for i := 0; i < 8; i++ {
 					th.SpawnTask(taskLoc, func(*Thread) { time.Sleep(50 * time.Microsecond) },
-						TaskOpts{Deps: []DepSpec{{Name: "x", Addr: &x, Mode: DepInOut}}})
+						TaskOpts{Deps: []DepSpec{{Addr: &x, Mode: DepInOut}}})
 				}
 				th.Taskwait()
 			}
@@ -392,9 +392,9 @@ func TestTracerLifecycleStress(t *testing.T) {
 						})
 					var x int
 					th.SpawnTask(Ident{Region: "task"}, func(*Thread) {},
-						TaskOpts{Deps: []DepSpec{{Name: "x", Addr: &x, Mode: DepOut}}})
+						TaskOpts{Deps: []DepSpec{{Addr: &x, Mode: DepOut}}})
 					th.SpawnTask(Ident{Region: "task"}, func(*Thread) {},
-						TaskOpts{Deps: []DepSpec{{Name: "x", Addr: &x, Mode: DepIn}}})
+						TaskOpts{Deps: []DepSpec{{Addr: &x, Mode: DepIn}}})
 					th.Taskwait()
 					th.Barrier()
 				})

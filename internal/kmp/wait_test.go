@@ -388,9 +388,9 @@ func TestTaskWaitWakesOnReadyWork(t *testing.T) {
 			th.SpawnTask(Ident{}, func(*Thread) {
 				parked()
 				readyAt.Store(TraceNow())
-			}, TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepOut}}})
+			}, TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepOut}}})
 			th.SpawnTask(Ident{}, func(*Thread) { ranAt.Store(TraceNow()) },
-				TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepIn}}})
+				TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepIn}}})
 		})
 	})
 }
@@ -468,7 +468,7 @@ func TestTaskWaitNoLostWakeup(t *testing.T) {
 
 					var cell int
 					var seq atomic.Int32
-					inout := TaskOpts{Deps: []DepSpec{{Name: "cell", Addr: &cell, Mode: DepInOut}}}
+					inout := TaskOpts{Deps: []DepSpec{{Addr: &cell, Mode: DepInOut}}}
 					for i := int32(0); i < 3; i++ {
 						d := delay()
 						th.SpawnTask(Ident{}, func(*Thread) {

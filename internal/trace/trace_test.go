@@ -203,7 +203,7 @@ func profiledWorkload(p *Profiler) bool {
 		if th.Tid == 0 {
 			for i := 0; i < 6; i++ {
 				omp.Task(th, func(*omp.Thread) { time.Sleep(100 * time.Microsecond) },
-					omp.DependInOut("x", &x), omp.Loc("work.go", 20, "task"))
+					omp.DependInOut(&x), omp.Loc("work.go", 20, "task"))
 			}
 			omp.Taskwait(th)
 		}

@@ -21,12 +21,11 @@ type (
 
 // Schedule kinds, re-exported with their OpenMP surface names.
 const (
-	Static      = kmp.SchedStatic
-	Dynamic     = kmp.SchedDynamicChunked
-	Guided      = kmp.SchedGuidedChunked
-	Runtime     = kmp.SchedRuntime
-	Auto        = kmp.SchedAuto
-	Trapezoidal = kmp.SchedTrapezoidal
+	Static  = kmp.SchedStatic
+	Dynamic = kmp.SchedDynamicChunked
+	Guided  = kmp.SchedGuidedChunked
+	Runtime = kmp.SchedRuntime
+	Auto    = kmp.SchedAuto
 )
 
 // Schedule modifiers: Nonmonotonic licenses per-thread ranges with work

@@ -41,9 +41,9 @@
 //   - Per-thread (nonmonotonic). Each team thread is seeded with its
 //     contiguous static block of the iteration space as a splittable range.
 //     Its pops touch only thread-local state, and when dry it steals the
-//     upper half of a teammate's range. Dynamic, guided, trapezoidal and
-//     auto schedules run here by default, as OpenMP 5.0's
-//     nonmonotonic-by-default rule licenses.
+//     upper half of a teammate's range. Dynamic, guided and auto schedules
+//     run here by default, as OpenMP 5.0's nonmonotonic-by-default rule
+//     licenses.
 //
 //   - Shared (monotonic). The whole team pops from one range and nobody
 //     steals — the classic __kmpc_dispatch_next protocol, handing out chunks
@@ -52,13 +52,13 @@
 //     ordered clause, whose ticket protocol needs in-order chunks, and for
 //     iteration spaces of 2³¹ or more.
 //
-// Chunk sizing is a per-schedule policy over the remaining iterations:
-// dynamic issues fixed chunks, guided a shrinking fraction of the
-// remainder, trapezoidal a linear taper. schedule(auto) — formerly an alias
-// of static — now means static seeding plus stealing: static's locality
-// when the load is balanced, dynamic's rebalancing when it is not. Code
-// that relied on auto's exact static block boundaries should say
-// Schedule(Static, 0) explicitly.
+// Chunk sizing is a function of the remaining iterations alone: dynamic
+// issues fixed chunks, guided a shrinking fraction of the remainder.
+// schedule(auto) runs as guided with chunk 1 (GetSchedule still reports
+// auto): each thread starts on its static block and halves what is left of
+// it per claim, static's locality when the load is balanced and dynamic's
+// rebalancing when it is not. Code that relies on static block boundaries
+// should say Schedule(Static, 0).
 //
 // The OMP_SCHEDULE environment variable (and ParseSchedule) accepts the
 // modifier prefix: "nonmonotonic:dynamic,4", "monotonic:guided".
@@ -139,12 +139,12 @@
 //			for i := 0; i < nb; i++ {
 //				for j := 0; j < nb; j++ {
 //					i, j := i, j
-//					opts := []omp.Option{omp.DependOut("self", &tok[i*nb+j])}
+//					opts := []omp.Option{omp.DependOut(&tok[i*nb+j])}
 //					if i > 0 {
-//						opts = append(opts, omp.DependIn("north", &tok[(i-1)*nb+j]))
+//						opts = append(opts, omp.DependIn(&tok[(i-1)*nb+j]))
 //					}
 //					if j > 0 {
-//						opts = append(opts, omp.DependIn("west", &tok[i*nb+j-1]))
+//						opts = append(opts, omp.DependIn(&tok[i*nb+j-1]))
 //					}
 //					omp.Task(t, func(*omp.Thread) { tile(i, j) }, opts...)
 //				}
@@ -246,8 +246,7 @@
 //
 // GOMP_DEBUG_ADDR=<addr> on a `gompcc -profile` build starts the same
 // server for the program's lifetime (":0" picks a port, printed to
-// stderr), and `npbsuite -serve <addr>` keeps the NPB kernels looping as a
-// scrape target. The endpoints:
+// stderr). The endpoints:
 //
 //	/debug/gomp/status    live teams and per-worker states (JSON)
 //	/debug/gomp/health    watchdog / stuck-worker diagnosis (JSON;

@@ -20,7 +20,7 @@ func TestScheduleICVRoundTrip(t *testing.T) {
 		{Dynamic, 64},
 		{Guided, 8},
 		{Static, 0},
-		{Trapezoidal, 16},
+		{Guided, 16},
 		{Auto, 0},
 	}
 	for _, c := range cases {

@@ -64,7 +64,7 @@ func TestForSchedules(t *testing.T) {
 		Schedule(Dynamic, 0),
 		Schedule(Dynamic, 5),
 		Schedule(Guided, 2),
-		Schedule(Trapezoidal, 1),
+		Schedule(Guided, 1, Monotonic),
 		Schedule(Auto, 0),
 	} {
 		const trip = 500

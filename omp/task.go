@@ -57,30 +57,29 @@ func Priority(n int) Option {
 
 // DependIn is depend(in: addr): the task reads the object at addr and is
 // ordered after the last previously-spawned sibling task that declared
-// DependOut/DependInOut on the same address. name appears in diagnostics;
-// addr must be a pointer — pointer identity is the dependence address, so
-// every task naming the same object must pass a pointer to the same
-// storage (&x for the same x).
-func DependIn(name string, addr any) Option {
+// DependOut/DependInOut on the same address. addr must be a pointer —
+// pointer identity is the dependence address, so every task naming the same
+// object must pass a pointer to the same storage (&x for the same x).
+func DependIn(addr any) Option {
 	return func(c *config) {
-		c.deps = append(c.deps, kmp.DepSpec{Name: name, Addr: addr, Mode: kmp.DepIn})
+		c.deps = append(c.deps, kmp.DepSpec{Addr: addr, Mode: kmp.DepIn})
 	}
 }
 
 // DependOut is depend(out: addr): the task writes the object at addr and is
 // ordered after the last sibling writer and after every reader admitted
 // since.
-func DependOut(name string, addr any) Option {
+func DependOut(addr any) Option {
 	return func(c *config) {
-		c.deps = append(c.deps, kmp.DepSpec{Name: name, Addr: addr, Mode: kmp.DepOut})
+		c.deps = append(c.deps, kmp.DepSpec{Addr: addr, Mode: kmp.DepOut})
 	}
 }
 
 // DependInOut is depend(inout: addr): the task both reads and writes the
 // object at addr; same ordering constraints as DependOut.
-func DependInOut(name string, addr any) Option {
+func DependInOut(addr any) Option {
 	return func(c *config) {
-		c.deps = append(c.deps, kmp.DepSpec{Name: name, Addr: addr, Mode: kmp.DepInOut})
+		c.deps = append(c.deps, kmp.DepSpec{Addr: addr, Mode: kmp.DepInOut})
 	}
 }
 

@@ -34,12 +34,12 @@ func TestTaskDependWavefront(t *testing.T) {
 					for i := 0; i < n; i++ {
 						for j := 0; j < n; j++ {
 							i, j := i, j
-							opts := []omp.Option{omp.DependOut("cell", &grid[i*n+j])}
+							opts := []omp.Option{omp.DependOut(&grid[i*n+j])}
 							if i > 0 {
-								opts = append(opts, omp.DependIn("up", &grid[(i-1)*n+j]))
+								opts = append(opts, omp.DependIn(&grid[(i-1)*n+j]))
 							}
 							if j > 0 {
-								opts = append(opts, omp.DependIn("left", &grid[i*n+j-1]))
+								opts = append(opts, omp.DependIn(&grid[i*n+j-1]))
 							}
 							omp.Task(th, func(*omp.Thread) {
 								grid[i*n+j] = at(grid, i-1, j) + at(grid, i, j-1)
@@ -63,8 +63,8 @@ func TestTaskDependOptionSmoke(t *testing.T) {
 	var x, y int
 	// Outside any team: inline execution in program order.
 	omp.Task(nil, func(*omp.Thread) { x = 1 },
-		omp.DependOut("x", &x), omp.Priority(3), omp.Mergeable())
-	omp.Task(nil, func(*omp.Thread) { y = x + 1 }, omp.DependIn("x", &x))
+		omp.DependOut(&x), omp.Priority(3), omp.Mergeable())
+	omp.Task(nil, func(*omp.Thread) { y = x + 1 }, omp.DependIn(&x))
 	omp.Taskyield(nil)
 	if x != 1 || y != 2 {
 		t.Fatalf("inline depend tasks: x=%d y=%d", x, y)
@@ -77,7 +77,7 @@ func TestTaskDependOptionSmoke(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				i := i
 				omp.Task(th, func(*omp.Thread) { order = append(order, i) },
-					omp.DependInOut("cell", &cell), omp.Priority(i+1), omp.Mergeable())
+					omp.DependInOut(&cell), omp.Priority(i+1), omp.Mergeable())
 			}
 			omp.Taskwait(th)
 			omp.Taskyield(th)
@@ -98,9 +98,9 @@ func TestTaskDependUndeferred(t *testing.T) {
 	var cell, got int
 	omp.Parallel(func(th *omp.Thread) {
 		omp.Single(th, func() {
-			omp.Task(th, func(*omp.Thread) { cell = 41 }, omp.DependOut("cell", &cell))
+			omp.Task(th, func(*omp.Thread) { cell = 41 }, omp.DependOut(&cell))
 			omp.Task(th, func(*omp.Thread) { got = cell + 1 },
-				omp.DependIn("cell", &cell), omp.If(false))
+				omp.DependIn(&cell), omp.If(false))
 			if got != 42 {
 				t.Errorf("undeferred dependent task saw %d", got)
 			}
