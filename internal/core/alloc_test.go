@@ -20,15 +20,17 @@ import (
 // budget, the twin of the runtime's zero-allocation fork path: the corpus
 // fixtures, lowered one file at a time, must stay under a ceiling of bytes
 // and allocations per file. The ceilings are this design's figures with
-// Go 1.24 (≈14.7 KB and 259 allocations per file) plus about 5%, and lie
-// below what printing the input to check it was gofmt-clean costs (≈16.7 KB
-// and 305), itself below building generated expressions as trees and text
-// as strings (≈19.5 KB and 376) and building each directive's text apart
-// and copying it into its parent's (≈29 KB and 421). Allocation counts are
-// deterministic, so a failure is a regression, not noise.
+// Go 1.24 (≈12.7 KB and 247 allocations per file) plus about 5%, and lie
+// below a 392-byte directive per pragma and an output buffer of four times
+// the source plus 128 bytes per pragma (≈14.7 KB and 258), below printing
+// the input to check it was gofmt-clean (≈16.7 KB and 305), itself below
+// building generated expressions as trees and text as strings (≈19.5 KB
+// and 376) and building each directive's text apart and copying it into
+// its parent's (≈29 KB and 421). Allocation counts are deterministic, so a
+// failure is a regression, not noise.
 const (
-	budgetBytesPerFile  = 15400
-	budgetAllocsPerFile = 272
+	budgetBytesPerFile  = 13300
+	budgetAllocsPerFile = 259
 )
 
 func TestLoweringAllocationBudget(t *testing.T) {

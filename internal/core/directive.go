@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // DirKind enumerates directives. Each kind corresponds to one AST node tag
 // in the paper's modified compiler ("each OpenMP directive is provided with
@@ -329,41 +332,73 @@ type ReductionClause struct {
 	Vars []string
 }
 
+// VarClause names the data-sharing clause that lists a variable.
+type VarClause uint8
+
+const (
+	VarPrivate VarClause = iota
+	VarFirstPrivate
+	VarLastPrivate
+	VarShared
+)
+
+// String returns the clause spelling.
+func (k VarClause) String() string {
+	return [...]string{"private", "firstprivate", "lastprivate", "shared"}[k]
+}
+
+// ListedVar is one variable of a private, firstprivate, lastprivate or
+// shared clause.
+type ListedVar struct {
+	Name   string
+	Clause VarClause
+}
+
 // Clauses carries every clause a directive may hold. One structure serves
 // all directives, as in the paper ("all clauses are stored in a single data
-// structure"); validation restricts which fields are allowed per kind.
+// structure"); validation restricts which clauses are allowed per kind.
+// The clauses of the loop and region directives sit in it directly. The
+// ones no loop directive carries sit in Rare, which the parser allocates
+// only for a pragma that writes one of them: a parsed directive, one per
+// pragma, stays at 120 bytes (TestDirectiveFootprint).
 type Clauses struct {
-	Private      []string
-	FirstPrivate []string
-	LastPrivate  []string
-	Shared       []string
-	CopyPrivate  []string
-	Reductions   []ReductionClause
-
-	Sched       SchedEnum
-	Chunk       int64 // 0 = no chunk specified (chunk must be > 0 per spec)
-	HasSchedule bool
-	SchedMod    SchedModEnum // monotonic/nonmonotonic schedule modifier
-
-	Default  DefaultKind
-	NoWait   bool
-	Collapse int // 0 = absent; at most MaxCollapse
-	Ordered  bool
+	// Vars are the variables of the private, firstprivate, lastprivate and
+	// shared clauses in the order written, each tagged with its clause.
+	Vars       []ListedVar
+	Reductions []ReductionClause
 
 	NumThreads string // raw host expression, empty = absent
 	If         string // raw host expression, empty = absent
-	Name       string // critical section name, empty = unnamed
 
+	Chunk       int64 // 0 = no chunk specified (chunk must be > 0 per spec)
+	Collapse    int   // 0 = absent; at most MaxCollapse
+	Sched       SchedEnum
+	SchedMod    SchedModEnum // monotonic/nonmonotonic schedule modifier
+	HasSchedule bool
+	Default     DefaultKind
+	NoWait      bool
+	Ordered     bool
+
+	// Rare holds every other clause; nil when the directive writes none.
+	Rare *RareClauses
+}
+
+// RareClauses are the clauses no loop directive carries: tasking, loop
+// transformation, threadprivate, copyprivate, the critical section's name
+// and the cancellation kind.
+type RareClauses struct {
+	CopyPrivate       []string
 	ThreadPrivateVars []string // threadprivate(…) list
+	Name              string   // critical section name, empty = unnamed
 
 	// Tasking clauses (task, taskloop).
 	Final     string // raw host expression, empty = absent
+	Priority  string // raw host expression, empty = absent
+	Grainsize int64  // 0 = absent; mutually exclusive with NumTasks
+	NumTasks  int64  // 0 = absent; mutually exclusive with Grainsize
 	Untied    bool
 	NoGroup   bool
 	Mergeable bool
-	Grainsize int64  // 0 = absent; mutually exclusive with NumTasks
-	NumTasks  int64  // 0 = absent; mutually exclusive with Grainsize
-	Priority  string // raw host expression, empty = absent
 	// Depends are the depend(in/out/inout: …) clauses of a task directive;
 	// each listed variable becomes a dependence address (&var) at codegen.
 	Depends []DependClause
@@ -376,6 +411,48 @@ type Clauses struct {
 	Sizes        []int64    // tile sizes(t1,…,tk); arity = nest depth
 	Unroll       UnrollEnum // unroll expansion selector
 	UnrollFactor int64      // partial(n) factor; 0 = implementation choice
+}
+
+// noRare is what rare reads for a directive without rare clauses.
+var noRare RareClauses
+
+// rare returns the directive's rare clauses, all zero when it writes none.
+// The result is only to be read.
+func (c *Clauses) rare() *RareClauses {
+	if c.Rare == nil {
+		return &noRare
+	}
+	return c.Rare
+}
+
+// setRare returns the rare clauses to write into, allocating them first.
+func (c *Clauses) setRare() *RareClauses {
+	if c.Rare == nil {
+		c.Rare = new(RareClauses)
+	}
+	return c.Rare
+}
+
+// Names yields the variables that clause k lists, in the order written.
+func (c *Clauses) Names(k VarClause) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for _, v := range c.Vars {
+			if v.Clause == k && !yield(v.Name) {
+				return
+			}
+		}
+	}
+}
+
+// Count returns how many variables clause k lists.
+func (c *Clauses) Count(k VarClause) int {
+	n := 0
+	for _, v := range c.Vars {
+		if v.Clause == k {
+			n++
+		}
+	}
+	return n
 }
 
 // Directive is a parsed pragma.

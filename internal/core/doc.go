@@ -16,7 +16,9 @@
 //     code that uses `parallel` or `shared` as variable names).
 //
 //  2. Parsing (parse.go) into a Directive whose Clauses are plain Go
-//     fields, checked by Validate (validate.go). The paper packs clause
+//     fields, checked by Validate (validate.go); the clauses no loop
+//     directive carries sit behind one pointer (RareClauses), so a loop's
+//     directive stays within 128 bytes. The paper packs clause
 //     data into the Zig compiler's 32-bit extra_data array; nothing here
 //     packs, but the field widths stay as input bounds (chunk below 2^29,
 //     collapse at most 15 — the paper's §III-A2 limits — and the same

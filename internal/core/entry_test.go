@@ -124,3 +124,33 @@ func f%d(a []float64, n int) float64 {
 		t.Fatal(err)
 	}
 }
+
+// AppendTransform writes exactly Transform's output after dst's bytes,
+// whatever dst's spare capacity holds and however much of it there is; with
+// room for the output it writes into dst's own array, which is what lets
+// the driver reuse one buffer from file to file.
+func TestAppendTransformMatchesTransform(t *testing.T) {
+	prefix := []byte("// bytes a caller already holds\n")
+	for name, src := range lowerFixtures(t) {
+		opts := fixtureOptions(name)
+		want, wantErr := Transform(src, opts)
+		for _, room := range []int{len(want.Output) / 2, 2*len(want.Output) + 64} {
+			buf := bytes.Repeat([]byte{0xA5}, len(prefix)+room) // garbage past dst's end
+			dst := append(buf[:0], prefix...)
+			got, err := AppendTransform(dst, src, opts)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s, %d spare: error %v, Transform's %v", name, room, err, wantErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if got.Changed != want.Changed || !bytes.Equal(got.Output, append(append([]byte(nil), prefix...), want.Output...)) {
+				t.Errorf("%s, %d spare: AppendTransform (changed %v) differs from dst + Transform (changed %v):\n%s", name, room, got.Changed, want.Changed, got.Output)
+			}
+			if fits := len(prefix)+len(want.Output) <= cap(dst); fits && &got.Output[0] != &dst[0] {
+				t.Errorf("%s, %d spare: the output fits in dst but was written elsewhere", name, room)
+			}
+		}
+	}
+}

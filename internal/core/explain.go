@@ -37,7 +37,7 @@ func Inspect(src []byte, opts Options) ([]PragmaInfo, error) {
 // Explain describes the lowering or transformation the preprocessor
 // applies to d, in one line.
 func Explain(d *Directive) string {
-	c := &d.Clauses
+	c, r := &d.Clauses, d.Clauses.rare()
 	var notes []string
 	base := ""
 	switch d.Kind {
@@ -74,27 +74,27 @@ func Explain(d *Directive) string {
 	case DirTaskyield:
 		base = "task scheduling point: the thread may run other ready tasks (omp.Taskyield)"
 	case DirCancel:
-		base = fmt.Sprintf("activate %s cancellation and branch to the construct's end (omp.Cancel guard)", c.Cancel)
+		base = fmt.Sprintf("activate %s cancellation and branch to the construct's end (omp.Cancel guard)", r.Cancel)
 	case DirCancellationPoint:
-		base = fmt.Sprintf("observe pending %s cancellation and branch out if set (omp.CancellationPoint guard)", c.Cancel)
+		base = fmt.Sprintf("observe pending %s cancellation and branch out if set (omp.CancellationPoint guard)", r.Cancel)
 	case DirOrdered:
 		base = "sequence the block into iteration order against the loop's ordered ticket chain (omp.Ordered)"
 	case DirTile:
-		k := len(c.Sizes)
+		k := len(r.Sizes)
 		strs := make([]string, k)
-		for i, s := range c.Sizes {
+		for i, s := range r.Sizes {
 			strs[i] = fmt.Sprintf("%d", s)
 		}
 		return fmt.Sprintf(
 			"transform: strip-mine the %d-deep loop nest into a %d-deep nest — tile-grid loops stepping by %s over fringe-guarded point loops; a worksharing directive stacked above distributes the grid",
 			k, 2*k, strings.Join(strs, "×"))
 	case DirUnroll:
-		switch c.Unroll {
+		switch r.Unroll {
 		case UnrollFull:
 			return "transform: fully expand the constant-trip loop into straight-line blocks (requires literal bounds)"
 		case UnrollPartial:
-			if c.UnrollFactor > 0 {
-				return fmt.Sprintf("transform: unroll the loop body %d× inside a factor-stepped main loop, plus a scalar remainder loop for trip%%%d iterations", c.UnrollFactor, c.UnrollFactor)
+			if r.UnrollFactor > 0 {
+				return fmt.Sprintf("transform: unroll the loop body %d× inside a factor-stepped main loop, plus a scalar remainder loop for trip%%%d iterations", r.UnrollFactor, r.UnrollFactor)
 			}
 			return fmt.Sprintf("transform: partially unroll by the implementation factor (%d), plus a scalar remainder loop", defaultUnrollFactor)
 		default:
@@ -127,38 +127,38 @@ func Explain(d *Directive) string {
 	if c.Ordered {
 		notes = append(notes, "ordered ticket chain enabled (forces monotonic dispatch)")
 	}
-	if n := len(c.Private) + len(c.FirstPrivate); n > 0 {
+	if n := c.Count(VarPrivate) + c.Count(VarFirstPrivate); n > 0 {
 		notes = append(notes, fmt.Sprintf("%d private/firstprivate shadow copies", n))
 	}
-	if len(c.LastPrivate) > 0 {
+	if c.Count(VarLastPrivate) > 0 {
 		notes = append(notes, "lastprivate write-back from the sequentially-last iteration")
 	}
-	for _, r := range c.Reductions {
-		notes = append(notes, fmt.Sprintf("reduction(%s) over %s via per-thread partials", r.Op, strings.Join(r.Vars, ",")))
+	for _, red := range c.Reductions {
+		notes = append(notes, fmt.Sprintf("reduction(%s) over %s via per-thread partials", red.Op, strings.Join(red.Vars, ",")))
 	}
-	if len(c.Depends) > 0 {
+	if len(r.Depends) > 0 {
 		var items []string
-		for _, dc := range c.Depends {
+		for _, dc := range r.Depends {
 			items = append(items, fmt.Sprintf("%s:%s", dc.Mode, strings.Join(dc.Vars, ",")))
 		}
 		notes = append(notes, fmt.Sprintf("withheld until dependences resolve (%s)", strings.Join(items, "; ")))
 	}
-	if c.Priority != "" {
-		notes = append(notes, fmt.Sprintf("released through the team priority queue at priority(%s)", c.Priority))
+	if r.Priority != "" {
+		notes = append(notes, fmt.Sprintf("released through the team priority queue at priority(%s)", r.Priority))
 	}
-	if c.Grainsize > 0 {
-		notes = append(notes, fmt.Sprintf("grainsize(%d) iterations per task", c.Grainsize))
+	if r.Grainsize > 0 {
+		notes = append(notes, fmt.Sprintf("grainsize(%d) iterations per task", r.Grainsize))
 	}
-	if c.NumTasks > 0 {
-		notes = append(notes, fmt.Sprintf("split into num_tasks(%d) tasks", c.NumTasks))
+	if r.NumTasks > 0 {
+		notes = append(notes, fmt.Sprintf("split into num_tasks(%d) tasks", r.NumTasks))
 	}
-	if c.Final != "" {
-		notes = append(notes, fmt.Sprintf("descendants run undeferred once final(%s) holds", c.Final))
+	if r.Final != "" {
+		notes = append(notes, fmt.Sprintf("descendants run undeferred once final(%s) holds", r.Final))
 	}
 	if c.NoWait {
 		notes = append(notes, "nowait: implicit barrier elided")
 	}
-	if c.NoGroup {
+	if r.NoGroup {
 		notes = append(notes, "nogroup: implicit taskgroup elided")
 	}
 	if len(notes) > 0 {

@@ -75,7 +75,7 @@ func (lw *lowerer) gen(n *node) {
 			return
 		}
 		e.code("omp.Critical(")
-		e.quote(n.d.Clauses.Name)
+		e.quote(n.d.Clauses.rare().Name)
 		e.code(", func() {\n")
 		lw.user(body)
 		e.code("\n})")
@@ -146,19 +146,21 @@ func (lw *lowerer) cancelGuard(tvar string, orphan bool) {
 // discard keeps Go's unused-variable rule satisfied, the exact challenge
 // the paper reports for Zig ("all unused … variables … must be explicitly
 // discarded").
-func shadowDecls(e *emitter, vars ...[]string) {
-	for i, list := range vars {
+// The copies follow kinds, each clause's variables in the order written; a
+// variable is copied once.
+func shadowDecls(e *emitter, c *Clauses, kinds ...VarClause) {
+	for i, k := range kinds {
 	next:
-		for j, v := range list {
-			if slices.Contains(list[:j], v) {
+		for j, v := range c.Vars {
+			if v.Clause != k {
 				continue
 			}
-			for _, earlier := range vars[:i] {
-				if slices.Contains(earlier, v) {
+			for m, w := range c.Vars {
+				if w.Name == v.Name && (w.Clause == k && m < j || slices.Contains(kinds[:i], w.Clause)) {
 					continue next
 				}
 			}
-			e.put(v, " := ", v, "\n_ = ", v, "\n")
+			e.put(v.Name, " := ", v.Name, "\n_ = ", v.Name, "\n")
 		}
 	}
 }
@@ -174,10 +176,11 @@ func (lw *lowerer) checkDefaultNone(n *node, body ast.Node, exempt ...string) bo
 	}
 	c := &n.pragma.Clauses
 	listed := map[string]bool{}
-	for _, l := range [][]string{c.Private, c.FirstPrivate, c.LastPrivate, c.Shared, exempt} {
-		for _, v := range l {
-			listed[v] = true
-		}
+	for _, v := range c.Vars {
+		listed[v.Name] = true
+	}
+	for _, v := range exempt {
+		listed[v] = true
 	}
 	for _, r := range c.Reductions {
 		for _, v := range r.Vars {
@@ -238,7 +241,7 @@ func (lw *lowerer) genParallel(n *node) {
 	e.code("{\n")
 	reductions(func(v string, _ ReduceOp) { e.put(redPrefix, v, " := &", v, "\n") })
 	e.code("omp.Parallel(func(__omp_t *omp.Thread) {\n")
-	shadowDecls(e, c.Private, c.FirstPrivate)
+	shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 	reductions(func(v string, op ReduceOp) {
 		e.put(v, " := ")
 		identity(e, op, v)
@@ -333,18 +336,7 @@ func (lw *lowerer) loopRenames(n *node, nest *loopNest, vars [][2]string) ([]spl
 // with v in a data-sharing or depend clause (or, if asked, copyprivate).
 func clauseNaming(subs []*node, v string, copyPrivate bool) *node {
 	for _, s := range subs {
-		c := &s.d.Clauses
-		lists := [][]string{c.Private, c.FirstPrivate, c.LastPrivate}
-		if copyPrivate {
-			lists = append(lists, c.CopyPrivate)
-		}
-		for _, r := range c.Reductions {
-			lists = append(lists, r.Vars)
-		}
-		for _, d := range c.Depends {
-			lists = append(lists, d.Vars)
-		}
-		if slices.ContainsFunc(lists, func(l []string) bool { return slices.Contains(l, v) }) {
+		if namesVar(&s.d.Clauses, v, copyPrivate) {
 			return s
 		}
 		if s.inner != nil {
@@ -357,6 +349,31 @@ func clauseNaming(subs []*node, v string, copyPrivate bool) *node {
 		}
 	}
 	return nil
+}
+
+// namesVar reports whether c names v in a private, firstprivate, lastprivate,
+// reduction or depend clause, or, if asked, in copyprivate.
+func namesVar(c *Clauses, v string, copyPrivate bool) bool {
+	r := c.rare()
+	if copyPrivate && slices.Contains(r.CopyPrivate, v) {
+		return true
+	}
+	for _, x := range c.Vars {
+		if x.Name == v && x.Clause != VarShared {
+			return true
+		}
+	}
+	for _, red := range c.Reductions {
+		if slices.Contains(red.Vars, v) {
+			return true
+		}
+	}
+	for _, d := range r.Depends {
+		if slices.Contains(d.Vars, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // genFor lowers `//omp for`: bounds, increment and comparison operator are
@@ -393,7 +410,7 @@ func (lw *lowerer) genFor(n *node) {
 			renamed = append(renamed, [2]string{v, redPrefix + v})
 		}
 	}
-	for _, v := range c.LastPrivate {
+	for v := range c.Names(VarLastPrivate) {
 		renamed = append(renamed, [2]string{v, "__omp_lp_" + v})
 	}
 	renames, ok := lw.loopRenames(n, nest, renamed)
@@ -409,7 +426,7 @@ func (lw *lowerer) genFor(n *node) {
 			}
 		}
 	}
-	lastPrivates := renamed[len(renamed)-len(c.LastPrivate):]
+	lastPrivates := renamed[len(renamed)-c.Count(VarLastPrivate):]
 	tvar, bind, orphan := lw.team(n)
 	body := lw.nestBody(nest)
 
@@ -437,7 +454,7 @@ func (lw *lowerer) genFor(n *node) {
 	if len(hs) > 1 {
 		e.code("__omp_trip := __omp_trip0 * __omp_suf0\n")
 	}
-	shadowDecls(e, c.Private, c.FirstPrivate)
+	shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 	reductions(func(op ReduceOp, v, local string) {
 		e.put(local, " := ")
 		identity(e, op, v)
@@ -613,7 +630,7 @@ func (lw *lowerer) genSections(n *node) {
 	for _, sec := range n.Subdirectives {
 		sec.done = true
 		e.code("func() {\n")
-		shadowDecls(e, c.Private, c.FirstPrivate)
+		shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 		lw.user(body{from: sec.start, to: sec.end, cur: sec, orig: orig})
 		e.code("\n},\n")
 	}
@@ -642,10 +659,10 @@ func (lw *lowerer) genSingle(n *node) {
 
 	e := lw.e
 	e.put("{\n", bind)
-	if len(c.CopyPrivate) == 1 {
-		v := c.CopyPrivate[0]
+	if cp := c.rare().CopyPrivate; len(cp) == 1 {
+		v := cp[0]
 		e.put("if ", tvar, ".Single() {\n")
-		shadowDecls(e, c.Private, c.FirstPrivate)
+		shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 		lw.user(body)
 		e.put("\nomp.CopyPrivatePublish(", tvar, ", ")
 		lw.clause(v, 2)
@@ -657,7 +674,7 @@ func (lw *lowerer) genSingle(n *node) {
 		}
 	} else {
 		e.put("omp.Single(", tvar, ", func() {\n")
-		shadowDecls(e, c.Private, c.FirstPrivate)
+		shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 		lw.user(body)
 		e.code("\n}")
 		if c.NoWait {
@@ -669,7 +686,7 @@ func (lw *lowerer) genSingle(n *node) {
 		lw.cancelGuard(tvar, orphan) // the closing barrier is a cancellation point
 	}
 	e.code("}")
-	if len(c.CopyPrivate) > 1 { // after the body, whose diagnostics come first
+	if len(c.rare().CopyPrivate) > 1 { // after the body, whose diagnostics come first
 		lw.fail(n, "copyprivate supports a single variable in this implementation")
 	}
 }
@@ -806,42 +823,42 @@ func withLoaded(e ast.Expr, x string) ast.Expr {
 // Depend items lower to omp.DependIn(&v)-style options: the variable's
 // address is the dependence address.
 func (lw *lowerer) taskOptions(n *node, region string) {
-	c, e := &n.d.Clauses, lw.e
+	c, r, e := &n.d.Clauses, n.d.Clauses.rare(), lw.e
 	if c.If != "" {
 		e.code(", omp.If(")
 		lw.clause(c.If, 2)
 		e.code(")")
 	}
-	if c.Final != "" {
+	if r.Final != "" {
 		e.code(", omp.Final(")
-		lw.clause(c.Final, 2)
+		lw.clause(r.Final, 2)
 		e.code(")")
 	}
-	if c.Untied {
+	if r.Untied {
 		e.code(", omp.Untied()")
 	}
-	if c.Mergeable {
+	if r.Mergeable {
 		e.code(", omp.Mergeable()")
 	}
-	if c.Grainsize > 0 {
+	if r.Grainsize > 0 {
 		e.code(", omp.Grainsize(")
-		e.num(c.Grainsize)
+		e.num(r.Grainsize)
 		e.code(")")
 	}
-	if c.NumTasks > 0 {
+	if r.NumTasks > 0 {
 		e.code(", omp.NumTasks(")
-		e.num(c.NumTasks)
+		e.num(r.NumTasks)
 		e.code(")")
 	}
-	if c.NoGroup {
+	if r.NoGroup {
 		e.code(", omp.NoGroup()")
 	}
-	if c.Priority != "" {
+	if r.Priority != "" {
 		e.code(", omp.Priority(")
-		lw.clause(c.Priority, 2)
+		lw.clause(r.Priority, 2)
 		e.code(")")
 	}
-	for _, dc := range c.Depends {
+	for _, dc := range r.Depends {
 		for _, v := range dc.Vars {
 			e.put(", ", dc.Mode.RuntimeName(), "(&", v, ")")
 		}
@@ -867,9 +884,9 @@ func (lw *lowerer) genTask(n *node) {
 	}
 	e := lw.e
 	e.put("{\n", bind)
-	shadowDecls(e, c.FirstPrivate) // creation-time copies the closure captures
+	shadowDecls(e, c, VarFirstPrivate) // creation-time copies the closure captures
 	e.put("omp.Task(", tvar, ", func(", tvar, " *omp.Thread) {\n")
-	shadowDecls(e, c.Private)
+	shadowDecls(e, c, VarPrivate)
 	lw.user(body)
 	e.code("\n}")
 	lw.taskOptions(n, "task")
@@ -905,10 +922,10 @@ func (lw *lowerer) genTaskloop(n *node) {
 	e := lw.e
 	e.put("{\n", bind)
 	lw.bounds(0, h, false)
-	shadowDecls(e, c.FirstPrivate) // creation-time snapshot
+	shadowDecls(e, c, VarFirstPrivate) // creation-time snapshot
 	e.put("omp.Taskloop(", tvar, ", __omp_trip, func(", tvar, " *omp.Thread, __omp_clo, __omp_chi int64) {\n")
 	// Per-task copies: each chunk task privatises from the snapshot.
-	shadowDecls(e, c.Private, c.FirstPrivate)
+	shadowDecls(e, c, VarPrivate, VarFirstPrivate)
 	e.code("for __omp_k := __omp_clo; __omp_k < __omp_chi; __omp_k++ {\n")
 	loopVar(e, h.Var, 0, "__omp_k", -1)
 	nest.open(e, 1)
@@ -941,16 +958,16 @@ func (lw *lowerer) genTaskloop(n *node) {
 // cancel (OpenMP's "innermost enclosing region" does not exist), so it is a
 // preprocessing error rather than a silent no-op.
 func (lw *lowerer) genCancel(n *node) {
-	c := &n.d.Clauses
+	c, cancel := &n.d.Clauses, n.d.Clauses.rare().Cancel
 	tvar := lw.threadVar(n)
 	if tvar == "" {
-		lw.fail(n, "%s %s outside a parallel region: no enclosing construct provides a thread context", n.d.Kind, c.Cancel)
+		lw.fail(n, "%s %s outside a parallel region: no enclosing construct provides a thread context", n.d.Kind, cancel)
 		return
 	}
-	point := call("omp.CancellationPoint", ident(tvar), ident(c.Cancel.RuntimeName()))
+	point := call("omp.CancellationPoint", ident(tvar), ident(cancel.RuntimeName()))
 	var cond ast.Expr = point
 	if n.d.Kind == DirCancel {
-		cond = call("omp.Cancel", ident(tvar), ident(c.Cancel.RuntimeName()))
+		cond = call("omp.Cancel", ident(tvar), ident(cancel.RuntimeName()))
 		if c.If != "" {
 			cond = binary(paren(binary(paren(lw.clauseExpr(c.If)), token.LAND, cond)), token.LOR, point)
 		}
@@ -958,7 +975,7 @@ func (lw *lowerer) genCancel(n *node) {
 	lw.e.code("if ")
 	p := lw.printer(true)
 	if p.run(cond, 1); p.bad {
-		kind := c.Cancel.RuntimeName()
+		kind := cancel.RuntimeName()
 		p.buf = p.buf[:0]
 		p.put("((", lw.rawClause(c.If), ") && omp.Cancel(", tvar, ", ", kind, ")) || omp.CancellationPoint(", tvar, ", ", kind, ")")
 	}
@@ -985,7 +1002,7 @@ func (lw *lowerer) threadPrivate() error {
 		if p.d.Kind != DirThreadPrivate {
 			continue
 		}
-		for _, v := range p.d.Clauses.ThreadPrivateVars {
+		for _, v := range p.d.Clauses.rare().ThreadPrivateVars {
 			var spec *ast.ValueSpec
 			var decl *ast.GenDecl
 			for _, d := range lw.file.Decls {

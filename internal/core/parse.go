@@ -47,10 +47,18 @@ func (p *dirParser) expect(tag TokenTag, what string) (*Token, error) {
 // ParseDirective tokenises and parses one pragma's text (sentinel already
 // stripped) into a Directive.
 func ParseDirective(text string) (*Directive, error) {
+	d := &Directive{}
+	if err := parseDirective(d, text); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// parseDirective is ParseDirective into d, which is zero.
+func parseDirective(d *Directive, text string) error {
 	// The tokens of all but the longest pragmas stay on the stack.
 	var buf [32]Token
 	p := &dirParser{toks: tokenize(buf[:0], text)}
-	d := &Directive{}
 
 	switch {
 	case p.eatToken(TokParallel) != nil:
@@ -74,11 +82,11 @@ func ParseDirective(text string) (*Directive, error) {
 		if p.eatToken(TokLParen) != nil {
 			name, err := p.expect(TokIdent, "critical section name")
 			if err != nil {
-				return nil, err
+				return err
 			}
-			d.Clauses.Name = name.Text
+			d.Clauses.setRare().Name = name.Text
 			if _, err := p.expect(TokRParen, "')'"); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case p.eatToken(TokBarrier) != nil:
@@ -99,19 +107,19 @@ func ParseDirective(text string) (*Directive, error) {
 		d.Kind = DirCancel
 		kind, err := p.parseCancelKind("cancel")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d.Clauses.Cancel = kind
+		d.Clauses.setRare().Cancel = kind
 	case p.eatToken(TokCancellation) != nil:
 		if p.eatToken(TokPoint) == nil {
-			return nil, fmt.Errorf("pragma: expected 'point' after 'cancellation', found %s", *p.peek())
+			return fmt.Errorf("pragma: expected 'point' after 'cancellation', found %s", *p.peek())
 		}
 		d.Kind = DirCancellationPoint
 		kind, err := p.parseCancelKind("cancellation point")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d.Clauses.Cancel = kind
+		d.Clauses.setRare().Cancel = kind
 	case p.eatToken(TokOrdered) != nil:
 		d.Kind = DirOrdered
 	case p.eatToken(TokTile) != nil:
@@ -120,24 +128,20 @@ func ParseDirective(text string) (*Directive, error) {
 		d.Kind = DirUnroll
 	case p.eatToken(TokThreadPrivate) != nil:
 		d.Kind = DirThreadPrivate
-		vars, err := p.parseIdentList()
-		if err != nil {
-			return nil, err
+		r := d.Clauses.setRare()
+		if err := p.parseIdentList(func(v string) { r.ThreadPrivateVars = append(r.ThreadPrivateVars, v) }); err != nil {
+			return err
 		}
-		d.Clauses.ThreadPrivateVars = vars
 	case p.eatToken(TokFlush) != nil:
-		return nil, fmt.Errorf("pragma: the flush directive is not supported (Go's memory model provides no standalone fence; use atomic cells)")
+		return fmt.Errorf("pragma: the flush directive is not supported (Go's memory model provides no standalone fence; use atomic cells)")
 	default:
-		return nil, fmt.Errorf("pragma: unknown directive at %s", *p.peek())
+		return fmt.Errorf("pragma: unknown directive at %s", *p.peek())
 	}
 
 	if err := p.parseClauses(d, text); err != nil {
-		return nil, err
+		return err
 	}
-	if err := Validate(d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return Validate(d)
 }
 
 // parseClauses consumes clause* until EOF. Clauses may be separated by
@@ -152,35 +156,26 @@ func (p *dirParser) parseClauses(d *Directive, text string) error {
 		}
 		switch {
 		case p.eatToken(TokPrivate) != nil:
-			vars, err := p.parseIdentList()
-			if err != nil {
+			if err := p.parseVarList(c, VarPrivate); err != nil {
 				return err
 			}
-			c.Private = append(c.Private, vars...)
 		case p.eatToken(TokFirstPrivate) != nil:
-			vars, err := p.parseIdentList()
-			if err != nil {
+			if err := p.parseVarList(c, VarFirstPrivate); err != nil {
 				return err
 			}
-			c.FirstPrivate = append(c.FirstPrivate, vars...)
 		case p.eatToken(TokLastPrivate) != nil:
-			vars, err := p.parseIdentList()
-			if err != nil {
+			if err := p.parseVarList(c, VarLastPrivate); err != nil {
 				return err
 			}
-			c.LastPrivate = append(c.LastPrivate, vars...)
 		case p.eatToken(TokShared) != nil:
-			vars, err := p.parseIdentList()
-			if err != nil {
+			if err := p.parseVarList(c, VarShared); err != nil {
 				return err
 			}
-			c.Shared = append(c.Shared, vars...)
 		case p.eatToken(TokCopyPrivate) != nil:
-			vars, err := p.parseIdentList()
-			if err != nil {
+			r := c.setRare()
+			if err := p.parseIdentList(func(v string) { r.CopyPrivate = append(r.CopyPrivate, v) }); err != nil {
 				return err
 			}
-			c.CopyPrivate = append(c.CopyPrivate, vars...)
 		case p.eatToken(TokReduction) != nil:
 			if err := p.parseReduction(c); err != nil {
 				return err
@@ -220,25 +215,25 @@ func (p *dirParser) parseClauses(d *Directive, text string) error {
 			if err != nil {
 				return err
 			}
-			c.Final = expr
+			c.setRare().Final = expr
 		case p.eatToken(TokUntied) != nil:
-			c.Untied = true
+			c.setRare().Untied = true
 		case p.eatToken(TokNoGroup) != nil:
-			c.NoGroup = true
+			c.setRare().NoGroup = true
 		case p.eatToken(TokGrainsize) != nil:
 			n, err := p.parseIntArg("grainsize")
 			if err != nil {
 				return err
 			}
-			c.Grainsize = n
+			c.setRare().Grainsize = n
 		case p.eatToken(TokNumTasks) != nil:
 			n, err := p.parseIntArg("num_tasks")
 			if err != nil {
 				return err
 			}
-			c.NumTasks = n
+			c.setRare().NumTasks = n
 		case p.eatToken(TokDepend) != nil:
-			if err := p.parseDepend(c); err != nil {
+			if err := p.parseDepend(c.setRare()); err != nil {
 				return err
 			}
 		case p.eatToken(TokPriority) != nil:
@@ -246,30 +241,33 @@ func (p *dirParser) parseClauses(d *Directive, text string) error {
 			if err != nil {
 				return err
 			}
-			c.Priority = expr
+			c.setRare().Priority = expr
 		case p.eatToken(TokMergeable) != nil:
-			c.Mergeable = true
+			c.setRare().Mergeable = true
 		case p.eatToken(TokSizes) != nil:
 			// At most one sizes clause (OpenMP 5.2 §9.4): concatenating
 			// repeats would silently change the tile arity.
-			if c.Sizes != nil {
+			r := c.setRare()
+			if r.Sizes != nil {
 				return fmt.Errorf("pragma: at most one sizes clause is permitted (OpenMP 5.2 §9.4)")
 			}
 			sizes, err := p.parseIntList("sizes")
 			if err != nil {
 				return err
 			}
-			c.Sizes = sizes
+			r.Sizes = sizes
 		case p.eatToken(TokFull) != nil:
-			if c.Unroll != UnrollNone {
+			r := c.setRare()
+			if r.Unroll != UnrollNone {
 				return fmt.Errorf("pragma: unroll accepts at most one of full and partial (OpenMP 5.2 §9.5)")
 			}
-			c.Unroll = UnrollFull
+			r.Unroll = UnrollFull
 		case p.eatToken(TokPartial) != nil:
-			if c.Unroll != UnrollNone {
+			r := c.setRare()
+			if r.Unroll != UnrollNone {
 				return fmt.Errorf("pragma: unroll accepts at most one of full and partial (OpenMP 5.2 §9.5)")
 			}
-			c.Unroll = UnrollPartial
+			r.Unroll = UnrollPartial
 			// The factor is optional: bare partial leaves the choice to
 			// the implementation (OpenMP 5.2 §9.5.2).
 			if p.peek().Tag == TokLParen {
@@ -277,7 +275,7 @@ func (p *dirParser) parseClauses(d *Directive, text string) error {
 				if err != nil {
 					return err
 				}
-				c.UnrollFactor = n
+				r.UnrollFactor = n
 			}
 		default:
 			return fmt.Errorf("pragma: unknown clause at %s", *p.peek())
@@ -303,29 +301,40 @@ func (p *dirParser) parseCancelKind(dir string) (CancelEnum, error) {
 	return CancelNone, fmt.Errorf("pragma: %s requires a construct kind (parallel, for, or taskgroup), found %s", dir, *p.peek())
 }
 
-// parseIdentList parses "( ident {, ident} )".
-func (p *dirParser) parseIdentList() ([]string, error) {
+// parseVarList parses the "( ident {, ident} )" of data-sharing clause k
+// into c.Vars.
+func (p *dirParser) parseVarList(c *Clauses, k VarClause) error {
+	return p.parseIdentList(func(v string) { c.Vars = append(c.Vars, ListedVar{Name: v, Clause: k}) })
+}
+
+// parseIdentList parses "( ident {, ident} )", passing each to add.
+func (p *dirParser) parseIdentList(add func(string)) error {
 	if _, err := p.expect(TokLParen, "'('"); err != nil {
-		return nil, err
+		return err
 	}
-	var vars []string
+	// Keywords are identifiers here: private(static) is legal, as the
+	// paper requires ("in Zig keywords may not be used as identifiers,
+	// and adding these would break compatibility").
+	if err := p.parseNames("variable name", add); err != nil {
+		return err
+	}
+	_, err := p.expect(TokRParen, "')'")
+	return err
+}
+
+// parseNames parses "ident {, ident}", passing each to add; what names an
+// identifier in the error for a missing one.
+func (p *dirParser) parseNames(what string, add func(string)) error {
 	for {
-		// Keywords are identifiers here: private(static) is legal, as
-		// the paper requires ("in Zig keywords may not be used as
-		// identifiers, and adding these would break compatibility").
-		id, err := p.expect(TokIdent, "variable name")
+		id, err := p.expect(TokIdent, what)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		vars = append(vars, id.Text)
+		add(id.Text)
 		if p.eatToken(TokComma) == nil {
-			break
+			return nil
 		}
 	}
-	if _, err := p.expect(TokRParen, "')'"); err != nil {
-		return nil, err
-	}
-	return vars, nil
 }
 
 // parseReduction parses "( op : ident {, ident} )".
@@ -360,15 +369,8 @@ func (p *dirParser) parseReduction(c *Clauses) error {
 		return err
 	}
 	var vars []string
-	for {
-		id, err := p.expect(TokIdent, "reduction variable")
-		if err != nil {
-			return err
-		}
-		vars = append(vars, id.Text)
-		if p.eatToken(TokComma) == nil {
-			break
-		}
+	if err := p.parseNames("reduction variable", func(v string) { vars = append(vars, v) }); err != nil {
+		return err
 	}
 	if _, err := p.expect(TokRParen, "')'"); err != nil {
 		return err
@@ -428,7 +430,7 @@ func (p *dirParser) parseSchedule(c *Clauses) error {
 // §15.9.5's task-dependence subset. The dependence-type modifiers the
 // implementation does not lower (mutexinoutset, depobj, the doacross
 // sink/source forms) are rejected by the mode switch with a pointed error.
-func (p *dirParser) parseDepend(c *Clauses) error {
+func (p *dirParser) parseDepend(c *RareClauses) error {
 	if _, err := p.expect(TokLParen, "'('"); err != nil {
 		return err
 	}
@@ -447,15 +449,8 @@ func (p *dirParser) parseDepend(c *Clauses) error {
 		return err
 	}
 	var vars []string
-	for {
-		id, err := p.expect(TokIdent, "dependence variable")
-		if err != nil {
-			return err
-		}
-		vars = append(vars, id.Text)
-		if p.eatToken(TokComma) == nil {
-			break
-		}
+	if err := p.parseNames("dependence variable", func(v string) { vars = append(vars, v) }); err != nil {
+		return err
 	}
 	if _, err := p.expect(TokRParen, "')'"); err != nil {
 		return err

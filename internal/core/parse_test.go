@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, text string) *Directive {
@@ -45,21 +46,21 @@ func TestParseDirectiveKinds(t *testing.T) {
 
 func TestParseListClauses(t *testing.T) {
 	d := mustParse(t, "parallel private(a,b) firstprivate(c) shared(d,e,f)")
-	if !reflect.DeepEqual(d.Clauses.Private, []string{"a", "b"}) {
-		t.Errorf("Private = %v", d.Clauses.Private)
+	if !reflect.DeepEqual(slices.Collect(d.Clauses.Names(VarPrivate)), []string{"a", "b"}) {
+		t.Errorf("Private = %v", slices.Collect(d.Clauses.Names(VarPrivate)))
 	}
-	if !reflect.DeepEqual(d.Clauses.FirstPrivate, []string{"c"}) {
-		t.Errorf("FirstPrivate = %v", d.Clauses.FirstPrivate)
+	if !reflect.DeepEqual(slices.Collect(d.Clauses.Names(VarFirstPrivate)), []string{"c"}) {
+		t.Errorf("FirstPrivate = %v", slices.Collect(d.Clauses.Names(VarFirstPrivate)))
 	}
-	if !reflect.DeepEqual(d.Clauses.Shared, []string{"d", "e", "f"}) {
-		t.Errorf("Shared = %v", d.Clauses.Shared)
+	if !reflect.DeepEqual(slices.Collect(d.Clauses.Names(VarShared)), []string{"d", "e", "f"}) {
+		t.Errorf("Shared = %v", slices.Collect(d.Clauses.Names(VarShared)))
 	}
 }
 
 func TestParseRepeatedListClausesAccumulate(t *testing.T) {
 	d := mustParse(t, "parallel private(a) private(b)")
-	if !reflect.DeepEqual(d.Clauses.Private, []string{"a", "b"}) {
-		t.Errorf("Private = %v, want accumulated [a b]", d.Clauses.Private)
+	if !reflect.DeepEqual(slices.Collect(d.Clauses.Names(VarPrivate)), []string{"a", "b"}) {
+		t.Errorf("Private = %v, want accumulated [a b]", slices.Collect(d.Clauses.Names(VarPrivate)))
 	}
 }
 
@@ -69,8 +70,8 @@ func TestParseRepeatedListClausesAccumulate(t *testing.T) {
 func TestParseKeywordAsVariableName(t *testing.T) {
 	d := mustParse(t, "parallel private(static, parallel, shared)")
 	want := []string{"static", "parallel", "shared"}
-	if !reflect.DeepEqual(d.Clauses.Private, want) {
-		t.Errorf("Private = %v, want %v", d.Clauses.Private, want)
+	if !reflect.DeepEqual(slices.Collect(d.Clauses.Names(VarPrivate)), want) {
+		t.Errorf("Private = %v, want %v", slices.Collect(d.Clauses.Names(VarPrivate)), want)
 	}
 }
 
@@ -169,18 +170,18 @@ func TestParseIfNestedParens(t *testing.T) {
 }
 
 func TestParseCriticalName(t *testing.T) {
-	if d := mustParse(t, "critical(updates)"); d.Clauses.Name != "updates" {
-		t.Errorf("Name = %q", d.Clauses.Name)
+	if d := mustParse(t, "critical(updates)"); d.Clauses.rare().Name != "updates" {
+		t.Errorf("Name = %q", d.Clauses.rare().Name)
 	}
-	if d := mustParse(t, "critical"); d.Clauses.Name != "" {
-		t.Errorf("unnamed critical Name = %q", d.Clauses.Name)
+	if d := mustParse(t, "critical"); d.Clauses.rare().Name != "" {
+		t.Errorf("unnamed critical Name = %q", d.Clauses.rare().Name)
 	}
 }
 
 func TestParseThreadPrivate(t *testing.T) {
 	d := mustParse(t, "threadprivate(x, y)")
-	if !reflect.DeepEqual(d.Clauses.ThreadPrivateVars, []string{"x", "y"}) {
-		t.Errorf("ThreadPrivateVars = %v", d.Clauses.ThreadPrivateVars)
+	if !reflect.DeepEqual(d.Clauses.rare().ThreadPrivateVars, []string{"x", "y"}) {
+		t.Errorf("ThreadPrivateVars = %v", d.Clauses.rare().ThreadPrivateVars)
 	}
 }
 
@@ -283,18 +284,21 @@ func TestParseFirstLastPrivateCombination(t *testing.T) {
 }
 
 func TestDistributeParallelFor(t *testing.T) {
-	d := mustParse(t, "parallel for private(i) firstprivate(c) shared(s) reduction(+:sum) schedule(dynamic,4) num_threads(8) if(ok) default(none) collapse(2)")
+	d := mustParse(t, "parallel for private(i) lastprivate(l) firstprivate(c) shared(s) reduction(+:sum) schedule(dynamic,4) num_threads(8) if(ok) default(none) collapse(2)")
 	par, loop := DistributeParallelFor(d)
 	if par.Kind != DirParallel || loop.Kind != DirFor {
 		t.Fatalf("kinds = %v/%v", par.Kind, loop.Kind)
 	}
-	if !reflect.DeepEqual(par.Clauses.Private, []string{"i"}) ||
+	if !reflect.DeepEqual(slices.Collect(par.Clauses.Names(VarPrivate)), []string{"i"}) ||
 		par.Clauses.NumThreads != "8" || par.Clauses.If != "ok" ||
 		par.Clauses.Default != DefaultNone {
 		t.Errorf("parallel half = %+v", par.Clauses)
 	}
-	if len(par.Clauses.Reductions) != 0 {
-		t.Error("reduction leaked to the parallel half")
+	if len(par.Clauses.Reductions) != 0 || par.Clauses.Count(VarLastPrivate) != 0 {
+		t.Error("reduction or lastprivate leaked to the parallel half")
+	}
+	if !reflect.DeepEqual(loop.Clauses.Vars, []ListedVar{{"l", VarLastPrivate}}) {
+		t.Errorf("loop half's variables = %v, want only lastprivate l", loop.Clauses.Vars)
 	}
 	if loop.Clauses.Sched != SchedDynamic || loop.Clauses.Chunk != 4 ||
 		loop.Clauses.Collapse != 2 || len(loop.Clauses.Reductions) != 1 {
@@ -304,11 +308,29 @@ func TestDistributeParallelFor(t *testing.T) {
 		t.Error("fused loop should elide its redundant barrier (nowait)")
 	}
 	// Both halves must validate independently.
-	if err := Validate(par); err != nil {
+	if err := Validate(&par); err != nil {
 		t.Errorf("parallel half invalid: %v", err)
 	}
-	if err := Validate(loop); err != nil {
+	if err := Validate(&loop); err != nil {
 		t.Errorf("loop half invalid: %v", err)
+	}
+}
+
+// The analysis holds a directive per pragma and two more per `parallel
+// for`, so the directive stays small: the clauses no loop directive
+// carries (tasking, tile and unroll, threadprivate, copyprivate, a critical
+// section's name, the cancellation kind) live in Clauses.Rare, allocated
+// only for a pragma that writes one, and the four data-sharing lists are
+// one tagged list.
+func TestDirectiveFootprint(t *testing.T) {
+	const ceiling = 128 // one size class
+	if size := unsafe.Sizeof(Directive{}); size > ceiling {
+		t.Errorf("Directive is %d bytes, over its %d-byte ceiling: put clauses that loop directives never carry in RareClauses, not in Clauses", size, ceiling)
+	}
+	for _, text := range []string{"parallel for reduction(+:s) schedule(dynamic,4) collapse(2) private(a) lastprivate(b)", "for nowait", "parallel num_threads(4)", "critical", "barrier"} {
+		if d := mustParse(t, text); d.Clauses.Rare != nil {
+			t.Errorf("%q allocated rare clauses: %+v", text, *d.Clauses.Rare)
+		}
 	}
 }
 
@@ -324,20 +346,20 @@ func TestDirectiveString(t *testing.T) {
 
 func TestParseTaskClauses(t *testing.T) {
 	d := mustParse(t, "task private(a) firstprivate(b) shared(c) if(depth < limit) final(n < 16) untied")
-	c := &d.Clauses
-	if c.If != "depth < limit" || c.Final != "n < 16" || !c.Untied {
-		t.Errorf("task clauses = %+v", c)
+	c, r := &d.Clauses, d.Clauses.rare()
+	if c.If != "depth < limit" || r.Final != "n < 16" || !r.Untied {
+		t.Errorf("task clauses = %+v, %+v", c, r)
 	}
-	if !reflect.DeepEqual(c.FirstPrivate, []string{"b"}) {
-		t.Errorf("FirstPrivate = %v", c.FirstPrivate)
+	if fp := slices.Collect(c.Names(VarFirstPrivate)); !reflect.DeepEqual(fp, []string{"b"}) {
+		t.Errorf("FirstPrivate = %v", fp)
 	}
 
 	d = mustParse(t, "taskloop grainsize(64) nogroup untied")
-	if d.Clauses.Grainsize != 64 || !d.Clauses.NoGroup || !d.Clauses.Untied {
+	if d.Clauses.rare().Grainsize != 64 || !d.Clauses.rare().NoGroup || !d.Clauses.rare().Untied {
 		t.Errorf("taskloop clauses = %+v", d.Clauses)
 	}
 	d = mustParse(t, "taskloop num_tasks(8)")
-	if d.Clauses.NumTasks != 8 || d.Clauses.Grainsize != 0 {
+	if d.Clauses.rare().NumTasks != 8 || d.Clauses.rare().Grainsize != 0 {
 		t.Errorf("taskloop clauses = %+v", d.Clauses)
 	}
 }
@@ -377,8 +399,8 @@ func TestParseCancelDirectives(t *testing.T) {
 	}
 	for text, want := range cases {
 		d := mustParse(t, text)
-		if d.Kind != want.kind || d.Clauses.Cancel != want.cancel {
-			t.Errorf("%q → kind %v cancel %v, want %v %v", text, d.Kind, d.Clauses.Cancel, want.kind, want.cancel)
+		if d.Kind != want.kind || d.Clauses.rare().Cancel != want.cancel {
+			t.Errorf("%q → kind %v cancel %v, want %v %v", text, d.Kind, d.Clauses.rare().Cancel, want.kind, want.cancel)
 		}
 	}
 
@@ -410,7 +432,7 @@ func TestValidateCancelKindProgrammatically(t *testing.T) {
 	if err := Validate(&Directive{Kind: DirCancel}); err == nil {
 		t.Error("cancel without a construct kind validated")
 	}
-	if err := Validate(&Directive{Kind: DirBarrier, Clauses: Clauses{Cancel: CancelFor}}); err == nil {
+	if err := Validate(&Directive{Kind: DirBarrier, Clauses: Clauses{Rare: &RareClauses{Cancel: CancelFor}}}); err == nil {
 		t.Error("construct kind on a non-cancel directive validated")
 	}
 }
@@ -460,24 +482,24 @@ func TestParseDependClauses(t *testing.T) {
 		{Mode: DependOut, Vars: []string{"c"}},
 		{Mode: DependInOut, Vars: []string{"d"}},
 	}
-	if !reflect.DeepEqual(d.Clauses.Depends, want) {
-		t.Errorf("Depends = %+v, want %+v", d.Clauses.Depends, want)
+	if !reflect.DeepEqual(d.Clauses.rare().Depends, want) {
+		t.Errorf("Depends = %+v, want %+v", d.Clauses.rare().Depends, want)
 	}
 	// in/out/inout stay usable as ordinary identifiers elsewhere — the
 	// keyword-as-identifier rule the paper requires.
 	d = mustParse(t, "task depend(in: in, out) private(inout)")
-	if !reflect.DeepEqual(d.Clauses.Depends, []DependClause{{Mode: DependIn, Vars: []string{"in", "out"}}}) {
-		t.Errorf("Depends with keyword names = %+v", d.Clauses.Depends)
+	if !reflect.DeepEqual(d.Clauses.rare().Depends, []DependClause{{Mode: DependIn, Vars: []string{"in", "out"}}}) {
+		t.Errorf("Depends with keyword names = %+v", d.Clauses.rare().Depends)
 	}
 }
 
 func TestParseTaskPriorityMergeableTaskyield(t *testing.T) {
 	d := mustParse(t, "task priority(2*k + 1) mergeable")
-	if d.Clauses.Priority != "2*k + 1" || !d.Clauses.Mergeable {
+	if d.Clauses.rare().Priority != "2*k + 1" || !d.Clauses.rare().Mergeable {
 		t.Errorf("task clauses = %+v", d.Clauses)
 	}
 	d = mustParse(t, "taskloop priority(1) mergeable grainsize(8)")
-	if d.Clauses.Priority != "1" || !d.Clauses.Mergeable || d.Clauses.Grainsize != 8 {
+	if d.Clauses.rare().Priority != "1" || !d.Clauses.rare().Mergeable || d.Clauses.rare().Grainsize != 8 {
 		t.Errorf("taskloop clauses = %+v", d.Clauses)
 	}
 	d = mustParse(t, "taskyield")
@@ -527,8 +549,8 @@ func TestParseTileDirective(t *testing.T) {
 	if d.Kind != DirTile {
 		t.Fatalf("kind = %v, want tile", d.Kind)
 	}
-	if !reflect.DeepEqual(d.Clauses.Sizes, []int64{64, 8}) {
-		t.Fatalf("sizes = %v, want [64 8]", d.Clauses.Sizes)
+	if !reflect.DeepEqual(d.Clauses.rare().Sizes, []int64{64, 8}) {
+		t.Fatalf("sizes = %v, want [64 8]", d.Clauses.rare().Sizes)
 	}
 }
 
@@ -548,9 +570,9 @@ func TestParseUnrollDirective(t *testing.T) {
 		if d.Kind != DirUnroll {
 			t.Fatalf("%q: kind = %v, want unroll", tc.text, d.Kind)
 		}
-		if d.Clauses.Unroll != tc.spec || d.Clauses.UnrollFactor != tc.factor {
+		if d.Clauses.rare().Unroll != tc.spec || d.Clauses.rare().UnrollFactor != tc.factor {
 			t.Fatalf("%q: spec=%v factor=%d, want %v/%d",
-				tc.text, d.Clauses.Unroll, d.Clauses.UnrollFactor, tc.spec, tc.factor)
+				tc.text, d.Clauses.rare().Unroll, d.Clauses.rare().UnrollFactor, tc.spec, tc.factor)
 		}
 	}
 }

@@ -364,7 +364,7 @@ func checkTransformBody(body ast.Node, construct string, duplicated, inLoop bool
 // collapse reaching past the grid loops a diagnosed error rather than a
 // silent miscompile.
 func (lw *lowerer) tile(n *node) *loopNest {
-	sizes := n.d.Clauses.Sizes
+	sizes := n.d.Clauses.rare().Sizes
 	k := len(sizes)
 	src, err := lw.loops(n, k)
 	if err == errNotFor {
@@ -506,7 +506,8 @@ func (lw *lowerer) unroll(n *node) *loopNest {
 	}
 
 	trip, tripConst := constTrip(h)
-	spec, factor := n.d.Clauses.Unroll, n.d.Clauses.UnrollFactor
+	r := n.d.Clauses.rare()
+	spec, factor := r.Unroll, r.UnrollFactor
 	if spec == UnrollNone { // bare unroll: the implementation chooses
 		if tripConst && trip <= fullUnrollTrip {
 			spec = UnrollFull

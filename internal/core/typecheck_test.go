@@ -111,12 +111,15 @@ func clauseOperands(src []byte) map[string]bool {
 	infos, _ := Inspect(src, Options{})
 	names := map[string]bool{}
 	for _, info := range infos {
-		c := &info.Dir.Clauses
-		lists := [][]string{c.Private, c.FirstPrivate, c.LastPrivate, c.Shared, c.CopyPrivate, c.ThreadPrivateVars}
-		for _, r := range c.Reductions {
-			lists = append(lists, r.Vars)
+		c, r := &info.Dir.Clauses, info.Dir.Clauses.rare()
+		for _, v := range c.Vars {
+			names[v.Name] = true
 		}
-		for _, d := range c.Depends {
+		lists := [][]string{r.CopyPrivate, r.ThreadPrivateVars}
+		for _, red := range c.Reductions {
+			lists = append(lists, red.Vars)
+		}
+		for _, d := range r.Depends {
 			lists = append(lists, d.Vars)
 		}
 		for _, l := range lists {

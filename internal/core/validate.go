@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -122,7 +123,7 @@ func Validate(d *Directive) error {
 	if !ok {
 		return fmt.Errorf("pragma: unknown directive kind %v", d.Kind)
 	}
-	c := &d.Clauses
+	c, r := &d.Clauses, d.Clauses.rare()
 
 	type check struct {
 		present bool
@@ -130,11 +131,11 @@ func Validate(d *Directive) error {
 		name    string
 	}
 	for _, ch := range []check{
-		{len(c.Private) > 0, allowPrivate, "private"},
-		{len(c.FirstPrivate) > 0, allowFirstPrivate, "firstprivate"},
-		{len(c.LastPrivate) > 0, allowLastPrivate, "lastprivate"},
-		{len(c.Shared) > 0, allowShared, "shared"},
-		{len(c.CopyPrivate) > 0, allowCopyPrivate, "copyprivate"},
+		{c.Count(VarPrivate) > 0, allowPrivate, "private"},
+		{c.Count(VarFirstPrivate) > 0, allowFirstPrivate, "firstprivate"},
+		{c.Count(VarLastPrivate) > 0, allowLastPrivate, "lastprivate"},
+		{c.Count(VarShared) > 0, allowShared, "shared"},
+		{len(r.CopyPrivate) > 0, allowCopyPrivate, "copyprivate"},
 		{len(c.Reductions) > 0, allowReduction, "reduction"},
 		{c.HasSchedule, allowSchedule, "schedule"},
 		{c.Default != DefaultUnset, allowDefault, "default"},
@@ -143,16 +144,16 @@ func Validate(d *Directive) error {
 		{c.Ordered, allowOrdered, "ordered"},
 		{c.NumThreads != "", allowNumThreads, "num_threads"},
 		{c.If != "", allowIf, "if"},
-		{c.Final != "", allowFinal, "final"},
-		{c.Untied, allowUntied, "untied"},
-		{c.Grainsize > 0, allowGrainsize, "grainsize"},
-		{c.NumTasks > 0, allowNumTasks, "num_tasks"},
-		{c.NoGroup, allowNoGroup, "nogroup"},
-		{len(c.Depends) > 0, allowDepend, "depend"},
-		{c.Priority != "", allowPriority, "priority"},
-		{c.Mergeable, allowMergeable, "mergeable"},
-		{len(c.Sizes) > 0, allowSizes, "sizes"},
-		{c.Unroll != UnrollNone, allowUnrollSpec, c.Unroll.String()},
+		{r.Final != "", allowFinal, "final"},
+		{r.Untied, allowUntied, "untied"},
+		{r.Grainsize > 0, allowGrainsize, "grainsize"},
+		{r.NumTasks > 0, allowNumTasks, "num_tasks"},
+		{r.NoGroup, allowNoGroup, "nogroup"},
+		{len(r.Depends) > 0, allowDepend, "depend"},
+		{r.Priority != "", allowPriority, "priority"},
+		{r.Mergeable, allowMergeable, "mergeable"},
+		{len(r.Sizes) > 0, allowSizes, "sizes"},
+		{r.Unroll != UnrollNone, allowUnrollSpec, r.Unroll.String()},
 	} {
 		if ch.present && allowed&ch.set == 0 {
 			return fmt.Errorf("pragma: clause %s is not permitted on the %s directive", ch.name, d.Kind)
@@ -188,10 +189,10 @@ func Validate(d *Directive) error {
 		// schedule, so it is written in OMP_SCHEDULE, not on the clause.
 		return fmt.Errorf("pragma: schedule modifiers cannot be applied to runtime (set them in OMP_SCHEDULE instead)")
 	}
-	if c.Grainsize > 0 && c.NumTasks > 0 {
+	if r.Grainsize > 0 && r.NumTasks > 0 {
 		return fmt.Errorf("pragma: grainsize and num_tasks are mutually exclusive (OpenMP 5.2 §12.6)")
 	}
-	if c.Grainsize >= MaxTaskIter || c.NumTasks >= MaxTaskIter {
+	if r.Grainsize >= MaxTaskIter || r.NumTasks >= MaxTaskIter {
 		return fmt.Errorf("pragma: task granularity exceeds the maximum %d", int64(MaxTaskIter)-1)
 	}
 
@@ -200,7 +201,7 @@ func Validate(d *Directive) error {
 	// dependence types on one list item; merging identical ones would be
 	// legal but is rejected too — a duplicate is a pragma typo).
 	depSeen := map[string]DependMode{}
-	for _, dc := range c.Depends {
+	for _, dc := range r.Depends {
 		if dc.Mode < DependIn || dc.Mode > DependInOut {
 			return fmt.Errorf("pragma: invalid dependence type %d in depend clause", dc.Mode)
 		}
@@ -218,62 +219,57 @@ func Validate(d *Directive) error {
 	// A variable may appear in at most one data-sharing clause
 	// (data-sharing attribute rules, OpenMP 5.2 §5.4).
 	seen := map[string]string{}
-	record := func(vars []string, clause string) error {
-		for _, v := range vars {
-			if prev, dup := seen[v]; dup {
-				return fmt.Errorf("pragma: variable %s appears in both %s and %s clauses", v, prev, clause)
-			}
-			seen[v] = clause
+	record := func(v, clause string) error {
+		if prev, dup := seen[v]; dup {
+			return fmt.Errorf("pragma: variable %s appears in both %s and %s clauses", v, prev, clause)
 		}
+		seen[v] = clause
 		return nil
 	}
-	for _, pair := range []struct {
-		vars   []string
-		clause string
-	}{
-		{c.Private, "private"},
-		{c.FirstPrivate, "firstprivate"},
-		{c.Shared, "shared"},
-	} {
-		if err := record(pair.vars, pair.clause); err != nil {
-			return err
+	for _, k := range [...]VarClause{VarPrivate, VarFirstPrivate, VarShared} {
+		for v := range c.Names(k) {
+			if err := record(v, k.String()); err != nil {
+				return err
+			}
 		}
 	}
 	// lastprivate may combine with firstprivate (OpenMP allows the pair)
 	// but not with private/shared.
-	for _, v := range c.LastPrivate {
+	for v := range c.Names(VarLastPrivate) {
 		if prev, dup := seen[v]; dup && prev != "firstprivate" {
 			return fmt.Errorf("pragma: variable %s appears in both %s and lastprivate clauses", v, prev)
 		}
 	}
-	for _, r := range c.Reductions {
-		if err := record(r.Vars, "reduction("+r.Op.String()+")"); err != nil {
-			return err
+	for _, red := range c.Reductions {
+		for _, v := range red.Vars {
+			if err := record(v, "reduction("+red.Op.String()+")"); err != nil {
+				return err
+			}
 		}
 	}
 
-	if d.Kind == DirThreadPrivate && len(c.ThreadPrivateVars) == 0 {
+	if d.Kind == DirThreadPrivate && len(r.ThreadPrivateVars) == 0 {
 		return fmt.Errorf("pragma: threadprivate requires a variable list")
 	}
 	// Loop-transformation constraints: tile must know the nest depth (one
 	// size per loop); unroll's factor travels with the partial selector.
-	if d.Kind == DirTile && len(c.Sizes) == 0 {
+	if d.Kind == DirTile && len(r.Sizes) == 0 {
 		return fmt.Errorf("pragma: tile requires a sizes clause naming one tile size per loop of the nest")
 	}
-	if len(c.Sizes) > MaxTileDepth {
+	if len(r.Sizes) > MaxTileDepth {
 		return fmt.Errorf("pragma: tile depth %d exceeds the maximum %d (the generated %d-deep nest would not fit a collapse clause, whose limit is %d)",
-			len(c.Sizes), MaxTileDepth, 2*len(c.Sizes), MaxCollapse)
+			len(r.Sizes), MaxTileDepth, 2*len(r.Sizes), MaxCollapse)
 	}
-	for _, s := range c.Sizes {
+	for _, s := range r.Sizes {
 		if s < 1 || s >= MaxTileSize {
 			return fmt.Errorf("pragma: tile size %d outside [1, %d)", s, MaxTileSize)
 		}
 	}
-	if c.UnrollFactor > 0 && c.Unroll != UnrollPartial {
+	if r.UnrollFactor > 0 && r.Unroll != UnrollPartial {
 		return fmt.Errorf("pragma: an unroll factor requires the partial clause")
 	}
-	if c.UnrollFactor > MaxUnrollFactor {
-		return fmt.Errorf("pragma: unroll factor %d exceeds the maximum %d (the factor multiplies generated code size)", c.UnrollFactor, MaxUnrollFactor)
+	if r.UnrollFactor > MaxUnrollFactor {
+		return fmt.Errorf("pragma: unroll factor %d exceeds the maximum %d (the factor multiplies generated code size)", r.UnrollFactor, MaxUnrollFactor)
 	}
 	// The construct-kind argument travels in the Cancel field; it is
 	// mandatory on the cancellation directives (the parser enforces the
@@ -281,12 +277,12 @@ func Validate(d *Directive) error {
 	// anywhere else.
 	switch d.Kind {
 	case DirCancel, DirCancellationPoint:
-		if c.Cancel == CancelNone {
+		if r.Cancel == CancelNone {
 			return fmt.Errorf("pragma: %s requires a construct kind (parallel, for, or taskgroup)", d.Kind)
 		}
 	default:
-		if c.Cancel != CancelNone {
-			return fmt.Errorf("pragma: construct kind %s is only valid on cancel directives", c.Cancel)
+		if r.Cancel != CancelNone {
+			return fmt.Errorf("pragma: construct kind %s is only valid on cancel directives", r.Cancel)
 		}
 	}
 	return nil
@@ -297,18 +293,17 @@ func Validate(d *Directive) error {
 // constructs: data-sharing and team clauses go to parallel, loop clauses to
 // for. Reductions ride on the loop (the loop-level lowering folds into the
 // shared variable, which the region shares by default).
-func DistributeParallelFor(d *Directive) (par, loop *Directive) {
-	c := d.Clauses
-	par = &Directive{Kind: DirParallel, Clauses: Clauses{
-		Private:      c.Private,
-		FirstPrivate: c.FirstPrivate,
-		Shared:       c.Shared,
-		Default:      c.Default,
-		NumThreads:   c.NumThreads,
-		If:           c.If,
+func DistributeParallelFor(d *Directive) (par, loop Directive) {
+	c := &d.Clauses
+	parVars, loopVars := splitVars(c.Vars, VarLastPrivate)
+	par = Directive{Kind: DirParallel, Clauses: Clauses{
+		Vars:       parVars,
+		Default:    c.Default,
+		NumThreads: c.NumThreads,
+		If:         c.If,
 	}}
-	loop = &Directive{Kind: DirFor, Clauses: Clauses{
-		LastPrivate: c.LastPrivate,
+	loop = Directive{Kind: DirFor, Clauses: Clauses{
+		Vars:        loopVars,
 		Reductions:  c.Reductions,
 		Sched:       c.Sched,
 		Chunk:       c.Chunk,
@@ -325,32 +320,58 @@ func DistributeParallelFor(d *Directive) (par, loop *Directive) {
 	return par, loop
 }
 
+// splitVars splits vars into the variables of other clauses and those of
+// clause k, in the order written. A side that takes every variable shares
+// vars.
+func splitVars(vars []ListedVar, k VarClause) (others, these []ListedVar) {
+	n := 0
+	for _, v := range vars {
+		if v.Clause == k {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return vars, nil
+	case len(vars):
+		return nil, vars
+	}
+	others, these = make([]ListedVar, 0, len(vars)-n), make([]ListedVar, 0, n)
+	for _, v := range vars {
+		if v.Clause == k {
+			these = append(these, v)
+		} else {
+			others = append(others, v)
+		}
+	}
+	return others, these
+}
+
 // String renders a directive back to pragma surface syntax (diagnostics,
 // golden tests).
 func (d *Directive) String() string {
 	var b strings.Builder
 	b.WriteString(d.Kind.String())
-	c := &d.Clauses
-	if d.Kind == DirCritical && c.Name != "" {
-		fmt.Fprintf(&b, "(%s)", c.Name)
+	c, r := &d.Clauses, d.Clauses.rare()
+	if d.Kind == DirCritical && r.Name != "" {
+		fmt.Fprintf(&b, "(%s)", r.Name)
 	}
-	if c.Cancel != CancelNone {
-		fmt.Fprintf(&b, " %s", c.Cancel)
+	if r.Cancel != CancelNone {
+		fmt.Fprintf(&b, " %s", r.Cancel)
 	}
 	list := func(name string, vars []string) {
 		if len(vars) > 0 {
 			fmt.Fprintf(&b, " %s(%s)", name, strings.Join(vars, ","))
 		}
 	}
-	list("private", c.Private)
-	list("firstprivate", c.FirstPrivate)
-	list("lastprivate", c.LastPrivate)
-	list("shared", c.Shared)
-	list("copyprivate", c.CopyPrivate)
+	for _, k := range [...]VarClause{VarPrivate, VarFirstPrivate, VarLastPrivate, VarShared} {
+		list(k.String(), slices.Collect(c.Names(k)))
+	}
+	list("copyprivate", r.CopyPrivate)
 	for _, r := range c.Reductions {
 		fmt.Fprintf(&b, " reduction(%s:%s)", r.Op, strings.Join(r.Vars, ","))
 	}
-	for _, dc := range c.Depends {
+	for _, dc := range r.Depends {
 		fmt.Fprintf(&b, " depend(%s:%s)", dc.Mode, strings.Join(dc.Vars, ","))
 	}
 	if c.HasSchedule {
@@ -382,49 +403,49 @@ func (d *Directive) String() string {
 	if c.If != "" {
 		fmt.Fprintf(&b, " if(%s)", c.If)
 	}
-	if c.Final != "" {
-		fmt.Fprintf(&b, " final(%s)", c.Final)
+	if r.Final != "" {
+		fmt.Fprintf(&b, " final(%s)", r.Final)
 	}
-	if c.Grainsize > 0 {
-		fmt.Fprintf(&b, " grainsize(%d)", c.Grainsize)
+	if r.Grainsize > 0 {
+		fmt.Fprintf(&b, " grainsize(%d)", r.Grainsize)
 	}
-	if c.NumTasks > 0 {
-		fmt.Fprintf(&b, " num_tasks(%d)", c.NumTasks)
+	if r.NumTasks > 0 {
+		fmt.Fprintf(&b, " num_tasks(%d)", r.NumTasks)
 	}
-	if c.Priority != "" {
-		fmt.Fprintf(&b, " priority(%s)", c.Priority)
+	if r.Priority != "" {
+		fmt.Fprintf(&b, " priority(%s)", r.Priority)
 	}
-	if c.Untied {
+	if r.Untied {
 		b.WriteString(" untied")
 	}
-	if c.Mergeable {
+	if r.Mergeable {
 		b.WriteString(" mergeable")
 	}
-	if c.NoGroup {
+	if r.NoGroup {
 		b.WriteString(" nogroup")
 	}
 	if c.NoWait {
 		b.WriteString(" nowait")
 	}
-	if len(c.Sizes) > 0 {
-		strs := make([]string, len(c.Sizes))
-		for i, s := range c.Sizes {
+	if len(r.Sizes) > 0 {
+		strs := make([]string, len(r.Sizes))
+		for i, s := range r.Sizes {
 			strs[i] = strconv.FormatInt(s, 10)
 		}
 		fmt.Fprintf(&b, " sizes(%s)", strings.Join(strs, ","))
 	}
-	switch c.Unroll {
+	switch r.Unroll {
 	case UnrollFull:
 		b.WriteString(" full")
 	case UnrollPartial:
-		if c.UnrollFactor > 0 {
-			fmt.Fprintf(&b, " partial(%d)", c.UnrollFactor)
+		if r.UnrollFactor > 0 {
+			fmt.Fprintf(&b, " partial(%d)", r.UnrollFactor)
 		} else {
 			b.WriteString(" partial")
 		}
 	}
-	if len(c.ThreadPrivateVars) > 0 {
-		fmt.Fprintf(&b, "(%s)", strings.Join(c.ThreadPrivateVars, ","))
+	if len(r.ThreadPrivateVars) > 0 {
+		fmt.Fprintf(&b, "(%s)", strings.Join(r.ThreadPrivateVars, ","))
 	}
 	return b.String()
 }

@@ -16,17 +16,20 @@ import (
 // to build or where to write: a file needs go/build's reader only when its
 // name or header gives MatchFile something to decide (plainFile), each
 // output directory is created once per pass, and each output with one
-// create. The ceilings are this design's figures for a cold -outdir build
-// of cmd/gompcc/testdata/dir with Go 1.24 (≈7.22 KB and 101 allocations
-// per file) plus about 5%; writing each output through a temporary file and
-// a rename read ≈7.95 KB and 111, printing each transformed input to check
-// it was gofmt-clean ≈8.8 KB and 129, and running MatchFile on every file
-// and MkdirAll per output ≈13.9 KB and 151. A build runs at Jobs=1, and the
+// create, and each worker reads and lowers its files into buffers it
+// reuses. The ceilings are this design's figures for a cold -outdir build
+// of cmd/gompcc/testdata/dir with Go 1.24 (≈6.86 KB and 95 allocations per
+// file) plus about 5%; fresh read and output buffers per file and a
+// 392-byte directive per pragma read ≈7.22 KB and 101, writing each output
+// through a temporary file and a rename ≈7.95 KB and 111, printing each
+// transformed input to check it was gofmt-clean ≈8.8 KB and 129, and
+// running MatchFile on every file and MkdirAll per output ≈13.9 KB and
+// 151. A build runs at Jobs=1, and the
 // figure is the least of several builds: a garbage collection empties the
 // sync.Pools that fmt and os draw on, and the build after it refills them.
 const (
-	driverBytesPerFile  = 7580
-	driverAllocsPerFile = 106
+	driverBytesPerFile  = 7200
+	driverAllocsPerFile = 100
 )
 
 func TestColdBuildAllocationBudget(t *testing.T) {

@@ -31,10 +31,14 @@
 //     out.
 //   - A worker team fans the files out one at a time, on this
 //     repository's own omp runtime, so the driver dogfoods the runtime it
-//     builds for. Each worker reads its file once and decides everything
-//     from those bytes: build membership (go/build's MatchFile, asked only
-//     when the name or bytes give it something to decide: inBuild), the
-//     generated-code header, the cache key and the transform.
+//     builds for. Each worker reads its file once, into a buffer it reuses
+//     from file to file, and decides everything from those bytes: build
+//     membership (go/build's MatchFile, asked only when the name or bytes
+//     give it something to decide: inBuild), the generated-code header, the
+//     cache key and the transform. A transformed file's header and lowered
+//     text go into the worker's second reused buffer (core.AppendTransform),
+//     so a file costs no file-sized allocation once the buffers have grown
+//     to the pass's largest.
 //   - The content-hash cache (cache.go) is a manifest under
 //     <root>/.gompcc-cache: per file the SHA-256 of its bytes and the
 //     action (transform or copy), plus the flag set and
@@ -71,11 +75,13 @@ import (
 	"errors"
 	"fmt"
 	"go/build"
+	"io"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -244,13 +250,13 @@ func (d *Driver) Run() (*Report, error) {
 
 	results := make([]fileResult, len(files))
 	dirs := &dirSet{made: map[string]error{}, embedded: map[string]bool{}}
-	work := func(lo, hi int64) {
+	work := func(w *worker, lo, hi int64) {
 		for i := lo; i < hi; i++ {
-			results[i] = d.processOne(files[i], prev, dirs)
+			results[i] = d.processOne(files[i], prev, dirs, w)
 		}
 	}
 	if cfg.Jobs <= 1 || len(files) < 2 {
-		work(0, int64(len(files)))
+		work(new(worker), 0, int64(len(files)))
 	} else {
 		// The dogfooding call site: the crawl fan-out runs on the very
 		// runtime whose sources the driver preprocesses. ParallelErr turns
@@ -258,7 +264,8 @@ func (d *Driver) Run() (*Report, error) {
 		// join is its only rendezvous. Files differ in cost by an order of
 		// magnitude (no pragma, or dozens): hand them out one at a time.
 		err := omp.ParallelErr(func(t *omp.Thread) error {
-			omp.ForRange(t, int64(len(files)), work, omp.Schedule(omp.Dynamic, 1), omp.NoWait())
+			w := new(worker)
+			omp.ForRange(t, int64(len(files)), func(lo, hi int64) { work(w, lo, hi) }, omp.Schedule(omp.Dynamic, 1), omp.NoWait())
 			return nil
 		}, omp.NumThreads(cfg.Jobs))
 		if err != nil {
@@ -318,7 +325,14 @@ func (d *Driver) Run() (*Report, error) {
 // single-file -o output — following the Go convention the crawler (and any
 // other tool) recognises; the source line keeps the provenance greppable.
 func GeneratedHeader(rel string) []byte {
-	return fmt.Appendf(nil, "// Code generated by gompcc from %s. DO NOT EDIT.\n\n", filepath.ToSlash(rel))
+	return appendHeader(nil, rel)
+}
+
+// appendHeader appends GeneratedHeader(rel) to b.
+func appendHeader(b []byte, rel string) []byte {
+	b = append(b, "// Code generated by gompcc from "...)
+	b = append(b, filepath.ToSlash(rel)...)
+	return append(b, ". DO NOT EDIT.\n\n"...)
 }
 
 // dirSet is what one pass has done once per directory, shared by the
@@ -358,8 +372,9 @@ func (s *dirSet) claimEmbeds(dir string) bool {
 // copyEmbeds copies the files that the package of f embeds (embedFiles)
 // into the mirror verbatim, unless another file of the package has. A
 // file that the crawl itself mirrors, such as a .go file of the build, is
-// left to its own worker, which may write it transformed.
-func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
+// left to its own worker, which may write it transformed. Each is read
+// into w.out, which holds nothing yet while f is processed.
+func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet, w *worker) error {
 	rel, src := path.Dir(f.rel), filepath.Dir(f.path)
 	if !dirs.claimEmbeds(rel) {
 		return nil
@@ -370,7 +385,8 @@ func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 	}
 	for _, e := range files {
 		p := filepath.Join(src, filepath.FromSlash(e))
-		b, err := os.ReadFile(p)
+		b, err := readFile(p, w.out)
+		w.out = b
 		if err != nil {
 			return err
 		}
@@ -390,16 +406,24 @@ func (d *Driver) copyEmbeds(f sourceFile, dirs *dirSet) error {
 	return nil
 }
 
+// worker is what one worker of a pass reuses from file to file: in holds
+// the file being processed, out what is written for it. Nothing a
+// fileResult keeps points into either.
+type worker struct {
+	in, out []byte
+}
+
 // processOne is the per-file worker body. It reads the file once, drops
 // it if the build does not compile it, copies its package's embedded files
 // if it names any, hashes it when caching, consults the previous manifest,
 // and only on a miss pays the transform and the write. The write is not
 // atomic; a pass cut short leaves no manifest (Run), so nothing it wrote
 // is ever taken for cached. It runs concurrently with itself on other
-// files and shares nothing mutable but the pass's dirSet.
-func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResult {
+// files and shares nothing mutable but the pass's dirSet; w is its own.
+func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet, w *worker) fileResult {
 	cfg := d.cfg
-	src, err := os.ReadFile(f.path)
+	src, err := readFile(f.path, w.in)
+	w.in = src
 	if err != nil {
 		return fileResult{err: err}
 	}
@@ -409,7 +433,7 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 	// The files a package embeds go into the mirror beside it, whatever
 	// the cache says of the file naming them: they may have changed alone.
 	if strings.HasSuffix(f.rel, ".go") && bytes.Contains(src, []byte("//go:embed")) {
-		if err := d.copyEmbeds(f, dirs); err != nil {
+		if err := d.copyEmbeds(f, dirs, w); err != nil {
 			return fileResult{err: fmt.Errorf("%s: copying embedded files: %w", f.rel, err)}
 		}
 	}
@@ -432,42 +456,64 @@ func (d *Driver) processOne(f sourceFile, prev *manifest, dirs *dirSet) fileResu
 		}
 	}
 
-	// The output is head followed by body: a transformed file is written
-	// behind its header, not joined to it first.
-	var head []byte
-	body := src
+	// A transformed file is its header followed by the lowered text, both
+	// written into w.out.
+	out := src
 	res.action = actionCopy
 	if res.pragma {
 		begin := time.Now()
-		tr, err := core.Transform(src, core.Options{Filename: filepath.ToSlash(f.rel), Profile: cfg.Profile})
+		tr, err := core.AppendTransform(appendHeader(w.out[:0], f.rel), src, core.Options{Filename: filepath.ToSlash(f.rel), Profile: cfg.Profile})
 		res.transformNs = time.Since(begin).Nanoseconds()
 		if err != nil {
 			res.err = err
 			return res
 		}
+		w.out = tr.Output
 		// Not Changed despite the sentinel scan: the "pragma" lives in a
 		// string literal or other non-comment text, and the file is copied.
 		if tr.Changed {
-			res.action = actionTransform
-			head, body = GeneratedHeader(f.rel), tr.Output
+			res.action, out = actionTransform, tr.Output
 		}
 	}
 	if err := dirs.ensure(filepath.Dir(outPath)); err != nil {
 		res.err = err
 		return res
 	}
-	if err := writeOutput(outPath, head, body); err != nil {
+	if err := writeOutput(outPath, out); err != nil {
 		res.err = err
 	}
 	return res
 }
 
-// writeOutput writes the concatenation of parts to path, one part after the
-// other, through a single O_EXCL create. A path that already exists is
-// removed and created again, so the write replaces the file and never goes
-// through an old hard link or symlink. The write is not atomic; Run's
-// handling of the manifest makes that safe.
-func writeOutput(path string, parts ...[]byte) error {
+// readFile reads the file at path into buf's array, growing it as the
+// file needs, and returns the bytes read.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 4096)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// writeOutput writes b to path through a single O_EXCL create. A path that
+// already exists is removed and created again, so the write replaces the
+// file and never goes through an old hard link or symlink. The write is not
+// atomic; Run's handling of the manifest makes that safe.
+func writeOutput(path string, b []byte) error {
 	const flags = os.O_WRONLY | os.O_CREATE | os.O_EXCL
 	f, err := os.OpenFile(path, flags, 0o644)
 	if errors.Is(err, fs.ErrExist) {
@@ -478,11 +524,7 @@ func writeOutput(path string, parts ...[]byte) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range parts {
-		if err == nil && len(p) > 0 {
-			_, err = f.Write(p)
-		}
-	}
+	_, err = f.Write(b)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -606,5 +607,62 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("stray files after atomic writes: %v", entries)
+	}
+}
+
+// Each worker reads and lowers its files into buffers it reuses from file
+// to file, so a file must come out exactly as if it had its own: a short
+// file after a long one, a file Transform leaves unchanged, a copied non-Go
+// file and an embedded file, over two passes in one process at one and at
+// two workers.
+func TestBufferReuseAcrossFiles(t *testing.T) {
+	long := pragmaSrc
+	for i := range 12 {
+		long += strings.Replace(pragmaSrc[len("package p\n"):], "Sum", fmt.Sprintf("Sum%d", i), 1)
+	}
+	files := map[string]string{
+		"a.go":       long,
+		"b.go":       strings.Replace(pragmaSrc, "Sum", "Short", 1),
+		"c.go":       stringPragmaSrc,
+		"d.s":        "// assembly text, copied\n",
+		"e.go":       "package p\n\nimport _ \"embed\"\n\n//go:embed e.txt\nvar e string\n",
+		"e.txt":      "e\n",
+		"f/plain.go": plainSrc,
+	}
+	root := t.TempDir()
+	writeTree(t, root, files)
+	want := map[string][]byte{}
+	for rel, src := range files {
+		want[rel] = []byte(src)
+		if strings.HasSuffix(rel, ".go") {
+			tr, err := core.Transform([]byte(src), core.Options{Filename: rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Changed {
+				want[rel] = append(GeneratedHeader(rel), tr.Output...)
+			}
+		}
+	}
+	if !bytes.Equal(want["c.go"], []byte(files["c.go"])) || len(want["a.go"]) < 4*len(want["b.go"]) {
+		t.Fatal("the module does not hold what the test needs: an unchanged c.go, an a.go much longer than b.go")
+	}
+	for _, jobs := range []int{1, 2} {
+		for pass := range 2 {
+			out := t.TempDir()
+			rep := mustRun(t, Config{Module: root, OutDir: out, Jobs: jobs, CacheDir: CacheOff})
+			if rep.Transformed != 2 || rep.Copied != 4 {
+				t.Fatalf("jobs=%d pass %d: %s", jobs, pass, rep.Summary())
+			}
+			for rel, w := range want {
+				got, err := os.ReadFile(filepath.Join(out, filepath.FromSlash(rel)))
+				if err != nil {
+					t.Fatalf("jobs=%d pass %d: %v", jobs, pass, err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Errorf("jobs=%d pass %d: %s is\n%s\nwant\n%s", jobs, pass, rel, got, w)
+				}
+			}
+		}
 	}
 }
