@@ -144,7 +144,7 @@ func Explain(d *Directive) string {
 		notes = append(notes, fmt.Sprintf("withheld until dependences resolve (%s)", strings.Join(items, "; ")))
 	}
 	if r.Priority != "" {
-		notes = append(notes, fmt.Sprintf("released through the team priority queue at priority(%s)", r.Priority))
+		notes = append(notes, fmt.Sprintf("priority(%s): a hint the runtime does not reorder by", r.Priority))
 	}
 	if r.Grainsize > 0 {
 		notes = append(notes, fmt.Sprintf("grainsize(%d) iterations per task", r.Grainsize))

@@ -1,8 +1,10 @@
 package kmp
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // checkBarrier drives a team of n through gens generations and verifies no
@@ -41,6 +43,49 @@ func TestBarrier(t *testing.T) {
 // Oversubscription: far more threads than cores must still complete.
 func TestBarrierOversubscribed(t *testing.T) {
 	checkBarrier(t, 128, 5)
+}
+
+// A barrier is a task scheduling point: a thread already waiting in it runs
+// tasks a teammate spawns afterwards. The peer parks in single's barrier at
+// once (a zero spin budget) before the single thread spawns two tasks that
+// each wait for the other to start, so they finish only if the parked peer
+// is woken to run one of them while the spawner runs the other.
+func TestBarrierWaiterRunsTasks(t *testing.T) {
+	const limit = 5 * time.Second
+	var ranBy [2]atomic.Int32 // Tid+1 of the thread that ran each task
+	var stuck, past atomic.Bool
+	ForkCall(Ident{}, 2, func(th *Thread) {
+		th.team.spinNs.Store(0) // reset by the next fork
+		th.Barrier()
+		if !th.Single() {
+			past.Store(true) // so an in-barrier state read next is single's barrier
+		} else {
+			peer := th.team.threads[1-th.Tid]
+			for start := time.Now(); time.Since(start) < limit; runtime.Gosched() {
+				if s, _ := peer.StateWord(); past.Load() && s == StateInBarrier && peer.parked.Load() != 0 {
+					break
+				}
+			}
+			for i := range ranBy {
+				th.SpawnTask(Ident{}, func(ex *Thread) {
+					ranBy[i].Store(int32(ex.Tid) + 1)
+					for start := time.Now(); ranBy[1-i].Load() == 0; runtime.Gosched() {
+						if time.Since(start) > limit {
+							stuck.Store(true)
+							return
+						}
+					}
+				}, TaskOpts{})
+			}
+		}
+		th.Barrier()
+	})
+	if stuck.Load() {
+		t.Fatalf("a task waited %v for its sibling to start: the parked barrier waiter did not run it", limit)
+	}
+	if a, b := ranBy[0].Load(), ranBy[1].Load(); a == b {
+		t.Fatalf("both tasks ran on thread %d, want one on each thread", a-1)
+	}
 }
 
 // A reduction's fold runs once per reduction, on the last arriver, before

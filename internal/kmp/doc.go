@@ -9,7 +9,7 @@
 //   - reductions         → __kmpc_reduce             → (*Thread).Reduce
 //   - critical           → __kmpc_critical           → Critical
 //   - single / master    → __kmpc_single/master      → (*Thread).Single / Master
-//   - explicit tasks     → __kmpc_omp_task           → (*Thread).TaskSpawn
+//   - explicit tasks     → __kmpc_omp_task           → (*Thread).SpawnTask
 //   - tasks with depend  → __kmpc_omp_task_with_deps → (*Thread).SpawnTask
 //   - taskwait           → __kmpc_omp_taskwait       → (*Thread).Taskwait
 //   - taskyield          → __kmpc_omp_taskyield      → (*Thread).Taskyield
@@ -102,11 +102,16 @@
 //
 // # Waiting
 //
-// Every wait of the runtime blocks in one loop, (*Thread).wait in wait.go.
-// Each is a predicate and the stores that wake it:
+// Every wait of the runtime blocks in one loop, (*Thread).wait in wait.go,
+// or in waitTask, the same loop for task scheduling points. Each is a
+// predicate and the stores that wake it:
 //
 //   - the worksharing/explicit barrier: generation changed, or region
-//     cancelled. Woken by the last arriver and by Team.cancel.
+//     cancelled, or a ready task is visible in some deque while the team
+//     count is not zero; the thread runs what it finds and waits again.
+//     Woken by the last arriver, by Team.cancel and by the task wakers of
+//     the next bullet. The last arriver itself waits as a taskwait on the
+//     team count before it releases.
 //   - the region join: done reached joinAt; only the master waits. Woken by
 //     each worker counting out.
 //   - a worker's idle wait between regions: gen moved. Woken by publish.
@@ -117,15 +122,18 @@
 //   - the ordered ticket (ordered.go): ticket at or past the chunk's first
 //     iteration, or loop cancelled. Woken by the thread handing the ticket
 //     on, by `cancel for` and by Team.cancel.
-//   - the task scheduling points taskwait, taskgroup end, the barrier's task
-//     drain and an undeferred task's dependence wait (taskWait, task.go):
-//     the awaited count is zero, or a ready task is visible in the priority
-//     queue or some deque; the thread runs what it finds and waits again.
+//   - the other task scheduling points, taskwait, taskgroup end, the
+//     region end's task drain and an undeferred task's dependence wait
+//     (taskWait, task.go): the awaited count is zero, or a ready task is
+//     visible in some deque; the thread runs what it finds and waits again.
 //     Woken by a spawn or a dependence release making a task ready, and by
 //     a child, group or team count reaching zero (`cancel taskgroup` wakes
 //     nobody: a cancelled group's wait ends when its last task finishes).
-//     These wakers skip threads parked anywhere else (Thread.taskWaiting):
-//     a barrier waiter is not woken once per spawn.
+//     These wakers reach the threads parked at any task scheduling point,
+//     barrier waiters included, and skip threads parked anywhere else
+//     (Thread.taskWaiting, set only while parked there): a thread waiting
+//     for the ordered ticket, the join or the next region is not woken
+//     once per spawn.
 //
 // No wait polls a timer, and non-test code in this package does not sleep.
 //
@@ -291,15 +299,17 @@
 //     count against it too.
 //
 // Both waits, and every team barrier, are task scheduling points: a waiting
-// thread executes ready tasks (the team's priority queue first, then its
-// own deque, then steals round-robin from teammates) and waits ("Waiting")
-// only while none is ready, so one producer thread plus an idle team drains
-// any task tree. The implicit barrier at region end completes all
-// outstanding tasks before ForkCall returns. if(false) and final tasks — and
-// every descendant of a final task — execute undeferred on the spawning
-// thread's stack; untied is accepted but executes tied, the conforming
-// fallback (untied permits migration, it does not require it); mergeable is
-// accepted but executes unmerged, the symmetric fallback.
+// thread executes ready tasks (its own deque first, then steals round-robin
+// from teammates) and waits ("Waiting") only while none is ready, so one
+// producer thread plus a team waiting in a barrier drains any task tree. A
+// barrier's last arriver completes every outstanding task before it
+// releases. The implicit barrier at region end completes all outstanding
+// tasks before ForkCall returns, but it is a drain before each thread
+// counts out of the join, not a barrier: a worker that has counted out does
+// not help with tasks a teammate spawns afterwards. if(false) and final
+// tasks — and every descendant of a final task — execute undeferred on the
+// spawning thread's stack. The deques are the one ready pool: untied,
+// mergeable and priority are accepted and not acted on (omp.Untied).
 //
 // # Task dependences
 //
@@ -314,12 +324,10 @@
 // table, so the DAG is acyclic in spawn order: a dependence hang is a
 // chain whose head never finishes, which leaves the region's other
 // workers in its barrier, where the watchdog (watchdog.go) sees them.
-// Ready tasks carrying a priority clause route through a
-// team-wide max-heap consulted before any deque. Discarded (cancelled)
-// tasks still release their successors, so dependence DAGs compose with
-// taskwait, taskgroup, cancellation, and region teardown. taskyield is one
-// more task scheduling point: the thread may run a ready task before
-// resuming.
+// Discarded (cancelled) tasks still release their successors, so
+// dependence DAGs compose with taskwait, taskgroup, cancellation, and
+// region teardown. taskyield is one more task scheduling point: the thread
+// may run a ready task before resuming.
 //
 // Because the evaluation machines for the original paper expose more
 // hardware threads than typical CI hosts, teams may be larger than

@@ -130,7 +130,7 @@ func TestFlightSnapshotDuringChurn(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			ForkCall(loc, 2, func(th *Thread) {
-				th.TaskSpawn(loc, func(*Thread) {}, false, false, false)
+				th.SpawnTask(loc, func(*Thread) {}, TaskOpts{})
 				th.Barrier()
 			})
 		}

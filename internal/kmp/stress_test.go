@@ -226,17 +226,17 @@ func TestTaskStealStress(t *testing.T) {
 		if th.Tid == 0 {
 			for i := 0; i < spawners; i++ {
 				v := int64(i)
-				th.TaskSpawn(Ident{}, func(ex *Thread) {
+				th.SpawnTask(Ident{}, func(ex *Thread) {
 					if ex != home {
 						stolen.Add(1)
 					}
 					if v%16 == 0 {
 						// Re-spawn from the executing thread: its deque
 						// becomes a steal victim too.
-						ex.TaskSpawn(Ident{}, func(*Thread) { sum.Add(1) }, false, false, false)
+						ex.SpawnTask(Ident{}, func(*Thread) { sum.Add(1) }, TaskOpts{})
 					}
 					sum.Add(v)
-				}, false, false, false)
+				}, TaskOpts{})
 			}
 		}
 		th.Barrier()
@@ -262,7 +262,7 @@ func TestTaskTreeStress(t *testing.T) {
 			}
 			for c := 0; c < 2; c++ {
 				d := depth - 1
-				th.TaskSpawn(Ident{}, func(ex *Thread) { grow(ex, d) }, false, false, false)
+				th.SpawnTask(Ident{}, func(ex *Thread) { grow(ex, d) }, TaskOpts{})
 			}
 			th.Taskwait()
 		}
@@ -496,30 +496,33 @@ func TestDepReleaseRacesRegionTeardown(t *testing.T) {
 	}
 }
 
-// Withheld prioritised tasks released from many completing threads at once:
-// a fan-out of dependent tasks with mixed priorities behind one gate task,
-// drained by the whole team. Exercises the priority queue's push/pop under
-// contention together with the release protocol.
-func TestDepPriorityReleaseContention(t *testing.T) {
-	const nth, fan = 8, 512
-	var gate int
+// Withheld tasks released from many completing threads at once: a fan of
+// dependent tasks behind gate tasks that the whole team runs, each fan task
+// naming two gates, so the release that readies it comes from whichever of
+// its gates completes last, on any thread. Exercises the release protocol
+// and the deque pushes it makes under contention.
+func TestDepReleaseContention(t *testing.T) {
+	const nth, gates, fan = 8, 16, 512
+	var gate [gates]int
 	var sum atomic.Int64
 	ForkCall(Ident{}, nth, func(th *Thread) {
 		if th.Single() {
-			th.SpawnTask(Ident{}, func(*Thread) {},
-				TaskOpts{Deps: []DepSpec{{Addr: &gate, Mode: DepOut}}})
+			for g := range gate {
+				th.SpawnTask(Ident{}, func(*Thread) {},
+					TaskOpts{Deps: []DepSpec{{Addr: &gate[g], Mode: DepOut}}})
+			}
 			for i := 0; i < fan; i++ {
 				v := int64(i)
 				th.SpawnTask(Ident{}, func(*Thread) { sum.Add(v) },
-					TaskOpts{
-						Priority: int32(i % 5),
-						Deps:     []DepSpec{{Addr: &gate, Mode: DepIn}},
-					})
+					TaskOpts{Deps: []DepSpec{
+						{Addr: &gate[i%gates], Mode: DepIn},
+						{Addr: &gate[(i+1)%gates], Mode: DepIn},
+					}})
 			}
 		}
 		th.Barrier()
 	})
 	if got, want := sum.Load(), int64(fan)*(fan-1)/2; got != want {
-		t.Fatalf("prioritised fan-out sum = %d, want %d", got, want)
+		t.Fatalf("dependent fan-out sum = %d, want %d", got, want)
 	}
 }

@@ -7,11 +7,12 @@ import (
 
 // Explicit tasking: the analog of libomp's __kmpc_omp_task* entry points.
 // Every explicit task becomes a taskNode pushed onto the creating thread's
-// work-stealing deque (taskdeque.go); threads execute their own newest
-// tasks first and steal the oldest task of a teammate when their deque runs
-// dry — at taskwait, at taskgroup ends, and at team barriers, which makes
-// barriers task scheduling points as the standard requires: idle threads
-// help drain the task pool instead of spinning.
+// work-stealing deque (taskdeque.go), the team's one ready pool; threads
+// execute their own newest tasks first and steal the oldest task of a
+// teammate when their deque runs dry — at taskwait, at taskgroup ends, and
+// at team barriers, which makes barriers task scheduling points as the
+// standard requires: idle threads help drain the task pool instead of
+// spinning.
 //
 // Completion bookkeeping uses two counters:
 //
@@ -27,11 +28,12 @@ import (
 // A team-wide Team.taskCount makes the end-of-region and explicit barriers
 // complete all outstanding tasks before any thread passes.
 //
-// Tied vs untied: every task here executes tied — it runs to completion on
-// the thread that dequeued it and never migrates mid-execution (Go has no
-// continuation capture to migrate with). The untied clause is accepted and
-// recorded, then treated as tied, the conforming fallback the standard
-// allows (untied is a permission to migrate, not an obligation).
+// Every task here executes tied — it runs to completion on the thread that
+// dequeued it and never migrates mid-execution (Go has no continuation
+// capture to migrate with) — and unmerged, and ready tasks leave the pool
+// in deque order whatever their priority clause says: the untied, mergeable
+// and priority clauses are permissions and hints, so ignoring them is
+// conforming (omp.Untied).
 
 // taskNode is one explicit task instance: libomp's kmp_taskdata_t reduced
 // to what closure capture does not already carry.
@@ -46,11 +48,6 @@ type taskNode struct {
 	// dependence releases, flight-recorder rows and hang reports all
 	// attribute through it, so it is recorded unconditionally.
 	loc Ident
-
-	// priority is the priority clause value (0 = unprioritised): ready
-	// tasks with priority > 0 route through the team's priority queue and
-	// are dequeued before any deque task (taskdep.go).
-	priority int32
 
 	// Dependence machinery (taskdep.go): dep is non-nil iff this task
 	// carries depend items; deps is the dependence hash table of the
@@ -112,23 +109,14 @@ type TaskOpts struct {
 	// Final is the final clause: this task and all descendants execute
 	// undeferred.
 	Final bool
-	// Untied is accepted and executed tied (see package comment).
-	Untied bool
-	// Mergeable is accepted as a no-op: merged tasks are a permission to
-	// reuse the generating task's data environment, which closure capture
-	// already shares; executing every mergeable task unmerged is the
-	// conforming fallback.
-	Mergeable bool
-	// Priority is the priority clause value; > 0 routes the ready task
-	// through the team's priority queue (higher dequeues first).
-	Priority int32
 	// Deps are the depend clause items; a task with any is withheld from
 	// the deques until every predecessor completes (taskdep.go).
 	Deps []DepSpec
 }
 
-// TaskSpawn creates an explicit task executing fn — __kmpc_omp_task. The
-// task is deferred onto the calling thread's deque unless it must execute
+// SpawnTask creates an explicit task executing fn — __kmpc_omp_task, and
+// __kmpc_omp_task_with_deps once o carries depend items. The task is
+// deferred onto the calling thread's deque unless it must execute
 // undeferred: if(false) tasks, final tasks and all descendants of final
 // tasks (included tasks), and tasks created outside a multi-thread team,
 // which all run immediately on the caller's stack.
@@ -137,16 +125,7 @@ type TaskOpts struct {
 // owner-only. Task bodies receive the executing thread, which for stolen
 // tasks differs from t. loc is the construct's source position, attributed
 // to the spawn trace event.
-func (t *Thread) TaskSpawn(loc Ident, fn func(*Thread), undeferred, final, untied bool) {
-	t.SpawnTask(loc, fn, TaskOpts{Undeferred: undeferred, Final: final, Untied: untied})
-}
-
-// SpawnTask is TaskSpawn with the full clause set — the entry point behind
-// omp.Task once any of depend/priority/mergeable is present
-// (__kmpc_omp_task_with_deps).
 func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
-	_ = o.Untied    // accepted, executed tied (see package comment)
-	_ = o.Mergeable // accepted, executed unmerged (see TaskOpts)
 	parent := t.currentTask()
 	// Task creation is a task scheduling point, hence a cancellation
 	// point: once the region or an enclosing taskgroup is cancelled, new
@@ -191,7 +170,7 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 		node.depComplete(t)
 		return
 	}
-	node := &taskNode{fn: fn, parent: parent, group: t.curGroup, team: t.team, priority: o.Priority, loc: loc}
+	node := &taskNode{fn: fn, parent: parent, group: t.curGroup, team: t.team, loc: loc}
 	parent.children.Add(1)
 	if node.group != nil {
 		node.group.pending.Add(1)
@@ -200,7 +179,7 @@ func (t *Thread) SpawnTask(loc Ident, fn func(*Thread), o TaskOpts) {
 	if g := eventGate.Load(); g != 0 {
 		t.event(g, TraceEvent{
 			Kind: TraceTaskSpawn, Loc: loc, When: TraceNow(),
-			Arg0: int64(len(o.Deps)), Arg1: int64(o.Priority),
+			Arg0: int64(len(o.Deps)),
 		})
 	}
 	if len(o.Deps) == 0 {
@@ -258,17 +237,9 @@ func (t *Thread) runTaskRecover(node *taskNode, eb *errBox) {
 }
 
 // runOneTask pops or steals one ready task and executes it to completion.
-// Prioritised tasks — the team-wide priority queue — are taken before any
-// deque task, giving the priority clause its dequeue-ordering meaning.
 // Returns false when no task was found anywhere in the team.
 func (t *Thread) runOneTask() bool {
-	var node *taskNode
-	if t.team != nil {
-		node = t.team.prioQ.pop()
-	}
-	if node == nil {
-		node = t.deque.pop()
-	}
+	node := t.deque.pop()
 	g := eventGate.Load()
 	if node == nil && t.team != nil {
 		tm := t.team
@@ -319,28 +290,20 @@ func (t *Thread) runOneTask() bool {
 }
 
 // taskWait is a task scheduling point that lasts until done reports true:
-// the thread runs ready tasks, and when it finds none it waits on its one
-// waiter (wait.go) for done or for ready work to appear. Both sides wake
-// the threads waiting here (wakeTaskWaiters): enqueueReady and depComplete
-// after making a task ready, finish when a child, group or team count
-// reaches zero. The flag is stored before the predicate is first read and
-// the wakers store before they read the flag, so one side sees the other.
+// the thread runs ready tasks, and when it finds none it waits (waitTask)
+// for done or for ready work to appear.
 func (t *Thread) taskWait(done func() bool) {
+	tm := t.team
 	for !done() {
 		if !t.runOneTask() {
-			t.taskWaiting.Store(1)
-			t.wait(func() bool { return done() || t.team.readyWork() })
-			t.taskWaiting.Store(0)
+			t.waitTask(func() bool { return done() || tm.taskCount.Load() != 0 && tm.readyWork() })
 		}
 	}
 }
 
-// readyWork reports whether some task is ready to run anywhere in the team:
-// in the priority queue or in any thread's deque.
+// readyWork reports whether some task is ready to run in any thread's
+// deque.
 func (tm *Team) readyWork() bool {
-	if tm.prioQ.size.Load() > 0 {
-		return true
-	}
 	for _, th := range tm.threads[:tm.n] {
 		if th.deque.bottom.Load() > th.deque.top.Load() {
 			return true
@@ -387,9 +350,8 @@ func (t *Thread) TaskgroupRun(loc Ident, body func()) {
 // balanced tasks; with neither, two tasks per team thread (libomp's
 // KMP_TASKLOOP num_tasks default). Unless nogroup is set the call waits for
 // all chunks under an implicit taskgroup. undeferred (the if(false) clause)
-// executes the whole loop immediately on the calling thread. priority is
-// the priority clause, applied to every chunk task.
-func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, undeferred bool, priority int32, body func(t *Thread, lo, hi int64)) {
+// executes the whole loop immediately on the calling thread.
+func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, undeferred bool, body func(t *Thread, lo, hi int64)) {
 	if trip <= 0 {
 		return
 	}
@@ -424,7 +386,7 @@ func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, u
 				hi++
 			}
 			clo, chi := lo, hi
-			t.SpawnTask(loc, func(ex *Thread) { body(ex, clo, chi) }, TaskOpts{Priority: priority})
+			t.SpawnTask(loc, func(ex *Thread) { body(ex, clo, chi) }, TaskOpts{})
 			lo = hi
 		}
 	}
@@ -432,18 +394,5 @@ func (t *Thread) Taskloop(loc Ident, trip, grainsize, numTasks int64, nogroup, u
 		spawn()
 	} else {
 		t.TaskgroupRun(loc, spawn)
-	}
-}
-
-// taskDrain executes ready tasks until none remain anywhere in the team:
-// the task-completion half of a barrier. A thread that finds no work waits
-// rather than returns — another thread may still be running a task that
-// will spawn more.
-func (t *Thread) taskDrain() {
-	if t == nil || t.team == nil {
-		return
-	}
-	if tm := t.team; tm.taskCount.Load() != 0 {
-		t.taskWait(func() bool { return tm.taskCount.Load() == 0 })
 	}
 }

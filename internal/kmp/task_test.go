@@ -51,7 +51,7 @@ func TestTaskCompletionAtRegionEnd(t *testing.T) {
 		if th.Tid == 0 {
 			for i := 1; i <= 100; i++ {
 				v := int64(i)
-				th.TaskSpawn(Ident{}, func(*Thread) { sum.Add(v) }, false, false, false)
+				th.SpawnTask(Ident{}, func(*Thread) { sum.Add(v) }, TaskOpts{})
 			}
 		}
 	})
@@ -69,8 +69,8 @@ func TestTaskwaitChildren(t *testing.T) {
 			return
 		}
 		var a, b int64
-		th.TaskSpawn(Ident{}, func(*Thread) { a = 21 }, false, false, false)
-		th.TaskSpawn(Ident{}, func(*Thread) { b = 21 }, false, false, false)
+		th.SpawnTask(Ident{}, func(*Thread) { a = 21 }, TaskOpts{})
+		th.SpawnTask(Ident{}, func(*Thread) { b = 21 }, TaskOpts{})
 		th.Taskwait()
 		result.Store(a + b)
 	})
@@ -88,7 +88,7 @@ func TestTaskRecursiveFib(t *testing.T) {
 			return n
 		}
 		var x, y int
-		th.TaskSpawn(Ident{}, func(ex *Thread) { x = fib(ex, n-1) }, false, n < 8, false)
+		th.SpawnTask(Ident{}, func(ex *Thread) { x = fib(ex, n-1) }, TaskOpts{Final: n < 8})
 		y = fib(th, n-2)
 		th.Taskwait()
 		return x + y
@@ -115,10 +115,10 @@ func TestTaskgroupDescendants(t *testing.T) {
 			return
 		}
 		th.TaskgroupRun(Ident{}, func() {
-			th.TaskSpawn(Ident{}, func(ex *Thread) {
-				ex.TaskSpawn(Ident{}, func(*Thread) { order.Add(1) }, false, false, false)
+			th.SpawnTask(Ident{}, func(ex *Thread) {
+				ex.SpawnTask(Ident{}, func(*Thread) { order.Add(1) }, TaskOpts{})
 				order.Add(1)
-			}, false, false, false)
+			}, TaskOpts{})
 		})
 		afterGroup = order.Load()
 	})
@@ -136,10 +136,10 @@ func TestTaskwaitOnlyChildren(t *testing.T) {
 		if th.Tid != 0 {
 			return
 		}
-		th.TaskSpawn(Ident{}, func(ex *Thread) {
-			ex.TaskSpawn(Ident{}, func(*Thread) { grandchild.Add(1) }, false, false, false)
+		th.SpawnTask(Ident{}, func(ex *Thread) {
+			ex.SpawnTask(Ident{}, func(*Thread) { grandchild.Add(1) }, TaskOpts{})
 			childDone.Add(1)
-		}, false, false, false)
+		}, TaskOpts{})
 		th.Taskwait()
 		if childDone.Load() != 1 {
 			t.Error("taskwait returned before the child completed")
@@ -159,25 +159,25 @@ func TestTaskUndeferredAndFinal(t *testing.T) {
 			return
 		}
 		ran := false
-		th.TaskSpawn(Ident{}, func(ex *Thread) {
+		th.SpawnTask(Ident{}, func(ex *Thread) {
 			if ex != th {
 				t.Error("if(false) task ran on a different thread")
 			}
 			ran = true
-		}, true, false, false)
+		}, TaskOpts{Undeferred: true})
 		if !ran {
 			t.Error("if(false) task was deferred")
 		}
 
 		depth := 0
-		th.TaskSpawn(Ident{}, func(ex *Thread) {
+		th.SpawnTask(Ident{}, func(ex *Thread) {
 			depth = 1
 			// Child of a final task: must also execute inline, now.
-			ex.TaskSpawn(Ident{}, func(*Thread) { depth = 2 }, false, false, false)
+			ex.SpawnTask(Ident{}, func(*Thread) { depth = 2 }, TaskOpts{})
 			if depth != 2 {
 				t.Error("child of a final task was deferred")
 			}
-		}, false, true, false)
+		}, TaskOpts{Final: true})
 		if depth != 2 {
 			t.Error("final task was deferred")
 		}
@@ -201,7 +201,7 @@ func TestTaskloopCoverage(t *testing.T) {
 		hits := make([]atomic.Int32, trip)
 		ForkCall(Ident{}, 4, func(th *Thread) {
 			if th.Single() {
-				th.Taskloop(Ident{}, trip, tc.grainsize, tc.numTasks, tc.nogroup, false, 0,
+				th.Taskloop(Ident{}, trip, tc.grainsize, tc.numTasks, tc.nogroup, false,
 					func(_ *Thread, lo, hi int64) {
 						for i := lo; i < hi; i++ {
 							hits[i].Add(1)
@@ -223,7 +223,7 @@ func TestTaskloopGroupWait(t *testing.T) {
 	var sum atomic.Int64
 	ForkCall(Ident{}, 4, func(th *Thread) {
 		if th.Single() {
-			th.Taskloop(Ident{}, 100, 9, 0, false, false, 0, func(_ *Thread, lo, hi int64) {
+			th.Taskloop(Ident{}, 100, 9, 0, false, false, func(_ *Thread, lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					sum.Add(i)
 				}
@@ -240,7 +240,7 @@ func TestTaskloopGroupWait(t *testing.T) {
 func TestTaskSerialContexts(t *testing.T) {
 	ran := 0
 	ForkCall(Ident{}, 1, func(th *Thread) {
-		th.TaskSpawn(Ident{}, func(*Thread) { ran++ }, false, false, false)
+		th.SpawnTask(Ident{}, func(*Thread) { ran++ }, TaskOpts{})
 		th.Taskwait()
 	})
 	if ran != 1 {
@@ -248,7 +248,7 @@ func TestTaskSerialContexts(t *testing.T) {
 	}
 	var viaLoop int64
 	ForkCall(Ident{}, 1, func(th *Thread) {
-		th.Taskloop(Ident{}, 10, 0, 0, false, false, 0, func(_ *Thread, lo, hi int64) {
+		th.Taskloop(Ident{}, 10, 0, 0, false, false, func(_ *Thread, lo, hi int64) {
 			viaLoop += hi - lo
 		})
 	})

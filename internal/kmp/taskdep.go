@@ -169,9 +169,7 @@ func registerDeps(parent, node *taskNode, deps []DepSpec) {
 // finishes (or is discarded): mark done, detach the successor list, and
 // enqueue every successor whose unresolved-predecessor count reaches zero.
 // t is the thread running the completion — newly ready tasks go to its
-// deque (owner-only push) or, for prioritised tasks, the team's priority
-// queue, all of them under one lock: a thread draining meanwhile sees the
-// highest priority this completion released, not whichever came first.
+// deque (owner-only push).
 func (n *taskNode) depComplete(t *Thread) {
 	d := n.dep
 	if d == nil {
@@ -183,21 +181,13 @@ func (n *taskNode) depComplete(t *Thread) {
 	d.successors = nil
 	d.mu.Unlock()
 	released := int64(0)
-	var prio []*taskNode
 	for _, s := range succ {
 		if s.dep.npred.Add(-1) == 0 {
 			released++
-			switch {
-			case s.dep.undeferred:
-			case s.priority > 0 && s.team != nil:
-				prio = append(prio, s)
-			default:
+			if !s.dep.undeferred {
 				t.deque.push(s)
 			}
 		}
-	}
-	if len(prio) > 0 {
-		prio[0].team.prioQ.push(prio...)
 	}
 	if released > 0 && t.team != nil {
 		// Ready work, or an undeferred task's waiter (waitDeps), may be
@@ -221,16 +211,10 @@ func (n *taskNode) releaseCreationRef() bool {
 	return n.dep.npred.Add(-1) == 0
 }
 
-// enqueueReady makes a ready task available to the team: prioritised tasks
-// go to the team-wide priority queue (drained highest-priority-first before
-// any deque), the rest to this thread's own deque. Threads parked at a task
-// scheduling point are woken to take it.
+// enqueueReady makes a ready task available to the team on this thread's
+// own deque. Threads parked at a task scheduling point are woken to take it.
 func (t *Thread) enqueueReady(n *taskNode) {
-	if n.priority > 0 && n.team != nil {
-		n.team.prioQ.push(n)
-	} else {
-		t.deque.push(n)
-	}
+	t.deque.push(n)
 	t.team.wakeTaskWaiters(t)
 }
 
@@ -240,103 +224,6 @@ func (t *Thread) enqueueReady(n *taskNode) {
 // spawning thread executes other ready tasks until the count drains.
 func (t *Thread) waitDeps(n *taskNode) {
 	t.taskWait(func() bool { return n.dep.npred.Load() == 0 })
-}
-
-// ----------------------------------------------------------------- priority
-
-// taskPrioQ is the team-wide queue of prioritised ready tasks: a small
-// mutex-guarded max-heap ordered by the priority clause value, FIFO within
-// equal priorities (the seq tiebreak). Only tasks with priority > 0 pass
-// through it — the common unprioritised case never takes the lock, guarded
-// by the size gauge checked before locking.
-type taskPrioQ struct {
-	mu   sync.Mutex
-	heap []prioItem
-	seq  uint64
-	size atomic.Int32
-	_    pad
-}
-
-type prioItem struct {
-	node *taskNode
-	seq  uint64
-}
-
-// less orders the heap: higher priority first, earlier spawn first among
-// equals.
-func (q *taskPrioQ) less(a, b prioItem) bool {
-	if a.node.priority != b.node.priority {
-		return a.node.priority > b.node.priority
-	}
-	return a.seq < b.seq
-}
-
-// push adds tasks in one critical section.
-func (q *taskPrioQ) push(ns ...*taskNode) {
-	q.mu.Lock()
-	for _, n := range ns {
-		q.heap = append(q.heap, prioItem{node: n, seq: q.seq})
-		q.seq++
-		i := len(q.heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !q.less(q.heap[i], q.heap[p]) {
-				break
-			}
-			q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
-			i = p
-		}
-	}
-	q.mu.Unlock()
-	q.size.Add(int32(len(ns)))
-}
-
-// pop removes the highest-priority task, nil when empty. The size gauge is
-// decremented before the heap shrinks, so a racing pop may see size > 0 and
-// find the heap empty — callers treat nil as "try the deques".
-func (q *taskPrioQ) pop() *taskNode {
-	if q.size.Load() == 0 {
-		return nil
-	}
-	q.mu.Lock()
-	n := len(q.heap)
-	if n == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	q.size.Add(-1)
-	top := q.heap[0].node
-	q.heap[0] = q.heap[n-1]
-	q.heap[n-1] = prioItem{}
-	q.heap = q.heap[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && q.less(q.heap[l], q.heap[best]) {
-			best = l
-		}
-		if r < n && q.less(q.heap[r], q.heap[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		i = best
-	}
-	q.mu.Unlock()
-	return top
-}
-
-// reset clears the queue between regions. Only safe with the team quiesced.
-func (q *taskPrioQ) reset() {
-	q.mu.Lock()
-	q.heap = nil
-	q.seq = 0
-	q.mu.Unlock()
-	q.size.Store(0)
 }
 
 // ---------------------------------------------------------------- taskyield

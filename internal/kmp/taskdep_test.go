@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,65 +300,6 @@ func TestDepTaskgroupWaits(t *testing.T) {
 	})
 }
 
-// Priority queue unit ordering: higher priority first, FIFO among equals.
-func TestTaskPrioQOrdering(t *testing.T) {
-	var q taskPrioQ
-	mk := func(p int32) *taskNode { return &taskNode{priority: p} }
-	n1a, n1b, n5, n3 := mk(1), mk(1), mk(5), mk(3)
-	for _, n := range []*taskNode{n1a, n5, n1b, n3} {
-		q.push(n)
-	}
-	want := []*taskNode{n5, n3, n1a, n1b}
-	for i, w := range want {
-		if got := q.pop(); got != w {
-			t.Fatalf("pop %d: got priority %d (seq pos), want priority %d", i, got.priority, w.priority)
-		}
-	}
-	if q.pop() != nil {
-		t.Fatal("empty queue returned a task")
-	}
-}
-
-// Prioritised ready tasks are executed before unprioritised ones when a
-// single thread drains its backlog (deterministic: team of 2, the spawner
-// holds the worker at a barrier until the spawn completes… simplest
-// deterministic check is a serial drain on one worker).
-func TestPriorityDequeueOrder(t *testing.T) {
-	var order []int32
-	done := make(chan struct{})
-	ForkCall(Ident{}, 2, func(th *Thread) {
-		if !th.Single() {
-			// One drainer: this thread reaches the barrier, a task
-			// scheduling point, only once every task has run, so the
-			// recorded order is the order the spawning thread dequeued.
-			<-done
-			th.Barrier()
-			return
-		}
-		// Withhold all tasks behind one gate dependence so none starts
-		// until every spawn (and its priority) is registered; the gate's
-		// completion releases them all at once.
-		var gate int
-		th.SpawnTask(Ident{}, func(*Thread) {},
-			TaskOpts{Deps: []DepSpec{{Addr: &gate, Mode: DepOut}}})
-		for _, p := range []int32{0, 2, 0, 7, 1} {
-			p := p
-			th.SpawnTask(Ident{}, func(*Thread) {
-				order = append(order, p)
-				if len(order) == 5 {
-					close(done)
-				}
-			}, TaskOpts{Priority: p, Deps: []DepSpec{{Addr: &gate, Mode: DepIn}}})
-		}
-		th.Barrier()
-	})
-	// Prioritised tasks come out of the team queue highest-first, ahead of
-	// the unprioritised ones in the deque.
-	if want := []int32{7, 2, 1, 0, 0}; !slices.Equal(order, want) {
-		t.Fatalf("dequeue order %v, want %v", order, want)
-	}
-}
-
 // Taskyield runs another ready task at the yield point.
 func TestTaskyieldRunsReadyTask(t *testing.T) {
 	var ran atomic.Bool
@@ -377,20 +317,6 @@ func TestTaskyieldRunsReadyTask(t *testing.T) {
 	})
 	if !ran.Load() {
 		t.Fatal("taskyield never executed the ready task")
-	}
-}
-
-// Mergeable is accepted and executes exactly once, unmerged.
-func TestMergeableNoOp(t *testing.T) {
-	var n atomic.Int32
-	ForkCall(Ident{}, 2, func(th *Thread) {
-		if th.Single() {
-			th.SpawnTask(Ident{}, func(*Thread) { n.Add(1) }, TaskOpts{Mergeable: true})
-		}
-		th.Barrier()
-	})
-	if n.Load() != 1 {
-		t.Fatalf("mergeable task ran %d times", n.Load())
 	}
 }
 

@@ -124,12 +124,9 @@ type Team struct {
 	copyPB  copyPrivateBuf
 
 	// taskCount is the number of spawned-but-incomplete explicit tasks in
-	// the team (task.go); barriers drain it to zero before releasing.
+	// the team (task.go); barriers drain it to zero before releasing, and
+	// their waiters poll it for tasks to run.
 	taskCount atomic.Int64
-
-	// prioQ holds ready tasks carrying a priority clause; every dequeue
-	// drains it before the work-stealing deques (taskdep.go).
-	prioQ taskPrioQ
 
 	// ebox collects the first error of a catch-mode (ForkCallErr) region,
 	// explicit tasks' panics included (they may run at any scheduling
@@ -143,7 +140,7 @@ type Team struct {
 const (
 	dirtyLoops   uint32 = 1 << iota // dispatch buffers (DispatchInit)
 	dirtySingles                    // single/copyprivate buffers
-	dirtyTasks                      // task counters, priority queue, deques
+	dirtyTasks                      // task counter, deques
 )
 
 func (tm *Team) touch(bit uint32) {
@@ -204,6 +201,8 @@ func (tm *Team) workerLoop(th, master *Thread, last uint64) {
 // drain: the implicit barrier at region end must also complete every
 // explicit task spawned in the region (task.go) — in catch mode from the
 // deferred recovery, so a panicking thread still helps (or discards) them.
+// The drain comes before the thread counts out of the join, so a worker
+// that has counted out does not help with tasks spawned after its drain.
 func (tm *Team) runRegion(th *Thread, w *work) {
 	th.enter(tm)
 	switch {
@@ -224,7 +223,7 @@ func (tm *Team) runRegion(th *Thread, w *work) {
 			}
 		}
 	}
-	th.taskDrain()
+	th.taskWait(func() bool { return tm.taskCount.Load() == 0 })
 }
 
 func (tm *Team) runCatch(th *Thread, fn func(*Thread) error) {
@@ -233,7 +232,7 @@ func (tm *Team) runCatch(th *Thread, fn func(*Thread) error) {
 			tm.ebox.set(fmt.Errorf("omp: panic in parallel region: %v", r))
 			tm.cancel()
 		}
-		th.taskDrain()
+		th.taskWait(func() bool { return tm.taskCount.Load() == 0 })
 	}()
 	if err := fn(th); err != nil {
 		tm.ebox.set(err)
@@ -333,7 +332,6 @@ func (tm *Team) reset() {
 	}
 	if dirty&dirtyTasks != 0 {
 		tm.taskCount.Store(0)
-		tm.prioQ.reset()
 		// Deques are empty between regions (the implicit barrier drained
 		// them) but stolen slots may still reference completed closures;
 		// dropping the ring releases them and any growth.
@@ -633,16 +631,10 @@ func (t *Thread) Reduce(bits uint64, fold func(Partials)) {
 	if g != 0 {
 		arrive = TraceNow()
 	}
-	// A barrier is a task scheduling point: instead of spinning, arriving
-	// threads execute outstanding explicit tasks (their own, then stolen)
-	// until the team's task pool is dry. A thread that enters Wait only
-	// after seeing zero may still be overtaken by a task spawning more
-	// tasks, but the spawning thread drains those before arriving itself,
-	// so all tasks created before the barrier complete before release.
-	t.taskDrain()
-	// A barrier is also a cancellation point: a region cancel releases it
-	// immediately — threads that already branched to the region's end will
-	// never arrive, and waiting for them would deadlock.
+	// A barrier is a task scheduling point and a cancellation point
+	// (barrier.wait): waiters run the team's ready tasks, and a region
+	// cancel releases it at once — threads that already branched to the
+	// region's end will never arrive, and waiting for them would deadlock.
 	t.setWait(StateInBarrier)
 	t.team.bar.wait(t, fold)
 	t.setWait(StateRunning)

@@ -19,8 +19,7 @@ type pad [CacheLine]byte
 // __kmpc_fork_call; here the outlined function receives *Thread.
 type Thread struct {
 	// The first cache line is stored to at creation and when the thread
-	// parks or finds no task at a task scheduling point, never per region:
-	// wake's look at parked is a cache hit.
+	// parks, never per region: wake's look at parked is a cache hit.
 
 	// Gtid is the global thread id, unique across all live threads of the
 	// process, with the initial thread at 0 — libomp's gtid.
@@ -31,8 +30,8 @@ type Thread struct {
 	team *Team
 	// Where the thread parks when a wait outlasts its spin budget (wait.go):
 	// a cap-1 token channel guarded by a Dekker-style parked flag.
-	// taskWaiting is set while it waits at a task scheduling point
-	// (taskWait), so a task made ready wakes only such waiters.
+	// taskWaiting is set while it is parked at a task scheduling point
+	// (waitTask), so a task made ready wakes only such waiters.
 	parked      atomic.Uint32
 	taskWaiting atomic.Uint32
 	token       chan struct{}

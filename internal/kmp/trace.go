@@ -46,7 +46,7 @@ const (
 	// iterations taken.
 	TraceLoopSteal
 	// TraceTaskSpawn fires when a thread defers an explicit task.
-	// Arg0 is the number of depend items, Arg1 the priority clause value.
+	// Arg0 is the number of depend items.
 	TraceTaskSpawn
 	// TraceTaskSteal fires when a thread steals a task from a teammate.
 	// Arg0 is the victim's global thread id.

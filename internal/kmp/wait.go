@@ -8,9 +8,10 @@ import (
 // The one wait loop of the runtime: every wait — worksharing and explicit
 // barriers, the region join, a worker's idle wait for the next region, a
 // loop's dispatch buffer, the ordered ticket, the task scheduling points —
-// blocks in (*Thread).wait. See
-// the "Waiting" section of the package comment for the predicates, who wakes
-// each, and the memory-ordering argument.
+// spins and then parks in (*Thread).wait, or in waitTask, its variant for
+// the task scheduling points barriers included. See the "Waiting" section
+// of the package comment for the predicates, who wakes each, and the
+// memory-ordering argument.
 
 // Spin budgets: how long a waiter probes its predicate before it parks. The
 // passive budget covers the arrival skew of fine-grained loops several times
@@ -75,11 +76,12 @@ func (tm *Team) wakeTeam(self *Thread) {
 }
 
 // wakeTaskWaiters wakes the parked threads of the current region that wait
-// at a task scheduling point: a thread parked in a barrier or the ordered
-// ticket does not look at tasks, and waking it for every spawn would cost
-// the spawner a scheduler round trip each time. (With wakeTeam here, a
-// task-recursive fib(27) at two threads on a 2-vCPU Xeon ran 12–14 %
-// slower.)
+// at a task scheduling point, a barrier included: a thread parked for the
+// ordered ticket or the join does not look at tasks, and waking it for
+// every spawn would cost the spawner a scheduler round trip each time.
+// (With wakeTeam here, a task-recursive fib(27) at two threads on a 2-vCPU
+// Xeon ran 12–14 % slower; that was measured before barrier waiters ran
+// tasks, when this function skipped them too.)
 func (tm *Team) wakeTaskWaiters(self *Thread) {
 	for _, th := range tm.threads[:tm.n] {
 		if th != self && th.taskWaiting.Load() != 0 {
@@ -92,6 +94,22 @@ func (tm *Team) wakeTaskWaiters(self *Thread) {
 func (t *Thread) wait(pred func() bool) {
 	if !t.spin(pred) {
 		t.park(pred)
+	}
+}
+
+// waitTask is wait at a task scheduling point: pred must come true once a
+// task is ready anywhere in the team. wakeTaskWaiters reaches the threads
+// parked here: enqueueReady and depComplete call it after making a task
+// ready, finish when a child, group or team count reaches zero. The
+// taskWaiting flag is set only around the park, since only a parked thread
+// needs a wake: it is stored before park's parked flag and its re-check of
+// pred, and the wakers store before they read it, so one side sees the
+// other.
+func (t *Thread) waitTask(pred func() bool) {
+	if !t.spin(pred) {
+		t.taskWaiting.Store(1)
+		t.park(pred)
+		t.taskWaiting.Store(0)
 	}
 }
 

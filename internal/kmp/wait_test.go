@@ -426,10 +426,10 @@ func reuseAfterCancel(n int) error {
 }
 
 // The task scheduling points on the one waiter: with a zero spin budget
-// every taskwait, taskgroup end and dependence wait that finds no ready task
-// parks at once, so a spawn, release or count reaching zero that does not
-// wake it deadlocks the round (the test times out) and an early release
-// breaks a count.
+// every taskwait, taskgroup end, dependence wait and barrier that finds no
+// ready task parks at once, so a spawn, release or count reaching zero that
+// does not wake it deadlocks the round (the test times out) and an early
+// release breaks a count.
 func TestTaskWaitNoLostWakeup(t *testing.T) {
 	rounds := 1000
 	if testing.Short() {
@@ -438,6 +438,7 @@ func TestTaskWaitNoLostWakeup(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			singleRan := make([]atomic.Int32, rounds)
 			ForkCall(Ident{}, 4, func(th *Thread) {
 				th.team.spinNs.Store(0) // reset by the next fork
 				th.Barrier()
@@ -486,6 +487,22 @@ func TestTaskWaitNoLostWakeup(t *testing.T) {
 						}
 					}, undeferred)
 					th.Taskwait()
+
+					// The spawner is in single, its teammates parked in
+					// single's barrier: the spawns must wake them.
+					if th.Single() {
+						for limit := time.Now().Add(time.Second); !parkedPeers(th) && time.Now().Before(limit); {
+							runtime.Gosched()
+						}
+						for c := 0; c < 3; c++ {
+							d := delay()
+							th.SpawnTask(Ident{}, func(*Thread) { busyWait(d); singleRan[r].Add(1) }, TaskOpts{})
+						}
+					}
+					th.Barrier()
+					if got := singleRan[r].Load(); got != 3 {
+						t.Errorf("single's barrier released with %d of 3 tasks done", got)
+					}
 				}
 			})
 		})

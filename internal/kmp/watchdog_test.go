@@ -3,13 +3,15 @@ package kmp
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // A worker parked in a barrier past the threshold trips the watchdog
 // exactly once for the whole stall, and the report names the region it is
-// stuck in.
+// stuck in. The worker runs a task in the barrier first and still reads
+// in-barrier after it.
 func TestWatchdogTripsOnBarrierHang(t *testing.T) {
 	loc := Ident{File: "watchdog_test.go", Line: 10, Region: "parallel"}
 	const threshold = 50 * time.Millisecond
@@ -29,10 +31,13 @@ func TestWatchdogTripsOnBarrierHang(t *testing.T) {
 
 	release := make(chan struct{})
 	done := make(chan struct{})
+	var ranOn atomic.Int64 // Gtid+1 of the thread that ran tid 0's task
 	go func() {
 		defer close(done)
 		ForkCall(loc, 2, func(th *Thread) {
 			if th.Tid == 0 {
+				// tid 1 runs this task in the barrier, then waits again.
+				th.SpawnTask(loc, func(ex *Thread) { ranOn.Store(int64(ex.Gtid) + 1) }, TaskOpts{})
 				<-release // the hang: tid 0 never reaches the barrier
 			}
 			th.Barrier()
@@ -49,10 +54,23 @@ func TestWatchdogTripsOnBarrierHang(t *testing.T) {
 	// lasts stay silent.
 	time.Sleep(3 * threshold)
 	trips := WatchdogTrips() - before
+	// A barrier waiter that ran a task there reports in-barrier again.
+	waiter := int(ranOn.Load()) - 1
+	inBarrier := false
+	for _, tm := range ReadStatus().Teams {
+		for _, w := range tm.Workers {
+			if w.Gtid == waiter && w.Tid == 1 {
+				inBarrier = w.State == StateInBarrier.String()
+			}
+		}
+	}
 	close(release)
 	<-done
 	if trips != 1 {
 		t.Errorf("one stall held for three thresholds after the first trip counted %d trips, want 1", trips)
+	}
+	if !inBarrier {
+		t.Errorf("the waiter that ran tid 0's task (g%d) is not reported in-barrier", waiter)
 	}
 
 	found := false

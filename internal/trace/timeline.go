@@ -105,7 +105,7 @@ func (p *Profiler) WriteTimeline(w io.Writer) error {
 				instant(ev, name, cat, args),
 			)
 		case kmp.TraceTaskSpawn:
-			out = append(out, instant(ev, "spawn "+named(ev.Loc, "task"), "task", map[string]any{"deps": ev.Arg0, "priority": ev.Arg1}))
+			out = append(out, instant(ev, "spawn "+named(ev.Loc, "task"), "task", map[string]any{"deps": ev.Arg0}))
 		case kmp.TraceTaskDepStall:
 			out = append(out, instant(ev, "dep-stall", "dep", map[string]any{"waiting_on": ev.Arg0}))
 		case kmp.TraceTaskDepRelease:

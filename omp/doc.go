@@ -115,7 +115,10 @@
 // and the equivalent options on omp.Task: DependIn, DependOut, DependInOut
 // (one per variable; the variable's address is the dependence identity, so
 // sibling tasks naming the same storage are ordered), Priority, Mergeable,
-// plus the standalone Taskyield. Ordering rules are the standard's: a task
+// plus the standalone Taskyield. Priority, Mergeable and Untied are
+// accepted hints the runtime does not act on: ready tasks run in the same
+// order whatever their priority, as in libomp while max-task-priority-var
+// keeps its initial value, 0. Ordering rules are the standard's: a task
 // with in on x runs after the last preceding sibling with out/inout on x;
 // a task with out/inout on x additionally runs after every in task
 // admitted since. Dependences order sibling tasks only — tasks of the same
@@ -125,12 +128,11 @@
 // last-writer/reader-set per dependence address. A dependent task holds an
 // atomic count of unresolved predecessors and is withheld from the
 // work-stealing deques until it reaches zero; completing a task releases
-// its successors from whichever thread finished, and tasks with
-// Priority(n) re-enter through a team-wide priority queue that every
-// dequeue consults first. if(false) tasks with dependences wait at the
-// spawn point (executing other ready tasks) as the standard requires, and
-// cancelled tasks still release their successors, so DAGs compose with
-// taskwait, taskgroup, cancellation, and WithContext teardown.
+// its successors from whichever thread finished onto that thread's deque.
+// if(false) tasks with dependences wait at the spawn point (executing other
+// ready tasks) as the standard requires, and cancelled tasks still release
+// their successors, so DAGs compose with taskwait, taskgroup, cancellation,
+// and WithContext teardown.
 //
 // The canonical wavefront — block (i,j) after blocks (i-1,j) and (i,j-1):
 //

@@ -26,12 +26,9 @@ type config struct {
 	// Tasking clauses (task.go).
 	finalClause bool
 	hasFinal    bool
-	untied      bool
-	mergeable   bool
 	grainsize   int64
 	numTasks    int64
 	nogroup     bool
-	priority    int32
 	deps        []kmp.DepSpec
 }
 

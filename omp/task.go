@@ -18,10 +18,24 @@ func Final(cond bool) Option {
 	return func(c *config) { c.finalClause = cond; c.hasFinal = true }
 }
 
-// Untied is the untied clause. Accepted for source compatibility; tasks
-// always execute tied to the thread that dequeues them (the conforming
-// fallback — untied permits migration, it does not require it).
-func Untied() Option { return func(c *config) { c.untied = true } }
+// Untied, Mergeable and Priority are the untied, mergeable and priority
+// clauses: permissions and a hint that the runtime accepts and does not act
+// on, which the standard allows. A task runs to completion on the thread
+// that dequeued it (untied permits migration, it does not require it) and
+// unmerged (closure capture already shares the data environment a merged
+// task would reuse). Ready tasks leave the pool in the same order whatever
+// their priority, as in libomp while max-task-priority-var keeps its
+// initial value, 0, which clamps every priority(n) to 0. Priority's n is
+// evaluated, as the clause's expression is, and then dropped.
+func Untied() Option { return ignoredOpt }
+
+// Mergeable is the mergeable clause; see Untied.
+func Mergeable() Option { return ignoredOpt }
+
+// Priority is the priority(n) clause; see Untied.
+func Priority(n int) Option { return ignoredOpt }
+
+var ignoredOpt Option = func(*config) {}
 
 // Grainsize is the taskloop grainsize(n) clause: chunks of about n
 // iterations per task. Mutually exclusive with NumTasks.
@@ -35,25 +49,6 @@ func NumTasks(n int64) Option { return func(c *config) { c.numTasks = n } }
 // at the end of the construct (completion moves to the next taskwait,
 // taskgroup end or barrier).
 func NoGroup() Option { return func(c *config) { c.nogroup = true } }
-
-// Mergeable is the mergeable clause: permission to execute the task merged
-// into the generating task's data environment. Accepted and executed
-// unmerged — closure capture already shares the environment a merged task
-// would reuse, and running every mergeable task unmerged is the conforming
-// fallback (mergeable grants a permission, not an obligation).
-func Mergeable() Option { return func(c *config) { c.mergeable = true } }
-
-// Priority is the priority clause: ready tasks with higher n are dequeued
-// before lower ones and before any unprioritised task (a scheduling hint,
-// not an ordering guarantee — dependences, not priorities, express
-// ordering). Values below 1 leave the task unprioritised.
-func Priority(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.priority = int32(n)
-		}
-	}
-}
 
 // DependIn is depend(in: addr): the task reads the object at addr and is
 // ordered after the last previously-spawned sibling task that declared
@@ -109,9 +104,6 @@ func Task(t *Thread, body func(t *Thread), opts ...Option) {
 	t.SpawnTask(c.loc, body, kmp.TaskOpts{
 		Undeferred: undeferred,
 		Final:      final,
-		Untied:     c.untied,
-		Mergeable:  c.mergeable,
-		Priority:   c.priority,
 		Deps:       c.deps,
 	})
 }
@@ -157,5 +149,5 @@ func Taskloop(t *Thread, trip int64, body func(t *Thread, lo, hi int64), opts ..
 		}
 		return
 	}
-	t.Taskloop(c.loc, trip, c.grainsize, c.numTasks, c.nogroup, undeferred, c.priority, body)
+	t.Taskloop(c.loc, trip, c.grainsize, c.numTasks, c.nogroup, undeferred, body)
 }

@@ -57,13 +57,13 @@ func TestTaskDependWavefront(t *testing.T) {
 	}
 }
 
-// The public options compose: priority, mergeable and taskyield are
+// The public options compose: priority, mergeable, untied and taskyield are
 // accepted alongside dependences, outside and inside teams.
 func TestTaskDependOptionSmoke(t *testing.T) {
 	var x, y int
 	// Outside any team: inline execution in program order.
 	omp.Task(nil, func(*omp.Thread) { x = 1 },
-		omp.DependOut(&x), omp.Priority(3), omp.Mergeable())
+		omp.DependOut(&x), omp.Priority(3), omp.Mergeable(), omp.Untied())
 	omp.Task(nil, func(*omp.Thread) { y = x + 1 }, omp.DependIn(&x))
 	omp.Taskyield(nil)
 	if x != 1 || y != 2 {
