@@ -36,14 +36,13 @@ func (b *barrier) wait(t *Thread, fold func(Partials)) {
 	// another thread may complete the barrier and bump it.
 	s := b.seq.Load()
 	if b.count.Add(1) != int64(tm.n) {
-		b.help(t, s)
+		t.taskWait(func() bool { return b.seq.Load() != s || tm.cancelRegion.Load() })
 		return
 	}
 	// Every thread has arrived, so no implicit task spawns any more, and a
 	// running task counts its children before it finishes: the team count
 	// reaching zero means every task created before the barrier completed.
 	if tm.taskCount.Load() != 0 {
-		t.setWait(StateRunning)
 		t.taskWait(func() bool { return tm.taskCount.Load() == 0 || tm.cancelRegion.Load() })
 		if tm.cancelRegion.Load() {
 			return
@@ -64,27 +63,6 @@ func (b *barrier) wait(t *Thread, fold func(Partials)) {
 	b.count.Store(0)
 	b.seq.Add(1)
 	tm.wakeTeam(t)
-}
-
-// help is an earlier arriver's wait for the release of generation s: it
-// runs ready tasks, as a running thread, whenever the team has some. With
-// no task in the team the wait costs one load of the team count per probe
-// over the release test, and no store.
-func (b *barrier) help(t *Thread, s uint64) {
-	tm := t.team
-	released := func() bool { return b.seq.Load() != s || tm.cancelRegion.Load() }
-	for {
-		t.waitTask(func() bool {
-			return b.seq.Load() != s || tm.cancelRegion.Load() || tm.taskCount.Load() != 0 && tm.readyWork()
-		})
-		if released() {
-			return
-		}
-		t.setWait(StateRunning)
-		for t.runOneTask() && !released() {
-		}
-		t.setWait(StateInBarrier)
-	}
 }
 
 // Partials are what a reduction's fold reads: the bits each team thread

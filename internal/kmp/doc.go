@@ -106,12 +106,13 @@
 // or in waitTask, the same loop for task scheduling points. Each is a
 // predicate and the stores that wake it:
 //
-//   - the worksharing/explicit barrier: generation changed, or region
-//     cancelled, or a ready task is visible in some deque while the team
-//     count is not zero; the thread runs what it finds and waits again.
+//   - the worksharing/explicit barrier, a taskWait (task.go) on the
+//     generation: generation changed, or region cancelled, or a ready task
+//     is visible in some deque while the team count is not zero; the thread
+//     runs what it finds as running, returns to in-barrier and waits again.
 //     Woken by the last arriver, by Team.cancel and by the task wakers of
-//     the next bullet. The last arriver itself waits as a taskwait on the
-//     team count before it releases.
+//     the last bullet. The last arriver itself runs a taskWait on the team
+//     count before it releases.
 //   - the region join: done reached joinAt; only the master waits. Woken by
 //     each worker counting out.
 //   - a worker's idle wait between regions: gen moved. Woken by publish.

@@ -290,14 +290,23 @@ func (t *Thread) runOneTask() bool {
 }
 
 // taskWait is a task scheduling point that lasts until done reports true:
-// the thread runs ready tasks, and when it finds none it waits (waitTask)
-// for done or for ready work to appear.
+// the thread waits (waitTask) for done or for ready work to appear, and runs
+// ready tasks, as a running thread, while it finds some. It then returns to
+// the caller's state (in-barrier for a barrier waiter) before it waits
+// again. With no task in the team the wait costs one load of the team count
+// per probe over done, and no store.
 func (t *Thread) taskWait(done func() bool) {
 	tm := t.team
-	for !done() {
-		if !t.runOneTask() {
-			t.waitTask(func() bool { return done() || tm.taskCount.Load() != 0 && tm.readyWork() })
+	for {
+		t.waitTask(func() bool { return done() || tm.taskCount.Load() != 0 && tm.readyWork() })
+		if done() {
+			return
 		}
+		s, _ := unpackStateWord(t.state.Load())
+		t.setWait(StateRunning)
+		for t.runOneTask() && !done() {
+		}
+		t.setWait(s)
 	}
 }
 

@@ -79,9 +79,6 @@ func (tm *Team) wakeTeam(self *Thread) {
 // at a task scheduling point, a barrier included: a thread parked for the
 // ordered ticket or the join does not look at tasks, and waking it for
 // every spawn would cost the spawner a scheduler round trip each time.
-// (With wakeTeam here, a task-recursive fib(27) at two threads on a 2-vCPU
-// Xeon ran 12–14 % slower; that was measured before barrier waiters ran
-// tasks, when this function skipped them too.)
 func (tm *Team) wakeTaskWaiters(self *Thread) {
 	for _, th := range tm.threads[:tm.n] {
 		if th != self && th.taskWaiting.Load() != 0 {
